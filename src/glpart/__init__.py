@@ -22,21 +22,18 @@ from .c4 import (
     build_c4_incidence,
     cycle_edges,
     enumerate_induced_c4,
-    universal_to,
 )
 from .chordal import (
     ChordalityWitness,
     Peo,
     compute_peo,
     is_chordal,
-    is_peo,
     mcs_order,
     peo_violation,
 )
 from .connectivity import (
     ConnectivityResult,
     SeparatorWitness,
-    enumerate_minimal_separators,
     vertex_connectivity_at_least,
 )
 from .errors import (
@@ -59,7 +56,7 @@ from .graph import (
     MergeMap,
     WeightedGraph,
     components_within,
-    contract_edge,
+    contract_matching,
     induced_subgraph,
     is_connected,
     is_connected_set,
@@ -126,10 +123,9 @@ __all__ = [
     "build_contraction_plan",
     "components_within",
     "compute_peo",
-    "contract_edge",
+    "contract_matching",
     "cycle_edges",
     "enumerate_induced_c4",
-    "enumerate_minimal_separators",
     "find_hole",
     "find_hole_through",
     "format_instance",
@@ -143,13 +139,11 @@ __all__ = [
     "is_connected",
     "is_connected_set",
     "is_hh_i42_free",
-    "is_peo",
     "load_instance",
     "mcs_order",
     "parse_instance",
     "peo_violation",
     "save_instance",
-    "universal_to",
     "verify_partition",
     "vertex_connectivity_at_least",
 ]

@@ -10,9 +10,9 @@ pairwise almost-disjoint induced 4-cycles to a weighted chordal instance:
 3. repeatedly pick a catalogued 4-cycle with at least three vertices on no
    other remaining cycle, record one cycle edge of a non-terminal among
    those three, and drop the cycle,
-4. contract all recorded edges (pairwise disjoint, so merged weights are at
-   most twice the maximum), which yields a chordal graph with connectivity
-   preserved,
+4. contract all recorded edges in one pass (pairwise disjoint, so merged
+   weights are at most twice the maximum), which yields a chordal graph
+   with connectivity preserved,
 5. solve the weighted chordal instance and unfold the merges.
 
 Unweighted demands land within one vertex of target; weighted parts stay
@@ -36,7 +36,7 @@ from .graph import (
     Graph,
     MergeMap,
     WeightedGraph,
-    contract_edge,
+    contract_matching,
     induced_subgraph,
 )
 from .partition import GLPartition, PartitionRequest, gl_partition_chordal_weighted
@@ -144,31 +144,13 @@ def build_contraction_plan(
         chosen.append(e)
         remaining.remove(ci)
 
-    used: set[int] = set()
-    for a, b in chosen:
-        if a in used or b in used:
-            raise PipelineInvariantError(
-                "selected contraction edges are not vertex-disjoint"
-            )
-        used.update((a, b))
-
-    current = g
-    cur_of = list(range(g.n))  # input id -> current id
-    groups: list[frozenset[int]] = [frozenset((x,)) for x in range(g.n)]
-    for a0, b0 in chosen:
-        current, mm = contract_edge(current, cur_of[a0], cur_of[b0])
-        old_to_new: dict[int, int] = {}
-        new_groups: list[frozenset[int]] = []
-        for new, olds in enumerate(mm.groups):
-            merged: set[int] = set()
-            for old in olds:
-                old_to_new[old] = new
-                merged |= groups[old]
-            new_groups.append(frozenset(merged))
-        groups = new_groups
-        cur_of = [old_to_new[c] for c in cur_of]
-
-    merge_map = MergeMap(tuple(groups))
+    try:
+        current, merge_map = contract_matching(g, chosen)
+    except ValueError as exc:
+        raise PipelineInvariantError(
+            f"selected contraction edges are unusable: {exc}"
+        ) from None
+    terminal_map = {t: x for x, grp in enumerate(merge_map.groups) for t in grp & tset}
     sizes = tuple(len(grp) for grp in merge_map.groups)
     witness = peo_violation(current, mcs_order(current))
     if witness is not None:
@@ -179,7 +161,7 @@ def build_contraction_plan(
         contraction_edges=tuple(chosen),
         contracted=WeightedGraph(current, sizes),
         merge_map=merge_map,
-        terminal_map={t: cur_of[t] for t in terminals},
+        terminal_map=terminal_map,
         c4_count=len(catalog),
     )
 

@@ -41,10 +41,6 @@ class C4Catalog:
     def __iter__(self):
         return iter(self.cycles)
 
-    def cycles_of(self, v: int) -> tuple[int, ...]:
-        """Indices of the catalogued cycles through vertex v."""
-        return tuple(i for i, c in enumerate(self.cycles) if v in c)
-
     def vertex_membership(self) -> dict[int, list[int]]:
         out: dict[int, list[int]] = {}
         for i, c in enumerate(self.cycles):
@@ -84,25 +80,16 @@ def enumerate_induced_c4(g: Graph) -> C4Catalog:
     return C4Catalog(tuple(sorted(seen.values())))
 
 
-def universal_to(g: Graph, v: int, cycle: Cycle) -> bool:
-    """True iff v is adjacent to all four vertices of the cycle."""
-    if v in cycle:
-        raise ValueError(f"vertex {v} lies on the cycle")
-    return all(c in g.adj[v] for c in cycle)
-
-
 @dataclass(frozen=True)
 class C4IncidenceGraph:
     """Bipartite incidence of cycles vs. vertices shared by >= 2 cycles.
 
-    ``edges`` pairs a cycle index with a shared graph vertex. On supported
+    Each edge pairs a cycle index with a shared graph vertex. On supported
     inputs this structure is a forest; that is what guarantees the
     contraction loop always finds a cycle with three private vertices.
     """
 
     cycle_count: int
-    shared_vertices: tuple[int, ...]
-    edges: tuple[tuple[int, int], ...]
     is_forest: bool
 
 
@@ -130,4 +117,4 @@ def build_c4_incidence(catalog: C4Catalog) -> C4IncidenceGraph:
             forest = False
             break
         parent[a] = b
-    return C4IncidenceGraph(m, shared, edges, forest)
+    return C4IncidenceGraph(m, forest)

@@ -123,24 +123,6 @@ def compute_peo(g: Graph) -> Peo | ChordalityWitness:
     return Peo.from_order(order)
 
 
-def is_peo(g: Graph, peo: Peo) -> bool:
-    """Direct definition check: every vertex plus its later neighbors is a clique.
-
-    Quadratic in neighborhood sizes; meant for certification and tests, not
-    for hot paths.
-    """
-    if peo.n != g.n:
-        return False
-    sigma = peo.sigma
-    for v in g.vertices():
-        later = [u for u in g.adj[v] if sigma[u] > sigma[v]]
-        for i, a in enumerate(later):
-            for b in later[i + 1:]:
-                if b not in g.adj[a]:
-                    return False
-    return True
-
-
 def is_chordal(g: Graph) -> bool:
     if g.n == 0:
         return True

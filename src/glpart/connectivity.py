@@ -1,4 +1,4 @@
-"""Vertex connectivity checks and minimal separator enumeration.
+"""Vertex connectivity checks.
 
 The k-connectivity test is Menger-based: unit vertex capacities via the
 standard vertex-split flow network, max-flow per non-adjacent pair with early
@@ -13,8 +13,7 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import CapError
-from .graph import Graph, components_within
+from .graph import Graph
 
 
 @dataclass(frozen=True)
@@ -129,31 +128,3 @@ def vertex_connectivity_at_least(g: Graph, k: int) -> ConnectivityResult:
             )
     return ConnectivityResult(True, k)
 
-
-def enumerate_minimal_separators(
-    g: Graph, max_size: int | None = None, cap_n: int = 14
-) -> list[frozenset[int]]:
-    """All minimal vertex separators of ``g``, by exhaustive subset sweep.
-
-    A set S is recorded when G - S has at least two components and every
-    vertex of S has a neighbor in two of them (so S is a minimal u-w
-    separator for some pair u, w drawn from those components). Exponential;
-    refuses n > cap_n.
-    """
-    n = g.n
-    if n > cap_n:
-        raise CapError(f"n={n} exceeds the enumeration cap {cap_n}")
-    limit = n - 2 if max_size is None else min(max_size, n - 2)
-    found: set[frozenset[int]] = set()
-    verts = list(g.vertices())
-    for size in range(1, limit + 1):
-        for subset in combinations(verts, size):
-            s = frozenset(subset)
-            comps = components_within(g, set(verts) - s)
-            if len(comps) < 2:
-                continue
-            # s is a minimal separator iff two components both see all of s
-            full = [c for c in comps if all(g.adj[x] & c for x in s)]
-            if len(full) >= 2:
-                found.add(s)
-    return sorted(found, key=lambda s: (len(s), sorted(s)))

@@ -4,8 +4,10 @@ k-trees are chordal and k-connected by construction, so they exercise the
 exact solver without any recognition cost. Almost-chordal members grow out
 of a k-tree by appending one four-vertex cycle gadget per desired induced
 4-cycle; every step is re-certified (catalog count, house and overlap scan,
-targeted hole search, connectivity flow check), so the output is a
-guaranteed class member with a known cycle count.
+targeted hole search), so the output is a guaranteed class member with a
+known cycle count. Connectivity needs no per-step check: every gadget
+vertex is joined to a whole k-clique, and adding a vertex with at least k
+neighbours keeps a k-connected graph k-connected.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .c4 import enumerate_induced_c4
-from .connectivity import vertex_connectivity_at_least
 from .graph import Graph
 from .recognition import (
     DEFAULT_SEARCH_BUDGET,
@@ -77,18 +78,16 @@ def _with_cycle_gadget(g: Graph, q_clique: tuple[int, ...]) -> Graph:
     return Graph.from_edges(n + 4, edges)
 
 
-def _certify_step(g: Graph, fresh: tuple[int, ...], k: int,
-                  want_cycles: int, budget: int) -> bool:
+def _certify_step(g: Graph, fresh: tuple[int, ...], want_cycles: int,
+                  budget: int) -> bool:
     catalog = enumerate_induced_c4(g)
     if len(catalog) != want_cycles:
         return False
     if scan_catalog_violations(g, catalog) is not None:
         return False
-    # holes avoiding every fresh vertex would predate this step
-    for v in fresh:
-        if find_hole_through(g, v, budget=budget) is not None:
-            return False
-    return bool(vertex_connectivity_at_least(g, k))
+    # holes avoiding every fresh vertex would predate this step; connectivity
+    # needs no check, since each fresh vertex sees a whole k-clique
+    return all(find_hole_through(g, v, budget=budget) is None for v in fresh)
 
 
 def generate_almost_chordal(
@@ -106,9 +105,10 @@ def generate_almost_chordal(
     appends one cycle gadget per desired 4-cycle, each anchored on a
     uniformly chosen k-clique of the base tree. A step is kept only when
     the catalog grew by exactly one, the house and overlap scans stay
-    clean, no hole passes through any of the four fresh vertices, and the
-    graph is still k-connected. Returns the achieved cycle count, which
-    can fall short of the request only if certification keeps failing.
+    clean, and no hole passes through any of the four fresh vertices;
+    k-connectivity carries over by construction. Returns the achieved
+    cycle count, which can fall short of the request only if certification
+    keeps failing.
     """
     if k < 2:
         raise ValueError("k must be at least 2")
@@ -131,7 +131,7 @@ def generate_almost_chordal(
         anchor = cliques[rng.randrange(len(cliques))]
         cand = _with_cycle_gadget(g, anchor)
         fresh = tuple(range(g.n, g.n + 4))
-        if not _certify_step(cand, fresh, k, achieved + 1, hole_budget):
+        if not _certify_step(cand, fresh, achieved + 1, hole_budget):
             continue
         g = cand
         achieved += 1

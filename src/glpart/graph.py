@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Iterable
 
 Edge = tuple[int, int]
 
@@ -99,41 +99,44 @@ class MergeMap:
             out |= self.groups[x]
         return frozenset(out)
 
-    def compose(self, earlier: "MergeMap") -> "MergeMap":
-        """Map through ``earlier``: self's groups are over earlier's ids."""
-        return MergeMap(tuple(earlier.expand(g) for g in self.groups))
 
+def contract_matching(g: Graph, edges: Iterable[Edge]) -> tuple[Graph, MergeMap]:
+    """Contract a set of vertex-disjoint edges in one pass.
 
-def contract_edge(g: Graph, u: int, v: int) -> tuple[Graph, MergeMap]:
-    """Contract edge (u, v), merging v's neighborhood into u's.
-
-    The merged vertex takes the slot of min(u, v); remaining ids are
-    re-densified in ascending order of the surviving original ids. Parallel
-    edges collapse. Returns the new graph and the id map back to ``g``.
+    Each merged vertex takes the slot of its smaller endpoint; remaining ids
+    are re-densified in ascending order of the surviving ids of ``g``.
+    Parallel edges collapse. Returns the new graph and the id map back to
+    ``g``. Raises ValueError when a pair is not an edge of ``g`` or shares
+    a vertex with another pair.
     """
-    if u == v:
-        raise ValueError("cannot contract a vertex with itself")
-    if v not in g.adj[u]:
-        raise ValueError(f"({u}, {v}) is not an edge")
-    lo, hi = (u, v) if u < v else (v, u)
-    keep = [x for x in g.vertices() if x != hi]
-    new_id = {old: i for i, old in enumerate(keep)}
-    merged = new_id[lo]
+    n = g.n
+    rep = list(range(n))  # id in g -> the id of g that keeps its slot
+    used: set[int] = set()
+    for u, v in edges:
+        if v not in g.adj[u]:
+            raise ValueError(f"({u}, {v}) is not an edge")
+        if u in used or v in used:
+            raise ValueError(
+                f"contraction edges are not vertex-disjoint at ({u}, {v})"
+            )
+        used.update((u, v))
+        rep[max(u, v)] = min(u, v)
+    new_id = [0] * n
+    keep = [x for x in range(n) if rep[x] == x]
+    for i, x in enumerate(keep):
+        new_id[x] = i
+    cur = [new_id[rep[x]] for x in range(n)]
 
     nbrs: list[set[int]] = [set() for _ in keep]
-    for a, b in g.edges():
-        a2 = merged if a in (lo, hi) else new_id[a]
-        b2 = merged if b in (lo, hi) else new_id[b]
-        if a2 == b2:
-            continue
-        nbrs[a2].add(b2)
-        nbrs[b2].add(a2)
+    groups: list[list[int]] = [[] for _ in keep]
+    for x in range(n):
+        cx = cur[x]
+        groups[cx].append(x)
+        nbrs[cx].update(cur[y] for y in g.adj[x])
+    for cx, s in enumerate(nbrs):
+        s.discard(cx)
     graph = Graph(tuple(frozenset(s) for s in nbrs))
-    groups = tuple(
-        frozenset((lo, hi)) if i == merged else frozenset((keep[i],))
-        for i in range(len(keep))
-    )
-    return graph, MergeMap(groups)
+    return graph, MergeMap(tuple(frozenset(grp) for grp in groups))
 
 
 def induced_subgraph(g: Graph, s: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
@@ -230,10 +233,3 @@ class WeightedGraph:
     def is_unit(self) -> bool:
         return all(w == 1 for w in self.weights)
 
-
-def iter_nonedges(g: Graph) -> Iterator[Edge]:
-    """Non-adjacent vertex pairs (u, v) with u < v, in lexicographic order."""
-    for u in g.vertices():
-        for v in range(u + 1, g.n):
-            if v not in g.adj[u]:
-                yield (u, v)

@@ -1,11 +1,15 @@
 """Connected partition solvers for chordal graphs.
 
-Both solvers grow one part per terminal by repeatedly assigning the
-unassigned frontier vertex that comes earliest in a perfect elimination
-order to the adjacent open part whose latest-positioned vertex is earliest.
-On chordal k-connected inputs the unweighted loop reaches every demand
-exactly; the weighted loop keeps every part weight strictly within one
-maximum vertex weight of its demand.
+One growth loop serves both solves; the exact unit-size solve is the
+weighted one with every weight 1. The loop grows one part per terminal by
+repeatedly assigning the unassigned frontier vertex that comes earliest in
+a perfect elimination order to the adjacent open part whose
+latest-positioned vertex is earliest. A part closes when its next vertex
+would reach or pass its demand, and the last open part absorbs whatever
+remains.
+On chordal k-connected inputs every part weight lands strictly within one
+maximum vertex weight of its demand, which under unit weights means
+exactly on it.
 """
 
 from __future__ import annotations
@@ -15,7 +19,12 @@ from dataclasses import dataclass
 from .chordal import Peo, mcs_order, peo_violation
 from .connectivity import vertex_connectivity_at_least
 from .errors import DemandError, PreconditionError, SolverStallError
-from .graph import Graph, WeightedGraph
+from .graph import Graph, WeightedGraph, is_connected_set
+
+_STALL = (
+    "no unassigned vertex neighbors an open part; "
+    "the input does not satisfy the solver preconditions"
+)
 
 
 @dataclass(frozen=True)
@@ -91,7 +100,7 @@ def _require_connectivity(g: Graph, k: int) -> None:
 
 
 class _GrowState:
-    """Book-keeping for the growth loops.
+    """Book-keeping for the growth loop.
 
     Tracks, per unassigned vertex, which parts it currently neighbors, and
     per part the largest elimination position inside it. Those positions are
@@ -165,38 +174,14 @@ def gl_partition_chordal(
 ) -> GLPartition:
     """Exact connected partition of a chordal k-connected graph.
 
-    Demands are vertex counts and must sum to n. Every returned part is
-    connected, contains its terminal, and matches its demand exactly
-    (deviation 0). Raises PreconditionError when validation finds the graph
-    non-chordal or insufficiently connected, SolverStallError when
+    Demands are vertex counts and must sum to n. This is the weighted solve
+    with every weight 1: a part then closes exactly on its demand, so every
+    returned part is connected, contains its terminal, and matches its
+    demand (deviation 0). Raises PreconditionError when validation finds the
+    graph non-chordal or insufficiently connected, SolverStallError when
     validation was skipped and the growth loop runs out of frontier.
     """
-    _check_ids(g, req)
-    if sum(req.demands) != g.n:
-        raise DemandError(
-            f"demands sum to {sum(req.demands)} but the graph has {g.n} vertices"
-        )
-    peo = _require_order(g, validate)
-    if validate:
-        _require_connectivity(g, req.k)
-
-    st = _GrowState(g, peo, req.terminals)
-    for i, d in enumerate(req.demands):
-        st.open_[i] = len(st.parts[i]) < d
-    n = g.n
-    while st.assigned < n:
-        picked = st.pick()
-        if picked is None:
-            raise SolverStallError(
-                "no unassigned vertex neighbors an open part; "
-                "the input does not satisfy the solver preconditions"
-            )
-        v, open_parts = picked
-        i = st.choose_part(open_parts)
-        st.assign(v, i)
-        if len(st.parts[i]) >= req.demands[i]:
-            st.open_[i] = False
-    return GLPartition(st.frozen_parts(), 0)
+    return gl_partition_chordal_weighted(WeightedGraph.unit(g), req, validate=validate)
 
 
 def gl_partition_chordal_weighted(
@@ -266,10 +251,7 @@ def gl_partition_chordal_weighted(
                 )
         picked = st.pick()
         if picked is None:
-            raise SolverStallError(
-                "no unassigned vertex neighbors an open part; "
-                "the input does not satisfy the solver preconditions"
-            )
+            raise SolverStallError(_STALL)
         v, open_parts = picked
         i = st.choose_part(open_parts)
         wv = weights[v]
@@ -297,6 +279,10 @@ def gl_partition_chordal_weighted(
             if st.part_of[v] is None:
                 st.assign(v, last)
                 part_weight[last] += weights[v]
+        # growing the last part on would reach exactly these vertices, or
+        # stall when some of them hang off another part only
+        if not is_connected_set(g, st.parts[last]):
+            raise SolverStallError(_STALL)
 
     deviation = max(abs(pw - d) for pw, d in zip(part_weight, req.demands))
     return GLPartition(st.frozen_parts(), deviation)

@@ -1,15 +1,17 @@
 """Exhaustive reference implementations used only by the tests.
 
 Everything here works straight from definitions with no shortcuts, so the
-library can be checked against code that shares none of its logic. All
-functions are exponential; callers keep n small.
+library can be checked against code that shares none of its logic. Most
+functions are exponential; callers keep n small. The helpers at the end
+are small definitional checks the library itself has no use for.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, permutations
 
-from glpart import Graph
+from glpart import CapError, Graph, MergeMap, Peo, components_within
+from glpart.c4 import C4Catalog, Cycle
 
 
 def bf_is_connected(g: Graph, vertices=None) -> bool:
@@ -224,3 +226,109 @@ def bf_gl_partition(g: Graph, terminals, demands, weights=None):
         return None
 
     return rec(0)
+
+
+def enumerate_minimal_separators(
+    g: Graph, max_size: int | None = None, cap_n: int = 14
+) -> list[frozenset[int]]:
+    """All minimal vertex separators of ``g``, by exhaustive subset sweep.
+
+    A set S is recorded when G - S has at least two components and every
+    vertex of S has a neighbor in two of them (so S is a minimal u-w
+    separator for some pair u, w drawn from those components). Exponential;
+    refuses n > cap_n.
+    """
+    n = g.n
+    if n > cap_n:
+        raise CapError(f"n={n} exceeds the enumeration cap {cap_n}")
+    limit = n - 2 if max_size is None else min(max_size, n - 2)
+    found: set[frozenset[int]] = set()
+    verts = list(g.vertices())
+    for size in range(1, limit + 1):
+        for subset in combinations(verts, size):
+            s = frozenset(subset)
+            comps = components_within(g, set(verts) - s)
+            if len(comps) < 2:
+                continue
+            # s is a minimal separator iff two components both see all of s
+            full = [c for c in comps if all(g.adj[x] & c for x in s)]
+            if len(full) >= 2:
+                found.add(s)
+    return sorted(found, key=lambda s: (len(s), sorted(s)))
+
+
+def contract_edge(g: Graph, u: int, v: int) -> tuple[Graph, MergeMap]:
+    """Contract edge (u, v), merging v's neighborhood into u's.
+
+    The merged vertex takes the slot of min(u, v); remaining ids are
+    re-densified in ascending order of the surviving original ids. Parallel
+    edges collapse. Returns the new graph and the id map back to ``g``.
+    """
+    if u == v:
+        raise ValueError("cannot contract a vertex with itself")
+    if v not in g.adj[u]:
+        raise ValueError(f"({u}, {v}) is not an edge")
+    lo, hi = (u, v) if u < v else (v, u)
+    keep = [x for x in g.vertices() if x != hi]
+    new_id = {old: i for i, old in enumerate(keep)}
+    merged = new_id[lo]
+
+    nbrs: list[set[int]] = [set() for _ in keep]
+    for a, b in g.edges():
+        a2 = merged if a in (lo, hi) else new_id[a]
+        b2 = merged if b in (lo, hi) else new_id[b]
+        if a2 == b2:
+            continue
+        nbrs[a2].add(b2)
+        nbrs[b2].add(a2)
+    graph = Graph(tuple(frozenset(s) for s in nbrs))
+    groups = tuple(
+        frozenset((lo, hi)) if i == merged else frozenset((keep[i],))
+        for i in range(len(keep))
+    )
+    return graph, MergeMap(groups)
+
+
+def compose(later: MergeMap, earlier: MergeMap) -> MergeMap:
+    """Map through ``earlier``: ``later``'s groups are over earlier's ids."""
+    return MergeMap(tuple(earlier.expand(g) for g in later.groups))
+
+
+def is_peo(g: Graph, peo: Peo) -> bool:
+    """Direct definition check: every vertex plus its later neighbors is a clique."""
+    if peo.n != g.n:
+        return False
+    sigma = peo.sigma
+    for v in g.vertices():
+        later = [u for u in g.adj[v] if sigma[u] > sigma[v]]
+        for i, a in enumerate(later):
+            for b in later[i + 1:]:
+                if b not in g.adj[a]:
+                    return False
+    return True
+
+
+def universal_to(g: Graph, v: int, cycle: Cycle) -> bool:
+    """True iff v is adjacent to all four vertices of the cycle."""
+    if v in cycle:
+        raise ValueError(f"vertex {v} lies on the cycle")
+    return all(c in g.adj[v] for c in cycle)
+
+
+def cycles_of(catalog: C4Catalog, v: int) -> tuple[int, ...]:
+    """Indices of the catalogued cycles through vertex v."""
+    return tuple(i for i, c in enumerate(catalog.cycles) if v in c)
+
+
+def shared_vertices(catalog: C4Catalog) -> tuple[int, ...]:
+    """Vertices lying on at least two catalogued cycles, ascending."""
+    on_cycles = {v for c in catalog.cycles for v in c}
+    return tuple(sorted(v for v in on_cycles if len(cycles_of(catalog, v)) >= 2))
+
+
+def iter_nonedges(g: Graph):
+    """Non-adjacent vertex pairs (u, v) with u < v, in lexicographic order."""
+    for u in g.vertices():
+        for v in range(u + 1, g.n):
+            if v not in g.adj[u]:
+                yield (u, v)

@@ -23,7 +23,6 @@ from glpart import (
     brute_force_gl,
     build_c4_incidence,
     enumerate_induced_c4,
-    enumerate_minimal_separators,
     format_instance,
     generate_almost_chordal,
     generate_ktree,
@@ -35,7 +34,6 @@ from glpart import (
     vertex_connectivity_at_least,
     verify_partition,
 )
-from glpart.c4 import universal_to
 from glpart.cli import main as cli_main
 
 from bruteforce import (
@@ -44,6 +42,8 @@ from bruteforce import (
     bf_class_member,
     bf_is_chordal,
     bf_vertex_connectivity,
+    enumerate_minimal_separators,
+    universal_to,
 )
 
 

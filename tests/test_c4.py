@@ -12,10 +12,9 @@ from glpart import (
     cycle_edges,
     enumerate_induced_c4,
     generate_almost_chordal,
-    universal_to,
 )
 
-from bruteforce import bf_induced_c4_sets
+from bruteforce import bf_induced_c4_sets, cycles_of, shared_vertices, universal_to
 from test_graph import random_graph_strategy
 
 
@@ -51,8 +50,8 @@ class TestCatalog:
 
     def test_membership_helpers(self, domino):
         cat = enumerate_induced_c4(domino)
-        assert cat.cycles_of(1) == (0, 1)
-        assert cat.cycles_of(0) == (0,)
+        assert cycles_of(cat, 1) == (0, 1)
+        assert cycles_of(cat, 0) == (0,)
         assert cat.vertex_membership()[2] == [0, 1]
 
     @given(random_graph_strategy(max_n=9))
@@ -80,23 +79,26 @@ class TestUniversalTo:
 
 class TestIncidence:
     def test_single_cycle(self, c4):
-        inc = build_c4_incidence(enumerate_induced_c4(c4))
+        cat = enumerate_induced_c4(c4)
+        inc = build_c4_incidence(cat)
         assert inc.cycle_count == 1
-        assert inc.shared_vertices == ()
+        assert shared_vertices(cat) == ()
         assert inc.is_forest
 
     def test_domino_shares_two(self, domino):
-        inc = build_c4_incidence(enumerate_induced_c4(domino))
+        cat = enumerate_induced_c4(domino)
+        inc = build_c4_incidence(cat)
         assert inc.cycle_count == 2
-        assert set(inc.shared_vertices) == {1, 2}
+        assert shared_vertices(cat) == (1, 2)
         # one edge per (cycle, shared vertex) incidence: 2 + 2 = 4 edges
         # on 2 + 2 nodes closes a cycle, so this is not a forest
         assert not inc.is_forest
 
     def test_double_house_shares_one(self, double_house):
-        inc = build_c4_incidence(enumerate_induced_c4(double_house))
+        cat = enumerate_induced_c4(double_house)
+        inc = build_c4_incidence(cat)
         assert inc.cycle_count == 2
-        assert inc.shared_vertices == (0,)
+        assert shared_vertices(cat) == (0,)
         assert inc.is_forest
 
     def test_generated_members_are_forests(self):

@@ -11,12 +11,11 @@ from glpart import (
     compute_peo,
     generate_ktree,
     is_chordal,
-    is_peo,
     mcs_order,
     peo_violation,
 )
 
-from bruteforce import bf_is_chordal
+from bruteforce import bf_is_chordal, is_peo
 from test_graph import random_graph_strategy
 
 

@@ -131,6 +131,20 @@ class TestPartition:
         assert main(["partition", path]) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_skip_checks_stall_exits_1(self, tmp_path, capsys):
+        # a tree is chordal but only 1-connected; with checks skipped the
+        # weighted loop must stall rather than print a disconnected part
+        tree = Graph.from_edges(5, [(0, 2), (0, 3), (0, 4), (1, 4)])
+        inst = Instance(
+            WeightedGraph(tree, (1, 1, 1, 1, 2)), PartitionRequest((3, 2, 0), (1, 4, 1))
+        )
+        path = write_instance(tmp_path, inst)
+        code = main(["partition", path, "--mode", "chordal", "--skip-checks"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "no unassigned vertex neighbors an open part" in captured.err
+
     def test_timings_flag_adds_block(self, chordal_file, capsys):
         code, doc = run_json(["partition", chordal_file, "--timings"], capsys)
         assert code == 0

@@ -8,11 +8,15 @@ from hypothesis import given, settings
 from glpart import (
     CapError,
     Graph,
-    enumerate_minimal_separators,
     vertex_connectivity_at_least,
 )
 
-from bruteforce import bf_minimal_separators, bf_vertex_connectivity, _separates
+from bruteforce import (
+    _separates,
+    bf_minimal_separators,
+    bf_vertex_connectivity,
+    enumerate_minimal_separators,
+)
 from test_graph import random_graph_strategy
 
 

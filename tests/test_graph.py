@@ -1,23 +1,25 @@
-"""Core graph container, merge maps, contraction, weighted wrapper."""
+"""Core graph container, merge maps, contraction, weighted wrapper.
+
+Contraction is checked against the one-edge reference in ``bruteforce``.
+"""
 
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from glpart import (
     Graph,
     MergeMap,
     WeightedGraph,
     components_within,
-    contract_edge,
+    contract_matching,
     induced_subgraph,
     is_connected,
     is_connected_set,
 )
-from glpart.graph import iter_nonedges
 
-from bruteforce import bf_is_connected
+from bruteforce import bf_is_connected, compose, contract_edge, iter_nonedges
 
 
 def random_graph_strategy(max_n=9):
@@ -128,7 +130,7 @@ class TestContractEdge:
         g = Graph.cycle(5)
         g1, m1 = contract_edge(g, 0, 1)
         g2, m2 = contract_edge(g1, 0, 1)
-        total = m2.compose(m1)
+        total = compose(m2, m1)
         assert total.expand([0]) == frozenset({0, 1, 2})
         covered = set()
         for v in range(g2.n):
@@ -138,6 +140,43 @@ class TestContractEdge:
     def test_identity_merge_map(self):
         mm = MergeMap.identity(4)
         assert all(mm.expand([v]) == frozenset({v}) for v in range(4))
+
+
+class TestContractMatching:
+    @given(random_graph_strategy(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_sequential_reference(self, g, data):
+        edges = data.draw(st.permutations(g.edges()))
+        keep = data.draw(
+            st.lists(st.booleans(), min_size=len(edges), max_size=len(edges))
+        )
+        matching, used = [], set()
+        for (u, v), take in zip(edges, keep):
+            if take and u not in used and v not in used:
+                matching.append((u, v) if data.draw(st.booleans()) else (v, u))
+                used.update((u, v))
+
+        ref, total = g, MergeMap.identity(g.n)
+        for u, v in matching:
+            cur_of = {old: new for new, grp in enumerate(total.groups) for old in grp}
+            ref, step = contract_edge(ref, cur_of[u], cur_of[v])
+            total = compose(step, total)
+        assert contract_matching(g, matching) == (ref, total)
+
+    def test_empty_matching_is_identity(self, house):
+        assert contract_matching(house, []) == (house, MergeMap.identity(house.n))
+
+    def test_rejects_non_edge(self, c4):
+        with pytest.raises(ValueError):
+            contract_matching(c4, [(0, 2)])
+        with pytest.raises(ValueError):
+            contract_matching(c4, [(1, 1)])
+
+    def test_rejects_overlapping_pairs(self, p4):
+        with pytest.raises(ValueError):
+            contract_matching(p4, [(0, 1), (1, 2)])
+        with pytest.raises(ValueError):
+            contract_matching(p4, [(0, 1), (0, 1)])
 
 
 class TestWeightedGraph:

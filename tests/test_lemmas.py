@@ -16,13 +16,16 @@ from glpart import (
     Graph,
     build_c4_incidence,
     enumerate_induced_c4,
-    enumerate_minimal_separators,
     generate_almost_chordal,
     is_hh_i42_free,
 )
-from glpart.c4 import universal_to
 
-from bruteforce import DOUBLE_HOUSE_EDGES, bf_contains_induced
+from bruteforce import (
+    DOUBLE_HOUSE_EDGES,
+    bf_contains_induced,
+    enumerate_minimal_separators,
+    universal_to,
+)
 
 
 def member_pool():

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from glpart import (
     DemandError,
@@ -13,6 +13,7 @@ from glpart import (
     Graph,
     PartitionRequest,
     PreconditionError,
+    SolverStallError,
     WeightedGraph,
     generate_ktree,
     gl_partition_chordal,
@@ -21,6 +22,7 @@ from glpart import (
 )
 
 from bruteforce import bf_is_connected
+from test_graph import random_graph_strategy
 
 
 def random_request(
@@ -141,6 +143,36 @@ class TestChordalExact:
             assert not (seen & p)
             seen |= p
         assert seen == set(range(n))
+
+
+class TestSkippedChecks:
+    """With validation off a bad input may stall, but never yields a bad part."""
+
+    @given(random_graph_strategy(max_n=8), st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_stall_or_connected_cover(self, g, seed):
+        assume(g.n >= 2)
+        rng = random.Random(seed)
+        k = rng.randint(2, min(4, g.n))
+        unit = WeightedGraph.unit(g)
+        heavy = WeightedGraph(g, tuple(rng.randint(1, 5) for _ in range(g.n)))
+        unit_req = weighted_request(rng, unit, k)
+        cases = [
+            (gl_partition_chordal, g, unit_req),
+            (gl_partition_chordal_weighted, unit, unit_req),
+            (gl_partition_chordal_weighted, heavy, weighted_request(rng, heavy, k)),
+        ]
+        for solve, graph, req in cases:
+            try:
+                part = solve(graph, req, validate=False)
+            except SolverStallError:
+                continue
+            seen: set[int] = set()
+            for t, p in zip(req.terminals, part.parts):
+                assert t in p and bf_is_connected(g, p)
+                assert not (seen & p)
+                seen |= p
+            assert seen == set(range(g.n))
 
 
 class TestChordalWeighted:
