@@ -14,6 +14,7 @@ exactly on it.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 from .chordal import Peo, mcs_order, peo_violation
@@ -106,11 +107,16 @@ class _GrowState:
     per part the largest elimination position inside it. Those positions are
     distinct across parts (parts are disjoint), so the part choice is a
     strict minimum and the whole run is deterministic.
+
+    The frontier is a heap of (elimination position, vertex), pushed
+    whenever an unassigned vertex gains a part it did not neighbor before.
+    Parts only ever close, so every unassigned vertex next to an open part
+    has an entry; ``pick`` drops stale tops lazily.
     """
 
     __slots__ = (
         "g", "peo", "parts", "part_of", "open_", "priority",
-        "adj_parts", "scan", "assigned",
+        "adj_parts", "frontier", "assigned",
     )
 
     def __init__(self, g: Graph, peo: Peo, terminals: tuple[int, ...]):
@@ -126,12 +132,18 @@ class _GrowState:
         self.open_ = [True] * len(terminals)
         self.priority = [peo.sigma[t] for t in terminals]
         self.adj_parts: list[set[int]] = [set() for _ in range(n)]
+        self.frontier: list[tuple[int, int]] = []
         for i, t in enumerate(terminals):
-            for u in g.adj[t]:
-                if self.part_of[u] is None:
-                    self.adj_parts[u].add(i)
-        self.scan = 0
+            self._touch(t, i)
         self.assigned = len(terminals)
+
+    def _touch(self, v: int, i: int) -> None:
+        """Part i now holds v; neighbors newly next to part i join the frontier."""
+        sigma = self.peo.sigma
+        for u in self.g.adj[v]:
+            if self.part_of[u] is None and i not in self.adj_parts[u]:
+                self.adj_parts[u].add(i)
+                heapq.heappush(self.frontier, (sigma[u], u))
 
     def pick(self) -> tuple[int, list[int]] | None:
         """Earliest-position unassigned vertex adjacent to an open part.
@@ -139,17 +151,14 @@ class _GrowState:
         Returns that vertex and the open parts it neighbors, or None when
         the frontier is empty.
         """
-        order = self.peo.order
-        n = len(order)
-        while self.scan < n and self.part_of[order[self.scan]] is not None:
-            self.scan += 1
-        for idx in range(self.scan, n):
-            v = order[idx]
-            if self.part_of[v] is not None:
-                continue
-            open_parts = [i for i in self.adj_parts[v] if self.open_[i]]
-            if open_parts:
-                return v, open_parts
+        frontier = self.frontier
+        while frontier:
+            v = frontier[0][1]
+            if self.part_of[v] is None:
+                open_parts = [i for i in self.adj_parts[v] if self.open_[i]]
+                if open_parts:
+                    return v, open_parts
+            heapq.heappop(frontier)
         return None
 
     def choose_part(self, open_parts: list[int]) -> int:
@@ -160,9 +169,7 @@ class _GrowState:
         self.parts[i].add(v)
         if self.peo.sigma[v] > self.priority[i]:
             self.priority[i] = self.peo.sigma[v]
-        for u in self.g.adj[v]:
-            if self.part_of[u] is None:
-                self.adj_parts[u].add(i)
+        self._touch(v, i)
         self.assigned += 1
 
     def frozen_parts(self) -> tuple[frozenset[int], ...]:

@@ -68,22 +68,28 @@ def _induced_path_to(
     """Extend ``path`` inside ``allowed`` to an induced path ending at ``target``.
 
     The closing vertex counts as path vertex number four or later, so the
-    cycle this path closes has length at least five.
+    cycle this path closes has length at least five. Depth-first with an
+    explicit stack, neighbors in ascending order, one budget unit per
+    expanded path.
     """
     budget.spend()
-    last = path[-1]
-    for u in sorted(adj[last] & allowed):
-        if u == target:
-            if len(path) >= 3 and all(u not in adj[p] for p in path[:-1]):
-                return path + [u]
-            continue
-        if u in path:
-            continue
-        if any(u in adj[p] for p in path[:-1]):
-            continue
-        res = _induced_path_to(adj, allowed, path + [u], target, budget)
-        if res is not None:
-            return res
+    stack = [(path, iter(sorted(adj[path[-1]] & allowed)))]
+    while stack:
+        path, candidates = stack[-1]
+        for u in candidates:
+            if u == target:
+                if len(path) >= 3 and all(u not in adj[p] for p in path[:-1]):
+                    return path + [u]
+                continue
+            if u in path:
+                continue
+            if any(u in adj[p] for p in path[:-1]):
+                continue
+            budget.spend()
+            stack.append((path + [u], iter(sorted(adj[u] & allowed))))
+            break
+        else:
+            stack.pop()
     return None
 
 

@@ -8,6 +8,7 @@ are small definitional checks the library itself has no use for.
 
 from __future__ import annotations
 
+import random
 from itertools import combinations, permutations
 
 from glpart import CapError, Graph, MergeMap, Peo, components_within
@@ -192,6 +193,36 @@ def bf_minimal_separators(g: Graph) -> set[frozenset[int]]:
     return out
 
 
+def random_chordal(rng: random.Random, n: int) -> Graph:
+    """Intersection graph of n random subtrees of a random tree.
+
+    Every such graph is chordal (Gavril 1974), and unlike a k-tree its
+    minimal separators come in mixed sizes; it may be disconnected.
+    """
+    t = rng.randint(1, n)
+    tree: list[list[int]] = [[] for _ in range(t)]
+    for x in range(1, t):
+        p = rng.randrange(x)
+        tree[x].append(p)
+        tree[p].append(x)
+    reach = rng.randint(min(t, 3), min(t, 8))
+    subtrees = []
+    for _ in range(n):
+        root = rng.randrange(t)
+        size = rng.randint(1, reach)
+        nodes = {root}
+        grow = list(tree[root])
+        while len(nodes) < size and grow:
+            x = grow.pop(rng.randrange(len(grow)))
+            if x not in nodes:
+                nodes.add(x)
+                grow.extend(tree[x])
+        subtrees.append(nodes)
+    return Graph.from_edges(
+        n, [(u, v) for u, v in combinations(range(n), 2) if subtrees[u] & subtrees[v]]
+    )
+
+
 def bf_gl_partition(g: Graph, terminals, demands, weights=None):
     """Exact partition search by direct label enumeration, k**n states.
 
@@ -332,3 +363,23 @@ def iter_nonedges(g: Graph):
         for v in range(u + 1, g.n):
             if v not in g.adj[u]:
                 yield (u, v)
+
+
+def recursive_induced_path_to(adj, allowed, path, target, budget):
+    """The recursive form of ``recognition._induced_path_to``.
+
+    Same visit order and one ``budget.spend()`` per call, so swapping it in
+    must leave every hole witness and budget verdict unchanged.
+    """
+    budget.spend()
+    for u in sorted(adj[path[-1]] & allowed):
+        if u == target:
+            if len(path) >= 3 and all(u not in adj[p] for p in path[:-1]):
+                return path + [u]
+            continue
+        if u in path or any(u in adj[p] for p in path[:-1]):
+            continue
+        res = recursive_induced_path_to(adj, allowed, path + [u], target, budget)
+        if res is not None:
+            return res
+    return None

@@ -158,6 +158,46 @@ class TestPartition:
         assert doc["deviation"] == 0
 
 
+class TestDeepAndLargeInputs:
+    """Long cycles and paths end with an exit code, not a traceback."""
+
+    @pytest.fixture(scope="class")
+    def cycle_file(self, tmp_path_factory):
+        inst = Instance(
+            WeightedGraph.unit(Graph.cycle(3000)),
+            PartitionRequest((0, 1500), (1500, 1500)),
+        )
+        return write_instance(tmp_path_factory.mktemp("deep"), inst)
+
+    def test_check_long_cycle_reports_hole(self, cycle_file, capsys):
+        code, doc = run_json(["check", cycle_file], capsys)
+        assert code == 0
+        assert doc["class_violation"]["kind"] == "hole"
+        assert len(doc["class_violation"]["vertices"]) == 3000
+
+    def test_partition_long_cycle_exits_2(self, cycle_file, capsys):
+        assert main(["partition", cycle_file]) == 2
+        assert "hole" in capsys.readouterr().err
+
+    def test_partition_long_path_exits_2(self, tmp_path, capsys):
+        inst = Instance(
+            WeightedGraph.unit(Graph.path(1200)), PartitionRequest((0, 600), (600, 600))
+        )
+        assert main(["partition", write_instance(tmp_path, inst)]) == 2
+        err = capsys.readouterr().err
+        assert "not 2-connected" in err and "1 vertices separate" in err
+
+    def test_validated_large_ktree_verifies(self, tmp_path, capsys):
+        inst = tmp_path / "big.txt"
+        parts = tmp_path / "parts.json"
+        assert main(
+            ["generate", "--n", "10000", "--k", "3", "--seed", "7", "--out", str(inst)]
+        ) == 0
+        assert main(["partition", str(inst), "--out", str(parts)]) == 0
+        assert json.loads(parts.read_text())["mode"] == "chordal-exact"
+        assert main(["verify", str(inst), str(parts)]) == 0
+
+
 class TestVerify:
     def test_round_trip_verifies(self, chordal_file, tmp_path, capsys):
         out = tmp_path / "part.json"

@@ -2,20 +2,25 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from glpart import (
     CapError,
     Graph,
     vertex_connectivity_at_least,
 )
+from glpart.connectivity import _flow_connectivity
 
 from bruteforce import (
     _separates,
+    bf_is_connected,
     bf_minimal_separators,
     bf_vertex_connectivity,
     enumerate_minimal_separators,
+    random_chordal,
 )
 from test_graph import random_graph_strategy
 
@@ -84,6 +89,71 @@ class TestVertexConnectivity:
             assert len(sep) <= kappa
             u, v = res.witness.separated_pair
             assert _separates(g, sep, u, v)
+
+
+def chordal_graphs(min_n: int, max_n: int):
+    return st.builds(
+        lambda seed, n: random_chordal(random.Random(seed), n),
+        st.integers(0, 2**32 - 1),
+        st.integers(min_n, max_n),
+    )
+
+
+def assert_genuine_failure(g: Graph, k: int, res) -> None:
+    assert not res
+    if g.is_complete():
+        assert res.witness is None
+        return
+    sep = set(res.witness.separator)
+    assert len(sep) < k
+    u, v = res.witness.separated_pair
+    assert _separates(g, sep, u, v)
+
+
+class TestChordalMethod:
+    """The minimal-separator reading on chordal graphs that are not k-trees."""
+
+    def test_glued_cliques(self):
+        # two K4 sharing the edge (2, 3): kappa 2, the shared edge separates
+        g = Graph.from_edges(
+            6, [(a, b) for a in range(4) for b in range(a + 1, 4)]
+            + [(a, b) for a in (2, 3, 4, 5) for b in (2, 3, 4, 5) if a < b],
+        )
+        assert vertex_connectivity_at_least(g, 2)
+        res = vertex_connectivity_at_least(g, 3)
+        assert res.witness.separator == frozenset({2, 3})
+        assert_genuine_failure(g, 3, res)
+
+    @given(chordal_graphs(1, 9))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_bruteforce(self, g):
+        kappa = bf_vertex_connectivity(g)
+        for k in range(1, g.n + 1):
+            res = vertex_connectivity_at_least(g, k)
+            assert res.connected == (kappa >= k)
+            if not res:
+                assert_genuine_failure(g, k, res)
+
+    @given(chordal_graphs(2, 80), st.integers(1, 5))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_flow(self, g, k):
+        res = vertex_connectivity_at_least(g, k)
+        if not g.is_complete():
+            assert res.connected == _flow_connectivity(g, k).connected
+        if not res:
+            assert_genuine_failure(g, k, res)
+
+    @given(chordal_graphs(2, 12), st.integers(1, 6))
+    @settings(max_examples=80, deadline=None)
+    def test_reported_separator_is_minimal(self, g, k):
+        res = vertex_connectivity_at_least(g, k)
+        if res or res.witness is None:
+            return
+        sep = res.witness.separator
+        if not sep:
+            assert not bf_is_connected(g)
+            return
+        assert sep in enumerate_minimal_separators(g)
 
 
 class TestMinimalSeparators:

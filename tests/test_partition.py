@@ -21,7 +21,9 @@ from glpart import (
     verify_partition,
 )
 
-from bruteforce import bf_is_connected
+from glpart.connectivity import _flow_connectivity
+
+from bruteforce import bf_is_connected, random_chordal
 from test_graph import random_graph_strategy
 
 
@@ -173,6 +175,30 @@ class TestSkippedChecks:
                 assert not (seen & p)
                 seen |= p
             assert seen == set(range(g.n))
+
+
+class TestRandomChordal:
+    """The growth loop on chordal graphs that are not k-trees."""
+
+    @given(
+        st.integers(0, 2**32 - 1), st.integers(3, 40), st.integers(2, 4),
+        st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_validated_solve_verifies(self, seed, n, k, weighted):
+        rng = random.Random(seed)
+        g = random_chordal(rng, n)
+        weights = tuple(rng.randint(1, 9) if weighted else 1 for _ in range(n))
+        wg = WeightedGraph(g, weights)
+        req = weighted_request(rng, wg, min(k, n))
+        try:
+            part = gl_partition_chordal_weighted(wg, req, validate=True)
+        except PreconditionError:
+            assert g.is_complete() or not _flow_connectivity(g, req.k)
+            return
+        rule = DeviationRule.window(wg.w_max) if weighted else DeviationRule.exact()
+        rep = verify_partition(wg, req, part, rule)
+        assert rep.ok, rep.first_violation
 
 
 class TestChordalWeighted:

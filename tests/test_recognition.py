@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+from unittest.mock import patch
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from glpart import (
     Graph,
@@ -12,11 +14,13 @@ from glpart import (
     find_hole_through,
     is_hh_i42_free,
 )
+from glpart import recognition
 
 from bruteforce import (
     bf_chordless_cycles,
     bf_class_member,
     bf_has_hole,
+    recursive_induced_path_to,
 )
 from test_graph import random_graph_strategy
 
@@ -70,6 +74,19 @@ class TestFindHole:
             assert not bf_has_hole(g)
         else:
             assert_is_hole(g, cyc)
+
+    @given(random_graph_strategy(max_n=9), st.integers(1, 60))
+    @settings(max_examples=200)
+    def test_same_walk_as_recursive_reference(self, g, budget):
+        def outcome():
+            try:
+                return find_hole(g, budget=budget)
+            except SearchBudgetExceededError:
+                return "budget exceeded"
+
+        got = outcome()
+        with patch.object(recognition, "_induced_path_to", recursive_induced_path_to):
+            assert outcome() == got
 
     @given(random_graph_strategy(max_n=8))
     @settings(max_examples=100)
