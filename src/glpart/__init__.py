@@ -43,7 +43,6 @@ from .errors import (
     GraphFormatError,
     PipelineInvariantError,
     PreconditionError,
-    SearchBudgetExceededError,
     SolverStallError,
 )
 from .generators import (
@@ -76,7 +75,6 @@ from .partition import (
     gl_partition_chordal_weighted,
 )
 from .recognition import (
-    DEFAULT_SEARCH_BUDGET,
     ClassCheck,
     ClassViolation,
     find_hole,
@@ -98,7 +96,6 @@ __all__ = [
     "ConnectivityResult",
     "ContractionPlan",
     "DEFAULT_ORACLE_CAP",
-    "DEFAULT_SEARCH_BUDGET",
     "DemandError",
     "DeviationRule",
     "GLPartition",
@@ -112,7 +109,6 @@ __all__ = [
     "PipelineInvariantError",
     "PipelineResult",
     "PreconditionError",
-    "SearchBudgetExceededError",
     "SeparatorWitness",
     "SolverStallError",
     "VerificationReport",

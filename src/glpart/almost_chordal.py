@@ -40,7 +40,7 @@ from .graph import (
     induced_subgraph,
 )
 from .partition import GLPartition, PartitionRequest, gl_partition_chordal_weighted
-from .recognition import DEFAULT_SEARCH_BUDGET, is_hh_i42_free
+from .recognition import is_hh_i42_free
 
 
 def add_terminal_chords(
@@ -187,7 +187,6 @@ def gl_partition_almost_chordal(
     *,
     validate: bool = True,
     debug_invariants: bool = False,
-    hole_budget: int = DEFAULT_SEARCH_BUDGET,
 ) -> PipelineResult:
     """Near-exact connected partition of an almost-chordal k-connected graph.
 
@@ -215,7 +214,7 @@ def gl_partition_almost_chordal(
                 f"terminal {t} weighs {wg.weights[t]}, above its demand {d}"
             )
     if validate:
-        check = is_hh_i42_free(g, hole_budget=hole_budget)
+        check = is_hh_i42_free(g)
         if not check:
             vio = check.violation
             raise PreconditionError(

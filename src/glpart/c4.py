@@ -59,15 +59,16 @@ def cycle_edges(cycle: Cycle) -> tuple[tuple[int, int], ...]:
 def enumerate_induced_c4(g: Graph) -> C4Catalog:
     """Catalog every chordless 4-cycle of ``g``.
 
-    Scans non-adjacent vertex pairs (u, w) and non-adjacent pairs inside
+    Scans vertex pairs (u, w) at distance two and non-adjacent pairs inside
     their common neighborhood; each such configuration is a chordless cycle
     with diagonals (u, w) and (a, b). Every cycle is met once per diagonal
     and deduplicated by its vertex set.
     """
     seen: dict[tuple[int, ...], Cycle] = {}
     for u in g.vertices():
-        for w in range(u + 1, g.n):
-            if w in g.adj[u]:
+        second = set().union(*(g.adj[x] for x in g.adj[u])) - g.adj[u]
+        for w in second:
+            if w <= u:
                 continue
             common = sorted(g.adj[u] & g.adj[w])
             for i, a in enumerate(common):

@@ -27,7 +27,6 @@ from .errors import (
     GraphFormatError,
     PipelineInvariantError,
     PreconditionError,
-    SearchBudgetExceededError,
     SolverStallError,
 )
 from .generators import generate_almost_chordal, generate_ktree
@@ -40,7 +39,7 @@ from .partition import (
     gl_partition_chordal,
     gl_partition_chordal_weighted,
 )
-from .recognition import DEFAULT_SEARCH_BUDGET, is_hh_i42_free
+from .recognition import is_hh_i42_free
 from .verify import DeviationRule, verify_partition
 
 EXIT_OK = 0
@@ -72,7 +71,7 @@ def _cmd_check(args) -> int:
             "nonadjacent": list(peo.nonadjacent),
         }
 
-    check = is_hh_i42_free(g, hole_budget=args.hole_budget)
+    check = is_hh_i42_free(g)
     violation = None
     if not check:
         violation = {
@@ -140,7 +139,6 @@ def _partition_payload(inst: Instance, args):
         inst.request,
         validate=validate,
         debug_invariants=args.debug_invariants,
-        hole_budget=args.hole_budget,
     )
     audit = {
         "added_chords": [list(e) for e in result.added_chords],
@@ -366,7 +364,6 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=["chordal", "class", "connectivity"],
         help="exit 2 unless this property holds (repeatable)",
     )
-    p.add_argument("--hole-budget", type=int, default=DEFAULT_SEARCH_BUDGET)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_check)
 
@@ -380,7 +377,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--skip-checks", action="store_true")
     p.add_argument("--debug-invariants", action="store_true")
     p.add_argument("--timings", action="store_true")
-    p.add_argument("--hole-budget", type=int, default=DEFAULT_SEARCH_BUDGET)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_partition)
 
@@ -429,12 +425,7 @@ def main(argv=None) -> int:
     except (GraphFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (
-        DemandError,
-        PreconditionError,
-        CapError,
-        SearchBudgetExceededError,
-    ) as exc:
+    except (DemandError, PreconditionError, CapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     except (SolverStallError, PipelineInvariantError) as exc:

@@ -39,10 +39,6 @@ class SolverStallError(GlpartError):
     """
 
 
-class SearchBudgetExceededError(GlpartError):
-    """A bounded search exhausted its node budget before reaching a verdict."""
-
-
 class CapError(GlpartError):
     """Instance exceeds a size cap that guards an exponential helper."""
 

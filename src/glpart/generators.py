@@ -4,10 +4,12 @@ k-trees are chordal and k-connected by construction, so they exercise the
 exact solver without any recognition cost. Almost-chordal members grow out
 of a k-tree by appending one four-vertex cycle gadget per desired induced
 4-cycle; every step is re-certified (catalog count, house and overlap scan,
-targeted hole search), so the output is a guaranteed class member with a
-known cycle count. Connectivity needs no per-step check: every gadget
-vertex is joined to a whole k-clique, and adding a vertex with at least k
-neighbours keeps a k-connected graph k-connected.
+exact hole search through the four new vertices), so the output is a
+guaranteed class member with a known cycle count; a request that keeps
+failing certification stops after 20 attempts per cycle. Connectivity
+needs no per-step check: every gadget vertex is joined to a whole k-clique,
+and adding a vertex with at least k neighbours keeps a k-connected graph
+k-connected.
 """
 
 from __future__ import annotations
@@ -18,11 +20,10 @@ from itertools import combinations
 
 from .c4 import enumerate_induced_c4
 from .graph import Graph
-from .recognition import (
-    DEFAULT_SEARCH_BUDGET,
-    find_hole_through,
-    scan_catalog_violations,
-)
+from .recognition import find_hole_through, scan_catalog_violations
+
+# certification attempts allowed per requested cycle before giving up
+_MAX_ATTEMPTS_PER_CYCLE = 20
 
 
 def _ktree_edges_and_cliques(n: int, k: int, rng: random.Random):
@@ -78,8 +79,7 @@ def _with_cycle_gadget(g: Graph, q_clique: tuple[int, ...]) -> Graph:
     return Graph.from_edges(n + 4, edges)
 
 
-def _certify_step(g: Graph, fresh: tuple[int, ...], want_cycles: int,
-                  budget: int) -> bool:
+def _certify_step(g: Graph, fresh: tuple[int, ...], want_cycles: int) -> bool:
     catalog = enumerate_induced_c4(g)
     if len(catalog) != want_cycles:
         return False
@@ -87,7 +87,7 @@ def _certify_step(g: Graph, fresh: tuple[int, ...], want_cycles: int,
         return False
     # holes avoiding every fresh vertex would predate this step; connectivity
     # needs no check, since each fresh vertex sees a whole k-clique
-    return all(find_hole_through(g, v, budget=budget) is None for v in fresh)
+    return all(find_hole_through(g, v) is None for v in fresh)
 
 
 def generate_almost_chordal(
@@ -95,9 +95,6 @@ def generate_almost_chordal(
     k: int,
     cycles: int,
     seed: int,
-    *,
-    hole_budget: int = DEFAULT_SEARCH_BUDGET,
-    max_attempts_per_cycle: int = 20,
 ) -> AlmostChordalInstance:
     """Random certified class member with ``cycles`` induced 4-cycles.
 
@@ -125,13 +122,13 @@ def generate_almost_chordal(
     edges, cliques = _ktree_edges_and_cliques(base_n, k, rng)
     g = Graph.from_edges(base_n, edges)
     achieved = 0
-    attempts = max_attempts_per_cycle * max(target, 1)
+    attempts = _MAX_ATTEMPTS_PER_CYCLE * max(target, 1)
     while achieved < target and attempts > 0:
         attempts -= 1
         anchor = cliques[rng.randrange(len(cliques))]
         cand = _with_cycle_gadget(g, anchor)
         fresh = tuple(range(g.n, g.n + 4))
-        if not _certify_step(cand, fresh, achieved + 1, hole_budget):
+        if not _certify_step(cand, fresh, achieved + 1):
             continue
         g = cand
         achieved += 1

@@ -5,23 +5,27 @@ induced house (chordless 4-cycle plus a fifth vertex adjacent to exactly two
 adjacent cycle vertices), and no two induced 4-cycles sharing more than one
 vertex. Chordless 4-cycles themselves are allowed; that is the whole point.
 
-Hole search is exact and deterministic: for each vertex v in ascending id
-order, look for an induced path of at least three edges between two
-non-adjacent neighbors of v that avoids the rest of N[v]; such a path closes
-into a hole through v. After v is cleared it is deleted, so every hole is
-found at its smallest vertex. The search is budget-bounded and raises rather
-than guessing when the budget runs out.
+Hole search is exact, polynomial and needs no budget. For any edge bc of a
+hole, with ring neighbors a of b and d of c, a-b-c-d is an induced path and
+the hole's other vertices avoid N[b] | N[c]. So a hole passes through bc
+iff some a in N(b) - N[c] and some d in N(c) - N[b] are non-adjacent and
+both touch one component of G - (N[b] | N[c]); a shortest d-a path through
+that component closes the hole. ``find_hole`` tries the edges (b, c),
+b < c, in ascending order; ``find_hole_through(g, v)`` tries the edges
+(v, c). One edge costs an O(n + m) component search plus the pair test,
+which stops at its first non-adjacent pair. An adjacent pair a-d that
+shares a component closes a house, two 4-cycles sharing two vertices, or a
+hole, so on class members the search is O(m * (n + m)); on other graphs it
+is at most O(n * m^2).
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 from .c4 import C4Catalog, enumerate_induced_c4
-from .errors import SearchBudgetExceededError
 from .graph import Graph
-
-DEFAULT_SEARCH_BUDGET = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -44,94 +48,88 @@ class ClassCheck:
         return self.ok
 
 
-class _Budget:
-    __slots__ = ("left",)
+def _hole_at_edge(
+    adj: tuple[frozenset[int], ...], b: int, c: int
+) -> tuple[int, ...] | None:
+    """A hole through the edge bc, starting ``(b, c, ...)``, or None.
 
-    def __init__(self, nodes: int):
-        self.left = nodes
-
-    def spend(self) -> None:
-        self.left -= 1
-        if self.left < 0:
-            raise SearchBudgetExceededError(
-                "hole search exceeded its node budget; raise the budget to decide"
-            )
-
-
-def _induced_path_to(
-    adj: tuple[frozenset[int], ...],
-    allowed: set[int],
-    path: list[int],
-    target: int,
-    budget: _Budget,
-) -> list[int] | None:
-    """Extend ``path`` inside ``allowed`` to an induced path ending at ``target``.
-
-    The closing vertex counts as path vertex number four or later, so the
-    cycle this path closes has length at least five. Depth-first with an
-    explicit stack, neighbors in ascending order, one budget unit per
-    expanded path.
+    With X = N[b] | N[c], A = N(b) - N[c] and D = N(c) - N[b], a hole
+    a-b-c-d-...-a exists iff some non-adjacent a in A and d in D both touch
+    one component of G - X. The components touched by D are grown from
+    d's neighbors outside X, d and seed ascending. In the first component
+    that qualifies, the smallest such d and then the smallest such a are
+    taken, and a shortest d-a path through the component closes the cycle.
     """
-    budget.spend()
-    stack = [(path, iter(sorted(adj[path[-1]] & allowed)))]
-    while stack:
-        path, candidates = stack[-1]
-        for u in candidates:
-            if u == target:
-                if len(path) >= 3 and all(u not in adj[p] for p in path[:-1]):
-                    return path + [u]
+    closed = adj[b] | adj[c]
+    side_a = adj[b] - adj[c] - {c}
+    side_d = adj[c] - adj[b] - {b}
+    if not side_a or not side_d:
+        return None
+    seen: set[int] = set()
+    for d in sorted(side_d):
+        seeds = adj[d] - closed - seen
+        while seeds:
+            # one component of G - X, grown a level at a time
+            frontier = {min(seeds)}
+            comp = set(frontier)
+            touched: set[int] = set()
+            while frontier:
+                reach = set().union(*(adj[u] for u in frontier))
+                touched |= reach
+                frontier = reach - closed - comp
+                comp |= frontier
+            seen |= comp
+            seeds -= comp
+            ends = touched & side_a
+            if not ends:
                 continue
-            if u in path:
-                continue
-            if any(u in adj[p] for p in path[:-1]):
-                continue
-            budget.spend()
-            stack.append((path + [u], iter(sorted(adj[u] & allowed))))
-            break
-        else:
-            stack.pop()
+            for d2 in sorted(touched & side_d):
+                free = ends - adj[d2]
+                if free:
+                    return (b, c, *_shortest_path(adj, d2, min(free), comp))
     return None
 
 
-def _hole_through(
-    adj: tuple[frozenset[int], ...],
-    active: set[int],
-    v: int,
-    budget: _Budget,
-) -> tuple[int, ...] | None:
-    """Smallest-search-order hole through v inside the active vertex set."""
-    nbrs = sorted(adj[v] & active)
-    closed = adj[v] | {v}
-    for i, c1 in enumerate(nbrs):
-        for c2 in nbrs[i + 1:]:
-            if c2 in adj[c1]:
-                continue
-            allowed = {x for x in active if x not in closed} | {c2}
-            path = _induced_path_to(adj, allowed, [c1], c2, budget)
-            if path is not None:
-                return (v, *path)
-    return None
+def _shortest_path(
+    adj: tuple[frozenset[int], ...], s: int, t: int, inner: set[int]
+) -> list[int]:
+    """A shortest s-t path whose inner vertices all lie in ``inner``.
+
+    Breadth-first, neighbors in ascending order. With s and t non-adjacent
+    a shortest such path has no chord.
+    """
+    parent = {s: s}
+    queue = deque([s])
+    while t not in parent:
+        u = queue.popleft()
+        for w in sorted(adj[u]):
+            if w not in parent and (w in inner or w == t):
+                parent[w] = u
+                queue.append(w)
+    path = [t]
+    while path[-1] != s:
+        path.append(parent[path[-1]])
+    return path[::-1]
 
 
-def find_hole(
-    g: Graph, budget: int = DEFAULT_SEARCH_BUDGET
-) -> tuple[int, ...] | None:
+def find_hole(g: Graph) -> tuple[int, ...] | None:
     """Some chordless cycle of length >= 5, or None if there is none."""
-    b = _Budget(budget)
-    active = set(g.vertices())
-    for v in g.vertices():
-        hole = _hole_through(g.adj, active, v, b)
+    for b in g.vertices():
+        for c in sorted(g.adj[b]):
+            if c > b:
+                hole = _hole_at_edge(g.adj, b, c)
+                if hole is not None:
+                    return hole
+    return None
+
+
+def find_hole_through(g: Graph, v: int) -> tuple[int, ...] | None:
+    """Some hole containing vertex v, or None. Exact for that vertex."""
+    for c in sorted(g.adj[v]):
+        hole = _hole_at_edge(g.adj, v, c)
         if hole is not None:
             return hole
-        active.discard(v)
     return None
-
-
-def find_hole_through(
-    g: Graph, v: int, budget: int = DEFAULT_SEARCH_BUDGET
-) -> tuple[int, ...] | None:
-    """Some hole containing vertex v, or None. Exact for that vertex."""
-    return _hole_through(g.adj, set(g.vertices()), v, _Budget(budget))
 
 
 def _house_roof(g: Graph, cycle) -> int | None:
@@ -179,9 +177,7 @@ def scan_catalog_violations(g: Graph, catalog: C4Catalog) -> ClassViolation | No
     return None
 
 
-def is_hh_i42_free(
-    g: Graph, *, hole_budget: int = DEFAULT_SEARCH_BUDGET
-) -> ClassCheck:
+def is_hh_i42_free(g: Graph) -> ClassCheck:
     """Membership test for the supported class, with a witness on failure.
 
     Checks, in order: no two catalogued 4-cycles share two or more vertices,
@@ -192,7 +188,7 @@ def is_hh_i42_free(
     violation = scan_catalog_violations(g, catalog)
     if violation is not None:
         return ClassCheck(False, violation)
-    hole = find_hole(g, budget=hole_budget)
+    hole = find_hole(g)
     if hole is not None:
         return ClassCheck(False, ClassViolation(
             "hole", hole, f"chordless cycle of length {len(hole)}"

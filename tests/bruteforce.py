@@ -12,7 +12,7 @@ import random
 from itertools import combinations, permutations
 
 from glpart import CapError, Graph, MergeMap, Peo, components_within
-from glpart.c4 import C4Catalog, Cycle
+from glpart.c4 import C4Catalog, Cycle, _canonical
 
 
 def bf_is_connected(g: Graph, vertices=None) -> bool:
@@ -193,6 +193,13 @@ def bf_minimal_separators(g: Graph) -> set[frozenset[int]]:
     return out
 
 
+def random_gnp(rng: random.Random, n: int, p: float) -> Graph:
+    """Random graph on n vertices, each pair adjacent with probability p."""
+    return Graph.from_edges(
+        n, [(u, v) for u, v in combinations(range(n), 2) if rng.random() < p]
+    )
+
+
 def random_chordal(rng: random.Random, n: int) -> Graph:
     """Intersection graph of n random subtrees of a random tree.
 
@@ -365,21 +372,65 @@ def iter_nonedges(g: Graph):
                 yield (u, v)
 
 
-def recursive_induced_path_to(adj, allowed, path, target, budget):
-    """The recursive form of ``recognition._induced_path_to``.
+def dfs_find_hole(g: Graph, through: int | None = None):
+    """Reference hole search: a depth-first walk over induced paths.
 
-    Same visit order and one ``budget.spend()`` per call, so swapping it in
-    must leave every hole witness and budget verdict unchanged.
+    For each vertex v in ascending order, look for an induced path of at
+    least three edges between two non-adjacent neighbors of v that avoids
+    the rest of N[v]; such a path closes into a hole through v. After v is
+    cleared it is deleted. Exact but exponential in the worst case. With
+    ``through`` set, search only for holes containing that vertex.
     """
-    budget.spend()
-    for u in sorted(adj[path[-1]] & allowed):
-        if u == target:
-            if len(path) >= 3 and all(u not in adj[p] for p in path[:-1]):
-                return path + [u]
-            continue
-        if u in path or any(u in adj[p] for p in path[:-1]):
-            continue
-        res = recursive_induced_path_to(adj, allowed, path + [u], target, budget)
-        if res is not None:
-            return res
+    adj = g.adj
+
+    def path_to(allowed, path, target):
+        for u in sorted(adj[path[-1]] & allowed):
+            if u == target:
+                if len(path) >= 3 and all(u not in adj[p] for p in path[:-1]):
+                    return path + [u]
+                continue
+            if u in path or any(u in adj[p] for p in path[:-1]):
+                continue
+            res = path_to(allowed, path + [u], target)
+            if res is not None:
+                return res
+        return None
+
+    def hole_through(active, v):
+        nbrs = sorted(adj[v] & active)
+        for i, c1 in enumerate(nbrs):
+            for c2 in nbrs[i + 1:]:
+                if c2 in adj[c1]:
+                    continue
+                path = path_to((active - adj[v] - {v}) | {c2}, [c1], c2)
+                if path is not None:
+                    return (v, *path)
+        return None
+
+    active = set(g.vertices())
+    if through is not None:
+        return hole_through(active, through)
+    for v in g.vertices():
+        hole = hole_through(active, v)
+        if hole is not None:
+            return hole
+        active.discard(v)
     return None
+
+
+def all_pairs_induced_c4(g: Graph) -> C4Catalog:
+    """Reference 4-cycle catalog scanning every non-adjacent pair (u, w)."""
+    seen = {}
+    for u in g.vertices():
+        for w in range(u + 1, g.n):
+            if w in g.adj[u]:
+                continue
+            common = sorted(g.adj[u] & g.adj[w])
+            for i, a in enumerate(common):
+                for b in common[i + 1:]:
+                    if b in g.adj[a]:
+                        continue
+                    key = tuple(sorted((u, w, a, b)))
+                    if key not in seen:
+                        seen[key] = _canonical((u, w), (a, b))
+    return C4Catalog(tuple(sorted(seen.values())))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from hypothesis import given, settings
@@ -14,7 +16,14 @@ from glpart import (
     generate_almost_chordal,
 )
 
-from bruteforce import bf_induced_c4_sets, cycles_of, shared_vertices, universal_to
+from bruteforce import (
+    all_pairs_induced_c4,
+    bf_induced_c4_sets,
+    cycles_of,
+    random_gnp,
+    shared_vertices,
+    universal_to,
+)
 from test_graph import random_graph_strategy
 
 
@@ -60,6 +69,17 @@ class TestCatalog:
         got = {frozenset(c) for c in enumerate_induced_c4(g).cycles}
         assert got == bf_induced_c4_sets(g)
         assert len(got) == len(enumerate_induced_c4(g).cycles)
+
+    def test_matches_all_pairs_reference(self):
+        rng = random.Random(6)
+        graphs = [Graph.cycle(3000)]
+        graphs += [generate_almost_chordal(60, k, 5, seed=k).graph for k in (2, 3, 4)]
+        for _ in range(40):
+            n = rng.randint(5, 40)
+            p = rng.choice((0.1, 0.25, 0.5))
+            graphs.append(random_gnp(rng, n, p))
+        for g in graphs:
+            assert enumerate_induced_c4(g) == all_pairs_induced_c4(g)
 
 
 class TestUniversalTo:

@@ -2,25 +2,25 @@
 
 from __future__ import annotations
 
-from unittest.mock import patch
+import random
 
-import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from glpart import (
     Graph,
-    SearchBudgetExceededError,
     find_hole,
     find_hole_through,
+    generate_almost_chordal,
     is_hh_i42_free,
 )
-from glpart import recognition
 
 from bruteforce import (
     bf_chordless_cycles,
     bf_class_member,
     bf_has_hole,
-    recursive_induced_path_to,
+    dfs_find_hole,
+    random_chordal,
+    random_gnp,
 )
 from test_graph import random_graph_strategy
 
@@ -62,10 +62,6 @@ class TestFindHole:
             assert_is_hole(w5, cyc)
         assert find_hole_through(w5, 5) is None
 
-    def test_budget_exhaustion_raises(self, petersen):
-        with pytest.raises(SearchBudgetExceededError):
-            find_hole_through(petersen, 0, budget=1)
-
     @given(random_graph_strategy(max_n=9))
     @settings(max_examples=200)
     def test_matches_bruteforce(self, g):
@@ -74,19 +70,6 @@ class TestFindHole:
             assert not bf_has_hole(g)
         else:
             assert_is_hole(g, cyc)
-
-    @given(random_graph_strategy(max_n=9), st.integers(1, 60))
-    @settings(max_examples=200)
-    def test_same_walk_as_recursive_reference(self, g, budget):
-        def outcome():
-            try:
-                return find_hole(g, budget=budget)
-            except SearchBudgetExceededError:
-                return "budget exceeded"
-
-        got = outcome()
-        with patch.object(recognition, "_induced_path_to", recursive_induced_path_to):
-            assert outcome() == got
 
     @given(random_graph_strategy(max_n=8))
     @settings(max_examples=100)
@@ -101,6 +84,59 @@ class TestFindHole:
                 assert_is_hole(g, cyc)
             else:
                 assert cyc is None
+
+
+def with_planted_cycle(g: Graph, length: int, clique: tuple[int, ...]) -> Graph:
+    """Append a chordless cycle of ``length`` fresh vertices, each joined to
+    every vertex of ``clique``."""
+    ring = range(g.n, g.n + length)
+    edges = list(g.edges())
+    edges += [(v, g.n + (v - g.n + 1) % length) for v in ring]
+    edges += [(x, v) for x in clique for v in ring]
+    return Graph.from_edges(g.n + length, edges)
+
+
+class TestAgainstDfsReference:
+    """The per-edge test agrees with the depth-first induced-path search."""
+
+    @staticmethod
+    def assert_agrees(g: Graph) -> bool:
+        ref = dfs_find_hole(g)
+        cyc = find_hole(g)
+        assert (cyc is None) == (ref is None)
+        if cyc is not None:
+            assert_is_hole(g, cyc)
+        for v in g.vertices():
+            cyc = find_hole_through(g, v)
+            assert (cyc is None) == (dfs_find_hole(g, through=v) is None), v
+            if cyc is not None:
+                assert cyc[0] == v
+                assert_is_hole(g, cyc)
+        return ref is not None
+
+    def test_random_graphs(self):
+        rng = random.Random(4)
+        found = 0
+        for _ in range(60):
+            n = rng.randint(10, 30)
+            p = rng.choice((0.08, 0.15, 0.3, 0.6))
+            found += self.assert_agrees(random_gnp(rng, n, p))
+        assert 0 < found < 60
+
+    def test_random_chordal_have_none(self):
+        rng = random.Random(5)
+        for _ in range(40):
+            g = random_chordal(rng, rng.randint(10, 30))
+            assert not self.assert_agrees(g)
+
+    def test_members_with_planted_hole(self):
+        for seed, k, length in [(1, 2, 5), (2, 3, 6), (3, 3, 5), (4, 4, 6)]:
+            member = generate_almost_chordal(40, k, 3, seed=seed).graph
+            assert not self.assert_agrees(member)
+            g = with_planted_cycle(member, length, tuple(range(k)))
+            assert self.assert_agrees(g)
+            # a hole through a planted vertex cannot use the clique
+            assert set(find_hole_through(g, member.n)) == set(range(member.n, g.n))
 
 
 class TestClassMembership:
