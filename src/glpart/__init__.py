@@ -16,13 +16,7 @@ from .almost_chordal import (
     build_contraction_plan,
     gl_partition_almost_chordal,
 )
-from .c4 import (
-    C4Catalog,
-    C4IncidenceGraph,
-    build_c4_incidence,
-    cycle_edges,
-    enumerate_induced_c4,
-)
+from .c4 import C4Catalog, enumerate_induced_c4
 from .chordal import (
     ChordalityWitness,
     Peo,
@@ -57,7 +51,6 @@ from .graph import (
     components_within,
     contract_matching,
     induced_subgraph,
-    is_connected,
     is_connected_set,
 )
 from .instances import (
@@ -65,7 +58,6 @@ from .instances import (
     format_instance,
     load_instance,
     parse_instance,
-    save_instance,
 )
 from .oracle import DEFAULT_ORACLE_CAP, brute_force_gl
 from .partition import (
@@ -88,7 +80,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AlmostChordalInstance",
     "C4Catalog",
-    "C4IncidenceGraph",
     "CapError",
     "ChordalityWitness",
     "ClassCheck",
@@ -115,12 +106,10 @@ __all__ = [
     "WeightedGraph",
     "add_terminal_chords",
     "brute_force_gl",
-    "build_c4_incidence",
     "build_contraction_plan",
     "components_within",
     "compute_peo",
     "contract_matching",
-    "cycle_edges",
     "enumerate_induced_c4",
     "find_hole",
     "find_hole_through",
@@ -132,14 +121,12 @@ __all__ = [
     "gl_partition_chordal_weighted",
     "induced_subgraph",
     "is_chordal",
-    "is_connected",
     "is_connected_set",
     "is_hh_i42_free",
     "load_instance",
     "mcs_order",
     "parse_instance",
     "peo_violation",
-    "save_instance",
     "verify_partition",
     "vertex_connectivity_at_least",
 ]

@@ -9,7 +9,12 @@ pairwise almost-disjoint induced 4-cycles to a weighted chordal instance:
    induced 4-cycle, to a fixpoint,
 3. repeatedly pick a catalogued 4-cycle with at least three vertices on no
    other remaining cycle, record one cycle edge of a non-terminal among
-   those three, and drop the cycle,
+   those three, and drop the cycle. This leaf-peeling is the only test of
+   the cycles' structure: it runs to the end iff the incidence graph of
+   cycles and shared vertices is a forest (a forest always has a cycle
+   with at most one shared vertex left, while the cycles on an incidence
+   cycle each keep two shared vertices for good), which is the premise
+   of the reduction,
 4. contract all recorded edges in one pass (pairwise disjoint, so merged
    weights are at most twice the maximum), which yields a chordal graph
    with connectivity preserved,
@@ -23,14 +28,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .c4 import build_c4_incidence, enumerate_induced_c4
+from .c4 import enumerate_induced_c4
 from .chordal import mcs_order, peo_violation
 from .connectivity import vertex_connectivity_at_least
-from .errors import (
-    DemandError,
-    PipelineInvariantError,
-    PreconditionError,
-)
+from .errors import PipelineInvariantError, PreconditionError
 from .graph import (
     Edge,
     Graph,
@@ -39,7 +40,12 @@ from .graph import (
     contract_matching,
     induced_subgraph,
 )
-from .partition import GLPartition, PartitionRequest, gl_partition_chordal_weighted
+from .partition import (
+    GLPartition,
+    PartitionRequest,
+    check_demands,
+    gl_partition_chordal_weighted,
+)
 from .recognition import is_hh_i42_free
 
 
@@ -97,16 +103,11 @@ def build_contraction_plan(
 
     Requires that terminal pairs on a common cycle are already adjacent
     (run ``add_terminal_chords`` first) and that the cycle/vertex incidence
-    structure is a forest; otherwise the input is outside the supported
-    class and a PreconditionError is raised.
+    structure is a forest. When it is not, the greedy runs out of cycles
+    with three private vertices and raises PreconditionError: the input is
+    outside the supported class.
     """
     catalog = enumerate_induced_c4(g)
-    incidence = build_c4_incidence(catalog)
-    if not incidence.is_forest:
-        raise PreconditionError(
-            "induced 4-cycles form a cyclic incidence structure; "
-            "input is outside the supported class"
-        )
     tset = set(terminals)
     remaining = list(range(len(catalog)))
     chosen: list[Edge] = []
@@ -200,19 +201,7 @@ def gl_partition_almost_chordal(
     """
     g = wg.graph
     k = req.k
-    for t in req.terminals:
-        if not (0 <= t < g.n):
-            raise DemandError(f"terminal {t} out of range")
-    total = wg.total_weight()
-    if sum(req.demands) != total:
-        raise DemandError(
-            f"demands sum to {sum(req.demands)} but total vertex weight is {total}"
-        )
-    for t, d in zip(req.terminals, req.demands):
-        if d < wg.weights[t]:
-            raise DemandError(
-                f"terminal {t} weighs {wg.weights[t]}, above its demand {d}"
-            )
+    check_demands(wg, req)
     if validate:
         check = is_hh_i42_free(g)
         if not check:
@@ -250,11 +239,6 @@ def gl_partition_almost_chordal(
 
     g2, chords1 = add_terminal_chords(g1, terminals1)
     plan = build_contraction_plan(g2, terminals1)
-    for a, b in plan.contraction_edges:
-        if a in set(terminals1) and b in set(terminals1):
-            raise PipelineInvariantError(
-                "a contraction edge joins two terminals"
-            )
 
     w2 = tuple(
         sum(weights1[v] for v in grp) for grp in plan.merge_map.groups

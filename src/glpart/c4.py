@@ -1,4 +1,4 @@
-"""Induced 4-cycle catalogs and their incidence structure.
+"""Induced 4-cycle catalogs.
 
 A catalog lists every chordless 4-cycle of a graph in a canonical form:
 the tuple starts at the cycle's smallest vertex and walks toward its
@@ -49,13 +49,6 @@ class C4Catalog:
         return out
 
 
-def cycle_edges(cycle: Cycle) -> tuple[tuple[int, int], ...]:
-    a, b, c, d = cycle
-    return tuple(
-        (x, y) if x < y else (y, x) for x, y in ((a, b), (b, c), (c, d), (d, a))
-    )
-
-
 def enumerate_induced_c4(g: Graph) -> C4Catalog:
     """Catalog every chordless 4-cycle of ``g``.
 
@@ -79,43 +72,3 @@ def enumerate_induced_c4(g: Graph) -> C4Catalog:
                     if key not in seen:
                         seen[key] = _canonical((u, w), (a, b))
     return C4Catalog(tuple(sorted(seen.values())))
-
-
-@dataclass(frozen=True)
-class C4IncidenceGraph:
-    """Bipartite incidence of cycles vs. vertices shared by >= 2 cycles.
-
-    Each edge pairs a cycle index with a shared graph vertex. On supported
-    inputs this structure is a forest; that is what guarantees the
-    contraction loop always finds a cycle with three private vertices.
-    """
-
-    cycle_count: int
-    is_forest: bool
-
-
-def build_c4_incidence(catalog: C4Catalog) -> C4IncidenceGraph:
-    membership = catalog.vertex_membership()
-    shared = tuple(sorted(v for v, cs in membership.items() if len(cs) >= 2))
-    edges = tuple(
-        (ci, v) for v in shared for ci in membership[v]
-    )
-    # union-find acyclicity over cycle nodes and shared-vertex nodes
-    m = len(catalog)
-    index = {v: m + i for i, v in enumerate(shared)}
-    parent = list(range(m + len(shared)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    forest = True
-    for ci, v in edges:
-        a, b = find(ci), find(index[v])
-        if a == b:
-            forest = False
-            break
-        parent[a] = b
-    return C4IncidenceGraph(m, forest)

@@ -123,16 +123,13 @@ def _partition_payload(inst: Instance, args):
         mode = args.mode
 
     if mode == "chordal":
-        if inst.is_unit():
-            part = gl_partition_chordal(g, inst.request, validate=validate)
-            return part, "chordal-exact", None
         part = gl_partition_chordal_weighted(
             inst.wgraph,
             inst.request,
             validate=validate,
             debug_invariants=args.debug_invariants,
         )
-        return part, "chordal-weighted", None
+        return part, "chordal-exact" if inst.is_unit() else "chordal-weighted", None
 
     result = gl_partition_almost_chordal(
         inst.wgraph,
@@ -187,11 +184,15 @@ def _load_parts(path: str, k: int) -> GLPartition:
     for i, entry in enumerate(raw):
         if not isinstance(entry, list) or not entry:
             raise GraphFormatError(f"part {i} must be a non-empty list")
-        if not all(isinstance(x, int) for x in entry):
+        # JSON true/false load as bool, a subclass of int
+        if not all(type(x) is int for x in entry):
             raise GraphFormatError(f"part {i} must contain integers")
-        parts.append(frozenset(entry))
+        part = frozenset(entry)
+        if len(part) != len(entry):
+            raise GraphFormatError(f"part {i} lists a vertex twice")
+        parts.append(part)
     deviation = doc.get("deviation", 0)
-    if not isinstance(deviation, int):
+    if type(deviation) is not int:
         raise GraphFormatError("deviation must be an integer")
     return GLPartition(tuple(parts), deviation)
 

@@ -54,9 +54,6 @@ class Graph:
     def vertices(self) -> range:
         return range(len(self.adj))
 
-    def neighbors(self, v: int) -> frozenset[int]:
-        return self.adj[v]
-
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
@@ -88,10 +85,6 @@ class MergeMap:
     """
 
     groups: tuple[frozenset[int], ...]
-
-    @classmethod
-    def identity(cls, n: int) -> "MergeMap":
-        return cls(tuple(frozenset((v,)) for v in range(n)))
 
     def expand(self, ids: Iterable[int]) -> frozenset[int]:
         out: set[int] = set()
@@ -191,12 +184,6 @@ def components_within(g: Graph, s: Iterable[int]) -> list[frozenset[int]]:
         out.append(frozenset(seen))
         members -= seen
     return sorted(out, key=min)
-
-
-def is_connected(g: Graph) -> bool:
-    if g.n == 0:
-        return True
-    return is_connected_set(g, g.vertices())
 
 
 @dataclass(frozen=True)

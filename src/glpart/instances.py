@@ -118,8 +118,3 @@ def format_instance(inst: Instance, comment: str | None = None) -> str:
     out.append(" ".join(str(d) for d in inst.request.demands))
     out.extend(f"{u} {v}" for u, v in edges)
     return "\n".join(out) + "\n"
-
-
-def save_instance(inst: Instance, path: str, comment: str | None = None) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_instance(inst, comment))

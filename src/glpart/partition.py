@@ -67,10 +67,33 @@ class GLPartition:
     deviation: int
 
 
-def _check_ids(g: Graph, req: PartitionRequest) -> None:
+def check_demands(
+    wg: WeightedGraph, req: PartitionRequest, *, allow_overweight: bool = False
+) -> bool:
+    """Check terminal ids, the demand sum and each terminal's own weight.
+
+    Raises DemandError when a terminal is out of range, when the demands do
+    not sum to the total vertex weight, or, unless ``allow_overweight`` is
+    set, when a terminal weighs more than its demand. Returns whether some
+    terminal does.
+    """
     for t in req.terminals:
-        if not (0 <= t < g.n):
+        if not (0 <= t < wg.n):
             raise DemandError(f"terminal {t} out of range")
+    total = wg.total_weight()
+    if sum(req.demands) != total:
+        raise DemandError(
+            f"demands sum to {sum(req.demands)} but total vertex weight is {total}"
+        )
+    overweight = False
+    for t, d in zip(req.terminals, req.demands):
+        if wg.weights[t] > d:
+            if not allow_overweight:
+                raise DemandError(
+                    f"terminal {t} weighs {wg.weights[t]}, above its demand {d}"
+                )
+            overweight = True
+    return overweight
 
 
 def _require_order(g: Graph, validate: bool) -> Peo:
@@ -98,82 +121,6 @@ def _require_connectivity(g: Graph, k: int) -> None:
         raise PreconditionError(
             f"input graph is not {k}-connected: {res.reason}", witness=res.witness
         )
-
-
-class _GrowState:
-    """Book-keeping for the growth loop.
-
-    Tracks, per unassigned vertex, which parts it currently neighbors, and
-    per part the largest elimination position inside it. Those positions are
-    distinct across parts (parts are disjoint), so the part choice is a
-    strict minimum and the whole run is deterministic.
-
-    The frontier is a heap of (elimination position, vertex), pushed
-    whenever an unassigned vertex gains a part it did not neighbor before.
-    Parts only ever close, so every unassigned vertex next to an open part
-    has an entry; ``pick`` drops stale tops lazily.
-    """
-
-    __slots__ = (
-        "g", "peo", "parts", "part_of", "open_", "priority",
-        "adj_parts", "frontier", "assigned",
-    )
-
-    def __init__(self, g: Graph, peo: Peo, terminals: tuple[int, ...]):
-        n = g.n
-        self.g = g
-        self.peo = peo
-        self.parts: list[set[int]] = [{t} for t in terminals]
-        self.part_of: list[int | None] = [None] * n
-        for i, t in enumerate(terminals):
-            if self.part_of[t] is not None:
-                raise DemandError("terminals must be distinct")
-            self.part_of[t] = i
-        self.open_ = [True] * len(terminals)
-        self.priority = [peo.sigma[t] for t in terminals]
-        self.adj_parts: list[set[int]] = [set() for _ in range(n)]
-        self.frontier: list[tuple[int, int]] = []
-        for i, t in enumerate(terminals):
-            self._touch(t, i)
-        self.assigned = len(terminals)
-
-    def _touch(self, v: int, i: int) -> None:
-        """Part i now holds v; neighbors newly next to part i join the frontier."""
-        sigma = self.peo.sigma
-        for u in self.g.adj[v]:
-            if self.part_of[u] is None and i not in self.adj_parts[u]:
-                self.adj_parts[u].add(i)
-                heapq.heappush(self.frontier, (sigma[u], u))
-
-    def pick(self) -> tuple[int, list[int]] | None:
-        """Earliest-position unassigned vertex adjacent to an open part.
-
-        Returns that vertex and the open parts it neighbors, or None when
-        the frontier is empty.
-        """
-        frontier = self.frontier
-        while frontier:
-            v = frontier[0][1]
-            if self.part_of[v] is None:
-                open_parts = [i for i in self.adj_parts[v] if self.open_[i]]
-                if open_parts:
-                    return v, open_parts
-            heapq.heappop(frontier)
-        return None
-
-    def choose_part(self, open_parts: list[int]) -> int:
-        return min(open_parts, key=lambda i: self.priority[i])
-
-    def assign(self, v: int, i: int) -> None:
-        self.part_of[v] = i
-        self.parts[i].add(v)
-        if self.peo.sigma[v] > self.priority[i]:
-            self.priority[i] = self.peo.sigma[v]
-        self._touch(v, i)
-        self.assigned += 1
-
-    def frozen_parts(self) -> tuple[frozenset[int], ...]:
-        return tuple(frozenset(p) for p in self.parts)
 
 
 def gl_partition_chordal(
@@ -209,44 +156,61 @@ def gl_partition_chordal_weighted(
     ``allow_overweight_terminals`` skips the w(terminal) <= demand check.
     Contracted instances need that: a merged terminal can outweigh its
     demand, and such a part simply starts closed. ``debug_invariants``
-    turns on internal loop assertions (frontier non-empty, closed-part
-    weight slack bounded by w_max, iteration budget).
+    turns on internal loop assertions (closed-part weight slack bounded by
+    w_max, iteration budget).
     """
     g = wg.graph
-    _check_ids(g, req)
-    total = wg.total_weight()
-    if sum(req.demands) != total:
-        raise DemandError(
-            f"demands sum to {sum(req.demands)} but total vertex weight is {total}"
-        )
-    overweight_seen = False
-    for t, d in zip(req.terminals, req.demands):
-        if wg.weights[t] > d:
-            if not allow_overweight_terminals:
-                raise DemandError(
-                    f"terminal {t} weighs {wg.weights[t]}, above its demand {d}"
-                )
-            overweight_seen = True
+    overweight_seen = check_demands(
+        wg, req, allow_overweight=allow_overweight_terminals
+    )
     peo = _require_order(g, validate)
     if validate:
         _require_connectivity(g, req.k)
 
-    st = _GrowState(g, peo, req.terminals)
-    k = req.k
-    weights = wg.weights
+    n, k = g.n, req.k
+    adj, sigma = g.adj, peo.sigma
+    weights, demands = wg.weights, req.demands
     w_max = wg.w_max
-    part_weight = [weights[t] for t in req.terminals]
-    closed_slack = 0  # sum of (demand - weight) over closed parts
-    for i in range(k):
-        st.open_[i] = part_weight[i] < req.demands[i]
-        if not st.open_[i]:
-            closed_slack += req.demands[i] - part_weight[i]
-    open_count = sum(st.open_)
+    # Per part: its vertices, its weight and its largest elimination
+    # position. The positions are distinct across parts (parts are
+    # disjoint), so the part choice is a strict minimum and the whole run
+    # is deterministic.
+    parts: list[set[int]] = [set() for _ in range(k)]
+    part_weight = [0] * k
+    priority = [-1] * k
+    part_of: list[int | None] = [None] * n
+    # per unassigned vertex, the parts it neighbors
+    adj_parts: list[set[int]] = [set() for _ in range(n)]
+    # heap of (elimination position, vertex), pushed whenever an unassigned
+    # vertex gains a part it did not neighbor before; parts only ever close,
+    # so every unassigned vertex next to an open part has an entry and stale
+    # tops are dropped lazily
+    frontier: list[tuple[int, int]] = []
+    assigned = 0
 
-    n = g.n
+    def assign(v: int, i: int) -> None:
+        nonlocal assigned
+        part_of[v] = i
+        parts[i].add(v)
+        part_weight[i] += weights[v]
+        if sigma[v] > priority[i]:
+            priority[i] = sigma[v]
+        assigned += 1
+        for u in adj[v]:
+            if part_of[u] is None and i not in adj_parts[u]:
+                adj_parts[u].add(i)
+                heapq.heappush(frontier, (sigma[u], u))
+
+    for i, t in enumerate(req.terminals):
+        assign(t, i)
+    open_ = [part_weight[i] < demands[i] for i in range(k)]
+    open_count = sum(open_)
+    # sum of (demand - weight) over closed parts
+    closed_slack = sum(demands[i] - part_weight[i] for i in range(k) if not open_[i])
+
     iterations = 0
     max_iterations = n + k
-    while open_count > 1 and st.assigned < n:
+    while open_count > 1 and assigned < n:
         iterations += 1
         if debug_invariants:
             if iterations > max_iterations:
@@ -256,40 +220,43 @@ def gl_partition_chordal_weighted(
                 raise AssertionError(
                     f"closed-part weight slack {closed_slack} escaped (-{w_max}, {w_max})"
                 )
-        picked = st.pick()
-        if picked is None:
+        # earliest-position unassigned vertex adjacent to an open part
+        while frontier:
+            v = frontier[0][1]
+            if part_of[v] is None:
+                open_parts = [i for i in adj_parts[v] if open_[i]]
+                if open_parts:
+                    break
+            heapq.heappop(frontier)
+        else:
             raise SolverStallError(_STALL)
-        v, open_parts = picked
-        i = st.choose_part(open_parts)
+        i = min(open_parts, key=priority.__getitem__)
         wv = weights[v]
-        if part_weight[i] + wv < req.demands[i]:
-            st.assign(v, i)
-            part_weight[i] += wv
+        if part_weight[i] + wv < demands[i]:
+            assign(v, i)
         else:
             # close part i; overshoot only while the parts closed so far
             # have not under-shot, so the running slack stays in the open
             # window (-w_max, w_max) and the dump part inherits it
-            st.open_[i] = False
+            open_[i] = False
             open_count -= 1
-            if closed_slack >= 0 or part_weight[i] + wv == req.demands[i]:
-                st.assign(v, i)
-                part_weight[i] += wv
-            closed_slack += req.demands[i] - part_weight[i]
+            if closed_slack >= 0 or part_weight[i] + wv == demands[i]:
+                assign(v, i)
+            closed_slack += demands[i] - part_weight[i]
 
-    if st.assigned < n:
+    if assigned < n:
         if open_count != 1:
             raise SolverStallError(
                 "unassigned vertices remain but no part is open"
             )
-        last = st.open_.index(True)
-        for v in peo.order:
-            if st.part_of[v] is None:
-                st.assign(v, last)
-                part_weight[last] += weights[v]
+        last = open_.index(True)
+        rest = [v for v in range(n) if part_of[v] is None]
+        parts[last].update(rest)
+        part_weight[last] += sum(weights[v] for v in rest)
         # growing the last part on would reach exactly these vertices, or
         # stall when some of them hang off another part only
-        if not is_connected_set(g, st.parts[last]):
+        if not is_connected_set(g, parts[last]):
             raise SolverStallError(_STALL)
 
-    deviation = max(abs(pw - d) for pw, d in zip(part_weight, req.demands))
-    return GLPartition(st.frozen_parts(), deviation)
+    deviation = max(abs(pw - d) for pw, d in zip(part_weight, demands))
+    return GLPartition(tuple(frozenset(p) for p in parts), deviation)

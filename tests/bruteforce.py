@@ -9,9 +9,18 @@ are small definitional checks the library itself has no use for.
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from itertools import combinations, permutations
 
-from glpart import CapError, Graph, MergeMap, Peo, components_within
+from glpart import (
+    CapError,
+    Graph,
+    Instance,
+    MergeMap,
+    Peo,
+    components_within,
+    format_instance,
+)
 from glpart.c4 import C4Catalog, Cycle, _canonical
 
 
@@ -434,3 +443,57 @@ def all_pairs_induced_c4(g: Graph) -> C4Catalog:
                     if key not in seen:
                         seen[key] = _canonical((u, w), (a, b))
     return C4Catalog(tuple(sorted(seen.values())))
+
+
+def cycle_edges(cycle: Cycle) -> tuple[tuple[int, int], ...]:
+    """The four ring edges of a catalogued cycle, each as (min, max)."""
+    a, b, c, d = cycle
+    return tuple(
+        (x, y) if x < y else (y, x) for x, y in ((a, b), (b, c), (c, d), (d, a))
+    )
+
+
+@dataclass(frozen=True)
+class C4IncidenceGraph:
+    """Bipartite incidence of cycles vs. vertices shared by >= 2 cycles.
+
+    Each edge pairs a cycle index with a shared graph vertex. On class
+    members this structure is a forest; that is what guarantees the
+    contraction greedy always finds a cycle with three private vertices.
+    """
+
+    cycle_count: int
+    is_forest: bool
+
+
+def build_c4_incidence(catalog: C4Catalog) -> C4IncidenceGraph:
+    """Reference forest test for the cycle/shared-vertex incidence, by union-find."""
+    membership = catalog.vertex_membership()
+    shared = tuple(sorted(v for v, cs in membership.items() if len(cs) >= 2))
+    m = len(catalog)
+    index = {v: m + i for i, v in enumerate(shared)}
+    parent = list(range(m + len(shared)))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for v in shared:
+        for ci in membership[v]:
+            a, b = find(ci), find(index[v])
+            if a == b:
+                return C4IncidenceGraph(m, False)
+            parent[a] = b
+    return C4IncidenceGraph(m, True)
+
+
+def identity_merge_map(n: int) -> MergeMap:
+    """The merge map of a graph with nothing contracted."""
+    return MergeMap(tuple(frozenset((v,)) for v in range(n)))
+
+
+def save_instance(inst: Instance, path: str, comment: str | None = None) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(format_instance(inst, comment))

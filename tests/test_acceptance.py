@@ -21,7 +21,6 @@ from glpart import (
     PartitionRequest,
     WeightedGraph,
     brute_force_gl,
-    build_c4_incidence,
     enumerate_induced_c4,
     format_instance,
     generate_almost_chordal,
@@ -42,6 +41,7 @@ from bruteforce import (
     bf_class_member,
     bf_is_chordal,
     bf_vertex_connectivity,
+    build_c4_incidence,
     enumerate_minimal_separators,
     universal_to,
 )

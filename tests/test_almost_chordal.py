@@ -10,6 +10,7 @@ from glpart import (
     DeviationRule,
     Graph,
     PartitionRequest,
+    PipelineInvariantError,
     PreconditionError,
     WeightedGraph,
     add_terminal_chords,
@@ -22,6 +23,7 @@ from glpart import (
     vertex_connectivity_at_least,
 )
 
+from bruteforce import build_c4_incidence, random_gnp
 from test_partition import random_request, weighted_request
 
 
@@ -105,6 +107,25 @@ class TestContractionPlan:
         assert covered == set(range(g.n))
         # merged groups have weight (size) at most 2
         assert max(len(grp) for grp in plan.merge_map.groups) <= 2
+
+    def test_greedy_fails_iff_incidence_not_forest(self):
+        # the leaf-peeling greedy is the pipeline's only structure test
+        rng = random.Random(23)
+        outcomes = {True: 0, False: 0}
+        for _ in range(300):
+            g = random_gnp(rng, rng.randint(4, 14), rng.choice((0.2, 0.35, 0.5)))
+            forest = build_c4_incidence(enumerate_induced_c4(g)).is_forest
+            try:
+                build_contraction_plan(g, ())
+                stuck = False
+            except PreconditionError as exc:
+                assert "three private vertices" in str(exc)
+                stuck = True
+            except PipelineInvariantError:
+                stuck = False  # peeled every cycle; the contraction is not chordal
+            assert stuck == (not forest)
+            outcomes[forest] += 1
+        assert min(outcomes.values()) >= 50
 
 
 class TestPipeline:

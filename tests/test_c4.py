@@ -10,8 +10,6 @@ from hypothesis import given, settings
 
 from glpart import (
     Graph,
-    build_c4_incidence,
-    cycle_edges,
     enumerate_induced_c4,
     generate_almost_chordal,
 )
@@ -19,6 +17,8 @@ from glpart import (
 from bruteforce import (
     all_pairs_induced_c4,
     bf_induced_c4_sets,
+    build_c4_incidence,
+    cycle_edges,
     cycles_of,
     random_gnp,
     shared_vertices,

@@ -14,6 +14,7 @@ from glpart import (
     format_instance,
     generate_ktree,
 )
+import glpart.cli as cli
 from glpart.cli import main
 
 
@@ -145,6 +146,31 @@ class TestPartition:
         assert captured.out == ""
         assert "no unassigned vertex neighbors an open part" in captured.err
 
+    def test_unit_chordal_solve_gets_debug_invariants(
+        self, chordal_file, capsys, monkeypatch
+    ):
+        calls = []
+        solve = cli.gl_partition_chordal_weighted
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "gl_partition_chordal_weighted", spy)
+        code, doc = run_json(["partition", chordal_file, "--debug-invariants"], capsys)
+        assert code == 0
+        assert doc["mode"] == "chordal-exact"
+        assert [c.get("debug_invariants") for c in calls] == [True]
+
+    def test_skip_checks_cyclic_incidence_exits_2(self, tmp_path, capsys):
+        # K_{2,3}: its three 4-cycles share vertices in a cycle, so the
+        # contraction greedy finds no cycle with three private vertices
+        k23 = Graph.from_edges(5, [(a, b) for a in (0, 1) for b in (2, 3, 4)])
+        inst = Instance(WeightedGraph.unit(k23), PartitionRequest((0, 2), (2, 3)))
+        path = write_instance(tmp_path, inst)
+        assert main(["partition", path, "--skip-checks"]) == 2
+        assert "three private vertices" in capsys.readouterr().err
+
     def test_timings_flag_adds_block(self, chordal_file, capsys):
         code, doc = run_json(["partition", chordal_file, "--timings"], capsys)
         assert code == 0
@@ -243,6 +269,33 @@ class TestVerify:
         bad = tmp_path / "bad.json"
         bad.write_text("not json at all")
         assert main(["verify", chordal_file, str(bad)]) == 3
+
+    def _solved(self, chordal_file, tmp_path):
+        out = tmp_path / "part.json"
+        assert main(["partition", chordal_file, "--out", str(out)]) == 0
+        return out, json.loads(out.read_text())
+
+    def test_boolean_vertex_exits_3(self, chordal_file, tmp_path, capsys):
+        out, doc = self._solved(chordal_file, tmp_path)
+        part = next(p for p in doc["parts"] if 1 in p)
+        part[part.index(1)] = True
+        out.write_text(json.dumps(doc))
+        assert main(["verify", chordal_file, str(out)]) == 3
+        assert "must contain integers" in capsys.readouterr().err
+
+    def test_boolean_deviation_exits_3(self, chordal_file, tmp_path, capsys):
+        out, doc = self._solved(chordal_file, tmp_path)
+        doc["deviation"] = False
+        out.write_text(json.dumps(doc))
+        assert main(["verify", chordal_file, str(out)]) == 3
+        assert "deviation must be an integer" in capsys.readouterr().err
+
+    def test_repeated_vertex_exits_3(self, chordal_file, tmp_path, capsys):
+        out, doc = self._solved(chordal_file, tmp_path)
+        doc["parts"][0].append(doc["parts"][0][0])
+        out.write_text(json.dumps(doc))
+        assert main(["verify", chordal_file, str(out)]) == 3
+        assert "lists a vertex twice" in capsys.readouterr().err
 
     def test_bad_rule_exits_3(self, chordal_file, tmp_path, capsys):
         out = tmp_path / "part.json"

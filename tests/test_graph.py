@@ -10,16 +10,20 @@ from hypothesis import given, settings, strategies as st
 
 from glpart import (
     Graph,
-    MergeMap,
     WeightedGraph,
     components_within,
     contract_matching,
     induced_subgraph,
-    is_connected,
     is_connected_set,
 )
 
-from bruteforce import bf_is_connected, compose, contract_edge, iter_nonedges
+from bruteforce import (
+    bf_is_connected,
+    compose,
+    contract_edge,
+    identity_merge_map,
+    iter_nonedges,
+)
 
 
 def random_graph_strategy(max_n=9):
@@ -72,8 +76,10 @@ class TestConstruction:
 
 class TestConnectivityHelpers:
     def test_is_connected(self):
-        assert is_connected(Graph.path(4))
-        assert not is_connected(Graph.from_edges(4, [(0, 1), (2, 3)]))
+        split = Graph.from_edges(4, [(0, 1), (2, 3)])
+        for g, want in ((Graph.path(4), True), (split, False)):
+            assert bf_is_connected(g) is want
+            assert is_connected_set(g, g.vertices()) is want
 
     def test_is_connected_set_subset(self, house):
         assert is_connected_set(house, {0, 1, 2})
@@ -138,7 +144,7 @@ class TestContractEdge:
         assert covered == set(range(5))
 
     def test_identity_merge_map(self):
-        mm = MergeMap.identity(4)
+        mm = identity_merge_map(4)
         assert all(mm.expand([v]) == frozenset({v}) for v in range(4))
 
 
@@ -156,7 +162,7 @@ class TestContractMatching:
                 matching.append((u, v) if data.draw(st.booleans()) else (v, u))
                 used.update((u, v))
 
-        ref, total = g, MergeMap.identity(g.n)
+        ref, total = g, identity_merge_map(g.n)
         for u, v in matching:
             cur_of = {old: new for new, grp in enumerate(total.groups) for old in grp}
             ref, step = contract_edge(ref, cur_of[u], cur_of[v])
@@ -164,7 +170,7 @@ class TestContractMatching:
         assert contract_matching(g, matching) == (ref, total)
 
     def test_empty_matching_is_identity(self, house):
-        assert contract_matching(house, []) == (house, MergeMap.identity(house.n))
+        assert contract_matching(house, []) == (house, identity_merge_map(house.n))
 
     def test_rejects_non_edge(self, c4):
         with pytest.raises(ValueError):

@@ -13,8 +13,9 @@ from glpart import (
     generate_ktree,
     load_instance,
     parse_instance,
-    save_instance,
 )
+
+from bruteforce import save_instance
 
 GOOD = """\
 # tiny 2-path split

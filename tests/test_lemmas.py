@@ -14,7 +14,6 @@ import pytest
 
 from glpart import (
     Graph,
-    build_c4_incidence,
     enumerate_induced_c4,
     generate_almost_chordal,
     is_hh_i42_free,
@@ -23,6 +22,7 @@ from glpart import (
 from bruteforce import (
     DOUBLE_HOUSE_EDGES,
     bf_contains_induced,
+    build_c4_incidence,
     enumerate_minimal_separators,
     universal_to,
 )
