@@ -18,7 +18,7 @@ import heapq
 from dataclasses import dataclass
 
 from .chordal import Peo, mcs_order, peo_violation
-from .connectivity import vertex_connectivity_at_least
+from .connectivity import _chordal_connectivity
 from .errors import DemandError, PreconditionError, SolverStallError
 from .graph import Graph, WeightedGraph, is_connected_set
 
@@ -115,8 +115,10 @@ def _require_order(g: Graph, validate: bool) -> Peo:
     return Peo.from_order(order)
 
 
-def _require_connectivity(g: Graph, k: int) -> None:
-    res = vertex_connectivity_at_least(g, k)
+def _require_connectivity(g: Graph, k: int, peo: Peo) -> None:
+    """Reject ``g`` unless it is k-connected, reading ``peo``, which
+    ``_require_order`` certified, instead of searching ``g`` again."""
+    res = _chordal_connectivity(g, k, peo)
     if not res:
         raise PreconditionError(
             f"input graph is not {k}-connected: {res.reason}", witness=res.witness
@@ -165,7 +167,7 @@ def gl_partition_chordal_weighted(
     )
     peo = _require_order(g, validate)
     if validate:
-        _require_connectivity(g, req.k)
+        _require_connectivity(g, req.k, peo)
 
     n, k = g.n, req.k
     adj, sigma = g.adj, peo.sigma

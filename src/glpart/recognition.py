@@ -133,15 +133,20 @@ def find_hole_through(g: Graph, v: int) -> tuple[int, ...] | None:
 
 
 def _house_roof(g: Graph, cycle) -> int | None:
-    """A vertex adjacent to exactly two adjacent cycle vertices, if any."""
+    """The smallest vertex adjacent to exactly two adjacent cycle vertices.
+
+    Only neighbors of the cycle can qualify, so only they are scanned.
+    """
     cyc = set(cycle)
-    for v in g.vertices():
-        if v in cyc:
-            continue
-        hits = [i for i, c in enumerate(cycle) if c in g.adj[v]]
-        if len(hits) == 2 and (hits[1] - hits[0]) % 2 == 1:
-            return v
-    return None
+    hits: dict[int, list[int]] = {}
+    for i, c in enumerate(cycle):
+        for v in g.adj[c]:
+            if v not in cyc:
+                hits.setdefault(v, []).append(i)
+    roofs = [
+        v for v, h in hits.items() if len(h) == 2 and (h[1] - h[0]) % 2 == 1
+    ]
+    return min(roofs, default=None)
 
 
 def _overlapping_pair(catalog: C4Catalog):

@@ -202,6 +202,28 @@ def bf_minimal_separators(g: Graph) -> set[frozenset[int]]:
     return out
 
 
+def bf_clique_atoms(g: Graph) -> set[frozenset[int]]:
+    """Atoms of a connected graph: its maximal vertex sets that induce a
+    connected subgraph with no clique separator (Leimer 1993)."""
+    verts = range(g.n)
+    cliques = [
+        set(c)
+        for size in range(1, g.n)
+        for c in combinations(verts, size)
+        if all(b in g.adj[a] for a, b in combinations(c, 2))
+    ]
+    atoms: list[set[int]] = []
+    for size in range(g.n, 0, -1):
+        for sub in combinations(verts, size):
+            s = set(sub)
+            if any(s <= a for a in atoms) or not bf_is_connected(g, s):
+                continue
+            if any(c < s and not bf_is_connected(g, s - c) for c in cliques):
+                continue
+            atoms.append(s)
+    return {frozenset(a) for a in atoms}
+
+
 def random_gnp(rng: random.Random, n: int, p: float) -> Graph:
     """Random graph on n vertices, each pair adjacent with probability p."""
     return Graph.from_edges(

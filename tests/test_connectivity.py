@@ -10,19 +10,26 @@ from hypothesis import given, settings, strategies as st
 from glpart import (
     CapError,
     Graph,
+    enumerate_induced_c4,
+    generate_almost_chordal,
+    is_chordal,
     vertex_connectivity_at_least,
 )
-from glpart.connectivity import _flow_connectivity
+from glpart import connectivity
+from glpart.connectivity import _clique_atoms, _flow_connectivity, _kappa_up_to_2
 
 from bruteforce import (
     _separates,
+    bf_clique_atoms,
     bf_is_connected,
     bf_minimal_separators,
     bf_vertex_connectivity,
     enumerate_minimal_separators,
     random_chordal,
+    random_gnp,
 )
 from test_graph import random_graph_strategy
+from test_recognition import with_planted_cycle
 
 
 def exact_kappa(g: Graph) -> int:
@@ -154,6 +161,148 @@ class TestChordalMethod:
             assert not bf_is_connected(g)
             return
         assert sep in enumerate_minimal_separators(g)
+
+
+def planted(member: Graph, k: int, kind: str) -> Graph:
+    """``member`` with one planted defect next to its last 4-cycle, or on
+    the k-clique 0..k-1 of its k-tree base."""
+    a, b = enumerate_induced_c4(member).cycles[-1][:2]  # adjacent on the ring
+    n = member.n
+    if kind == "hole":
+        return with_planted_cycle(member, 5, tuple(range(k)))
+    extra = {
+        "house": [(a, n), (b, n)],
+        "c4-overlap": [(a, n), (n, n + 1), (n + 1, b)],
+        "separator": [(x, n) for x in range(k - 1)],
+    }[kind]
+    return Graph.from_edges(
+        max(max(e) for e in extra) + 1, member.edges() + extra
+    )
+
+
+def without_edges(g: Graph, rng: random.Random, count: int) -> Graph:
+    edges = g.edges()
+    drop = set(rng.sample(range(len(edges)), count))
+    return Graph.from_edges(g.n, [e for i, e in enumerate(edges) if i not in drop])
+
+
+class TestCliqueSeparatorMethod:
+    """Non-chordal inputs: the cut-vertex search (k <= 2) and the clique
+    separator decomposition (k >= 3) only ever accept, so every verdict,
+    witness and reason equals the flow method's."""
+
+    @staticmethod
+    def assert_matches_flow(g: Graph, k: int) -> list[bool]:
+        verdicts = []
+        for kk in range(max(k - 1, 1), k + 2):
+            res = vertex_connectivity_at_least(g, kk)
+            ref = _flow_connectivity(g, kk)
+            if is_chordal(g):
+                assert res.connected == ref.connected
+            else:
+                assert res == ref, (kk, res, ref)
+            verdicts.append(res.connected)
+        return verdicts
+
+    def test_members_and_members_without_edges(self):
+        rng = random.Random(11)
+        verdicts = []
+        for seed in range(12):
+            k = 2 + seed % 3
+            member = generate_almost_chordal(rng.randint(30, 90), k, 4, seed).graph
+            verdicts += self.assert_matches_flow(member, k)
+            for _ in range(3):
+                g = without_edges(member, rng, rng.randint(1, 4))
+                verdicts += self.assert_matches_flow(g, k)
+        assert any(verdicts) and not all(verdicts)
+
+    @pytest.mark.parametrize("kind", ["house", "c4-overlap", "hole", "separator"])
+    def test_members_with_planted_defect(self, kind):
+        for k in (2, 3, 4):
+            member = generate_almost_chordal(50, k, 3, seed=k).graph
+            self.assert_matches_flow(planted(member, k, kind), k)
+
+    def test_random_gnp(self):
+        rng = random.Random(12)
+        verdicts = []
+        for _ in range(60):
+            g = random_gnp(rng, rng.randint(5, 30), rng.choice((0.15, 0.3, 0.5, 0.7)))
+            if not g.is_complete():
+                verdicts += self.assert_matches_flow(g, rng.randint(1, 5))
+        assert any(verdicts) and not all(verdicts)
+
+    @pytest.mark.parametrize("n", [4, 5, 9, 40, 301])
+    def test_cycles_and_paths(self, n):
+        for g, kappa in ((Graph.cycle(n), 2), (Graph.path(n), 1)):
+            assert _kappa_up_to_2(g) == kappa
+            self.assert_matches_flow(g, 2)
+
+    @given(random_graph_strategy(max_n=8))
+    @settings(max_examples=100, deadline=None)
+    def test_kappa_up_to_2_matches_bruteforce(self, g):
+        if g.n >= 3:
+            assert _kappa_up_to_2(g) == min(bf_vertex_connectivity(g), 2)
+
+    def test_atom_flow_rejects_what_separators_miss(self):
+        # the ring (p, q, r, s) gets fill (p, r); with p cut off its anchor
+        # clique, {q, s} separates p, but the fill crosses that separator
+        # and every clique separator still has k vertices
+        k = 3
+        member = generate_almost_chordal(30, k, 1, seed=1).graph
+        p, q, r, s = enumerate_induced_c4(member).cycles[0]
+        g = Graph.from_edges(member.n, [
+            e for e in member.edges() if p not in e or set(e) & {q, s}
+        ])
+        res = vertex_connectivity_at_least(g, k)
+        assert not res and res.witness.separator == frozenset({q, s})
+        self.assert_matches_flow(g, k)
+
+    def test_members_accepted_without_whole_graph_flow(self, monkeypatch):
+        sizes = []
+
+        def spy(g, k):
+            sizes.append(g.n)
+            return _flow_connectivity(g, k)
+
+        monkeypatch.setattr(connectivity, "_flow_connectivity", spy)
+        for k in (3, 4):
+            member = generate_almost_chordal(120, k, 6, seed=k).graph
+            assert vertex_connectivity_at_least(member, k)
+            assert sizes and max(sizes) == k + 4
+            sizes.clear()
+
+    def test_atoms_match_bruteforce(self):
+        rng = random.Random(13)
+        graphs = [random_gnp(rng, rng.randint(4, 9), rng.choice((0.3, 0.5, 0.7)))
+                  for _ in range(40)]
+        graphs += [generate_almost_chordal(n, 2, 1, seed=n).graph for n in (7, 8, 9)]
+        graphs.append(planted(generate_almost_chordal(7, 2, 1, seed=1).graph, 2, "house"))
+        split = 0
+        for g in graphs:
+            atoms = _clique_atoms(g, 1)
+            if atoms is None:
+                continue
+            got = [frozenset(a) for a in atoms]
+            assert len(set(got)) == len(got)
+            assert set(got) == bf_clique_atoms(g)
+            split += len(got) > 1
+        assert split >= 10
+
+    def test_declines_without_a_minimal_chordal_fill(self, c5):
+        # the octahedron's 4-cycles (0, 2, 1, 3), (0, 4, 1, 5), (2, 4, 3, 5)
+        # take fills (0, 1), (0, 1), (2, 3); the first one's other diagonal
+        # is filled too
+        octahedron = Graph.from_edges(6, [
+            (a, b) for a in range(6) for b in range(a + 1, 6) if b != a ^ 1
+        ])
+        assert _clique_atoms(octahedron, 1) is None
+        assert vertex_connectivity_at_least(octahedron, 4)
+        assert _clique_atoms(c5, 1) is None
+
+    def test_declines_on_small_separator(self):
+        member = generate_almost_chordal(40, 3, 2, seed=5).graph
+        assert _clique_atoms(member, 3) is not None
+        assert _clique_atoms(member, 4) is None
 
 
 class TestMinimalSeparators:
