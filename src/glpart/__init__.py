@@ -21,7 +21,6 @@ from .chordal import (
     ChordalityWitness,
     Peo,
     compute_peo,
-    is_chordal,
     mcs_order,
     peo_violation,
 )
@@ -39,11 +38,7 @@ from .errors import (
     PreconditionError,
     SolverStallError,
 )
-from .generators import (
-    AlmostChordalInstance,
-    generate_almost_chordal,
-    generate_ktree,
-)
+from .generators import generate_almost_chordal, generate_ktree
 from .graph import (
     Graph,
     MergeMap,
@@ -70,7 +65,6 @@ from .recognition import (
     ClassCheck,
     ClassViolation,
     find_hole,
-    find_hole_through,
     is_hh_i42_free,
 )
 from .verify import DeviationRule, VerificationReport, verify_partition
@@ -78,7 +72,6 @@ from .verify import DeviationRule, VerificationReport, verify_partition
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlmostChordalInstance",
     "C4Catalog",
     "CapError",
     "ChordalityWitness",
@@ -112,7 +105,6 @@ __all__ = [
     "contract_matching",
     "enumerate_induced_c4",
     "find_hole",
-    "find_hole_through",
     "format_instance",
     "generate_almost_chordal",
     "generate_ktree",
@@ -120,7 +112,6 @@ __all__ = [
     "gl_partition_chordal",
     "gl_partition_chordal_weighted",
     "induced_subgraph",
-    "is_chordal",
     "is_connected_set",
     "is_hh_i42_free",
     "load_instance",

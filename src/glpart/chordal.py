@@ -121,9 +121,3 @@ def compute_peo(g: Graph) -> Peo | ChordalityWitness:
     if witness is not None:
         return witness
     return Peo.from_order(order)
-
-
-def is_chordal(g: Graph) -> bool:
-    if g.n == 0:
-        return True
-    return isinstance(compute_peo(g), Peo)

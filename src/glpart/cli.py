@@ -243,7 +243,14 @@ def _compose_demands(
     return demands
 
 
+def _require_at_least(flag: str, value: int, low: int) -> None:
+    if value < low:
+        raise DemandError(f"{flag} must be at least {low}, got {value}")
+
+
 def _cmd_generate(args) -> int:
+    _require_at_least("--cycles", args.cycles, 0)
+    _require_at_least("--max-weight", args.max_weight, 1)
     rng = random.Random(args.seed)
     if args.cycles > 0:
         need = args.k + 1 + 4 * args.cycles
@@ -252,11 +259,10 @@ def _cmd_generate(args) -> int:
                 f"--n {args.n} cannot host {args.cycles} cycles over a "
                 f"{args.k}-tree base; need --n >= {need}"
             )
-        res = generate_almost_chordal(args.n, args.k, args.cycles, args.seed)
-        g = res.graph
+        g = generate_almost_chordal(args.n, args.k, args.cycles, args.seed)
         comment = (
-            f"seed={args.seed} k={args.k} cycles={res.cycles}"
-            f" requested_cycles={res.requested_cycles}"
+            f"seed={args.seed} k={args.k} cycles={args.cycles}"
+            f" requested_cycles={args.cycles}"
         )
     else:
         g = generate_ktree(args.n, args.k, args.seed)
@@ -283,6 +289,9 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_oracle_compare(args) -> int:
+    _require_at_least("--cycles", args.cycles, 0)
+    # every trial draws its n from [max(k + 1, 2k), --n-max]
+    _require_at_least("--n-max", args.n_max, max(args.k + 1, 2 * args.k))
     rng = random.Random(args.seed)
     # cycles are capped so one planted gadget still fits under --n-max
     cycles_fit = max((args.n_max - args.k - 1) // 4, 0)
@@ -302,10 +311,9 @@ def _cmd_oracle_compare(args) -> int:
         entry = {"trial": trial, "seed": seed, "n": n, "k": k}
         if args.cycles > 0:
             n = trng.randint(k + 1 + 4 * cycles_eff, max(args.n_max, k + 1 + 4 * cycles_eff))
-            res = generate_almost_chordal(n, k, cycles_eff, seed)
-            g = res.graph
+            g = generate_almost_chordal(n, k, cycles_eff, seed)
             entry["n"] = n
-            entry["cycles"] = res.cycles
+            entry["cycles"] = cycles_eff
             floors = [2] * k
             rule = DeviationRule.slack(1)
             entry["mode"] = "almost-chordal"

@@ -11,12 +11,11 @@ the hole's other vertices avoid N[b] | N[c]. So a hole passes through bc
 iff some a in N(b) - N[c] and some d in N(c) - N[b] are non-adjacent and
 both touch one component of G - (N[b] | N[c]); a shortest d-a path through
 that component closes the hole. ``find_hole`` tries the edges (b, c),
-b < c, in ascending order; ``find_hole_through(g, v)`` tries the edges
-(v, c). One edge costs an O(n + m) component search plus the pair test,
-which stops at its first non-adjacent pair. An adjacent pair a-d that
-shares a component closes a house, two 4-cycles sharing two vertices, or a
-hole, so on class members the search is O(m * (n + m)); on other graphs it
-is at most O(n * m^2).
+b < c, in ascending order. One edge costs an O(n + m) component search
+plus the pair test, which stops at its first non-adjacent pair. An
+adjacent pair a-d that shares a component closes a house, two 4-cycles
+sharing two vertices, or a hole, so on class members the search is
+O(m * (n + m)); on other graphs it is at most O(n * m^2).
 """
 
 from __future__ import annotations
@@ -120,15 +119,6 @@ def find_hole(g: Graph) -> tuple[int, ...] | None:
                 hole = _hole_at_edge(g.adj, b, c)
                 if hole is not None:
                     return hole
-    return None
-
-
-def find_hole_through(g: Graph, v: int) -> tuple[int, ...] | None:
-    """Some hole containing vertex v, or None. Exact for that vertex."""
-    for c in sorted(g.adj[v]):
-        hole = _hole_at_edge(g.adj, v, c)
-        if hole is not None:
-            return hole
     return None
 
 

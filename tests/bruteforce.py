@@ -3,7 +3,9 @@
 Everything here works straight from definitions with no shortcuts, so the
 library can be checked against code that shares none of its logic. Most
 functions are exponential; callers keep n small. The helpers at the end
-are small definitional checks the library itself has no use for.
+are small definitional checks the library itself has no use for, two
+thin wrappers over library code that only the tests call, and the member
+generator that certifies every step, which the library no longer needs.
 """
 
 from __future__ import annotations
@@ -19,9 +21,13 @@ from glpart import (
     MergeMap,
     Peo,
     components_within,
+    compute_peo,
+    enumerate_induced_c4,
     format_instance,
 )
 from glpart.c4 import C4Catalog, Cycle, _canonical
+from glpart.generators import _ktree_edges_and_cliques
+from glpart.recognition import _hole_at_edge, scan_catalog_violations
 
 
 def bf_is_connected(g: Graph, vertices=None) -> bool:
@@ -519,3 +525,53 @@ def identity_merge_map(n: int) -> MergeMap:
 def save_instance(inst: Instance, path: str, comment: str | None = None) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(format_instance(inst, comment))
+
+
+def is_chordal(g: Graph) -> bool:
+    if g.n == 0:
+        return True
+    return isinstance(compute_peo(g), Peo)
+
+
+def find_hole_through(g: Graph, v: int) -> tuple[int, ...] | None:
+    """Some hole containing vertex v, or None. Exact for that vertex."""
+    for c in sorted(g.adj[v]):
+        hole = _hole_at_edge(g.adj, v, c)
+        if hole is not None:
+            return hole
+    return None
+
+
+def bf_generate_almost_chordal(n: int, k: int, cycles: int, seed: int) -> Graph:
+    """Reference member generator that certifies every step.
+
+    Appends one ring-plus-anchor gadget at a time, rebuilds the graph and
+    keeps the step only when the catalog grew by exactly one, the house and
+    overlap scans stay clean and no hole passes through a fresh vertex; a
+    rejected step redraws its anchor, up to 20 attempts per requested
+    cycle. While no step is rejected it draws the same random numbers as
+    ``generate_almost_chordal``; a rejection leaves it short of n vertices.
+    """
+    rng = random.Random(seed)
+    edges, cliques = _ktree_edges_and_cliques(n - 4 * cycles, k, rng)
+    g = Graph.from_edges(n - 4 * cycles, edges)
+    achieved = 0
+    attempts = 20 * max(cycles, 1)
+    while achieved < cycles and attempts > 0:
+        attempts -= 1
+        anchor = cliques[rng.randrange(len(cliques))]
+        fresh = p, q, r, s = tuple(range(g.n, g.n + 4))
+        ring = [(p, q), (q, r), (r, s), (p, s)]
+        cand = Graph.from_edges(
+            g.n + 4, g.edges() + ring + [(x, y) for x in anchor for y in fresh]
+        )
+        catalog = enumerate_induced_c4(cand)
+        if len(catalog) != achieved + 1:
+            continue
+        if scan_catalog_violations(cand, catalog) is not None:
+            continue
+        if any(find_hole_through(cand, v) is not None for v in fresh):
+            continue
+        g = cand
+        achieved += 1
+    return g

@@ -28,7 +28,6 @@ from glpart import (
     gl_partition_almost_chordal,
     gl_partition_chordal,
     gl_partition_chordal_weighted,
-    is_chordal,
     is_hh_i42_free,
     vertex_connectivity_at_least,
     verify_partition,
@@ -43,6 +42,7 @@ from bruteforce import (
     bf_vertex_connectivity,
     build_c4_incidence,
     enumerate_minimal_separators,
+    is_chordal,
     universal_to,
 )
 
@@ -126,7 +126,8 @@ def test_criterion_2_weighted_window():
 
 @dataclass
 class MemberRun:
-    inst: object
+    g: Graph
+    k: int
     req_unw: PartitionRequest
     res_unw: object
     wg: WeightedGraph
@@ -148,9 +149,8 @@ def member_suite():
         if lo > 50:
             continue
         n = rng.randint(lo, 50)
-        inst = generate_almost_chordal(n, k, cycles, seed=seed)
+        g = generate_almost_chordal(n, k, cycles, seed=seed)
         seed += 1
-        g = inst.graph
 
         # unweighted leg: demands >= 2 so no terminal is peeled and the
         # contraction accounting in criterion 4 stays one-to-one
@@ -165,14 +165,14 @@ def member_suite():
         if req_w is None:
             continue
         res_w = gl_partition_almost_chordal(wg, req_w, debug_invariants=True)
-        out.append(MemberRun(inst, req_unw, res_unw, wg, req_w, res_w))
+        out.append(MemberRun(g, k, req_unw, res_unw, wg, req_w, res_w))
     return out
 
 
 def test_criterion_3_almost_chordal_deviation(member_suite):
     start = time.perf_counter()
     for run in member_suite:
-        g = run.inst.graph
+        g = run.g
         assert run.res_unw.partition.deviation <= 1
         rep = verify_partition(
             WeightedGraph.unit(g),
@@ -197,14 +197,14 @@ def test_criterion_3_almost_chordal_deviation(member_suite):
 
 def test_criterion_4_pipeline_guards(member_suite):
     for run in member_suite:
-        g = run.inst.graph
+        g = run.g
         n = g.n
         assert len(enumerate_induced_c4(g).cycles) <= (n - 4) / 3 + 1
         for res, req in ((run.res_unw, run.req_unw), (run.res_w, run.req_w)):
             gg = res.contracted.graph
             assert is_chordal(gg)
             assert vertex_connectivity_at_least(gg, res.effective_k).connected
-            assert res.effective_k == run.inst.k
+            assert res.effective_k == run.k
 
             g_prime = g.with_edges(res.added_chords)
             cat = enumerate_induced_c4(g_prime)
@@ -301,8 +301,7 @@ def test_criterion_7_structural_lemmas():
 
     violations = 0
     high_k = 0
-    for inst, k in members:
-        g = inst.graph
+    for g, k in members:
         cat = enumerate_induced_c4(g)
 
         for cyc in cat.cycles:
@@ -362,12 +361,12 @@ def test_criterion_8_runtime_scaling():
     ratio = t1000 / t500
     assert ratio <= 5.0, f"doubling n scaled time by {ratio:.2f}x"
 
-    inst = generate_almost_chordal(200, 3, 4, seed=8)
+    g = generate_almost_chordal(200, 3, 4, seed=8)
     rng = random.Random(808)
     terms = tuple(rng.sample(range(200), 3))
     req = PartitionRequest(terms, random_composition(rng, 200, 3, [2] * 3))
     t0 = time.perf_counter()
-    res = gl_partition_almost_chordal(WeightedGraph.unit(inst.graph), req)
+    res = gl_partition_almost_chordal(WeightedGraph.unit(g), req)
     prep = time.perf_counter() - t0
     assert prep < 30.0, f"n=200 pipeline took {prep:.1f}s"
     assert res.partition.deviation <= 1

@@ -18,12 +18,11 @@ from glpart import (
     enumerate_induced_c4,
     gl_partition_almost_chordal,
     generate_almost_chordal,
-    is_chordal,
     verify_partition,
     vertex_connectivity_at_least,
 )
 
-from bruteforce import build_c4_incidence, random_gnp
+from bruteforce import build_c4_incidence, is_chordal, random_gnp
 from test_partition import random_request, weighted_request
 
 
@@ -48,8 +47,7 @@ class TestAddTerminalChords:
         assert chords == ()
 
     def test_fixpoint_over_multiple_cycles(self):
-        inst = member_instance(3)
-        g = inst.graph
+        g = member_instance(3)
         cat = enumerate_induced_c4(g)
         # put two terminals diagonally on the first catalogued cycle
         cyc = cat.cycles[0]
@@ -68,8 +66,7 @@ class TestContractionPlan:
 
     def test_one_edge_per_cycle_disjoint(self):
         for seed in range(5):
-            inst = member_instance(seed)
-            g = inst.graph
+            g = member_instance(seed)
             plan = build_contraction_plan(g, (0, 1, 2))
             assert len(plan.contraction_edges) == plan.c4_count
             assert plan.c4_count == len(enumerate_induced_c4(g).cycles)
@@ -81,15 +78,15 @@ class TestContractionPlan:
 
     def test_contracted_is_chordal_and_connected(self):
         for seed in range(5):
-            inst = member_instance(seed, k=4, n=30, cycles=4)
-            plan = build_contraction_plan(inst.graph, (0, 1, 2, 3))
+            g = member_instance(seed, k=4, n=30, cycles=4)
+            plan = build_contraction_plan(g, (0, 1, 2, 3))
             assert is_chordal(plan.contracted.graph)
             assert vertex_connectivity_at_least(plan.contracted.graph, 4)
 
     def test_terminals_survive_distinct(self):
-        inst = member_instance(11)
+        g = member_instance(11)
         terms = (0, 5, 9)
-        plan = build_contraction_plan(inst.graph, terms)
+        plan = build_contraction_plan(g, terms)
         mapped = [plan.terminal_map[t] for t in terms]
         assert len(set(mapped)) == len(terms)
         # no contraction edge joins two terminals
@@ -97,8 +94,7 @@ class TestContractionPlan:
             assert not ({u, v} <= set(terms))
 
     def test_merge_map_partitions_originals(self):
-        inst = member_instance(2)
-        g = inst.graph
+        g = member_instance(2)
         plan = build_contraction_plan(g, (0, 1, 2))
         covered: set[int] = set()
         for grp in plan.merge_map.groups:
@@ -144,11 +140,11 @@ class TestPipeline:
         rng = random.Random(5)
         for trial in range(10):
             k = rng.randint(2, 4)
-            inst = generate_almost_chordal(
+            g = generate_almost_chordal(
                 rng.randint(16, 34), k, rng.randint(1, 3), seed=trial
             )
-            wg = WeightedGraph.unit(inst.graph)
-            req = random_request(rng, inst.graph.n, k, min_demand=2)
+            wg = WeightedGraph.unit(g)
+            req = random_request(rng, g.n, k, min_demand=2)
             res = gl_partition_almost_chordal(wg, req)
             assert res.partition.deviation <= 1
             rep = verify_partition(wg, req, res.partition, DeviationRule.slack(1))
@@ -157,8 +153,7 @@ class TestPipeline:
     def test_weighted_double_window(self):
         rng = random.Random(17)
         for trial in range(8):
-            inst = generate_almost_chordal(24, 3, 2, seed=40 + trial)
-            g = inst.graph
+            g = generate_almost_chordal(24, 3, 2, seed=40 + trial)
             wg = WeightedGraph(g, tuple(rng.randint(1, 7) for _ in range(g.n)))
             req = weighted_request(rng, wg, 3, floor_above_terminal=True)
             res = gl_partition_almost_chordal(wg, req, debug_invariants=True)
@@ -168,8 +163,7 @@ class TestPipeline:
             assert rep.ok, rep.first_violation
 
     def test_unit_demand_terminals_peeled(self):
-        inst = member_instance(13, k=4, n=28, cycles=2)
-        g = inst.graph
+        g = member_instance(13, k=4, n=28, cycles=2)
         wg = WeightedGraph.unit(g)
         terms = (0, 3, 7, 11)
         demands = (1, 1, g.n - 12, 10)
@@ -196,9 +190,9 @@ class TestPipeline:
         assert ei.value.witness is not None
 
     def test_audit_fields_consistent(self):
-        inst = member_instance(21)
-        wg = WeightedGraph.unit(inst.graph)
-        req = PartitionRequest((0, 8, 16), (8, 8, inst.graph.n - 16))
+        g = member_instance(21)
+        wg = WeightedGraph.unit(g)
+        req = PartitionRequest((0, 8, 16), (8, 8, g.n - 16))
         res = gl_partition_almost_chordal(wg, req)
         assert len(res.contraction_edges) == res.c4_count
         assert is_chordal(res.contracted.graph)
@@ -206,9 +200,9 @@ class TestPipeline:
         assert vertex_connectivity_at_least(res.contracted.graph, res.effective_k)
 
     def test_deterministic(self):
-        inst = member_instance(9)
-        wg = WeightedGraph.unit(inst.graph)
-        req = PartitionRequest((1, 6, 12), (8, 8, inst.graph.n - 16))
+        g = member_instance(9)
+        wg = WeightedGraph.unit(g)
+        req = PartitionRequest((1, 6, 12), (8, 8, g.n - 16))
         a = gl_partition_almost_chordal(wg, req)
         b = gl_partition_almost_chordal(wg, req)
         assert a == b

@@ -73,7 +73,7 @@ class TestCatalog:
     def test_matches_all_pairs_reference(self):
         rng = random.Random(6)
         graphs = [Graph.cycle(3000)]
-        graphs += [generate_almost_chordal(60, k, 5, seed=k).graph for k in (2, 3, 4)]
+        graphs += [generate_almost_chordal(60, k, 5, seed=k) for k in (2, 3, 4)]
         for _ in range(40):
             n = rng.randint(5, 40)
             p = rng.choice((0.1, 0.25, 0.5))
@@ -123,7 +123,7 @@ class TestIncidence:
 
     def test_generated_members_are_forests(self):
         for seed in range(4):
-            inst = generate_almost_chordal(24, 3, 3, seed=seed)
-            inc = build_c4_incidence(enumerate_induced_c4(inst.graph))
+            g = generate_almost_chordal(24, 3, 3, seed=seed)
+            inc = build_c4_incidence(enumerate_induced_c4(g))
             assert inc.cycle_count == 3
             assert inc.is_forest

@@ -10,12 +10,11 @@ from glpart import (
     Peo,
     compute_peo,
     generate_ktree,
-    is_chordal,
     mcs_order,
     peo_violation,
 )
 
-from bruteforce import bf_is_chordal, is_peo
+from bruteforce import bf_is_chordal, is_chordal, is_peo
 from test_graph import random_graph_strategy
 
 

@@ -93,7 +93,7 @@ class TestPartition:
     def test_almost_chordal_mode_carries_audit(self, tmp_path, capsys):
         from glpart import generate_almost_chordal
 
-        g = generate_almost_chordal(20, 2, 2, seed=1).graph
+        g = generate_almost_chordal(20, 2, 2, seed=1)
         inst = Instance(
             WeightedGraph.unit(g), PartitionRequest((0, 5), (10, g.n - 10))
         )
@@ -344,6 +344,24 @@ class TestGenerate:
         assert main(
             ["generate", "--n", "8", "--k", "3", "--cycles", "2"]
         ) == 2
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["generate", "--n", "10", "--k", "2", "--cycles", "-1"], "--cycles"),
+        (["generate", "--n", "10", "--k", "2", "--max-weight", "0"], "--max-weight"),
+        (["generate", "--n", "10", "--k", "2", "--max-weight", "-3"], "--max-weight"),
+        (["oracle-compare", "--cycles", "-1"], "--cycles"),
+        (["oracle-compare", "--k", "2", "--n-max", "3"], "--n-max"),
+    ],
+)
+def test_out_of_range_flag_exits_2(argv, flag, capsys):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and flag in err
+    assert "Traceback" not in err
 
 
 class TestOracleCompare:

@@ -12,7 +12,6 @@ from glpart import (
     Graph,
     enumerate_induced_c4,
     generate_almost_chordal,
-    is_chordal,
     vertex_connectivity_at_least,
 )
 from glpart import connectivity
@@ -25,6 +24,7 @@ from bruteforce import (
     bf_minimal_separators,
     bf_vertex_connectivity,
     enumerate_minimal_separators,
+    is_chordal,
     random_chordal,
     random_gnp,
 )
@@ -209,7 +209,7 @@ class TestCliqueSeparatorMethod:
         verdicts = []
         for seed in range(12):
             k = 2 + seed % 3
-            member = generate_almost_chordal(rng.randint(30, 90), k, 4, seed).graph
+            member = generate_almost_chordal(rng.randint(30, 90), k, 4, seed)
             verdicts += self.assert_matches_flow(member, k)
             for _ in range(3):
                 g = without_edges(member, rng, rng.randint(1, 4))
@@ -219,7 +219,7 @@ class TestCliqueSeparatorMethod:
     @pytest.mark.parametrize("kind", ["house", "c4-overlap", "hole", "separator"])
     def test_members_with_planted_defect(self, kind):
         for k in (2, 3, 4):
-            member = generate_almost_chordal(50, k, 3, seed=k).graph
+            member = generate_almost_chordal(50, k, 3, seed=k)
             self.assert_matches_flow(planted(member, k, kind), k)
 
     def test_random_gnp(self):
@@ -248,7 +248,7 @@ class TestCliqueSeparatorMethod:
         # clique, {q, s} separates p, but the fill crosses that separator
         # and every clique separator still has k vertices
         k = 3
-        member = generate_almost_chordal(30, k, 1, seed=1).graph
+        member = generate_almost_chordal(30, k, 1, seed=1)
         p, q, r, s = enumerate_induced_c4(member).cycles[0]
         g = Graph.from_edges(member.n, [
             e for e in member.edges() if p not in e or set(e) & {q, s}
@@ -266,7 +266,7 @@ class TestCliqueSeparatorMethod:
 
         monkeypatch.setattr(connectivity, "_flow_connectivity", spy)
         for k in (3, 4):
-            member = generate_almost_chordal(120, k, 6, seed=k).graph
+            member = generate_almost_chordal(120, k, 6, seed=k)
             assert vertex_connectivity_at_least(member, k)
             assert sizes and max(sizes) == k + 4
             sizes.clear()
@@ -275,8 +275,8 @@ class TestCliqueSeparatorMethod:
         rng = random.Random(13)
         graphs = [random_gnp(rng, rng.randint(4, 9), rng.choice((0.3, 0.5, 0.7)))
                   for _ in range(40)]
-        graphs += [generate_almost_chordal(n, 2, 1, seed=n).graph for n in (7, 8, 9)]
-        graphs.append(planted(generate_almost_chordal(7, 2, 1, seed=1).graph, 2, "house"))
+        graphs += [generate_almost_chordal(n, 2, 1, seed=n) for n in (7, 8, 9)]
+        graphs.append(planted(generate_almost_chordal(7, 2, 1, seed=1), 2, "house"))
         split = 0
         for g in graphs:
             atoms = _clique_atoms(g, 1)
@@ -300,7 +300,7 @@ class TestCliqueSeparatorMethod:
         assert _clique_atoms(c5, 1) is None
 
     def test_declines_on_small_separator(self):
-        member = generate_almost_chordal(40, 3, 2, seed=5).graph
+        member = generate_almost_chordal(40, 3, 2, seed=5)
         assert _clique_atoms(member, 3) is not None
         assert _clique_atoms(member, 4) is None
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,10 +11,11 @@ from glpart import (
     enumerate_induced_c4,
     generate_almost_chordal,
     generate_ktree,
-    is_chordal,
     is_hh_i42_free,
     vertex_connectivity_at_least,
 )
+
+from bruteforce import bf_generate_almost_chordal, is_chordal
 
 
 def kappa_exactly(g, k: int) -> bool:
@@ -57,31 +60,45 @@ class TestKtree:
         assert kappa_exactly(g, want)
 
 
+def catalog_size(g) -> int:
+    return len(enumerate_induced_c4(g).cycles)
+
+
+def member_sweep(count: int = 240):
+    """Seeded (n, k, cycles, seed) requests: k 2-5, 0-12 cycles, 0-60 spare."""
+    rng = random.Random(77)
+    out = []
+    for seed in range(count):
+        k, cycles = rng.randint(2, 5), rng.randint(0, 12)
+        out.append((k + 1 + 4 * cycles + rng.randint(0, 60), k, cycles, seed))
+    return out
+
+
+SWEEP = member_sweep()
+
+
 class TestAlmostChordalGenerator:
     def test_exact_cycle_count(self):
         for k in (2, 3, 4, 5):
-            inst = generate_almost_chordal(30, k, 3, seed=k)
-            assert inst.cycles == inst.requested_cycles == 3
-            assert len(enumerate_induced_c4(inst.graph).cycles) == 3
+            assert catalog_size(generate_almost_chordal(30, k, 3, seed=k)) == 3
 
     def test_membership_and_connectivity(self):
         for seed in range(6):
-            inst = generate_almost_chordal(26, 3, 2, seed=seed)
-            g = inst.graph
+            g = generate_almost_chordal(26, 3, 2, seed=seed)
             assert g.n == 26
             assert is_hh_i42_free(g)
             assert not is_chordal(g)
             assert kappa_exactly(g, 3)
 
     def test_zero_cycles_gives_ktree(self):
-        inst = generate_almost_chordal(15, 3, 0, seed=7)
-        assert is_chordal(inst.graph)
-        assert inst.cycles == 0
+        g = generate_almost_chordal(15, 3, 0, seed=7)
+        assert is_chordal(g)
+        assert catalog_size(g) == 0
 
     def test_seeded_reproducible(self):
         a = generate_almost_chordal(24, 2, 3, seed=5)
         b = generate_almost_chordal(24, 2, 3, seed=5)
-        assert a.graph == b.graph
+        assert a == b
 
     def test_rejects_undersized(self):
         # 4 vertices per planted cycle must fit above the k+1 base clique
@@ -93,7 +110,21 @@ class TestAlmostChordalGenerator:
             generate_almost_chordal(20, 1, 1, seed=0)
 
     def test_high_k_instances(self):
-        inst = generate_almost_chordal(40, 5, 4, seed=9)
-        assert inst.cycles == 4
-        assert is_hh_i42_free(inst.graph)
-        assert kappa_exactly(inst.graph, 5)
+        g = generate_almost_chordal(40, 5, 4, seed=9)
+        assert catalog_size(g) == 4
+        assert is_hh_i42_free(g)
+        assert kappa_exactly(g, 5)
+
+    def test_matches_certifying_reference(self):
+        for n, k, cycles, seed in SWEEP:
+            assert generate_almost_chordal(n, k, cycles, seed) == (
+                bf_generate_almost_chordal(n, k, cycles, seed)
+            ), (n, k, cycles, seed)
+
+    def test_members_by_construction(self):
+        for n, k, cycles, seed in SWEEP:
+            g = generate_almost_chordal(n, k, cycles, seed)
+            assert g.n == n
+            assert is_hh_i42_free(g), (n, k, cycles, seed)
+            assert catalog_size(g) == cycles, (n, k, cycles, seed)
+            assert kappa_exactly(g, k), (n, k, cycles, seed)
