@@ -22,15 +22,22 @@ pairwise almost-disjoint induced 4-cycles to a weighted chordal instance:
 
 Unweighted demands land within one vertex of target; weighted parts stay
 strictly within twice the maximum vertex weight.
+
+The solve builds the induced 4-cycle catalog of the input once and hands
+it to recognition and the connectivity check (when validating), to the
+chord step and to the contraction plan. Peeling drops the cycles through
+peeled terminals and relabels the rest, and only an added chord builds a
+fresh catalog. ``add_terminal_chords`` and ``build_contraction_plan``
+build their own when called alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .c4 import enumerate_induced_c4
+from .c4 import C4Catalog, enumerate_induced_c4
 from .chordal import mcs_order, peo_violation
-from .connectivity import vertex_connectivity_at_least
+from .connectivity import _connectivity, vertex_connectivity_at_least
 from .errors import PipelineInvariantError, PreconditionError
 from .graph import (
     Edge,
@@ -46,7 +53,7 @@ from .partition import (
     check_demands,
     gl_partition_chordal_weighted,
 )
-from .recognition import is_hh_i42_free
+from .recognition import _class_check
 
 
 def add_terminal_chords(
@@ -58,10 +65,21 @@ def add_terminal_chords(
     every remaining cycle has at most two terminals and they are adjacent.
     Returns the new graph and the added chords in insertion order.
     """
+    g, added, _ = _add_terminal_chords(g, terminals, enumerate_induced_c4(g))
+    return g, added
+
+
+def _add_terminal_chords(
+    g: Graph, terminals: tuple[int, ...], catalog: C4Catalog
+) -> tuple[Graph, tuple[Edge, ...], C4Catalog]:
+    """``add_terminal_chords`` from the catalog of ``g``.
+
+    Also returns the catalog of the output graph. Each added chord costs
+    one fresh catalog; without chords none is built.
+    """
     tset = set(terminals)
     added: list[Edge] = []
     while True:
-        catalog = enumerate_induced_c4(g)
         chord = None
         for cycle in catalog:
             on_cycle = sorted(tset.intersection(cycle))
@@ -75,9 +93,10 @@ def add_terminal_chords(
             if chord:
                 break
         if chord is None:
-            return g, tuple(added)
+            return g, tuple(added), catalog
         g = g.with_edges([chord])
         added.append(chord)
+        catalog = enumerate_induced_c4(g)
 
 
 @dataclass(frozen=True)
@@ -107,7 +126,13 @@ def build_contraction_plan(
     with three private vertices and raises PreconditionError: the input is
     outside the supported class.
     """
-    catalog = enumerate_induced_c4(g)
+    return _contraction_plan(g, terminals, enumerate_induced_c4(g))
+
+
+def _contraction_plan(
+    g: Graph, terminals: tuple[int, ...], catalog: C4Catalog
+) -> ContractionPlan:
+    """``build_contraction_plan`` from the catalog of ``g``."""
     tset = set(terminals)
     remaining = list(range(len(catalog)))
     chosen: list[Edge] = []
@@ -202,8 +227,9 @@ def gl_partition_almost_chordal(
     g = wg.graph
     k = req.k
     check_demands(wg, req)
+    catalog = enumerate_induced_c4(g)
     if validate:
-        check = is_hh_i42_free(g)
+        check = _class_check(g, catalog)
         if not check:
             vio = check.violation
             raise PreconditionError(
@@ -211,7 +237,7 @@ def gl_partition_almost_chordal(
                 f"vertices {vio.vertices}",
                 witness=vio,
             )
-        res = vertex_connectivity_at_least(g, k)
+        res = _connectivity(g, k, catalog)
         if not res:
             raise PreconditionError(
                 f"input graph is not {k}-connected: {res.reason}",
@@ -228,17 +254,23 @@ def gl_partition_almost_chordal(
     peeled = tuple((i, req.terminals[i]) for i in peel_idx)
     k_eff = len(keep_idx)
 
-    keep_vertices = [
-        v for v in g.vertices() if v not in {req.terminals[i] for i in peel_idx}
-    ]
-    g1, back = induced_subgraph(g, keep_vertices)
+    peeled_set = {t for _, t in peeled}
+    g1, back = induced_subgraph(
+        g, [v for v in g.vertices() if v not in peeled_set]
+    )
     fwd = {old: new for new, old in enumerate(back)}
+    # the relabelling is ascending, so the surviving cycles keep their
+    # canonical form and order
+    catalog1 = C4Catalog(tuple(
+        (fwd[a], fwd[b], fwd[c], fwd[d])
+        for a, b, c, d in catalog if peeled_set.isdisjoint((a, b, c, d))
+    ))
     weights1 = tuple(wg.weights[old] for old in back)
     terminals1 = tuple(fwd[req.terminals[i]] for i in keep_idx)
     demands1 = tuple(req.demands[i] for i in keep_idx)
 
-    g2, chords1 = add_terminal_chords(g1, terminals1)
-    plan = build_contraction_plan(g2, terminals1)
+    g2, chords1, catalog2 = _add_terminal_chords(g1, terminals1, catalog1)
+    plan = _contraction_plan(g2, terminals1, catalog2)
 
     w2 = tuple(
         sum(weights1[v] for v in grp) for grp in plan.merge_map.groups

@@ -18,8 +18,9 @@ import sys
 import time
 
 from .almost_chordal import gl_partition_almost_chordal
+from .c4 import enumerate_induced_c4
 from .chordal import ChordalityWitness, compute_peo
-from .connectivity import vertex_connectivity_at_least
+from .connectivity import _connectivity
 from .errors import (
     CapError,
     DemandError,
@@ -39,7 +40,7 @@ from .partition import (
     gl_partition_chordal,
     gl_partition_chordal_weighted,
 )
-from .recognition import is_hh_i42_free
+from .recognition import _class_check
 from .verify import DeviationRule, verify_partition
 
 EXIT_OK = 0
@@ -71,7 +72,9 @@ def _cmd_check(args) -> int:
             "nonadjacent": list(peo.nonadjacent),
         }
 
-    check = is_hh_i42_free(g)
+    # one 4-cycle catalog serves recognition and the connectivity check
+    catalog = enumerate_induced_c4(g)
+    check = _class_check(g, catalog)
     violation = None
     if not check:
         violation = {
@@ -80,7 +83,7 @@ def _cmd_check(args) -> int:
             "detail": check.violation.detail,
         }
 
-    conn = vertex_connectivity_at_least(g, k)
+    conn = _connectivity(g, k, catalog)
     separator = None
     if not conn and conn.witness is not None:
         separator = {
@@ -251,6 +254,10 @@ def _require_at_least(flag: str, value: int, low: int) -> None:
 def _cmd_generate(args) -> int:
     _require_at_least("--cycles", args.cycles, 0)
     _require_at_least("--max-weight", args.max_weight, 1)
+    # every instance needs two terminals (and a planted 4-cycle an anchor
+    # clique of at least two vertices); a k-tree needs k + 1 vertices
+    _require_at_least("--k", args.k, 2)
+    _require_at_least("--n", args.n, args.k + 1)
     rng = random.Random(args.seed)
     if args.cycles > 0:
         need = args.k + 1 + 4 * args.cycles
@@ -289,7 +296,9 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_oracle_compare(args) -> int:
+    _require_at_least("--trials", args.trials, 0)
     _require_at_least("--cycles", args.cycles, 0)
+    _require_at_least("--k", args.k, 2)
     # every trial draws its n from [max(k + 1, 2k), --n-max]
     _require_at_least("--n-max", args.n_max, max(args.k + 1, 2 * args.k))
     rng = random.Random(args.seed)

@@ -179,7 +179,11 @@ def is_hh_i42_free(g: Graph) -> ClassCheck:
     no catalogued 4-cycle has a roof vertex (house), no hole. Every
     violation reported is real; the first one found wins.
     """
-    catalog = enumerate_induced_c4(g)
+    return _class_check(g, enumerate_induced_c4(g))
+
+
+def _class_check(g: Graph, catalog: C4Catalog) -> ClassCheck:
+    """``is_hh_i42_free`` on the 4-cycle catalog of ``g`` built by the caller."""
     violation = scan_catalog_violations(g, catalog)
     if violation is not None:
         return ClassCheck(False, violation)

@@ -18,6 +18,7 @@ from glpart import (
     enumerate_induced_c4,
     gl_partition_almost_chordal,
     generate_almost_chordal,
+    induced_subgraph,
     verify_partition,
     vertex_connectivity_at_least,
 )
@@ -206,3 +207,38 @@ class TestPipeline:
         a = gl_partition_almost_chordal(wg, req)
         b = gl_partition_almost_chordal(wg, req)
         assert a == b
+
+    def test_shared_catalog_matches_public_stages(self):
+        # the solve carries one catalog of g through peeling, chords and
+        # contraction; the public stages each build their own
+        rng = random.Random(23)
+        seen = {"peeled": 0, "chords": 0}
+        for trial in range(30):
+            k = rng.randint(3, 5)
+            g = generate_almost_chordal(
+                rng.randint(30, 60), k, rng.randint(1, 4), seed=trial
+            )
+            terms = list(rng.choice(enumerate_induced_c4(g).cycles)[::2])
+            terms += rng.sample([v for v in g.vertices() if v not in terms], k - 2)
+            rng.shuffle(terms)
+            demands = [2, 2] + [rng.choice((1, 2)) for _ in range(k - 2)]
+            demands[-1] += g.n - sum(demands)
+            req = PartitionRequest(tuple(terms), tuple(demands))
+            res = gl_partition_almost_chordal(WeightedGraph.unit(g), req)
+
+            peeled = {t for _, t in res.peeled}
+            g1, back = induced_subgraph(g, [v for v in g.vertices() if v not in peeled])
+            fwd = {old: new for new, old in enumerate(back)}
+            open_terms = tuple(fwd[t] for t in terms if t not in peeled)
+            g2, chords = add_terminal_chords(g1, open_terms)
+            plan = build_contraction_plan(g2, open_terms)
+
+            def orig(edges):
+                return tuple(tuple(sorted((back[a], back[b]))) for a, b in edges)
+
+            assert res.added_chords == orig(chords)
+            assert res.contraction_edges == orig(plan.contraction_edges)
+            assert res.c4_count == plan.c4_count
+            seen["peeled"] += bool(peeled)
+            seen["chords"] += bool(chords)
+        assert min(seen.values()) >= 5

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
+from itertools import product
 
 import pytest
 
@@ -25,6 +27,33 @@ from bruteforce import (
     universal_to,
 )
 from test_graph import random_graph_strategy
+
+
+CATALOG_SHA256 = "2a8116c38d45aaaa79af79c4ff86c11f3418333b220c6b7f4bfbba3d4cc137df"
+
+
+def _wheel(spokes: int) -> Graph:
+    """A hub joined to every vertex of a cycle on ``spokes`` vertices."""
+    rim = [(i, (i + 1) % spokes) for i in range(spokes)]
+    return Graph.from_edges(spokes + 1, rim + [(i, spokes) for i in range(spokes)])
+
+
+def _complete_bipartite(a: int, b: int) -> Graph:
+    return Graph.from_edges(a + b, [(i, a + j) for i in range(a) for j in range(b)])
+
+
+def _digest_corpus() -> list[Graph]:
+    """Members up to n=1600 at k 2-5, C_3000 and 20 seeded G(n, p) graphs."""
+    graphs = [
+        generate_almost_chordal(n, k, n // 25, seed=n + k)
+        for n, k in product((100, 200, 400, 800, 1600), (2, 3, 4, 5))
+    ]
+    graphs.append(Graph.cycle(3000))
+    rng = random.Random(8)
+    for _ in range(20):
+        n = rng.randint(10, 60)
+        graphs.append(random_gnp(rng, n, rng.choice((0.1, 0.25, 0.5))))
+    return graphs
 
 
 class TestCatalog:
@@ -74,12 +103,29 @@ class TestCatalog:
         rng = random.Random(6)
         graphs = [Graph.cycle(3000)]
         graphs += [generate_almost_chordal(60, k, 5, seed=k) for k in (2, 3, 4)]
+        graphs += [
+            generate_almost_chordal(n, k, n // 25, seed=n + k)
+            for n, k in product((400, 800), (2, 3, 4, 5))
+        ]
+        # heavy hubs and degree ties
+        graphs += [_wheel(50), _complete_bipartite(2, 40), _complete_bipartite(6, 6)]
         for _ in range(40):
             n = rng.randint(5, 40)
             p = rng.choice((0.1, 0.25, 0.5))
             graphs.append(random_gnp(rng, n, p))
         for g in graphs:
+            cycles = enumerate_induced_c4(g).cycles
+            assert len(set(cycles)) == len(cycles)
             assert enumerate_induced_c4(g) == all_pairs_induced_c4(g)
+
+    def test_pinned_digest(self):
+        # SHA-256 of the catalogs of a fixed corpus, as the distance-two
+        # pair scan that preceded the degree-ordered walk produced them
+        h = hashlib.sha256()
+        for g in _digest_corpus():
+            h.update(repr(enumerate_induced_c4(g).cycles).encode())
+            h.update(b"\n")
+        assert h.hexdigest() == CATALOG_SHA256
 
 
 class TestUniversalTo:

@@ -354,6 +354,13 @@ class TestGenerate:
         (["generate", "--n", "10", "--k", "2", "--max-weight", "-3"], "--max-weight"),
         (["oracle-compare", "--cycles", "-1"], "--cycles"),
         (["oracle-compare", "--k", "2", "--n-max", "3"], "--n-max"),
+        (["generate", "--n", "20", "--k", "1", "--cycles", "1"], "--k"),
+        (["generate", "--n", "20", "--k", "0"], "--k"),
+        (["generate", "--n", "3", "--k", "3"], "--n"),
+        (["oracle-compare", "--k", "0"], "--k"),
+        (["oracle-compare", "--k", "1", "--cycles", "1", "--n-max", "12"], "--k"),
+        (["oracle-compare", "--trials", "-2"], "--trials"),
+        (["generate", "--n", "20", "--k", "1"], "--k"),
     ],
 )
 def test_out_of_range_flag_exits_2(argv, flag, capsys):
