@@ -23,21 +23,23 @@ pairwise almost-disjoint induced 4-cycles to a weighted chordal instance:
 Unweighted demands land within one vertex of target; weighted parts stay
 strictly within twice the maximum vertex weight.
 
-The solve builds the induced 4-cycle catalog of the input once and hands
-it to recognition and the connectivity check (when validating), to the
-chord step and to the contraction plan. Peeling drops the cycles through
-peeled terminals and relabels the rest, and only an added chord builds a
-fresh catalog. ``add_terminal_chords`` and ``build_contraction_plan``
-build their own when called alone.
+Every stage asks ``enumerate_induced_c4`` and ``compute_peo`` for the
+certificates it needs; each graph keeps them in its memo, so a validated
+solve without peeling or chords builds one catalog, that of the input,
+which recognition, the connectivity check, the chord step and the
+contraction plan share. Peeling yields a new graph and so one more
+catalog, and so does each added chord. The contraction plan certifies
+the contracted graph's elimination order, which the inner connectivity
+check and the chordal solve then reuse.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .c4 import C4Catalog, enumerate_induced_c4
-from .chordal import mcs_order, peo_violation
-from .connectivity import _connectivity, vertex_connectivity_at_least
+from .c4 import enumerate_induced_c4
+from .chordal import Peo, compute_peo
+from .connectivity import vertex_connectivity_at_least
 from .errors import PipelineInvariantError, PreconditionError
 from .graph import (
     Edge,
@@ -53,7 +55,7 @@ from .partition import (
     check_demands,
     gl_partition_chordal_weighted,
 )
-from .recognition import _class_check
+from .recognition import is_hh_i42_free
 
 
 def add_terminal_chords(
@@ -65,23 +67,11 @@ def add_terminal_chords(
     every remaining cycle has at most two terminals and they are adjacent.
     Returns the new graph and the added chords in insertion order.
     """
-    g, added, _ = _add_terminal_chords(g, terminals, enumerate_induced_c4(g))
-    return g, added
-
-
-def _add_terminal_chords(
-    g: Graph, terminals: tuple[int, ...], catalog: C4Catalog
-) -> tuple[Graph, tuple[Edge, ...], C4Catalog]:
-    """``add_terminal_chords`` from the catalog of ``g``.
-
-    Also returns the catalog of the output graph. Each added chord costs
-    one fresh catalog; without chords none is built.
-    """
     tset = set(terminals)
     added: list[Edge] = []
     while True:
         chord = None
-        for cycle in catalog:
+        for cycle in enumerate_induced_c4(g):
             on_cycle = sorted(tset.intersection(cycle))
             for i, a in enumerate(on_cycle):
                 for b in on_cycle[i + 1:]:
@@ -93,10 +83,9 @@ def _add_terminal_chords(
             if chord:
                 break
         if chord is None:
-            return g, tuple(added), catalog
+            return g, tuple(added)
         g = g.with_edges([chord])
         added.append(chord)
-        catalog = enumerate_induced_c4(g)
 
 
 @dataclass(frozen=True)
@@ -126,13 +115,7 @@ def build_contraction_plan(
     with three private vertices and raises PreconditionError: the input is
     outside the supported class.
     """
-    return _contraction_plan(g, terminals, enumerate_induced_c4(g))
-
-
-def _contraction_plan(
-    g: Graph, terminals: tuple[int, ...], catalog: C4Catalog
-) -> ContractionPlan:
-    """``build_contraction_plan`` from the catalog of ``g``."""
+    catalog = enumerate_induced_c4(g)
     tset = set(terminals)
     remaining = list(range(len(catalog)))
     chosen: list[Edge] = []
@@ -178,8 +161,7 @@ def _contraction_plan(
         ) from None
     terminal_map = {t: x for x, grp in enumerate(merge_map.groups) for t in grp & tset}
     sizes = tuple(len(grp) for grp in merge_map.groups)
-    witness = peo_violation(current, mcs_order(current))
-    if witness is not None:
+    if not isinstance(compute_peo(current), Peo):
         raise PipelineInvariantError(
             "contracted graph is not chordal; input was outside the supported class"
         )
@@ -227,9 +209,8 @@ def gl_partition_almost_chordal(
     g = wg.graph
     k = req.k
     check_demands(wg, req)
-    catalog = enumerate_induced_c4(g)
     if validate:
-        check = _class_check(g, catalog)
+        check = is_hh_i42_free(g)
         if not check:
             vio = check.violation
             raise PreconditionError(
@@ -237,7 +218,7 @@ def gl_partition_almost_chordal(
                 f"vertices {vio.vertices}",
                 witness=vio,
             )
-        res = _connectivity(g, k, catalog)
+        res = vertex_connectivity_at_least(g, k)
         if not res:
             raise PreconditionError(
                 f"input graph is not {k}-connected: {res.reason}",
@@ -255,22 +236,16 @@ def gl_partition_almost_chordal(
     k_eff = len(keep_idx)
 
     peeled_set = {t for _, t in peeled}
-    g1, back = induced_subgraph(
-        g, [v for v in g.vertices() if v not in peeled_set]
-    )
+    back = tuple(v for v in g.vertices() if v not in peeled_set)
+    # without peeling keep g itself, and with it the certificates it holds
+    g1 = induced_subgraph(g, back)[0] if peeled else g
     fwd = {old: new for new, old in enumerate(back)}
-    # the relabelling is ascending, so the surviving cycles keep their
-    # canonical form and order
-    catalog1 = C4Catalog(tuple(
-        (fwd[a], fwd[b], fwd[c], fwd[d])
-        for a, b, c, d in catalog if peeled_set.isdisjoint((a, b, c, d))
-    ))
     weights1 = tuple(wg.weights[old] for old in back)
     terminals1 = tuple(fwd[req.terminals[i]] for i in keep_idx)
     demands1 = tuple(req.demands[i] for i in keep_idx)
 
-    g2, chords1, catalog2 = _add_terminal_chords(g1, terminals1, catalog1)
-    plan = _contraction_plan(g2, terminals1, catalog2)
+    g2, chords1 = add_terminal_chords(g1, terminals1)
+    plan = build_contraction_plan(g2, terminals1)
 
     w2 = tuple(
         sum(weights1[v] for v in grp) for grp in plan.merge_map.groups

@@ -13,7 +13,8 @@ is met exactly once, at its highest-ranked vertex, and no deduplication
 is needed. The middle vertex of every two-path has degree at most the
 start's, so the walk costs O(a(G) * m) plus one adjacency test per pair
 of middles sharing a start and an end, where a(G) is the arboricity;
-a k-tree has a(G) <= k.
+a k-tree has a(G) <= k. Each graph keeps its catalog in its memo, so the
+walk runs at most once per graph.
 """
 
 from __future__ import annotations
@@ -59,7 +60,15 @@ class C4Catalog:
 
 
 def enumerate_induced_c4(g: Graph) -> C4Catalog:
-    """Catalog every chordless 4-cycle of ``g``.
+    """Catalog every chordless 4-cycle of ``g``, kept in the graph's memo."""
+    memo = g._memo
+    if "c4" not in memo:
+        memo["c4"] = _build_catalog(g)
+    return memo["c4"]
+
+
+def _build_catalog(g: Graph) -> C4Catalog:
+    """The catalog of ``g``, built from scratch.
 
     Vertices are ranked by descending degree, ties by id. For each v in
     rank order, walk v -> u -> w over neighbors u and w that both rank

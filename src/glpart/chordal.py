@@ -5,6 +5,10 @@ standard one-pass check: for every vertex, its later neighbors minus the
 earliest of them must all be adjacent to that earliest one. A failure of the
 check yields two later neighbors with no edge between them, which lie on a
 chordless cycle of length at least four.
+
+``compute_peo`` is the one place that runs both: it keeps its verdict in
+the graph's memo, so every caller that needs the order of a graph (the
+CLI's auto mode, the solver, the connectivity check) shares one search.
 """
 
 from __future__ import annotations
@@ -114,8 +118,16 @@ def compute_peo(g: Graph) -> Peo | ChordalityWitness:
     """Perfect elimination order of a chordal graph, or a witness against one.
 
     Deterministic: ties in the search are broken by smallest vertex id, so
-    equal inputs always yield the same order.
+    equal inputs always yield the same order. The result is kept in the
+    graph's memo.
     """
+    memo = g._memo
+    if "peo" not in memo:
+        memo["peo"] = _build_peo(g)
+    return memo["peo"]
+
+
+def _build_peo(g: Graph) -> Peo | ChordalityWitness:
     order = mcs_order(g)
     witness = peo_violation(g, order)
     if witness is not None:

@@ -18,9 +18,8 @@ import sys
 import time
 
 from .almost_chordal import gl_partition_almost_chordal
-from .c4 import enumerate_induced_c4
 from .chordal import ChordalityWitness, compute_peo
-from .connectivity import _connectivity
+from .connectivity import vertex_connectivity_at_least
 from .errors import (
     CapError,
     DemandError,
@@ -40,7 +39,7 @@ from .partition import (
     gl_partition_chordal,
     gl_partition_chordal_weighted,
 )
-from .recognition import _class_check
+from .recognition import is_hh_i42_free
 from .verify import DeviationRule, verify_partition
 
 EXIT_OK = 0
@@ -72,9 +71,7 @@ def _cmd_check(args) -> int:
             "nonadjacent": list(peo.nonadjacent),
         }
 
-    # one 4-cycle catalog serves recognition and the connectivity check
-    catalog = enumerate_induced_c4(g)
-    check = _class_check(g, catalog)
+    check = is_hh_i42_free(g)
     violation = None
     if not check:
         violation = {
@@ -83,7 +80,7 @@ def _cmd_check(args) -> int:
             "detail": check.violation.detail,
         }
 
-    conn = _connectivity(g, k, catalog)
+    conn = vertex_connectivity_at_least(g, k)
     separator = None
     if not conn and conn.witness is not None:
         separator = {
@@ -201,9 +198,12 @@ def _load_parts(path: str, k: int) -> GLPartition:
 
 
 def _cmd_verify(args) -> int:
+    try:
+        rule = DeviationRule.parse(args.deviation)
+    except ValueError as exc:
+        raise DemandError(f"--deviation: {exc}") from None
     inst = load_instance(args.file)
     partition = _load_parts(args.partition, inst.request.k)
-    rule = DeviationRule.parse(args.deviation)
     try:
         report = verify_partition(inst.wgraph, inst.request, partition, rule)
     except ValueError as exc:

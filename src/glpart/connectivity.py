@@ -40,7 +40,7 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 
-from .c4 import C4Catalog, enumerate_induced_c4
+from .c4 import enumerate_induced_c4
 from .chordal import Peo, compute_peo
 from .graph import Graph, induced_subgraph
 
@@ -243,21 +243,19 @@ def _kappa_up_to_2(g: Graph) -> int:
     return 1 if cut or root_children > 1 else 2
 
 
-def _clique_atoms(
-    g: Graph, k: int, catalog: C4Catalog
-) -> list[list[int]] | None:
+def _clique_atoms(g: Graph, k: int) -> list[list[int]] | None:
     """Atoms of the clique minimal separator decomposition of ``g``, or None.
 
-    H is ``g`` plus the diagonal ``(c[0], c[2])`` of each 4-cycle in
-    ``catalog``, the catalog of ``g``. None when H is not chordal, when
-    some cycle has its other diagonal filled as well (H may then not be
-    minimal), or when a minimal separator of H has fewer than k vertices,
-    which also separates ``g``. Otherwise the separators are read off H's
+    H is ``g`` plus the diagonal ``(c[0], c[2])`` of each induced 4-cycle
+    of ``g``. None when H is not chordal, when some cycle has its other
+    diagonal filled as well (H may then not be minimal), or when a minimal
+    separator of H has fewer than k vertices, which also separates ``g``. Otherwise the separators are read off H's
     search order and, in elimination order, each one that is a clique of
     ``g`` cuts off the component of the remaining graph that holds its
     generating vertex. That component is removed, so each vertex is cut
     off once.
     """
+    catalog = enumerate_induced_c4(g)
     fill = {(c[0], c[2]) for c in catalog}
     if any((c[1], c[3]) in fill for c in catalog):
         return None
@@ -295,7 +293,7 @@ def _clique_atoms(
     return atoms
 
 
-def _clique_separator_accepts(g: Graph, k: int, catalog: C4Catalog) -> bool:
+def _clique_separator_accepts(g: Graph, k: int) -> bool:
     """True when the clique separator decomposition proves kappa(g) >= k.
 
     False means undecided. Every separator cut along has at least k
@@ -303,7 +301,7 @@ def _clique_separator_accepts(g: Graph, k: int, catalog: C4Catalog) -> bool:
     T is; complete atoms have more than |T| vertices, the others must be
     k-connected.
     """
-    atoms = _clique_atoms(g, k, catalog)
+    atoms = _clique_atoms(g, k)
     if atoms is None or len(atoms) == 1:
         # a single atom is g itself, which the caller's flow decides anyway
         return False
@@ -325,17 +323,6 @@ def vertex_connectivity_at_least(g: Graph, k: int) -> ConnectivityResult:
     search (k <= 2) or the clique separator decomposition (k >= 3) where
     those succeed; the rest go to max-flow.
     """
-    return _connectivity(g, k, None)
-
-
-def _connectivity(
-    g: Graph, k: int, catalog: C4Catalog | None
-) -> ConnectivityResult:
-    """``vertex_connectivity_at_least`` with the caller's 4-cycle catalog.
-
-    ``catalog`` is that of ``g``, or None to build one only when the
-    clique separator method needs it.
-    """
     if k <= 0:
         raise ValueError("k must be positive")
     if g.n == 0:
@@ -346,9 +333,7 @@ def _connectivity(
     if k <= 2:
         accepted = k <= _kappa_up_to_2(g)
     else:
-        if catalog is None:
-            catalog = enumerate_induced_c4(g)
-        accepted = _clique_separator_accepts(g, k, catalog)
+        accepted = _clique_separator_accepts(g, k)
     if accepted:
         return ConnectivityResult(True, k)
     return _flow_connectivity(g, k)

@@ -3,12 +3,18 @@
 Vertices are always 0..n-1. All operations that change the vertex set
 re-densify ids deterministically and report the relabeling, so downstream
 output is reproducible bit for bit.
+
+A graph never changes, so each one computes its certificates at most once:
+``chordal.compute_peo`` and ``c4.enumerate_induced_c4`` keep their result
+in the graph's private memo. Every operation that builds a new graph
+(``with_edges``, ``induced_subgraph``, ``contract_matching``) starts it
+with an empty memo. The memo takes no part in equality, hashing or repr.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable
 
@@ -20,6 +26,8 @@ class Graph:
     """Simple undirected graph; ``adj[v]`` is the neighbor set of ``v``."""
 
     adj: tuple[frozenset[int], ...]
+    # certificates of this graph: compute_peo's and enumerate_induced_c4's
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[Edge]) -> "Graph":

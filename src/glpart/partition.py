@@ -17,8 +17,8 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from .chordal import Peo, mcs_order, peo_violation
-from .connectivity import _chordal_connectivity
+from .chordal import ChordalityWitness, Peo, compute_peo, mcs_order
+from .connectivity import vertex_connectivity_at_least
 from .errors import DemandError, PreconditionError, SolverStallError
 from .graph import Graph, WeightedGraph, is_connected_set
 
@@ -96,35 +96,6 @@ def check_demands(
     return overweight
 
 
-def _require_order(g: Graph, validate: bool) -> Peo:
-    """Elimination order for the growth loop.
-
-    With validation on, a non-chordal input is rejected with a witness.
-    With validation off the search order is used as-is; a bad order can
-    only surface later as a solver stall.
-    """
-    order = mcs_order(g)
-    if validate:
-        witness = peo_violation(g, order)
-        if witness is not None:
-            raise PreconditionError(
-                "input graph is not chordal: vertex "
-                f"{witness.vertex} has non-adjacent later neighbors {witness.nonadjacent}",
-                witness=witness,
-            )
-    return Peo.from_order(order)
-
-
-def _require_connectivity(g: Graph, k: int, peo: Peo) -> None:
-    """Reject ``g`` unless it is k-connected, reading ``peo``, which
-    ``_require_order`` certified, instead of searching ``g`` again."""
-    res = _chordal_connectivity(g, k, peo)
-    if not res:
-        raise PreconditionError(
-            f"input graph is not {k}-connected: {res.reason}", witness=res.witness
-        )
-
-
 def gl_partition_chordal(
     g: Graph, req: PartitionRequest, *, validate: bool = True
 ) -> GLPartition:
@@ -165,9 +136,24 @@ def gl_partition_chordal_weighted(
     overweight_seen = check_demands(
         wg, req, allow_overweight=allow_overweight_terminals
     )
-    peo = _require_order(g, validate)
+    peo = compute_peo(g)
     if validate:
-        _require_connectivity(g, req.k, peo)
+        if isinstance(peo, ChordalityWitness):
+            raise PreconditionError(
+                "input graph is not chordal: vertex "
+                f"{peo.vertex} has non-adjacent later neighbors {peo.nonadjacent}",
+                witness=peo,
+            )
+        res = vertex_connectivity_at_least(g, req.k)
+        if not res:
+            raise PreconditionError(
+                f"input graph is not {req.k}-connected: {res.reason}",
+                witness=res.witness,
+            )
+    elif isinstance(peo, ChordalityWitness):
+        # grow along the search order anyway; a bad order can only surface
+        # as a stall
+        peo = Peo.from_order(mcs_order(g))
 
     n, k = g.n, req.k
     adj, sigma = g.adj, peo.sigma

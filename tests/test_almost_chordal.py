@@ -209,8 +209,8 @@ class TestPipeline:
         assert a == b
 
     def test_shared_catalog_matches_public_stages(self):
-        # the solve carries one catalog of g through peeling, chords and
-        # contraction; the public stages each build their own
+        # the solve's stages read the catalogs memoized on its own graphs;
+        # here the stages run on fresh graphs and build their own
         rng = random.Random(23)
         seen = {"peeled": 0, "chords": 0}
         for trial in range(30):

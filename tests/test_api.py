@@ -2,11 +2,13 @@
 
 Every name in ``glpart.__all__`` must occur somewhere in the library
 modules or in ``perfbench/`` other than on its own ``def``/``class`` line.
-A helper that only tests call belongs in ``tests/bruteforce.py``.
+A helper that only tests call belongs in ``tests/bruteforce.py``. No
+library module imports another's underscore names.
 """
 
 from __future__ import annotations
 
+import ast
 import re
 from pathlib import Path
 
@@ -30,3 +32,28 @@ def test_every_public_name_has_a_user():
         if not any(word.search(ln) and not own.match(ln) for ln in lines):
             unused.append(name)
     assert unused == []
+
+
+def _private_imports(path: Path) -> list[str]:
+    """``module.name`` for each underscore name ``path`` imports from glpart."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if node.level == 0 and not (node.module or "").startswith("glpart"):
+            continue
+        found += [
+            f"{node.module}.{alias.name}"
+            for alias in node.names if alias.name.startswith("_")
+        ]
+    return found
+
+
+def test_no_private_imports_across_modules():
+    # each stage has one public entry point; a private twin that another
+    # module calls would be a second code path beside it
+    offenders = {
+        p.name: _private_imports(p)
+        for p in sorted((ROOT / "src" / "glpart").glob("*.py"))
+    }
+    assert {name: got for name, got in offenders.items() if got} == {}

@@ -1,7 +1,10 @@
-"""How many 4-cycle catalogs a validated solve and ``glpart check`` build.
+"""How many certificates a solve and ``glpart check`` compute.
 
-The spy replaces ``enumerate_induced_c4`` in every ``glpart`` module that
-imports it, so a build anywhere in the package is counted.
+Each graph keeps its 4-cycle catalog and its elimination order in its
+memo. The ``builds`` spy replaces ``c4._build_catalog``, the builder behind
+``enumerate_induced_c4``'s memo, so it counts real catalog builds and not
+memo hits. The ``searches`` spy replaces ``mcs_order`` in every ``glpart``
+module that imports it, so every maximum cardinality search is counted.
 """
 
 from __future__ import annotations
@@ -17,19 +20,36 @@ from glpart import (
     PartitionRequest,
     WeightedGraph,
     c4,
-    enumerate_induced_c4,
+    chordal,
     format_instance,
     generate_almost_chordal,
+    generate_ktree,
     gl_partition_almost_chordal,
 )
 from glpart.cli import main
+
+from bruteforce import all_pairs_induced_c4
 
 
 @pytest.fixture
 def builds(monkeypatch):
     """A list that gains one entry per catalog build."""
     calls: list[int] = []
-    original = c4.enumerate_induced_c4
+    original = c4._build_catalog
+
+    def spy(g):
+        calls.append(g.n)
+        return original(g)
+
+    monkeypatch.setattr(c4, "_build_catalog", spy)
+    return calls
+
+
+@pytest.fixture
+def searches(monkeypatch):
+    """A list that gains the vertex count of each searched graph."""
+    calls: list[int] = []
+    original = chordal.mcs_order
 
     def spy(g):
         calls.append(g.n)
@@ -38,23 +58,32 @@ def builds(monkeypatch):
     spied = set()
     for info in pkgutil.iter_modules(glpart.__path__):
         mod = importlib.import_module(f"glpart.{info.name}")
-        if getattr(mod, "enumerate_induced_c4", None) is original:
-            monkeypatch.setattr(mod, "enumerate_induced_c4", spy)
+        if getattr(mod, "mcs_order", None) is original:
+            monkeypatch.setattr(mod, "mcs_order", spy)
             spied.add(info.name)
-    assert {"almost_chordal", "c4", "connectivity", "recognition"} <= spied
+    assert {"chordal", "partition"} <= spied
     return calls
 
 
 def _member_request(k: int, chords: int, seed: int):
     """A member whose first ``chords`` rings each hold two opposite
-    terminals; the other terminals are off those rings, demands >= 2."""
+    terminals; the other terminals are off those rings, demands >= 2.
+
+    The rings come from the reference catalog, so the member's memo stays
+    empty and the solve's own build is the one counted."""
     cycles = max(chords, 2)
     g = generate_almost_chordal(20 + 4 * cycles, k, cycles, seed=seed)
-    rings = enumerate_induced_c4(g).cycles
+    rings = all_pairs_induced_c4(g).cycles
     terminals = [t for cyc in rings[:chords] for t in (cyc[0], cyc[2])]
     terminals += [v for v in range(g.n) if v not in terminals][: k - len(terminals)]
     demands = [2] * (k - 1) + [g.n - 2 * (k - 1)]
     return g, PartitionRequest(tuple(sorted(terminals)), tuple(demands))
+
+
+def _write(tmp_path, g, req) -> str:
+    path = tmp_path / "instance.txt"
+    path.write_text(format_instance(Instance(WeightedGraph.unit(g), req)))
+    return str(path)
 
 
 @pytest.mark.parametrize("k", [3, 4])
@@ -76,9 +105,33 @@ def test_each_chord_costs_one_build(builds, k, chords):
 
 def test_check_builds_one_catalog(builds, tmp_path, capsys):
     g, req = _member_request(3, 0, seed=5)
-    path = tmp_path / "member.txt"
-    path.write_text(format_instance(Instance(WeightedGraph.unit(g), req)))
-    assert main(["check", str(path), "--require", "class",
+    path = _write(tmp_path, g, req)
+    assert main(["check", path, "--require", "class",
                  "--require", "connectivity"]) == 0
     capsys.readouterr()
     assert builds == [g.n]
+
+
+@pytest.mark.parametrize("extra", [[], ["--skip-checks"]])
+def test_chordal_partition_searches_once(searches, tmp_path, capsys, extra):
+    g = generate_ktree(60, 3, seed=7)
+    req = PartitionRequest((0, 20, 40), (20, 20, 20))
+    assert main(["partition", _write(tmp_path, g, req), *extra]) == 0
+    capsys.readouterr()
+    assert searches == [g.n]
+
+
+def test_member_partition_searches_three_graphs(searches, tmp_path, capsys):
+    # the input, its one-diagonal fill H (clique separators) and the
+    # contracted graph, each once
+    g, req = _member_request(3, 0, seed=5)
+    assert main(["partition", _write(tmp_path, g, req)]) == 0
+    capsys.readouterr()
+    assert searches == [g.n, g.n, g.n - 2]
+
+
+def test_member_check_searches_two_graphs(searches, tmp_path, capsys):
+    g, req = _member_request(3, 0, seed=5)
+    assert main(["check", _write(tmp_path, g, req)]) == 0
+    capsys.readouterr()
+    assert searches == [g.n, g.n]

@@ -297,12 +297,14 @@ class TestVerify:
         assert main(["verify", chordal_file, str(out)]) == 3
         assert "lists a vertex twice" in capsys.readouterr().err
 
-    def test_bad_rule_exits_3(self, chordal_file, tmp_path, capsys):
+    def test_bad_rule_exits_2(self, chordal_file, tmp_path, capsys):
+        # a bad flag value is a usage error, like every other flag's
         out = tmp_path / "part.json"
         main(["partition", chordal_file, "--out", str(out)])
         assert main(
             ["verify", chordal_file, str(out), "--deviation", "fuzzy:9"]
-        ) == 3
+        ) == 2
+        assert capsys.readouterr().err.startswith("error: --deviation")
 
 
 class TestGenerate:
@@ -361,6 +363,9 @@ class TestGenerate:
         (["oracle-compare", "--k", "1", "--cycles", "1", "--n-max", "12"], "--k"),
         (["oracle-compare", "--trials", "-2"], "--trials"),
         (["generate", "--n", "20", "--k", "1"], "--k"),
+        (["verify", "inst.txt", "part.json", "--deviation", "window:0"], "--deviation"),
+        (["verify", "inst.txt", "part.json", "--deviation", "slack:-1"], "--deviation"),
+        (["verify", "inst.txt", "part.json", "--deviation", "bogus"], "--deviation"),
     ],
 )
 def test_out_of_range_flag_exits_2(argv, flag, capsys):

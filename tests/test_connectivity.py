@@ -39,10 +39,6 @@ def exact_kappa(g: Graph) -> int:
     return k
 
 
-def _atoms(g: Graph, k: int):
-    return _clique_atoms(g, k, enumerate_induced_c4(g))
-
-
 class TestVertexConnectivity:
     @pytest.mark.parametrize(
         "fixture,kappa",
@@ -283,7 +279,7 @@ class TestCliqueSeparatorMethod:
         graphs.append(planted(generate_almost_chordal(7, 2, 1, seed=1), 2, "house"))
         split = 0
         for g in graphs:
-            atoms = _atoms(g, 1)
+            atoms = _clique_atoms(g, 1)
             if atoms is None:
                 continue
             got = [frozenset(a) for a in atoms]
@@ -299,14 +295,14 @@ class TestCliqueSeparatorMethod:
         octahedron = Graph.from_edges(6, [
             (a, b) for a in range(6) for b in range(a + 1, 6) if b != a ^ 1
         ])
-        assert _atoms(octahedron, 1) is None
+        assert _clique_atoms(octahedron, 1) is None
         assert vertex_connectivity_at_least(octahedron, 4)
-        assert _atoms(c5, 1) is None
+        assert _clique_atoms(c5, 1) is None
 
     def test_declines_on_small_separator(self):
         member = generate_almost_chordal(40, 3, 2, seed=5)
-        assert _atoms(member, 3) is not None
-        assert _atoms(member, 4) is None
+        assert _clique_atoms(member, 3) is not None
+        assert _clique_atoms(member, 4) is None
 
 
 class TestMinimalSeparators:

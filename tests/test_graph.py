@@ -9,10 +9,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from glpart import (
+    ChordalityWitness,
     Graph,
+    Peo,
     WeightedGraph,
     components_within,
+    compute_peo,
     contract_matching,
+    enumerate_induced_c4,
+    generate_almost_chordal,
     induced_subgraph,
     is_connected_set,
 )
@@ -183,6 +188,35 @@ class TestContractMatching:
             contract_matching(p4, [(0, 1), (1, 2)])
         with pytest.raises(ValueError):
             contract_matching(p4, [(0, 1), (0, 1)])
+
+
+class TestCertificateMemo:
+    def test_memo_is_invisible(self):
+        g = generate_almost_chordal(40, 3, 3, seed=2)
+        shown = repr(g)
+        peo = compute_peo(g)
+        catalog = enumerate_induced_c4(g)
+        fresh = Graph(g.adj)
+        assert g == fresh and hash(g) == hash(fresh)
+        assert {fresh: 1}[g] == 1
+        assert repr(g) == shown == repr(fresh)
+        assert compute_peo(g) is peo
+        assert enumerate_induced_c4(g) is catalog
+        assert len(catalog) == 3
+
+    def test_derived_graphs_start_empty(self):
+        g = Graph.path(4)
+        assert isinstance(compute_peo(g), Peo)
+        assert len(enumerate_induced_c4(g)) == 0
+        closed = g.with_edges([(0, 3)])
+        sub, _ = induced_subgraph(g, [0, 1, 2])
+        merged, _ = contract_matching(g, [(1, 2)])
+        for h in (closed, sub, merged):
+            assert h._memo == {}
+        # the chord closes a 4-cycle: the new graph's certificates see it
+        assert enumerate_induced_c4(closed).cycles == ((0, 1, 2, 3),)
+        assert isinstance(compute_peo(closed), ChordalityWitness)
+        assert len(enumerate_induced_c4(g)) == 0
 
 
 class TestWeightedGraph:
