@@ -10,7 +10,9 @@ changes the digest; an intended change must update it and say why.
 from __future__ import annotations
 
 import hashlib
+import json
 
+from glpart import Graph, Instance, PartitionRequest, WeightedGraph, format_instance
 from glpart.cli import main
 
 GOLDEN_SHA256 = "6d0bdd779ba7888bdf5d8da857d132f8a42c2876136f69f6753bfdd119ebf7f3"
@@ -55,3 +57,65 @@ def test_cli_corpus_digest(tmp_path, capsys):
 
     assert codes == [0] * 12 + [2, 1]
     assert digest.hexdigest() == GOLDEN_SHA256
+
+
+# verify and check payloads are assembled from the result types; these
+# inputs pin every field of them, rejections included
+VERIFY_CHECK_SHA256 = "efba67c8b2594f8b25181cf234b5c87e07d6eeb5bbd4f1a929984e7ab22a97c9"
+
+RULES = ("exact", "slack:1", "window:3")
+
+
+def _instance_text(n: int, edges, terminals, demands) -> str:
+    g = Graph.from_edges(n, edges)
+    return format_instance(
+        Instance(WeightedGraph.unit(g), PartitionRequest(terminals, demands))
+    )
+
+
+# a 7-hole, a house, a path and three triangles sharing vertex 0 (both
+# chordal with a cut vertex), and two 4-cycles sharing vertex 3 (not
+# chordal, cut vertex 3), all asked for k=2
+CHECKS = {
+    "hole": _instance_text(7, [(i, (i + 1) % 7) for i in range(7)], (0, 3), (3, 4)),
+    "house": _instance_text(
+        5, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (1, 4)], (0, 2), (2, 3)
+    ),
+    "path": _instance_text(5, [(0, 1), (1, 2), (2, 3), (3, 4)], (0, 4), (2, 3)),
+    "windmill": _instance_text(
+        7, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0), (0, 5), (5, 6), (6, 0)],
+        (1, 5), (3, 4),
+    ),
+    "bowtie": _instance_text(
+        7, [(0, 1), (1, 3), (3, 2), (2, 0), (3, 4), (4, 6), (6, 5), (5, 3)],
+        (0, 6), (3, 4),
+    ),
+}
+
+
+def test_verify_and_check_digest(tmp_path, capsys):
+    digest = hashlib.sha256()
+    codes = []
+    for name, flags in CORPUS[:3]:
+        inst = tmp_path / f"{name}.txt"
+        assert main(["generate", *flags, "--out", str(inst)]) == 0
+        good = tmp_path / f"{name}.json"
+        assert main(["partition", str(inst), "--out", str(good)]) == 0
+        doc = json.loads(good.read_text())
+        doc["parts"][0], doc["parts"][1] = doc["parts"][1], doc["parts"][0]
+        swapped = tmp_path / f"{name}-swapped.json"
+        swapped.write_text(json.dumps(doc))
+        for part in (good, swapped):
+            for rule in RULES:
+                codes.append(_run(
+                    ["verify", str(inst), str(part), "--deviation", rule],
+                    capsys, digest,
+                ))
+    for name, text in CHECKS.items():
+        path = tmp_path / f"{name}.txt"
+        path.write_text(text)
+        codes.append(_run(["check", str(path)], capsys, digest))
+
+    # the weighted k-tree misses exact, slack:1 and window:3 even unswapped
+    assert codes == [0] * 3 + [1] * 9 + [0] * 3 + [1] * 3 + [0] * 5
+    assert digest.hexdigest() == VERIFY_CHECK_SHA256
