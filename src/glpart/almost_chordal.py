@@ -35,6 +35,7 @@ check and the chordal solve then reuse.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 from .c4 import enumerate_induced_c4
@@ -114,29 +115,40 @@ def build_contraction_plan(
     structure is a forest. When it is not, the greedy runs out of cycles
     with three private vertices and raises PreconditionError: the input is
     outside the supported class.
+
+    The greedy always takes the first cycle in catalog order that has
+    three private vertices. Eligible cycles wait in a heap of ids, and a
+    cycle is pushed when one of its vertices becomes private to it, so the
+    greedy costs O(c log c) for c cycles instead of a rescan per pick.
     """
     catalog = enumerate_induced_c4(g)
     tset = set(terminals)
-    remaining = list(range(len(catalog)))
+    # the remaining cycles through each vertex; a vertex is private to a
+    # cycle when that cycle is the only one left through it
+    cycles_at: dict[int, set[int]] = {}
+    for ci, cyc in enumerate(catalog):
+        for v in cyc:
+            cycles_at.setdefault(v, set()).add(ci)
+
+    def eligible(ci: int) -> bool:
+        return sum(len(cycles_at[v]) == 1 for v in catalog[ci]) >= 3
+
+    # dropping a cycle only frees vertices, so a cycle stays eligible once
+    # it is, and the heap's smallest id is the first eligible cycle in
+    # catalog order; the ids start ascending, which is already a heap
+    queued = [eligible(ci) for ci in range(len(catalog))]
+    ready = [ci for ci, q in enumerate(queued) if q]
     chosen: list[Edge] = []
 
-    while remaining:
-        counts: dict[int, int] = {}
-        for ci in remaining:
-            for v in catalog.cycles[ci]:
-                counts[v] = counts.get(v, 0) + 1
-        pick = None
-        for ci in remaining:  # catalog order = ascending canonical id
-            private = sorted(v for v in catalog.cycles[ci] if counts[v] == 1)
-            if len(private) >= 3:
-                pick = (ci, private[:3])
-                break
-        if pick is None:
+    while len(chosen) < len(catalog):
+        if not ready:
             raise PreconditionError(
                 "no remaining induced 4-cycle has three private vertices; "
                 "input is outside the supported class"
             )
-        ci, triple = pick
+        ci = heapq.heappop(ready)
+        cyc = catalog[ci]
+        triple = sorted(v for v in cyc if len(cycles_at[v]) == 1)[:3]
         free = [v for v in triple if v not in tset]
         if not free:
             raise PipelineInvariantError(
@@ -144,14 +156,20 @@ def build_contraction_plan(
                 "were not applied or the input is outside the supported class"
             )
         v = free[0]
-        cyc = catalog.cycles[ci]
         pos = cyc.index(v)
         ring_nbrs = {cyc[(pos - 1) % 4], cyc[(pos + 1) % 4]}
         # a triple misses one cycle vertex, so v keeps a ring neighbor in it
         partner = min(ring_nbrs & set(triple))
         e = (v, partner) if v < partner else (partner, v)
         chosen.append(e)
-        remaining.remove(ci)
+        for u in cyc:
+            through = cycles_at[u]
+            through.discard(ci)
+            if len(through) == 1:
+                (cj,) = through
+                if not queued[cj] and eligible(cj):
+                    queued[cj] = True
+                    heapq.heappush(ready, cj)
 
     try:
         current, merge_map = contract_matching(g, chosen)

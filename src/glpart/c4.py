@@ -1,9 +1,9 @@
 """Induced 4-cycle catalogs.
 
-A catalog lists every chordless 4-cycle of a graph in a canonical form:
-the tuple starts at the cycle's smallest vertex and walks toward its
-smaller neighbor, so equal graphs always produce equal catalogs and cycle
-ids are stable.
+A catalog is a plain sorted tuple of every chordless 4-cycle of a graph,
+each in a canonical form: the cycle's tuple starts at its smallest vertex
+and walks toward its smaller neighbor, so equal graphs always produce
+equal catalogs and a cycle's id is its index.
 
 ``enumerate_induced_c4`` walks two-paths from each vertex in descending
 degree order, as Chiba & Nishizeki do for cycle listing ("Arboricity and
@@ -19,11 +19,11 @@ walk runs at most once per graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .graph import Graph
 
 Cycle = tuple[int, int, int, int]
+# all induced 4-cycles of one graph, canonically ordered
+C4Catalog = tuple[Cycle, ...]
 
 
 def _canonical(diag_a: tuple[int, int], diag_b: tuple[int, int]) -> Cycle:
@@ -37,26 +37,6 @@ def _canonical(diag_a: tuple[int, int], diag_b: tuple[int, int]) -> Cycle:
         opposite = diag_b[0] if diag_b[1] == first else diag_b[1]
         flank = diag_a
     return (first, min(flank), opposite, max(flank))
-
-
-@dataclass(frozen=True)
-class C4Catalog:
-    """All induced 4-cycles of one graph, canonically ordered."""
-
-    cycles: tuple[Cycle, ...]
-
-    def __len__(self) -> int:
-        return len(self.cycles)
-
-    def __iter__(self):
-        return iter(self.cycles)
-
-    def vertex_membership(self) -> dict[int, list[int]]:
-        out: dict[int, list[int]] = {}
-        for i, c in enumerate(self.cycles):
-            for v in c:
-                out.setdefault(v, []).append(i)
-        return out
 
 
 def enumerate_induced_c4(g: Graph) -> C4Catalog:
@@ -105,4 +85,4 @@ def _build_catalog(g: Graph) -> C4Catalog:
                     if b not in adj[a]:
                         cycles.append(_canonical((v, w), (a, b)))
     cycles.sort()
-    return C4Catalog(tuple(cycles))
+    return tuple(cycles)

@@ -12,6 +12,7 @@ demand failure, 3 parse or I/O failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import random
 import sys
@@ -48,13 +49,16 @@ EXIT_PRECONDITION = 2
 EXIT_PARSE = 3
 
 
-def _emit(payload, out_path: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+def _write(text: str, out_path: str | None) -> None:
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(payload, out_path: str | None) -> None:
+    _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", out_path)
 
 
 def _cmd_check(args) -> int:
@@ -64,22 +68,7 @@ def _cmd_check(args) -> int:
 
     peo = compute_peo(g)
     chordal = not isinstance(peo, ChordalityWitness)
-    chordal_witness = None
-    if not chordal:
-        chordal_witness = {
-            "vertex": peo.vertex,
-            "nonadjacent": list(peo.nonadjacent),
-        }
-
     check = is_hh_i42_free(g)
-    violation = None
-    if not check:
-        violation = {
-            "kind": check.violation.kind,
-            "vertices": list(check.violation.vertices),
-            "detail": check.violation.detail,
-        }
-
     conn = vertex_connectivity_at_least(g, k)
     separator = None
     if not conn and conn.witness is not None:
@@ -94,9 +83,9 @@ def _cmd_check(args) -> int:
             "m": g.edge_count(),
             "k": k,
             "chordal": chordal,
-            "chordality_witness": chordal_witness,
+            "chordality_witness": None if chordal else dataclasses.asdict(peo),
             "class_member": check.ok,
-            "class_violation": violation,
+            "class_violation": None if check.ok else dataclasses.asdict(check.violation),
             "connectivity_at_least_k": conn.connected,
             "connectivity_reason": conn.reason,
             "separator": separator,
@@ -208,28 +197,7 @@ def _cmd_verify(args) -> int:
         report = verify_partition(inst.wgraph, inst.request, partition, rule)
     except ValueError as exc:
         raise GraphFormatError(str(exc)) from None
-    _emit(
-        {
-            "ok": report.ok,
-            "disjoint": report.disjoint,
-            "covers": report.covers,
-            "first_violation": report.first_violation,
-            "parts": [
-                {
-                    "index": p.index,
-                    "terminal": p.terminal,
-                    "size": p.size,
-                    "weight": p.weight,
-                    "demand": p.demand,
-                    "has_terminal": p.has_terminal,
-                    "connected": p.connected,
-                    "demand_ok": p.demand_ok,
-                }
-                for p in report.parts
-            ],
-        },
-        args.out,
-    )
+    _emit(dataclasses.asdict(report), args.out)
     return EXIT_OK if report.ok else EXIT_SOLVE
 
 
@@ -255,17 +223,12 @@ def _cmd_generate(args) -> int:
     _require_at_least("--cycles", args.cycles, 0)
     _require_at_least("--max-weight", args.max_weight, 1)
     # every instance needs two terminals (and a planted 4-cycle an anchor
-    # clique of at least two vertices); a k-tree needs k + 1 vertices
+    # clique of at least two vertices); a k-tree needs k + 1 vertices and
+    # each planted cycle four more
     _require_at_least("--k", args.k, 2)
-    _require_at_least("--n", args.n, args.k + 1)
+    _require_at_least("--n", args.n, args.k + 1 + 4 * args.cycles)
     rng = random.Random(args.seed)
     if args.cycles > 0:
-        need = args.k + 1 + 4 * args.cycles
-        if args.n < need:
-            raise DemandError(
-                f"--n {args.n} cannot host {args.cycles} cycles over a "
-                f"{args.k}-tree base; need --n >= {need}"
-            )
         g = generate_almost_chordal(args.n, args.k, args.cycles, args.seed)
         comment = (
             f"seed={args.seed} k={args.k} cycles={args.cycles}"
@@ -286,12 +249,7 @@ def _cmd_generate(args) -> int:
     ]
     demands = _compose_demands(rng, args.k, wg.total_weight(), floors)
     inst = Instance(wg, PartitionRequest(terminals, tuple(demands)))
-    text = format_instance(inst, comment)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(format_instance(inst, comment), args.out)
     return EXIT_OK
 
 
@@ -301,6 +259,8 @@ def _cmd_oracle_compare(args) -> int:
     _require_at_least("--k", args.k, 2)
     # every trial draws its n from [max(k + 1, 2k), --n-max]
     _require_at_least("--n-max", args.n_max, max(args.k + 1, 2 * args.k))
+    # no trial may draw an n the oracle refuses
+    _require_at_least("--cap-n", args.cap_n, args.n_max)
     rng = random.Random(args.seed)
     # cycles are capped so one planted gadget still fits under --n-max
     cycles_fit = max((args.n_max - args.k - 1) // 4, 0)

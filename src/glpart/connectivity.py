@@ -42,7 +42,7 @@ from itertools import combinations
 
 from .c4 import enumerate_induced_c4
 from .chordal import Peo, compute_peo
-from .graph import Graph, induced_subgraph
+from .graph import Graph, components_within, induced_subgraph
 
 
 @dataclass(frozen=True)
@@ -190,15 +190,9 @@ def _chordal_connectivity(g: Graph, k: int, peo: Peo) -> ConnectivityResult:
     for x, madj in _minimal_separators(g, peo):
         if len(madj) < k:
             sep = frozenset(madj)
-            reached = {x}
-            queue = deque([x])
-            while queue:
-                y = queue.popleft()
-                for u in g.adj[y]:
-                    if u not in reached and u not in sep:
-                        reached.add(u)
-                        queue.append(u)
-            other = min(u for u in g.vertices() if u not in reached and u not in sep)
+            comps = components_within(g, (v for v in g.vertices() if v not in sep))
+            # components come ordered by smallest member
+            other = next(min(c) for c in comps if x not in c)
             return _failure(k, sep, x, other)
     return ConnectivityResult(True, k)
 

@@ -13,7 +13,6 @@ with an empty memo. The memo takes no part in equality, hashing or repr.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable
@@ -160,16 +159,7 @@ def is_connected_set(g: Graph, s: Iterable[int]) -> bool:
     members = set(s)
     if not members:
         raise ValueError("empty vertex set")
-    start = next(iter(members))
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        x = queue.popleft()
-        for y in g.adj[x]:
-            if y in members and y not in seen:
-                seen.add(y)
-                queue.append(y)
-    return len(seen) == len(members)
+    return len(components_within(g, members)) == 1
 
 
 def components_within(g: Graph, s: Iterable[int]) -> list[frozenset[int]]:
@@ -178,20 +168,20 @@ def components_within(g: Graph, s: Iterable[int]) -> list[frozenset[int]]:
     Sorted by smallest member, so the result is deterministic.
     """
     members = set(s)
+    seen: set[int] = set()
     out: list[frozenset[int]] = []
-    while members:
-        start = min(members)
-        seen = {start}
-        queue = deque([start])
-        while queue:
-            x = queue.popleft()
+    for start in sorted(members):
+        if start in seen:
+            continue
+        comp = [start]
+        seen.add(start)
+        for x in comp:
             for y in g.adj[x]:
                 if y in members and y not in seen:
                     seen.add(y)
-                    queue.append(y)
-        out.append(frozenset(seen))
-        members -= seen
-    return sorted(out, key=min)
+                    comp.append(y)
+        out.append(frozenset(comp))
+    return out
 
 
 @dataclass(frozen=True)

@@ -9,9 +9,9 @@ from __future__ import annotations
 
 from collections import deque
 
-from .errors import CapError, DemandError
-from .graph import Graph, components_within
-from .partition import GLPartition, PartitionRequest
+from .errors import CapError
+from .graph import Graph, WeightedGraph, components_within
+from .partition import GLPartition, PartitionRequest, check_demands
 
 DEFAULT_ORACLE_CAP = 12
 
@@ -90,13 +90,7 @@ def brute_force_gl(
     n = g.n
     if n > cap:
         raise CapError(f"n={n} exceeds the oracle cap {cap}")
-    for t in req.terminals:
-        if not (0 <= t < n):
-            raise DemandError(f"terminal {t} out of range")
-    if sum(req.demands) != n:
-        raise DemandError(
-            f"demands sum to {sum(req.demands)} but the graph has {n} vertices"
-        )
+    check_demands(WeightedGraph.unit(g), req)
 
     k = req.k
 

@@ -140,12 +140,15 @@ def _house_roof(g: Graph, cycle) -> int | None:
 
 
 def _overlapping_pair(catalog: C4Catalog):
-    membership = catalog.vertex_membership()
+    membership: dict[int, list[int]] = {}
+    for i, c in enumerate(catalog):
+        for v in c:
+            membership.setdefault(v, []).append(i)
     for v in sorted(membership):
         cs = membership[v]
         for i, a in enumerate(cs):
             for b in cs[i + 1:]:
-                shared = set(catalog.cycles[a]) & set(catalog.cycles[b])
+                shared = set(catalog[a]) & set(catalog[b])
                 if len(shared) >= 2:
                     return a, b, shared
     return None
@@ -158,8 +161,8 @@ def scan_catalog_violations(g: Graph, catalog: C4Catalog) -> ClassViolation | No
         a, b, shared = overlap
         return ClassViolation(
             "c4-overlap",
-            tuple(sorted(set(catalog.cycles[a]) | set(catalog.cycles[b]))),
-            f"cycles {catalog.cycles[a]} and {catalog.cycles[b]} share {sorted(shared)}",
+            tuple(sorted(set(catalog[a]) | set(catalog[b]))),
+            f"cycles {catalog[a]} and {catalog[b]} share {sorted(shared)}",
         )
     for cycle in catalog:
         roof = _house_roof(g, cycle)

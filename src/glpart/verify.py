@@ -2,14 +2,16 @@
 
 The verifier shares nothing with the solvers: it re-derives disjointness,
 coverage, terminal containment, connectivity, and the demand rule straight
-from the definitions, so a solver bug cannot hide behind shared code.
+from the definitions, so a solver bug cannot hide behind shared code. It
+takes only data types from the other modules and runs its own connectivity
+search.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import WeightedGraph, is_connected_set
+from .graph import Graph, WeightedGraph
 from .partition import GLPartition, PartitionRequest
 
 
@@ -62,6 +64,19 @@ class DeviationRule:
         if self.kind == "window":
             return demand - self.bound < weight < demand + self.bound
         return abs(size - demand) <= self.bound
+
+
+def _connected(g: Graph, part: frozenset[int]) -> bool:
+    """True iff the non-empty ``part`` induces a connected subgraph of ``g``."""
+    start = next(iter(part))
+    reached = {start}
+    stack = [start]
+    while stack:
+        for y in g.adj[stack.pop()]:
+            if y in part and y not in reached:
+                reached.add(y)
+                stack.append(y)
+    return len(reached) == len(part)
 
 
 @dataclass(frozen=True)
@@ -131,7 +146,7 @@ def verify_partition(
         size = len(part)
         weight = wg.weight_of(part)
         has_t = t in part
-        connected = is_connected_set(g, part)
+        connected = _connected(g, part)
         demand_ok = rule.admits(size, weight, d)
         if not has_t:
             violations.append(f"terminal {t} missing from part {i}")

@@ -20,6 +20,8 @@ from glpart import (
     Instance,
     MergeMap,
     Peo,
+    PipelineInvariantError,
+    PreconditionError,
     components_within,
     compute_peo,
     enumerate_induced_c4,
@@ -392,12 +394,12 @@ def universal_to(g: Graph, v: int, cycle: Cycle) -> bool:
 
 def cycles_of(catalog: C4Catalog, v: int) -> tuple[int, ...]:
     """Indices of the catalogued cycles through vertex v."""
-    return tuple(i for i, c in enumerate(catalog.cycles) if v in c)
+    return tuple(i for i, c in enumerate(catalog) if v in c)
 
 
 def shared_vertices(catalog: C4Catalog) -> tuple[int, ...]:
     """Vertices lying on at least two catalogued cycles, ascending."""
-    on_cycles = {v for c in catalog.cycles for v in c}
+    on_cycles = {v for c in catalog for v in c}
     return tuple(sorted(v for v in on_cycles if len(cycles_of(catalog, v)) >= 2))
 
 
@@ -470,7 +472,7 @@ def all_pairs_induced_c4(g: Graph) -> C4Catalog:
                     key = tuple(sorted((u, w, a, b)))
                     if key not in seen:
                         seen[key] = _canonical((u, w), (a, b))
-    return C4Catalog(tuple(sorted(seen.values())))
+    return tuple(sorted(seen.values()))
 
 
 def cycle_edges(cycle: Cycle) -> tuple[tuple[int, int], ...]:
@@ -496,8 +498,7 @@ class C4IncidenceGraph:
 
 def build_c4_incidence(catalog: C4Catalog) -> C4IncidenceGraph:
     """Reference forest test for the cycle/shared-vertex incidence, by union-find."""
-    membership = catalog.vertex_membership()
-    shared = tuple(sorted(v for v, cs in membership.items() if len(cs) >= 2))
+    shared = shared_vertices(catalog)
     m = len(catalog)
     index = {v: m + i for i, v in enumerate(shared)}
     parent = list(range(m + len(shared)))
@@ -509,12 +510,56 @@ def build_c4_incidence(catalog: C4Catalog) -> C4IncidenceGraph:
         return x
 
     for v in shared:
-        for ci in membership[v]:
+        for ci in cycles_of(catalog, v):
             a, b = find(ci), find(index[v])
             if a == b:
                 return C4IncidenceGraph(m, False)
             parent[a] = b
     return C4IncidenceGraph(m, True)
+
+
+def quadratic_contraction_edges(g: Graph, terminals) -> tuple[tuple[int, int], ...]:
+    """Reference greedy of ``build_contraction_plan``, without its heap.
+
+    Before each pick it recounts every remaining cycle's vertices and scans
+    the remaining cycles in catalog order for the first with three private
+    vertices, O(c^2) for c cycles. Raises the library's errors with the
+    library's texts when the greedy gets stuck.
+    """
+    catalog = enumerate_induced_c4(g)
+    tset = set(terminals)
+    remaining = list(range(len(catalog)))
+    chosen = []
+    while remaining:
+        counts: dict[int, int] = {}
+        for ci in remaining:
+            for v in catalog[ci]:
+                counts[v] = counts.get(v, 0) + 1
+        pick = None
+        for ci in remaining:
+            private = sorted(v for v in catalog[ci] if counts[v] == 1)
+            if len(private) >= 3:
+                pick = (ci, private[:3])
+                break
+        if pick is None:
+            raise PreconditionError(
+                "no remaining induced 4-cycle has three private vertices; "
+                "input is outside the supported class"
+            )
+        ci, triple = pick
+        free = [v for v in triple if v not in tset]
+        if not free:
+            raise PipelineInvariantError(
+                "cycle triple consists of terminals only; terminal chords "
+                "were not applied or the input is outside the supported class"
+            )
+        v = free[0]
+        cyc = catalog[ci]
+        pos = cyc.index(v)
+        partner = min({cyc[(pos - 1) % 4], cyc[(pos + 1) % 4]} & set(triple))
+        chosen.append((v, partner) if v < partner else (partner, v))
+        remaining.remove(ci)
+    return tuple(chosen)
 
 
 def identity_merge_map(n: int) -> MergeMap:

@@ -199,7 +199,7 @@ def test_criterion_4_pipeline_guards(member_suite):
     for run in member_suite:
         g = run.g
         n = g.n
-        assert len(enumerate_induced_c4(g).cycles) <= (n - 4) / 3 + 1
+        assert len(enumerate_induced_c4(g)) <= (n - 4) / 3 + 1
         for res, req in ((run.res_unw, run.req_unw), (run.res_w, run.req_w)):
             gg = res.contracted.graph
             assert is_chordal(gg)
@@ -208,8 +208,8 @@ def test_criterion_4_pipeline_guards(member_suite):
 
             g_prime = g.with_edges(res.added_chords)
             cat = enumerate_induced_c4(g_prime)
-            assert len(res.contraction_edges) == len(cat.cycles)
-            assert res.c4_count == len(cat.cycles)
+            assert len(res.contraction_edges) == len(cat)
+            assert res.c4_count == len(cat)
 
             seen = set()
             for u, v in res.contraction_edges:
@@ -304,7 +304,7 @@ def test_criterion_7_structural_lemmas():
     for g, k in members:
         cat = enumerate_induced_c4(g)
 
-        for cyc in cat.cycles:
+        for cyc in cat:
             univ = []
             for v in range(g.n):
                 if v in cyc:
@@ -322,16 +322,16 @@ def test_criterion_7_structural_lemmas():
                 g2 = g.with_edges([(a, b)])
                 if not is_hh_i42_free(g2).ok:
                     violations += 1
-                if len(enumerate_induced_c4(g2).cycles) != len(cat.cycles) - 1:
+                if len(enumerate_induced_c4(g2)) != len(cat) - 1:
                     violations += 1
 
         if not build_c4_incidence(cat).is_forest:
             violations += 1
 
-        if k >= 5 and cat.cycles:
+        if k >= 5 and cat:
             high_k += 1
             for sep in enumerate_minimal_separators(g):
-                for cyc in cat.cycles:
+                for cyc in cat:
                     if len(sep & set(cyc)) >= 3:
                         violations += 1
 

@@ -6,8 +6,10 @@ import random
 
 import pytest
 
+import glpart.almost_chordal as almost_chordal
 from glpart import (
     DeviationRule,
+    GlpartError,
     Graph,
     PartitionRequest,
     PipelineInvariantError,
@@ -23,7 +25,13 @@ from glpart import (
     vertex_connectivity_at_least,
 )
 
-from bruteforce import build_c4_incidence, is_chordal, random_gnp
+from bruteforce import (
+    build_c4_incidence,
+    is_chordal,
+    iter_nonedges,
+    quadratic_contraction_edges,
+    random_gnp,
+)
 from test_partition import random_request, weighted_request
 
 
@@ -51,11 +59,11 @@ class TestAddTerminalChords:
         g = member_instance(3)
         cat = enumerate_induced_c4(g)
         # put two terminals diagonally on the first catalogued cycle
-        cyc = cat.cycles[0]
+        cyc = cat[0]
         terms = (cyc[0], cyc[2], 0 if 0 not in cyc else max(range(g.n), key=lambda v: v not in cyc))
         g2, chords = add_terminal_chords(g, terms)
         assert (min(cyc[0], cyc[2]), max(cyc[0], cyc[2])) in chords
-        assert len(enumerate_induced_c4(g2).cycles) < len(cat.cycles)
+        assert len(enumerate_induced_c4(g2)) < len(cat)
 
 
 class TestContractionPlan:
@@ -70,7 +78,7 @@ class TestContractionPlan:
             g = member_instance(seed)
             plan = build_contraction_plan(g, (0, 1, 2))
             assert len(plan.contraction_edges) == plan.c4_count
-            assert plan.c4_count == len(enumerate_induced_c4(g).cycles)
+            assert plan.c4_count == len(enumerate_induced_c4(g))
             touched: set[int] = set()
             for u, v in plan.contraction_edges:
                 assert v in g.adj[u]
@@ -123,6 +131,45 @@ class TestContractionPlan:
             assert stuck == (not forest)
             outcomes[forest] += 1
         assert min(outcomes.values()) >= 50
+
+    def test_heap_greedy_matches_quadratic_reference(self, monkeypatch):
+        # the greedy's picks reach contract_matching; catch them there, so
+        # a contraction that fails afterwards still shows what was picked
+        picked: list[tuple] = []
+        real = almost_chordal.contract_matching
+
+        def spy(g, edges):
+            picked.append(tuple(edges))
+            return real(g, edges)
+
+        monkeypatch.setattr(almost_chordal, "contract_matching", spy)
+
+        def outcome(fn):
+            try:
+                return fn()
+            except GlpartError as exc:
+                return type(exc), str(exc)
+
+        rng = random.Random(41)
+        kinds: dict[str, int] = {}
+        for trial in range(360):
+            if trial % 3 == 2:
+                g = random_gnp(rng, rng.randint(4, 14), rng.choice((0.2, 0.35, 0.5)))
+            else:
+                k, cycles = rng.randint(2, 4), rng.randint(1, 5)
+                n = k + 1 + 4 * cycles + rng.randint(0, 8)
+                g = generate_almost_chordal(n, k, cycles, seed=trial)
+                if trial % 3 == 1:
+                    g = g.with_edges(rng.sample(list(iter_nonedges(g)), 2))
+            terms = tuple(rng.sample(range(g.n), rng.randint(2, min(4, g.n))))
+            picked.clear()
+            failed = outcome(lambda: build_contraction_plan(g, terms))
+            got = picked[0] if picked else failed
+            assert got == outcome(lambda: quadratic_contraction_edges(g, terms))
+            kind = "picked" if picked else failed[0].__name__
+            kinds[kind] = kinds.get(kind, 0) + 1
+        assert set(kinds) == {"picked", "PreconditionError", "PipelineInvariantError"}
+        assert kinds["picked"] >= 150
 
 
 class TestPipeline:
@@ -218,7 +265,7 @@ class TestPipeline:
             g = generate_almost_chordal(
                 rng.randint(30, 60), k, rng.randint(1, 4), seed=trial
             )
-            terms = list(rng.choice(enumerate_induced_c4(g).cycles)[::2])
+            terms = list(rng.choice(enumerate_induced_c4(g))[::2])
             terms += rng.sample([v for v in g.vertices() if v not in terms], k - 2)
             rng.shuffle(terms)
             demands = [2, 2] + [rng.choice((1, 2)) for _ in range(k - 2)]

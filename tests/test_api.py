@@ -3,12 +3,14 @@
 Every name in ``glpart.__all__`` must occur somewhere in the library
 modules or in ``perfbench/`` other than on its own ``def``/``class`` line.
 A helper that only tests call belongs in ``tests/bruteforce.py``. No
-library module imports another's underscore names.
+library module imports another's underscore names, and the verifier
+imports nothing but types from the rest of the library.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -57,3 +59,22 @@ def test_no_private_imports_across_modules():
         for p in sorted((ROOT / "src" / "glpart").glob("*.py"))
     }
     assert {name: got for name, got in offenders.items() if got} == {}
+
+
+def test_verifier_imports_only_types():
+    # the verifier is the reference the solvers are checked against, so it
+    # shares no function with them
+    path = ROOT / "src" / "glpart" / "verify.py"
+    functions = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        name = f"glpart.{node.module}" if node.level else node.module or ""
+        if name.startswith("glpart"):
+            module = importlib.import_module(name)
+            functions += [
+                f"{node.module}.{alias.name}"
+                for alias in node.names
+                if not isinstance(getattr(module, alias.name), type)
+            ]
+    assert functions == []

@@ -73,7 +73,7 @@ def _member_request(k: int, chords: int, seed: int):
     empty and the solve's own build is the one counted."""
     cycles = max(chords, 2)
     g = generate_almost_chordal(20 + 4 * cycles, k, cycles, seed=seed)
-    rings = all_pairs_induced_c4(g).cycles
+    rings = all_pairs_induced_c4(g)
     terminals = [t for cyc in rings[:chords] for t in (cyc[0], cyc[2])]
     terminals += [v for v in range(g.n) if v not in terminals][: k - len(terminals)]
     demands = [2] * (k - 1) + [g.n - 2 * (k - 1)]

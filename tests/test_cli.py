@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from glpart import (
     Graph,
@@ -16,6 +19,8 @@ from glpart import (
 )
 import glpart.cli as cli
 from glpart.cli import main
+
+from bruteforce import bf_is_connected
 
 
 def write_instance(tmp_path, inst, name="inst.txt"):
@@ -366,6 +371,8 @@ class TestGenerate:
         (["verify", "inst.txt", "part.json", "--deviation", "window:0"], "--deviation"),
         (["verify", "inst.txt", "part.json", "--deviation", "slack:-1"], "--deviation"),
         (["verify", "inst.txt", "part.json", "--deviation", "bogus"], "--deviation"),
+        (["oracle-compare", "--n-max", "13", "--trials", "3", "--seed", "2"], "--cap-n"),
+        (["oracle-compare", "--n-max", "9", "--cap-n", "8"], "--cap-n"),
     ],
 )
 def test_out_of_range_flag_exits_2(argv, flag, capsys):
@@ -417,3 +424,66 @@ class TestDeterminism:
         assert main(["check", c4_file, "--out", str(a)]) == 0
         assert main(["check", c4_file, "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+@st.composite
+def small_instances(draw):
+    """Any graph on 2..10 vertices, unit or small weights, 2..4 terminals.
+
+    The demands split the total weight into positive parts; nothing else
+    about the instance is promised.
+    """
+    n = draw(st.integers(2, 10))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    # an edge is kept when its draw is below the density: 20 to 80 percent
+    density = draw(st.integers(1, 4))
+    draws = draw(st.lists(st.integers(0, 4), min_size=len(pairs), max_size=len(pairs)))
+    g = Graph.from_edges(n, [p for p, x in zip(pairs, draws) if x < density])
+    weights = (1,) * n
+    if draw(st.booleans()):
+        weights = tuple(draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)))
+    k = draw(st.integers(2, min(4, n)))
+    terminals = tuple(draw(st.permutations(range(n)))[:k])
+    total = sum(weights)
+    cuts = sorted(draw(st.sets(st.integers(1, total - 1), min_size=k - 1, max_size=k - 1)))
+    demands = tuple(b - a for a, b in zip([0, *cuts], [*cuts, total]))
+    return Instance(WeightedGraph(g, weights), PartitionRequest(terminals, demands))
+
+
+def assert_valid_partition(inst: Instance, doc) -> None:
+    g, weights = inst.graph, inst.wgraph.weights
+    parts = [set(p) for p in doc["parts"]]
+    assert len(parts) == inst.request.k
+    assert sum(len(p) for p in parts) == g.n
+    assert set().union(*parts) == set(g.vertices())
+    for part, t in zip(parts, inst.request.terminals):
+        assert t in part
+        assert bf_is_connected(g, part)
+    assert doc["deviation"] == max(
+        abs(sum(weights[v] for v in part) - d)
+        for part, d in zip(parts, inst.request.demands)
+    )
+
+
+class TestRandomSmallGraphs:
+    """Every small graph ends in a documented exit code and no traceback."""
+
+    @given(small_instances())
+    @settings(max_examples=100, deadline=None)
+    def test_check_and_partition_exit_cleanly(self, inst):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "inst.txt")
+            out = os.path.join(tmp, "out.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(format_instance(inst))
+            assert main(["check", path, "--out", out]) == 0
+            for mode in ("auto", "chordal", "almost-chordal"):
+                for skip in ([], ["--skip-checks"]):
+                    if os.path.exists(out):
+                        os.remove(out)
+                    argv = ["partition", path, "--mode", mode, *skip, "--out", out]
+                    code = main(argv)
+                    assert code in (0, 1, 2, 3)
+                    if code == 0:
+                        with open(out, encoding="utf-8") as fh:
+                            assert_valid_partition(inst, json.load(fh))

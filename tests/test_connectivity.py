@@ -166,7 +166,7 @@ class TestChordalMethod:
 def planted(member: Graph, k: int, kind: str) -> Graph:
     """``member`` with one planted defect next to its last 4-cycle, or on
     the k-clique 0..k-1 of its k-tree base."""
-    a, b = enumerate_induced_c4(member).cycles[-1][:2]  # adjacent on the ring
+    a, b = enumerate_induced_c4(member)[-1][:2]  # adjacent on the ring
     n = member.n
     if kind == "hole":
         return with_planted_cycle(member, 5, tuple(range(k)))
@@ -249,7 +249,7 @@ class TestCliqueSeparatorMethod:
         # and every clique separator still has k vertices
         k = 3
         member = generate_almost_chordal(30, k, 1, seed=1)
-        p, q, r, s = enumerate_induced_c4(member).cycles[0]
+        p, q, r, s = enumerate_induced_c4(member)[0]
         g = Graph.from_edges(member.n, [
             e for e in member.edges() if p not in e or set(e) & {q, s}
         ])

@@ -61,7 +61,7 @@ class TestKtree:
 
 
 def catalog_size(g) -> int:
-    return len(enumerate_induced_c4(g).cycles)
+    return len(enumerate_induced_c4(g))
 
 
 def member_sweep(count: int = 240):

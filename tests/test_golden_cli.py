@@ -1,10 +1,12 @@
-"""Golden CLI corpus: stdout and exit codes pinned by one SHA-256.
+"""Golden CLI corpus: stdout and exit codes pinned by SHA-256 digests.
 
 A small seeded corpus is generated with ``glpart generate`` and run through
 ``partition`` (auto mode, with and without checks) and ``check``, plus a
 non-chordal graph forced into chordal mode and an input on which the growth
 loop stalls. Any change to what the CLI prints or returns on these inputs
-changes the digest; an intended change must update it and say why.
+changes the digest; an intended change must update it and say why. A
+second digest pins ``verify`` under three deviation rules, on good and on
+swapped partitions, and ``check`` on inputs it rejects.
 """
 
 from __future__ import annotations

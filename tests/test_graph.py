@@ -214,7 +214,7 @@ class TestCertificateMemo:
         for h in (closed, sub, merged):
             assert h._memo == {}
         # the chord closes a 4-cycle: the new graph's certificates see it
-        assert enumerate_induced_c4(closed).cycles == ((0, 1, 2, 3),)
+        assert enumerate_induced_c4(closed) == ((0, 1, 2, 3),)
         assert isinstance(compute_peo(closed), ChordalityWitness)
         assert len(enumerate_induced_c4(g)) == 0
 

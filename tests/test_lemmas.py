@@ -64,7 +64,7 @@ def test_pool_covers_high_k():
 class TestPerMember:
     def test_two_neighbors_imply_universal(self, g):
         # off-cycle vertex adjacent to 2+ cycle vertices sees all four
-        for cyc in enumerate_induced_c4(g).cycles:
+        for cyc in enumerate_induced_c4(g):
             on_cycle = set(cyc)
             for v in range(g.n):
                 if v in on_cycle:
@@ -74,7 +74,7 @@ class TestPerMember:
                     assert universal_to(g, v, cyc), (v, cyc)
 
     def test_universal_set_is_clique(self, g):
-        for cyc in enumerate_induced_c4(g).cycles:
+        for cyc in enumerate_induced_c4(g):
             univ = [
                 v
                 for v in range(g.n)
@@ -84,14 +84,14 @@ class TestPerMember:
                 assert g.has_edge(a, b), (a, b, cyc)
 
     def test_chord_keeps_class_and_kills_one_cycle(self, g):
-        before = len(enumerate_induced_c4(g).cycles)
+        before = len(enumerate_induced_c4(g))
         if before == 0:
             pytest.skip("chordal member, nothing to chord")
-        for cyc in enumerate_induced_c4(g).cycles:
+        for cyc in enumerate_induced_c4(g):
             for a, b in ((cyc[0], cyc[2]), (cyc[1], cyc[3])):
                 g2 = g.with_edges([(a, b)])
                 assert is_hh_i42_free(g2).ok, (a, b, cyc)
-                after = len(enumerate_induced_c4(g2).cycles)
+                after = len(enumerate_induced_c4(g2))
                 assert after == before - 1, (a, b, cyc)
 
     def test_incidence_structure_is_forest(self, g):
@@ -110,7 +110,7 @@ def test_high_k_separators_avoid_cycle_triples():
     for g, k in POOL:
         if k < 5:
             continue
-        cycles = enumerate_induced_c4(g).cycles
+        cycles = enumerate_induced_c4(g)
         if not cycles:
             continue
         for sep in enumerate_minimal_separators(g):
@@ -131,12 +131,12 @@ def test_named_graphs_outside_pool():
     )
     assert is_hh_i42_free(g).ok
     cat = enumerate_induced_c4(g)
-    assert len(cat.cycles) == 1
-    cyc = cat.cycles[0]
+    assert len(cat) == 1
+    cyc = cat[0]
     assert universal_to(g, 4, cyc) and universal_to(g, 5, cyc)
     # chording it leaves a chordal graph
     g2 = g.with_edges([(0, 2)])
-    assert len(enumerate_induced_c4(g2).cycles) == 0
+    assert len(enumerate_induced_c4(g2)) == 0
 
 
 def test_two_neighbor_lemma_fails_outside_class():
@@ -145,7 +145,7 @@ def test_two_neighbor_lemma_fails_outside_class():
     # house: vertex 4 sees 2 and 3 on the C4 but not 0 or 1
     house = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 0), (2, 4), (3, 4)])
     assert not is_hh_i42_free(house).ok
-    cyc = enumerate_induced_c4(house).cycles[0]
+    cyc = enumerate_induced_c4(house)[0]
     off = next(v for v in range(5) if v not in cyc)
     hits = sum(1 for u in cyc if house.has_edge(off, u))
     assert hits == 2 and not universal_to(house, off, cyc)
@@ -162,7 +162,7 @@ def test_random_members_obey_all_lemmas():
         g = generate_almost_chordal(n, k, cycles, seed=1000 + trial)
         cat = enumerate_induced_c4(g)
         assert build_c4_incidence(cat).is_forest
-        for cyc in cat.cycles:
+        for cyc in cat:
             univ = [
                 v for v in range(g.n) if v not in cyc and universal_to(g, v, cyc)
             ]
