@@ -26,11 +26,11 @@ strictly within twice the maximum vertex weight.
 Every stage asks ``enumerate_induced_c4`` and ``compute_peo`` for the
 certificates it needs; each graph keeps them in its memo, so a validated
 solve without peeling or chords builds one catalog, that of the input,
-which recognition, the connectivity check, the chord step and the
-contraction plan share. Peeling yields a new graph and so one more
-catalog, and so does each added chord. The contraction plan certifies
-the contracted graph's elimination order, which the inner connectivity
-check and the chordal solve then reuse.
+which recognition, the chord step and the contraction plan share; the
+connectivity check reads the input's search order instead. Peeling
+yields a new graph and so one more catalog, and so does each added
+chord. The contraction plan certifies the contracted graph's elimination
+order, which the inner connectivity check and the chordal solve reuse.
 """
 
 from __future__ import annotations

@@ -6,9 +6,10 @@ earliest of them must all be adjacent to that earliest one. A failure of the
 check yields two later neighbors with no edge between them, which lie on a
 chordless cycle of length at least four.
 
-``compute_peo`` is the one place that runs both: it keeps its verdict in
-the graph's memo, so every caller that needs the order of a graph (the
-CLI's auto mode, the solver, the connectivity check) shares one search.
+``mcs_order`` and ``compute_peo`` keep their results in the graph's memo,
+so every caller that needs the order of a graph (the CLI's auto mode, the
+solver, the connectivity check and its elimination-game fill) shares one
+search.
 """
 
 from __future__ import annotations
@@ -61,12 +62,19 @@ class ChordalityWitness:
 
 
 def mcs_order(g: Graph) -> tuple[int, ...]:
-    """Maximum cardinality search elimination order.
+    """Maximum cardinality search elimination order, kept in the graph's memo.
 
     Vertices are selected by descending count of already-selected neighbors,
     ties broken by smallest id; the elimination order is the reverse of the
     selection order. On chordal inputs this is a perfect elimination order.
     """
+    memo = g._memo
+    if "mcs" not in memo:
+        memo["mcs"] = _build_mcs_order(g)
+    return memo["mcs"]
+
+
+def _build_mcs_order(g: Graph) -> tuple[int, ...]:
     n = g.n
     if n == 0:
         raise ValueError("graph must be non-empty")

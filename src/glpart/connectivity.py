@@ -5,27 +5,26 @@ from the input. Failures come with a concrete separator and a pair of
 vertices it separates.
 
 - Complete graphs have no separator at all: the verdict is k <= n - 1.
-- Chordal graphs: kappa of a non-complete chordal graph is the size of its
-  smallest minimal separator, and those separators can be read off a
-  maximum cardinality search in O(n + m) (Blair & Peyton 1993). Walking the
-  search's selection order, a vertex whose count of already-selected
-  neighbors does not exceed its predecessor's starts a new maximal clique,
-  and those earlier neighbors form a minimal separator. A disconnected
-  graph shows up as an empty one.
-- Other graphs with k <= 2: kappa >= 2 iff the graph is connected and has
-  no cut vertex, found by an iterative Hopcroft-Tarjan search in O(n + m).
-- Other graphs with k >= 3, through clique minimal separators (Berry,
-  Pogorelcnik & Simonet, "An introduction to clique minimal separator
-  decomposition", Algorithms 3(2), 2010). Adding one diagonal per induced
-  4-cycle gives a triangulation H; when no cycle has both diagonals added,
-  every fill edge is the only chord of a 4-cycle of H, so H is minimal
-  (Rose, Tarjan & Lueker 1976). The clique minimal separators of G are the
-  minimal separators of H that are cliques in G, and one pass over H's
-  elimination order cuts G along them into atoms. kappa(G) >= k when
-  every such separator has at least k vertices and every non-complete atom
-  is k-connected; on class members an atom is a 4-cycle plus the k-clique
-  it hangs from, so the flow below only runs on k + 4 vertices.
-- Fallback, and every rejection of the two methods above: Menger-based.
+- Other graphs with k <= 2 that are not chordal: kappa >= 2 iff the graph
+  is connected and has no cut vertex, found by an iterative Hopcroft-Tarjan
+  search in O(n + m).
+- Every other graph is read through one triangulation H: g itself when g
+  is chordal, else g plus the elimination-game fill of g's maximum
+  cardinality search order (Tarjan & Yannakakis, SIAM J. Comput. 13(3),
+  1984), declined once the fill exceeds m edges. The minimal separators
+  of H are read off H's own search in O(n + m) (Blair & Peyton 1993): in
+  selection order, a vertex whose count of already-selected neighbors
+  does not exceed its predecessor's starts a new maximal clique, and
+  those neighbors form a minimal separator, empty on a disconnected H.
+  Each also separates g. On a chordal g, kappa is the smallest one's size.
+  Otherwise H need not be minimal, which only coarsens the clique
+  separator decomposition (Berry, Pogorelcnik & Simonet, Algorithms 3(2),
+  2010): one pass over H's elimination order cuts g into atoms along the
+  separators of H that are cliques of g. kappa(g) >= k when every
+  separator of H has at least k vertices and every non-complete atom is
+  k-connected; on class members an atom is a 4-cycle plus the k-clique it
+  hangs from, so the flow below only runs on k + 4 vertices.
+- Fallback, and every rejection of a non-chordal input: Menger-based.
   Unit vertex capacities via the standard vertex-split flow network,
   built once per call, max-flow per non-adjacent pair with early exit at
   k, and the Esfahanian-Hakimi pair schedule that only needs a
@@ -40,8 +39,7 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 
-from .c4 import enumerate_induced_c4
-from .chordal import Peo, compute_peo
+from .chordal import Peo, compute_peo, mcs_order
 from .graph import Graph, components_within, induced_subgraph
 
 
@@ -173,30 +171,6 @@ def _minimal_separators(g: Graph, peo: Peo):
         prev = len(madj)
 
 
-def _chordal_connectivity(g: Graph, k: int, peo: Peo) -> ConnectivityResult:
-    """Decide kappa(g) >= k for a chordal graph from its certified MCS order.
-
-    Complete graphs have no separator at all, so for them the verdict is
-    ``k <= n - 1`` with a textual reason and no witness. Otherwise fails at
-    the first minimal separator S smaller than k, separating its generator
-    x from the smallest vertex that x cannot reach in g - S.
-    """
-    if g.is_complete():
-        n = g.n
-        ok = k <= n - 1
-        return ConnectivityResult(
-            ok, k, None, "" if ok else f"complete graph on {n} vertices has no separator"
-        )
-    for x, madj in _minimal_separators(g, peo):
-        if len(madj) < k:
-            sep = frozenset(madj)
-            comps = components_within(g, (v for v in g.vertices() if v not in sep))
-            # components come ordered by smallest member
-            other = next(min(c) for c in comps if x not in c)
-            return _failure(k, sep, x, other)
-    return ConnectivityResult(True, k)
-
-
 def _kappa_up_to_2(g: Graph) -> int:
     """min(kappa(g), 2) for a graph on at least three vertices.
 
@@ -237,34 +211,47 @@ def _kappa_up_to_2(g: Graph) -> int:
     return 1 if cut or root_children > 1 else 2
 
 
-def _clique_atoms(g: Graph, k: int) -> list[list[int]] | None:
-    """Atoms of the clique minimal separator decomposition of ``g``, or None.
+def _elimination_fill(g: Graph) -> Graph | None:
+    """``g`` plus the elimination-game fill of its MCS order, or None.
 
-    H is ``g`` plus the diagonal ``(c[0], c[2])`` of each induced 4-cycle
-    of ``g``. None when H is not chordal, when some cycle has its other
-    diagonal filled as well (H may then not be minimal), or when a minimal
-    separator of H has fewer than k vertices, which also separates ``g``. Otherwise the separators are read off H's
-    search order and, in elimination order, each one that is a clique of
-    ``g`` cuts off the component of the remaining graph that holds its
-    generating vertex. That component is removed, so each vertex is cut
-    off once.
+    Eliminating the vertices in order and making each one's later
+    neighbors a clique yields a chordal graph with that order as a perfect
+    elimination order. Tarjan & Yannakakis compute it in O(n + m + fill):
+    the earlier neighbors of w in the filled graph are the vertices met by
+    walking ``follow`` pointers, each vertex's first later neighbor in the
+    filled graph, from each earlier neighbor of w in ``g``. None once the
+    fill exceeds m edges, so the walk stays linear.
     """
-    catalog = enumerate_induced_c4(g)
-    fill = {(c[0], c[2]) for c in catalog}
-    if any((c[1], c[3]) in fill for c in catalog):
-        return None
+    budget = g.edge_count()
     nbrs = [set(s) for s in g.adj]
-    for a, b in fill:
-        nbrs[a].add(b)
-        nbrs[b].add(a)
-    h = Graph(tuple(frozenset(s) for s in nbrs))
-    peo = compute_peo(h)
-    if not isinstance(peo, Peo):
-        return None
-    seps = list(_minimal_separators(h, peo))
-    if any(len(sep) < k for _, sep in seps):
-        return None
+    follow = list(range(g.n))
+    mark = [-1] * g.n  # the last position whose walk met the vertex
+    for i, w in enumerate(mcs_order(g)):
+        mark[w] = i
+        # every walk stays on eliminated vertices, so -1 marks a later one
+        for x in (v for v in g.adj[w] if mark[v] >= 0):
+            while mark[x] < i:
+                mark[x] = i
+                if w not in nbrs[x]:
+                    budget -= 1
+                    if budget < 0:
+                        return None
+                    nbrs[x].add(w)
+                    nbrs[w].add(x)
+                x = follow[x]
+            if follow[x] == x:
+                follow[x] = w
+    return Graph(tuple(frozenset(s) for s in nbrs))
 
+
+def _clique_atoms(g: Graph, seps) -> list[list[int]]:
+    """Atoms of ``g`` cut along the separators of its triangulation H.
+
+    ``seps`` are the label-drop pairs (x, madj(x)) of H in selection order.
+    In elimination order, each separator that is a clique of ``g`` cuts off
+    the component of the remaining graph that holds its generating vertex,
+    which leaves that graph; what remains at the end is the last atom.
+    """
     adj = g.adj
     alive = [True] * g.n
     atoms = []
@@ -287,47 +274,50 @@ def _clique_atoms(g: Graph, k: int) -> list[list[int]] | None:
     return atoms
 
 
-def _clique_separator_accepts(g: Graph, k: int) -> bool:
-    """True when the clique separator decomposition proves kappa(g) >= k.
-
-    False means undecided. Every separator cut along has at least k
-    vertices, so g - T is connected for |T| < k as soon as every atom minus
-    T is; complete atoms have more than |T| vertices, the others must be
-    k-connected.
-    """
-    atoms = _clique_atoms(g, k)
-    if atoms is None or len(atoms) == 1:
-        # a single atom is g itself, which the caller's flow decides anyway
-        return False
-    for atom in atoms:
-        members = set(atom)
-        twice_edges = sum(len(g.adj[v] & members) for v in atom)
-        if twice_edges == len(atom) * (len(atom) - 1):
-            continue
-        if not _flow_connectivity(induced_subgraph(g, atom)[0], k):
-            return False
-    return True
-
-
 def vertex_connectivity_at_least(g: Graph, k: int) -> ConnectivityResult:
     """Decide kappa(g) >= k; on failure return a separator witness.
 
-    Complete graphs are decided by their size and other chordal graphs from
-    their minimal separators. Other graphs are accepted by the cut-vertex
-    search (k <= 2) or the clique separator decomposition (k >= 3) where
-    those succeed; the rest go to max-flow.
+    Complete graphs are decided by their size, and a non-chordal graph
+    with k <= 2 is accepted by the cut-vertex search. Every other graph is
+    read through its triangulation H. A chordal g fails at H's first
+    separator S smaller than k, separating its generator from the smallest
+    vertex it cannot reach in g - S; a non-chordal one is accepted by its
+    clique separator decomposition. The rest go to max-flow.
     """
     if k <= 0:
         raise ValueError("k must be positive")
     if g.n == 0:
         raise ValueError("graph must be non-empty")
-    peo = compute_peo(g)
-    if isinstance(peo, Peo):
-        return _chordal_connectivity(g, k, peo)
-    if k <= 2:
+    if g.is_complete():
+        ok = k < g.n
+        return ConnectivityResult(
+            ok, k, None, "" if ok else f"complete graph on {g.n} vertices has no separator"
+        )
+    chordal = isinstance(compute_peo(g), Peo)
+    if not chordal and k <= 2:
         accepted = k <= _kappa_up_to_2(g)
     else:
-        accepted = _clique_separator_accepts(g, k)
+        h = g if chordal else _elimination_fill(g)
+        seps = [] if h is None else list(_minimal_separators(h, compute_peo(h)))
+        small = next(((x, sep) for x, sep in seps if len(sep) < k), None)
+        if chordal:
+            if small is None:
+                return ConnectivityResult(True, k)
+            x, sep = small[0], frozenset(small[1])
+            comps = components_within(g, (v for v in g.vertices() if v not in sep))
+            # components come ordered by smallest member
+            other = next(min(c) for c in comps if x not in c)
+            return _failure(k, sep, x, other)
+        # Every separator cut along has at least k vertices, so g - T is
+        # connected for |T| < k as soon as every atom minus T is; complete
+        # atoms have more than |T| vertices, the others must be k-connected.
+        # One atom (also when the fill is declined) is g, left to the flow.
+        atoms = [] if small else _clique_atoms(g, seps)
+        accepted = len(atoms) > 1 and all(
+            sum(len(g.adj[v].intersection(a)) for v in a) == len(a) * (len(a) - 1)
+            or _flow_connectivity(induced_subgraph(g, a)[0], k)
+            for a in atoms
+        )
     if accepted:
         return ConnectivityResult(True, k)
     return _flow_connectivity(g, k)

@@ -5,10 +5,11 @@ re-densify ids deterministically and report the relabeling, so downstream
 output is reproducible bit for bit.
 
 A graph never changes, so each one computes its certificates at most once:
-``chordal.compute_peo`` and ``c4.enumerate_induced_c4`` keep their result
-in the graph's private memo. Every operation that builds a new graph
-(``with_edges``, ``induced_subgraph``, ``contract_matching``) starts it
-with an empty memo. The memo takes no part in equality, hashing or repr.
+``chordal.mcs_order``, ``chordal.compute_peo`` and
+``c4.enumerate_induced_c4`` keep their result in the graph's private
+memo. Every operation that builds a new graph (``with_edges``,
+``induced_subgraph``, ``contract_matching``) starts it with an empty
+memo. The memo takes no part in equality, hashing or repr.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ class Graph:
     """Simple undirected graph; ``adj[v]`` is the neighbor set of ``v``."""
 
     adj: tuple[frozenset[int], ...]
-    # certificates of this graph: compute_peo's and enumerate_induced_c4's
+    # certificates of this graph: its MCS order, compute_peo's verdict and
+    # its 4-cycle catalog
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod

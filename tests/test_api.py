@@ -3,8 +3,9 @@
 Every name in ``glpart.__all__`` must occur somewhere in the library
 modules or in ``perfbench/`` other than on its own ``def``/``class`` line.
 A helper that only tests call belongs in ``tests/bruteforce.py``. No
-library module imports another's underscore names, and the verifier
-imports nothing but types from the rest of the library.
+library module imports another's underscore names, the verifier
+imports nothing but types from the rest of the library, and the
+connectivity check does not read the 4-cycle catalog.
 """
 
 from __future__ import annotations
@@ -78,3 +79,16 @@ def test_verifier_imports_only_types():
                 if not isinstance(getattr(module, alias.name), type)
             ]
     assert functions == []
+
+
+def test_connectivity_does_not_read_the_catalog():
+    # connectivity triangulates by the elimination game, so the catalog
+    # stays a recognition and contraction certificate only
+    tree = ast.parse((ROOT / "src" / "glpart" / "connectivity.py").read_text())
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names += [f"{node.module or ''}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+    assert [name for name in names if "c4" in name.split(".")] == []

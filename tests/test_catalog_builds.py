@@ -3,18 +3,15 @@
 Each graph keeps its 4-cycle catalog and its elimination order in its
 memo. The ``builds`` spy replaces ``c4._build_catalog``, the builder behind
 ``enumerate_induced_c4``'s memo, so it counts real catalog builds and not
-memo hits. The ``searches`` spy replaces ``mcs_order`` in every ``glpart``
-module that imports it, so every maximum cardinality search is counted.
+memo hits. The ``searches`` spy likewise replaces ``chordal._build_mcs_order``,
+the builder behind ``mcs_order``'s memo, so every maximum cardinality
+search is counted once.
 """
 
 from __future__ import annotations
 
-import importlib
-import pkgutil
-
 import pytest
 
-import glpart
 from glpart import (
     Instance,
     PartitionRequest,
@@ -49,19 +46,13 @@ def builds(monkeypatch):
 def searches(monkeypatch):
     """A list that gains the vertex count of each searched graph."""
     calls: list[int] = []
-    original = chordal.mcs_order
+    original = chordal._build_mcs_order
 
     def spy(g):
         calls.append(g.n)
         return original(g)
 
-    spied = set()
-    for info in pkgutil.iter_modules(glpart.__path__):
-        mod = importlib.import_module(f"glpart.{info.name}")
-        if getattr(mod, "mcs_order", None) is original:
-            monkeypatch.setattr(mod, "mcs_order", spy)
-            spied.add(info.name)
-    assert {"chordal", "partition"} <= spied
+    monkeypatch.setattr(chordal, "_build_mcs_order", spy)
     return calls
 
 
@@ -122,7 +113,7 @@ def test_chordal_partition_searches_once(searches, tmp_path, capsys, extra):
 
 
 def test_member_partition_searches_three_graphs(searches, tmp_path, capsys):
-    # the input, its one-diagonal fill H (clique separators) and the
+    # the input, its elimination-game fill H (clique separators) and the
     # contracted graph, each once
     g, req = _member_request(3, 0, seed=5)
     assert main(["partition", _write(tmp_path, g, req)]) == 0
@@ -135,3 +126,13 @@ def test_member_check_searches_two_graphs(searches, tmp_path, capsys):
     assert main(["check", _write(tmp_path, g, req)]) == 0
     capsys.readouterr()
     assert searches == [g.n, g.n]
+
+
+def test_unchecked_chordal_partition_of_member_searches_once(
+        searches, tmp_path, capsys):
+    # the order compute_peo rejects is the one the solver grows along
+    g, req = _member_request(3, 0, seed=5)
+    path = _write(tmp_path, g, req)
+    assert main(["partition", path, "--mode", "chordal", "--skip-checks"]) == 0
+    capsys.readouterr()
+    assert searches == [g.n]

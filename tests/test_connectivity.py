@@ -10,12 +10,21 @@ from hypothesis import given, settings, strategies as st
 from glpart import (
     CapError,
     Graph,
+    Peo,
+    compute_peo,
     enumerate_induced_c4,
     generate_almost_chordal,
     vertex_connectivity_at_least,
 )
 from glpart import connectivity
-from glpart.connectivity import _clique_atoms, _flow_connectivity, _kappa_up_to_2
+from glpart.connectivity import (
+    _clique_atoms,
+    _elimination_fill,
+    _flow_connectivity,
+    _kappa_up_to_2,
+    _minimal_separators,
+)
+from glpart.graph import components_within
 
 from bruteforce import (
     _separates,
@@ -180,6 +189,26 @@ def planted(member: Graph, k: int, kind: str) -> Graph:
     )
 
 
+def separators(g: Graph):
+    """The label-drop separators of g's triangulation H (g itself when
+    chordal, else its elimination-game fill), or None when H is declined."""
+    h = g if isinstance(compute_peo(g), Peo) else _elimination_fill(g)
+    return None if h is None else list(_minimal_separators(h, compute_peo(h)))
+
+
+@pytest.fixture
+def flow_sizes(monkeypatch):
+    """A list that gains the vertex count of each flow graph."""
+    sizes: list[int] = []
+
+    def spy(g, k):
+        sizes.append(g.n)
+        return _flow_connectivity(g, k)
+
+    monkeypatch.setattr(connectivity, "_flow_connectivity", spy)
+    return sizes
+
+
 def without_edges(g: Graph, rng: random.Random, count: int) -> Graph:
     edges = g.edges()
     drop = set(rng.sample(range(len(edges)), count))
@@ -257,21 +286,36 @@ class TestCliqueSeparatorMethod:
         assert not res and res.witness.separator == frozenset({q, s})
         self.assert_matches_flow(g, k)
 
-    def test_members_accepted_without_whole_graph_flow(self, monkeypatch):
-        sizes = []
-
-        def spy(g, k):
-            sizes.append(g.n)
-            return _flow_connectivity(g, k)
-
-        monkeypatch.setattr(connectivity, "_flow_connectivity", spy)
+    def test_members_accepted_without_whole_graph_flow(self, flow_sizes):
         for k in (3, 4):
             member = generate_almost_chordal(120, k, 6, seed=k)
             assert vertex_connectivity_at_least(member, k)
-            assert sizes and max(sizes) == k + 4
-            sizes.clear()
+            assert flow_sizes and max(flow_sizes) == k + 4
+            flow_sizes.clear()
 
-    def test_atoms_match_bruteforce(self):
+    def test_hole_plant_accepted_inside_its_atoms(self, flow_sizes):
+        # a C5 joined to the k-clique 0..k-1 makes g no class member, yet
+        # the elimination fill still cuts it into atoms of k + 5 vertices
+        # at most
+        for k in (3, 4):
+            g = planted(generate_almost_chordal(120, k, 6, seed=k), k, "hole")
+            assert vertex_connectivity_at_least(g, k)
+            assert flow_sizes and max(flow_sizes) <= k + 5
+            flow_sizes.clear()
+
+    def test_fill_cap_declines_to_flow(self, petersen):
+        rng = random.Random(14)
+        graphs = [petersen]
+        graphs += [random_gnp(rng, n, 6 / n) for n in (30, 60, 100, 200)]
+        for g in graphs:
+            assert not is_chordal(g)
+            assert _elimination_fill(g) is None
+            for k in (3, 4):
+                assert vertex_connectivity_at_least(g, k) == _flow_connectivity(g, k)
+
+    def test_atoms_are_clique_separator_atoms(self):
+        # H need not be minimal, so the atoms may be coarser than the
+        # reference's, but each is still cut off along cliques of g
         rng = random.Random(13)
         graphs = [random_gnp(rng, rng.randint(4, 9), rng.choice((0.3, 0.5, 0.7)))
                   for _ in range(40)]
@@ -279,30 +323,37 @@ class TestCliqueSeparatorMethod:
         graphs.append(planted(generate_almost_chordal(7, 2, 1, seed=1), 2, "house"))
         split = 0
         for g in graphs:
-            atoms = _clique_atoms(g, 1)
-            if atoms is None:
-                continue
-            got = [frozenset(a) for a in atoms]
+            got = [frozenset(a) for a in _clique_atoms(g, separators(g))]
             assert len(set(got)) == len(got)
-            assert set(got) == bf_clique_atoms(g)
+            assert frozenset().union(*got) == frozenset(g.vertices())
+            for ref in bf_clique_atoms(g):
+                assert any(ref <= atom for atom in got)
+            for atom in got:
+                for comp in components_within(g, set(g.vertices()) - atom):
+                    border = {u for v in comp for u in g.adj[v]} - comp
+                    assert all(b in g.adj[a] for a in border for b in border - {a})
             split += len(got) > 1
         assert split >= 10
 
-    def test_declines_without_a_minimal_chordal_fill(self, c5):
-        # the octahedron's 4-cycles (0, 2, 1, 3), (0, 4, 1, 5), (2, 4, 3, 5)
-        # take fills (0, 1), (0, 1), (2, 3); the first one's other diagonal
-        # is filled too
+    def test_one_atom_without_a_clique_separator(self, c5):
+        # the octahedron's fill adds two of its three missing edges, and the
+        # one separator of H, the four vertices off the third, holds both;
+        # the fill of C5 adds two chords, and each separator of H is one
         octahedron = Graph.from_edges(6, [
             (a, b) for a in range(6) for b in range(a + 1, 6) if b != a ^ 1
         ])
-        assert _clique_atoms(octahedron, 1) is None
         assert vertex_connectivity_at_least(octahedron, 4)
-        assert _clique_atoms(c5, 1) is None
+        for g in (octahedron, c5):
+            assert _clique_atoms(g, separators(g)) == [list(g.vertices())]
 
-    def test_declines_on_small_separator(self):
+    def test_declines_on_small_separator(self, flow_sizes):
         member = generate_almost_chordal(40, 3, 2, seed=5)
-        assert _clique_atoms(member, 3) is not None
-        assert _clique_atoms(member, 4) is None
+        assert min(len(sep) for _, sep in separators(member)) == 3
+        assert vertex_connectivity_at_least(member, 3)
+        assert max(flow_sizes) == 3 + 4
+        flow_sizes.clear()
+        assert not vertex_connectivity_at_least(member, 4)
+        assert flow_sizes == [member.n]
 
 
 class TestMinimalSeparators:
