@@ -23,7 +23,8 @@ vertices it separates.
   separators of H that are cliques of g. kappa(g) >= k when every
   separator of H has at least k vertices and every non-complete atom is
   k-connected; on class members an atom is a 4-cycle plus the k-clique it
-  hangs from, so the flow below only runs on k + 4 vertices.
+  hangs from, so the flow below only runs on k + 4 vertices. g keeps its
+  separators and atoms in its memo; recognition reads the same atoms.
 - Fallback, and every rejection of a non-chordal input: Menger-based.
   Unit vertex capacities via the standard vertex-split flow network,
   built once per call, max-flow per non-adjacent pair with early exit at
@@ -244,6 +245,23 @@ def _elimination_fill(g: Graph) -> Graph | None:
     return Graph(tuple(frozenset(s) for s in nbrs))
 
 
+def _separators(g: Graph) -> list:
+    """The label-drop pairs of g's triangulation H (none if declined), memoized."""
+    memo = g._memo
+    if "seps" not in memo:
+        h = g if isinstance(compute_peo(g), Peo) else _elimination_fill(g)
+        memo["seps"] = [] if h is None else list(_minimal_separators(h, compute_peo(h)))
+    return memo["seps"]
+
+
+def clique_atoms(g: Graph) -> list[list[int]]:
+    """The atoms of g cut along the clique separators of H, memoized."""
+    memo = g._memo
+    if "atoms" not in memo:
+        memo["atoms"] = _clique_atoms(g, _separators(g))
+    return memo["atoms"]
+
+
 def _clique_atoms(g: Graph, seps) -> list[list[int]]:
     """Atoms of ``g`` cut along the separators of its triangulation H.
 
@@ -257,8 +275,8 @@ def _clique_atoms(g: Graph, seps) -> list[list[int]]:
     atoms = []
     for x, sep in reversed(seps):
         members = set(sep)
-        if any(len(adj[s] & members) < len(sep) - 1 for s in sep):
-            continue  # not a clique of g
+        if not g.is_clique(members):
+            continue
         # x and sep are still in place: the component cut off at an
         # earlier generator x' lies in H - madj(x'), where a perfect
         # elimination order leaves only vertices eliminated before x'
@@ -297,9 +315,7 @@ def vertex_connectivity_at_least(g: Graph, k: int) -> ConnectivityResult:
     if not chordal and k <= 2:
         accepted = k <= _kappa_up_to_2(g)
     else:
-        h = g if chordal else _elimination_fill(g)
-        seps = [] if h is None else list(_minimal_separators(h, compute_peo(h)))
-        small = next(((x, sep) for x, sep in seps if len(sep) < k), None)
+        small = next(((x, sep) for x, sep in _separators(g) if len(sep) < k), None)
         if chordal:
             if small is None:
                 return ConnectivityResult(True, k)
@@ -312,10 +328,9 @@ def vertex_connectivity_at_least(g: Graph, k: int) -> ConnectivityResult:
         # connected for |T| < k as soon as every atom minus T is; complete
         # atoms have more than |T| vertices, the others must be k-connected.
         # One atom (also when the fill is declined) is g, left to the flow.
-        atoms = [] if small else _clique_atoms(g, seps)
+        atoms = [] if small else clique_atoms(g)
         accepted = len(atoms) > 1 and all(
-            sum(len(g.adj[v].intersection(a)) for v in a) == len(a) * (len(a) - 1)
-            or _flow_connectivity(induced_subgraph(g, a)[0], k)
+            g.is_clique(a) or _flow_connectivity(induced_subgraph(g, a)[0], k)
             for a in atoms
         )
     if accepted:

@@ -5,8 +5,8 @@ re-densify ids deterministically and report the relabeling, so downstream
 output is reproducible bit for bit.
 
 A graph never changes, so each one computes its certificates at most once:
-``chordal.mcs_order``, ``chordal.compute_peo`` and
-``c4.enumerate_induced_c4`` keep their result in the graph's private
+``chordal.mcs_order``, ``chordal.compute_peo``, ``c4.enumerate_induced_c4``
+and ``connectivity.clique_atoms`` keep their result in the graph's private
 memo. Every operation that builds a new graph (``with_edges``,
 ``induced_subgraph``, ``contract_matching``) starts it with an empty
 memo. The memo takes no part in equality, hashing or repr.
@@ -26,8 +26,8 @@ class Graph:
     """Simple undirected graph; ``adj[v]`` is the neighbor set of ``v``."""
 
     adj: tuple[frozenset[int], ...]
-    # certificates of this graph: its MCS order, compute_peo's verdict and
-    # its 4-cycle catalog
+    # certificates of this graph: its MCS order, compute_peo's verdict, its
+    # 4-cycle catalog, and its clique separators and atoms
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
@@ -79,6 +79,11 @@ class Graph:
     def is_complete(self) -> bool:
         n = self.n
         return self.edge_count() == n * (n - 1) // 2
+
+    def is_clique(self, vs: Iterable[int]) -> bool:
+        """True iff the vertices ``vs`` are pairwise adjacent."""
+        s = set(vs)
+        return all(len(self.adj[v] & s) == len(s) - 1 for v in s)
 
     def with_edges(self, extra: Iterable[Edge]) -> "Graph":
         """A copy with the given edges added (ids unchanged)."""

@@ -16,6 +16,13 @@ plus the pair test, which stops at its first non-adjacent pair. An
 adjacent pair a-d that shares a component closes a house, two 4-cycles
 sharing two vertices, or a hole, so on class members the search is
 O(m * (n + m)); on other graphs it is at most O(n * m^2).
+
+``is_hh_i42_free`` skips chordal graphs and searches each non-complete atom
+of the others' clique separator decomposition, shared with the connectivity
+check: a hole meets a clique in one edge at most, so it lies in one atom
+(Tarjan, Discrete Math. 55, 1985). The witness is the whole-graph scan's,
+rerun on the edges inside holey atoms only. Cost: the O(n + m) decomposition
+plus O(m_A * (n_A + m_A)) per atom A, which has k + 4 vertices on members.
 """
 
 from __future__ import annotations
@@ -24,7 +31,9 @@ from collections import deque
 from dataclasses import dataclass
 
 from .c4 import C4Catalog, enumerate_induced_c4
-from .graph import Graph
+from .chordal import Peo, compute_peo
+from .connectivity import clique_atoms
+from .graph import Graph, induced_subgraph
 
 
 @dataclass(frozen=True)
@@ -113,13 +122,23 @@ def _shortest_path(
 
 def find_hole(g: Graph) -> tuple[int, ...] | None:
     """Some chordless cycle of length >= 5, or None if there is none."""
-    for b in g.vertices():
-        for c in sorted(g.adj[b]):
-            if c > b:
-                hole = _hole_at_edge(g.adj, b, c)
-                if hole is not None:
-                    return hole
-    return None
+    return _first_hole(g.adj, g.edges())
+
+
+def _first_hole(adj, edges) -> tuple[int, ...] | None:
+    """The hole through the first of ``edges`` that lies on one, or None."""
+    return next(filter(None, (_hole_at_edge(adj, b, c) for b, c in edges)), None)
+
+
+def _hole_by_atoms(g: Graph) -> tuple[int, ...] | None:
+    """``find_hole(g)``, searched atom by atom on a non-chordal ``g``."""
+    atoms = clique_atoms(g)
+    if len(atoms) == 1:
+        return find_hole(g)
+    holey = [set(a) for a in atoms
+             if not g.is_clique(a) and find_hole(induced_subgraph(g, a)[0])]
+    inside = (e for e in g.edges() if any(e[0] in a and e[1] in a for a in holey))
+    return _first_hole(g.adj, inside) if holey else None
 
 
 def _house_roof(g: Graph, cycle) -> int | None:
@@ -185,7 +204,8 @@ def is_hh_i42_free(g: Graph) -> ClassCheck:
     violation = scan_catalog_violations(g, enumerate_induced_c4(g))
     if violation is not None:
         return ClassCheck(False, violation)
-    hole = find_hole(g)
+    chordal = not g.n or isinstance(compute_peo(g), Peo)
+    hole = None if chordal else _hole_by_atoms(g)
     if hole is not None:
         return ClassCheck(False, ClassViolation(
             "hole", hole, f"chordless cycle of length {len(hole)}"

@@ -4,8 +4,9 @@ Everything here works straight from definitions with no shortcuts, so the
 library can be checked against code that shares none of its logic. Most
 functions are exponential; callers keep n small. The helpers at the end
 are small definitional checks the library itself has no use for, two
-thin wrappers over library code that only the tests call, and the member
-generator that certifies every step, which the library no longer needs.
+thin wrappers over library code that only the tests call, the member
+generator that certifies every step, which the library no longer needs,
+and the edits that plant a defect in a member or drop some of its edges.
 """
 
 from __future__ import annotations
@@ -620,3 +621,36 @@ def bf_generate_almost_chordal(n: int, k: int, cycles: int, seed: int) -> Graph:
         g = cand
         achieved += 1
     return g
+
+
+def with_planted_cycle(g: Graph, length: int, clique: tuple[int, ...]) -> Graph:
+    """Append a chordless cycle of ``length`` fresh vertices, each joined to
+    every vertex of ``clique``."""
+    ring = range(g.n, g.n + length)
+    edges = list(g.edges())
+    edges += [(v, g.n + (v - g.n + 1) % length) for v in ring]
+    edges += [(x, v) for x in clique for v in ring]
+    return Graph.from_edges(g.n + length, edges)
+
+
+def planted(member: Graph, k: int, kind: str) -> Graph:
+    """``member`` with one planted defect next to its last 4-cycle, or on
+    the k-clique 0..k-1 of its k-tree base."""
+    a, b = enumerate_induced_c4(member)[-1][:2]  # adjacent on the ring
+    n = member.n
+    if kind == "hole":
+        return with_planted_cycle(member, 5, tuple(range(k)))
+    extra = {
+        "house": [(a, n), (b, n)],
+        "c4-overlap": [(a, n), (n, n + 1), (n + 1, b)],
+        "separator": [(x, n) for x in range(k - 1)],
+    }[kind]
+    return Graph.from_edges(
+        max(max(e) for e in extra) + 1, member.edges() + extra
+    )
+
+
+def without_edges(g: Graph, rng: random.Random, count: int) -> Graph:
+    edges = g.edges()
+    drop = set(rng.sample(range(len(edges)), count))
+    return Graph.from_edges(g.n, [e for i, e in enumerate(edges) if i not in drop])

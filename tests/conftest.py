@@ -1,10 +1,25 @@
-"""Shared fixtures: small named graphs used across the suite."""
+"""Shared fixtures: small named graphs used across the suite, and a spy on
+the per-edge hole search."""
 
 from __future__ import annotations
 
 import pytest
 
-from glpart import Graph
+from glpart import Graph, recognition
+
+
+@pytest.fixture
+def hole_calls(monkeypatch):
+    """A list that gains (vertex count, b, c) for each per-edge hole search."""
+    calls: list[tuple[int, int, int]] = []
+    original = recognition._hole_at_edge
+
+    def spy(adj, b, c):
+        calls.append((len(adj), b, c))
+        return original(adj, b, c)
+
+    monkeypatch.setattr(recognition, "_hole_at_edge", spy)
+    return calls
 
 
 @pytest.fixture

@@ -5,7 +5,10 @@ memo. The ``builds`` spy replaces ``c4._build_catalog``, the builder behind
 ``enumerate_induced_c4``'s memo, so it counts real catalog builds and not
 memo hits. The ``searches`` spy likewise replaces ``chordal._build_mcs_order``,
 the builder behind ``mcs_order``'s memo, so every maximum cardinality
-search is counted once.
+search is counted once. The clique separator decomposition is memoized
+too; the ``fills`` and ``atom_builds`` spies count its elimination-game
+fills and atom cuts, and ``hole_calls`` (conftest) each per-edge hole
+search.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from glpart import (
     WeightedGraph,
     c4,
     chordal,
+    connectivity,
     format_instance,
     generate_almost_chordal,
     generate_ktree,
@@ -54,6 +58,29 @@ def searches(monkeypatch):
 
     monkeypatch.setattr(chordal, "_build_mcs_order", spy)
     return calls
+
+
+def _spy(monkeypatch, module, name):
+    """A list that gains the vertex count of each graph ``name`` is given."""
+    calls: list[int] = []
+    original = getattr(module, name)
+
+    def spy(g, *args):
+        calls.append(g.n)
+        return original(g, *args)
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+@pytest.fixture
+def fills(monkeypatch):
+    return _spy(monkeypatch, connectivity, "_elimination_fill")
+
+
+@pytest.fixture
+def atom_builds(monkeypatch):
+    return _spy(monkeypatch, connectivity, "_clique_atoms")
 
 
 def _member_request(k: int, chords: int, seed: int):
@@ -136,3 +163,25 @@ def test_unchecked_chordal_partition_of_member_searches_once(
     assert main(["partition", path, "--mode", "chordal", "--skip-checks"]) == 0
     capsys.readouterr()
     assert searches == [g.n]
+
+
+@pytest.mark.parametrize("command", ["partition", "check"])
+def test_member_decomposition_is_shared(fills, hole_calls, tmp_path, capsys,
+                                        command):
+    # recognition and connectivity read one fill of the input, and the
+    # hole search only ever sees an atom: a 4-cycle and its k-clique
+    g, req = _member_request(3, 0, seed=5)
+    assert main([command, _write(tmp_path, g, req)]) == 0
+    capsys.readouterr()
+    assert fills == [g.n]
+    assert hole_calls and max(n for n, _, _ in hole_calls) <= 3 + 4
+
+
+def test_chordal_check_runs_no_hole_search(hole_calls, atom_builds, tmp_path,
+                                           capsys):
+    g = generate_ktree(60, 3, seed=7)
+    req = PartitionRequest((0, 20, 40), (20, 20, 20))
+    assert main(["check", _write(tmp_path, g, req)]) == 0
+    capsys.readouterr()
+    assert hole_calls == []
+    assert atom_builds == []

@@ -10,19 +10,17 @@ from hypothesis import given, settings, strategies as st
 from glpart import (
     CapError,
     Graph,
-    Peo,
-    compute_peo,
     enumerate_induced_c4,
     generate_almost_chordal,
     vertex_connectivity_at_least,
 )
 from glpart import connectivity
 from glpart.connectivity import (
-    _clique_atoms,
     _elimination_fill,
     _flow_connectivity,
     _kappa_up_to_2,
-    _minimal_separators,
+    _separators,
+    clique_atoms,
 )
 from glpart.graph import components_within
 
@@ -34,11 +32,12 @@ from bruteforce import (
     bf_vertex_connectivity,
     enumerate_minimal_separators,
     is_chordal,
+    planted,
     random_chordal,
     random_gnp,
+    without_edges,
 )
 from test_graph import random_graph_strategy
-from test_recognition import with_planted_cycle
 
 
 def exact_kappa(g: Graph) -> int:
@@ -172,30 +171,6 @@ class TestChordalMethod:
         assert sep in enumerate_minimal_separators(g)
 
 
-def planted(member: Graph, k: int, kind: str) -> Graph:
-    """``member`` with one planted defect next to its last 4-cycle, or on
-    the k-clique 0..k-1 of its k-tree base."""
-    a, b = enumerate_induced_c4(member)[-1][:2]  # adjacent on the ring
-    n = member.n
-    if kind == "hole":
-        return with_planted_cycle(member, 5, tuple(range(k)))
-    extra = {
-        "house": [(a, n), (b, n)],
-        "c4-overlap": [(a, n), (n, n + 1), (n + 1, b)],
-        "separator": [(x, n) for x in range(k - 1)],
-    }[kind]
-    return Graph.from_edges(
-        max(max(e) for e in extra) + 1, member.edges() + extra
-    )
-
-
-def separators(g: Graph):
-    """The label-drop separators of g's triangulation H (g itself when
-    chordal, else its elimination-game fill), or None when H is declined."""
-    h = g if isinstance(compute_peo(g), Peo) else _elimination_fill(g)
-    return None if h is None else list(_minimal_separators(h, compute_peo(h)))
-
-
 @pytest.fixture
 def flow_sizes(monkeypatch):
     """A list that gains the vertex count of each flow graph."""
@@ -207,12 +182,6 @@ def flow_sizes(monkeypatch):
 
     monkeypatch.setattr(connectivity, "_flow_connectivity", spy)
     return sizes
-
-
-def without_edges(g: Graph, rng: random.Random, count: int) -> Graph:
-    edges = g.edges()
-    drop = set(rng.sample(range(len(edges)), count))
-    return Graph.from_edges(g.n, [e for i, e in enumerate(edges) if i not in drop])
 
 
 class TestCliqueSeparatorMethod:
@@ -323,7 +292,7 @@ class TestCliqueSeparatorMethod:
         graphs.append(planted(generate_almost_chordal(7, 2, 1, seed=1), 2, "house"))
         split = 0
         for g in graphs:
-            got = [frozenset(a) for a in _clique_atoms(g, separators(g))]
+            got = [frozenset(a) for a in clique_atoms(g)]
             assert len(set(got)) == len(got)
             assert frozenset().union(*got) == frozenset(g.vertices())
             for ref in bf_clique_atoms(g):
@@ -344,11 +313,11 @@ class TestCliqueSeparatorMethod:
         ])
         assert vertex_connectivity_at_least(octahedron, 4)
         for g in (octahedron, c5):
-            assert _clique_atoms(g, separators(g)) == [list(g.vertices())]
+            assert clique_atoms(g) == [list(g.vertices())]
 
     def test_declines_on_small_separator(self, flow_sizes):
         member = generate_almost_chordal(40, 3, 2, seed=5)
-        assert min(len(sep) for _, sep in separators(member)) == 3
+        assert min(len(sep) for _, sep in _separators(member)) == 3
         assert vertex_connectivity_at_least(member, 3)
         assert max(flow_sizes) == 3 + 4
         flow_sizes.clear()

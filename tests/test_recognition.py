@@ -4,14 +4,18 @@ from __future__ import annotations
 
 import random
 
+import pytest
 from hypothesis import given, settings
 
 from glpart import (
     Graph,
     find_hole,
     generate_almost_chordal,
+    induced_subgraph,
     is_hh_i42_free,
 )
+from glpart.connectivity import _elimination_fill, clique_atoms
+from glpart.recognition import _hole_by_atoms
 
 from bruteforce import (
     bf_chordless_cycles,
@@ -19,8 +23,11 @@ from bruteforce import (
     bf_has_hole,
     dfs_find_hole,
     find_hole_through,
+    planted,
     random_chordal,
     random_gnp,
+    with_planted_cycle,
+    without_edges,
 )
 from test_graph import random_graph_strategy
 
@@ -84,16 +91,6 @@ class TestFindHole:
                 assert_is_hole(g, cyc)
             else:
                 assert cyc is None
-
-
-def with_planted_cycle(g: Graph, length: int, clique: tuple[int, ...]) -> Graph:
-    """Append a chordless cycle of ``length`` fresh vertices, each joined to
-    every vertex of ``clique``."""
-    ring = range(g.n, g.n + length)
-    edges = list(g.edges())
-    edges += [(v, g.n + (v - g.n + 1) % length) for v in ring]
-    edges += [(x, v) for x in clique for v in ring]
-    return Graph.from_edges(g.n + length, edges)
 
 
 class TestAgainstDfsReference:
@@ -176,3 +173,65 @@ class TestClassMembership:
         a = is_hh_i42_free(domino)
         b = is_hh_i42_free(domino)
         assert a == b
+
+
+class TestAtomSearch:
+    """Membership searches each atom of the clique separator decomposition,
+    yet reports the very hole the whole-graph ``find_hole`` finds."""
+
+    @staticmethod
+    def inputs() -> list[Graph]:
+        rng = random.Random(21)
+        graphs = [random_gnp(rng, rng.randint(4, 12), rng.choice((0.2, 0.3, 0.45)))
+                  for _ in range(300)]
+        for seed in range(6):
+            k = 2 + seed % 3
+            member = generate_almost_chordal(30, k, 3, seed=seed)
+            graphs.append(member)
+            graphs += [planted(member, k, kind)
+                       for kind in ("house", "c4-overlap", "hole", "separator")]
+            for _ in range(3):
+                graphs.append(without_edges(member, rng, rng.randint(1, 3)))
+                graphs.append(member.with_edges([tuple(rng.sample(range(member.n), 2))]))
+        return graphs
+
+    def test_matches_whole_graph_search(self):
+        split_holes = 0
+        for g in self.inputs():
+            ref = find_hole(g)
+            if g.n <= 12:
+                assert (ref is not None) == bf_has_hole(g)
+            assert _hole_by_atoms(g) == ref
+            v = is_hh_i42_free(g).violation
+            if v is None or v.kind == "hole":
+                assert (None if v is None else v.vertices) == ref
+            split_holes += ref is not None and len(clique_atoms(g)) > 1
+        assert split_holes >= 50
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_hole_plant_scans_only_holey_atoms(self, hole_calls, k):
+        g = planted(generate_almost_chordal(120, k, 6, seed=k), k, "hole")
+        violation = is_hh_i42_free(g).violation
+        spent = len(hole_calls)
+        scanned = [(b, c) for n, b, c in hole_calls if n == g.n]
+        hole_calls.clear()
+        # the same witness for fewer per-edge searches than one find_hole(g)
+        assert violation.kind == "hole" and violation.vertices == find_hole(g)
+        assert spent < len(hole_calls)
+        holey = [set(a) for a in clique_atoms(g)
+                 if find_hole(induced_subgraph(g, a)[0]) is not None]
+        assert scanned and all(
+            any(b in a and c in a for a in holey) for b, c in scanned
+        )
+
+    def test_one_atom_one_search(self, hole_calls, petersen):
+        declined = random_gnp(random.Random(14), 30, 0.2)
+        assert _elimination_fill(declined) is None
+        for g in (Graph.cycle(12), petersen, declined):
+            assert len(clique_atoms(g)) == 1
+            _hole_by_atoms(g)
+            spent = len(hole_calls)
+            hole_calls.clear()
+            find_hole(g)
+            assert spent == len(hole_calls)
+            hole_calls.clear()
