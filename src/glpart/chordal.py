@@ -104,18 +104,19 @@ def peo_violation(g: Graph, order) -> ChordalityWitness | None:
     earliest one are all adjacent to that earliest one. Passing for every v
     is equivalent to the order being perfect-elimination.
     """
-    order = tuple(order)
-    n = g.n
-    if sorted(order) != list(range(n)):
+    peo = Peo.from_order(order)
+    if peo.n != g.n:
         raise ValueError("order must be a permutation of 0..n-1")
-    pos = [0] * n
-    for i, v in enumerate(order):
-        pos[v] = i
-    for v in order:
-        later = [u for u in g.adj[v] if pos[u] > pos[v]]
+    return _violation(g, peo)
+
+
+def _violation(g: Graph, peo: Peo) -> ChordalityWitness | None:
+    sigma = peo.sigma
+    for v in peo.order:
+        later = [u for u in g.adj[v] if sigma[u] > sigma[v]]
         if len(later) < 2:
             continue
-        u = min(later, key=lambda x: pos[x])
+        u = min(later, key=sigma.__getitem__)
         for w in later:
             if w != u and w not in g.adj[u]:
                 return ChordalityWitness(v, (u, w))
@@ -136,8 +137,5 @@ def compute_peo(g: Graph) -> Peo | ChordalityWitness:
 
 
 def _build_peo(g: Graph) -> Peo | ChordalityWitness:
-    order = mcs_order(g)
-    witness = peo_violation(g, order)
-    if witness is not None:
-        return witness
-    return Peo.from_order(order)
+    peo = Peo.from_order(mcs_order(g))
+    return _violation(g, peo) or peo

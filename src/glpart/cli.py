@@ -279,7 +279,7 @@ def _cmd_oracle_compare(args) -> int:
         n = trng.randint(max(k + 1, 2 * k), args.n_max)
         entry = {"trial": trial, "seed": seed, "n": n, "k": k}
         if args.cycles > 0:
-            n = trng.randint(k + 1 + 4 * cycles_eff, max(args.n_max, k + 1 + 4 * cycles_eff))
+            n = trng.randint(k + 1 + 4 * cycles_eff, args.n_max)
             g = generate_almost_chordal(n, k, cycles_eff, seed)
             entry["n"] = n
             entry["cycles"] = cycles_eff

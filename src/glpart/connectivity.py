@@ -5,26 +5,26 @@ from the input. Failures come with a concrete separator and a pair of
 vertices it separates.
 
 - Complete graphs have no separator at all: the verdict is k <= n - 1.
-- Other graphs with k <= 2 that are not chordal: kappa >= 2 iff the graph
-  is connected and has no cut vertex, found by an iterative Hopcroft-Tarjan
-  search in O(n + m).
-- Every other graph is read through one triangulation H: g itself when g
-  is chordal, else g plus the elimination-game fill of g's maximum
-  cardinality search order (Tarjan & Yannakakis, SIAM J. Comput. 13(3),
-  1984), declined once the fill exceeds m edges. The minimal separators
-  of H are read off H's own search in O(n + m) (Blair & Peyton 1993): in
-  selection order, a vertex whose count of already-selected neighbors
-  does not exceed its predecessor's starts a new maximal clique, and
-  those neighbors form a minimal separator, empty on a disconnected H.
-  Each also separates g. On a chordal g, kappa is the smallest one's size.
-  Otherwise H need not be minimal, which only coarsens the clique
-  separator decomposition (Berry, Pogorelcnik & Simonet, Algorithms 3(2),
-  2010): one pass over H's elimination order cuts g into atoms along the
-  separators of H that are cliques of g. kappa(g) >= k when every
-  separator of H has at least k vertices and every non-complete atom is
-  k-connected; on class members an atom is a 4-cycle plus the k-clique it
-  hangs from, so the flow below only runs on k + 4 vertices. g keeps its
-  separators and atoms in its memo; recognition reads the same atoms.
+- Chordal graphs: kappa is the size of the smallest minimal separator,
+  read off the graph's own maximum cardinality search in O(n + m) (Blair
+  & Peyton 1993): in selection order, a vertex whose count of
+  already-selected neighbors does not exceed its predecessor's starts a
+  new maximal clique, and those neighbors form a minimal separator, empty
+  on a disconnected graph.
+- Other graphs with k <= 2: kappa >= 2 iff the graph is connected and has
+  no cut vertex, found by an iterative Hopcroft-Tarjan search in O(n + m).
+- Other graphs with k >= 3 are cut into atoms along clique separators by
+  one pass over the same search's elimination order (Tarjan, Discrete
+  Math. 55, 1985), reading each vertex's later neighbors in the
+  elimination game's filled graph off the Tarjan & Yannakakis walk (SIAM
+  J. Comput. 13(3), 1984) in O(n + m + fill), declined once the fill
+  exceeds m edges. kappa(g) >= k when every cut has at least k vertices
+  and every non-complete atom is k-connected: removing fewer than k
+  vertices leaves each atom connected and each cut, a clique shared by
+  its two sides, non-empty. On class members an atom is a 4-cycle plus
+  the k-clique it hangs from, so the flow below only runs on k + 4
+  vertices. g keeps its atoms and smallest cut in its memo; recognition
+  reads the same atoms.
 - Fallback, and every rejection of a non-chordal input: Menger-based.
   Unit vertex capacities via the standard vertex-split flow network,
   built once per call, max-flow per non-adjacent pair with early exit at
@@ -212,19 +212,20 @@ def _kappa_up_to_2(g: Graph) -> int:
     return 1 if cut or root_children > 1 else 2
 
 
-def _elimination_fill(g: Graph) -> Graph | None:
-    """``g`` plus the elimination-game fill of its MCS order, or None.
+def _elimination_fill(g: Graph) -> list[list[int]] | None:
+    """Each vertex's later neighbors in the elimination game of g's MCS order.
 
     Eliminating the vertices in order and making each one's later
-    neighbors a clique yields a chordal graph with that order as a perfect
-    elimination order. Tarjan & Yannakakis compute it in O(n + m + fill):
-    the earlier neighbors of w in the filled graph are the vertices met by
-    walking ``follow`` pointers, each vertex's first later neighbor in the
-    filled graph, from each earlier neighbor of w in ``g``. None once the
-    fill exceeds m edges, so the walk stays linear.
+    neighbors a clique yields a chordal graph H with that order as a
+    perfect elimination order. Tarjan & Yannakakis compute it in
+    O(n + m + fill): the earlier neighbors of w in H are the vertices met
+    by walking ``follow`` pointers, each vertex's first later neighbor in
+    H, from each earlier neighbor of w in ``g``. Each list comes in
+    elimination order. None once the fill exceeds m edges, so the walk
+    stays linear.
     """
     budget = g.edge_count()
-    nbrs = [set(s) for s in g.adj]
+    later: list[list[int]] = [[] for _ in g.vertices()]
     follow = list(range(g.n))
     mark = [-1] * g.n  # the last position whose walk met the vertex
     for i, w in enumerate(mcs_order(g)):
@@ -233,74 +234,73 @@ def _elimination_fill(g: Graph) -> Graph | None:
         for x in (v for v in g.adj[w] if mark[v] >= 0):
             while mark[x] < i:
                 mark[x] = i
-                if w not in nbrs[x]:
+                later[x].append(w)
+                if w not in g.adj[x]:
                     budget -= 1
                     if budget < 0:
                         return None
-                    nbrs[x].add(w)
-                    nbrs[w].add(x)
                 x = follow[x]
             if follow[x] == x:
                 follow[x] = w
-    return Graph(tuple(frozenset(s) for s in nbrs))
+    return later
 
 
-def _separators(g: Graph) -> list:
-    """The label-drop pairs of g's triangulation H (none if declined), memoized."""
-    memo = g._memo
-    if "seps" not in memo:
-        h = g if isinstance(compute_peo(g), Peo) else _elimination_fill(g)
-        memo["seps"] = [] if h is None else list(_minimal_separators(h, compute_peo(h)))
-    return memo["seps"]
-
-
-def clique_atoms(g: Graph) -> list[list[int]]:
-    """The atoms of g cut along the clique separators of H, memoized."""
+def _decomposition(g: Graph) -> tuple[list[list[int]], int]:
+    """g's clique separator atoms and its smallest cut, memoized."""
     memo = g._memo
     if "atoms" not in memo:
-        memo["atoms"] = _clique_atoms(g, _separators(g))
+        memo["atoms"] = _clique_atoms(g)
     return memo["atoms"]
 
 
-def _clique_atoms(g: Graph, seps) -> list[list[int]]:
-    """Atoms of ``g`` cut along the separators of its triangulation H.
+def clique_atoms(g: Graph) -> list[list[int]]:
+    """The atoms of g cut along clique separators of g, memoized."""
+    return _decomposition(g)[0]
 
-    ``seps`` are the label-drop pairs (x, madj(x)) of H in selection order.
-    In elimination order, each separator that is a clique of ``g`` cuts off
-    the component of the remaining graph that holds its generating vertex,
-    which leaves that graph; what remains at the end is the last atom.
+
+def _clique_atoms(g: Graph) -> tuple[list[list[int]], int]:
+    """Tarjan's atoms of ``g`` along its elimination game, and the smallest cut.
+
+    In g's MCS elimination order, each x whose later neighbors S in H are a
+    clique of ``g`` cuts off its component of the remaining graph minus S,
+    unless that component and S are all that remains. A path from x to a
+    later vertex outside S would put that vertex in S, so every later
+    vertex stays; what remains at the end is the last atom. The smallest
+    cut is g.n when nothing is cut, also when the fill is declined.
     """
-    adj = g.adj
+    later = _elimination_fill(g)
     alive = [True] * g.n
+    left = smallest = g.n
     atoms = []
-    for x, sep in reversed(seps):
-        members = set(sep)
-        if not g.is_clique(members):
+    for x in () if later is None else mcs_order(g):
+        sep = later[x]
+        if not g.is_clique(sep):
             continue
-        # x and sep are still in place: the component cut off at an
-        # earlier generator x' lies in H - madj(x'), where a perfect
-        # elimination order leaves only vertices eliminated before x'
+        seen = {x, *sep}
         comp = [x]
-        alive[x] = False
         for y in comp:
-            for u in adj[y]:
-                if alive[u] and u not in members:
-                    alive[u] = False
+            for u in g.adj[y]:
+                if alive[u] and u not in seen:
+                    seen.add(u)
                     comp.append(u)
-        atoms.append(comp + sep)
+        if len(seen) < left:
+            for v in comp:
+                alive[v] = False
+            left -= len(comp)
+            atoms.append(comp + sep)
+            smallest = min(smallest, len(sep))
     atoms.append([v for v in g.vertices() if alive[v]])
-    return atoms
+    return atoms, smallest
 
 
 def vertex_connectivity_at_least(g: Graph, k: int) -> ConnectivityResult:
     """Decide kappa(g) >= k; on failure return a separator witness.
 
-    Complete graphs are decided by their size, and a non-chordal graph
-    with k <= 2 is accepted by the cut-vertex search. Every other graph is
-    read through its triangulation H. A chordal g fails at H's first
-    separator S smaller than k, separating its generator from the smallest
-    vertex it cannot reach in g - S; a non-chordal one is accepted by its
-    clique separator decomposition. The rest go to max-flow.
+    Complete graphs are decided by their size. A chordal g fails at its
+    first minimal separator S smaller than k, separating S's generator
+    from the smallest vertex it cannot reach in g - S. A non-chordal g is
+    accepted by the cut-vertex search when k <= 2, else by its clique
+    separator decomposition; the rest go to max-flow.
     """
     if k <= 0:
         raise ValueError("k must be positive")
@@ -311,25 +311,22 @@ def vertex_connectivity_at_least(g: Graph, k: int) -> ConnectivityResult:
         return ConnectivityResult(
             ok, k, None, "" if ok else f"complete graph on {g.n} vertices has no separator"
         )
-    chordal = isinstance(compute_peo(g), Peo)
-    if not chordal and k <= 2:
+    peo = compute_peo(g)
+    if isinstance(peo, Peo):
+        for x, madj in _minimal_separators(g, peo):
+            if len(madj) < k:
+                sep = frozenset(madj)
+                comps = components_within(g, (v for v in g.vertices() if v not in sep))
+                # components come ordered by smallest member
+                return _failure(k, sep, x, next(min(c) for c in comps if x not in c))
+        return ConnectivityResult(True, k)
+    if k <= 2:
         accepted = k <= _kappa_up_to_2(g)
     else:
-        small = next(((x, sep) for x, sep in _separators(g) if len(sep) < k), None)
-        if chordal:
-            if small is None:
-                return ConnectivityResult(True, k)
-            x, sep = small[0], frozenset(small[1])
-            comps = components_within(g, (v for v in g.vertices() if v not in sep))
-            # components come ordered by smallest member
-            other = next(min(c) for c in comps if x not in c)
-            return _failure(k, sep, x, other)
-        # Every separator cut along has at least k vertices, so g - T is
-        # connected for |T| < k as soon as every atom minus T is; complete
-        # atoms have more than |T| vertices, the others must be k-connected.
-        # One atom (also when the fill is declined) is g, left to the flow.
-        atoms = [] if small else clique_atoms(g)
-        accepted = len(atoms) > 1 and all(
+        # sound by the module docstring's argument; one atom (also when
+        # the fill is declined) is g, left to the flow
+        atoms, cut = _decomposition(g)
+        accepted = cut >= k and len(atoms) > 1 and all(
             g.is_clique(a) or _flow_connectivity(induced_subgraph(g, a)[0], k)
             for a in atoms
         )

@@ -27,7 +27,7 @@ class Graph:
 
     adj: tuple[frozenset[int], ...]
     # certificates of this graph: its MCS order, compute_peo's verdict, its
-    # 4-cycle catalog, and its clique separators and atoms
+    # 4-cycle catalog, and its clique separator atoms with the smallest cut
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod

@@ -233,6 +233,18 @@ def bf_clique_atoms(g: Graph) -> set[frozenset[int]]:
     return {frozenset(a) for a in atoms}
 
 
+def bf_elimination_game(g: Graph, order) -> list[set[int]]:
+    """Each vertex's later neighbors once ``order`` eliminates g, making
+    the later neighbors of every eliminated vertex pairwise adjacent."""
+    pos = {v: i for i, v in enumerate(order)}
+    nbrs = [set(s) for s in g.adj]
+    for v in order:
+        for a, b in combinations([u for u in nbrs[v] if pos[u] > pos[v]], 2):
+            nbrs[a].add(b)
+            nbrs[b].add(a)
+    return [{u for u in nbrs[v] if pos[u] > pos[v]} for v in g.vertices()]
+
+
 def random_gnp(rng: random.Random, n: int, p: float) -> Graph:
     """Random graph on n vertices, each pair adjacent with probability p."""
     return Graph.from_edges(

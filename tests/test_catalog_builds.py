@@ -6,9 +6,9 @@ memo. The ``builds`` spy replaces ``c4._build_catalog``, the builder behind
 memo hits. The ``searches`` spy likewise replaces ``chordal._build_mcs_order``,
 the builder behind ``mcs_order``'s memo, so every maximum cardinality
 search is counted once. The clique separator decomposition is memoized
-too; the ``fills`` and ``atom_builds`` spies count its elimination-game
-fills and atom cuts, and ``hole_calls`` (conftest) each per-edge hole
-search.
+too, cut from the elimination game of the input's own search; the
+``fills`` and ``atom_builds`` spies count its elimination-game fills and
+atom cuts, and ``hole_calls`` (conftest) each per-edge hole search.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from glpart import (
 )
 from glpart.cli import main
 
-from bruteforce import all_pairs_induced_c4
+from bruteforce import all_pairs_induced_c4, planted
 
 
 @pytest.fixture
@@ -139,20 +139,30 @@ def test_chordal_partition_searches_once(searches, tmp_path, capsys, extra):
     assert searches == [g.n]
 
 
-def test_member_partition_searches_three_graphs(searches, tmp_path, capsys):
-    # the input, its elimination-game fill H (clique separators) and the
-    # contracted graph, each once
+def test_member_partition_searches_two_graphs(searches, tmp_path, capsys):
+    # the input, whose search also orders the elimination game behind its
+    # clique separators, and the contracted graph, each once
     g, req = _member_request(3, 0, seed=5)
     assert main(["partition", _write(tmp_path, g, req)]) == 0
     capsys.readouterr()
-    assert searches == [g.n, g.n, g.n - 2]
+    assert searches == [g.n, g.n - 2]
 
 
-def test_member_check_searches_two_graphs(searches, tmp_path, capsys):
+def test_member_check_searches_once(searches, tmp_path, capsys):
     g, req = _member_request(3, 0, seed=5)
     assert main(["check", _write(tmp_path, g, req)]) == 0
     capsys.readouterr()
-    assert searches == [g.n, g.n]
+    assert searches == [g.n]
+
+
+def test_hole_plant_check_searches_once(searches, tmp_path, capsys):
+    # recognition and connectivity both read the atoms of the planted graph
+    member, req = _member_request(3, 0, seed=5)
+    g = planted(member, 3, "hole")
+    req = PartitionRequest(req.terminals, (*req.demands[:-1], req.demands[-1] + 5))
+    assert main(["check", _write(tmp_path, g, req)]) == 0
+    capsys.readouterr()
+    assert searches == [g.n]
 
 
 def test_unchecked_chordal_partition_of_member_searches_once(

@@ -487,3 +487,59 @@ class TestRandomSmallGraphs:
                     if code == 0:
                         with open(out, encoding="utf-8") as fh:
                             assert_valid_partition(inst, json.load(fh))
+
+
+HUGE = str(10**30)
+
+
+@st.composite
+def mutated_files(draw):
+    """The text of a ``small_instances`` file with one line dropped, one
+    field replaced, one line truncated or one token inserted, and a
+    round-robin partition of the undamaged instance."""
+    inst = draw(small_instances())
+    n, k = inst.graph.n, inst.request.k
+    parts = [list(range(i, n, k)) for i in range(k)]
+    lines = format_instance(inst).splitlines()
+    i = draw(st.integers(0, len(lines) - 1))
+    fields = lines[i].split()
+    how = draw(st.sampled_from(["drop", "replace", "truncate", "insert"]))
+    if how == "drop":
+        del lines[i]
+    elif how == "truncate":
+        lines[i] = lines[i][:draw(st.integers(0, len(lines[i]) - 1))]
+    elif how == "replace":
+        fields[draw(st.integers(0, len(fields) - 1))] = draw(
+            st.sampled_from(["-1", "0", HUGE, "x", "1.5", ""]))
+        lines[i] = " ".join(fields)
+    else:
+        fields.insert(draw(st.integers(0, len(fields))), draw(
+            st.sampled_from(["-1", "0", "1", HUGE, "x", "1.5"])))
+        lines[i] = " ".join(fields)
+    return "\n".join(lines) + "\n", parts
+
+
+class TestMutatedInstanceFiles:
+    """A damaged instance file ends in a documented exit code, never a
+    traceback, on every subcommand that reads one."""
+
+    @given(mutated_files())
+    @settings(max_examples=100, deadline=None)
+    def test_every_subcommand_exits_cleanly(self, case):
+        text, parts_list = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "inst.txt")
+            parts = os.path.join(tmp, "parts.json")
+            out = os.path.join(tmp, "out.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            with open(parts, "w", encoding="utf-8") as fh:
+                json.dump({"parts": parts_list, "deviation": 0}, fh)
+            for argv in (
+                ["check", path],
+                ["partition", path],
+                ["partition", path, "--skip-checks"],
+                ["partition", path, "--mode", "chordal", "--skip-checks"],
+                ["verify", path, parts],
+            ):
+                assert main([*argv, "--out", out]) in (0, 1, 2, 3)

@@ -11,6 +11,7 @@ from glpart import (
     CapError,
     Graph,
     enumerate_induced_c4,
+    mcs_order,
     generate_almost_chordal,
     vertex_connectivity_at_least,
 )
@@ -18,8 +19,8 @@ from glpart import connectivity
 from glpart.connectivity import (
     _elimination_fill,
     _flow_connectivity,
+    _decomposition,
     _kappa_up_to_2,
-    _separators,
     clique_atoms,
 )
 from glpart.graph import components_within
@@ -27,6 +28,7 @@ from glpart.graph import components_within
 from bruteforce import (
     _separates,
     bf_clique_atoms,
+    bf_elimination_game,
     bf_is_connected,
     bf_minimal_separators,
     bf_vertex_connectivity,
@@ -305,9 +307,9 @@ class TestCliqueSeparatorMethod:
         assert split >= 10
 
     def test_one_atom_without_a_clique_separator(self, c5):
-        # the octahedron's fill adds two of its three missing edges, and the
-        # one separator of H, the four vertices off the third, holds both;
-        # the fill of C5 adds two chords, and each separator of H is one
+        # in both, the first vertices' later neighbors in the elimination
+        # game miss an edge of g, and every later clique of g leaves all
+        # that remains on the vertex's side, so nothing is cut
         octahedron = Graph.from_edges(6, [
             (a, b) for a in range(6) for b in range(a + 1, 6) if b != a ^ 1
         ])
@@ -317,12 +319,50 @@ class TestCliqueSeparatorMethod:
 
     def test_declines_on_small_separator(self, flow_sizes):
         member = generate_almost_chordal(40, 3, 2, seed=5)
-        assert min(len(sep) for _, sep in _separators(member)) == 3
+        assert _decomposition(member)[1] == 3
         assert vertex_connectivity_at_least(member, 3)
         assert max(flow_sizes) == 3 + 4
         flow_sizes.clear()
         assert not vertex_connectivity_at_least(member, 4)
         assert flow_sizes == [member.n]
+
+
+class TestEliminationFill:
+    """The follow-pointer walk against the elimination game played out,
+    declined exactly when the game adds more than m edges."""
+
+    @staticmethod
+    def fill_over_m(g: Graph) -> int:
+        order = mcs_order(g)
+        ref = bf_elimination_game(g, order)
+        excess = sum(map(len, ref)) - 2 * g.edge_count()
+        got = _elimination_fill(g)
+        if excess > 0:
+            assert got is None
+        else:
+            assert got is not None and [set(s) for s in got] == ref
+            pos = {v: i for i, v in enumerate(order)}
+            assert all(s == sorted(s, key=pos.__getitem__) for s in got)
+        return excess
+
+    def test_random_gnp(self):
+        rng = random.Random(15)
+        excess = {
+            self.fill_over_m(g) for g in (
+                random_gnp(rng, rng.randint(1, 30), rng.choice((0.1, 0.15, 0.2, 0.5)))
+                for _ in range(600)
+            ) if g.edge_count()
+        }
+        # both sides of the cap: fill m is kept, fill m + 1 declined
+        assert {-1, 0, 1, 2} <= excess
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_members_and_planted_defects(self, k):
+        for seed in range(3):
+            member = generate_almost_chordal(40, k, 3, seed)
+            assert self.fill_over_m(member) < 0
+            for kind in ("house", "c4-overlap", "hole", "separator"):
+                assert self.fill_over_m(planted(member, k, kind)) < 0
 
 
 class TestMinimalSeparators:
