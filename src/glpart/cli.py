@@ -164,6 +164,8 @@ def _load_parts(path: str, k: int) -> GLPartition:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise GraphFormatError(f"partition file is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise GraphFormatError("partition file nests too deeply to read") from None
     if not isinstance(doc, dict) or "parts" not in doc:
         raise GraphFormatError("partition file must be an object with a 'parts' key")
     raw = doc["parts"]

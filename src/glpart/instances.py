@@ -10,6 +10,18 @@ Layout, after stripping blank lines and ``#`` comments:
 
 Parse errors carry the 1-based line number of the offending physical line.
 The writer emits edges as u < v in sorted order, so output is byte-stable.
+
+The reader checks the four head lines one by one, and sizes nothing by n
+before the weights line has shown n integers. It then reads the edge lines
+in one pass straight into neighbour sets: a line that holds two distinct
+ids in 0..n-1 costs one split, two ``int`` calls, one test and two set
+insertions, and any other line is handed to the field, range and
+self-loop checks, in that order, for its error. A repeated edge is kept
+once. The sets are built by insertion in file order, exactly as
+``Graph.from_edges`` builds them, because a frozenset's iteration order
+depends on how its elements went in, and ``chordal`` picks the nonadjacent
+pair of its chordality witness in that order: built any other way, the
+same file could give a different ``check`` output.
 """
 
 from __future__ import annotations
@@ -49,12 +61,21 @@ def _int_fields(raw: str, line_no: int, expect: int | None = None) -> list[int]:
     return values
 
 
+def _edge_error(raw: str, line_no: int, n: int) -> GraphFormatError:
+    """The error for an edge line that failed the fast path, found by the
+    field, range and self-loop checks in that order."""
+    u, v = _int_fields(raw, line_no, 2)
+    if not (0 <= u < n and 0 <= v < n):
+        return GraphFormatError(f"edge endpoint out of range in {raw!r}", line_no)
+    return GraphFormatError(f"self-loop at {u}", line_no)
+
+
 def parse_instance(text: str) -> Instance:
-    lines: list[tuple[int, str]] = []
-    for i, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0].strip()
-        if body:
-            lines.append((i, body))
+    lines = [
+        (i, body)
+        for i, raw in enumerate(text.splitlines(), start=1)
+        if (body := raw.partition("#")[0].strip())
+    ]
     if len(lines) < 4:
         raise GraphFormatError("file needs header, weights, terminals and demands")
 
@@ -86,16 +107,19 @@ def parse_instance(text: str) -> Instance:
     line_no, raw = lines[3]
     demands = _int_fields(raw, line_no, k)
 
-    edges = []
+    nbrs: list[set[int]] = [set() for _ in range(n)]
     for line_no, raw in lines[4:]:
-        u, v = _int_fields(raw, line_no, 2)
-        if not (0 <= u < n and 0 <= v < n):
-            raise GraphFormatError(f"edge endpoint out of range in {raw!r}", line_no)
-        if u == v:
-            raise GraphFormatError(f"self-loop at {u}", line_no)
-        edges.append((u, v) if u < v else (v, u))
+        try:
+            u, v = raw.split()
+            u, v = int(u), int(v)
+        except ValueError:
+            u = v = -1  # not two integers: _edge_error says what is wrong
+        if u == v or not (0 <= u < n and 0 <= v < n):
+            raise _edge_error(raw, line_no, n)
+        nbrs[u].add(v)
+        nbrs[v].add(u)
 
-    graph = Graph.from_edges(n, edges)
+    graph = Graph(tuple(map(frozenset, nbrs)))
     wgraph = WeightedGraph(graph, tuple(weights))
     request = PartitionRequest(tuple(terminals), tuple(demands))
     return Instance(wgraph, request)

@@ -6,7 +6,8 @@ functions are exponential; callers keep n small. The helpers at the end
 are small definitional checks the library itself has no use for, two
 thin wrappers over library code that only the tests call, the member
 generator that certifies every step, which the library no longer needs,
-and the edits that plant a defect in a member or drop some of its edges.
+the edits that plant a defect in a member or drop some of its edges, and
+the line-by-line instance reader the library's one-pass reader replaced.
 """
 
 from __future__ import annotations
@@ -18,11 +19,14 @@ from itertools import combinations, permutations
 from glpart import (
     CapError,
     Graph,
+    GraphFormatError,
     Instance,
     MergeMap,
     Peo,
     PipelineInvariantError,
+    PartitionRequest,
     PreconditionError,
+    WeightedGraph,
     components_within,
     compute_peo,
     enumerate_induced_c4,
@@ -666,3 +670,70 @@ def without_edges(g: Graph, rng: random.Random, count: int) -> Graph:
     edges = g.edges()
     drop = set(rng.sample(range(len(edges)), count))
     return Graph.from_edges(g.n, [e for i, e in enumerate(edges) if i not in drop])
+
+
+def _int_fields(raw: str, line_no: int, expect: int | None = None) -> list[int]:
+    fields = raw.split()
+    try:
+        values = [int(f) for f in fields]
+    except ValueError:
+        raise GraphFormatError(f"expected integers, got {raw!r}", line_no) from None
+    if expect is not None and len(values) != expect:
+        raise GraphFormatError(
+            f"expected {expect} integers, got {len(values)}", line_no
+        )
+    return values
+
+
+def bf_parse_instance(text: str) -> Instance:
+    """The reference reader: one checked helper call per line, an edge
+    list, and ``Graph.from_edges``."""
+    lines: list[tuple[int, str]] = []
+    for i, raw in enumerate(text.splitlines(), start=1):
+        body = raw.split("#", 1)[0].strip()
+        if body:
+            lines.append((i, body))
+    if len(lines) < 4:
+        raise GraphFormatError("file needs header, weights, terminals and demands")
+
+    line_no, head = lines[0]
+    header = _int_fields(head, line_no, 3)
+    n, m, k = header
+    if n < 1:
+        raise GraphFormatError("vertex count must be positive", line_no)
+    if m < 0 or k < 1:
+        raise GraphFormatError("edge and terminal counts must be sensible", line_no)
+    if len(lines) != 4 + m:
+        raise GraphFormatError(
+            f"expected {4 + m} content lines for m={m}, found {len(lines)}"
+        )
+
+    line_no, raw = lines[1]
+    weights = _int_fields(raw, line_no, n)
+    if any(w < 1 for w in weights):
+        raise GraphFormatError("weights must be positive", line_no)
+
+    line_no, raw = lines[2]
+    terminals = _int_fields(raw, line_no, k)
+    for t in terminals:
+        if not (0 <= t < n):
+            raise GraphFormatError(f"terminal {t} out of range", line_no)
+    if len(set(terminals)) != k:
+        raise GraphFormatError("terminals must be distinct", line_no)
+
+    line_no, raw = lines[3]
+    demands = _int_fields(raw, line_no, k)
+
+    edges = []
+    for line_no, raw in lines[4:]:
+        u, v = _int_fields(raw, line_no, 2)
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphFormatError(f"edge endpoint out of range in {raw!r}", line_no)
+        if u == v:
+            raise GraphFormatError(f"self-loop at {u}", line_no)
+        edges.append((u, v) if u < v else (v, u))
+
+    graph = Graph.from_edges(n, edges)
+    wgraph = WeightedGraph(graph, tuple(weights))
+    request = PartitionRequest(tuple(terminals), tuple(demands))
+    return Instance(wgraph, request)

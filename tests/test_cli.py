@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,11 +17,12 @@ from glpart import (
     WeightedGraph,
     format_instance,
     generate_ktree,
+    parse_instance,
 )
 import glpart.cli as cli
 from glpart.cli import main
 
-from bruteforce import bf_is_connected
+from bruteforce import bf_is_connected, bf_parse_instance
 
 
 def write_instance(tmp_path, inst, name="inst.txt"):
@@ -218,6 +220,21 @@ class TestDeepAndLargeInputs:
         err = capsys.readouterr().err
         assert "not 2-connected" in err and "1 vertices separate" in err
 
+    @pytest.mark.parametrize("cmd", ["check", "partition"])
+    def test_huge_vertex_count_exits_3_without_allocating(self, cmd, tmp_path, capsys):
+        # the weights line holds 5 integers, not n, so nothing is sized by n
+        path = tmp_path / "huge.txt"
+        path.write_text(f"{10**12} 0 2\n1 1 1 1 1\n0 1\n1 1\n")
+        tracemalloc.start()
+        try:
+            code = main([cmd, str(path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3
+        assert f"line 2: expected {10**12} integers, got 5" in capsys.readouterr().err
+        assert peak < 1 << 20
+
     def test_validated_large_ktree_verifies(self, tmp_path, capsys):
         inst = tmp_path / "big.txt"
         parts = tmp_path / "parts.json"
@@ -274,6 +291,12 @@ class TestVerify:
         bad = tmp_path / "bad.json"
         bad.write_text("not json at all")
         assert main(["verify", chordal_file, str(bad)]) == 3
+
+    def test_deeply_nested_partition_file_exits_3(self, chordal_file, tmp_path, capsys):
+        bad = tmp_path / "deep.json"
+        bad.write_text('{"parts": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        assert main(["verify", chordal_file, str(bad)]) == 3
+        assert "nests too deeply" in capsys.readouterr().err
 
     def _solved(self, chordal_file, tmp_path):
         out = tmp_path / "part.json"
@@ -543,3 +566,77 @@ class TestMutatedInstanceFiles:
                 ["verify", path, parts],
             ):
                 assert main([*argv, "--out", out]) in (0, 1, 2, 3)
+
+
+def read_outcome(reader, text):
+    """What ``reader`` makes of ``text``: the instance with each vertex's
+    neighbours in iteration order, or the error's type, message and line."""
+    try:
+        inst = reader(text)
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+    return inst, [tuple(s) for s in inst.graph.adj]
+
+
+class TestReaderAgainstReference:
+    """The one-pass reader agrees with the line-by-line reference reader on
+    damaged files: the same instance, or the same error on the same line."""
+
+    @given(mutated_files())
+    @settings(max_examples=200, deadline=None)
+    def test_same_instance_or_same_error(self, case):
+        text, _ = case
+        assert read_outcome(parse_instance, text) == read_outcome(
+            bf_parse_instance, text
+        )
+
+
+@st.composite
+def damaged_partition_files(draw):
+    """A ``small_instances`` file and the JSON text of a round-robin
+    partition of it with one damage."""
+    inst = draw(small_instances())
+    n, k = inst.graph.n, inst.request.k
+    parts = [list(range(i, n, k)) for i in range(k)]
+    doc = {"parts": parts, "deviation": 0}
+    i = draw(st.integers(0, k - 1))
+    j = draw(st.integers(0, len(parts[i]) - 1))
+    how = draw(st.sampled_from([
+        "drop part", "drop vertex", "repeat vertex", "replace vertex",
+        "no parts", "top-level list", "deviation", "truncate",
+    ]))
+    if how == "drop part":
+        del parts[i]
+    elif how == "drop vertex":
+        del parts[i][j]
+    elif how == "repeat vertex":
+        parts[draw(st.integers(0, k - 1))].append(parts[i][j])
+    elif how == "replace vertex":
+        parts[i][j] = draw(st.sampled_from([-1, n, 10**30, 1.5, True, "x", None, [0]]))
+    elif how == "no parts":
+        del doc["parts"]
+    elif how == "deviation":
+        doc["deviation"] = draw(st.sampled_from([1.5, "0", 10**30]))
+    text = json.dumps(parts if how == "top-level list" else doc)
+    if how == "truncate":
+        text = text[:draw(st.integers(0, len(text) - 1))]
+    return format_instance(inst), text
+
+
+class TestDamagedPartitionFiles:
+    """``verify`` ends in a documented exit code, never a traceback, on a
+    damaged partition file."""
+
+    @given(damaged_partition_files())
+    @settings(max_examples=200, deadline=None)
+    def test_verify_exits_cleanly(self, case):
+        inst_text, parts_text = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "inst.txt")
+            parts = os.path.join(tmp, "parts.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(inst_text)
+            with open(parts, "w", encoding="utf-8") as fh:
+                fh.write(parts_text)
+            out = os.path.join(tmp, "out.json")
+            assert main(["verify", path, parts, "--out", out]) in (0, 1, 2, 3)

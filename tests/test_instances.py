@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from glpart import (
+    Graph,
     GraphFormatError,
     Instance,
     PartitionRequest,
     WeightedGraph,
     format_instance,
+    generate_almost_chordal,
     generate_ktree,
     load_instance,
     parse_instance,
@@ -29,6 +33,22 @@ GOOD = """\
 3 4
 """
 
+# a bad edge line and a fragment of the error it draws; bad_edge_line puts
+# it on physical line 9 of GOOD, after a comment line and a blank line
+EDGE_LINE_ERRORS = [
+    ("1 x", "expected integers"),
+    ("1", "expected 2 integers, got 1"),
+    ("1 2 3", "expected 2 integers, got 3"),
+    ("-1 2", "endpoint out of range in '-1 2'"),
+    ("1 5", "endpoint out of range in '1 5'"),
+    ("2 2", "self-loop at 2"),
+    ("5 5", "endpoint out of range in '5 5'"),
+]
+
+
+def bad_edge_line(text: str, bad: str) -> str:
+    return text.replace("\n1 2\n", f"\n# edge 1-2 follows\n\n{bad}\n")
+
 
 class TestParse:
     def test_good(self):
@@ -45,10 +65,13 @@ class TestParse:
         assert inst.graph.edge_count() == 4
 
     def test_error_carries_line_number(self):
-        bad = GOOD.replace("1 1 1 1 1", "1 1 one 1 1")
-        with pytest.raises(GraphFormatError) as ei:
-            parse_instance(bad)
-        assert ei.value.line == 3
+        cases = [(GOOD.replace("1 1 1 1 1", "1 1 one 1 1"), "expected integers", 3)]
+        cases += [(bad_edge_line(GOOD, bad), frag, 9) for bad, frag in EDGE_LINE_ERRORS]
+        for text, fragment, line in cases:
+            with pytest.raises(GraphFormatError) as ei:
+                parse_instance(text)
+            assert fragment in str(ei.value)
+            assert ei.value.line == line
 
     @pytest.mark.parametrize(
         "mangle,fragment",
@@ -62,12 +85,50 @@ class TestParse:
             (lambda s: s.replace("3 4\n", "3 9\n"), "out of range"),
             (lambda s: s.replace("1 1 1 1 1", "1 1 0 1 1"), "positive"),
             (lambda s: "", "header"),
-        ],
+        ]
+        + [(lambda s, bad=bad: bad_edge_line(s, bad), fragment)
+           for bad, fragment in EDGE_LINE_ERRORS],
     )
     def test_malformed_rejected(self, mangle, fragment):
         with pytest.raises(GraphFormatError) as ei:
             parse_instance(mangle(GOOD))
         assert fragment in str(ei.value)
+
+    def test_repeated_edge_kept_once(self):
+        inst = parse_instance(GOOD.replace("\n1 2\n", "\n1 0\n"))
+        assert inst.graph.edge_count() == 4 - 1
+        assert inst.graph.adj[1] == {0}
+
+
+class TestIterationOrder:
+    """Each neighbour set iterates as ``Graph.from_edges`` builds it from
+    the file's edges in file order. The chordality witness's nonadjacent
+    pair is picked in that order, so ``check`` output depends on it."""
+
+    @pytest.mark.parametrize(
+        "kind,n",
+        [("ktree", n) for n in (5, 60, 500, 2000)]
+        + [("member", n) for n in (40, 400, 2000)],
+    )
+    @pytest.mark.parametrize("edit", ["as-written", "shuffled", "swapped"])
+    def test_matches_from_edges(self, kind, n, edit):
+        if kind == "ktree":
+            g = generate_ktree(n, 3, n)
+        else:
+            g = generate_almost_chordal(n, 3, n // 25, n)
+        inst = Instance(WeightedGraph.unit(g), PartitionRequest((0, 1), (1, n - 1)))
+        lines = format_instance(inst).splitlines()
+        head, edge_lines = lines[:4], lines[4:]
+        if edit == "shuffled":
+            random.Random(n).shuffle(edge_lines)
+        elif edit == "swapped":
+            edge_lines = [" ".join(line.split()[::-1]) for line in edge_lines]
+        text = "\n".join(head + edge_lines) + "\n"
+        parsed = parse_instance(text).graph
+        edges = [tuple(map(int, line.split())) for line in edge_lines]
+        built = Graph.from_edges(n, edges)
+        assert parsed == g
+        assert [tuple(s) for s in parsed.adj] == [tuple(s) for s in built.adj]
 
 
 class TestRoundTrip:
