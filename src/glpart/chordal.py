@@ -1,15 +1,20 @@
 """Chordality testing and perfect elimination orderings.
 
-The ordering is produced by maximum cardinality search and certified by the
-standard one-pass check: for every vertex, its later neighbors minus the
-earliest of them must all be adjacent to that earliest one. A failure of the
-check yields two later neighbors with no edge between them, which lie on a
-chordless cycle of length at least four.
+One maximum cardinality search orders, labels and certifies a graph in a
+single pass (Tarjan & Yannakakis, SIAM J. Comput. 13(3), 1984). When a
+vertex is selected, its neighbors selected before it, madj(v), are its
+later neighbors in the elimination order; the last of them to be selected,
+its parent, is the earliest. The order is perfect-elimination iff madj(v)
+minus the parent lies inside the parent's neighborhood for every v. A
+failure yields two later neighbors with no edge between them, which lie on
+a chordless cycle of length at least four. Each vertex's label, |madj(v)|,
+is what connectivity reads minimal separators off.
 
-``mcs_order`` and ``compute_peo`` keep their results in the graph's memo,
-so every caller that needs the order of a graph (the CLI's auto mode, the
-solver, the connectivity check and its elimination-game fill) shares one
-search.
+``mcs_search`` keeps the search in the graph's memo, and ``mcs_order`` and
+``compute_peo`` read it, so every caller that needs the order of a graph
+(the CLI's auto mode, the solver, the connectivity check and its
+elimination-game fill) shares one search. ``peo_violation`` certifies any
+given order on its own.
 """
 
 from __future__ import annotations
@@ -61,40 +66,76 @@ class ChordalityWitness:
     nonadjacent: tuple[int, int]
 
 
-def mcs_order(g: Graph) -> tuple[int, ...]:
-    """Maximum cardinality search elimination order, kept in the graph's memo.
+@dataclass(frozen=True)
+class McsSearch:
+    """One maximum cardinality search of a graph.
 
-    Vertices are selected by descending count of already-selected neighbors,
-    ties broken by smallest id; the elimination order is the reverse of the
-    selection order. On chordal inputs this is a perfect elimination order.
+    ``peo`` is its elimination order, perfect-elimination iff ``witness``
+    is None; otherwise ``witness`` is what ``peo_violation`` reports for
+    that order. ``labels[v]`` is the number of neighbors of v selected
+    before it, which are its later neighbors in ``peo``.
     """
+
+    peo: Peo
+    labels: tuple[int, ...]
+    witness: ChordalityWitness | None
+
+
+def mcs_search(g: Graph) -> McsSearch:
+    """The graph's maximum cardinality search, kept in its memo."""
     memo = g._memo
     if "mcs" not in memo:
         memo["mcs"] = _build_mcs_order(g)
     return memo["mcs"]
 
 
-def _build_mcs_order(g: Graph) -> tuple[int, ...]:
+def mcs_order(g: Graph) -> tuple[int, ...]:
+    """Maximum cardinality search elimination order.
+
+    Vertices are selected by descending count of already-selected neighbors,
+    ties broken by smallest id; the elimination order is the reverse of the
+    selection order. On chordal inputs this is a perfect elimination order.
+    Read from ``mcs_search``.
+    """
+    return mcs_search(g).peo.order
+
+
+def _build_mcs_order(g: Graph) -> McsSearch:
     n = g.n
     if n == 0:
         raise ValueError("graph must be non-empty")
-    count = [0] * n
-    selected = [False] * n
-    # heap of (-count, vertex); stale entries are skipped on pop
-    heap: list[tuple[int, int]] = [(0, v) for v in range(n)]
-    heapq.heapify(heap)
-    selection: list[int] = []
-    while len(selection) < n:
-        c, v = heapq.heappop(heap)
-        if selected[v] or -c != count[v]:
-            continue
-        selected[v] = True
-        selection.append(v)
-        for u in g.adj[v]:
-            if not selected[u]:
-                count[u] += 1
-                heapq.heappush(heap, (-count[u], u))
-    return tuple(reversed(selection))
+    adj = g.adj
+    count = [0] * n  # frozen at the label once the vertex is selected
+    parent = [0] * n  # last neighbor selected before: the earliest later one
+    sigma = [0] * n  # 0 until selected
+    order = [0] * n
+    done: set[int] = set()  # selected so far, so adj[v] & done is madj(v)
+    bad = -1
+    # key v - count*n orders like (-count, v); a vertex's freshest key pops
+    # before its stale ones, and range(n) is already a heap
+    heap = list(range(n))
+    pop, push = heapq.heappop, heapq.heappush
+    for i in range(n, 0, -1):
+        v = pop(heap) % n
+        while sigma[v]:
+            v = pop(heap) % n
+        sigma[v] = i
+        order[i - 1] = v
+        c = count[v]
+        # madj(v) minus the parent must lie inside the parent's neighborhood;
+        # the last violator found comes first in the elimination order
+        if c > 1 and len(adj[v].intersection(done, adj[parent[v]])) != c - 1:
+            bad = v
+        done.add(v)
+        for u in adj[v]:
+            if not sigma[u]:
+                cu = count[u] + 1
+                count[u] = cu
+                parent[u] = v
+                push(heap, u - cu * n)
+    peo = Peo(tuple(order), tuple(sigma))
+    witness = None if bad < 0 else _witness_at(g, peo.sigma, bad)
+    return McsSearch(peo, tuple(count), witness)
 
 
 def peo_violation(g: Graph, order) -> ChordalityWitness | None:
@@ -111,15 +152,23 @@ def peo_violation(g: Graph, order) -> ChordalityWitness | None:
 
 
 def _violation(g: Graph, peo: Peo) -> ChordalityWitness | None:
-    sigma = peo.sigma
     for v in peo.order:
-        later = [u for u in g.adj[v] if sigma[u] > sigma[v]]
-        if len(later) < 2:
-            continue
-        u = min(later, key=sigma.__getitem__)
-        for w in later:
-            if w != u and w not in g.adj[u]:
-                return ChordalityWitness(v, (u, w))
+        witness = _witness_at(g, peo.sigma, v)
+        if witness is not None:
+            return witness
+    return None
+
+
+def _witness_at(g: Graph, sigma, v: int) -> ChordalityWitness | None:
+    """v with its earliest later neighbor and the first later neighbor, in
+    ``g.adj[v]`` order, that the earliest one misses; None if there is none."""
+    later = [u for u in g.adj[v] if sigma[u] > sigma[v]]
+    if len(later) < 2:
+        return None
+    u = min(later, key=sigma.__getitem__)
+    for w in later:
+        if w != u and w not in g.adj[u]:
+            return ChordalityWitness(v, (u, w))
     return None
 
 
@@ -127,15 +176,9 @@ def compute_peo(g: Graph) -> Peo | ChordalityWitness:
     """Perfect elimination order of a chordal graph, or a witness against one.
 
     Deterministic: ties in the search are broken by smallest vertex id, so
-    equal inputs always yield the same order. The result is kept in the
-    graph's memo.
+    equal inputs always yield the same order. Read from ``mcs_search``, so
+    the order is ``mcs_order``'s and the witness is what ``peo_violation``
+    reports for it.
     """
-    memo = g._memo
-    if "peo" not in memo:
-        memo["peo"] = _build_peo(g)
-    return memo["peo"]
-
-
-def _build_peo(g: Graph) -> Peo | ChordalityWitness:
-    peo = Peo.from_order(mcs_order(g))
-    return _violation(g, peo) or peo
+    search = mcs_search(g)
+    return search.witness or search.peo

@@ -6,8 +6,8 @@ vertices it separates.
 
 - Complete graphs have no separator at all: the verdict is k <= n - 1.
 - Chordal graphs: kappa is the size of the smallest minimal separator,
-  read off the graph's own maximum cardinality search in O(n + m) (Blair
-  & Peyton 1993): in selection order, a vertex whose count of
+  read off the labels of the graph's own maximum cardinality search in
+  O(n) (Blair & Peyton 1993): in selection order, a vertex whose count of
   already-selected neighbors does not exceed its predecessor's starts a
   new maximal clique, and those neighbors form a minimal separator, empty
   on a disconnected graph.
@@ -40,7 +40,7 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 
-from .chordal import Peo, compute_peo, mcs_order
+from .chordal import McsSearch, mcs_order, mcs_search
 from .graph import Graph, components_within, induced_subgraph
 
 
@@ -154,22 +154,25 @@ def _flow_connectivity(g: Graph, k: int) -> ConnectivityResult:
     return ConnectivityResult(True, k)
 
 
-def _minimal_separators(g: Graph, peo: Peo):
-    """Yield (x, madj(x)) at each label drop of the search behind ``peo``.
+def _separator_below(g: Graph, search: McsSearch, k: int):
+    """(x, madj(x)) at the first label drop of ``search`` below k, or None.
 
-    ``g`` is chordal and ``peo`` its MCS order. ``reversed(peo.order)`` is
-    the search's selection order, and madj(x), the neighbors of x selected
-    before it, are those with larger ``sigma``. Where madj(x) is no larger
-    than its predecessor's, x starts a new maximal clique and madj(x) is a
-    minimal separator; every minimal separator shows up this way.
+    ``g`` is chordal and ``search`` its maximum cardinality search;
+    ``reversed(search.peo.order)`` is the selection order, and madj(x),
+    the neighbors of x selected before it, are those with larger
+    ``sigma``. Where x's label, |madj(x)|, is no larger than its
+    predecessor's, x starts a new maximal clique and madj(x) is a minimal
+    separator; every minimal separator shows up this way. Only the
+    returned madj(x) is built.
     """
-    sigma = peo.sigma
+    labels, sigma = search.labels, search.peo.sigma
     prev = -1
-    for x in reversed(peo.order):
-        madj = [u for u in g.adj[x] if sigma[u] > sigma[x]]
-        if len(madj) <= prev:
-            yield x, madj
-        prev = len(madj)
+    for x in reversed(search.peo.order):
+        label = labels[x]
+        if label <= prev and label < k:
+            return x, frozenset(u for u in g.adj[x] if sigma[u] > sigma[x])
+        prev = label
+    return None
 
 
 def _kappa_up_to_2(g: Graph) -> int:
@@ -311,15 +314,15 @@ def vertex_connectivity_at_least(g: Graph, k: int) -> ConnectivityResult:
         return ConnectivityResult(
             ok, k, None, "" if ok else f"complete graph on {g.n} vertices has no separator"
         )
-    peo = compute_peo(g)
-    if isinstance(peo, Peo):
-        for x, madj in _minimal_separators(g, peo):
-            if len(madj) < k:
-                sep = frozenset(madj)
-                comps = components_within(g, (v for v in g.vertices() if v not in sep))
-                # components come ordered by smallest member
-                return _failure(k, sep, x, next(min(c) for c in comps if x not in c))
-        return ConnectivityResult(True, k)
+    search = mcs_search(g)
+    if search.witness is None:
+        found = _separator_below(g, search, k)
+        if found is None:
+            return ConnectivityResult(True, k)
+        x, sep = found
+        comps = components_within(g, (v for v in g.vertices() if v not in sep))
+        # components come ordered by smallest member
+        return _failure(k, sep, x, next(min(c) for c in comps if x not in c))
     if k <= 2:
         accepted = k <= _kappa_up_to_2(g)
     else:

@@ -5,9 +5,9 @@ re-densify ids deterministically and report the relabeling, so downstream
 output is reproducible bit for bit.
 
 A graph never changes, so each one computes its certificates at most once:
-``chordal.mcs_order``, ``chordal.compute_peo``, ``c4.enumerate_induced_c4``
-and ``connectivity.clique_atoms`` keep their result in the graph's private
-memo. Every operation that builds a new graph (``with_edges``,
+``chordal.mcs_search`` (whose one search ``mcs_order`` and ``compute_peo``
+read), ``c4.enumerate_induced_c4`` and ``connectivity.clique_atoms`` keep
+their result in the graph's private memo. Every operation that builds a new graph (``with_edges``,
 ``induced_subgraph``, ``contract_matching``) starts it with an empty
 memo. The memo takes no part in equality, hashing or repr.
 """
@@ -26,8 +26,9 @@ class Graph:
     """Simple undirected graph; ``adj[v]`` is the neighbor set of ``v``."""
 
     adj: tuple[frozenset[int], ...]
-    # certificates of this graph: its MCS order, compute_peo's verdict, its
-    # 4-cycle catalog, and its clique separator atoms with the smallest cut
+    # certificates of this graph: its maximum cardinality search (order,
+    # labels and chordality verdict), its 4-cycle catalog, and its clique
+    # separator atoms with the smallest cut
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
@@ -81,9 +82,9 @@ class Graph:
         return self.edge_count() == n * (n - 1) // 2
 
     def is_clique(self, vs: Iterable[int]) -> bool:
-        """True iff the vertices ``vs`` are pairwise adjacent."""
-        s = set(vs)
-        return all(len(self.adj[v] & s) == len(s) - 1 for v in s)
+        """True iff the distinct vertices ``vs`` are pairwise adjacent."""
+        adj = self.adj
+        return all(v in adj[u] for u, v in combinations(vs, 2))
 
     def with_edges(self, extra: Iterable[Edge]) -> "Graph":
         """A copy with the given edges added (ids unchanged)."""

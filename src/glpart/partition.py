@@ -17,7 +17,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from .chordal import ChordalityWitness, Peo, compute_peo, mcs_order
+from .chordal import mcs_search
 from .connectivity import vertex_connectivity_at_least
 from .errors import DemandError, PreconditionError, SolverStallError
 from .graph import Graph, WeightedGraph, is_connected_set
@@ -136,13 +136,14 @@ def gl_partition_chordal_weighted(
     overweight_seen = check_demands(
         wg, req, allow_overweight=allow_overweight_terminals
     )
-    peo = compute_peo(g)
+    search = mcs_search(g)
     if validate:
-        if isinstance(peo, ChordalityWitness):
+        wit = search.witness
+        if wit is not None:
             raise PreconditionError(
                 "input graph is not chordal: vertex "
-                f"{peo.vertex} has non-adjacent later neighbors {peo.nonadjacent}",
-                witness=peo,
+                f"{wit.vertex} has non-adjacent later neighbors {wit.nonadjacent}",
+                witness=wit,
             )
         res = vertex_connectivity_at_least(g, req.k)
         if not res:
@@ -150,13 +151,11 @@ def gl_partition_chordal_weighted(
                 f"input graph is not {req.k}-connected: {res.reason}",
                 witness=res.witness,
             )
-    elif isinstance(peo, ChordalityWitness):
-        # grow along the search order anyway; a bad order can only surface
-        # as a stall
-        peo = Peo.from_order(mcs_order(g))
 
     n, k = g.n, req.k
-    adj, sigma = g.adj, peo.sigma
+    # unvalidated, a non-chordal graph grows along its search order anyway;
+    # a bad order can only surface as a stall
+    adj, sigma = g.adj, search.peo.sigma
     weights, demands = wg.weights, req.demands
     w_max = wg.w_max
     # Per part: its vertices, its weight and its largest elimination

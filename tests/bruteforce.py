@@ -249,6 +249,28 @@ def bf_elimination_game(g: Graph, order) -> list[set[int]]:
     return [{u for u in nbrs[v] if pos[u] > pos[v]} for v in g.vertices()]
 
 
+def bf_mcs_order(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Maximum cardinality search by rescanning every unselected vertex.
+
+    Each step selects the vertex with the most selected neighbors, the
+    smallest id among ties. Returns the elimination order, the reverse of
+    the selection order, and each vertex's label: its number of
+    neighbors selected before it.
+    """
+    selected: set[int] = set()
+    labels = [0] * g.n
+    selection = []
+    for _ in range(g.n):
+        v = max(
+            (v for v in g.vertices() if v not in selected),
+            key=lambda v: (len(g.adj[v] & selected), -v),
+        )
+        labels[v] = len(g.adj[v] & selected)
+        selected.add(v)
+        selection.append(v)
+    return tuple(reversed(selection)), tuple(labels)
+
+
 def random_gnp(rng: random.Random, n: int, p: float) -> Graph:
     """Random graph on n vertices, each pair adjacent with probability p."""
     return Graph.from_edges(

@@ -1,14 +1,18 @@
 """How many certificates a solve and ``glpart check`` compute.
 
-Each graph keeps its 4-cycle catalog and its elimination order in its
-memo. The ``builds`` spy replaces ``c4._build_catalog``, the builder behind
-``enumerate_induced_c4``'s memo, so it counts real catalog builds and not
-memo hits. The ``searches`` spy likewise replaces ``chordal._build_mcs_order``,
-the builder behind ``mcs_order``'s memo, so every maximum cardinality
-search is counted once. The clique separator decomposition is memoized
-too, cut from the elimination game of the input's own search; the
-``fills`` and ``atom_builds`` spies count its elimination-game fills and
-atom cuts, and ``hole_calls`` (conftest) each per-edge hole search.
+Each graph keeps its 4-cycle catalog and its maximum cardinality search
+in its memo. The ``builds`` spy replaces ``c4._build_catalog``, the builder
+behind ``enumerate_induced_c4``'s memo, so it counts real catalog builds
+and not memo hits. The ``searches`` spy likewise replaces
+``chordal._build_mcs_order``, the builder behind the ``mcs_search`` memo
+that ``mcs_order`` and ``compute_peo`` read, so every search is counted
+once. The search certifies its own order, so a solve never calls
+``chordal._violation``, the order-agnostic checker behind
+``peo_violation``; ``peo_checks`` counts those calls. The clique separator
+decomposition is memoized too, cut from the elimination game of the
+input's own search; the ``fills`` and ``atom_builds`` spies count its
+elimination-game fills and atom cuts, and ``hole_calls`` (conftest) each
+per-edge hole search.
 """
 
 from __future__ import annotations
@@ -74,6 +78,11 @@ def _spy(monkeypatch, module, name):
 
 
 @pytest.fixture
+def peo_checks(monkeypatch):
+    return _spy(monkeypatch, chordal, "_violation")
+
+
+@pytest.fixture
 def fills(monkeypatch):
     return _spy(monkeypatch, connectivity, "_elimination_fill")
 
@@ -131,12 +140,14 @@ def test_check_builds_one_catalog(builds, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("extra", [[], ["--skip-checks"]])
-def test_chordal_partition_searches_once(searches, tmp_path, capsys, extra):
+def test_chordal_partition_searches_once(searches, peo_checks, tmp_path, capsys,
+                                        extra):
     g = generate_ktree(60, 3, seed=7)
     req = PartitionRequest((0, 20, 40), (20, 20, 20))
     assert main(["partition", _write(tmp_path, g, req), *extra]) == 0
     capsys.readouterr()
     assert searches == [g.n]
+    assert peo_checks == []
 
 
 def test_member_partition_searches_two_graphs(searches, tmp_path, capsys):
@@ -148,11 +159,12 @@ def test_member_partition_searches_two_graphs(searches, tmp_path, capsys):
     assert searches == [g.n, g.n - 2]
 
 
-def test_member_check_searches_once(searches, tmp_path, capsys):
+def test_member_check_searches_once(searches, peo_checks, tmp_path, capsys):
     g, req = _member_request(3, 0, seed=5)
     assert main(["check", _write(tmp_path, g, req)]) == 0
     capsys.readouterr()
     assert searches == [g.n]
+    assert peo_checks == []
 
 
 def test_hole_plant_check_searches_once(searches, tmp_path, capsys):

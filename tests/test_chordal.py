@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import random
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from glpart import (
@@ -9,12 +12,22 @@ from glpart import (
     Graph,
     Peo,
     compute_peo,
+    generate_almost_chordal,
     generate_ktree,
     mcs_order,
     peo_violation,
 )
+from glpart.chordal import mcs_search
 
-from bruteforce import bf_is_chordal, is_chordal, is_peo
+from bruteforce import (
+    bf_is_chordal,
+    bf_mcs_order,
+    is_chordal,
+    is_peo,
+    planted,
+    random_chordal,
+    random_gnp,
+)
 from test_graph import random_graph_strategy
 
 
@@ -104,3 +117,54 @@ class TestIsChordal:
             assert not bf_is_chordal(g)
         else:
             assert is_peo(g, res)
+
+
+def _gnp_graphs(rng):
+    for density in (0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9, 1.0):
+        for _ in range(25):
+            yield random_gnp(rng, rng.randint(1, 30), density)
+
+
+def _chordal_graphs(rng):
+    for _ in range(60):
+        yield random_chordal(rng, rng.randint(1, 30))
+
+
+def _ktrees(rng):
+    for k in range(2, 6):
+        for seed in range(10):
+            yield generate_ktree(rng.randint(k + 1, 40), k, seed)
+
+
+def _members(rng):
+    # each member, then the member with each planted defect
+    for k in (2, 3, 4):
+        for seed in range(4):
+            member = generate_almost_chordal(k + 13 + rng.randrange(8), k, 3, seed)
+            yield member
+            for kind in ("house", "c4-overlap", "separator", "hole"):
+                yield planted(member, k, kind)
+
+
+class TestSearchAgainstReference:
+    """The one-pass search against a rescanning search and the
+    order-agnostic checker: same order, positions, labels and witness."""
+
+    @pytest.mark.parametrize("family,chordal", [
+        (_gnp_graphs, {True, False}),
+        (_chordal_graphs, {True}),
+        (_ktrees, {True}),
+        (_members, {False}),
+    ], ids=["gnp", "chordal", "ktree", "member"])
+    def test_matches_rescanning_search(self, family, chordal):
+        verdicts = set()
+        for g in family(random.Random(1501)):
+            order, labels = bf_mcs_order(g)
+            ref = Peo.from_order(order)
+            assert mcs_order(g) == order, g
+            search = mcs_search(g)
+            assert search.peo == ref, g
+            assert search.labels == labels, g
+            assert compute_peo(g) == (peo_violation(g, order) or ref), g
+            verdicts.add(search.witness is None)
+        assert verdicts == chordal

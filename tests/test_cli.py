@@ -16,6 +16,7 @@ from glpart import (
     PartitionRequest,
     WeightedGraph,
     format_instance,
+    generate_almost_chordal,
     generate_ktree,
     parse_instance,
 )
@@ -510,6 +511,67 @@ class TestRandomSmallGraphs:
                     if code == 0:
                         with open(out, encoding="utf-8") as fh:
                             assert_valid_partition(inst, json.load(fh))
+
+
+@st.composite
+def relabelled_instances(draw):
+    """A k-tree or a class member on at most 60 vertices, a unit request
+    (demands >= 2 on a member, as ``oracle-compare`` draws them) and a
+    permutation of its vertices."""
+    k = draw(st.integers(2, 4))
+    member = draw(st.booleans())
+    seed = draw(st.integers(0, 2**16))
+    if member:
+        cycles = draw(st.integers(1, 4))
+        n = draw(st.integers(k + 1 + 4 * cycles, 60))
+        g = generate_almost_chordal(n, k, cycles, seed)
+    else:
+        n = draw(st.integers(k + 1, 60))
+        g = generate_ktree(n, k, seed)
+    floor = 2 if member else 1
+    cuts = sorted(draw(st.lists(st.integers(0, n - floor * k),
+                                min_size=k - 1, max_size=k - 1)))
+    demands = tuple(floor + b - a for a, b in zip([0, *cuts], [*cuts, n - floor * k]))
+    terminals = tuple(draw(st.permutations(range(n)))[:k])
+    inst = Instance(WeightedGraph.unit(g), PartitionRequest(terminals, demands))
+    return inst, draw(st.permutations(range(n))), member
+
+
+def relabel(inst: Instance, perm) -> Instance:
+    """``inst`` with vertex v renamed perm[v]."""
+    g = Graph.from_edges(inst.graph.n, [(perm[u], perm[v]) for u, v in inst.graph.edges()])
+    req = PartitionRequest(tuple(perm[t] for t in inst.request.terminals),
+                           inst.request.demands)
+    return Instance(WeightedGraph.unit(g), req)
+
+
+class TestRelabelling:
+    """Renaming the vertices of a k-tree or a member changes no ``check``
+    verdict, and the verifier accepts each solve under the paper's rule:
+    exact on a k-tree, within one vertex on a member."""
+
+    VERDICTS = ("chordal", "class_member", "connectivity_at_least_k")
+
+    @given(relabelled_instances())
+    @settings(max_examples=60, deadline=None)
+    def test_verdicts_and_solves_survive(self, case):
+        inst, perm, member = case
+        rule = "slack:1" if member else "exact"
+        with tempfile.TemporaryDirectory() as tmp:
+            verdicts = []
+            for i, each in enumerate((inst, relabel(inst, perm))):
+                path = os.path.join(tmp, f"inst{i}.txt")
+                out = os.path.join(tmp, f"out{i}.json")
+                with open(path, "w", encoding="utf-8") as fh:
+                    fh.write(format_instance(each))
+                assert main(["check", path, "--out", out]) == 0
+                with open(out, encoding="utf-8") as fh:
+                    doc = json.load(fh)
+                verdicts.append(tuple(doc[key] for key in self.VERDICTS))
+                assert main(["partition", path, "--out", out]) == 0
+                assert main(["verify", path, out, "--deviation", rule,
+                             "--out", os.path.join(tmp, "report.json")]) == 0
+        assert verdicts[0] == verdicts[1] == (not member, True, True)
 
 
 HUGE = str(10**30)

@@ -107,6 +107,13 @@ class TestConnectivityHelpers:
         )
         assert is_connected_set(g, verts) == bf_is_connected(g, verts)
 
+    @given(random_graph_strategy(), st.data())
+    def test_is_clique_matches_definition(self, g, data):
+        verts = data.draw(st.lists(
+            st.integers(min_value=0, max_value=g.n - 1), unique=True))
+        want = all(b in g.adj[a] for a in verts for b in verts if a != b)
+        assert g.is_clique(verts) == want
+
 
 class TestInducedSubgraph:
     def test_idmap_and_edges(self, house):
