@@ -27,7 +27,8 @@ Every stage asks ``enumerate_induced_c4`` and ``compute_peo`` for the
 certificates it needs; each graph keeps them in its memo, so a validated
 solve without peeling or chords builds one catalog, that of the input,
 which recognition, the chord step and the contraction plan share, and one
-clique separator decomposition, shared by recognition and connectivity.
+clique separator decomposition, whose non-complete atoms' subgraphs the
+hole search and the connectivity check share.
 Peeling yields a new graph and so one more catalog, and so does each added
 chord. The contraction plan certifies the contracted graph's elimination
 order, which the inner connectivity check and the chordal solve reuse.

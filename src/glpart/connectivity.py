@@ -14,17 +14,15 @@ vertices it separates.
 - Other graphs with k <= 2: kappa >= 2 iff the graph is connected and has
   no cut vertex, found by an iterative Hopcroft-Tarjan search in O(n + m).
 - Other graphs with k >= 3 are cut into atoms along clique separators by
-  one pass over the same search's elimination order (Tarjan, Discrete
-  Math. 55, 1985), reading each vertex's later neighbors in the
-  elimination game's filled graph off the Tarjan & Yannakakis walk (SIAM
-  J. Comput. 13(3), 1984) in O(n + m + fill), declined once the fill
-  exceeds m edges. kappa(g) >= k when every cut has at least k vertices
-  and every non-complete atom is k-connected: removing fewer than k
-  vertices leaves each atom connected and each cut, a clique shared by
-  its two sides, non-empty. On class members an atom is a 4-cycle plus
-  the k-clique it hangs from, so the flow below only runs on k + 4
-  vertices. g keeps its atoms and smallest cut in its memo; recognition
-  reads the same atoms.
+  one pass over the same search's elimination order and its elimination
+  game (Tarjan, Discrete Math. 55, 1985; Tarjan & Yannakakis, SIAM J.
+  Comput. 13(3), 1984), in O(n + m + fill), declined past m fill edges.
+  kappa(g) >= k when every cut has at least k vertices and every
+  non-complete atom is k-connected: removing fewer than k vertices leaves
+  each atom connected and each cut, a clique shared by its two sides,
+  non-empty. On class members an atom is a 4-cycle plus the k-clique it
+  hangs from, so the flow below only runs on k + 4 vertices. Recognition
+  searches the same memoized atoms (``clique_decomposition``) for holes.
 - Fallback, and every rejection of a non-chordal input: Menger-based.
   Unit vertex capacities via the standard vertex-split flow network,
   built once per call, max-flow per non-adjacent pair with early exit at
@@ -248,28 +246,30 @@ def _elimination_fill(g: Graph) -> list[list[int]] | None:
     return later
 
 
-def _decomposition(g: Graph) -> tuple[list[list[int]], int]:
-    """g's clique separator atoms and its smallest cut, memoized."""
+def clique_decomposition(g: Graph):
+    """Subgraph and id map of each non-complete clique separator atom of g,
+    None when nothing was cut, and g's smallest cut, memoized."""
     memo = g._memo
     if "atoms" not in memo:
-        memo["atoms"] = _clique_atoms(g)
+        atoms, smallest = _clique_atoms(g)
+        pieces = [induced_subgraph(g, a) for a, clique in atoms if not clique]
+        memo["atoms"] = (pieces if len(atoms) > 1 else None), smallest
     return memo["atoms"]
 
 
-def clique_atoms(g: Graph) -> list[list[int]]:
-    """The atoms of g cut along clique separators of g, memoized."""
-    return _decomposition(g)[0]
-
-
-def _clique_atoms(g: Graph) -> tuple[list[list[int]], int]:
+def _clique_atoms(g: Graph) -> tuple[list[tuple[list[int], bool]], int]:
     """Tarjan's atoms of ``g`` along its elimination game, and the smallest cut.
 
     In g's MCS elimination order, each x whose later neighbors S in H are a
     clique of ``g`` cuts off its component of the remaining graph minus S,
     unless that component and S are all that remains. A path from x to a
     later vertex outside S would put that vertex in S, so every later
-    vertex stays; what remains at the end is the last atom. The smallest
-    cut is g.n when nothing is cut, also when the fill is declined.
+    vertex stays; what remains at the end is the last atom. A cut atom is
+    a clique iff x is alone in its component: cut-off paths shortcut along
+    the clique S they hang from, so x alone has no fill in S, and the last
+    eliminated y of a larger one would have had x and S as its later
+    neighbors and been cut off before. The smallest cut is g.n when nothing
+    is cut, also when the fill is declined.
     """
     later = _elimination_fill(g)
     alive = [True] * g.n
@@ -290,10 +290,10 @@ def _clique_atoms(g: Graph) -> tuple[list[list[int]], int]:
             for v in comp:
                 alive[v] = False
             left -= len(comp)
-            atoms.append(comp + sep)
+            atoms.append((comp + sep, len(comp) == 1))
             smallest = min(smallest, len(sep))
-    atoms.append([v for v in g.vertices() if alive[v]])
-    return atoms, smallest
+    rest = [v for v in g.vertices() if alive[v]]
+    return [*atoms, (rest, g.is_clique(rest))], smallest
 
 
 def vertex_connectivity_at_least(g: Graph, k: int) -> ConnectivityResult:
@@ -326,12 +326,11 @@ def vertex_connectivity_at_least(g: Graph, k: int) -> ConnectivityResult:
     if k <= 2:
         accepted = k <= _kappa_up_to_2(g)
     else:
-        # sound by the module docstring's argument; one atom (also when
-        # the fill is declined) is g, left to the flow
-        atoms, cut = _decomposition(g)
-        accepted = cut >= k and len(atoms) > 1 and all(
-            g.is_clique(a) or _flow_connectivity(induced_subgraph(g, a)[0], k)
-            for a in atoms
+        # sound by the module docstring's argument; g as its own only atom
+        # (also when the fill is declined) is left to the flow
+        atoms, cut = clique_decomposition(g)
+        accepted = atoms is not None and cut >= k and all(
+            _flow_connectivity(a, k) for a, _ in atoms
         )
     if accepted:
         return ConnectivityResult(True, k)

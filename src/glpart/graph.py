@@ -6,10 +6,12 @@ output is reproducible bit for bit.
 
 A graph never changes, so each one computes its certificates at most once:
 ``chordal.mcs_search`` (whose one search ``mcs_order`` and ``compute_peo``
-read), ``c4.enumerate_induced_c4`` and ``connectivity.clique_atoms`` keep
-their result in the graph's private memo. Every operation that builds a new graph (``with_edges``,
-``induced_subgraph``, ``contract_matching``) starts it with an empty
-memo. The memo takes no part in equality, hashing or repr.
+read), ``c4.enumerate_induced_c4`` and ``connectivity.clique_decomposition``
+(the subgraphs of the non-complete clique separator atoms, and the smallest
+cut) keep their result in the graph's private memo. Every operation that
+builds a new graph (``with_edges``, ``induced_subgraph``,
+``contract_matching``) starts it with an empty memo. The memo takes no part
+in equality, hashing or repr.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ class Graph:
 
     adj: tuple[frozenset[int], ...]
     # certificates of this graph: its maximum cardinality search (order,
-    # labels and chordality verdict), its 4-cycle catalog, and its clique
-    # separator atoms with the smallest cut
+    # labels and chordality verdict), its 4-cycle catalog, and the subgraphs
+    # of its non-complete clique separator atoms with the smallest cut
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
@@ -45,18 +47,6 @@ class Graph:
             nbrs[v].add(u)
         return cls(tuple(frozenset(s) for s in nbrs))
 
-    @classmethod
-    def complete(cls, n: int) -> "Graph":
-        return cls.from_edges(n, combinations(range(n), 2))
-
-    @classmethod
-    def cycle(cls, n: int) -> "Graph":
-        return cls.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
-
-    @classmethod
-    def path(cls, n: int) -> "Graph":
-        return cls.from_edges(n, [(i, i + 1) for i in range(n - 1)])
-
     @property
     def n(self) -> int:
         return len(self.adj)
@@ -66,9 +56,6 @@ class Graph:
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adj[u]
 
     def edges(self) -> list[Edge]:
         """All edges as (u, v) with u < v, sorted."""

@@ -17,12 +17,13 @@ adjacent pair a-d that shares a component closes a house, two 4-cycles
 sharing two vertices, or a hole, so on class members the search is
 O(m * (n + m)); on other graphs it is at most O(n * m^2).
 
-``is_hh_i42_free`` skips chordal graphs and searches each non-complete atom
-of the others' clique separator decomposition, shared with the connectivity
-check: a hole meets a clique in one edge at most, so it lies in one atom
-(Tarjan, Discrete Math. 55, 1985). The witness is the whole-graph scan's,
-rerun on the edges inside holey atoms only. Cost: the O(n + m) decomposition
-plus O(m_A * (n_A + m_A)) per atom A, which has k + 4 vertices on members.
+``is_hh_i42_free`` accepts chordal graphs at once, as they have no 4-cycle
+and no hole. Of the others, it searches each non-complete atom of the
+clique separator decomposition, shared with the connectivity check: a hole
+meets a clique in one edge at most, so it lies in one atom (Tarjan,
+Discrete Math. 55, 1985). The witness is the whole-graph scan's, rerun on
+the edges inside holey atoms only. Cost: the O(n + m) decomposition plus
+O(m_A * (n_A + m_A)) per atom A, which has k + 4 vertices on members.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ from dataclasses import dataclass
 
 from .c4 import C4Catalog, enumerate_induced_c4
 from .chordal import Peo, compute_peo
-from .connectivity import clique_atoms
-from .graph import Graph, induced_subgraph
+from .connectivity import clique_decomposition
+from .graph import Graph
 
 
 @dataclass(frozen=True)
@@ -132,11 +133,10 @@ def _first_hole(adj, edges) -> tuple[int, ...] | None:
 
 def _hole_by_atoms(g: Graph) -> tuple[int, ...] | None:
     """``find_hole(g)``, searched atom by atom on a non-chordal ``g``."""
-    atoms = clique_atoms(g)
-    if len(atoms) == 1:
+    atoms, _ = clique_decomposition(g)
+    if atoms is None:
         return find_hole(g)
-    holey = [set(a) for a in atoms
-             if not g.is_clique(a) and find_hole(induced_subgraph(g, a)[0])]
+    holey = [set(ids) for a, ids in atoms if find_hole(a)]
     inside = (e for e in g.edges() if any(e[0] in a and e[1] in a for a in holey))
     return _first_hole(g.adj, inside) if holey else None
 
@@ -197,15 +197,16 @@ def scan_catalog_violations(g: Graph, catalog: C4Catalog) -> ClassViolation | No
 def is_hh_i42_free(g: Graph) -> ClassCheck:
     """Membership test for the supported class, with a witness on failure.
 
-    Checks, in order: no two catalogued 4-cycles share two or more vertices,
-    no catalogued 4-cycle has a roof vertex (house), no hole. Every
-    violation reported is real; the first one found wins.
+    Checks, in order: a chordal graph is in; no two catalogued 4-cycles
+    share two or more vertices, no catalogued 4-cycle has a roof vertex
+    (house), no hole. Every violation reported is real; the first one wins.
     """
+    if not g.n or isinstance(compute_peo(g), Peo):
+        return ClassCheck(True)
     violation = scan_catalog_violations(g, enumerate_induced_c4(g))
     if violation is not None:
         return ClassCheck(False, violation)
-    chordal = not g.n or isinstance(compute_peo(g), Peo)
-    hole = None if chordal else _hole_by_atoms(g)
+    hole = _hole_by_atoms(g)
     if hole is not None:
         return ClassCheck(False, ClassViolation(
             "hole", hole, f"chordless cycle of length {len(hole)}"

@@ -2,7 +2,8 @@
 
 Everything here works straight from definitions with no shortcuts, so the
 library can be checked against code that shares none of its logic. Most
-functions are exponential; callers keep n small. The helpers at the end
+functions are exponential; callers keep n small. Complete graphs, cycles
+and paths are built here by name for the tests. The helpers at the end
 are small definitional checks the library itself has no use for, two
 thin wrappers over library code that only the tests call, the member
 generator that certifies every step, which the library no longer needs,
@@ -269,6 +270,18 @@ def bf_mcs_order(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
         selected.add(v)
         selection.append(v)
     return tuple(reversed(selection)), tuple(labels)
+
+
+def complete_graph(n: int) -> Graph:
+    return Graph.from_edges(n, combinations(range(n), 2))
+
+
+def cycle_graph(n: int) -> Graph:
+    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def path_graph(n: int) -> Graph:
+    return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def random_gnp(rng: random.Random, n: int, p: float) -> Graph:

@@ -7,6 +7,8 @@ import pytest
 
 from glpart import Graph, recognition
 
+from bruteforce import complete_graph, cycle_graph, path_graph
+
 
 @pytest.fixture
 def hole_calls(monkeypatch):
@@ -24,12 +26,12 @@ def hole_calls(monkeypatch):
 
 @pytest.fixture
 def c4() -> Graph:
-    return Graph.cycle(4)
+    return cycle_graph(4)
 
 
 @pytest.fixture
 def c5() -> Graph:
-    return Graph.cycle(5)
+    return cycle_graph(5)
 
 
 @pytest.fixture
@@ -70,17 +72,17 @@ def w5() -> Graph:
 
 @pytest.fixture
 def k4() -> Graph:
-    return Graph.complete(4)
+    return complete_graph(4)
 
 
 @pytest.fixture
 def k5() -> Graph:
-    return Graph.complete(5)
+    return complete_graph(5)
 
 
 @pytest.fixture
 def p4() -> Graph:
-    return Graph.path(4)
+    return path_graph(4)
 
 
 @pytest.fixture

@@ -21,6 +21,7 @@ from bruteforce import (
     bf_induced_c4_sets,
     build_c4_incidence,
     cycle_edges,
+    cycle_graph,
     cycles_of,
     random_gnp,
     shared_vertices,
@@ -48,7 +49,7 @@ def _digest_corpus() -> list[Graph]:
         generate_almost_chordal(n, k, n // 25, seed=n + k)
         for n, k in product((100, 200, 400, 800, 1600), (2, 3, 4, 5))
     ]
-    graphs.append(Graph.cycle(3000))
+    graphs.append(cycle_graph(3000))
     rng = random.Random(8)
     for _ in range(20):
         n = rng.randint(10, 60)
@@ -101,7 +102,7 @@ class TestCatalog:
 
     def test_matches_all_pairs_reference(self):
         rng = random.Random(6)
-        graphs = [Graph.cycle(3000)]
+        graphs = [cycle_graph(3000)]
         graphs += [generate_almost_chordal(60, k, 5, seed=k) for k in (2, 3, 4)]
         graphs += [
             generate_almost_chordal(n, k, n // 25, seed=n + k)

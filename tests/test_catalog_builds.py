@@ -11,11 +11,13 @@ once. The search certifies its own order, so a solve never calls
 ``peo_violation``; ``peo_checks`` counts those calls. The clique separator
 decomposition is memoized too, cut from the elimination game of the
 input's own search; the ``fills`` and ``atom_builds`` spies count its
-elimination-game fills and atom cuts, and ``hole_calls`` (conftest) each
-per-edge hole search.
+elimination-game fills and atom cuts, ``subgraphs`` the induced subgraphs
+built of its atoms, and ``hole_calls`` (conftest) each per-edge hole search.
 """
 
 from __future__ import annotations
+
+import sys
 
 import pytest
 
@@ -30,6 +32,7 @@ from glpart import (
     generate_almost_chordal,
     generate_ktree,
     gl_partition_almost_chordal,
+    graph,
 )
 from glpart.cli import main
 
@@ -90,6 +93,25 @@ def fills(monkeypatch):
 @pytest.fixture
 def atom_builds(monkeypatch):
     return _spy(monkeypatch, connectivity, "_clique_atoms")
+
+
+@pytest.fixture
+def subgraphs(monkeypatch):
+    """A list that gains the sorted vertex list of each induced subgraph
+    built anywhere in glpart."""
+    calls: list[list[int]] = []
+    original = graph.induced_subgraph
+
+    def spy(g, s):
+        sub, ids = original(g, s)
+        calls.append(list(ids))
+        return sub, ids
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("glpart.") and getattr(
+                module, "induced_subgraph", None) is original:
+            monkeypatch.setattr(module, "induced_subgraph", spy)
+    return calls
 
 
 def _member_request(k: int, chords: int, seed: int):
@@ -199,11 +221,26 @@ def test_member_decomposition_is_shared(fills, hole_calls, tmp_path, capsys,
     assert hole_calls and max(n for n, _, _ in hole_calls) <= 3 + 4
 
 
-def test_chordal_check_runs_no_hole_search(hole_calls, atom_builds, tmp_path,
-                                           capsys):
+@pytest.mark.parametrize("command", ["partition", "check"])
+def test_member_builds_one_subgraph_per_open_atom(subgraphs, tmp_path, capsys,
+                                                  command):
+    # recognition and connectivity share each non-complete atom's subgraph
+    g = generate_almost_chordal(200, 3, 8, seed=1)
+    req = PartitionRequest((0, 1, 2), (2, 2, g.n - 4))
+    full, _ = connectivity._clique_atoms(g)
+    open_atoms = sorted(sorted(a) for a, _ in full if not g.is_clique(a))
+    assert main([command, _write(tmp_path, g, req)]) == 0
+    capsys.readouterr()
+    assert len(open_atoms) == 8
+    assert sorted(subgraphs) == open_atoms
+
+
+def test_chordal_check_runs_no_hole_search(hole_calls, atom_builds, builds,
+                                           tmp_path, capsys):
     g = generate_ktree(60, 3, seed=7)
     req = PartitionRequest((0, 20, 40), (20, 20, 20))
     assert main(["check", _write(tmp_path, g, req)]) == 0
     capsys.readouterr()
     assert hole_calls == []
     assert atom_builds == []
+    assert builds == []

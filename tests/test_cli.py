@@ -23,7 +23,7 @@ from glpart import (
 import glpart.cli as cli
 from glpart.cli import main
 
-from bruteforce import bf_is_connected, bf_parse_instance
+from bruteforce import bf_is_connected, bf_parse_instance, cycle_graph, path_graph
 
 
 def write_instance(tmp_path, inst, name="inst.txt"):
@@ -44,7 +44,7 @@ def chordal_file(tmp_path):
 @pytest.fixture
 def c4_file(tmp_path):
     inst = Instance(
-        WeightedGraph.unit(Graph.cycle(4)), PartitionRequest((0, 1), (2, 2))
+        WeightedGraph.unit(cycle_graph(4)), PartitionRequest((0, 1), (2, 2))
     )
     return write_instance(tmp_path, inst)
 
@@ -198,7 +198,7 @@ class TestDeepAndLargeInputs:
     @pytest.fixture(scope="class")
     def cycle_file(self, tmp_path_factory):
         inst = Instance(
-            WeightedGraph.unit(Graph.cycle(3000)),
+            WeightedGraph.unit(cycle_graph(3000)),
             PartitionRequest((0, 1500), (1500, 1500)),
         )
         return write_instance(tmp_path_factory.mktemp("deep"), inst)
@@ -215,7 +215,7 @@ class TestDeepAndLargeInputs:
 
     def test_partition_long_path_exits_2(self, tmp_path, capsys):
         inst = Instance(
-            WeightedGraph.unit(Graph.path(1200)), PartitionRequest((0, 600), (600, 600))
+            WeightedGraph.unit(path_graph(1200)), PartitionRequest((0, 600), (600, 600))
         )
         assert main(["partition", write_instance(tmp_path, inst)]) == 2
         err = capsys.readouterr().err

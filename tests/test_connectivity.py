@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,13 +18,13 @@ from glpart import (
 )
 from glpart import connectivity
 from glpart.connectivity import (
+    _clique_atoms,
     _elimination_fill,
     _flow_connectivity,
-    _decomposition,
     _kappa_up_to_2,
-    clique_atoms,
+    clique_decomposition,
 )
-from glpart.graph import components_within
+from glpart.graph import components_within, induced_subgraph
 
 from bruteforce import (
     _separates,
@@ -32,8 +33,10 @@ from bruteforce import (
     bf_is_connected,
     bf_minimal_separators,
     bf_vertex_connectivity,
+    cycle_graph,
     enumerate_minimal_separators,
     is_chordal,
+    path_graph,
     planted,
     random_chordal,
     random_gnp,
@@ -233,7 +236,7 @@ class TestCliqueSeparatorMethod:
 
     @pytest.mark.parametrize("n", [4, 5, 9, 40, 301])
     def test_cycles_and_paths(self, n):
-        for g, kappa in ((Graph.cycle(n), 2), (Graph.path(n), 1)):
+        for g, kappa in ((cycle_graph(n), 2), (path_graph(n), 1)):
             assert _kappa_up_to_2(g) == kappa
             self.assert_matches_flow(g, 2)
 
@@ -294,7 +297,7 @@ class TestCliqueSeparatorMethod:
         graphs.append(planted(generate_almost_chordal(7, 2, 1, seed=1), 2, "house"))
         split = 0
         for g in graphs:
-            got = [frozenset(a) for a in clique_atoms(g)]
+            got = [frozenset(a) for a, _ in _clique_atoms(g)[0]]
             assert len(set(got)) == len(got)
             assert frozenset().union(*got) == frozenset(g.vertices())
             for ref in bf_clique_atoms(g):
@@ -315,16 +318,57 @@ class TestCliqueSeparatorMethod:
         ])
         assert vertex_connectivity_at_least(octahedron, 4)
         for g in (octahedron, c5):
-            assert clique_atoms(g) == [list(g.vertices())]
+            assert _clique_atoms(g) == ([(list(g.vertices()), False)], g.n)
+            assert clique_decomposition(g) == (None, g.n)
 
     def test_declines_on_small_separator(self, flow_sizes):
         member = generate_almost_chordal(40, 3, 2, seed=5)
-        assert _decomposition(member)[1] == 3
+        assert clique_decomposition(member)[1] == 3
         assert vertex_connectivity_at_least(member, 3)
         assert max(flow_sizes) == 3 + 4
         flow_sizes.clear()
         assert not vertex_connectivity_at_least(member, 4)
         assert flow_sizes == [member.n]
+
+
+class TestCliqueDecomposition:
+    """``clique_decomposition`` hands out exactly the non-complete atoms of
+    ``_clique_atoms``, each as its induced subgraph."""
+
+    @staticmethod
+    def inputs():
+        rng = random.Random(16)
+        graphs = [random_gnp(rng, rng.randint(2, 11), p)
+                  for p in (0.2, 0.35, 0.5, 0.65, 0.8) for _ in range(30)]
+        for k in (2, 3, 4):
+            for seed in range(3):
+                member = generate_almost_chordal(k + 7, k, 1, seed=seed)
+                graphs.append(member)
+                graphs += [planted(member, k, kind)
+                           for kind in ("hole", "house", "c4-overlap", "separator")]
+        return graphs
+
+    def test_pieces_are_the_non_complete_atoms(self):
+        split = 0
+        for g in self.inputs():
+            atoms, cut = clique_decomposition(g)
+            full, smallest = _clique_atoms(g)
+            assert cut == smallest
+            assert all(clique == g.is_clique(a) for a, clique in full)
+            assert (atoms is None) == (len(full) == 1)
+            if atoms is None:
+                continue
+            split += 1
+            for sub, ids in atoms:
+                assert not sub.is_complete()
+                assert (sub, ids) == induced_subgraph(g, ids)
+            pieces = [frozenset(ids) for _, ids in atoms]
+            assert sorted(pieces, key=sorted) == sorted(
+                (frozenset(a) for a, _ in full if not g.is_clique(a)), key=sorted)
+            assert not any(p <= q for p, q in permutations(pieces, 2))
+            # a redundant atom's cut still separates g
+            assert bf_vertex_connectivity(g) <= cut
+        assert split >= 50
 
 
 class TestEliminationFill:
@@ -382,7 +426,7 @@ class TestMinimalSeparators:
         assert small == []
 
     def test_cap_enforced(self):
-        g = Graph.path(15)
+        g = path_graph(15)
         with pytest.raises(CapError):
             enumerate_minimal_separators(g)
         assert enumerate_minimal_separators(g, cap_n=15)

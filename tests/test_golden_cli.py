@@ -14,8 +14,17 @@ from __future__ import annotations
 import hashlib
 import json
 
-from glpart import Graph, Instance, PartitionRequest, WeightedGraph, format_instance
+from glpart import (
+    Graph,
+    Instance,
+    PartitionRequest,
+    WeightedGraph,
+    format_instance,
+    generate_almost_chordal,
+)
 from glpart.cli import main
+
+from bruteforce import planted
 
 GOLDEN_SHA256 = "6d0bdd779ba7888bdf5d8da857d132f8a42c2876136f69f6753bfdd119ebf7f3"
 
@@ -121,3 +130,26 @@ def test_verify_and_check_digest(tmp_path, capsys):
     # the weighted k-tree misses exact, slack:1 and window:3 even unswapped
     assert codes == [0] * 3 + [1] * 9 + [0] * 3 + [1] * 3 + [0] * 5
     assert digest.hexdigest() == VERIFY_CHECK_SHA256
+
+
+# ``check`` on k=3 class members, clean and with each planted defect: the
+# hole search, the house and overlap scans and the connectivity check all
+# run on graphs that the clique separator decomposition cuts into many atoms
+MEMBER_CHECK_SHA256 = "f5475f42bcbe6ead1c02b223ff94c12303a84c386d28b4ee0b74e892bc451a9b"
+
+PLANTS = ("hole", "house", "c4-overlap", "separator")
+
+
+def test_member_check_digest(tmp_path, capsys):
+    digest = hashlib.sha256()
+    codes = []
+    for n, cycles, seed in ((40, 4, 21), (72, 8, 22)):
+        member = generate_almost_chordal(n, 3, cycles, seed=seed)
+        for kind in (None, *PLANTS):
+            g = member if kind is None else planted(member, 3, kind)
+            req = PartitionRequest((0, 1, 2), (1, 1, g.n - 2))
+            path = tmp_path / f"{n}-{kind}.txt"
+            path.write_text(format_instance(Instance(WeightedGraph.unit(g), req)))
+            codes.append(_run(["check", str(path)], capsys, digest))
+    assert codes == [0] * 10
+    assert digest.hexdigest() == MEMBER_CHECK_SHA256

@@ -24,10 +24,13 @@ from glpart import (
 
 from bruteforce import (
     bf_is_connected,
+    complete_graph,
     compose,
     contract_edge,
+    cycle_graph,
     identity_merge_map,
     iter_nonedges,
+    path_graph,
 )
 
 
@@ -57,20 +60,20 @@ class TestConstruction:
             Graph.from_edges(2, [(0, 2)])
 
     def test_complete(self):
-        g = Graph.complete(4)
+        g = complete_graph(4)
         assert len(g.edges()) == 6
         assert all(len(g.adj[v]) == 3 for v in range(4))
 
     def test_cycle_and_path(self):
-        assert len(Graph.cycle(5).edges()) == 5
-        assert len(Graph.path(5).edges()) == 4
+        assert len(cycle_graph(5).edges()) == 5
+        assert len(path_graph(5).edges()) == 4
 
     def test_edges_sorted_u_lt_v(self):
         g = Graph.from_edges(4, [(3, 1), (2, 0)])
         assert g.edges() == [(0, 2), (1, 3)]
 
     def test_with_edges(self):
-        g = Graph.path(3).with_edges([(0, 2)])
+        g = path_graph(3).with_edges([(0, 2)])
         assert g.edges() == [(0, 1), (0, 2), (1, 2)]
 
     def test_hashable_and_equal(self):
@@ -82,7 +85,7 @@ class TestConstruction:
 class TestConnectivityHelpers:
     def test_is_connected(self):
         split = Graph.from_edges(4, [(0, 1), (2, 3)])
-        for g, want in ((Graph.path(4), True), (split, False)):
+        for g, want in ((path_graph(4), True), (split, False)):
             assert bf_is_connected(g) is want
             assert is_connected_set(g, g.vertices()) is want
 
@@ -142,10 +145,10 @@ class TestContractEdge:
 
     def test_no_self_loop_or_multi_edge(self, k4):
         h, _ = contract_edge(k4, 0, 1)
-        assert h == Graph.complete(3)
+        assert h == complete_graph(3)
 
     def test_merge_map_compose(self):
-        g = Graph.cycle(5)
+        g = cycle_graph(5)
         g1, m1 = contract_edge(g, 0, 1)
         g2, m2 = contract_edge(g1, 0, 1)
         total = compose(m2, m1)
@@ -212,7 +215,7 @@ class TestCertificateMemo:
         assert len(catalog) == 3
 
     def test_derived_graphs_start_empty(self):
-        g = Graph.path(4)
+        g = path_graph(4)
         assert isinstance(compute_peo(g), Peo)
         assert len(enumerate_induced_c4(g)) == 0
         closed = g.with_edges([(0, 3)])

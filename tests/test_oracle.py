@@ -17,14 +17,14 @@ from glpart import (
     gl_partition_chordal,
 )
 
-from bruteforce import bf_gl_partition, bf_is_connected
+from bruteforce import bf_gl_partition, bf_is_connected, path_graph
 from test_graph import random_graph_strategy
 from test_partition import random_request
 
 
 class TestBruteForce:
     def test_path_split(self):
-        g = Graph.path(5)
+        g = path_graph(5)
         req = PartitionRequest((0, 4), (2, 3))
         got = brute_force_gl(g, req)
         assert got is not None
@@ -60,7 +60,7 @@ class TestBruteForce:
         assert hits > 5
 
     def test_cap_enforced(self):
-        g = Graph.path(13)
+        g = path_graph(13)
         with pytest.raises(CapError):
             brute_force_gl(g, PartitionRequest((0, 12), (6, 7)))
         assert brute_force_gl(g, PartitionRequest((0, 12), (6, 7)), cap=13)

@@ -10,7 +10,6 @@ from hypothesis import assume, given, settings, strategies as st
 from glpart import (
     DemandError,
     DeviationRule,
-    Graph,
     PartitionRequest,
     PreconditionError,
     SolverStallError,
@@ -23,7 +22,7 @@ from glpart import (
 
 from glpart.connectivity import _flow_connectivity
 
-from bruteforce import bf_is_connected, random_chordal
+from bruteforce import bf_is_connected, complete_graph, random_chordal
 from test_graph import random_graph_strategy
 
 
@@ -74,7 +73,7 @@ class TestRequestValidation:
 
 class TestChordalExact:
     def test_tiny_complete(self):
-        g = Graph.complete(4)
+        g = complete_graph(4)
         req = PartitionRequest((0, 3), (2, 2))
         part = gl_partition_chordal(g, req)
         assert part.deviation == 0
@@ -95,14 +94,14 @@ class TestChordalExact:
             assert rep.ok, rep.first_violation
 
     def test_parts_follow_request_order(self):
-        g = Graph.complete(5)
+        g = complete_graph(5)
         req = PartitionRequest((4, 1), (2, 3))
         part = gl_partition_chordal(g, req)
         assert 4 in part.parts[0] and 1 in part.parts[1]
         assert len(part.parts[0]) == 2 and len(part.parts[1]) == 3
 
     def test_demand_sum_mismatch(self):
-        g = Graph.complete(4)
+        g = complete_graph(4)
         with pytest.raises(DemandError):
             gl_partition_chordal(g, PartitionRequest((0, 1), (2, 3)))
 
@@ -221,7 +220,7 @@ class TestChordalWeighted:
             assert rep.ok, rep.first_violation
 
     def test_overweight_terminal_rejected_by_default(self):
-        g = Graph.complete(4)
+        g = complete_graph(4)
         wg = WeightedGraph(g, (9, 1, 1, 1))
         # part 0 must end strictly below 1 + w_max = 10, but w(t0) = 9
         # forces it to [9, 9]; demand 1 cannot be met inside the window
@@ -230,7 +229,7 @@ class TestChordalWeighted:
             gl_partition_chordal_weighted(wg, req)
 
     def test_overweight_terminal_relaxation(self):
-        g = Graph.complete(4)
+        g = complete_graph(4)
         wg = WeightedGraph(g, (9, 1, 1, 1))
         req = PartitionRequest((0, 1), (1, 11))
         part = gl_partition_chordal_weighted(

@@ -14,13 +14,14 @@ from glpart import (
     induced_subgraph,
     is_hh_i42_free,
 )
-from glpart.connectivity import _elimination_fill, clique_atoms
+from glpart.connectivity import _clique_atoms, _elimination_fill, clique_decomposition
 from glpart.recognition import _hole_by_atoms
 
 from bruteforce import (
     bf_chordless_cycles,
     bf_class_member,
     bf_has_hole,
+    cycle_graph,
     dfs_find_hole,
     find_hole_through,
     planted,
@@ -205,7 +206,7 @@ class TestAtomSearch:
             v = is_hh_i42_free(g).violation
             if v is None or v.kind == "hole":
                 assert (None if v is None else v.vertices) == ref
-            split_holes += ref is not None and len(clique_atoms(g)) > 1
+            split_holes += ref is not None and clique_decomposition(g)[0] is not None
         assert split_holes >= 50
 
     @pytest.mark.parametrize("k", [3, 4])
@@ -218,7 +219,7 @@ class TestAtomSearch:
         # the same witness for fewer per-edge searches than one find_hole(g)
         assert violation.kind == "hole" and violation.vertices == find_hole(g)
         assert spent < len(hole_calls)
-        holey = [set(a) for a in clique_atoms(g)
+        holey = [set(a) for a, _ in _clique_atoms(g)[0]
                  if find_hole(induced_subgraph(g, a)[0]) is not None]
         assert scanned and all(
             any(b in a and c in a for a in holey) for b, c in scanned
@@ -227,8 +228,8 @@ class TestAtomSearch:
     def test_one_atom_one_search(self, hole_calls, petersen):
         declined = random_gnp(random.Random(14), 30, 0.2)
         assert _elimination_fill(declined) is None
-        for g in (Graph.cycle(12), petersen, declined):
-            assert len(clique_atoms(g)) == 1
+        for g in (cycle_graph(12), petersen, declined):
+            assert clique_decomposition(g)[0] is None
             _hole_by_atoms(g)
             spent = len(hole_calls)
             hole_calls.clear()

@@ -7,16 +7,17 @@ import pytest
 from glpart import (
     DeviationRule,
     GLPartition,
-    Graph,
     PartitionRequest,
     WeightedGraph,
     verify_partition,
 )
 
+from bruteforce import complete_graph, path_graph
+
 
 @pytest.fixture
 def setting():
-    g = Graph.path(6)
+    g = path_graph(6)
     wg = WeightedGraph.unit(g)
     req = PartitionRequest((0, 5), (3, 3))
     good = GLPartition((frozenset({0, 1, 2}), frozenset({3, 4, 5})), 0)
@@ -105,7 +106,7 @@ class TestVerifier:
             report(setting, (frozenset({0, 1, 99}), frozenset({3, 4, 5})))
 
     def test_weighted_window(self):
-        g = Graph.complete(4)
+        g = complete_graph(4)
         wg = WeightedGraph(g, (5, 1, 1, 5))
         req = PartitionRequest((0, 3), (6, 6))
         part = GLPartition((frozenset({0, 1}), frozenset({2, 3})), 0)
