@@ -20,8 +20,8 @@ from .c4 import C4Catalog, enumerate_induced_c4
 from .chordal import (
     ChordalityWitness,
     Peo,
-    compute_peo,
     mcs_order,
+    mcs_search,
     peo_violation,
 )
 from .connectivity import (
@@ -101,7 +101,6 @@ __all__ = [
     "brute_force_gl",
     "build_contraction_plan",
     "components_within",
-    "compute_peo",
     "contract_matching",
     "enumerate_induced_c4",
     "find_hole",
@@ -116,6 +115,7 @@ __all__ = [
     "is_hh_i42_free",
     "load_instance",
     "mcs_order",
+    "mcs_search",
     "parse_instance",
     "peo_violation",
     "verify_partition",

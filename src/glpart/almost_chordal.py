@@ -23,7 +23,7 @@ pairwise almost-disjoint induced 4-cycles to a weighted chordal instance:
 Unweighted demands land within one vertex of target; weighted parts stay
 strictly within twice the maximum vertex weight.
 
-Every stage asks ``enumerate_induced_c4`` and ``compute_peo`` for the
+Every stage asks ``enumerate_induced_c4`` and ``mcs_search`` for the
 certificates it needs; each graph keeps them in its memo, so a validated
 solve without peeling or chords builds one catalog, that of the input,
 which recognition, the chord step and the contraction plan share, and one
@@ -40,7 +40,7 @@ import heapq
 from dataclasses import dataclass
 
 from .c4 import enumerate_induced_c4
-from .chordal import Peo, compute_peo
+from .chordal import mcs_search
 from .connectivity import vertex_connectivity_at_least
 from .errors import PipelineInvariantError, PreconditionError
 from .graph import (
@@ -180,7 +180,7 @@ def build_contraction_plan(
         ) from None
     terminal_map = {t: x for x, grp in enumerate(merge_map.groups) for t in grp & tset}
     sizes = tuple(len(grp) for grp in merge_map.groups)
-    if not isinstance(compute_peo(current), Peo):
+    if mcs_search(current).witness is not None:
         raise PipelineInvariantError(
             "contracted graph is not chordal; input was outside the supported class"
         )
@@ -213,7 +213,6 @@ def gl_partition_almost_chordal(
     req: PartitionRequest,
     *,
     validate: bool = True,
-    debug_invariants: bool = False,
 ) -> PipelineResult:
     """Near-exact connected partition of an almost-chordal k-connected graph.
 
@@ -283,7 +282,6 @@ def gl_partition_almost_chordal(
         inner_wg,
         inner_req,
         validate=False,
-        debug_invariants=debug_invariants,
         allow_overweight_terminals=True,
     )
 

@@ -10,11 +10,11 @@ failure yields two later neighbors with no edge between them, which lie on
 a chordless cycle of length at least four. Each vertex's label, |madj(v)|,
 is what connectivity reads minimal separators off.
 
-``mcs_search`` keeps the search in the graph's memo, and ``mcs_order`` and
-``compute_peo`` read it, so every caller that needs the order of a graph
-(the CLI's auto mode, the solver, the connectivity check and its
-elimination-game fill) shares one search. ``peo_violation`` certifies any
-given order on its own.
+``mcs_search`` keeps the search in the graph's memo, so every caller that
+needs the order of a graph or its chordality witness (the CLI's check and
+auto mode, recognition, the solver, the contraction plan, the connectivity
+check and its elimination-game fill) shares one search; ``mcs_order`` reads
+the order off it. ``peo_violation`` certifies any given order on its own.
 """
 
 from __future__ import annotations
@@ -170,15 +170,3 @@ def _witness_at(g: Graph, sigma, v: int) -> ChordalityWitness | None:
         if w != u and w not in g.adj[u]:
             return ChordalityWitness(v, (u, w))
     return None
-
-
-def compute_peo(g: Graph) -> Peo | ChordalityWitness:
-    """Perfect elimination order of a chordal graph, or a witness against one.
-
-    Deterministic: ties in the search are broken by smallest vertex id, so
-    equal inputs always yield the same order. Read from ``mcs_search``, so
-    the order is ``mcs_order``'s and the witness is what ``peo_violation``
-    reports for it.
-    """
-    search = mcs_search(g)
-    return search.witness or search.peo

@@ -19,7 +19,7 @@ import sys
 import time
 
 from .almost_chordal import gl_partition_almost_chordal
-from .chordal import ChordalityWitness, compute_peo
+from .chordal import mcs_search
 from .connectivity import vertex_connectivity_at_least
 from .errors import (
     CapError,
@@ -66,8 +66,8 @@ def _cmd_check(args) -> int:
     g = inst.graph
     k = inst.request.k
 
-    peo = compute_peo(g)
-    chordal = not isinstance(peo, ChordalityWitness)
+    witness = mcs_search(g).witness
+    chordal = witness is None
     check = is_hh_i42_free(g)
     conn = vertex_connectivity_at_least(g, k)
     separator = None
@@ -83,7 +83,7 @@ def _cmd_check(args) -> int:
             "m": g.edge_count(),
             "k": k,
             "chordal": chordal,
-            "chordality_witness": None if chordal else dataclasses.asdict(peo),
+            "chordality_witness": None if chordal else dataclasses.asdict(witness),
             "class_member": check.ok,
             "class_violation": None if check.ok else dataclasses.asdict(check.violation),
             "connectivity_at_least_k": conn.connected,
@@ -106,25 +106,18 @@ def _partition_payload(inst: Instance, args):
     validate = not args.skip_checks
     g = inst.graph
     if args.mode == "auto":
-        peo = compute_peo(g)
-        mode = "chordal" if not isinstance(peo, ChordalityWitness) else "almost-chordal"
+        mode = "chordal" if mcs_search(g).witness is None else "almost-chordal"
     else:
         mode = args.mode
 
     if mode == "chordal":
         part = gl_partition_chordal_weighted(
-            inst.wgraph,
-            inst.request,
-            validate=validate,
-            debug_invariants=args.debug_invariants,
+            inst.wgraph, inst.request, validate=validate
         )
         return part, "chordal-exact" if inst.is_unit() else "chordal-weighted", None
 
     result = gl_partition_almost_chordal(
-        inst.wgraph,
-        inst.request,
-        validate=validate,
-        debug_invariants=args.debug_invariants,
+        inst.wgraph, inst.request, validate=validate
     )
     audit = {
         "added_chords": [list(e) for e in result.added_chords],
@@ -355,7 +348,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default="auto",
     )
     p.add_argument("--skip-checks", action="store_true")
-    p.add_argument("--debug-invariants", action="store_true")
     p.add_argument("--timings", action="store_true")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_partition)

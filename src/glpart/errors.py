@@ -44,8 +44,11 @@ class CapError(GlpartError):
 
 
 class PipelineInvariantError(GlpartError):
-    """An internal guarantee of the contraction pipeline failed.
+    """An internal guarantee of a solver failed.
 
-    Indicates the input was outside the supported class even though the
-    up-front checks were skipped or fooled.
+    Raised when the growth loop overruns its pass budget or lets the
+    closed parts' weight slack leave its one-vertex window, and when the
+    contraction pipeline meets a cycle, contraction or contracted graph it
+    cannot handle. Indicates a solver defect, or an input outside the
+    supported class that got past skipped or fooled up-front checks.
     """

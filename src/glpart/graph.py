@@ -5,8 +5,8 @@ re-densify ids deterministically and report the relabeling, so downstream
 output is reproducible bit for bit.
 
 A graph never changes, so each one computes its certificates at most once:
-``chordal.mcs_search`` (whose one search ``mcs_order`` and ``compute_peo``
-read), ``c4.enumerate_induced_c4`` and ``connectivity.clique_decomposition``
+``chordal.mcs_search`` (whose one search ``mcs_order`` reads),
+``c4.enumerate_induced_c4`` and ``connectivity.clique_decomposition``
 (the subgraphs of the non-complete clique separator atoms, and the smallest
 cut) keep their result in the graph's private memo. Every operation that
 builds a new graph (``with_edges``, ``induced_subgraph``,

@@ -19,7 +19,12 @@ from dataclasses import dataclass
 
 from .chordal import mcs_search
 from .connectivity import vertex_connectivity_at_least
-from .errors import DemandError, PreconditionError, SolverStallError
+from .errors import (
+    DemandError,
+    PipelineInvariantError,
+    PreconditionError,
+    SolverStallError,
+)
 from .graph import Graph, WeightedGraph, is_connected_set
 
 _STALL = (
@@ -116,7 +121,6 @@ def gl_partition_chordal_weighted(
     req: PartitionRequest,
     *,
     validate: bool = True,
-    debug_invariants: bool = False,
     allow_overweight_terminals: bool = False,
 ) -> GLPartition:
     """Weighted connected partition of a chordal k-connected graph.
@@ -128,9 +132,12 @@ def gl_partition_chordal_weighted(
 
     ``allow_overweight_terminals`` skips the w(terminal) <= demand check.
     Contracted instances need that: a merged terminal can outweigh its
-    demand, and such a part simply starts closed. ``debug_invariants``
-    turns on internal loop assertions (closed-part weight slack bounded by
-    w_max, iteration budget).
+    demand, and such a part simply starts closed.
+
+    Every solve checks the loop's two invariants: it makes at most n + k
+    passes, and the summed slack (demand minus weight) of the closed parts
+    stays strictly inside (-w_max, w_max) unless a terminal starts
+    overweight. A breach raises PipelineInvariantError.
     """
     g = wg.graph
     overweight_seen = check_demands(
@@ -195,18 +202,19 @@ def gl_partition_chordal_weighted(
     # sum of (demand - weight) over closed parts
     closed_slack = sum(demands[i] - part_weight[i] for i in range(k) if not open_[i])
 
+    # Neither check fires on a correct run. Every pass assigns a vertex or
+    # closes a part, so n + k passes suffice. A close overshoots its demand
+    # only while the slack is >= 0 and otherwise stops short, so each close
+    # adds a value in (-w, 0] or (0, w) for the vertex weight w it stopped
+    # at, and the slack never leaves (-w_max, w_max).
     iterations = 0
     max_iterations = n + k
     while open_count > 1 and assigned < n:
         iterations += 1
-        if debug_invariants:
-            if iterations > max_iterations:
-                raise AssertionError("growth loop exceeded its iteration budget")
-            # slack of the closed parts stays within one vertex weight
-            if not overweight_seen and not -w_max < closed_slack < w_max:
-                raise AssertionError(
-                    f"closed-part weight slack {closed_slack} escaped (-{w_max}, {w_max})"
-                )
+        if iterations > max_iterations:
+            raise PipelineInvariantError(
+                "growth loop exceeded its iteration budget"
+            )
         # earliest-position unassigned vertex adjacent to an open part
         while frontier:
             v = frontier[0][1]
@@ -222,14 +230,17 @@ def gl_partition_chordal_weighted(
         if part_weight[i] + wv < demands[i]:
             assign(v, i)
         else:
-            # close part i; overshoot only while the parts closed so far
-            # have not under-shot, so the running slack stays in the open
-            # window (-w_max, w_max) and the dump part inherits it
+            # close part i; the dump part inherits the slack
             open_[i] = False
             open_count -= 1
             if closed_slack >= 0 or part_weight[i] + wv == demands[i]:
                 assign(v, i)
             closed_slack += demands[i] - part_weight[i]
+            if not overweight_seen and not -w_max < closed_slack < w_max:
+                raise PipelineInvariantError(
+                    f"closed-part weight slack {closed_slack} escaped "
+                    f"(-{w_max}, {w_max})"
+                )
 
     if assigned < n:
         if open_count != 1:

@@ -32,7 +32,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .c4 import C4Catalog, enumerate_induced_c4
-from .chordal import Peo, compute_peo
+from .chordal import mcs_search
 from .connectivity import clique_decomposition
 from .graph import Graph
 
@@ -201,7 +201,7 @@ def is_hh_i42_free(g: Graph) -> ClassCheck:
     share two or more vertices, no catalogued 4-cycle has a roof vertex
     (house), no hole. Every violation reported is real; the first one wins.
     """
-    if not g.n or isinstance(compute_peo(g), Peo):
+    if not g.n or mcs_search(g).witness is None:
         return ClassCheck(True)
     violation = scan_catalog_violations(g, enumerate_induced_c4(g))
     if violation is not None:

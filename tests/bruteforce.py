@@ -4,7 +4,7 @@ Everything here works straight from definitions with no shortcuts, so the
 library can be checked against code that shares none of its logic. Most
 functions are exponential; callers keep n small. Complete graphs, cycles
 and paths are built here by name for the tests. The helpers at the end
-are small definitional checks the library itself has no use for, two
+are small definitional checks the library itself has no use for, three
 thin wrappers over library code that only the tests call, the member
 generator that certifies every step, which the library no longer needs,
 the edits that plant a defect in a member or drop some of its edges, and
@@ -19,6 +19,7 @@ from itertools import combinations, permutations
 
 from glpart import (
     CapError,
+    ChordalityWitness,
     Graph,
     GraphFormatError,
     Instance,
@@ -29,9 +30,9 @@ from glpart import (
     PreconditionError,
     WeightedGraph,
     components_within,
-    compute_peo,
     enumerate_induced_c4,
     format_instance,
+    mcs_search,
 )
 from glpart.c4 import C4Catalog, Cycle, _canonical
 from glpart.generators import _ktree_edges_and_cliques
@@ -622,6 +623,13 @@ def identity_merge_map(n: int) -> MergeMap:
 def save_instance(inst: Instance, path: str, comment: str | None = None) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(format_instance(inst, comment))
+
+
+def compute_peo(g: Graph) -> Peo | ChordalityWitness:
+    """The graph's search order when it is perfect-elimination, else the
+    witness against it."""
+    search = mcs_search(g)
+    return search.witness or search.peo
 
 
 def is_chordal(g: Graph) -> bool:

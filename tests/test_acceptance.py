@@ -111,11 +111,9 @@ def test_criterion_2_weighted_window():
         req = weighted_request(rng, wg, k)
         if req is None:
             continue
-        # debug_invariants raises if the internal running-sum bound or
-        # the iteration budget is ever violated
-        res = gl_partition_chordal_weighted(
-            wg, req, validate=False, debug_invariants=True
-        )
+        # every solve raises PipelineInvariantError if the closed parts'
+        # slack leaves its window or the loop overruns its pass budget
+        res = gl_partition_chordal_weighted(wg, req, validate=False)
         rule = DeviationRule.window(wg.w_max)
         rep = verify_partition(wg, req, res, rule)
         assert rep.ok, rep.first_violation
@@ -165,7 +163,7 @@ def member_suite():
         req_w = weighted_request(rng, wg, k, extra=1)
         if req_w is None:
             continue
-        res_w = gl_partition_almost_chordal(wg, req_w, debug_invariants=True)
+        res_w = gl_partition_almost_chordal(wg, req_w)
         out.append(MemberRun(g, k, req_unw, res_unw, wg, req_w, res_w))
     return out
 
@@ -402,7 +400,7 @@ def test_criterion_9_cli_determinism(tmp_path):
         ["check", member],
         ["partition", ktree],
         ["partition", member],
-        ["partition", weighted, "--debug-invariants"],
+        ["partition", weighted],
         ["verify", ktree, part_out],
         ["oracle-compare", "--trials", "5", "--seed", "3", "--n-max", "9"],
     ]

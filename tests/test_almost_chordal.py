@@ -204,7 +204,7 @@ class TestPipeline:
             g = generate_almost_chordal(24, 3, 2, seed=40 + trial)
             wg = WeightedGraph(g, tuple(rng.randint(1, 7) for _ in range(g.n)))
             req = weighted_request(rng, wg, 3, floor_above_terminal=True)
-            res = gl_partition_almost_chordal(wg, req, debug_invariants=True)
+            res = gl_partition_almost_chordal(wg, req)
             rep = verify_partition(
                 wg, req, res.partition, DeviationRule.window(2 * wg.w_max)
             )

@@ -5,10 +5,10 @@ in its memo. The ``builds`` spy replaces ``c4._build_catalog``, the builder
 behind ``enumerate_induced_c4``'s memo, so it counts real catalog builds
 and not memo hits. The ``searches`` spy likewise replaces
 ``chordal._build_mcs_order``, the builder behind the ``mcs_search`` memo
-that ``mcs_order`` and ``compute_peo`` read, so every search is counted
-once. The search certifies its own order, so a solve never calls
-``chordal._violation``, the order-agnostic checker behind
-``peo_violation``; ``peo_checks`` counts those calls. The clique separator
+that ``mcs_order`` reads, so every search is counted once. The search
+certifies its own order, so a solve never calls ``chordal._violation``,
+the order-agnostic checker behind ``peo_violation``; ``peo_checks``
+counts those calls. The clique separator
 decomposition is memoized too, cut from the elimination game of the
 input's own search; the ``fills`` and ``atom_builds`` spies count its
 elimination-game fills and atom cuts, ``subgraphs`` the induced subgraphs
@@ -201,7 +201,7 @@ def test_hole_plant_check_searches_once(searches, tmp_path, capsys):
 
 def test_unchecked_chordal_partition_of_member_searches_once(
         searches, tmp_path, capsys):
-    # the order compute_peo rejects is the one the solver grows along
+    # the order the search rejects is the one the solver grows along
     g, req = _member_request(3, 0, seed=5)
     path = _write(tmp_path, g, req)
     assert main(["partition", path, "--mode", "chordal", "--skip-checks"]) == 0

@@ -11,17 +11,17 @@ from glpart import (
     ChordalityWitness,
     Graph,
     Peo,
-    compute_peo,
     generate_almost_chordal,
     generate_ktree,
     mcs_order,
+    mcs_search,
     peo_violation,
 )
-from glpart.chordal import mcs_search
 
 from bruteforce import (
     bf_is_chordal,
     bf_mcs_order,
+    compute_peo,
     is_chordal,
     is_peo,
     planted,

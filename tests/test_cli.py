@@ -20,7 +20,6 @@ from glpart import (
     generate_ktree,
     parse_instance,
 )
-import glpart.cli as cli
 from glpart.cli import main
 
 from bruteforce import bf_is_connected, bf_parse_instance, cycle_graph, path_graph
@@ -122,9 +121,7 @@ class TestPartition:
             wg, PartitionRequest((0, 9), (half, wg.total_weight() - half))
         )
         path = write_instance(tmp_path, inst)
-        code, doc = run_json(
-            ["partition", path, "--debug-invariants"], capsys
-        )
+        code, doc = run_json(["partition", path], capsys)
         assert code == 0
         assert doc["mode"] == "chordal-weighted"
 
@@ -153,22 +150,6 @@ class TestPartition:
         assert code == 1
         assert captured.out == ""
         assert "no unassigned vertex neighbors an open part" in captured.err
-
-    def test_unit_chordal_solve_gets_debug_invariants(
-        self, chordal_file, capsys, monkeypatch
-    ):
-        calls = []
-        solve = cli.gl_partition_chordal_weighted
-
-        def spy(*args, **kwargs):
-            calls.append(kwargs)
-            return solve(*args, **kwargs)
-
-        monkeypatch.setattr(cli, "gl_partition_chordal_weighted", spy)
-        code, doc = run_json(["partition", chordal_file, "--debug-invariants"], capsys)
-        assert code == 0
-        assert doc["mode"] == "chordal-exact"
-        assert [c.get("debug_invariants") for c in calls] == [True]
 
     def test_skip_checks_cyclic_incidence_exits_2(self, tmp_path, capsys):
         # K_{2,3}: its three 4-cycles share vertices in a cycle, so the
@@ -365,9 +346,7 @@ class TestGenerate:
                 "--seed", "3", "--out", str(out),
             ]
         ) == 0
-        code, doc = run_json(
-            ["partition", str(out), "--debug-invariants"], capsys
-        )
+        code, doc = run_json(["partition", str(out)], capsys)
         assert code == 0
         assert doc["mode"] == "chordal-weighted"
 

@@ -14,7 +14,6 @@ from glpart import (
     Peo,
     WeightedGraph,
     components_within,
-    compute_peo,
     contract_matching,
     enumerate_induced_c4,
     generate_almost_chordal,
@@ -26,6 +25,7 @@ from bruteforce import (
     bf_is_connected,
     complete_graph,
     compose,
+    compute_peo,
     contract_edge,
     cycle_graph,
     identity_merge_map,

@@ -17,13 +17,17 @@ from glpart import (
     enumerate_induced_c4,
     generate_almost_chordal,
     is_hh_i42_free,
+    mcs_search,
 )
+from glpart.connectivity import clique_decomposition
 
 from bruteforce import (
     DOUBLE_HOUSE_EDGES,
     bf_contains_induced,
+    bf_vertex_connectivity,
     build_c4_incidence,
     enumerate_minimal_separators,
+    random_gnp,
     universal_to,
 )
 
@@ -173,3 +177,71 @@ def test_random_members_obey_all_lemmas():
                     continue
                 if sum(1 for u in cyc if u in g.adj[v]) >= 2:
                     assert universal_to(g, v, cyc)
+
+
+def ring_plus_q_size(g: Graph) -> int | None:
+    """|Q| when g is an induced 4-cycle joined to a clique Q, else None.
+
+    Q is the vertices of degree n - 1; the other vertices must be exactly
+    four of degree n - 2. Each of those misses one vertex, one of the four
+    since Q sees everything, so they pair off into a C4's two non-edges.
+    """
+    degrees = [len(nbrs) for nbrs in g.adj]
+    q = degrees.count(g.n - 1)
+    return q if degrees.count(g.n - 2) == 4 and q + 4 == g.n else None
+
+
+def _generated_members():
+    rng = random.Random(1701)
+    for k in (2, 3, 4):
+        for seed in range(30):
+            cycles = rng.randint(1, 8)
+            n = rng.randint(k + 1 + 4 * cycles, k + 31 + 4 * cycles)
+            yield generate_almost_chordal(n, k, cycles, seed)
+
+
+def _random_members():
+    rng = random.Random(1702)
+    for _ in range(6000):
+        g = random_gnp(rng, rng.randint(4, 10), rng.choice((0.3, 0.5, 0.7)))
+        if is_hh_i42_free(g):
+            yield g
+
+
+@pytest.mark.parametrize("family, least", [
+    (_generated_members, 300),
+    (_random_members, 150),
+], ids=["generated", "gnp"])
+def test_decomposition_pieces_are_ring_plus_q(family, least):
+    """Every non-complete atom of a non-chordal member is ring + Q.
+
+    Proof for a true atom A, one with no clique separator. A is not a
+    clique, so it is not chordal (a chordal graph other than a clique has
+    a clique separator), and as a member it has no hole: it holds an
+    induced 4-cycle, the ring. A vertex off the ring sees 0, 1 or 4
+    ring vertices, since two adjacent ones make a house and two opposite
+    ones or three make a 4-cycle that shares two or more ring vertices.
+    The vertices that see all four form a clique Q, or two of them close
+    a 4-cycle with two opposite ring vertices. Any other component of
+    A - ring - Q has neighbours that meet the ring in at most one vertex:
+    a shortest path through it between two ring vertices closes a hole or
+    a second 4-cycle sharing two ring vertices. So those neighbours lie
+    in Q plus one ring vertex, a clique that separates, and no such
+    component exists. Then κ(A) = |Q| + 2, the connectivity of C4 joined
+    to K_|Q|.
+
+    ``clique_decomposition`` cuts along its elimination game, which need
+    not yield true atoms; this checks every piece it hands out anyway.
+    """
+    checked = 0
+    for g in family():
+        if mcs_search(g).witness is None:
+            continue
+        pieces, _ = clique_decomposition(g)
+        for sub in [g] if pieces is None else [sub for sub, _ in pieces]:
+            q = ring_plus_q_size(sub)
+            assert q is not None, (g, sub)
+            if sub.n <= 10:
+                assert bf_vertex_connectivity(sub) == q + 2, (g, sub)
+            checked += 1
+    assert checked >= least

@@ -10,7 +10,9 @@ from hypothesis import assume, given, settings, strategies as st
 from glpart import (
     DemandError,
     DeviationRule,
+    Instance,
     PartitionRequest,
+    PipelineInvariantError,
     PreconditionError,
     SolverStallError,
     WeightedGraph,
@@ -20,9 +22,15 @@ from glpart import (
     verify_partition,
 )
 
+from glpart.cli import main
 from glpart.connectivity import _flow_connectivity
 
-from bruteforce import bf_is_connected, complete_graph, random_chordal
+from bruteforce import (
+    bf_is_connected,
+    complete_graph,
+    random_chordal,
+    save_instance,
+)
 from test_graph import random_graph_strategy
 
 
@@ -215,7 +223,7 @@ class TestChordalWeighted:
             g = generate_ktree(n, k, rng.randrange(2**32))
             wg = WeightedGraph(g, tuple(rng.randint(1, 7) for _ in range(n)))
             req = weighted_request(rng, wg, k)
-            part = gl_partition_chordal_weighted(wg, req, debug_invariants=True)
+            part = gl_partition_chordal_weighted(wg, req)
             rep = verify_partition(wg, req, part, DeviationRule.window(wg.w_max))
             assert rep.ok, rep.first_violation
 
@@ -254,6 +262,49 @@ class TestChordalWeighted:
         g = generate_ktree(n, k, seed)
         wg = WeightedGraph(g, tuple(rng.randint(1, 7) for _ in range(n)))
         req = weighted_request(rng, wg, k)
-        part = gl_partition_chordal_weighted(wg, req, debug_invariants=True)
+        part = gl_partition_chordal_weighted(wg, req)
         rep = verify_partition(wg, req, part, DeviationRule.window(wg.w_max))
         assert rep.ok, rep.first_violation
+
+
+class TestArmedInvariants:
+    """The slack check runs on every solve: shrinking w_max to 1 leaves a
+    window that only exact closes fit, so it must fire on most weighted
+    k-trees and stay silent only where every part is exact."""
+
+    @staticmethod
+    def instances():
+        for seed in range(50):
+            rng = random.Random(seed)
+            k = rng.randint(2, 4)
+            g = generate_ktree(40, k, seed)
+            wg = WeightedGraph(g, tuple(rng.randint(1, 5) for _ in range(40)))
+            yield wg, weighted_request(rng, wg, k)
+
+    def test_shrunk_window_fires(self, monkeypatch):
+        monkeypatch.setattr(WeightedGraph, "w_max", property(lambda self: 1))
+        fired = 0
+        for wg, req in self.instances():
+            try:
+                part = gl_partition_chordal_weighted(wg, req, validate=False)
+            except PipelineInvariantError as exc:
+                assert "slack" in str(exc)
+                fired += 1
+            else:
+                assert part.deviation == 0
+        assert fired >= 25
+
+    def test_cli_exits_1_without_traceback(self, monkeypatch, tmp_path, capsys):
+        # an inexact part means some close left the shrunk window
+        wg, req = next(
+            (wg, req) for wg, req in self.instances()
+            if gl_partition_chordal_weighted(wg, req, validate=False).deviation
+        )
+        monkeypatch.setattr(WeightedGraph, "w_max", property(lambda self: 1))
+        path = str(tmp_path / "inst.txt")
+        save_instance(Instance(wg, req), path)
+        assert main(["partition", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: closed-part weight slack")
+        assert len(captured.err.splitlines()) == 1
