@@ -24,14 +24,17 @@ Unweighted demands land within one vertex of target; weighted parts stay
 strictly within twice the maximum vertex weight.
 
 Every stage asks ``enumerate_induced_c4`` and ``mcs_search`` for the
-certificates it needs; each graph keeps them in its memo, so a validated
-solve without peeling or chords builds one catalog, that of the input,
-which recognition, the chord step and the contraction plan share, and one
-clique separator decomposition, whose non-complete atoms' subgraphs the
-hole search and the connectivity check share.
-Peeling yields a new graph and so one more catalog, and so does each added
-chord. The contraction plan certifies the contracted graph's elimination
-order, which the inner connectivity check and the chordal solve reuse.
+certificates it needs; each graph keeps them in its memo. A validated
+solve builds one clique separator decomposition of the input, which
+recognition and the connectivity check share. On members each
+non-complete atom is ring + Q, one induced 4-cycle joined to a clique
+(observed, not proven; any other atom takes the walk, the hole search and
+the flow). Then the atoms' rings are the input's catalog, which the chord
+step and the contraction plan reuse, and no catalog walk, hole search or
+flow runs on the input. Peeling yields a new graph and so one catalog
+walk, and so does each added chord. The contraction plan certifies the
+contracted graph's elimination order, which the inner connectivity check
+and the chordal solve reuse.
 """
 
 from __future__ import annotations

@@ -14,12 +14,17 @@ is needed. The middle vertex of every two-path has degree at most the
 start's, so the walk costs O(a(G) * m) plus one adjacency test per pair
 of middles sharing a start and an end, where a(G) is the arboricity;
 a k-tree has a(G) <= k. Each graph keeps its catalog in its memo, so the
-walk runs at most once per graph.
+walk runs at most once per graph, and not at all when recognition has
+already seeded the memo through ``catalog_of_rings``: every induced
+4-cycle lies in one clique separator atom, so when each non-complete atom
+is one ring joined to a clique, those rings are the whole catalog.
 """
 
 from __future__ import annotations
 
-from .graph import Graph
+from typing import Iterable
+
+from .graph import Edge, Graph
 
 Cycle = tuple[int, int, int, int]
 # all induced 4-cycles of one graph, canonically ordered
@@ -44,6 +49,19 @@ def enumerate_induced_c4(g: Graph) -> C4Catalog:
     memo = g._memo
     if "c4" not in memo:
         memo["c4"] = _build_catalog(g)
+    return memo["c4"]
+
+
+def catalog_of_rings(g: Graph, rings: Iterable[tuple[Edge, Edge]]) -> C4Catalog:
+    """g's catalog from the diagonal pairs of all its induced 4-cycles.
+
+    The caller vouches that ``rings`` names every induced 4-cycle of g
+    once; the sorted canonical cycles are kept in the graph's memo, where
+    ``enumerate_induced_c4`` finds them, and no walk runs.
+    """
+    memo = g._memo
+    if "c4" not in memo:
+        memo["c4"] = tuple(sorted(_canonical(a, b) for a, b in rings))
     return memo["c4"]
 
 

@@ -20,9 +20,15 @@ vertices it separates.
   kappa(g) >= k when every cut has at least k vertices and every
   non-complete atom is k-connected: removing fewer than k vertices leaves
   each atom connected and each cut, a clique shared by its two sides,
-  non-empty. On class members an atom is a 4-cycle plus the k-clique it
-  hangs from, so the flow below only runs on k + 4 vertices. Recognition
-  searches the same memoized atoms (``clique_decomposition``) for holes.
+  non-empty. An atom that is ring + Q, an induced 4-cycle joined to a
+  clique Q that sees all of it, is (|Q| + 2)-connected, which one degree
+  count inside the atom shows; a graph with nothing cut is its own only
+  atom and gets the same test. On every class member tried so far each
+  non-complete atom is ring + Q, so no flow runs at all; any other atom
+  gets the flow below, so soundness rests on the test alone.
+  Recognition reads the same memoized atoms (``clique_decomposition``): the
+  rings are its 4-cycle catalog, and only the other atoms get a hole
+  search.
 - Fallback, and every rejection of a non-chordal input: Menger-based.
   Unit vertex capacities via the standard vertex-split flow network,
   built once per call, max-flow per non-adjacent pair with early exit at
@@ -39,7 +45,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .chordal import McsSearch, mcs_order, mcs_search
-from .graph import Graph, components_within, induced_subgraph
+from .graph import Edge, Graph, components_within, induced_subgraph
 
 
 @dataclass(frozen=True)
@@ -246,14 +252,59 @@ def _elimination_fill(g: Graph) -> list[list[int]] | None:
     return later
 
 
-def clique_decomposition(g: Graph):
-    """Subgraph and id map of each non-complete clique separator atom of g,
-    None when nothing was cut, and g's smallest cut, memoized."""
+@dataclass(frozen=True)
+class Atom:
+    """A non-complete atom of g's clique separator decomposition.
+
+    ``graph`` is the atom's induced subgraph, and ``ids[i]`` is the vertex
+    of g that its vertex i stands for. ``ring`` holds the two diagonals of
+    the atom's ring, in g's ids, when the atom is ring + Q: an induced
+    4-cycle joined to a clique Q whose vertices see the whole ring. Such an
+    atom has no hole, the ring is its only induced 4-cycle, and its
+    connectivity is |Q| + 2, its size less two.
+    """
+
+    graph: Graph
+    ids: tuple[int, ...]
+    ring: tuple[Edge, Edge] | None
+
+
+def _ring_diagonals(a: Graph, ids: tuple[int, ...]) -> tuple[Edge, Edge] | None:
+    """The ring's two diagonals, in ``ids``, when ``a`` is ring + Q, else None.
+
+    Q is the vertices of degree n - 1; the rest must be exactly four of
+    degree n - 2. Each of those misses one vertex, one of the four since Q
+    sees everything, so they pair off into a 4-cycle's two non-edges. A Q
+    vertex on a chordless cycle would see all of it, so the ring is a's only
+    induced 4-cycle and a has no hole.
+    """
+    n = a.n
+    ring = [v for v in a.vertices() if len(a.adj[v]) < n - 1]
+    if len(ring) != 4 or any(len(a.adj[v]) != n - 2 for v in ring):
+        return None
+    p, *rest = ring
+    opposite = next(v for v in rest if v not in a.adj[p])
+    q, r = (v for v in rest if v != opposite)
+    return (ids[p], ids[opposite]), (ids[q], ids[r])
+
+
+def clique_decomposition(g: Graph) -> tuple[list[Atom], int]:
+    """Each non-complete clique separator atom of g, and g's smallest cut,
+    memoized.
+
+    When nothing was cut, also when the fill is declined, g is its own only
+    atom, with ``graph`` g itself, and the smallest cut is g.n.
+    """
     memo = g._memo
     if "atoms" not in memo:
         atoms, smallest = _clique_atoms(g)
-        pieces = [induced_subgraph(g, a) for a, clique in atoms if not clique]
-        memo["atoms"] = (pieces if len(atoms) > 1 else None), smallest
+        pieces = [
+            (g, tuple(a)) if len(atoms) == 1 else induced_subgraph(g, a)
+            for a, clique in atoms if not clique
+        ]
+        memo["atoms"] = [
+            Atom(sub, ids, _ring_diagonals(sub, ids)) for sub, ids in pieces
+        ], smallest
     return memo["atoms"]
 
 
@@ -303,7 +354,8 @@ def vertex_connectivity_at_least(g: Graph, k: int) -> ConnectivityResult:
     first minimal separator S smaller than k, separating S's generator
     from the smallest vertex it cannot reach in g - S. A non-chordal g is
     accepted by the cut-vertex search when k <= 2, else by its clique
-    separator decomposition; the rest go to max-flow.
+    separator decomposition, ring + Q atoms by their size and the others by
+    flow; the rest go to max-flow.
     """
     if k <= 0:
         raise ValueError("k must be positive")
@@ -326,11 +378,14 @@ def vertex_connectivity_at_least(g: Graph, k: int) -> ConnectivityResult:
     if k <= 2:
         accepted = k <= _kappa_up_to_2(g)
     else:
-        # sound by the module docstring's argument; g as its own only atom
-        # (also when the fill is declined) is left to the flow
+        # sound by the module docstring's argument; a ring + Q atom is
+        # (|atom| - 2)-connected, and g as its own only atom, unless ring
+        # + Q, is left to the flow below
         atoms, cut = clique_decomposition(g)
-        accepted = atoms is not None and cut >= k and all(
-            _flow_connectivity(a, k) for a, _ in atoms
+        accepted = cut >= k and all(
+            len(a.ids) - 2 >= k if a.ring
+            else a.graph is not g and _flow_connectivity(a.graph, k)
+            for a in atoms
         )
     if accepted:
         return ConnectivityResult(True, k)

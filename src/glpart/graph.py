@@ -7,8 +7,10 @@ output is reproducible bit for bit.
 A graph never changes, so each one computes its certificates at most once:
 ``chordal.mcs_search`` (whose one search ``mcs_order`` reads),
 ``c4.enumerate_induced_c4`` and ``connectivity.clique_decomposition``
-(the subgraphs of the non-complete clique separator atoms, and the smallest
-cut) keep their result in the graph's private memo. Every operation that
+(the subgraphs of the non-complete clique separator atoms, each marked when
+it is ring + Q, and the smallest cut) keep their result in the graph's
+private memo; ``c4.catalog_of_rings`` fills the catalog entry from the
+atoms' rings. Every operation that
 builds a new graph (``with_edges``, ``induced_subgraph``,
 ``contract_matching``) starts it with an empty memo. The memo takes no part
 in equality, hashing or repr.

@@ -18,12 +18,19 @@ sharing two vertices, or a hole, so on class members the search is
 O(m * (n + m)); on other graphs it is at most O(n * m^2).
 
 ``is_hh_i42_free`` accepts chordal graphs at once, as they have no 4-cycle
-and no hole. Of the others, it searches each non-complete atom of the
-clique separator decomposition, shared with the connectivity check: a hole
-meets a clique in one edge at most, so it lies in one atom (Tarjan,
-Discrete Math. 55, 1985). The witness is the whole-graph scan's, rerun on
-the edges inside holey atoms only. Cost: the O(n + m) decomposition plus
-O(m_A * (n_A + m_A)) per atom A, which has k + 4 vertices on members.
+and no hole. Of the others, it reads the clique separator decomposition
+shared with the connectivity check. Every chordless cycle, a 4-cycle
+included, meets a clique in one edge at most, so it lies in one atom
+(Tarjan, Discrete Math. 55, 1985). When every non-complete atom is ring + Q
+(an induced 4-cycle joined to a clique that sees all of it), as on class
+members, the atoms' rings are the whole 4-cycle catalog and no atom has a
+hole: the catalog scans then run on those rings over the whole graph (a
+house can straddle a clique separator), and no walk and no hole search
+run. Otherwise the catalog is walked over the whole graph, and each
+atom that is not ring + Q is searched for holes; the witness is the
+whole-graph scan's, rerun on the edges inside holey atoms only. Cost: the
+O(n + m) decomposition plus the scans of the catalog on members; on other
+graphs, O(m_A * (n_A + m_A)) more per searched atom A.
 """
 
 from __future__ import annotations
@@ -31,7 +38,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .c4 import C4Catalog, enumerate_induced_c4
+from .c4 import C4Catalog, catalog_of_rings, enumerate_induced_c4
 from .chordal import mcs_search
 from .connectivity import clique_decomposition
 from .graph import Graph
@@ -134,9 +141,12 @@ def _first_hole(adj, edges) -> tuple[int, ...] | None:
 def _hole_by_atoms(g: Graph) -> tuple[int, ...] | None:
     """``find_hole(g)``, searched atom by atom on a non-chordal ``g``."""
     atoms, _ = clique_decomposition(g)
-    if atoms is None:
-        return find_hole(g)
-    holey = [set(ids) for a, ids in atoms if find_hole(a)]
+    # a ring + Q atom has no hole; g as its own only atom is searched once,
+    # by the scan below
+    holey = [
+        set(a.ids) for a in atoms
+        if not a.ring and (a.graph is g or find_hole(a.graph))
+    ]
     inside = (e for e in g.edges() if any(e[0] in a and e[1] in a for a in holey))
     return _first_hole(g.adj, inside) if holey else None
 
@@ -203,7 +213,10 @@ def is_hh_i42_free(g: Graph) -> ClassCheck:
     """
     if not g.n or mcs_search(g).witness is None:
         return ClassCheck(True)
-    violation = scan_catalog_violations(g, enumerate_induced_c4(g))
+    rings = [a.ring for a in clique_decomposition(g)[0]]
+    # every 4-cycle lies in one atom, so ring + Q atoms hold the whole catalog
+    catalog = catalog_of_rings(g, rings) if all(rings) else enumerate_induced_c4(g)
+    violation = scan_catalog_violations(g, catalog)
     if violation is not None:
         return ClassCheck(False, violation)
     hole = _hole_by_atoms(g)

@@ -90,6 +90,17 @@ def bf_induced_c4_sets(g: Graph) -> set[frozenset[int]]:
     }
 
 
+def bf_ring_plus_q(g: Graph) -> set[frozenset[int]] | None:
+    """The two diagonals of g's ring when g is an induced 4-cycle joined to
+    a clique whose vertices see all of it, else None."""
+    for ring in bf_induced_c4_sets(g):
+        rest = [v for v in g.vertices() if v not in ring]
+        if all(u in g.adj[v] for v in rest for u in (*rest, *ring) if u != v):
+            return {frozenset(d) for d in combinations(ring, 2)
+                    if d[1] not in g.adj[d[0]]}
+    return None
+
+
 def bf_has_c4_overlap(g: Graph) -> bool:
     """Two distinct induced 4-cycles sharing at least two vertices."""
     sets = sorted(bf_induced_c4_sets(g), key=sorted)

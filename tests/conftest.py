@@ -1,11 +1,11 @@
-"""Shared fixtures: small named graphs used across the suite, and a spy on
-the per-edge hole search."""
+"""Shared fixtures: small named graphs used across the suite, and spies on
+the per-edge hole search and the connectivity flow."""
 
 from __future__ import annotations
 
 import pytest
 
-from glpart import Graph, recognition
+from glpart import Graph, connectivity, recognition
 
 from bruteforce import complete_graph, cycle_graph, path_graph
 
@@ -22,6 +22,20 @@ def hole_calls(monkeypatch):
 
     monkeypatch.setattr(recognition, "_hole_at_edge", spy)
     return calls
+
+
+@pytest.fixture
+def flow_sizes(monkeypatch):
+    """A list that gains the vertex count of each flow graph."""
+    sizes: list[int] = []
+    original = connectivity._flow_connectivity
+
+    def spy(g, k):
+        sizes.append(g.n)
+        return original(g, k)
+
+    monkeypatch.setattr(connectivity, "_flow_connectivity", spy)
+    return sizes
 
 
 @pytest.fixture

@@ -12,7 +12,13 @@ counts those calls. The clique separator
 decomposition is memoized too, cut from the elimination game of the
 input's own search; the ``fills`` and ``atom_builds`` spies count its
 elimination-game fills and atom cuts, ``subgraphs`` the induced subgraphs
-built of its atoms, and ``hole_calls`` (conftest) each per-edge hole search.
+built of its atoms, and ``hole_calls`` and ``flow_sizes`` (conftest) each
+per-edge hole search and each connectivity flow.
+
+On a class member every non-complete atom is ring + Q, an induced 4-cycle
+joined to a clique that sees all of it, so the input's catalog is read off
+the atoms' rings with no walk, no hole search runs and no flow runs. Only
+a graph with an added chord gets a walk of its own.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ from glpart import (
     c4,
     chordal,
     connectivity,
+    enumerate_induced_c4,
     format_instance,
     generate_almost_chordal,
     generate_ktree,
@@ -136,12 +143,16 @@ def _write(tmp_path, g, req) -> str:
 
 
 @pytest.mark.parametrize("k", [3, 4])
-def test_validated_solve_builds_one_catalog(builds, k):
+def test_validated_solve_builds_one_catalog(builds, hole_calls, flow_sizes, k):
+    # the one catalog comes from the atoms' rings, not from a walk
     g, req = _member_request(k, 0, seed=k)
     res = gl_partition_almost_chordal(WeightedGraph.unit(g), req)
     assert res.added_chords == ()
     assert res.c4_count == 2
-    assert builds == [g.n]
+    assert enumerate_induced_c4(g) == all_pairs_induced_c4(g)
+    assert builds == []
+    assert hole_calls == []
+    assert flow_sizes == []
 
 
 @pytest.mark.parametrize("k,chords", [(3, 1), (4, 1), (4, 2)])
@@ -149,16 +160,19 @@ def test_each_chord_costs_one_build(builds, k, chords):
     g, req = _member_request(k, chords, seed=k)
     res = gl_partition_almost_chordal(WeightedGraph.unit(g), req)
     assert len(res.added_chords) == chords
-    assert len(builds) == 1 + chords
+    assert len(builds) == chords
 
 
-def test_check_builds_one_catalog(builds, tmp_path, capsys):
+def test_check_builds_one_catalog(builds, hole_calls, flow_sizes, tmp_path,
+                                  capsys):
     g, req = _member_request(3, 0, seed=5)
     path = _write(tmp_path, g, req)
     assert main(["check", path, "--require", "class",
                  "--require", "connectivity"]) == 0
     capsys.readouterr()
-    assert builds == [g.n]
+    assert builds == []
+    assert hole_calls == []
+    assert flow_sizes == []
 
 
 @pytest.mark.parametrize("extra", [[], ["--skip-checks"]])
@@ -210,15 +224,18 @@ def test_unchecked_chordal_partition_of_member_searches_once(
 
 
 @pytest.mark.parametrize("command", ["partition", "check"])
-def test_member_decomposition_is_shared(fills, hole_calls, tmp_path, capsys,
-                                        command):
-    # recognition and connectivity read one fill of the input, and the
-    # hole search only ever sees an atom: a 4-cycle and its k-clique
+def test_member_decomposition_is_shared(fills, builds, hole_calls, flow_sizes,
+                                        tmp_path, capsys, command):
+    # recognition and connectivity read one fill of the input, and each of
+    # its atoms, a 4-cycle and its k-clique, needs no walk, no hole search
+    # and no flow
     g, req = _member_request(3, 0, seed=5)
     assert main([command, _write(tmp_path, g, req)]) == 0
     capsys.readouterr()
     assert fills == [g.n]
-    assert hole_calls and max(n for n, _, _ in hole_calls) <= 3 + 4
+    assert builds == []
+    assert hole_calls == []
+    assert flow_sizes == []
 
 
 @pytest.mark.parametrize("command", ["partition", "check"])

@@ -16,8 +16,8 @@ from glpart import (
     generate_almost_chordal,
     vertex_connectivity_at_least,
 )
-from glpart import connectivity
 from glpart.connectivity import (
+    Atom,
     _clique_atoms,
     _elimination_fill,
     _flow_connectivity,
@@ -32,6 +32,7 @@ from bruteforce import (
     bf_elimination_game,
     bf_is_connected,
     bf_minimal_separators,
+    bf_ring_plus_q,
     bf_vertex_connectivity,
     cycle_graph,
     enumerate_minimal_separators,
@@ -176,19 +177,6 @@ class TestChordalMethod:
         assert sep in enumerate_minimal_separators(g)
 
 
-@pytest.fixture
-def flow_sizes(monkeypatch):
-    """A list that gains the vertex count of each flow graph."""
-    sizes: list[int] = []
-
-    def spy(g, k):
-        sizes.append(g.n)
-        return _flow_connectivity(g, k)
-
-    monkeypatch.setattr(connectivity, "_flow_connectivity", spy)
-    return sizes
-
-
 class TestCliqueSeparatorMethod:
     """Non-chordal inputs: the cut-vertex search (k <= 2) and the clique
     separator decomposition (k >= 3) only ever accept, so every verdict,
@@ -261,11 +249,12 @@ class TestCliqueSeparatorMethod:
         self.assert_matches_flow(g, k)
 
     def test_members_accepted_without_whole_graph_flow(self, flow_sizes):
+        # every non-complete atom of a member is ring + Q, whose
+        # connectivity is its size less two, so no flow runs at all
         for k in (3, 4):
             member = generate_almost_chordal(120, k, 6, seed=k)
             assert vertex_connectivity_at_least(member, k)
-            assert flow_sizes and max(flow_sizes) == k + 4
-            flow_sizes.clear()
+            assert flow_sizes == []
 
     def test_hole_plant_accepted_inside_its_atoms(self, flow_sizes):
         # a C5 joined to the k-clique 0..k-1 makes g no class member, yet
@@ -319,21 +308,23 @@ class TestCliqueSeparatorMethod:
         assert vertex_connectivity_at_least(octahedron, 4)
         for g in (octahedron, c5):
             assert _clique_atoms(g) == ([(list(g.vertices()), False)], g.n)
-            assert clique_decomposition(g) == (None, g.n)
+            atoms, cut = clique_decomposition(g)
+            assert (atoms, cut) == ([Atom(g, tuple(g.vertices()), None)], g.n)
+            assert atoms[0].graph is g
 
     def test_declines_on_small_separator(self, flow_sizes):
         member = generate_almost_chordal(40, 3, 2, seed=5)
         assert clique_decomposition(member)[1] == 3
         assert vertex_connectivity_at_least(member, 3)
-        assert max(flow_sizes) == 3 + 4
-        flow_sizes.clear()
+        assert flow_sizes == []
         assert not vertex_connectivity_at_least(member, 4)
         assert flow_sizes == [member.n]
 
 
 class TestCliqueDecomposition:
     """``clique_decomposition`` hands out exactly the non-complete atoms of
-    ``_clique_atoms``, each as its induced subgraph."""
+    ``_clique_atoms``, each as its induced subgraph, and marks exactly the
+    ring + Q ones."""
 
     @staticmethod
     def inputs():
@@ -349,26 +340,36 @@ class TestCliqueDecomposition:
         return graphs
 
     def test_pieces_are_the_non_complete_atoms(self):
-        split = 0
+        split = rings = 0
         for g in self.inputs():
             atoms, cut = clique_decomposition(g)
             full, smallest = _clique_atoms(g)
             assert cut == smallest
             assert all(clique == g.is_clique(a) for a, clique in full)
-            assert (atoms is None) == (len(full) == 1)
-            if atoms is None:
+            for a in atoms:
+                assert not a.graph.is_complete()
+                ring = bf_ring_plus_q(a.graph)
+                assert (a.ring is None) == (ring is None)
+                if ring is not None:
+                    assert {frozenset(d) for d in a.ring} == {
+                        frozenset(a.ids[v] for v in d) for d in ring}
+                    rings += 1
+            if len(full) == 1:
+                # g is its own only atom, handed out as itself
+                assert [a.graph for a in atoms] == ([] if full[0][1] else [g])
+                assert all(a.graph is g for a in atoms)
                 continue
             split += 1
-            for sub, ids in atoms:
-                assert not sub.is_complete()
-                assert (sub, ids) == induced_subgraph(g, ids)
-            pieces = [frozenset(ids) for _, ids in atoms]
+            for a in atoms:
+                assert (a.graph, a.ids) == induced_subgraph(g, a.ids)
+            pieces = [frozenset(a.ids) for a in atoms]
             assert sorted(pieces, key=sorted) == sorted(
                 (frozenset(a) for a, _ in full if not g.is_clique(a)), key=sorted)
             assert not any(p <= q for p, q in permutations(pieces, 2))
             # a redundant atom's cut still separates g
             assert bf_vertex_connectivity(g) <= cut
         assert split >= 50
+        assert rings >= 20
 
 
 class TestEliminationFill:

@@ -179,18 +179,6 @@ def test_random_members_obey_all_lemmas():
                     assert universal_to(g, v, cyc)
 
 
-def ring_plus_q_size(g: Graph) -> int | None:
-    """|Q| when g is an induced 4-cycle joined to a clique Q, else None.
-
-    Q is the vertices of degree n - 1; the other vertices must be exactly
-    four of degree n - 2. Each of those misses one vertex, one of the four
-    since Q sees everything, so they pair off into a C4's two non-edges.
-    """
-    degrees = [len(nbrs) for nbrs in g.adj]
-    q = degrees.count(g.n - 1)
-    return q if degrees.count(g.n - 2) == 4 and q + 4 == g.n else None
-
-
 def _generated_members():
     rng = random.Random(1701)
     for k in (2, 3, 4):
@@ -231,16 +219,17 @@ def test_decomposition_pieces_are_ring_plus_q(family, least):
     to K_|Q|.
 
     ``clique_decomposition`` cuts along its elimination game, which need
-    not yield true atoms; this checks every piece it hands out anyway.
+    not yield true atoms; this checks every piece it hands out anyway,
+    through the shape test it records with each piece.
     """
     checked = 0
     for g in family():
         if mcs_search(g).witness is None:
             continue
-        pieces, _ = clique_decomposition(g)
-        for sub in [g] if pieces is None else [sub for sub, _ in pieces]:
-            q = ring_plus_q_size(sub)
-            assert q is not None, (g, sub)
+        for atom in clique_decomposition(g)[0]:
+            sub = atom.graph
+            assert atom.ring is not None, (g, sub)
+            q = sub.n - 4
             if sub.n <= 10:
                 assert bf_vertex_connectivity(sub) == q + 2, (g, sub)
             checked += 1

@@ -206,7 +206,8 @@ class TestAtomSearch:
             v = is_hh_i42_free(g).violation
             if v is None or v.kind == "hole":
                 assert (None if v is None else v.vertices) == ref
-            split_holes += ref is not None and clique_decomposition(g)[0] is not None
+            # the smallest cut is g.n exactly when nothing was cut
+            split_holes += ref is not None and clique_decomposition(g)[1] < g.n
         assert split_holes >= 50
 
     @pytest.mark.parametrize("k", [3, 4])
@@ -229,7 +230,8 @@ class TestAtomSearch:
         declined = random_gnp(random.Random(14), 30, 0.2)
         assert _elimination_fill(declined) is None
         for g in (cycle_graph(12), petersen, declined):
-            assert clique_decomposition(g)[0] is None
+            atoms, cut = clique_decomposition(g)
+            assert cut == g.n and [a.graph for a in atoms] == [g]
             _hole_by_atoms(g)
             spent = len(hole_calls)
             hole_calls.clear()
