@@ -7,12 +7,19 @@ stay byte-identical.
 
 Exit codes: 0 success, 1 solve or verification failure, 2 precondition or
 demand failure, 3 parse or I/O failure.
+
+The argument parser is built once per process, on the first ``main`` call,
+and reused by every later call, so an in-process caller pays for building
+it only once. Reuse is safe: ``parse_args`` does not modify the parser,
+each call parses into a fresh namespace, and the ``append`` action behind
+``--require`` copies its list rather than growing a shared default.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import random
 import sys
@@ -319,7 +326,13 @@ def _cmd_oracle_compare(args) -> int:
     return EXIT_OK if failures == 0 else EXIT_SOLVE
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on the first call.
+
+    ``set_defaults(func=...)`` keeps the handlers this module held at that
+    first build; rebinding a ``_cmd_*`` name afterwards does not reach it.
+    """
     parser = argparse.ArgumentParser(
         prog="glpart",
         description=(

@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import glpart
 from glpart import (
     Graph,
     Instance,
@@ -22,7 +26,13 @@ from glpart import (
 )
 from glpart.cli import main
 
-from bruteforce import bf_is_connected, bf_parse_instance, cycle_graph, path_graph
+from bruteforce import (
+    bf_is_connected,
+    bf_parse_instance,
+    cycle_graph,
+    path_graph,
+    planted,
+)
 
 
 def write_instance(tmp_path, inst, name="inst.txt"):
@@ -427,6 +437,97 @@ class TestDeterminism:
         assert main(["check", c4_file, "--out", str(a)]) == 0
         assert main(["check", c4_file, "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestOneParserPerProcess:
+    """``main`` parses with one parser built on its first call; no call
+    leaves anything behind that changes a later call's result."""
+
+    def test_no_flag_carries_over(self, chordal_file, c4_file, capsys):
+        code, doc = run_json(["check", c4_file, "--require", "chordal"], capsys)
+        assert code == 2 and doc["chordal"] is False
+        code, _ = run_json(["check", c4_file], capsys)
+        assert code == 0
+
+        code, doc = run_json(["partition", chordal_file, "--timings"], capsys)
+        assert code == 0 and "timing_ms" in doc
+        code, doc = run_json(["partition", chordal_file], capsys)
+        assert code == 0 and "timing_ms" not in doc
+
+        assert main(["partition", c4_file, "--mode", "chordal"]) == 2
+        assert "error" in capsys.readouterr().err
+        code, doc = run_json(["partition", c4_file], capsys)
+        assert code == 0 and doc["mode"] == "almost-chordal"
+
+        assert main(["check", c4_file]) == 0
+        first = capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            main(["partition"])
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+        assert main(["check", c4_file]) == 0
+        assert capsys.readouterr().out == first
+
+    def test_later_calls_build_no_parser(
+        self, chordal_file, tmp_path, monkeypatch, capsys
+    ):
+        part = str(tmp_path / "part.json")
+        assert main(["partition", chordal_file, "--out", part]) == 0
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def spy(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+        for argv in (
+            ["check", chordal_file],
+            ["partition", chordal_file],
+            ["verify", chordal_file, part],
+            ["generate", "--n", "8", "--k", "2", "--seed", "1"],
+            ["oracle-compare", "--trials", "1", "--n-max", "5"],
+        ):
+            assert main(argv) == 0, argv
+        capsys.readouterr()
+        assert built == []
+
+
+def test_one_shot_process_matches_in_process_calls(tmp_path, capsys):
+    """A fresh ``python -m glpart.cli`` prints the same bytes and exits with
+    the same code as ``main`` in a process that has served other calls."""
+    path = tmp_path / "member.txt"
+    member = str(path)
+    assert main(
+        ["generate", "--n", "24", "--k", "2", "--cycles", "2", "--seed", "4",
+         "--min-demand", "2", "--out", member]
+    ) == 0
+    inst = parse_instance(path.read_text())
+    house = planted(inst.graph, 2, "house")
+    demands = inst.request.demands[:-1] + (
+        inst.request.demands[-1] + house.n - inst.graph.n,)
+    nonmember = write_instance(tmp_path, Instance(
+        WeightedGraph.unit(house), PartitionRequest(inst.request.terminals, demands)
+    ), "nonmember.txt")
+    assert main(["check", member, "--require", "chordal"]) == 2
+    assert main(["partition", member, "--timings"]) == 0
+    capsys.readouterr()
+
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(glpart.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    cases = [(["partition", member], 0), (["check", nonmember, "--require", "class"], 2)]
+    for argv, expected in cases:
+        code = main(argv)
+        out = capsys.readouterr().out
+        fresh = subprocess.run(
+            [sys.executable, "-m", "glpart.cli", *argv],
+            capture_output=True, env=env, check=False,
+        )
+        assert code == fresh.returncode == expected, argv
+        assert out.encode() == fresh.stdout, argv
 
 
 @st.composite
