@@ -9,10 +9,12 @@ Exit codes: 0 success, 1 solve or verification failure, 2 precondition or
 demand failure, 3 parse or I/O failure.
 
 The argument parser is built once per process, on the first ``main`` call,
-and reused by every later call, so an in-process caller pays for building
-it only once. Reuse is safe: ``parse_args`` does not modify the parser,
-each call parses into a fresh namespace, and the ``append`` action behind
-``--require`` copies its list rather than growing a shared default.
+and reused by every later call, so a process that calls ``main`` many
+times (the tests, ``perfbench``) builds it only once; a one-shot ``glpart``
+run builds it once either way. Reuse is safe: ``parse_args`` does not
+modify the parser, each call parses into a fresh namespace, and the
+``append`` action behind ``--require`` copies its list rather than growing
+a shared default.
 """
 
 from __future__ import annotations
