@@ -3,7 +3,9 @@
 Subcommands: check, partition, verify, generate, oracle-compare. All JSON
 output is deterministic (sorted keys, fixed separators, no timestamps);
 timing numbers only appear under an explicit --timings flag so repeat runs
-stay byte-identical.
+stay byte-identical. The output is byte-identical to
+``json.dumps(payload, indent=2, sort_keys=True)``; ``_dumps`` writes that
+layout itself so that each flat list goes through the C encoder.
 
 Exit codes: 0 success, 1 solve or verification failure, 2 precondition or
 demand failure, 3 parse or I/O failure.
@@ -66,8 +68,41 @@ def _write(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
+# element types the C encoder writes as scalars
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
+def _dumps(value, pad: str = "") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte, for
+    a value whose dicts have str keys, as every payload here does.
+
+    Any ``indent`` makes ``json`` fall back to its pure-Python encoder, so
+    this writes the layout itself and hands each flat list of scalars to
+    the C encoder in one call, with the newline and indent as separator.
+    """
+    inner = pad + "  "
+    sep = ",\n" + inner
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        body = sep.join(
+            json.dumps(key) + ": " + _dumps(item, inner)
+            for key, item in sorted(value.items())
+        )
+        return f"{{\n{inner}{body}\n{pad}}}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        if _SCALARS.issuperset(map(type, value)):
+            body = json.dumps(value, separators=(sep, ": "))[1:-1]
+        else:
+            body = sep.join(_dumps(item, inner) for item in value)
+        return f"[\n{inner}{body}\n{pad}]"
+    return json.dumps(value)
+
+
 def _emit(payload, out_path: str | None) -> None:
-    _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", out_path)
+    _write(_dumps(payload) + "\n", out_path)
 
 
 def _cmd_check(args) -> int:

@@ -153,10 +153,15 @@ def induced_subgraph(g: Graph, s: Iterable[int]) -> tuple[Graph, tuple[int, ...]
 
 def is_connected_set(g: Graph, s: Iterable[int]) -> bool:
     """True iff ``s`` is non-empty and induces a connected subgraph."""
-    members = set(s)
-    if not members:
+    todo = set(s)
+    if not todo:
         raise ValueError("empty vertex set")
-    return len(components_within(g, members)) == 1
+    reached = [todo.pop()]
+    for x in reached:
+        step = g.adj[x] & todo
+        todo -= step
+        reached.extend(step)
+    return not todo
 
 
 def components_within(g: Graph, s: Iterable[int]) -> list[frozenset[int]]:

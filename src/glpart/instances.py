@@ -11,13 +11,26 @@ Layout, after stripping blank lines and ``#`` comments:
 Parse errors carry the 1-based line number of the offending physical line.
 The writer emits edges as u < v in sorted order, so output is byte-stable.
 
-The reader checks the four head lines one by one, and sizes nothing by n
-before the weights line has shown n integers. It then reads the edge lines
-in one pass straight into neighbour sets: a line that holds two distinct
-ids in 0..n-1 costs one split, two ``int`` calls, one test and two set
-insertions, and any other line is handed to the field, range and
-self-loop checks, in that order, for its error. A repeated edge is kept
-once. The sets are built by insertion in file order, exactly as
+The reader splits the text into physical lines once and finds the first
+four content lines (header, weights, terminals, demands). It reads the
+header, then the weights line, before it sizes anything by n: n counts
+only once the weights line has shown n integers, so a header that claims
+10**12 vertices over a short weights line allocates nothing by n. One loop
+over the remaining lines then counts the content lines, fills the
+neighbour sets in file order and stops filling at the first bad edge line,
+keeping only its position. ``#`` comments are stripped from those lines
+only when some ``#`` follows the demands line; otherwise each line goes
+straight to ``str.split``. A line that holds two distinct ids spelt as
+``str`` writes them costs one split, two dict lookups, one test and two
+set insertions; another spelling (``+3``, ``007``) goes through ``int``
+and the range test. A repeated edge is kept once.
+
+Errors found on the way are raised after the loop in the order the lines
+are checked: the content-line count, the weights line, the terminals line,
+the demands line, then the first bad edge line with the field, range and
+self-loop checks in that order. Each carries its physical line number.
+
+The sets are built by insertion in file order, exactly as
 ``Graph.from_edges`` builds them, because a frozenset's iteration order
 depends on how its elements went in, and ``chordal`` picks the nonadjacent
 pair of its chordality witness in that order: built any other way, the
@@ -61,42 +74,92 @@ def _int_fields(raw: str, line_no: int, expect: int | None = None) -> list[int]:
     return values
 
 
+def _weights(raw: str, line_no: int, n: int) -> list[int]:
+    weights = _int_fields(raw, line_no, n)
+    if min(weights) < 1:
+        raise GraphFormatError("weights must be positive", line_no)
+    return weights
+
+
 def _edge_error(raw: str, line_no: int, n: int) -> GraphFormatError:
-    """The error for an edge line that failed the fast path, found by the
-    field, range and self-loop checks in that order."""
-    u, v = _int_fields(raw, line_no, 2)
+    """The error for the physical edge line ``raw`` that stopped the loop,
+    found by the field, range and self-loop checks in that order."""
+    body = raw.partition("#")[0].strip()
+    u, v = _int_fields(body, line_no, 2)
     if not (0 <= u < n and 0 <= v < n):
-        return GraphFormatError(f"edge endpoint out of range in {raw!r}", line_no)
+        return GraphFormatError(f"edge endpoint out of range in {body!r}", line_no)
     return GraphFormatError(f"self-loop at {u}", line_no)
 
 
 def parse_instance(text: str) -> Instance:
-    lines = [
-        (i, body)
-        for i, raw in enumerate(text.splitlines(), start=1)
-        if (body := raw.partition("#")[0].strip())
-    ]
-    if len(lines) < 4:
+    lines = text.splitlines(keepends=True)
+    head: list[tuple[int, str]] = []
+    for i, raw in enumerate(lines):
+        if body := raw.partition("#")[0].strip():
+            head.append((i + 1, body))
+            if len(head) == 4:
+                break
+    else:
         raise GraphFormatError("file needs header, weights, terminals and demands")
+    first = i + 1  # index of the first line after the demands line
+    block = lines[first:]
+    if text.find("#", sum(map(len, lines[:first]))) >= 0:
+        block = [raw.partition("#")[0] for raw in block]
 
-    line_no, head = lines[0]
-    header = _int_fields(head, line_no, 3)
-    n, m, k = header
+    line_no, raw = head[0]
+    n, m, k = _int_fields(raw, line_no, 3)
     if n < 1:
         raise GraphFormatError("vertex count must be positive", line_no)
     if m < 0 or k < 1:
         raise GraphFormatError("edge and terminal counts must be sensible", line_no)
-    if len(lines) != 4 + m:
+    line_no, raw = head[1]
+    try:
+        weights = _weights(raw, line_no, n)
+    except GraphFormatError as exc:
+        weights, weights_error = None, exc
+
+    rows = map(str.split, block)
+    blanks = 0
+    bad = False
+    if weights is not None:
+        # n is now bounded by the length of the weights line
+        nbrs: list[set[int]] = [set() for _ in range(n)]
+        ids = {str(v): v for v in range(n)}
+        for fields in rows:
+            try:
+                a, b = fields
+                u = ids[a]
+                v = ids[b]
+            except ValueError:
+                if not fields:
+                    blanks += 1
+                    continue
+                u = v = -1  # not two fields
+            except KeyError:
+                # another spelling (+3, 007) or out of range: int() decides
+                try:
+                    u, v = int(a), int(b)
+                except ValueError:
+                    u = v = -1
+                if not (0 <= u < n and 0 <= v < n):
+                    u = v = -1
+            if u == v:
+                bad = True
+                break
+            nbrs[u].add(v)
+            nbrs[v].add(u)
+    # the lines the loop did not reach: those after the first bad edge
+    # line, or every line when the weights line failed
+    rest = list(rows)
+    found = 4 + len(block) - blanks - rest.count([])
+    if found != 4 + m:
         raise GraphFormatError(
-            f"expected {4 + m} content lines for m={m}, found {len(lines)}"
+            f"expected {4 + m} content lines for m={m}, found {found}"
         )
+    if weights is None:
+        raise weights_error
 
-    line_no, raw = lines[1]
-    weights = _int_fields(raw, line_no, n)
-    if any(w < 1 for w in weights):
-        raise GraphFormatError("weights must be positive", line_no)
-
-    line_no, raw = lines[2]
+    line_no, raw = head[2]
     terminals = _int_fields(raw, line_no, k)
     for t in terminals:
         if not (0 <= t < n):
@@ -104,20 +167,12 @@ def parse_instance(text: str) -> Instance:
     if len(set(terminals)) != k:
         raise GraphFormatError("terminals must be distinct", line_no)
 
-    line_no, raw = lines[3]
+    line_no, raw = head[3]
     demands = _int_fields(raw, line_no, k)
 
-    nbrs: list[set[int]] = [set() for _ in range(n)]
-    for line_no, raw in lines[4:]:
-        try:
-            u, v = raw.split()
-            u, v = int(u), int(v)
-        except ValueError:
-            u = v = -1  # not two integers: _edge_error says what is wrong
-        if u == v or not (0 <= u < n and 0 <= v < n):
-            raise _edge_error(raw, line_no, n)
-        nbrs[u].add(v)
-        nbrs[v].add(u)
+    if bad:
+        at = len(block) - len(rest) - 1
+        raise _edge_error(lines[first + at], first + at + 1, n)
 
     graph = Graph(tuple(map(frozenset, nbrs)))
     wgraph = WeightedGraph(graph, tuple(weights))

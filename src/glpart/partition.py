@@ -162,7 +162,7 @@ def gl_partition_chordal_weighted(
     n, k = g.n, req.k
     # unvalidated, a non-chordal graph grows along its search order anyway;
     # a bad order can only surface as a stall
-    adj, sigma = g.adj, search.peo.sigma
+    adj, sigma, order = g.adj, search.peo.sigma, search.peo.order
     weights, demands = wg.weights, req.demands
     w_max = wg.w_max
     # Per part: its vertices, its weight and its largest elimination
@@ -175,11 +175,15 @@ def gl_partition_chordal_weighted(
     part_of: list[int | None] = [None] * n
     # per unassigned vertex, the parts it neighbors
     adj_parts: list[set[int]] = [set() for _ in range(n)]
-    # heap of (elimination position, vertex), pushed whenever an unassigned
-    # vertex gains a part it did not neighbor before; parts only ever close,
-    # so every unassigned vertex next to an open part has an entry and stale
-    # tops are dropped lazily
-    frontier: list[tuple[int, int]] = []
+    # heap of elimination positions (vertex order[position - 1]), at most
+    # one entry per unassigned vertex. A vertex is pushed when it gains its
+    # first part, and again when it gains a part after its entry was dropped
+    # for having no open part. Parts only ever close, so every unassigned
+    # vertex next to an open part has an entry; stale tops are dropped
+    # lazily. The key does not depend on the part, so one entry picks the
+    # same vertex as one entry per (vertex, part) pair would.
+    frontier: list[int] = []
+    queued = [False] * n
     assigned = 0
 
     def assign(v: int, i: int) -> None:
@@ -193,7 +197,9 @@ def gl_partition_chordal_weighted(
         for u in adj[v]:
             if part_of[u] is None and i not in adj_parts[u]:
                 adj_parts[u].add(i)
-                heapq.heappush(frontier, (sigma[u], u))
+                if not queued[u]:
+                    queued[u] = True
+                    heapq.heappush(frontier, sigma[u])
 
     for i, t in enumerate(req.terminals):
         assign(t, i)
@@ -217,11 +223,12 @@ def gl_partition_chordal_weighted(
             )
         # earliest-position unassigned vertex adjacent to an open part
         while frontier:
-            v = frontier[0][1]
+            v = order[frontier[0] - 1]
             if part_of[v] is None:
                 open_parts = [i for i in adj_parts[v] if open_[i]]
                 if open_parts:
                     break
+                queued[v] = False
             heapq.heappop(frontier)
         else:
             raise SolverStallError(_STALL)

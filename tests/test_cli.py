@@ -24,7 +24,7 @@ from glpart import (
     generate_ktree,
     parse_instance,
 )
-from glpart.cli import main
+from glpart.cli import _dumps, main
 
 from bruteforce import (
     bf_is_connected,
@@ -214,9 +214,10 @@ class TestDeepAndLargeInputs:
 
     @pytest.mark.parametrize("cmd", ["check", "partition"])
     def test_huge_vertex_count_exits_3_without_allocating(self, cmd, tmp_path, capsys):
-        # the weights line holds 5 integers, not n, so nothing is sized by n
+        # the weights line holds 5 integers, not n, so nothing is sized by n,
+        # not even while the edge lines are counted
         path = tmp_path / "huge.txt"
-        path.write_text(f"{10**12} 0 2\n1 1 1 1 1\n0 1\n1 1\n")
+        path.write_text(f"{10**12} 2 2\n1 1 1 1 1\n0 1\n1 1\n# edges\n0 1\n\n1 2 # last\n")
         tracemalloc.start()
         try:
             code = main([cmd, str(path)])
@@ -710,6 +711,32 @@ class TestMutatedInstanceFiles:
                 assert main([*argv, "--out", out]) in (0, 1, 2, 3)
 
 
+SEPARATORS = [" ", "  ", "\t", " \t", "\u00a0", "\u2003", "\u3000"]
+
+
+@st.composite
+def dressed_files(draw):
+    """A ``mutated_files`` case written in what the format allows: ids spelt
+    ``+3`` or ``007``, tab and Unicode-space separators, comments and blank
+    lines between and after lines, ``\\r\\n`` line ends; or under a header
+    that claims 10**12 vertices."""
+    text, parts = draw(mutated_files())
+    out = []
+    for line in text.splitlines():
+        fields = [
+            draw(st.sampled_from([f, f"+{f}", f"00{f}"])) if f.isdigit() else f
+            for f in line.split()
+        ]
+        out.append(draw(st.sampled_from(SEPARATORS)).join(fields)
+                   + draw(st.sampled_from(["", "", "  # note", "\t#", "#1 2"])))
+        out += draw(st.lists(st.sampled_from(["", " \t", "# between", "\u3000"]),
+                             max_size=2))
+    if out and out[0].split() and draw(st.integers(0, 4)) == 0:
+        out[0] = " ".join([str(10**12), *out[0].split()[1:]])
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(out) + end, parts
+
+
 def read_outcome(reader, text):
     """What ``reader`` makes of ``text``: the instance with each vertex's
     neighbours in iteration order, or the error's type, message and line."""
@@ -724,13 +751,35 @@ class TestReaderAgainstReference:
     """The one-pass reader agrees with the line-by-line reference reader on
     damaged files: the same instance, or the same error on the same line."""
 
-    @given(mutated_files())
-    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(mutated_files(), dressed_files()))
+    @settings(max_examples=300, deadline=None)
     def test_same_instance_or_same_error(self, case):
         text, _ = case
         assert read_outcome(parse_instance, text) == read_outcome(
             bf_parse_instance, text
         )
+
+
+JSON_SCALARS = (
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+    | st.sampled_from([10**40, -10**40, float("nan"), float("inf"), -float("inf"),
+                       "", "\"\\/\b\f\n\r\t\x00\x7f", "é€𝄞\u2028"])
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner) | st.lists(inner).map(tuple)
+    | st.dictionaries(st.text(), inner),
+    max_leaves=20,
+)
+
+
+class TestWriter:
+    """The CLI's writer gives the bytes of an indented, key-sorted dump."""
+
+    @given(JSON_VALUES)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_indented_dumps(self, value):
+        assert _dumps(value) == json.dumps(value, indent=2, sort_keys=True)
 
 
 @st.composite
