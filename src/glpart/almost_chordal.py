@@ -6,7 +6,8 @@ pairwise almost-disjoint induced 4-cycles to a weighted chordal instance:
 1. peel unit-demand terminals (each peel lowers the connectivity the
    remaining instance needs by one),
 2. add a chord between every non-adjacent terminal pair lying on a common
-   induced 4-cycle, to a fixpoint,
+   induced 4-cycle, all from one reading of the catalog (on members no
+   chord kills another cycle or makes a new one),
 3. repeatedly pick a catalogued 4-cycle with at least three vertices on no
    other remaining cycle, record one cycle edge of a non-terminal among
    those three, and drop the cycle. This leaf-peeling is the only test of
@@ -32,9 +33,9 @@ non-complete atom is ring + Q, one induced 4-cycle joined to a clique
 the flow). Then the atoms' rings are the input's catalog, which the chord
 step and the contraction plan reuse, and no catalog walk, hole search or
 flow runs on the input. Peeling yields a new graph and so one catalog
-walk, and so does each added chord. The contraction plan certifies the
-contracted graph's elimination order, which the inner connectivity check
-and the chordal solve reuse.
+walk, and one more walk covers all the added chords. The contraction plan
+certifies the contracted graph's elimination order, which the inner
+connectivity check and the chordal solve reuse.
 """
 
 from __future__ import annotations
@@ -68,29 +69,46 @@ def add_terminal_chords(
 ) -> tuple[Graph, tuple[Edge, ...]]:
     """Chord every non-adjacent terminal pair that shares an induced 4-cycle.
 
-    Repeats until no catalogued cycle carries such a pair, so afterwards
-    every remaining cycle has at most two terminals and they are adjacent.
-    Returns the new graph and the added chords in insertion order.
+    Works in rounds. Each round reads the current graph's catalog once and,
+    for each cycle (a, b, c, d), takes its first diagonal whose ends are
+    both terminals: (a, c), else (b, d). All of a round's chords go in at
+    once, and the rounds stop when one adds none, so afterwards no
+    catalogued cycle has two non-adjacent terminals. Returns the new graph
+    and the added chords in insertion order.
+
+    On members one round adds them all. Let G have no hole and no two
+    induced 4-cycles sharing two vertices, and add the chord ac of the
+    cycle C = a-b-c-d.
+
+    (i) No other cycle dies: it would hold a and c as opposite vertices,
+    and so share two vertices with C.
+    (ii) No induced 4-cycle and (iii) no hole is born. Either would be a
+    chordless cycle a-c-x1-...-xm-a of the new graph with m >= 2, so
+    c-x1-...-xm-a is an induced path of G. If b misses x1, b's first
+    neighbour after c on that path closes a chordless cycle through b, c
+    and x1: a 4-cycle sharing b and c with C, or a hole. So b sees x1,
+    and by symmetry so does d, and a-b-x1-d is an induced 4-cycle sharing
+    three vertices with C.
+
+    So the argument repeats chord by chord: adding them one at a time,
+    each time chording the first cycle left with a terminal diagonal,
+    gives the same chords in catalog order. The second round finds
+    nothing, and its catalog stays in the returned graph's memo. Off the
+    class two cycles can share a diagonal, which is added once.
     """
     tset = set(terminals)
     added: list[Edge] = []
     while True:
-        chord = None
-        for cycle in enumerate_induced_c4(g):
-            on_cycle = sorted(tset.intersection(cycle))
-            for i, a in enumerate(on_cycle):
-                for b in on_cycle[i + 1:]:
-                    if b not in g.adj[a]:
-                        chord = (a, b)
-                        break
-                if chord:
-                    break
-            if chord:
-                break
-        if chord is None:
+        # both diagonals of a canonical cycle are sorted pairs
+        firsts = (
+            next((e for e in ((a, c), (b, d)) if tset.issuperset(e)), None)
+            for a, b, c, d in enumerate_induced_c4(g)
+        )
+        chords = dict.fromkeys(filter(None, firsts))
+        if not chords:
             return g, tuple(added)
-        g = g.with_edges([chord])
-        added.append(chord)
+        g = g.with_edges(chords)
+        added += chords
 
 
 @dataclass(frozen=True)

@@ -147,8 +147,10 @@ def _hole_by_atoms(g: Graph) -> tuple[int, ...] | None:
         set(a.ids) for a in atoms
         if not a.ring and (a.graph is g or find_hole(a.graph))
     ]
+    if not holey:
+        return None
     inside = (e for e in g.edges() if any(e[0] in a and e[1] in a for a in holey))
-    return _first_hole(g.adj, inside) if holey else None
+    return _first_hole(g.adj, inside)
 
 
 def _house_roof(g: Graph, cycle) -> int | None:

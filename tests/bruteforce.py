@@ -7,8 +7,10 @@ and paths are built here by name for the tests. The helpers at the end
 are small definitional checks the library itself has no use for, three
 thin wrappers over library code that only the tests call, the member
 generator that certifies every step, which the library no longer needs,
-the edits that plant a defect in a member or drop some of its edges, and
-the line-by-line instance reader the library's one-pass reader replaced.
+a member builder whose rings share vertices, the one-chord-per-walk
+terminal chord loop the library's rounds replaced, the edits that plant
+a defect in a member or drop some of its edges, and the line-by-line
+instance reader the library's one-pass reader replaced.
 """
 
 from __future__ import annotations
@@ -32,6 +34,8 @@ from glpart import (
     components_within,
     enumerate_induced_c4,
     format_instance,
+    generate_almost_chordal,
+    is_hh_i42_free,
     mcs_search,
 )
 from glpart.c4 import C4Catalog, Cycle, _canonical
@@ -691,6 +695,63 @@ def bf_generate_almost_chordal(n: int, k: int, cycles: int, seed: int) -> Graph:
         g = cand
         achieved += 1
     return g
+
+
+def shared_vertex_member(
+    n: int, k: int, cycles: int, extra: int, seed: int
+) -> Graph:
+    """A member whose rings share vertices, certified.
+
+    Starts from ``generate_almost_chordal(n, k, cycles, seed)`` and hangs
+    ``extra`` new rings on distinct vertices p of its rings: three fresh
+    vertices close a ring p-q-r-s, and q, r and s are joined to k - 1
+    vertices B of the old ring's anchor. B and p form a k-clique that sees
+    the whole new ring, so the result is a k-connected member in which
+    each new ring shares p with an old one. The result is checked with
+    ``is_hh_i42_free`` on a copy, so its own memo stays empty, and with
+    ``bf_class_member`` when it has at most 14 vertices.
+    """
+    rng = random.Random(seed)
+    g = generate_almost_chordal(n, k, cycles, seed)
+    ring_vertices = [(ring, p) for ring in all_pairs_induced_c4(g) for p in ring]
+    hosts = rng.sample(ring_vertices, extra)
+    edges = g.edges()
+    for i, (ring, p) in enumerate(hosts):
+        q, r, s = range(g.n + 3 * i, g.n + 3 * i + 3)
+        anchor = frozenset.intersection(*(g.adj[v] for v in ring))
+        edges += [(p, q), (q, r), (r, s), (p, s)]
+        edges += [(b, y) for b in rng.sample(sorted(anchor), k - 1) for y in (q, r, s)]
+    total = g.n + 3 * extra
+    assert is_hh_i42_free(Graph.from_edges(total, edges)), (n, k, cycles, extra, seed)
+    member = Graph.from_edges(total, edges)
+    assert total > 14 or bf_class_member(member), (n, k, cycles, extra, seed)
+    return member
+
+
+def bf_add_terminal_chords(
+    g: Graph, terminals
+) -> tuple[Graph, tuple[tuple[int, int], ...]]:
+    """Reference ``add_terminal_chords``: one chord per catalog walk.
+
+    Scans the catalog from its start for the first cycle holding a
+    non-adjacent terminal pair, takes the smallest such pair, adds it as a
+    chord to a new graph, and repeats on that graph's fresh catalog until
+    no cycle has one.
+    """
+    tset = set(terminals)
+    added = []
+    while True:
+        chord = None
+        for cycle in enumerate_induced_c4(g):
+            on_cycle = sorted(tset.intersection(cycle))
+            pairs = ((a, b) for i, a in enumerate(on_cycle) for b in on_cycle[i + 1:])
+            chord = next((e for e in pairs if e[1] not in g.adj[e[0]]), None)
+            if chord:
+                break
+        if chord is None:
+            return g, tuple(added)
+        g = g.with_edges([chord])
+        added.append(chord)
 
 
 def with_planted_cycle(g: Graph, length: int, clique: tuple[int, ...]) -> Graph:

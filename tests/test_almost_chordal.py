@@ -26,11 +26,14 @@ from glpart import (
 )
 
 from bruteforce import (
+    all_pairs_induced_c4,
+    bf_add_terminal_chords,
     build_c4_incidence,
     is_chordal,
     iter_nonedges,
     quadratic_contraction_edges,
     random_gnp,
+    shared_vertex_member,
 )
 from test_partition import random_request, weighted_request
 
@@ -64,6 +67,42 @@ class TestAddTerminalChords:
         g2, chords = add_terminal_chords(g, terms)
         assert (min(cyc[0], cyc[2]), max(cyc[0], cyc[2])) in chords
         assert len(enumerate_induced_c4(g2)) < len(cat)
+
+    def test_matches_one_chord_per_walk_on_members(self):
+        # terminals on ring diagonals, some rings fully terminal, half of
+        # the members with rings that share a vertex
+        rng = random.Random(29)
+        chorded = 0
+        for trial in range(120):
+            k = rng.choice((2, 3, 4))
+            cycles = rng.randint(1, 5)
+            n = rng.randint(k + 1 + 4 * cycles, k + 20 + 4 * cycles)
+            if trial % 2:
+                g = shared_vertex_member(n, k, cycles, rng.randint(1, cycles), trial)
+            else:
+                g = generate_almost_chordal(n, k, cycles, seed=trial)
+            terms = set(rng.sample(range(g.n), rng.randint(0, 3)))
+            for cyc in all_pairs_induced_c4(g):
+                # one diagonal, both, or none
+                terms.update(rng.choice((cyc[0::2], cyc[1::2], cyc, ())))
+            terms = tuple(sorted(terms))
+            expected = bf_add_terminal_chords(Graph.from_edges(g.n, g.edges()), terms)
+            assert add_terminal_chords(g, terms) == expected, (trial, terms)
+            chorded += bool(expected[1])
+        assert chorded >= 100
+
+    def test_postcondition_off_the_class(self):
+        rng = random.Random(31)
+        for _ in range(400):
+            g = random_gnp(rng, rng.randint(4, 14), rng.choice((0.3, 0.5, 0.7)))
+            tset = set(rng.sample(range(g.n), rng.randint(2, g.n)))
+            g2, chords = add_terminal_chords(g, tuple(sorted(tset)))
+            assert len(set(chords)) == len(chords)
+            assert all(tset.issuperset(e) and e[1] not in g.adj[e[0]] for e in chords)
+            assert g2 == g.with_edges(chords)
+            for a, b, c, d in all_pairs_induced_c4(g2):
+                assert not tset.issuperset((a, c))
+                assert not tset.issuperset((b, d))
 
 
 class TestContractionPlan:

@@ -18,7 +18,7 @@ per-edge hole search and each connectivity flow.
 On a class member every non-complete atom is ring + Q, an induced 4-cycle
 joined to a clique that sees all of it, so the input's catalog is read off
 the atoms' rings with no walk, no hole search runs and no flow runs. Only
-a graph with an added chord gets a walk of its own.
+the graph with all the added chords gets a walk of its own.
 """
 
 from __future__ import annotations
@@ -155,12 +155,25 @@ def test_validated_solve_builds_one_catalog(builds, hole_calls, flow_sizes, k):
     assert flow_sizes == []
 
 
-@pytest.mark.parametrize("k,chords", [(3, 1), (4, 1), (4, 2)])
-def test_each_chord_costs_one_build(builds, k, chords):
+@pytest.mark.parametrize("k,chords", [(3, 1), (4, 1), (4, 2), (6, 3)])
+def test_all_chords_cost_one_build(builds, k, chords):
+    # one round reads the atoms' catalog and adds every chord, and the
+    # chorded graph's walk finds none left
     g, req = _member_request(k, chords, seed=k)
     res = gl_partition_almost_chordal(WeightedGraph.unit(g), req)
     assert len(res.added_chords) == chords
-    assert len(builds) == chords
+    assert builds == [g.n]
+
+
+@pytest.mark.parametrize("command", ["partition", "check"])
+def test_member_lists_no_edges(monkeypatch, tmp_path, capsys, command):
+    # no atom needs a hole search, so no edge list of the input is built
+    g, req = _member_request(3, 0, seed=5)
+    path = _write(tmp_path, g, req)
+    listed = _spy(monkeypatch, graph.Graph, "edges")
+    assert main([command, path]) == 0
+    capsys.readouterr()
+    assert listed == []
 
 
 def test_check_builds_one_catalog(builds, hole_calls, flow_sizes, tmp_path,

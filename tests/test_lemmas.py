@@ -23,11 +23,13 @@ from glpart.connectivity import clique_decomposition
 
 from bruteforce import (
     DOUBLE_HOUSE_EDGES,
+    all_pairs_induced_c4,
     bf_contains_induced,
     bf_vertex_connectivity,
     build_c4_incidence,
     enumerate_minimal_separators,
     random_gnp,
+    shared_vertex_member,
     universal_to,
 )
 
@@ -56,15 +58,45 @@ def member_pool():
     return pool
 
 
-POOL = member_pool()
+def shared_pool():
+    """Members with n <= 14 and k = 2, 3 whose rings share a vertex."""
+
+    specs = [
+        (7, 2, 1, 1, 0),
+        (7, 2, 1, 2, 1),
+        (11, 2, 2, 1, 2),
+        (8, 3, 1, 1, 3),
+        (8, 3, 1, 2, 4),
+    ]
+    return [
+        (shared_vertex_member(n, k, cycles, extra, seed), k)
+        for n, k, cycles, extra, seed in specs
+    ]
+
+
+SHARED = shared_pool()
+POOL = member_pool() + SHARED
 GRAPHS = [g for g, _ in POOL]
+
+
+def _pool_id(g):
+    shared = "shared-" if any(g is s for s, _ in SHARED) else ""
+    return f"{shared}n{g.n}m{len(g.edges())}"
 
 
 def test_pool_covers_high_k():
     assert sum(1 for _, k in POOL if k >= 5) >= 5
 
 
-@pytest.mark.parametrize("g", GRAPHS, ids=lambda g: f"n{g.n}m{len(g.edges())}")
+@pytest.mark.parametrize("g, k", SHARED, ids=[_pool_id(g) for g, _ in SHARED])
+def test_shared_pool_rings_share_a_vertex(g, k):
+    cat = all_pairs_induced_c4(g)
+    assert any(set(a) & set(b) for a, b in itertools.combinations(cat, 2))
+    assert enumerate_induced_c4(g) == cat
+    assert bf_vertex_connectivity(g) == k
+
+
+@pytest.mark.parametrize("g", GRAPHS, ids=_pool_id)
 class TestPerMember:
     def test_two_neighbors_imply_universal(self, g):
         # off-cycle vertex adjacent to 2+ cycle vertices sees all four
