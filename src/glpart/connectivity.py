@@ -321,14 +321,22 @@ def _clique_atoms(g: Graph) -> tuple[list[tuple[list[int], bool]], int]:
     eliminated y of a larger one would have had x and S as its later
     neighbors and been cut off before. The smallest cut is g.n when nothing
     is cut, also when the fill is declined.
+
+    A vertex u is filled when some later neighbor of u in H is not its
+    neighbor in g. S is tested for a clique only when one of its members is
+    filled; otherwise it is one. H makes S a clique, so for u before v in
+    S, v is a later neighbor of u in H; a missing edge uv of g makes u
+    filled.
     """
     later = _elimination_fill(g)
     alive = [True] * g.n
     left = smallest = g.n
     atoms = []
+    if later is not None:
+        filled = [not nbrs.issuperset(s) for nbrs, s in zip(g.adj, later)]
     for x in () if later is None else mcs_order(g):
         sep = later[x]
-        if not g.is_clique(sep):
+        if any(filled[u] for u in sep) and not g.is_clique(sep):
             continue
         seen = {x, *sep}
         comp = [x]

@@ -8,7 +8,9 @@ are small definitional checks the library itself has no use for, three
 thin wrappers over library code that only the tests call, the member
 generator that certifies every step, which the library no longer needs,
 a member builder whose rings share vertices, the one-chord-per-walk
-terminal chord loop the library's rounds replaced, the edits that plant
+terminal chord loop the library's rounds replaced, the clique atom cut
+that tests every later set, which the library's filled-vertex test
+replaced, the edits that plant
 a defect in a member or drop some of its edges, and the line-by-line
 instance reader the library's one-pass reader replaced.
 """
@@ -36,9 +38,11 @@ from glpart import (
     format_instance,
     generate_almost_chordal,
     is_hh_i42_free,
+    mcs_order,
     mcs_search,
 )
 from glpart.c4 import C4Catalog, Cycle, _canonical
+from glpart.connectivity import _elimination_fill
 from glpart.generators import _ktree_edges_and_cliques
 from glpart.recognition import _hole_at_edge, scan_catalog_violations
 
@@ -752,6 +756,35 @@ def bf_add_terminal_chords(
             return g, tuple(added)
         g = g.with_edges([chord])
         added.append(chord)
+
+
+def bf_clique_atoms_every_set(g: Graph) -> tuple[list[tuple[list[int], bool]], int]:
+    """Reference ``connectivity._clique_atoms``: the same cut along g's
+    elimination game, but with an ``is_clique`` test of every later set
+    instead of only those holding a filled vertex."""
+    later = _elimination_fill(g)
+    alive = [True] * g.n
+    left = smallest = g.n
+    atoms = []
+    for x in () if later is None else mcs_order(g):
+        sep = later[x]
+        if not g.is_clique(sep):
+            continue
+        seen = {x, *sep}
+        comp = [x]
+        for y in comp:
+            for u in g.adj[y]:
+                if alive[u] and u not in seen:
+                    seen.add(u)
+                    comp.append(u)
+        if len(seen) < left:
+            for v in comp:
+                alive[v] = False
+            left -= len(comp)
+            atoms.append((comp + sep, len(comp) == 1))
+            smallest = min(smallest, len(sep))
+    rest = [v for v in g.vertices() if alive[v]]
+    return [*atoms, (rest, g.is_clique(rest))], smallest
 
 
 def with_planted_cycle(g: Graph, length: int, clique: tuple[int, ...]) -> Graph:

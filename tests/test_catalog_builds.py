@@ -176,6 +176,18 @@ def test_member_lists_no_edges(monkeypatch, tmp_path, capsys, command):
     assert listed == []
 
 
+def test_member_partition_tests_few_cliques(monkeypatch, tmp_path, capsys):
+    # of the later sets, only the one per ring that holds a filled vertex
+    # gets an is_clique test, and then what is left at the end
+    g = generate_almost_chordal(200, 3, 8, seed=1)
+    req = PartitionRequest((0, 1, 2), (2, 2, g.n - 4))
+    path = _write(tmp_path, g, req)
+    tested = _spy(monkeypatch, graph.Graph, "is_clique")
+    assert main(["partition", path]) == 0
+    capsys.readouterr()
+    assert tested == [g.n] * 9
+
+
 def test_check_builds_one_catalog(builds, hole_calls, flow_sizes, tmp_path,
                                   capsys):
     g, req = _member_request(3, 0, seed=5)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import stat
 import subprocess
 import sys
 import tempfile
@@ -438,6 +439,71 @@ class TestDeterminism:
         assert main(["check", c4_file, "--out", str(a)]) == 0
         assert main(["check", c4_file, "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestOutInPlace:
+    """``--out`` overwrites a file in place and truncates it afterwards;
+    what the file ends up holding is what stdout would have shown."""
+
+    @pytest.mark.parametrize("command", ["partition", "check", "generate"])
+    def test_longer_then_shorter_file(self, command, chordal_file, tmp_path,
+                                      capsys):
+        argv = ([command, chordal_file] if command != "generate"
+                else [command, "--n", "16", "--k", "3", "--seed", "9"])
+        assert main(argv) == 0
+        want = capsys.readouterr().out.encode()
+        out = tmp_path / "out"
+        for old in (b"x" * (2 * len(want)), b"{}\n"):
+            out.write_bytes(old)
+            assert main(argv + ["--out", str(out)]) == 0
+            assert capsys.readouterr().out == ""
+            assert out.read_bytes() == want
+
+    @pytest.mark.skipif(not os.path.exists("/dev/null"), reason="no /dev/null")
+    def test_dev_null(self, chordal_file, capsys):
+        assert main(["partition", chordal_file, "--out", "/dev/null"]) == 0
+        assert capsys.readouterr() == ("", "")
+
+    def test_symlink_is_written_through(self, chordal_file, tmp_path, capsys):
+        assert main(["partition", chordal_file]) == 0
+        want = capsys.readouterr().out.encode()
+        target, link = tmp_path / "target.json", tmp_path / "link.json"
+        target.write_bytes(b"x" * (2 * len(want)))
+        link.symlink_to(target)
+        assert main(["partition", chordal_file, "--out", str(link)]) == 0
+        assert link.is_symlink()
+        assert target.read_bytes() == want
+
+    def test_new_file_mode_follows_umask(self, chordal_file, tmp_path):
+        out = tmp_path / "new.json"
+        mask = os.umask(0o027)
+        try:
+            assert main(["partition", chordal_file, "--out", str(out)]) == 0
+        finally:
+            os.umask(mask)
+        assert stat.S_IMODE(out.stat().st_mode) == 0o666 & ~0o027
+
+    def test_opens_without_truncating(self, chordal_file, tmp_path, monkeypatch):
+        out = str(tmp_path / "res.json")
+        seen = []
+        original = os.open
+
+        def spy(path, flags, *args, **kwargs):
+            if path == out:
+                seen.append(flags)
+            return original(path, flags, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", spy)
+        assert main(["partition", chordal_file, "--out", out]) == 0
+        assert len(seen) == 1
+        assert not seen[0] & os.O_TRUNC
+
+    @pytest.mark.parametrize("name", [".", "missing/res.json"])
+    def test_unwritable_path_exits_3(self, name, chordal_file, tmp_path, capsys):
+        assert main(["partition", chordal_file, "--out", str(tmp_path / name)]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestOneParserPerProcess:

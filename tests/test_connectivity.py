@@ -29,6 +29,7 @@ from glpart.graph import components_within, induced_subgraph
 from bruteforce import (
     _separates,
     bf_clique_atoms,
+    bf_clique_atoms_every_set,
     bf_elimination_game,
     bf_is_connected,
     bf_minimal_separators,
@@ -41,6 +42,7 @@ from bruteforce import (
     planted,
     random_chordal,
     random_gnp,
+    shared_vertex_member,
     without_edges,
 )
 from test_graph import random_graph_strategy
@@ -370,6 +372,28 @@ class TestCliqueDecomposition:
             assert bf_vertex_connectivity(g) <= cut
         assert split >= 50
         assert rings >= 20
+
+
+class TestFilledVertexTest:
+    """``_clique_atoms`` tests a later set for a clique only when it holds
+    a filled vertex, and cuts exactly as the reference that tests them all."""
+
+    def test_matches_every_set_reference(self):
+        rng = random.Random(23)
+        graphs = [generate_almost_chordal(n, k, n // 15, seed=n + k)
+                  for n in (20, 45, 90) for k in (2, 3, 4)]
+        graphs += [shared_vertex_member(n, k, cycles, extra, seed)
+                   for n, k, cycles, extra, seed in (
+                       (7, 2, 1, 2, 1), (11, 2, 2, 1, 2), (8, 3, 1, 2, 4),
+                       (40, 3, 4, 3, 5), (60, 4, 5, 4, 6))]
+        graphs += [random_gnp(rng, rng.randint(2, 14), p)
+                   for p in (0.2, 0.35, 0.5, 0.65, 0.8) for _ in range(40)]
+        split = 0
+        for g in graphs:
+            got = _clique_atoms(g)
+            assert got == bf_clique_atoms_every_set(g)
+            split += len(got[0]) > 1
+        assert split >= 60
 
 
 class TestEliminationFill:
