@@ -14,10 +14,15 @@ demand failure, 3 parse or I/O failure.
 new length afterwards, instead of truncating it to zero on open. On ext4,
 whose default ``auto_da_alloc`` starts writing a file's new data to disk
 at close when the file was truncated to zero, the in-place write saved
-about 0.2 ms per 3-40 KB output on a 2-core ext4 virtual machine. Special
-files such as ``/dev/null`` are written but not truncated. A crash
-mid-write can leave old bytes after the new ones, where truncating first
-left a short file; neither way is atomic.
+about 0.1-0.2 ms per 3-40 KB output on a 2-core ext4 virtual machine when
+one process overwrites the same file many times; a one-shot run, or a run
+that writes a new file, gains nothing measurable. Special files such as
+``/dev/null`` are written but not truncated. Neither way is atomic, and
+the in-place write fails worse: a crash or a failed write mid-way can
+leave the new bytes followed by the old file's tail, or a page-by-page
+mix of old and new, which can read as valid JSON from two runs, where
+truncating first left a short or empty file. ``auto_da_alloc``'s guard
+against a zero-length file after a crash no longer applies either.
 
 The argument parser is built once per process, on the first ``main`` call,
 and reused by every later call, so a process that calls ``main`` many
@@ -82,19 +87,20 @@ def _write(text: str, out_path: str | None) -> None:
     A file is opened without ``O_TRUNC``, overwritten from offset 0 and
     then truncated to the written length, because truncating it to zero
     on open makes ext4 (``auto_da_alloc``) start writing the new data to
-    disk at close. Only a regular file that held more bytes than ``text``
-    has characters is truncated: each character takes at least one byte,
-    so a shorter file keeps no tail, and a new file is spared the
-    ``ftruncate`` (about 5 µs on ext4), which fails on a special file such
-    as ``/dev/null``. There is no fsync and the write is not atomic: a
-    crash mid-write can leave the old file's tail after the new bytes,
-    where truncating first left a short file.
+    disk at close. Only a regular file is truncated; ``ftruncate`` fails
+    on a special file such as ``/dev/null``. There is no fsync and the
+    write is not atomic. A crash or a failed write mid-way can leave the
+    new bytes followed by the old file's tail, or a mix of old and new
+    pages, which can pass for a complete result, where truncating first
+    left a short or empty file; and ext4 no longer guards against a
+    zero-length file after a crash, since that guard hangs on the
+    truncation to zero.
     """
     if out_path:
         with open(out_path, "w", encoding="utf-8", opener=_open_in_place) as fh:
-            old = os.fstat(fh.fileno())
+            regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
             fh.write(text)
-            if stat.S_ISREG(old.st_mode) and old.st_size > len(text):
+            if regular:
                 fh.truncate()
     else:
         sys.stdout.write(text)
