@@ -153,3 +153,33 @@ def test_member_check_digest(tmp_path, capsys):
             codes.append(_run(["check", str(path)], capsys, digest))
     assert codes == [0] * 10
     assert digest.hexdigest() == MEMBER_CHECK_SHA256
+
+
+# ``partition`` at the sizes the benchmark solves: k-trees of 1,000 to 4,000
+# vertices, unit and weighted, k = 2..5, and one weighted class member, each
+# with and without checks. GOLDEN_SHA256 stops at n = 60, where a growth loop
+# rarely has more than a few frontier vertices to choose from.
+LARGE_SHA256 = "108cd8bae1b6fbe3c54cf9398903877fcb135cabad31eca499e354885c50374f"
+
+LARGE_CORPUS = [
+    ["--n", "1000", "--k", "2", "--seed", "31"],
+    ["--n", "1500", "--k", "3", "--max-weight", "9", "--seed", "32"],
+    ["--n", "2000", "--k", "4", "--seed", "33"],
+    ["--n", "2500", "--k", "5", "--max-weight", "9", "--seed", "34"],
+    ["--n", "3000", "--k", "3", "--seed", "35"],
+    ["--n", "4000", "--k", "2", "--max-weight", "9", "--seed", "36"],
+    ["--n", "400", "--k", "3", "--cycles", "8", "--max-weight", "9",
+     "--min-demand", "10", "--seed", "37"],
+]
+
+
+def test_large_partition_digest(tmp_path, capsys):
+    digest = hashlib.sha256()
+    codes = []
+    for i, flags in enumerate(LARGE_CORPUS):
+        path = str(tmp_path / f"large-{i}.txt")
+        assert main(["generate", *flags, "--out", path]) == 0
+        for cmd in (["partition"], ["partition", "--skip-checks"]):
+            codes.append(_run([*cmd, path], capsys, digest))
+    assert codes == [0] * 14
+    assert digest.hexdigest() == LARGE_SHA256
