@@ -64,7 +64,7 @@ class Graph:
         return [(u, v) for u in self.vertices() for v in sorted(self.adj[u]) if u < v]
 
     def edge_count(self) -> int:
-        return sum(len(s) for s in self.adj) // 2
+        return sum(map(len, self.adj)) // 2
 
     def is_complete(self) -> bool:
         n = self.n
@@ -196,7 +196,7 @@ class WeightedGraph:
     def __post_init__(self):
         if len(self.weights) != self.graph.n:
             raise ValueError("weight vector length must equal vertex count")
-        if any(w < 1 for w in self.weights):
+        if self.weights and min(self.weights) < 1:
             raise ValueError("vertex weights must be positive integers")
 
     @classmethod
@@ -218,5 +218,6 @@ class WeightedGraph:
         return sum(self.weights[v] for v in vertices)
 
     def is_unit(self) -> bool:
-        return all(w == 1 for w in self.weights)
+        # weights are positive, so the largest one is 1 only when all are
+        return max(self.weights, default=1) == 1
 

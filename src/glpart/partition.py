@@ -10,11 +10,19 @@ remains.
 On chordal k-connected inputs every part weight lands strictly within one
 maximum vertex weight of its demand, which under unit weights means
 exactly on it.
+
+The loop's bookkeeping is ints, not sets. Each vertex has a bit mask of
+the parts it borders (bit i for part i), set to -1 once the vertex is
+assigned; the open parts are one more mask. The frontier is a heap of
+elimination positions with at most one entry per waiting vertex, popped
+when that vertex is assigned or found with no open part. A pick walks
+only the set bits of the vertex's open parts, so its cost follows the
+parts the vertex borders, not k.
 """
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 from dataclasses import dataclass
 
 from .chordal import mcs_search
@@ -169,44 +177,50 @@ def gl_partition_chordal_weighted(
     # position. The positions are distinct across parts (parts are
     # disjoint), so the part choice is a strict minimum and the whole run
     # is deterministic.
-    parts: list[set[int]] = [set() for _ in range(k)]
+    parts: list[list[int]] = [[] for _ in range(k)]
     part_weight = [0] * k
     priority = [-1] * k
-    part_of: list[int | None] = [None] * n
-    # per unassigned vertex, the parts it neighbors
-    adj_parts: list[set[int]] = [set() for _ in range(n)]
-    # heap of elimination positions (vertex order[position - 1]), at most
-    # one entry per unassigned vertex. A vertex is pushed when it gains its
-    # first part, and again when it gains a part after its entry was dropped
-    # for having no open part. Parts only ever close, so every unassigned
-    # vertex next to an open part has an entry; stale tops are dropped
-    # lazily. The key does not depend on the part, so one entry picks the
-    # same vertex as one entry per (vertex, part) pair would.
+    # Per vertex, a bit mask of the parts it borders: bit i for part i, and
+    # -1 (every bit set) once the vertex is assigned. Terminals are marked
+    # before any is seeded, so none ever waits.
+    mask = [0] * n
+    # Heap of elimination positions (vertex order[position - 1]) holding at
+    # most one entry per waiting vertex, one whose mask is neither 0 nor -1.
+    # A vertex is pushed when its mask leaves 0, and popped when it is
+    # assigned or found with no open part (a pick that only closes a part
+    # pushes it back). Found with no open part, its mask drops to 0: parts
+    # never reopen, so its bits are dead, and a later part pushes it again.
+    # So every unassigned vertex next to an open part has an entry, and no
+    # assigned vertex has one. The key does not depend on the part, so one
+    # entry picks the same vertex as one entry per (vertex, part) pair would.
     frontier: list[int] = []
-    queued = [False] * n
     assigned = 0
 
     def assign(v: int, i: int) -> None:
         nonlocal assigned
-        part_of[v] = i
-        parts[i].add(v)
+        mask[v] = -1
+        parts[i].append(v)
         part_weight[i] += weights[v]
         if sigma[v] > priority[i]:
             priority[i] = sigma[v]
         assigned += 1
+        bit = 1 << i
         for u in adj[v]:
-            if part_of[u] is None and i not in adj_parts[u]:
-                adj_parts[u].add(i)
-                if not queued[u]:
-                    queued[u] = True
-                    heapq.heappush(frontier, sigma[u])
+            # the sign test first: past bit 29, `-1 & bit` builds a new
+            # int, which many terminals would pay at every assigned vertex
+            if (m := mask[u]) >= 0 and not m & bit:
+                mask[u] = m | bit
+                if not m:
+                    heappush(frontier, sigma[u])
 
+    for t in req.terminals:
+        mask[t] = -1
     for i, t in enumerate(req.terminals):
         assign(t, i)
-    open_ = [part_weight[i] < demands[i] for i in range(k)]
-    open_count = sum(open_)
-    # sum of (demand - weight) over closed parts
-    closed_slack = sum(demands[i] - part_weight[i] for i in range(k) if not open_[i])
+    # bit i set while part i is open
+    open_mask = sum(1 << i for i in range(k) if part_weight[i] < demands[i])
+    # sum of (demand - weight) over closed parts, the ones with weight >= demand
+    closed_slack = sum(min(d - w, 0) for d, w in zip(demands, part_weight))
 
     # Neither check fires on a correct run. Every pass assigns a vertex or
     # closes a part, so n + k passes suffice. A close overshoots its demand
@@ -215,7 +229,8 @@ def gl_partition_chordal_weighted(
     # at, and the slack never leaves (-w_max, w_max).
     iterations = 0
     max_iterations = n + k
-    while open_count > 1 and assigned < n:
+    # while two or more parts are open
+    while open_mask & (open_mask - 1) and assigned < n:
         iterations += 1
         if iterations > max_iterations:
             raise PipelineInvariantError(
@@ -223,25 +238,33 @@ def gl_partition_chordal_weighted(
             )
         # earliest-position unassigned vertex adjacent to an open part
         while frontier:
-            v = order[frontier[0] - 1]
-            if part_of[v] is None:
-                open_parts = [i for i in adj_parts[v] if open_[i]]
-                if open_parts:
-                    break
-                queued[v] = False
-            heapq.heappop(frontier)
+            v = order[heappop(frontier) - 1]
+            open_parts = mask[v] & open_mask
+            if open_parts:
+                break
+            mask[v] = 0
         else:
             raise SolverStallError(_STALL)
-        i = min(open_parts, key=priority.__getitem__)
+        # The part of least priority among the open ones. The walk visits
+        # only the set bits, highest first: a vertex borders few parts, and
+        # scanning all k bits would cost O(k) per pick when k is large.
+        i = open_parts.bit_length() - 1
+        open_parts ^= 1 << i
+        while open_parts:
+            j = open_parts.bit_length() - 1
+            open_parts ^= 1 << j
+            if priority[j] < priority[i]:
+                i = j
         wv = weights[v]
         if part_weight[i] + wv < demands[i]:
             assign(v, i)
         else:
             # close part i; the dump part inherits the slack
-            open_[i] = False
-            open_count -= 1
+            open_mask ^= 1 << i
             if closed_slack >= 0 or part_weight[i] + wv == demands[i]:
                 assign(v, i)
+            else:
+                heappush(frontier, sigma[v])
             closed_slack += demands[i] - part_weight[i]
             if not overweight_seen and not -w_max < closed_slack < w_max:
                 raise PipelineInvariantError(
@@ -250,13 +273,13 @@ def gl_partition_chordal_weighted(
                 )
 
     if assigned < n:
-        if open_count != 1:
+        if not open_mask:
             raise SolverStallError(
                 "unassigned vertices remain but no part is open"
             )
-        last = open_.index(True)
-        rest = [v for v in range(n) if part_of[v] is None]
-        parts[last].update(rest)
+        last = open_mask.bit_length() - 1
+        rest = [v for v in range(n) if mask[v] >= 0]
+        parts[last].extend(rest)
         part_weight[last] += sum(weights[v] for v in rest)
         # growing the last part on would reach exactly these vertices, or
         # stall when some of them hang off another part only

@@ -11,12 +11,14 @@ a member builder whose rings share vertices, the one-chord-per-walk
 terminal chord loop the library's rounds replaced, the clique atom cut
 that tests every later set, which the library's filled-vertex test
 replaced, the edits that plant
-a defect in a member or drop some of its edges, and the line-by-line
-instance reader the library's one-pass reader replaced.
+a defect in a member or drop some of its edges, the line-by-line
+instance reader the library's one-pass reader replaced, and the growth
+loop on per-vertex part sets that the library's bit masks replaced.
 """
 
 from __future__ import annotations
 
+import heapq
 import random
 from dataclasses import dataclass
 from itertools import combinations, permutations
@@ -24,6 +26,7 @@ from itertools import combinations, permutations
 from glpart import (
     CapError,
     ChordalityWitness,
+    GLPartition,
     Graph,
     GraphFormatError,
     Instance,
@@ -32,18 +35,22 @@ from glpart import (
     PipelineInvariantError,
     PartitionRequest,
     PreconditionError,
+    SolverStallError,
     WeightedGraph,
     components_within,
     enumerate_induced_c4,
     format_instance,
     generate_almost_chordal,
+    is_connected_set,
     is_hh_i42_free,
     mcs_order,
     mcs_search,
+    vertex_connectivity_at_least,
 )
 from glpart.c4 import C4Catalog, Cycle, _canonical
 from glpart.connectivity import _elimination_fill
 from glpart.generators import _ktree_edges_and_cliques
+from glpart.partition import _STALL, check_demands
 from glpart.recognition import _hole_at_edge, scan_catalog_violations
 
 
@@ -885,3 +892,144 @@ def bf_parse_instance(text: str) -> Instance:
     wgraph = WeightedGraph(graph, tuple(weights))
     request = PartitionRequest(tuple(terminals), tuple(demands))
     return Instance(wgraph, request)
+
+
+def bf_grow_chordal_weighted(
+    wg: WeightedGraph,
+    req: PartitionRequest,
+    *,
+    validate: bool = True,
+    allow_overweight_terminals: bool = False,
+) -> GLPartition:
+    """The growth loop as it ran on per-vertex part sets, kept verbatim.
+
+    The library's loop keeps the same rule, picks and checks on bit masks;
+    tests require both to return the same parts and deviation, or to raise
+    the same exception with the same message.
+    """
+    g = wg.graph
+    overweight_seen = check_demands(
+        wg, req, allow_overweight=allow_overweight_terminals
+    )
+    search = mcs_search(g)
+    if validate:
+        wit = search.witness
+        if wit is not None:
+            raise PreconditionError(
+                "input graph is not chordal: vertex "
+                f"{wit.vertex} has non-adjacent later neighbors {wit.nonadjacent}",
+                witness=wit,
+            )
+        res = vertex_connectivity_at_least(g, req.k)
+        if not res:
+            raise PreconditionError(
+                f"input graph is not {req.k}-connected: {res.reason}",
+                witness=res.witness,
+            )
+
+    n, k = g.n, req.k
+    # unvalidated, a non-chordal graph grows along its search order anyway;
+    # a bad order can only surface as a stall
+    adj, sigma, order = g.adj, search.peo.sigma, search.peo.order
+    weights, demands = wg.weights, req.demands
+    w_max = wg.w_max
+    # Per part: its vertices, its weight and its largest elimination
+    # position. The positions are distinct across parts (parts are
+    # disjoint), so the part choice is a strict minimum and the whole run
+    # is deterministic.
+    parts: list[set[int]] = [set() for _ in range(k)]
+    part_weight = [0] * k
+    priority = [-1] * k
+    part_of: list[int | None] = [None] * n
+    # per unassigned vertex, the parts it neighbors
+    adj_parts: list[set[int]] = [set() for _ in range(n)]
+    # heap of elimination positions (vertex order[position - 1]), at most
+    # one entry per unassigned vertex. A vertex is pushed when it gains its
+    # first part, and again when it gains a part after its entry was dropped
+    # for having no open part. Parts only ever close, so every unassigned
+    # vertex next to an open part has an entry; stale tops are dropped
+    # lazily. The key does not depend on the part, so one entry picks the
+    # same vertex as one entry per (vertex, part) pair would.
+    frontier: list[int] = []
+    queued = [False] * n
+    assigned = 0
+
+    def assign(v: int, i: int) -> None:
+        nonlocal assigned
+        part_of[v] = i
+        parts[i].add(v)
+        part_weight[i] += weights[v]
+        if sigma[v] > priority[i]:
+            priority[i] = sigma[v]
+        assigned += 1
+        for u in adj[v]:
+            if part_of[u] is None and i not in adj_parts[u]:
+                adj_parts[u].add(i)
+                if not queued[u]:
+                    queued[u] = True
+                    heapq.heappush(frontier, sigma[u])
+
+    for i, t in enumerate(req.terminals):
+        assign(t, i)
+    open_ = [part_weight[i] < demands[i] for i in range(k)]
+    open_count = sum(open_)
+    # sum of (demand - weight) over closed parts
+    closed_slack = sum(demands[i] - part_weight[i] for i in range(k) if not open_[i])
+
+    # Neither check fires on a correct run. Every pass assigns a vertex or
+    # closes a part, so n + k passes suffice. A close overshoots its demand
+    # only while the slack is >= 0 and otherwise stops short, so each close
+    # adds a value in (-w, 0] or (0, w) for the vertex weight w it stopped
+    # at, and the slack never leaves (-w_max, w_max).
+    iterations = 0
+    max_iterations = n + k
+    while open_count > 1 and assigned < n:
+        iterations += 1
+        if iterations > max_iterations:
+            raise PipelineInvariantError(
+                "growth loop exceeded its iteration budget"
+            )
+        # earliest-position unassigned vertex adjacent to an open part
+        while frontier:
+            v = order[frontier[0] - 1]
+            if part_of[v] is None:
+                open_parts = [i for i in adj_parts[v] if open_[i]]
+                if open_parts:
+                    break
+                queued[v] = False
+            heapq.heappop(frontier)
+        else:
+            raise SolverStallError(_STALL)
+        i = min(open_parts, key=priority.__getitem__)
+        wv = weights[v]
+        if part_weight[i] + wv < demands[i]:
+            assign(v, i)
+        else:
+            # close part i; the dump part inherits the slack
+            open_[i] = False
+            open_count -= 1
+            if closed_slack >= 0 or part_weight[i] + wv == demands[i]:
+                assign(v, i)
+            closed_slack += demands[i] - part_weight[i]
+            if not overweight_seen and not -w_max < closed_slack < w_max:
+                raise PipelineInvariantError(
+                    f"closed-part weight slack {closed_slack} escaped "
+                    f"(-{w_max}, {w_max})"
+                )
+
+    if assigned < n:
+        if open_count != 1:
+            raise SolverStallError(
+                "unassigned vertices remain but no part is open"
+            )
+        last = open_.index(True)
+        rest = [v for v in range(n) if part_of[v] is None]
+        parts[last].update(rest)
+        part_weight[last] += sum(weights[v] for v in rest)
+        # growing the last part on would reach exactly these vertices, or
+        # stall when some of them hang off another part only
+        if not is_connected_set(g, parts[last]):
+            raise SolverStallError(_STALL)
+
+    deviation = max(abs(pw - d) for pw, d in zip(part_weight, demands))
+    return GLPartition(tuple(frozenset(p) for p in parts), deviation)

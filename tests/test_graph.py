@@ -233,6 +233,8 @@ class TestWeightedGraph:
     def test_unit(self, c4):
         wg = WeightedGraph.unit(c4)
         assert wg.is_unit() and wg.w_max == 1 and wg.total_weight() == 4
+        assert not WeightedGraph(c4, (1, 1, 2, 1)).is_unit()
+        assert WeightedGraph.unit(Graph.from_edges(0, [])).is_unit()
 
     def test_weight_of(self, c4):
         wg = WeightedGraph(c4, (2, 3, 5, 7))
@@ -240,8 +242,9 @@ class TestWeightedGraph:
         assert wg.w_max == 7
 
     def test_rejects_nonpositive(self, c4):
-        with pytest.raises(ValueError):
-            WeightedGraph(c4, (1, 0, 1, 1))
+        for weights in ((1, 0, 1, 1), (1, 1, -3, 1)):
+            with pytest.raises(ValueError, match="must be positive integers"):
+                WeightedGraph(c4, weights)
 
     def test_rejects_length_mismatch(self, c4):
         with pytest.raises(ValueError):

@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 from glpart import (
     DemandError,
     DeviationRule,
+    GlpartError,
     Instance,
     PartitionRequest,
     PipelineInvariantError,
@@ -26,9 +27,11 @@ from glpart.cli import main
 from glpart.connectivity import _flow_connectivity
 
 from bruteforce import (
+    bf_grow_chordal_weighted,
     bf_is_connected,
     complete_graph,
     random_chordal,
+    random_gnp,
     save_instance,
 )
 from test_graph import random_graph_strategy
@@ -308,3 +311,92 @@ class TestArmedInvariants:
         assert captured.out == ""
         assert captured.err.startswith("error: closed-part weight slack")
         assert len(captured.err.splitlines()) == 1
+
+
+def outcome(solve, wg: WeightedGraph, req: PartitionRequest, **kwargs):
+    """The parts as sorted lists and the deviation, or the error's type and text."""
+    try:
+        part = solve(wg, req, **kwargs)
+    except GlpartError as exc:
+        return type(exc), str(exc)
+    return [sorted(p) for p in part.parts], part.deviation
+
+
+def same_as_reference(wg: WeightedGraph, req: PartitionRequest, **kwargs):
+    got = outcome(gl_partition_chordal_weighted, wg, req, **kwargs)
+    assert got == outcome(bf_grow_chordal_weighted, wg, req, **kwargs)
+    return got
+
+
+def some_weights(rng: random.Random, n: int, weighted: bool) -> tuple[int, ...]:
+    return tuple(rng.randint(1, 9) if weighted else 1 for _ in range(n))
+
+
+class TestMatchesReference:
+    """The growth loop on bit masks returns exactly what the loop on
+    per-vertex part sets in ``bruteforce`` returns, errors included."""
+
+    def test_ktrees(self):
+        rng = random.Random(24)
+        for k in range(2, 7):
+            for n in (k + 2, 40, 300, 2000):
+                for weighted in (False, True):
+                    g = generate_ktree(n, k, rng.randrange(2**32))
+                    wg = WeightedGraph(g, some_weights(rng, n, weighted))
+                    req = weighted_request(rng, wg, k)
+                    got = same_as_reference(wg, req, validate=n <= 300)
+                    assert got[1] < wg.w_max
+
+    def test_overweight_terminals(self):
+        rng = random.Random(25)
+        for _ in range(60):
+            k = rng.randint(2, 5)
+            n = rng.randint(k + 2, 120)
+            wg = WeightedGraph(generate_ktree(n, k, rng.randrange(2**32)),
+                               some_weights(rng, n, True))
+            terms = rng.sample(range(n), k)
+            # a demand below its terminal's weight for about half the parts
+            demands = [rng.randint(1, wg.weights[t]) if rng.random() < 0.5
+                       else wg.weights[t] for t in terms]
+            rem = wg.total_weight() - sum(demands)
+            for _ in range(rem):
+                demands[rng.randrange(k)] += 1
+            req = PartitionRequest(tuple(terms), tuple(demands))
+            same_as_reference(wg, req, allow_overweight_terminals=True)
+            same_as_reference(wg, req, validate=False,
+                              allow_overweight_terminals=True)
+            # without the relaxation both reject the same terminal
+            same_as_reference(wg, req)
+
+    def test_unvalidated_small_graphs_stall_alike(self):
+        rng = random.Random(26)
+        stalls = 0
+        for _ in range(400):
+            n = rng.randint(2, 14)
+            g = random_gnp(rng, n, rng.choice((0.2, 0.35, 0.5, 0.8)))
+            wg = WeightedGraph(g, some_weights(rng, n, rng.random() < 0.5))
+            req = weighted_request(rng, wg, rng.randint(2, min(n, 5)))
+            got = same_as_reference(wg, req, validate=False)
+            stalls += got[0] is SolverStallError
+        assert stalls >= 50
+
+    def test_many_terminals_on_sparse_chordal_graphs(self):
+        rng = random.Random(27)
+        stalls = 0
+        for trial in range(40):
+            n = rng.randint(8, 400)
+            g = (generate_ktree(n, 2, rng.randrange(2**32)) if trial % 2
+                 else random_chordal(rng, n))
+            wg = WeightedGraph(g, some_weights(rng, n, trial % 4 < 2))
+            req = weighted_request(rng, wg, rng.randint(2, n // 2))
+            got = same_as_reference(wg, req, validate=False)
+            stalls += got[0] is SolverStallError
+        assert 0 < stalls < 40
+
+    def test_shrunk_window(self, monkeypatch):
+        monkeypatch.setattr(WeightedGraph, "w_max", property(lambda self: 1))
+        fired = 0
+        for wg, req in TestArmedInvariants.instances():
+            got = same_as_reference(wg, req, validate=False)
+            fired += got[0] is PipelineInvariantError
+        assert fired >= 25
