@@ -184,6 +184,7 @@ def gl_partition_chordal_weighted(
     # -1 (every bit set) once the vertex is assigned. Terminals are marked
     # before any is seeded, so none ever waits.
     mask = [0] * n
+    bits = [1 << i for i in range(k)]
     # Heap of elimination positions (vertex order[position - 1]) holding at
     # most one entry per waiting vertex, one whose mask is neither 0 nor -1.
     # A vertex is pushed when its mask leaves 0, and popped when it is
@@ -204,11 +205,13 @@ def gl_partition_chordal_weighted(
         if sigma[v] > priority[i]:
             priority[i] = sigma[v]
         assigned += 1
-        bit = 1 << i
+        bit = bits[i]
         for u in adj[v]:
-            # the sign test first: past bit 29, `-1 & bit` builds a new
-            # int, which many terminals would pay at every assigned vertex
-            if (m := mask[u]) >= 0 and not m & bit:
+            # Setting a bit the vertex already has changes nothing, so there
+            # is no membership test. An assigned vertex is skipped by its
+            # sign: `-1 | bit` is -1 too, but past bit 29 it builds a new
+            # int, which many terminals would pay at every assigned vertex.
+            if (m := mask[u]) >= 0:
                 mask[u] = m | bit
                 if not m:
                     heappush(frontier, sigma[u])
@@ -218,7 +221,7 @@ def gl_partition_chordal_weighted(
     for i, t in enumerate(req.terminals):
         assign(t, i)
     # bit i set while part i is open
-    open_mask = sum(1 << i for i in range(k) if part_weight[i] < demands[i])
+    open_mask = sum(bits[i] for i in range(k) if part_weight[i] < demands[i])
     # sum of (demand - weight) over closed parts, the ones with weight >= demand
     closed_slack = sum(min(d - w, 0) for d, w in zip(demands, part_weight))
 
@@ -249,10 +252,10 @@ def gl_partition_chordal_weighted(
         # only the set bits, highest first: a vertex borders few parts, and
         # scanning all k bits would cost O(k) per pick when k is large.
         i = open_parts.bit_length() - 1
-        open_parts ^= 1 << i
+        open_parts ^= bits[i]
         while open_parts:
             j = open_parts.bit_length() - 1
-            open_parts ^= 1 << j
+            open_parts ^= bits[j]
             if priority[j] < priority[i]:
                 i = j
         wv = weights[v]
@@ -260,7 +263,7 @@ def gl_partition_chordal_weighted(
             assign(v, i)
         else:
             # close part i; the dump part inherits the slack
-            open_mask ^= 1 << i
+            open_mask ^= bits[i]
             if closed_slack >= 0 or part_weight[i] + wv == demands[i]:
                 assign(v, i)
             else:
