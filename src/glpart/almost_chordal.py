@@ -265,7 +265,8 @@ def gl_partition_almost_chordal(
             )
 
     peel_idx = [i for i in range(k) if req.demands[i] == wg.weights[req.terminals[i]]]
-    keep_idx = [i for i in range(k) if i not in set(peel_idx)]
+    peel_set = set(peel_idx)
+    keep_idx = [i for i in range(k) if i not in peel_set]
     if len(keep_idx) < 2:
         raise PreconditionError(
             "after peeling unit-demand terminals fewer than two parts remain open; "

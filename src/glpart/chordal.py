@@ -10,6 +10,20 @@ failure yields two later neighbors with no edge between them, which lie on
 a chordless cycle of length at least four. Each vertex's label, |madj(v)|,
 is what connectivity reads minimal separators off.
 
+The search keeps madj(u) of each unselected u as a list: selecting v
+appends v to the list of each unselected neighbor, so the list's length is
+u's count and, once u is selected, its last element is u's parent. Each
+count c has a heap of the ids that reached it, pushed once per edge. The
+largest count rises by at most one per selection, so after selecting a
+vertex of count c the search sets ``top`` to c + 1 and walks down past
+levels with no live entry; an entry of level ``top`` is live when its
+vertex is unselected, as its count is then exactly ``top``. Count-0
+vertices are never pushed: a count-0 pick is the smallest unselected id, read
+off a pointer that only moves up. After the search one walk along the order
+pops each list's parent and checks the rest against the parent's neighbor
+set, stopping at the first violator. The search is O((n + m) log n); the
+check is O(n + m).
+
 ``mcs_search`` keeps the search in the graph's memo, so every caller that
 needs the order of a graph or its chordality witness (the CLI's check and
 auto mode, recognition, the solver, the contraction plan, the connectivity
@@ -105,37 +119,58 @@ def _build_mcs_order(g: Graph) -> McsSearch:
     if n == 0:
         raise ValueError("graph must be non-empty")
     adj = g.adj
-    count = [0] * n  # frozen at the label once the vertex is selected
-    parent = [0] * n  # last neighbor selected before: the earliest later one
     sigma = [0] * n  # 0 until selected
     order = [0] * n
-    done: set[int] = set()  # selected so far, so adj[v] & done is madj(v)
-    bad = -1
-    # key v - count*n orders like (-count, v); a vertex's freshest key pops
-    # before its stale ones, and range(n) is already a heap
-    heap = list(range(n))
+    # madj[u]: u's neighbors selected so far, in selection order; its length
+    # is u's count, and its last element, once u is selected, is its parent
+    madj: list[list[int]] = [[] for _ in range(n)]
+    # levels[c]: a heap of the ids that reached count c, so the smallest
+    # selectable id of a level is its smallest unselected entry
+    levels: list[list[int]] = [[] for _ in range(max(map(len, adj)) + 2)]
+    top = 0  # no unselected vertex has a count above top
+    low = 0  # no id below low is unselected
     pop, push = heapq.heappop, heapq.heappush
     for i in range(n, 0, -1):
-        v = pop(heap) % n
-        while sigma[v]:
-            v = pop(heap) % n
+        # An entry of level top whose vertex is unselected is live: counts
+        # only grow, so its count is at least top, and no count exceeds top.
+        # Stale entries are dropped; an empty level lowers top. At top 0
+        # every unselected count is 0, and count-0 vertices are never
+        # pushed, so the pick is the smallest unselected id.
+        while top:
+            heap = levels[top]
+            while heap:
+                v = pop(heap)
+                if not sigma[v]:
+                    break
+            else:
+                top -= 1
+                continue
+            break
+        else:
+            while sigma[low]:
+                low += 1
+            v = low
         sigma[v] = i
         order[i - 1] = v
-        c = count[v]
-        # madj(v) minus the parent must lie inside the parent's neighborhood;
-        # the last violator found comes first in the elimination order
-        if c > 1 and len(adj[v].intersection(done, adj[parent[v]])) != c - 1:
-            bad = v
-        done.add(v)
         for u in adj[v]:
             if not sigma[u]:
-                cu = count[u] + 1
-                count[u] = cu
-                parent[u] = v
-                push(heap, u - cu * n)
+                later = madj[u]
+                later.append(v)
+                push(levels[len(later)], u)
+        # every count rose by at most one, so none exceeds v's count plus one
+        top = len(madj[v]) + 1
+    labels = tuple(map(len, madj))
+    # madj(v) minus the parent must lie inside the parent's neighborhood;
+    # the reported violator is the first in the elimination order
+    bad = -1
+    for v in order:
+        later = madj[v]
+        if len(later) > 1 and not adj[later.pop()].issuperset(later):
+            bad = v
+            break
     peo = Peo(tuple(order), tuple(sigma))
     witness = None if bad < 0 else _witness_at(g, peo.sigma, bad)
-    return McsSearch(peo, tuple(count), witness)
+    return McsSearch(peo, labels, witness)
 
 
 def peo_violation(g: Graph, order) -> ChordalityWitness | None:

@@ -12,8 +12,10 @@ terminal chord loop the library's rounds replaced, the clique atom cut
 that tests every later set, which the library's filled-vertex test
 replaced, the edits that plant
 a defect in a member or drop some of its edges, the line-by-line
-instance reader the library's one-pass reader replaced, and the growth
-loop on per-vertex part sets that the library's bit masks replaced.
+instance reader the library's one-pass reader replaced, the growth
+loop on per-vertex part sets that the library's bit masks replaced, and
+the maximum cardinality search on one lazy heap that the library's
+per-count heaps replaced.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ from glpart import (
     vertex_connectivity_at_least,
 )
 from glpart.c4 import C4Catalog, Cycle, _canonical
+from glpart.chordal import McsSearch, _witness_at
 from glpart.connectivity import _elimination_fill
 from glpart.generators import _ktree_edges_and_cliques
 from glpart.partition import _STALL, check_demands
@@ -1033,3 +1036,49 @@ def bf_grow_chordal_weighted(
 
     deviation = max(abs(pw - d) for pw, d in zip(part_weight, demands))
     return GLPartition(tuple(frozenset(p) for p in parts), deviation)
+
+
+def bf_heap_mcs_search(g: Graph) -> McsSearch:
+    """The maximum cardinality search on one lazy heap, kept verbatim.
+
+    Every count increment pushes a key ``v - count*n``, and each selection
+    intersects madj(v) with the parent's neighborhood through a set of the
+    selected vertices. The library's search buckets the heap by count and
+    checks the order from madj lists; tests require both to return the same
+    ``McsSearch``.
+    """
+    n = g.n
+    if n == 0:
+        raise ValueError("graph must be non-empty")
+    adj = g.adj
+    count = [0] * n  # frozen at the label once the vertex is selected
+    parent = [0] * n  # last neighbor selected before: the earliest later one
+    sigma = [0] * n  # 0 until selected
+    order = [0] * n
+    done: set[int] = set()  # selected so far, so adj[v] & done is madj(v)
+    bad = -1
+    # key v - count*n orders like (-count, v); a vertex's freshest key pops
+    # before its stale ones, and range(n) is already a heap
+    heap = list(range(n))
+    pop, push = heapq.heappop, heapq.heappush
+    for i in range(n, 0, -1):
+        v = pop(heap) % n
+        while sigma[v]:
+            v = pop(heap) % n
+        sigma[v] = i
+        order[i - 1] = v
+        c = count[v]
+        # madj(v) minus the parent must lie inside the parent's neighborhood;
+        # the last violator found comes first in the elimination order
+        if c > 1 and len(adj[v].intersection(done, adj[parent[v]])) != c - 1:
+            bad = v
+        done.add(v)
+        for u in adj[v]:
+            if not sigma[u]:
+                cu = count[u] + 1
+                count[u] = cu
+                parent[u] = v
+                push(heap, u - cu * n)
+    peo = Peo(tuple(order), tuple(sigma))
+    witness = None if bad < 0 else _witness_at(g, peo.sigma, bad)
+    return McsSearch(peo, tuple(count), witness)

@@ -18,15 +18,21 @@ from glpart import (
     peo_violation,
 )
 
+from glpart.chordal import _build_mcs_order
+
 from bruteforce import (
+    bf_heap_mcs_search,
     bf_is_chordal,
     bf_mcs_order,
     compute_peo,
+    cycle_graph,
     is_chordal,
     is_peo,
+    path_graph,
     planted,
     random_chordal,
     random_gnp,
+    shared_vertex_member,
 )
 from test_graph import random_graph_strategy
 
@@ -146,6 +152,16 @@ def _members(rng):
                 yield planted(member, k, kind)
 
 
+@st.composite
+def _edge_lists(draw):
+    """A graph on n <= 24 vertices from a drawn edge list; the vertices no
+    edge touches stay isolated."""
+    n = draw(st.integers(min_value=1, max_value=24))
+    vertex = st.integers(min_value=0, max_value=n - 1)
+    pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=3 * n))
+    return Graph.from_edges(n, [(u, v) for u, v in pairs if u != v])
+
+
 class TestSearchAgainstReference:
     """The one-pass search against a rescanning search and the
     order-agnostic checker: same order, positions, labels and witness."""
@@ -166,5 +182,108 @@ class TestSearchAgainstReference:
             assert search.peo == ref, g
             assert search.labels == labels, g
             assert compute_peo(g) == (peo_violation(g, order) or ref), g
+            verdicts.add(search.witness is None)
+        assert verdicts == chordal
+
+    @given(_edge_lists())
+    @settings(max_examples=300)
+    def test_drawn_graphs_match_rescanning_search(self, g):
+        order, labels = bf_mcs_order(g)
+        search = mcs_search(g)
+        assert search.peo.order == order
+        assert search.labels == labels
+        assert search.witness == peo_violation(g, order)
+
+
+def _relabeled(g, rng):
+    perm = list(g.vertices())
+    rng.shuffle(perm)
+    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def _union(*graphs):
+    edges, base = [], 0
+    for h in graphs:
+        edges += [(u + base, v + base) for u, v in h.edges()]
+        base += h.n
+    return Graph.from_edges(base, edges)
+
+
+def _complete_bipartite(a, b, small_first):
+    """K_{a,b} with the a side on the lowest ids, or on the highest."""
+    side = range(a) if small_first else range(b, a + b)
+    return Graph.from_edges(
+        a + b, [(x, y) for x in side for y in range(a + b) if y not in side]
+    )
+
+
+def _large_ktrees(rng):
+    for k in range(2, 7):
+        for n in (k + 1, 60, 500, 4000):
+            yield generate_ktree(n, k, rng.randrange(1 << 30))
+
+
+def _large_members(rng):
+    for k in (2, 3, 4):
+        for n in (40, 400):
+            member = generate_almost_chordal(n, k, n // 25, rng.randrange(1 << 30))
+            yield member
+            for kind in ("house", "c4-overlap", "separator", "hole"):
+                yield planted(member, k, kind)
+        yield shared_vertex_member(60, k, 4, 2, rng.randrange(1 << 30))
+
+
+def _sparse_gnp(rng):
+    # at p = 0 every pick is a count-0 one
+    for p in (0.0, 0.001, 0.01, 0.05, 0.2, 0.6):
+        for n in (1, 2, 10, 60, 200):
+            yield random_gnp(rng, n, p)
+
+
+def _unions(rng):
+    for _ in range(6):
+        yield _union(
+            generate_ktree(rng.randint(4, 300), 3, rng.randrange(1 << 30)),
+            random_gnp(rng, 30, 0.03),
+            path_graph(rng.randint(1, 50)),
+            generate_almost_chordal(40, 2, 2, rng.randrange(1 << 30)),
+            Graph.from_edges(rng.randint(1, 5), []),
+        )
+
+
+def _bipartite(rng):
+    # one level holds almost every vertex
+    for a in (1, 2, 3):
+        for b in (1, 2, 10, 1500):
+            for small_first in (True, False):
+                yield _complete_bipartite(a, b, small_first)
+
+
+def _paths_and_cycles(rng):
+    for n in (1, 2, 3, 4, 5, 100, 3000):
+        yield path_graph(n)
+        yield _relabeled(path_graph(n), rng)
+        if n >= 3:
+            yield cycle_graph(n)
+            yield _relabeled(cycle_graph(n), rng)
+
+
+class TestSearchMatchesHeapSearch:
+    """The per-count search against the one-heap search it replaced: the
+    same order, positions, labels and witness, on graphs up to n = 4,000."""
+
+    @pytest.mark.parametrize("family,chordal", [
+        (_large_ktrees, {True}),
+        (_large_members, {False}),
+        (_sparse_gnp, {True, False}),
+        (_unions, {False}),
+        (_bipartite, {True, False}),
+        (_paths_and_cycles, {True, False}),
+    ], ids=["ktree", "member", "gnp", "union", "bipartite", "path-cycle"])
+    def test_same_search(self, family, chordal):
+        verdicts = set()
+        for g in family(random.Random(2501)):
+            search = _build_mcs_order(g)
+            assert search == bf_heap_mcs_search(g), g
             verdicts.add(search.witness is None)
         assert verdicts == chordal
