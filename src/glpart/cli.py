@@ -31,6 +31,22 @@ run builds it once either way. Reuse is safe: ``parse_args`` does not
 modify the parser, each call parses into a fresh namespace, and the
 ``append`` action behind ``--require`` copies its list rather than growing
 a shared default.
+
+``main`` pauses Python's cyclic garbage collector for the whole command:
+it notes ``gc.isenabled()``, calls ``gc.disable()``, and in a ``finally``
+turns the collector back on only if it was on, so a normal return, every
+mapped exit code, argparse's ``SystemExit`` and an escaping exception all
+hand the caller back the state it had. The commands allocate many sets,
+tuples and lists, which the collector would traverse again and again
+while finding nothing to free: a census that runs every kind of command
+in-process (``tests/test_collector.py``) finds no unreachable object
+after any of them, so reference counting alone frees everything the
+command drops, and the pause delays no memory. argparse's usage and help
+text is the exception: its formatter leaves a cycle of a few objects,
+which the caller's collector frees once ``main`` returns. A one-shot
+``glpart`` run makes no collector pass at all. ``gc.disable`` is
+process-wide: while a command runs, other threads' cyclic garbage also
+waits until it returns. No other module of the package touches ``gc``.
 """
 
 from __future__ import annotations
@@ -38,6 +54,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import gc
 import json
 import os
 import random
@@ -478,8 +495,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(argv)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _run(argv) -> int:
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (GraphFormatError, OSError) as exc:

@@ -294,6 +294,11 @@ def clique_decomposition(g: Graph) -> tuple[list[Atom], int]:
 
     When nothing was cut, also when the fill is declined, g is its own only
     atom, with ``graph`` g itself, and the smallest cut is g.n.
+
+    The memo holds no reference to g itself: g's own atom is kept there
+    with ``graph`` None and handed out with g put back, since g -> memo ->
+    atom -> g would be a reference cycle that only the cyclic collector
+    frees.
     """
     memo = g._memo
     if "atoms" not in memo:
@@ -303,9 +308,11 @@ def clique_decomposition(g: Graph) -> tuple[list[Atom], int]:
             for a, clique in atoms if not clique
         ]
         memo["atoms"] = [
-            Atom(sub, ids, _ring_diagonals(sub, ids)) for sub, ids in pieces
+            Atom(None if sub is g else sub, ids, _ring_diagonals(sub, ids))
+            for sub, ids in pieces
         ], smallest
-    return memo["atoms"]
+    atoms, smallest = memo["atoms"]
+    return [Atom(g, a.ids, a.ring) if a.graph is None else a for a in atoms], smallest
 
 
 def _clique_atoms(g: Graph) -> tuple[list[tuple[list[int], bool]], int]:

@@ -115,8 +115,10 @@ def parse_instance(text: str) -> Instance:
     line_no, raw = head[1]
     try:
         weights = _weights(raw, line_no, n)
-    except GraphFormatError as exc:
-        weights, weights_error = None, exc
+    except GraphFormatError:
+        # raised again after the count; an error kept in a local would hold
+        # this frame's traceback, and so the frame itself, in a cycle
+        weights = None
 
     rows = map(str.split, block)
     blanks = 0
@@ -157,7 +159,7 @@ def parse_instance(text: str) -> Instance:
             f"expected {4 + m} content lines for m={m}, found {found}"
         )
     if weights is None:
-        raise weights_error
+        _weights(raw, line_no, n)  # raises the weights line's error again
 
     line_no, raw = head[2]
     terminals = _int_fields(raw, line_no, k)

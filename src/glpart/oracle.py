@@ -3,6 +3,12 @@
 Enumerates connected vertex sets of exact demanded sizes, terminal by
 terminal, with component-based feasibility pruning. Exponential by nature;
 guarded by a hard size cap. Used to cross-check the constructive solvers.
+
+Both searches are loops over an explicit stack of generators, one per
+level, so their depth is bounded by memory rather than by Python's
+recursion limit (a part of 1,000 vertices is 1,000 levels deep), and no
+closure refers to itself, which would leave a function-cell cycle behind
+every call.
 """
 
 from __future__ import annotations
@@ -33,25 +39,38 @@ def _connected_sets(g: Graph, start: int, size: int, allowed: frozenset[int]):
 
     Classic extension scheme: at every level the candidate extensions are
     tried in ascending order and each candidate is permanently banned for
-    the branches after it, so no set is produced twice.
+    the branches after it, so no set is produced twice. The stack holds,
+    for each set on the current branch, the generator of its extensions.
     """
-
-    def rec(cur: frozenset[int], banned: frozenset[int]):
+    if start not in allowed or size < 1:
+        return
+    stack = [iter(((frozenset((start,)), frozenset()),))]
+    while stack:
+        branch = next(stack[-1], None)
+        if branch is None:
+            stack.pop()
+            continue
+        cur, banned = branch
         if len(cur) == size:
             yield cur
-            return
+            continue
         usable = allowed - banned
         if _reachable(g, cur, usable) < size:
-            return
+            continue
         ext: set[int] = set()
         for x in cur:
             ext |= g.adj[x]
-        ext = sorted((ext & usable) - cur)
-        for i, c in enumerate(ext):
-            yield from rec(cur | {c}, banned | frozenset(ext[:i]))
+        stack.append(_extensions(cur, banned, sorted((ext & usable) - cur)))
 
-    if start in allowed and size >= 1:
-        yield from rec(frozenset((start,)), frozenset())
+
+def _extensions(cur: frozenset[int], banned: frozenset[int], ext: list[int]):
+    """``cur`` plus each of ``ext`` in turn, banning the ones before it.
+
+    A function, not a generator expression in the loop, which would read
+    ``cur`` and ``banned`` when resumed, after the loop rebound them.
+    """
+    for i, c in enumerate(ext):
+        yield cur | {c}, banned | frozenset(ext[:i])
 
 
 def _feasible(
@@ -77,6 +96,17 @@ def _feasible(
     return all(need[i] == len(c) for i, c in enumerate(comps))
 
 
+def _placements(g: Graph, req: PartitionRequest, i: int, available: frozenset[int]):
+    """Part i's candidates in ``available``, each with the vertices it
+    leaves for the later parts, when those can still be filled."""
+    later = req.terminals[i + 1:]
+    for s in _connected_sets(g, req.terminals[i], req.demands[i],
+                             available - frozenset(later)):
+        rest = available - s
+        if _feasible(g, rest, later, req.demands[i + 1:]):
+            yield s, rest
+
+
 def brute_force_gl(
     g: Graph, req: PartitionRequest, *, cap: int = DEFAULT_ORACLE_CAP
 ) -> GLPartition | None:
@@ -92,22 +122,23 @@ def brute_force_gl(
         raise CapError(f"n={n} exceeds the oracle cap {cap}")
     check_demands(WeightedGraph.unit(g), req)
 
-    k = req.k
+    # one generator per part placed so far, the last one for the part
+    # being placed; parts[i] is part i's current candidate
+    parts: list[frozenset[int]] = []
+    stack = [_placements(g, req, 0, frozenset(g.vertices()))]
+    while stack:
+        step = next(stack[-1], None)
+        if step is None:
+            stack.pop()
+            if stack:
+                parts.pop()
+            continue
+        s, rest = step
+        parts.append(s)
+        if len(parts) < req.k:
+            stack.append(_placements(g, req, len(parts), rest))
+        else:
+            # with no terminals left, _feasible accepts only an empty rest
+            return GLPartition(tuple(parts), 0)
+    return None
 
-    def place(i: int, available: frozenset[int]):
-        if i == k:
-            return [] if not available else None
-        t = req.terminals[i]
-        later = frozenset(req.terminals[i + 1:])
-        for s in _connected_sets(g, t, req.demands[i], available - later):
-            rest = available - s
-            if _feasible(g, rest, req.terminals[i + 1:], req.demands[i + 1:]):
-                tail = place(i + 1, rest)
-                if tail is not None:
-                    return [s] + tail
-        return None
-
-    solution = place(0, frozenset(g.vertices()))
-    if solution is None:
-        return None
-    return GLPartition(tuple(frozenset(s) for s in solution), 0)

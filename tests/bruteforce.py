@@ -15,7 +15,8 @@ a defect in a member or drop some of its edges, the line-by-line
 instance reader the library's one-pass reader replaced, the growth
 loop on per-vertex part sets that the library's bit masks replaced, and
 the maximum cardinality search on one lazy heap that the library's
-per-count heaps replaced.
+per-count heaps replaced, and the oracle's recursive searches that its
+explicit stacks replaced.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from itertools import combinations, permutations
 from glpart import (
     CapError,
     ChordalityWitness,
+    DEFAULT_ORACLE_CAP,
     GLPartition,
     Graph,
     GraphFormatError,
@@ -53,6 +55,7 @@ from glpart.c4 import C4Catalog, Cycle, _canonical
 from glpart.chordal import McsSearch, _witness_at
 from glpart.connectivity import _elimination_fill
 from glpart.generators import _ktree_edges_and_cliques
+from glpart.oracle import _feasible, _reachable
 from glpart.partition import _STALL, check_demands
 from glpart.recognition import _hole_at_edge, scan_catalog_violations
 
@@ -1082,3 +1085,68 @@ def bf_heap_mcs_search(g: Graph) -> McsSearch:
     peo = Peo(tuple(order), tuple(sigma))
     witness = None if bad < 0 else _witness_at(g, peo.sigma, bad)
     return McsSearch(peo, tuple(count), witness)
+
+
+def bf_recursive_connected_sets(
+    g: Graph, start: int, size: int, allowed: frozenset[int]
+):
+    """The oracle's connected-set enumeration on nested recursive
+    generators, kept verbatim.
+
+    It recurses once per vertex it adds, so a set of about a thousand
+    vertices hits Python's recursion limit. The library's enumeration
+    walks an explicit stack; tests require both to yield the same sets in
+    the same order.
+    """
+
+    def rec(cur: frozenset[int], banned: frozenset[int]):
+        if len(cur) == size:
+            yield cur
+            return
+        usable = allowed - banned
+        if _reachable(g, cur, usable) < size:
+            return
+        ext: set[int] = set()
+        for x in cur:
+            ext |= g.adj[x]
+        ext = sorted((ext & usable) - cur)
+        for i, c in enumerate(ext):
+            yield from rec(cur | {c}, banned | frozenset(ext[:i]))
+
+    if start in allowed and size >= 1:
+        yield from rec(frozenset((start,)), frozenset())
+
+
+def bf_recursive_brute_force_gl(
+    g: Graph, req: PartitionRequest, *, cap: int = DEFAULT_ORACLE_CAP
+) -> GLPartition | None:
+    """The oracle on a recursive part placement, kept verbatim.
+
+    The library's ``brute_force_gl`` places parts from an explicit stack;
+    tests require both to return the same partition, or None, and to
+    raise the same errors.
+    """
+    n = g.n
+    if n > cap:
+        raise CapError(f"n={n} exceeds the oracle cap {cap}")
+    check_demands(WeightedGraph.unit(g), req)
+
+    k = req.k
+
+    def place(i: int, available: frozenset[int]):
+        if i == k:
+            return [] if not available else None
+        t = req.terminals[i]
+        later = frozenset(req.terminals[i + 1:])
+        for s in bf_recursive_connected_sets(g, t, req.demands[i], available - later):
+            rest = available - s
+            if _feasible(g, rest, req.terminals[i + 1:], req.demands[i + 1:]):
+                tail = place(i + 1, rest)
+                if tail is not None:
+                    return [s] + tail
+        return None
+
+    solution = place(0, frozenset(g.vertices()))
+    if solution is None:
+        return None
+    return GLPartition(tuple(frozenset(s) for s in solution), 0)

@@ -9,15 +9,25 @@ from hypothesis import given, settings, strategies as st
 
 from glpart import (
     CapError,
+    GLPartition,
     Graph,
     PartitionRequest,
     WeightedGraph,
     brute_force_gl,
+    generate_almost_chordal,
     generate_ktree,
     gl_partition_chordal,
 )
+from glpart.oracle import _connected_sets
 
-from bruteforce import bf_gl_partition, bf_is_connected, path_graph
+from bruteforce import (
+    bf_gl_partition,
+    bf_is_connected,
+    bf_recursive_brute_force_gl,
+    bf_recursive_connected_sets,
+    path_graph,
+    without_edges,
+)
 from test_graph import random_graph_strategy
 from test_partition import random_request
 
@@ -92,3 +102,55 @@ class TestBruteForce:
             exact = gl_partition_chordal(g, req)
             assert exact.deviation == 0
             assert brute_force_gl(g, req) is not None
+
+
+def _outcome(solve, g, req, cap):
+    try:
+        return solve(g, req, cap=cap)
+    except CapError as exc:
+        return str(exc)
+
+
+class TestAgainstRecursiveOracle:
+    """The stack-driven oracle returns what the recursive one returned."""
+
+    @staticmethod
+    def graphs():
+        rng = random.Random(26)
+        for k in (2, 3):
+            for _ in range(25):
+                n = rng.randint(k + 1, 10)
+                g = generate_ktree(n, k, rng.randrange(2**32))
+                yield rng, g, k
+                # fewer edges leave some requests without a partition
+                yield rng, without_edges(g, rng, rng.randint(1, k)), k
+            for _ in range(10):
+                n = rng.randint(k + 5, 10)
+                yield rng, generate_almost_chordal(n, k, 1, rng.randrange(2**32)), k
+
+    def test_same_partition_none_or_cap_error(self):
+        found = missing = capped = 0
+        for rng, g, k in self.graphs():
+            for _ in range(3):
+                req = random_request(rng, g.n, k)
+                cap = rng.choice((g.n - 1, g.n, 12))
+                got = _outcome(brute_force_gl, g, req, cap)
+                assert got == _outcome(bf_recursive_brute_force_gl, g, req, cap), (g, req)
+                found += isinstance(got, GLPartition)
+                missing += got is None
+                capped += isinstance(got, str)
+        assert found > 50 and missing > 10 and capped > 50
+
+    def test_same_sets_in_the_same_order(self):
+        for rng, g, _ in self.graphs():
+            allowed = frozenset(v for v in g.vertices() if rng.random() < 0.8)
+            start, size = rng.randrange(g.n), rng.randint(0, g.n)
+            assert list(_connected_sets(g, start, size, allowed)) == list(
+                bf_recursive_connected_sets(g, start, size, allowed))
+
+    def test_long_path_needs_no_recursion(self):
+        # the recursive oracle raised RecursionError here: it nested one
+        # call per vertex added to the 1,050-vertex part
+        g = path_graph(1100)
+        got = brute_force_gl(g, PartitionRequest((0, 1099), (1050, 50)), cap=1100)
+        assert got.parts == (frozenset(range(1050)), frozenset(range(1050, 1100)))
