@@ -32,10 +32,10 @@ non-complete atom is ring + Q, one induced 4-cycle joined to a clique
 (observed, not proven; any other atom takes the walk, the hole search and
 the flow). Then the atoms' rings are the input's catalog, which the chord
 step and the contraction plan reuse, and no catalog walk, hole search or
-flow runs on the input. Peeling yields a new graph and so one catalog
-walk, and one more walk covers all the added chords. The contraction plan
-certifies the contracted graph's elimination order, which the inner
-connectivity check and the chordal solve reuse.
+flow runs and no atom's subgraph is built on the input. Peeling yields a
+new graph and so one catalog walk, and one more walk covers all the added
+chords. The contraction plan certifies the contracted graph's elimination
+order, which the inner connectivity check and the chordal solve reuse.
 """
 
 from __future__ import annotations

@@ -92,6 +92,18 @@ EXIT_SOLVE = 1
 EXIT_PRECONDITION = 2
 EXIT_PARSE = 3
 
+# exit code per handled error type; the first match wins, subclasses first
+_EXIT_CODES = (
+    ((GraphFormatError, OSError), EXIT_PARSE),
+    ((DemandError, PreconditionError, CapError), EXIT_PRECONDITION),
+    ((SolverStallError, PipelineInvariantError), EXIT_SOLVE),
+    (ValueError, EXIT_PARSE),
+    (GlpartError, EXIT_SOLVE),
+)
+
+# past n = 20 the exhaustive oracle's exponential time reaches minutes
+_CAP_N_MAX = 20
+
 
 def _open_in_place(path: str, flags: int) -> int:
     """``open``'s own flags less ``O_TRUNC``, with ``open``'s mode."""
@@ -308,6 +320,17 @@ def _compose_demands(
     return demands
 
 
+def _draw_request(
+    rng: random.Random, wg: WeightedGraph, k: int, floor: int
+) -> PartitionRequest:
+    """k random terminals, then a random composition of the total weight in
+    which each demand is at least ``floor`` and its terminal's weight."""
+    terminals = tuple(sorted(rng.sample(range(wg.n), k)))
+    floors = [max(wg.weights[t], floor) for t in terminals]
+    demands = _compose_demands(rng, k, wg.total_weight(), floors)
+    return PartitionRequest(terminals, tuple(demands))
+
+
 def _require_at_least(flag: str, value: int, low: int) -> None:
     if value < low:
         raise DemandError(f"{flag} must be at least {low}, got {value}")
@@ -337,12 +360,7 @@ def _cmd_generate(args) -> int:
     else:
         weights = (1,) * g.n
     wg = WeightedGraph(g, weights)
-    terminals = tuple(sorted(rng.sample(range(g.n), args.k)))
-    floors = [
-        max(weights[t], args.min_demand) for t in terminals
-    ]
-    demands = _compose_demands(rng, args.k, wg.total_weight(), floors)
-    inst = Instance(wg, PartitionRequest(terminals, tuple(demands)))
+    inst = Instance(wg, _draw_request(rng, wg, args.k, args.min_demand))
     _write(format_instance(inst, comment), args.out)
     return EXIT_OK
 
@@ -355,6 +373,8 @@ def _cmd_oracle_compare(args) -> int:
     _require_at_least("--n-max", args.n_max, max(args.k + 1, 2 * args.k))
     # no trial may draw an n the oracle refuses
     _require_at_least("--cap-n", args.cap_n, args.n_max)
+    if args.cap_n > _CAP_N_MAX:
+        raise DemandError(f"--cap-n must be at most {_CAP_N_MAX}, got {args.cap_n}")
     rng = random.Random(args.seed)
     # cycles are capped so one planted gadget still fits under --n-max
     cycles_fit = max((args.n_max - args.k - 1) // 4, 0)
@@ -377,28 +397,25 @@ def _cmd_oracle_compare(args) -> int:
             g = generate_almost_chordal(n, k, cycles_eff, seed)
             entry["n"] = n
             entry["cycles"] = cycles_eff
-            floors = [2] * k
+            floor = 2
             rule = DeviationRule.slack(1)
             entry["mode"] = "almost-chordal"
         else:
             g = generate_ktree(n, k, seed)
-            floors = [1] * k
+            floor = 1
             rule = DeviationRule.exact()
             entry["mode"] = "chordal"
-        terminals = tuple(sorted(trng.sample(range(n), k)))
-        demands = tuple(_compose_demands(trng, k, n, floors))
-        req = PartitionRequest(terminals, demands)
+        wg = WeightedGraph.unit(g)
+        req = _draw_request(trng, wg, k, floor)
 
         if args.cycles > 0:
-            solved = gl_partition_almost_chordal(
-                WeightedGraph.unit(g), req, validate=False
-            ).partition
+            solved = gl_partition_almost_chordal(wg, req, validate=False).partition
         else:
             solved = gl_partition_chordal(g, req, validate=False)
-        report = verify_partition(WeightedGraph.unit(g), req, solved, rule)
+        report = verify_partition(wg, req, solved, rule)
         oracle = brute_force_gl(g, req, cap=args.cap_n)
         oracle_ok = oracle is not None and verify_partition(
-            WeightedGraph.unit(g), req, oracle, DeviationRule.exact()
+            wg, req, oracle, DeviationRule.exact()
         ).ok
         entry["solver_ok"] = report.ok
         entry["oracle_found"] = oracle_ok
@@ -487,7 +504,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, default=10)
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--cycles", type=int, default=0)
-    p.add_argument("--cap-n", type=int, default=DEFAULT_ORACLE_CAP)
+    p.add_argument("--cap-n", type=int, default=DEFAULT_ORACLE_CAP, help=(
+        f"largest n the exhaustive oracle accepts, at most {_CAP_N_MAX}"
+        f" (default {DEFAULT_ORACLE_CAP}); no trial draws n above --n-max"))
     p.add_argument("--out")
     p.set_defaults(func=_cmd_oracle_compare)
 
@@ -508,21 +527,9 @@ def _run(argv) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (GraphFormatError, OSError) as exc:
+    except (GlpartError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (DemandError, PreconditionError, CapError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except (SolverStallError, PipelineInvariantError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SOLVE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except GlpartError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SOLVE
+        return next(code for types, code in _EXIT_CODES if isinstance(exc, types))
 
 
 if __name__ == "__main__":

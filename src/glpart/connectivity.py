@@ -21,14 +21,14 @@ vertices it separates.
   non-complete atom is k-connected: removing fewer than k vertices leaves
   each atom connected and each cut, a clique shared by its two sides,
   non-empty. An atom that is ring + Q, an induced 4-cycle joined to a
-  clique Q that sees all of it, is (|Q| + 2)-connected, which one degree
-  count inside the atom shows; a graph with nothing cut is its own only
-  atom and gets the same test. On every class member tried so far each
-  non-complete atom is ring + Q, so no flow runs at all; any other atom
-  gets the flow below, so soundness rests on the test alone.
-  Recognition reads the same memoized atoms (``clique_decomposition``): the
-  rings are its 4-cycle catalog, and only the other atoms get a hole
-  search.
+  clique Q that sees all of it, is (|Q| + 2)-connected, which one count of
+  neighbors inside the atom's vertex set shows; a graph with nothing cut is
+  its own only atom and gets the same test. On every class member tried so
+  far each non-complete atom is ring + Q, so no flow runs at all; any other
+  atom gets the flow below on its induced subgraph, the one place an atom's
+  subgraph is built, so soundness rests on the test alone. Recognition
+  reads the same memoized atoms (``clique_decomposition``): the rings are
+  its 4-cycle catalog, and only edges inside other atoms get a hole search.
 - Fallback, and every rejection of a non-chordal input: Menger-based.
   Unit vertex capacities via the standard vertex-split flow network,
   built once per call, max-flow per non-adjacent pair with early exit at
@@ -256,36 +256,35 @@ def _elimination_fill(g: Graph) -> list[list[int]] | None:
 class Atom:
     """A non-complete atom of g's clique separator decomposition.
 
-    ``graph`` is the atom's induced subgraph, and ``ids[i]`` is the vertex
-    of g that its vertex i stands for. ``ring`` holds the two diagonals of
-    the atom's ring, in g's ids, when the atom is ring + Q: an induced
+    ``ids`` are the atom's vertices of g, ascending. ``ring`` holds the two
+    diagonals of the atom's ring when the atom is ring + Q: an induced
     4-cycle joined to a clique Q whose vertices see the whole ring. Such an
     atom has no hole, the ring is its only induced 4-cycle, and its
     connectivity is |Q| + 2, its size less two.
     """
 
-    graph: Graph
     ids: tuple[int, ...]
     ring: tuple[Edge, Edge] | None
 
 
-def _ring_diagonals(a: Graph, ids: tuple[int, ...]) -> tuple[Edge, Edge] | None:
-    """The ring's two diagonals, in ``ids``, when ``a`` is ring + Q, else None.
+def _ring_diagonals(g: Graph, ids: tuple[int, ...]) -> tuple[Edge, Edge] | None:
+    """The ring's two diagonals when g's atom ``ids`` is ring + Q, else None.
 
-    Q is the vertices of degree n - 1; the rest must be exactly four of
-    degree n - 2. Each of those misses one vertex, one of the four since Q
-    sees everything, so they pair off into a 4-cycle's two non-edges. A Q
-    vertex on a chordless cycle would see all of it, so the ring is a's only
-    induced 4-cycle and a has no hole.
+    With degrees counted inside the atom of n vertices, Q is the vertices of
+    degree n - 1; the rest must be exactly four of degree n - 2. Each of
+    those misses one vertex, one of the four since Q sees everything, so
+    they pair off into a 4-cycle's two non-edges. A Q vertex on a chordless
+    cycle would see all of it, so the ring is the atom's only chordless cycle.
     """
-    n = a.n
-    ring = [v for v in a.vertices() if len(a.adj[v]) < n - 1]
-    if len(ring) != 4 or any(len(a.adj[v]) != n - 2 for v in ring):
+    atom = frozenset(ids)
+    n = len(atom)
+    ring = [v for v in ids if len(g.adj[v] & atom) < n - 1]
+    if len(ring) != 4 or any(len(g.adj[v] & atom) != n - 2 for v in ring):
         return None
     p, *rest = ring
-    opposite = next(v for v in rest if v not in a.adj[p])
+    opposite = next(v for v in rest if v not in g.adj[p])
     q, r = (v for v in rest if v != opposite)
-    return (ids[p], ids[opposite]), (ids[q], ids[r])
+    return (p, opposite), (q, r)
 
 
 def clique_decomposition(g: Graph) -> tuple[list[Atom], int]:
@@ -293,26 +292,14 @@ def clique_decomposition(g: Graph) -> tuple[list[Atom], int]:
     memoized.
 
     When nothing was cut, also when the fill is declined, g is its own only
-    atom, with ``graph`` g itself, and the smallest cut is g.n.
-
-    The memo holds no reference to g itself: g's own atom is kept there
-    with ``graph`` None and handed out with g put back, since g -> memo ->
-    atom -> g would be a reference cycle that only the cyclic collector
-    frees.
+    atom, holding all of g's vertices, and the smallest cut is g.n.
     """
     memo = g._memo
     if "atoms" not in memo:
         atoms, smallest = _clique_atoms(g)
-        pieces = [
-            (g, tuple(a)) if len(atoms) == 1 else induced_subgraph(g, a)
-            for a, clique in atoms if not clique
-        ]
-        memo["atoms"] = [
-            Atom(None if sub is g else sub, ids, _ring_diagonals(sub, ids))
-            for sub, ids in pieces
-        ], smallest
-    atoms, smallest = memo["atoms"]
-    return [Atom(g, a.ids, a.ring) if a.graph is None else a for a in atoms], smallest
+        pieces = [tuple(sorted(a)) for a, clique in atoms if not clique]
+        memo["atoms"] = [Atom(ids, _ring_diagonals(g, ids)) for ids in pieces], smallest
+    return memo["atoms"]
 
 
 def _clique_atoms(g: Graph) -> tuple[list[tuple[list[int], bool]], int]:
@@ -399,7 +386,8 @@ def vertex_connectivity_at_least(g: Graph, k: int) -> ConnectivityResult:
         atoms, cut = clique_decomposition(g)
         accepted = cut >= k and all(
             len(a.ids) - 2 >= k if a.ring
-            else a.graph is not g and _flow_connectivity(a.graph, k)
+            else len(a.ids) < g.n
+            and _flow_connectivity(induced_subgraph(g, a.ids)[0], k)
             for a in atoms
         )
     if accepted:

@@ -7,13 +7,13 @@ output is reproducible bit for bit.
 A graph never changes, so each one computes its certificates at most once:
 ``chordal.mcs_search`` (whose one search ``mcs_order`` reads),
 ``c4.enumerate_induced_c4`` and ``connectivity.clique_decomposition``
-(the subgraphs of the non-complete clique separator atoms, each marked when
-it is ring + Q, and the smallest cut) keep their result in the graph's
+(the vertex sets of the non-complete clique separator atoms, each marked
+when it is ring + Q, and the smallest cut) keep their result in the graph's
 private memo; ``c4.catalog_of_rings`` fills the catalog entry from the
-atoms' rings. Every operation that
-builds a new graph (``with_edges``, ``induced_subgraph``,
-``contract_matching``) starts it with an empty memo. The memo takes no part
-in equality, hashing or repr.
+atoms' rings. Every operation that builds a new graph (``with_edges``,
+``induced_subgraph``, ``contract_matching``) starts it with an empty memo.
+The memo takes no part in equality, hashing or repr, and refers to no
+graph, so a graph and its memo form no reference cycle.
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ class Graph:
 
     adj: tuple[frozenset[int], ...]
     # certificates of this graph: its maximum cardinality search (order,
-    # labels and chordality verdict), its 4-cycle catalog, and the subgraphs
-    # of its non-complete clique separator atoms with the smallest cut
+    # labels and chordality verdict), its 4-cycle catalog, and the vertex
+    # sets of its non-complete clique separator atoms with the smallest cut
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod

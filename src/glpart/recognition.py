@@ -26,11 +26,10 @@ included, meets a clique in one edge at most, so it lies in one atom
 members, the atoms' rings are the whole 4-cycle catalog and no atom has a
 hole: the catalog scans then run on those rings over the whole graph (a
 house can straddle a clique separator), and no walk and no hole search
-run. Otherwise the catalog is walked over the whole graph, and each
-atom that is not ring + Q is searched for holes; the witness is the
-whole-graph scan's, rerun on the edges inside holey atoms only. Cost: the
+run. Otherwise the catalog is walked over the whole graph, and the hole
+search scans g's edges inside atoms that are not ring + Q. Cost: the
 O(n + m) decomposition plus the scans of the catalog on members; on other
-graphs, O(m_A * (n_A + m_A)) more per searched atom A.
+graphs, O(n + m) more per scanned edge.
 """
 
 from __future__ import annotations
@@ -139,17 +138,22 @@ def _first_hole(adj, edges) -> tuple[int, ...] | None:
 
 
 def _hole_by_atoms(g: Graph) -> tuple[int, ...] | None:
-    """``find_hole(g)``, searched atom by atom on a non-chordal ``g``."""
-    atoms, _ = clique_decomposition(g)
-    # a ring + Q atom has no hole; g as its own only atom is searched once,
-    # by the scan below
-    holey = [
-        set(a.ids) for a in atoms
-        if not a.ring and (a.graph is g or find_hole(a.graph))
-    ]
-    if not holey:
+    """``find_hole(g)`` on a non-chordal ``g``, scanning only the edges
+    inside atoms that are not ring + Q.
+
+    Every hole lies in one atom and a ring + Q atom has none, so every hole
+    edge lies inside some other atom. ``_hole_at_edge`` is exact on g, so
+    the first hole edge of ``g.edges()``, and its hole, are the same under
+    any filter that keeps every hole edge: the non-ring atoms', the holey
+    atoms' or none. Each edge scanned costs one whole-graph component
+    search. Once the catalog scans pass, a scanned atom with no hole would
+    be a member's atom that is not ring + Q, which no member tried so far
+    has; each of its edges before the first hole edge is a search in vain.
+    """
+    atoms = [set(a.ids) for a in clique_decomposition(g)[0] if not a.ring]
+    if not atoms:
         return None
-    inside = (e for e in g.edges() if any(e[0] in a and e[1] in a for a in holey))
+    inside = (e for e in g.edges() if any(e[0] in a and e[1] in a for a in atoms))
     return _first_hole(g.adj, inside)
 
 

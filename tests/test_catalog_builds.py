@@ -264,17 +264,16 @@ def test_member_decomposition_is_shared(fills, builds, hole_calls, flow_sizes,
 
 
 @pytest.mark.parametrize("command", ["partition", "check"])
-def test_member_builds_one_subgraph_per_open_atom(subgraphs, tmp_path, capsys,
-                                                  command):
-    # recognition and connectivity share each non-complete atom's subgraph
+def test_member_builds_no_subgraph(subgraphs, tmp_path, capsys, command):
+    # each non-complete atom is ring + Q, which recognition and connectivity
+    # test on the member itself, so no atom's subgraph is built
     g = generate_almost_chordal(200, 3, 8, seed=1)
     req = PartitionRequest((0, 1, 2), (2, 2, g.n - 4))
     full, _ = connectivity._clique_atoms(g)
-    open_atoms = sorted(sorted(a) for a, _ in full if not g.is_clique(a))
+    assert sum(not g.is_clique(a) for a, _ in full) == 8
     assert main([command, _write(tmp_path, g, req)]) == 0
     capsys.readouterr()
-    assert len(open_atoms) == 8
-    assert sorted(subgraphs) == open_atoms
+    assert subgraphs == []
 
 
 def test_chordal_check_runs_no_hole_search(hole_calls, atom_builds, builds,

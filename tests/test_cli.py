@@ -25,7 +25,17 @@ from glpart import (
     generate_ktree,
     parse_instance,
 )
+from glpart import cli
 from glpart.cli import _dumps, main
+from glpart.errors import (
+    CapError,
+    DemandError,
+    GlpartError,
+    GraphFormatError,
+    PipelineInvariantError,
+    PreconditionError,
+    SolverStallError,
+)
 
 from bruteforce import (
     bf_is_connected,
@@ -388,6 +398,7 @@ class TestGenerate:
         (["verify", "inst.txt", "part.json", "--deviation", "bogus"], "--deviation"),
         (["oracle-compare", "--n-max", "13", "--trials", "3", "--seed", "2"], "--cap-n"),
         (["oracle-compare", "--n-max", "9", "--cap-n", "8"], "--cap-n"),
+        (["oracle-compare", "--n-max", "21", "--cap-n", "21"], "--cap-n"),
     ],
 )
 def test_out_of_range_flag_exits_2(argv, flag, capsys):
@@ -396,6 +407,29 @@ def test_out_of_range_flag_exits_2(argv, flag, capsys):
     assert out == ""
     assert err.startswith("error: ") and flag in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "error,code",
+    [
+        (GraphFormatError, 3),
+        (OSError, 3),
+        (DemandError, 2),
+        (PreconditionError, 2),
+        (CapError, 2),
+        (SolverStallError, 1),
+        (PipelineInvariantError, 1),
+        (ValueError, 3),
+        (GlpartError, 1),
+    ],
+)
+def test_error_type_maps_to_exit_code(error, code, chordal_file, monkeypatch, capsys):
+    def fail(path):
+        raise error("boom")
+
+    monkeypatch.setattr(cli, "load_instance", fail)
+    assert main(["check", chordal_file]) == code
+    assert capsys.readouterr() == ("", "error: boom\n")
 
 
 class TestOracleCompare:

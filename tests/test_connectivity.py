@@ -311,8 +311,7 @@ class TestCliqueSeparatorMethod:
         for g in (octahedron, c5):
             assert _clique_atoms(g) == ([(list(g.vertices()), False)], g.n)
             atoms, cut = clique_decomposition(g)
-            assert (atoms, cut) == ([Atom(g, tuple(g.vertices()), None)], g.n)
-            assert atoms[0].graph is g
+            assert (atoms, cut) == ([Atom(tuple(g.vertices()), None)], g.n)
 
     def test_declines_on_small_separator(self, flow_sizes):
         member = generate_almost_chordal(40, 3, 2, seed=5)
@@ -325,8 +324,8 @@ class TestCliqueSeparatorMethod:
 
 class TestCliqueDecomposition:
     """``clique_decomposition`` hands out exactly the non-complete atoms of
-    ``_clique_atoms``, each as its induced subgraph, and marks exactly the
-    ring + Q ones."""
+    ``_clique_atoms``, each as its ascending vertex ids, and marks exactly
+    the ring + Q ones."""
 
     @staticmethod
     def inputs():
@@ -349,21 +348,21 @@ class TestCliqueDecomposition:
             assert cut == smallest
             assert all(clique == g.is_clique(a) for a, clique in full)
             for a in atoms:
-                assert not a.graph.is_complete()
-                ring = bf_ring_plus_q(a.graph)
+                assert list(a.ids) == sorted(set(a.ids))
+                sub = induced_subgraph(g, a.ids)[0]
+                assert not sub.is_complete()
+                ring = bf_ring_plus_q(sub)
                 assert (a.ring is None) == (ring is None)
                 if ring is not None:
                     assert {frozenset(d) for d in a.ring} == {
                         frozenset(a.ids[v] for v in d) for d in ring}
                     rings += 1
             if len(full) == 1:
-                # g is its own only atom, handed out as itself
-                assert [a.graph for a in atoms] == ([] if full[0][1] else [g])
-                assert all(a.graph is g for a in atoms)
+                # g is its own only atom, holding every vertex
+                assert [a.ids for a in atoms] == (
+                    [] if full[0][1] else [tuple(g.vertices())])
                 continue
             split += 1
-            for a in atoms:
-                assert (a.graph, a.ids) == induced_subgraph(g, a.ids)
             pieces = [frozenset(a.ids) for a in atoms]
             assert sorted(pieces, key=sorted) == sorted(
                 (frozenset(a) for a, _ in full if not g.is_clique(a)), key=sorted)

@@ -183,3 +183,21 @@ def test_large_partition_digest(tmp_path, capsys):
             codes.append(_run([*cmd, path], capsys, digest))
     assert codes == [0] * 14
     assert digest.hexdigest() == LARGE_SHA256
+
+
+# ``oracle-compare`` on k-trees and on class members, k = 2 and 3: each
+# trial's seed, drawn n and verdicts
+ORACLE_SHA256 = "e3d0fbc0794e900dfc19c882b3cf994ecd9adf96febc72004a155b187605912c"
+
+
+def test_oracle_compare_digest(capsys):
+    digest = hashlib.sha256()
+    codes = []
+    for k in (2, 3):
+        for cycles in ("0", "1"):
+            codes.append(_run(
+                ["oracle-compare", "--trials", "5", "--seed", str(40 + k),
+                 "--k", str(k), "--cycles", cycles, "--n-max", "11"],
+                capsys, digest))
+    assert codes == [0] * 4
+    assert digest.hexdigest() == ORACLE_SHA256

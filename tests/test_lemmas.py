@@ -16,6 +16,7 @@ from glpart import (
     Graph,
     enumerate_induced_c4,
     generate_almost_chordal,
+    induced_subgraph,
     is_hh_i42_free,
     mcs_search,
 )
@@ -259,7 +260,7 @@ def test_decomposition_pieces_are_ring_plus_q(family, least):
         if mcs_search(g).witness is None:
             continue
         for atom in clique_decomposition(g)[0]:
-            sub = atom.graph
+            sub = induced_subgraph(g, atom.ids)[0]
             assert atom.ring is not None, (g, sub)
             q = sub.n - 4
             if sub.n <= 10:

@@ -9,13 +9,14 @@ from hypothesis import given, settings
 
 from glpart import (
     Graph,
+    enumerate_induced_c4,
     find_hole,
     generate_almost_chordal,
     induced_subgraph,
     is_hh_i42_free,
 )
 from glpart.connectivity import _clique_atoms, _elimination_fill, clique_decomposition
-from glpart.recognition import _hole_by_atoms
+from glpart.recognition import _hole_by_atoms, scan_catalog_violations
 
 from bruteforce import (
     bf_chordless_cycles,
@@ -27,10 +28,13 @@ from bruteforce import (
     planted,
     random_chordal,
     random_gnp,
+    shared_vertex_member,
     with_planted_cycle,
     without_edges,
 )
 from test_graph import random_graph_strategy
+
+PLANTS = ("house", "c4-overlap", "hole", "separator")
 
 
 def assert_is_hole(g: Graph, cyc: tuple[int, ...]) -> None:
@@ -189,11 +193,24 @@ class TestAtomSearch:
             k = 2 + seed % 3
             member = generate_almost_chordal(30, k, 3, seed=seed)
             graphs.append(member)
-            graphs += [planted(member, k, kind)
-                       for kind in ("house", "c4-overlap", "hole", "separator")]
+            graphs += [planted(member, k, kind) for kind in PLANTS]
             for _ in range(3):
                 graphs.append(without_edges(member, rng, rng.randint(1, 3)))
                 graphs.append(member.with_edges([tuple(rng.sample(range(member.n), 2))]))
+            # several atoms that are not ring + Q: two holes on different
+            # anchors, also relabelled so that the first hole edge need not
+            # lie in the last atom cut, and a hole beside a small clique
+            # separator
+            anchor = tuple(sorted(frozenset.intersection(
+                *(member.adj[v] for v in enumerate_induced_c4(member)[0]))))
+            assert anchor != tuple(range(k))
+            two = with_planted_cycle(planted(member, k, "hole"), 6, anchor)
+            perm = random.Random(seed).sample(range(two.n), two.n)
+            graphs += [two, Graph.from_edges(
+                two.n, [(perm[u], perm[v]) for u, v in two.edges()])]
+            graphs.append(planted(planted(member, k, "hole"), k, "separator"))
+            shared = shared_vertex_member(30, k, 3, 2, seed)
+            graphs += [planted(shared, k, kind) for kind in PLANTS]
         return graphs
 
     def test_matches_whole_graph_search(self):
@@ -209,6 +226,20 @@ class TestAtomSearch:
             # the smallest cut is g.n exactly when nothing was cut
             split_holes += ref is not None and clique_decomposition(g)[1] < g.n
         assert split_holes >= 50
+
+    def test_scanned_atoms_hold_holes(self):
+        # the scan's cost condition: once the catalog scans pass, every atom
+        # that is not ring + Q holds a hole, so no scanned atom is hole-free
+        scanned = several = 0
+        for g in self.inputs():
+            if scan_catalog_violations(g, enumerate_induced_c4(g)):
+                continue
+            atoms = [a.ids for a in clique_decomposition(g)[0] if not a.ring]
+            for ids in atoms:
+                assert find_hole(induced_subgraph(g, ids)[0]) is not None, (g, ids)
+            scanned += len(atoms)
+            several += len(atoms) > 1
+        assert scanned >= 30 and several >= 6
 
     @pytest.mark.parametrize("k", [3, 4])
     def test_hole_plant_scans_only_holey_atoms(self, hole_calls, k):
@@ -231,7 +262,7 @@ class TestAtomSearch:
         assert _elimination_fill(declined) is None
         for g in (cycle_graph(12), petersen, declined):
             atoms, cut = clique_decomposition(g)
-            assert cut == g.n and [a.graph for a in atoms] == [g]
+            assert cut == g.n and [a.ids for a in atoms] == [tuple(g.vertices())]
             _hole_by_atoms(g)
             spent = len(hole_calls)
             hole_calls.clear()
