@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
 
 from glpart import (
     Graph,
@@ -22,7 +23,7 @@ from glpart import (
     format_instance,
     generate_almost_chordal,
 )
-from glpart.cli import main
+from glpart.cli import _draw_request, main
 
 from bruteforce import planted
 
@@ -201,3 +202,62 @@ def test_oracle_compare_digest(capsys):
                 capsys, digest))
     assert codes == [0] * 4
     assert digest.hexdigest() == ORACLE_SHA256
+
+
+# ``generate`` itself at the sizes the benchmark builds: k-trees of 1,000
+# and 4,000 vertices for k = 2..5, unit weights and ``--max-weight`` 9 and
+# 1,000, floors 1 and 10, and class members with 8 and 40 rings, unit and
+# weighted. Every byte of each instance file, the request included.
+GENERATE_SHA256 = "77f3bee40335342258f2f73467c51937ec2f969ea65b3b934a002f71546e55fc"
+
+GENERATE_CORPUS = [
+    ["--n", "1000", "--k", "2", "--seed", "51"],
+    ["--n", "1000", "--k", "3", "--max-weight", "9", "--min-demand", "10",
+     "--seed", "52"],
+    ["--n", "1000", "--k", "4", "--max-weight", "1000", "--seed", "53"],
+    ["--n", "1000", "--k", "5", "--min-demand", "10", "--seed", "54"],
+    ["--n", "4000", "--k", "2", "--max-weight", "9", "--seed", "55"],
+    ["--n", "4000", "--k", "3", "--min-demand", "10", "--seed", "56"],
+    ["--n", "4000", "--k", "4", "--max-weight", "9", "--min-demand", "10",
+     "--seed", "57"],
+    ["--n", "4000", "--k", "5", "--max-weight", "1000", "--min-demand", "10",
+     "--seed", "58"],
+    ["--n", "400", "--k", "3", "--cycles", "8", "--seed", "59"],
+    ["--n", "400", "--k", "2", "--cycles", "8", "--max-weight", "9",
+     "--min-demand", "10", "--seed", "60"],
+    ["--n", "1000", "--k", "4", "--cycles", "40", "--seed", "61"],
+    ["--n", "1000", "--k", "3", "--cycles", "40", "--max-weight", "1000",
+     "--min-demand", "10", "--seed", "62"],
+]
+
+
+def test_generate_digest(capsys):
+    digest = hashlib.sha256()
+    codes = [_run(["generate", *flags], capsys, digest) for flags in GENERATE_CORPUS]
+    assert codes == [0] * len(GENERATE_CORPUS)
+    assert digest.hexdigest() == GENERATE_SHA256
+
+
+# ``cli._draw_request``, which ``generate`` and ``oracle-compare`` share:
+# the terminals, the demands and the next draw after them, over seeds 0-2,
+# k = 2..8, unit weights and weights up to 9 and up to 2,000 (totals above
+# 65,536), floors 1 and 10. ``oracle-compare`` prints neither terminals nor
+# demands, so ORACLE_SHA256 cannot see this draw.
+REQUEST_SHA256 = "642e54118ecc14a40b7521a61153a59c4671719c083ebec32c50279bf6c77028"
+
+
+def test_request_draw_digest():
+    digest = hashlib.sha256()
+    for seed in range(3):
+        n = 90 + 7 * seed
+        g = Graph.from_edges(n, [(v, v + 1) for v in range(n - 1)])
+        wrng = random.Random(seed)
+        for top in (1, 9, 2000):
+            wg = WeightedGraph(g, tuple(wrng.randint(1, top) for _ in range(n)))
+            for k in range(2, 9):
+                for floor in (1, 10):
+                    rng = random.Random(1000 * seed + 10 * k + floor)
+                    req = _draw_request(rng, wg, k, floor)
+                    tail = rng.getrandbits(32)
+                    digest.update(f"{req.terminals} {req.demands} {tail}\n".encode())
+    assert digest.hexdigest() == REQUEST_SHA256
