@@ -61,6 +61,8 @@ import random
 import stat
 import sys
 import time
+from collections import Counter
+from itertools import repeat
 
 from .almost_chordal import gl_partition_almost_chordal
 from .chordal import mcs_search
@@ -307,16 +309,50 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if report.ok else EXIT_SOLVE
 
 
+# the most raw draws one chunk of ``_draws_below`` asks for
+_CHUNK = 1 << 16
+
+
+def _draws_below(rng: random.Random, m: int, count: int):
+    """Yield lists of ``count`` draws below ``m`` in all, each the value
+    ``rng.randrange(m)`` would return, with the generator left as that many
+    ``randrange`` calls leave it.
+
+    CPython's ``randrange(m)`` returns the first ``getrandbits(b)`` value
+    below m, with b = ``m.bit_length()`` (``_randbelow_with_getrandbits``).
+    With c values still owed, a chunk makes min(c, ``_CHUNK``) raw
+    ``getrandbits(b)`` calls in C and keeps those below m, in order. At
+    most c of them fall below m, so each raw call is one that the
+    ``randrange`` calls still owed would have made, and none comes after
+    the last accepted value: the values and the state match. A chunk holds
+    at most ``_CHUNK`` values, whatever ``count`` is.
+    """
+    bits = m.bit_length()
+    while count > 0:
+        raw = map(rng.getrandbits, repeat(bits, min(count, _CHUNK)))
+        chunk = [r for r in raw if r < m]
+        count -= len(chunk)
+        yield chunk
+
+
 def _compose_demands(
     rng: random.Random, k: int, total: int, floors: list[int]
 ) -> list[int]:
-    """Random composition of ``total`` with per-part floors."""
+    """Random composition of ``total`` with per-part floors.
+
+    Each unit above the floors goes to part ``rng.randrange(k)``, one
+    draw per unit in order; ``_draws_below`` makes those draws in chunks
+    of at most ``_CHUNK`` and this counts each chunk's parts before it
+    draws the next, so memory stays O(k + ``_CHUNK``) for any total. The
+    time still grows with ``total - sum(floors)``.
+    """
     base = sum(floors)
     if base > total:
         raise DemandError(f"floors sum to {base}, above the total {total}")
     demands = list(floors)
-    for _ in range(total - base):
-        demands[rng.randrange(k)] += 1
+    for chunk in _draws_below(rng, k, total - base):
+        for part, units in Counter(chunk).items():
+            demands[part] += units
     return demands
 
 
@@ -356,7 +392,10 @@ def _cmd_generate(args) -> int:
         comment = f"seed={args.seed} k={args.k} k-tree"
 
     if args.max_weight > 1:
-        weights = tuple(rng.randint(1, args.max_weight) for _ in range(g.n))
+        # rng.randint(1, w) is 1 + rng.randrange(w)
+        weights = tuple(
+            1 + w for chunk in _draws_below(rng, args.max_weight, g.n) for w in chunk
+        )
     else:
         weights = (1,) * g.n
     wg = WeightedGraph(g, weights)

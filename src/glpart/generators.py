@@ -7,6 +7,28 @@ of a k-tree by appending one four-vertex cycle gadget per desired induced
 the output a class member with exactly that many induced 4-cycles and the
 tree's connectivity, so no step needs checking (see
 ``generate_almost_chordal``).
+
+A k-tree keeps no list of its k-cliques. Vertex v > k joins a clique
+``base(v)``, stored once as a sorted tuple, and its k new cliques are
+``base(v)`` less one element, plus v. They are numbered in the order a
+list that appended ``combinations(base(v), k - 1)`` with v added to each
+would hold them, so clique j is read off in O(k):
+
+- for j <= k, clique j is ``combinations(range(k + 1), k)[j]``, which is
+  ``0..k`` less k - j;
+- otherwise, with ``q, r = divmod(j - k - 1, k)``, clique j is
+  ``base(q + k + 1)`` less its element at index k - 1 - r, then q + k + 1.
+
+``combinations`` of a sorted tuple drops the last element first, and v is
+larger than every vertex of its base, so each clique comes out sorted.
+
+The index of each new vertex's base is drawn inline as CPython's
+``Random._randbelow_with_getrandbits`` draws ``randrange(m)``: the first
+``getrandbits(m.bit_length())`` value below m. This makes the same
+``getrandbits`` calls as ``rng.randrange(m)``, so the output and the
+generator's state afterwards are those of ``randrange``; the tests hold
+the two to equal values and ``getstate()``, and the equivalence was
+checked under CPython 3.10, 3.11, 3.12 and 3.13.
 """
 
 from __future__ import annotations
@@ -17,16 +39,33 @@ from itertools import combinations
 from .graph import Graph
 
 
-def _ktree_edges_and_cliques(n: int, k: int, rng: random.Random):
-    """Edge list of a random k-tree plus all of its k-cliques."""
-    edges = list(combinations(range(k + 1), 2))
-    cliques = [tuple(c) for c in combinations(range(k + 1), k)]
+def _ktree(n: int, k: int, rng: random.Random):
+    """Edge list of a random k-tree on n vertices, and ``clique(j)``, its
+    j-th k-clique in the numbering the module docstring gives."""
+    first = tuple(range(k + 1))
+    bases: list[tuple[int, ...]] = []
+
+    def clique(j: int) -> tuple[int, ...]:
+        if j <= k:
+            return first[:k - j] + first[k - j + 1:]
+        q, r = divmod(j - k - 1, k)
+        base = bases[q]
+        i = k - 1 - r
+        return base[:i] + base[i + 1:] + (q + k + 1,)
+
+    edges = list(combinations(first, 2))
+    getrandbits = rng.getrandbits
+    m = k + 1  # the k-cliques so far
     for v in range(k + 1, n):
-        base = cliques[rng.randrange(len(cliques))]
+        bits = m.bit_length()
+        j = getrandbits(bits)
+        while j >= m:
+            j = getrandbits(bits)
+        base = clique(j)
+        bases.append(base)
         edges.extend((u, v) for u in base)
-        for rest in combinations(base, k - 1):
-            cliques.append(tuple(sorted(rest + (v,))))
-    return edges, cliques
+        m += k
+    return edges, clique
 
 
 def generate_ktree(n: int, k: int, seed: int) -> Graph:
@@ -39,7 +78,7 @@ def generate_ktree(n: int, k: int, seed: int) -> Graph:
         raise ValueError("k must be positive")
     if n < k + 1:
         raise ValueError(f"a {k}-tree needs at least {k + 1} vertices")
-    edges, _ = _ktree_edges_and_cliques(n, k, random.Random(seed))
+    edges, _ = _ktree(n, k, random.Random(seed))
     return Graph.from_edges(n, edges)
 
 
@@ -78,9 +117,10 @@ def generate_almost_chordal(n: int, k: int, cycles: int, seed: int) -> Graph:
             f"{k}-tree base; need n >= {k + 1 + 4 * cycles}"
         )
     rng = random.Random(seed)
-    edges, cliques = _ktree_edges_and_cliques(base_n, k, rng)
+    edges, clique = _ktree(base_n, k, rng)
+    cliques = (base_n - k) * k + 1  # the k-cliques of a k-tree on base_n
     for p in range(base_n, n, 4):
-        anchor = cliques[rng.randrange(len(cliques))]
+        anchor = clique(rng.randrange(cliques))
         edges += [(p, p + 1), (p + 1, p + 2), (p + 2, p + 3), (p, p + 3)]
         edges += [(x, y) for x in anchor for y in range(p, p + 4)]
     return Graph.from_edges(n, edges)

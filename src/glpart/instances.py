@@ -194,8 +194,9 @@ def format_instance(inst: Instance, comment: str | None = None) -> str:
     if comment:
         out.append(f"# {comment}")
     out.append(f"{g.n} {len(edges)} {inst.request.k}")
-    out.append(" ".join(str(w) for w in inst.wgraph.weights))
-    out.append(" ".join(str(t) for t in inst.request.terminals))
-    out.append(" ".join(str(d) for d in inst.request.demands))
-    out.extend(f"{u} {v}" for u, v in edges)
+    out.append(" ".join(map(str, inst.wgraph.weights)))
+    out.append(" ".join(map(str, inst.request.terminals)))
+    out.append(" ".join(map(str, inst.request.demands)))
+    ids = list(map(str, range(g.n)))
+    out.extend([ids[u] + " " + ids[v] for u, v in edges])
     return "\n".join(out) + "\n"

@@ -7,7 +7,10 @@ and paths are built here by name for the tests. The helpers at the end
 are small definitional checks the library itself has no use for, three
 thin wrappers over library code that only the tests call, the member
 generator that certifies every step, which the library no longer needs,
-a member builder whose rings share vertices, the one-chord-per-walk
+a member builder whose rings share vertices, the k-tree
+builder that lists every k-clique and the CLI's per-unit demand and
+per-vertex weight draws, which the library's clique lookup and chunked
+draws replaced, the one-chord-per-walk
 terminal chord loop the library's rounds replaced, the clique atom cut
 that tests every later set, which the library's filled-vertex test
 replaced, the edits that plant
@@ -30,6 +33,7 @@ from glpart import (
     CapError,
     ChordalityWitness,
     DEFAULT_ORACLE_CAP,
+    DemandError,
     GLPartition,
     Graph,
     GraphFormatError,
@@ -54,7 +58,6 @@ from glpart import (
 from glpart.c4 import C4Catalog, Cycle, _canonical
 from glpart.chordal import McsSearch, _witness_at
 from glpart.connectivity import _elimination_fill
-from glpart.generators import _ktree_edges_and_cliques
 from glpart.oracle import _feasible, _reachable
 from glpart.partition import _STALL, check_demands
 from glpart.recognition import _hole_at_edge, scan_catalog_violations
@@ -679,6 +682,40 @@ def find_hole_through(g: Graph, v: int) -> tuple[int, ...] | None:
     return None
 
 
+def bf_ktree_edges_and_cliques(n: int, k: int, rng: random.Random):
+    """Edge list of a random k-tree plus all of its k-cliques, kept
+    verbatim: the library's generator keeps one base clique per vertex and
+    reads each clique off on demand."""
+    edges = list(combinations(range(k + 1), 2))
+    cliques = [tuple(c) for c in combinations(range(k + 1), k)]
+    for v in range(k + 1, n):
+        base = cliques[rng.randrange(len(cliques))]
+        edges.extend((u, v) for u in base)
+        for rest in combinations(base, k - 1):
+            cliques.append(tuple(sorted(rest + (v,))))
+    return edges, cliques
+
+
+def bf_compose_demands(
+    rng: random.Random, k: int, total: int, floors: list[int]
+) -> list[int]:
+    """The CLI's composition of ``total`` with one ``randrange(k)`` call per
+    unit above the floors, kept verbatim."""
+    base = sum(floors)
+    if base > total:
+        raise DemandError(f"floors sum to {base}, above the total {total}")
+    demands = list(floors)
+    for _ in range(total - base):
+        demands[rng.randrange(k)] += 1
+    return demands
+
+
+def bf_weights(rng: random.Random, n: int, max_weight: int) -> tuple[int, ...]:
+    """The CLI's weight draw with one ``randint`` call per vertex, kept
+    verbatim."""
+    return tuple(rng.randint(1, max_weight) for _ in range(n))
+
+
 def bf_generate_almost_chordal(n: int, k: int, cycles: int, seed: int) -> Graph:
     """Reference member generator that certifies every step.
 
@@ -690,7 +727,7 @@ def bf_generate_almost_chordal(n: int, k: int, cycles: int, seed: int) -> Graph:
     ``generate_almost_chordal``; a rejection leaves it short of n vertices.
     """
     rng = random.Random(seed)
-    edges, cliques = _ktree_edges_and_cliques(n - 4 * cycles, k, rng)
+    edges, cliques = bf_ktree_edges_and_cliques(n - 4 * cycles, k, rng)
     g = Graph.from_edges(n - 4 * cycles, edges)
     achieved = 0
     attempts = 20 * max(cycles, 1)

@@ -2,20 +2,37 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import random
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from glpart import (
+    Graph,
+    Instance,
+    PartitionRequest,
+    WeightedGraph,
+    cli,
     enumerate_induced_c4,
+    format_instance,
     generate_almost_chordal,
     generate_ktree,
     is_hh_i42_free,
     vertex_connectivity_at_least,
 )
+from glpart.cli import _CHUNK, _compose_demands, _draws_below
+from glpart.generators import _ktree
 
-from bruteforce import bf_generate_almost_chordal, is_chordal
+from bruteforce import (
+    bf_compose_demands,
+    bf_generate_almost_chordal,
+    bf_ktree_edges_and_cliques,
+    bf_weights,
+    is_chordal,
+)
 
 
 def kappa_exactly(g, k: int) -> bool:
@@ -128,3 +145,110 @@ class TestAlmostChordalGenerator:
             assert is_hh_i42_free(g), (n, k, cycles, seed)
             assert catalog_size(g) == cycles, (n, k, cycles, seed)
             assert kappa_exactly(g, k), (n, k, cycles, seed)
+
+
+class TestSameDraws:
+    """The clique lookup and the chunked draws against the per-clique list
+    and the per-unit ``randrange``/``randint`` loops they replaced: equal
+    values and equal generator state afterwards."""
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_ktree_matches_clique_list(self, k):
+        for n, seed in [(k + 1, 0), (k + 2, 1), (37, 2), (400, 3), (2000, 4)]:
+            rng, ref = random.Random(seed), random.Random(seed)
+            edges, clique = _ktree(n, k, rng)
+            want, cliques = bf_ktree_edges_and_cliques(n, k, ref)
+            assert edges == want, (n, k)
+            assert [clique(j) for j in range(len(cliques))] == cliques, (n, k)
+            assert rng.getstate() == ref.getstate(), (n, k)
+
+    def test_draws_match_randrange(self):
+        for m in [*range(1, 301), 2**31, 2**31 + 1, 10**9, 2**64 - 1]:
+            for seed, count in [(0, 1), (1, 2), (2, 57)]:
+                rng, ref = random.Random(seed), random.Random(seed)
+                got = list(chain.from_iterable(_draws_below(rng, m, count)))
+                assert got == [ref.randrange(m) for _ in range(count)], (m, seed)
+                assert rng.getstate() == ref.getstate(), (m, seed)
+
+    def test_weights_match_randint(self):
+        for n, top, seed in [(1, 2, 0), (100, 9, 1), (1000, 1000, 2), (300, 10**9, 3)]:
+            rng, ref = random.Random(seed), random.Random(seed)
+            got = tuple(1 + w for chunk in _draws_below(rng, top, n) for w in chunk)
+            assert got == bf_weights(ref, n, top)
+            assert rng.getstate() == ref.getstate()
+
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_compose_matches_per_unit_loop(self, k):
+        # ``extra`` units above the floors: none, one, a part chunk, more
+        # than one chunk, and a total of about 10**5
+        for extra, floor, seed in [
+            (0, 1, 0), (1, 1, 1), (500, 3, 2), (_CHUNK + 5, 1, 3), (10**5 - 20 * k, 10, 4),
+        ]:
+            floors = [floor + i for i in range(k)]
+            total = sum(floors) + extra
+            rng, ref = random.Random(seed), random.Random(seed)
+            got = _compose_demands(rng, k, total, floors)
+            assert got == bf_compose_demands(ref, k, total, floors), (k, extra)
+            assert rng.getstate() == ref.getstate(), (k, extra)
+
+    def test_compose_chunks_stay_under_the_cap(self, monkeypatch):
+        asked = []
+
+        def spy(value, times):
+            asked.append(times)
+            return original(value, times)
+
+        original = cli.repeat
+        monkeypatch.setattr(cli, "repeat", spy)
+        demands = _compose_demands(random.Random(5), 3, 3 * _CHUNK + 7, [1, 1, 1])
+        assert sum(demands) == 3 * _CHUNK + 7
+        assert len(asked) > 3
+        assert max(asked) == _CHUNK
+
+    def test_generate_calls_no_per_unit_randrange(self, monkeypatch):
+        calls = []
+        for name in ("randrange", "randint"):
+            original = getattr(random.Random, name)
+
+            def spy(self, *args, _name=name, _fn=original):
+                calls.append(_name)
+                return _fn(self, *args)
+
+            monkeypatch.setattr(random.Random, name, spy)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["generate", "--n", "300", "--k", "3",
+                             "--max-weight", "50", "--seed", "3"]) == 0
+            assert calls == []
+            assert cli.main(["generate", "--n", "300", "--k", "3", "--cycles", "5",
+                             "--max-weight", "50", "--seed", "3"]) == 0
+        # one anchor draw per planted cycle
+        assert calls == ["randrange"] * 5
+
+    @pytest.mark.parametrize("n, k, cycles, max_weight, floor, seed", [
+        (3, 2, 0, 1, 1, 0),
+        (60, 2, 0, 9, 10, 1),
+        (500, 5, 0, 300, 1, 2),
+        (41, 3, 6, 1, 2, 3),
+        (90, 4, 4, 7, 10, 4),
+    ])
+    def test_generate_matches_reference(self, n, k, cycles, max_weight, floor, seed):
+        if cycles:
+            g = bf_generate_almost_chordal(n, k, cycles, seed)
+        else:
+            g = Graph.from_edges(n, bf_ktree_edges_and_cliques(n, k, random.Random(seed))[0])
+        rng = random.Random(seed)
+        weights = bf_weights(rng, n, max_weight) if max_weight > 1 else (1,) * n
+        terminals = tuple(sorted(rng.sample(range(n), k)))
+        floors = [max(weights[t], floor) for t in terminals]
+        demands = tuple(bf_compose_demands(rng, k, sum(weights), floors))
+        want = format_instance(
+            Instance(WeightedGraph(g, weights), PartitionRequest(terminals, demands))
+        )
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main([
+                "generate", "--n", str(n), "--k", str(k), "--cycles", str(cycles),
+                "--max-weight", str(max_weight), "--min-demand", str(floor),
+                "--seed", str(seed),
+            ]) == 0
+        assert out.getvalue().split("\n", 1)[1] == want
