@@ -341,10 +341,14 @@ def _compose_demands(
     """Random composition of ``total`` with per-part floors.
 
     Each unit above the floors goes to part ``rng.randrange(k)``, one
-    draw per unit in order; ``_draws_below`` makes those draws in chunks
-    of at most ``_CHUNK`` and this counts each chunk's parts before it
-    draws the next, so memory stays O(k + ``_CHUNK``) for any total. The
-    time still grows with ``total - sum(floors)``.
+    draw per unit in order. ``_draws_below`` makes those draws in chunks
+    of at most ``_CHUNK`` raw ``getrandbits`` calls, and this adds up each
+    chunk's parts before the next chunk is drawn, so memory stays
+    O(k + ``_CHUNK``) for any total. A chunk never asks for more raw calls
+    than units are still owed, so none is made after the last unit's
+    value, and the demands and the generator's state are those of one
+    ``randrange(k)`` call per unit. The time still grows with
+    ``total - sum(floors)``.
     """
     base = sum(floors)
     if base > total:

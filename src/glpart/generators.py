@@ -118,9 +118,9 @@ def generate_almost_chordal(n: int, k: int, cycles: int, seed: int) -> Graph:
         )
     rng = random.Random(seed)
     edges, clique = _ktree(base_n, k, rng)
-    cliques = (base_n - k) * k + 1  # the k-cliques of a k-tree on base_n
+    count = (base_n - k) * k + 1  # the k-cliques of a k-tree on base_n vertices
     for p in range(base_n, n, 4):
-        anchor = clique(rng.randrange(cliques))
+        anchor = clique(rng.randrange(count))
         edges += [(p, p + 1), (p + 1, p + 2), (p + 2, p + 3), (p, p + 3)]
         edges += [(x, y) for x in anchor for y in range(p, p + 4)]
     return Graph.from_edges(n, edges)
