@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import random
 from itertools import chain
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -145,6 +147,61 @@ class TestAlmostChordalGenerator:
             assert is_hh_i42_free(g), (n, k, cycles, seed)
             assert catalog_size(g) == cycles, (n, k, cycles, seed)
             assert kappa_exactly(g, k), (n, k, cycles, seed)
+
+
+def generation_list(make, *args):
+    """``make(*args)`` and the edge list it hands ``Graph.from_edges``, in
+    generation order."""
+    seen = []
+    original = Graph.from_edges.__func__
+
+    def spy(cls, n, edges):
+        seen.append(list(edges))
+        return original(cls, n, edges)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Graph, "from_edges", classmethod(spy))
+        g = make(*args)
+    (edges,) = seen
+    return g, edges
+
+
+# k-trees for k = 1..6 and n up to 2,000, and members for k = 2..5 whose
+# gadgets crowd the base: up to (n - k - 1) // 4 rings at n = 200 and 1,000
+KTREES = [(n, k, seed) for k in range(1, 7)
+          for n, seed in [(k + 1, 0), (k + 2, 1), (37, 2), (400, 3), (2000, 4)]]
+MEMBERS = [(n, k, cycles, seed) for k in range(2, 6)
+           for n, seed in [(200, k), (1000, 10 + k)]
+           for cycles in (1, (n - k - 1) // 8, (n - k - 1) // 4)]
+ADJ_ORDER_SHA256 = "311e2cf0cc2936ecd893cd0884ef7215e4a2e7cca9bb8adc97c4887ea558298b"
+
+
+class TestEdgeOrder:
+    """The order the generators list their edges in, which the graphs'
+    neighbour sets and ``generate``'s edge lines both read."""
+
+    def test_key_sort_gives_graph_edges(self):
+        # a stable sort on u alone lists the edges as ``Graph.edges`` does
+        cases = [(generate_ktree, c) for c in KTREES]
+        cases += [(generate_almost_chordal, c) for c in MEMBERS]
+        for make, args in cases:
+            g, edges = generation_list(make, *args)
+            assert all(u < v for u, v in edges), args
+            by_u = sorted(edges, key=itemgetter(0))
+            assert by_u == sorted(edges) == Graph.from_edges(g.n, edges).edges(), args
+            assert by_u == g.edges(), args
+
+    def test_neighbour_order_is_pinned(self):
+        # ``list(adj[v])`` for every v: a frozenset iterates in an order set
+        # by how its elements went in, and witnesses read that order
+        digest = hashlib.sha256()
+        for n, k, seed in KTREES:
+            g = generate_ktree(n, k, seed)
+            digest.update(f"{[list(s) for s in g.adj]}\n".encode())
+        for n, k, cycles, seed in MEMBERS:
+            g = generate_almost_chordal(n, k, cycles, seed)
+            digest.update(f"{[list(s) for s in g.adj]}\n".encode())
+        assert digest.hexdigest() == ADJ_ORDER_SHA256
 
 
 class TestSameDraws:

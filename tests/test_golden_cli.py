@@ -238,6 +238,33 @@ def test_generate_digest(capsys):
     assert digest.hexdigest() == GENERATE_SHA256
 
 
+# ``generate`` on class members whose gadgets crowd the k-tree base: k =
+# 2..5, unit and weighted, up to (n - k - 1) // 4 rings at n = 200 and
+# 1,000, so a few anchor cliques carry many rings each. Every byte of each
+# instance file, the edge lines' order included.
+GENERATE_MEMBER_SHA256 = "ea3bc4d42b6cb883adf41e43742cefffde2a10b7d58d0302dd1097124252b3cc"
+
+GENERATE_MEMBER_CORPUS = [
+    ["--n", "200", "--k", "2", "--cycles", "49", "--seed", "71"],
+    ["--n", "200", "--k", "3", "--cycles", "49", "--max-weight", "9",
+     "--min-demand", "10", "--seed", "72"],
+    ["--n", "200", "--k", "4", "--cycles", "48", "--max-weight", "1000", "--seed", "73"],
+    ["--n", "200", "--k", "5", "--cycles", "48", "--min-demand", "10", "--seed", "74"],
+    ["--n", "1000", "--k", "2", "--cycles", "249", "--max-weight", "9", "--seed", "75"],
+    ["--n", "1000", "--k", "3", "--cycles", "249", "--seed", "76"],
+    ["--n", "1000", "--k", "4", "--cycles", "248", "--max-weight", "1000",
+     "--min-demand", "10", "--seed", "77"],
+    ["--n", "1000", "--k", "5", "--cycles", "248", "--max-weight", "9", "--seed", "78"],
+]
+
+
+def test_generate_member_digest(capsys):
+    digest = hashlib.sha256()
+    codes = [_run(["generate", *flags], capsys, digest) for flags in GENERATE_MEMBER_CORPUS]
+    assert codes == [0] * len(GENERATE_MEMBER_CORPUS)
+    assert digest.hexdigest() == GENERATE_MEMBER_SHA256
+
+
 # ``cli._draw_request``, which ``generate`` and ``oracle-compare`` share:
 # the terminals, the demands and the next draw after them, over seeds 0-2,
 # k = 2..8, unit weights and weights up to 9 and up to 2,000 (totals above
