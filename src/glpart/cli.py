@@ -76,9 +76,9 @@ from .errors import (
     PreconditionError,
     SolverStallError,
 )
-from .generators import generate_almost_chordal, generate_ktree
+from .generators import generate_almost_chordal, generate_ktree, sorted_edges
 from .graph import Graph, WeightedGraph
-from .instances import Instance, format_instance, load_instance
+from .instances import Instance, format_parts, load_instance
 from .oracle import DEFAULT_ORACLE_CAP, brute_force_gl
 from .partition import (
     GLPartition,
@@ -361,13 +361,14 @@ def _compose_demands(
 
 
 def _draw_request(
-    rng: random.Random, wg: WeightedGraph, k: int, floor: int
+    rng: random.Random, weights: tuple[int, ...], k: int, floor: int
 ) -> PartitionRequest:
-    """k random terminals, then a random composition of the total weight in
-    which each demand is at least ``floor`` and its terminal's weight."""
-    terminals = tuple(sorted(rng.sample(range(wg.n), k)))
-    floors = [max(wg.weights[t], floor) for t in terminals]
-    demands = _compose_demands(rng, k, wg.total_weight(), floors)
+    """k random terminals among the vertices that ``weights`` weighs, then a
+    random composition of the total weight in which each demand is at
+    least ``floor`` and its terminal's weight."""
+    terminals = tuple(sorted(rng.sample(range(len(weights)), k)))
+    floors = [max(weights[t], floor) for t in terminals]
+    demands = _compose_demands(rng, k, sum(weights), floors)
     return PartitionRequest(terminals, tuple(demands))
 
 
@@ -385,26 +386,25 @@ def _cmd_generate(args) -> int:
     _require_at_least("--k", args.k, 2)
     _require_at_least("--n", args.n, args.k + 1 + 4 * args.cycles)
     rng = random.Random(args.seed)
+    # the generators' edge list, sorted as Graph.edges() would list it
+    edges = sorted_edges(args.n, args.k, args.cycles, args.seed)
     if args.cycles > 0:
-        g = generate_almost_chordal(args.n, args.k, args.cycles, args.seed)
         comment = (
             f"seed={args.seed} k={args.k} cycles={args.cycles}"
             f" requested_cycles={args.cycles}"
         )
     else:
-        g = generate_ktree(args.n, args.k, args.seed)
         comment = f"seed={args.seed} k={args.k} k-tree"
 
     if args.max_weight > 1:
         # rng.randint(1, w) is 1 + rng.randrange(w)
         weights = tuple(
-            1 + w for chunk in _draws_below(rng, args.max_weight, g.n) for w in chunk
+            1 + w for chunk in _draws_below(rng, args.max_weight, args.n) for w in chunk
         )
     else:
-        weights = (1,) * g.n
-    wg = WeightedGraph(g, weights)
-    inst = Instance(wg, _draw_request(rng, wg, args.k, args.min_demand))
-    _write(format_instance(inst, comment), args.out)
+        weights = (1,) * args.n
+    request = _draw_request(rng, weights, args.k, args.min_demand)
+    _write(format_parts(args.n, edges, weights, request, comment), args.out)
     return EXIT_OK
 
 
@@ -449,7 +449,7 @@ def _cmd_oracle_compare(args) -> int:
             rule = DeviationRule.exact()
             entry["mode"] = "chordal"
         wg = WeightedGraph.unit(g)
-        req = _draw_request(trng, wg, k, floor)
+        req = _draw_request(trng, wg.weights, k, floor)
 
         if args.cycles > 0:
             solved = gl_partition_almost_chordal(wg, req, validate=False).partition

@@ -29,14 +29,22 @@ The index of each new vertex's base is drawn inline as CPython's
 generator's state afterwards are those of ``randrange``; the tests hold
 the two to equal values and ``getstate()``, and the equivalence was
 checked under CPython 3.10, 3.11, 3.12 and 3.13.
+
+Both generators build their graph with ``Graph.from_edges`` from the edge
+list in generation order, unsorted: a frozenset's iteration order depends
+on the order its elements went in, and witnesses read that order. In that
+list every pair (u, v) has u < v, and the partners v of each u come in
+ascending order (see ``sorted_edges``), so ``generate`` prints a stable
+sort of it on u and builds no ``Graph``.
 """
 
 from __future__ import annotations
 
 import random
 from itertools import combinations
+from operator import itemgetter
 
-from .graph import Graph
+from .graph import Edge, Graph
 
 
 def _ktree(n: int, k: int, rng: random.Random):
@@ -116,11 +124,45 @@ def generate_almost_chordal(n: int, k: int, cycles: int, seed: int) -> Graph:
             f"n={n} is too small for {cycles} planted cycles over a "
             f"{k}-tree base; need n >= {k + 1 + 4 * cycles}"
         )
-    rng = random.Random(seed)
+    return Graph.from_edges(n, _members(n, k, cycles, random.Random(seed)))
+
+
+def _members(n: int, k: int, cycles: int, rng: random.Random) -> list[Edge]:
+    """Edge list of a member: a k-tree on n - 4*cycles vertices, then one
+    ring and its anchor's edges per gadget, in generation order. With no
+    cycles it is the k-tree's list."""
+    base_n = n - 4 * cycles
     edges, clique = _ktree(base_n, k, rng)
     count = (base_n - k) * k + 1  # the k-cliques of a k-tree on base_n vertices
     for p in range(base_n, n, 4):
         anchor = clique(rng.randrange(count))
         edges += [(p, p + 1), (p + 1, p + 2), (p + 2, p + 3), (p, p + 3)]
         edges += [(x, y) for x in anchor for y in range(p, p + 4)]
-    return Graph.from_edges(n, edges)
+    return edges
+
+
+def sorted_edges(n: int, k: int, cycles: int, seed: int) -> list[Edge]:
+    """The edges of ``generate_almost_chordal(n, k, cycles, seed)``, or of
+    ``generate_ktree(n, k, seed)`` when ``cycles`` is 0, as
+    ``Graph.edges()`` lists them, built with no ``Graph``. The arguments
+    must be ones those functions accept.
+
+    A stable sort of the generation list on u alone gives the full sort,
+    because in that list each pair (u, v) has u < v and the partners v of
+    each u come in ascending order:
+
+    - the base clique's pairs come from ``combinations``, in order;
+    - a new k-tree vertex v is larger than every earlier endpoint, and
+      its pairs (u, v) follow all earlier ones;
+    - every edge of a gadget ends at one of its four new ring vertices,
+      which are larger than every earlier endpoint, and inside one gadget
+      each vertex's partners come in ascending order: p's are p + 1, then
+      p + 3; p + 1's and p + 2's are one each; the anchor is a sorted
+      tuple, and each anchor vertex x gets p, p + 1, p + 2, p + 3 in turn.
+
+    The generation list holds no pair twice, so nothing is left for
+    ``Graph.from_edges`` to merge.
+    """
+    edges = _members(n, k, cycles, random.Random(seed))
+    edges.sort(key=itemgetter(0))
+    return edges

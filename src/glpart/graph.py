@@ -129,7 +129,7 @@ def contract_matching(g: Graph, edges: Iterable[Edge]) -> tuple[Graph, MergeMap]
     for x in range(n):
         cx = cur[x]
         groups[cx].append(x)
-        nbrs[cx].update(cur[y] for y in g.adj[x])
+        nbrs[cx].update(map(cur.__getitem__, g.adj[x]))
     for cx, s in enumerate(nbrs):
         s.discard(cx)
     graph = Graph(tuple(frozenset(s) for s in nbrs))

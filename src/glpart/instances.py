@@ -42,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import GraphFormatError
-from .graph import Graph, WeightedGraph
+from .graph import Edge, Graph, WeightedGraph
 from .partition import PartitionRequest
 
 
@@ -188,15 +188,31 @@ def load_instance(path: str) -> Instance:
 
 
 def format_instance(inst: Instance, comment: str | None = None) -> str:
-    g = inst.graph
-    edges = g.edges()
+    return format_parts(
+        inst.graph.n, inst.graph.edges(), inst.wgraph.weights, inst.request, comment
+    )
+
+
+def format_parts(
+    n: int,
+    edges: list[Edge],
+    weights: tuple[int, ...],
+    request: PartitionRequest,
+    comment: str | None = None,
+) -> str:
+    """The text of an instance given by its parts: n vertices, the edges as
+    ``Graph.edges()`` lists them (u < v, sorted), the weights and the
+    request, after a ``# comment`` line when ``comment`` is given.
+    ``format_instance`` passes a graph's edges, ``generate`` the sorted
+    generation list, which needs no ``Graph``. The edges are written as
+    given, so the caller's order is the file's."""
     out = []
     if comment:
         out.append(f"# {comment}")
-    out.append(f"{g.n} {len(edges)} {inst.request.k}")
-    out.append(" ".join(map(str, inst.wgraph.weights)))
-    out.append(" ".join(map(str, inst.request.terminals)))
-    out.append(" ".join(map(str, inst.request.demands)))
-    ids = list(map(str, range(g.n)))
+    out.append(f"{n} {len(edges)} {request.k}")
+    out.append(" ".join(map(str, weights)))
+    out.append(" ".join(map(str, request.terminals)))
+    out.append(" ".join(map(str, request.demands)))
+    ids = list(map(str, range(n)))
     out.extend([ids[u] + " " + ids[v] for u, v in edges])
     return "\n".join(out) + "\n"

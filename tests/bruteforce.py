@@ -18,8 +18,9 @@ a defect in a member or drop some of its edges, the line-by-line
 instance reader the library's one-pass reader replaced, the growth
 loop on per-vertex part sets that the library's bit masks replaced, and
 the maximum cardinality search on one lazy heap that the library's
-per-count heaps replaced, and the oracle's recursive searches that its
-explicit stacks replaced.
+per-count heaps replaced, the oracle's recursive searches that its
+explicit stacks replaced, and the matching contraction that fed each
+neighbour set through a generator, which the library's ``map`` replaced.
 """
 
 from __future__ import annotations
@@ -1187,3 +1188,37 @@ def bf_recursive_brute_force_gl(
     if solution is None:
         return None
     return GLPartition(tuple(frozenset(s) for s in solution), 0)
+
+
+def bf_contract_matching(g: Graph, edges) -> tuple[Graph, MergeMap]:
+    """``contract_matching`` as it fed each neighbour set through a
+    generator, kept verbatim: the library's ``map`` must feed every set the
+    same elements in the same order."""
+    n = g.n
+    rep = list(range(n))  # id in g -> the id of g that keeps its slot
+    used: set[int] = set()
+    for u, v in edges:
+        if v not in g.adj[u]:
+            raise ValueError(f"({u}, {v}) is not an edge")
+        if u in used or v in used:
+            raise ValueError(
+                f"contraction edges are not vertex-disjoint at ({u}, {v})"
+            )
+        used.update((u, v))
+        rep[max(u, v)] = min(u, v)
+    new_id = [0] * n
+    keep = [x for x in range(n) if rep[x] == x]
+    for i, x in enumerate(keep):
+        new_id[x] = i
+    cur = [new_id[rep[x]] for x in range(n)]
+
+    nbrs: list[set[int]] = [set() for _ in keep]
+    groups: list[list[int]] = [[] for _ in keep]
+    for x in range(n):
+        cx = cur[x]
+        groups[cx].append(x)
+        nbrs[cx].update(cur[y] for y in g.adj[x])
+    for cx, s in enumerate(nbrs):
+        s.discard(cx)
+    graph = Graph(tuple(frozenset(s) for s in nbrs))
+    return graph, MergeMap(tuple(frozenset(grp) for grp in groups))

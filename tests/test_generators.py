@@ -26,7 +26,7 @@ from glpart import (
     vertex_connectivity_at_least,
 )
 from glpart.cli import _CHUNK, _compose_demands, _draws_below
-from glpart.generators import _ktree
+from glpart.generators import _ktree, sorted_edges
 
 from bruteforce import (
     bf_compose_demands,
@@ -190,6 +190,25 @@ class TestEdgeOrder:
             by_u = sorted(edges, key=itemgetter(0))
             assert by_u == sorted(edges) == Graph.from_edges(g.n, edges).edges(), args
             assert by_u == g.edges(), args
+            n, k, *cycles, seed = args
+            assert sorted_edges(n, k, sum(cycles), seed) == by_u, args
+
+    def test_generate_builds_no_graph(self, monkeypatch):
+        calls = []
+
+        def spy(name):
+            def refuse(*args, **kwargs):
+                calls.append(name)
+                raise AssertionError(f"generate called Graph.{name}")
+            return refuse
+
+        monkeypatch.setattr(Graph, "from_edges", classmethod(spy("from_edges")))
+        monkeypatch.setattr(Graph, "edges", spy("edges"))
+        for flags in (["--n", "300", "--k", "3", "--max-weight", "9"],
+                      ["--n", "300", "--k", "4", "--cycles", "20"]):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(["generate", *flags, "--seed", "5"]) == 0, flags
+        assert calls == []
 
     def test_neighbour_order_is_pinned(self):
         # ``list(adj[v])`` for every v: a frozenset iterates in an order set

@@ -284,7 +284,7 @@ def test_request_draw_digest():
             for k in range(2, 9):
                 for floor in (1, 10):
                     rng = random.Random(1000 * seed + 10 * k + floor)
-                    req = _draw_request(rng, wg, k, floor)
+                    req = _draw_request(rng, wg.weights, k, floor)
                     tail = rng.getrandbits(32)
                     digest.update(f"{req.terminals} {req.demands} {tail}\n".encode())
     assert digest.hexdigest() == REQUEST_SHA256

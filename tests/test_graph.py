@@ -5,6 +5,8 @@ Contraction is checked against the one-edge reference in ``bruteforce``.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -22,6 +24,7 @@ from glpart import (
 )
 
 from bruteforce import (
+    bf_contract_matching,
     bf_is_connected,
     complete_graph,
     compose,
@@ -31,6 +34,8 @@ from bruteforce import (
     identity_merge_map,
     iter_nonedges,
     path_graph,
+    planted,
+    shared_vertex_member,
 )
 
 
@@ -183,6 +188,32 @@ class TestContractMatching:
             ref, step = contract_edge(ref, cur_of[u], cur_of[v])
             total = compose(step, total)
         assert contract_matching(g, matching) == (ref, total)
+
+    def test_same_sets_in_the_same_order_as_reference(self):
+        # members with disjoint rings, with rings sharing vertices, and
+        # with each planted defect; every neighbour set must iterate as the
+        # reference's does, since later searches read that order
+        graphs = []
+        for k, seed in ((2, 1), (3, 2), (4, 3)):
+            member = generate_almost_chordal(60 + 20 * k, k, 6, seed)
+            graphs.append(member)
+            graphs.append(shared_vertex_member(40, k, 4, 3, seed))
+            graphs += [planted(member, k, kind)
+                       for kind in ("hole", "house", "c4-overlap", "separator")]
+        rng = random.Random(9)
+        for g in graphs:
+            for share in (0.2, 1.0):
+                edges = g.edges()
+                rng.shuffle(edges)
+                matching, used = [], set()
+                for u, v in edges:
+                    if u not in used and v not in used and rng.random() < share:
+                        matching.append((u, v) if rng.random() < 0.5 else (v, u))
+                        used.update((u, v))
+                got, got_map = contract_matching(g, matching)
+                want, want_map = bf_contract_matching(g, matching)
+                assert got_map == want_map
+                assert [list(s) for s in got.adj] == [list(s) for s in want.adj]
 
     def test_empty_matching_is_identity(self, house):
         assert contract_matching(house, []) == (house, identity_merge_map(house.n))
