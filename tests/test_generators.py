@@ -188,22 +188,22 @@ class TestEdgeOrder:
             g, edges = generation_list(make, *args)
             assert all(u < v for u, v in edges), args
             by_u = sorted(edges, key=itemgetter(0))
-            assert by_u == sorted(edges) == Graph.from_edges(g.n, edges).edges(), args
-            assert by_u == g.edges(), args
+            assert by_u == sorted(edges) == g.edges(), args
             n, k, *cycles, seed = args
             assert sorted_edges(n, k, sum(cycles), seed) == by_u, args
 
     def test_generate_builds_no_graph(self, monkeypatch):
         calls = []
 
-        def spy(name):
-            def refuse(*args, **kwargs):
+        def spy(name, fn):
+            def counted(*args):
                 calls.append(name)
-                raise AssertionError(f"generate called Graph.{name}")
-            return refuse
+                return fn(*args)
+            return counted
 
-        monkeypatch.setattr(Graph, "from_edges", classmethod(spy("from_edges")))
-        monkeypatch.setattr(Graph, "edges", spy("edges"))
+        monkeypatch.setattr(Graph, "from_edges",
+                            classmethod(spy("from_edges", Graph.from_edges.__func__)))
+        monkeypatch.setattr(Graph, "edges", spy("edges", Graph.edges))
         for flags in (["--n", "300", "--k", "3", "--max-weight", "9"],
                       ["--n", "300", "--k", "4", "--cycles", "20"]):
             with contextlib.redirect_stdout(io.StringIO()):
