@@ -71,6 +71,25 @@ def test_cli_corpus_digest(tmp_path, capsys):
     assert digest.hexdigest() == GOLDEN_SHA256
 
 
+# ``--mode almost-chordal`` forced onto the corpus k-trees, unit and weighted,
+# with and without checks: the auto mode would solve these directly, so this
+# pins the pipeline's mode string, its (empty) audit and its parts on them
+FORCED_MODE_SHA256 = "e6dc7c21703ed18b943955b857eb9f908160e8f9fee27564269933bf3d479ef8"
+
+
+def test_forced_almost_chordal_mode_digest(tmp_path, capsys):
+    digest = hashlib.sha256()
+    codes = []
+    for name, flags in CORPUS[:2]:
+        path = tmp_path / f"{name}.txt"
+        assert main(["generate", *flags, "--out", str(path)]) == 0
+        for extra in ([], ["--skip-checks"]):
+            codes.append(_run(["partition", str(path), "--mode", "almost-chordal",
+                               *extra], capsys, digest))
+    assert codes == [0] * 4
+    assert digest.hexdigest() == FORCED_MODE_SHA256
+
+
 # verify and check payloads are assembled from the result types; these
 # inputs pin every field of them, rejections included
 VERIFY_CHECK_SHA256 = "efba67c8b2594f8b25181cf234b5c87e07d6eeb5bbd4f1a929984e7ab22a97c9"
