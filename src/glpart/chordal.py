@@ -25,10 +25,11 @@ set, stopping at the first violator. The search is O((n + m) log n); the
 check is O(n + m).
 
 ``mcs_search`` keeps the search in the graph's memo, so every caller that
-needs the order of a graph or its chordality witness (the CLI's check and
-auto mode, recognition, the solver, the contraction plan, the connectivity
-check and its elimination-game fill) shares one search; ``mcs_order`` reads
-the order off it. ``peo_violation`` certifies any given order on its own.
+needs the order of a graph or its chordality witness (the CLI's check,
+``solve``'s auto mode, recognition, the solver, the contraction plan, the
+connectivity check and its elimination-game fill) shares one search;
+``mcs_order`` reads the order off it. ``peo_violation`` certifies any given
+order on its own.
 """
 
 from __future__ import annotations

@@ -1,9 +1,11 @@
 """Command line front end.
 
-Subcommands: check, partition, verify, generate, oracle-compare. All JSON
-output is deterministic (sorted keys, fixed separators, no timestamps);
-timing numbers only appear under an explicit --timings flag so repeat runs
-stay byte-identical. The output is byte-identical to
+Subcommands: check, partition, verify, generate, oracle-compare. Each
+parses its input, calls the library and prints; ``partition`` and
+``oracle-compare`` leave the choice of solver to ``partition.solve``. All
+JSON output is deterministic (sorted keys, fixed separators, no
+timestamps); timing numbers only appear under an explicit --timings flag
+so repeat runs stay byte-identical. The output is byte-identical to
 ``json.dumps(payload, indent=2, sort_keys=True)``; ``_dumps`` writes that
 layout itself so that each flat list goes through the C encoder.
 
@@ -64,7 +66,6 @@ import time
 from collections import Counter
 from itertools import repeat
 
-from .almost_chordal import gl_partition_almost_chordal
 from .chordal import mcs_search
 from .connectivity import vertex_connectivity_at_least
 from .errors import (
@@ -77,15 +78,10 @@ from .errors import (
     SolverStallError,
 )
 from .generators import generate_almost_chordal, generate_ktree, sorted_edges
-from .graph import Graph, WeightedGraph
-from .instances import Instance, format_parts, load_instance
+from .graph import WeightedGraph
+from .instances import format_parts, load_instance
 from .oracle import DEFAULT_ORACLE_CAP, brute_force_gl
-from .partition import (
-    GLPartition,
-    PartitionRequest,
-    gl_partition_chordal,
-    gl_partition_chordal_weighted,
-)
+from .partition import GLPartition, PartitionRequest, solve
 from .recognition import is_hh_i42_free
 from .verify import DeviationRule, verify_partition
 
@@ -214,40 +210,24 @@ def _cmd_check(args) -> int:
     return EXIT_PRECONDITION if failed else EXIT_OK
 
 
-def _partition_payload(inst: Instance, args):
-    """Solve and return (partition, mode string, audit dict or None)."""
-    validate = not args.skip_checks
-    g = inst.graph
-    if args.mode == "auto":
-        mode = "chordal" if mcs_search(g).witness is None else "almost-chordal"
-    else:
-        mode = args.mode
-
-    if mode == "chordal":
-        part = gl_partition_chordal_weighted(
-            inst.wgraph, inst.request, validate=validate
-        )
-        return part, "chordal-exact" if inst.is_unit() else "chordal-weighted", None
-
-    result = gl_partition_almost_chordal(
-        inst.wgraph, inst.request, validate=validate
-    )
-    audit = {
-        "added_chords": [list(e) for e in result.added_chords],
-        "contracted_edges": [list(e) for e in result.contraction_edges],
-        "merge_map": {
-            str(min(grp)): sorted(grp) for grp in result.merge_groups
-        },
-    }
-    return result.partition, "almost-chordal", audit
-
-
 def _cmd_partition(args) -> int:
     t0 = time.perf_counter()
     inst = load_instance(args.file)
     t1 = time.perf_counter()
-    partition, mode, audit = _partition_payload(inst, args)
+    partition, mode, result = solve(
+        inst.wgraph, inst.request, mode=args.mode, validate=not args.skip_checks
+    )
     t2 = time.perf_counter()
+
+    audit = None
+    if result is not None:
+        audit = {
+            "added_chords": [list(e) for e in result.added_chords],
+            "contracted_edges": [list(e) for e in result.contraction_edges],
+            "merge_map": {
+                str(min(grp)): sorted(grp) for grp in result.merge_groups
+            },
+        }
 
     payload = {
         "parts": [sorted(p) for p in partition.parts],
@@ -451,10 +431,7 @@ def _cmd_oracle_compare(args) -> int:
         wg = WeightedGraph.unit(g)
         req = _draw_request(trng, wg.weights, k, floor)
 
-        if args.cycles > 0:
-            solved = gl_partition_almost_chordal(wg, req, validate=False).partition
-        else:
-            solved = gl_partition_chordal(g, req, validate=False)
+        solved = solve(wg, req, mode=entry["mode"], validate=False)[0]
         report = verify_partition(wg, req, solved, rule)
         oracle = brute_force_gl(g, req, cap=args.cap_n)
         oracle_ok = oracle is not None and verify_partition(

@@ -187,12 +187,6 @@ def load_instance(path: str) -> Instance:
         return parse_instance(fh.read())
 
 
-def format_instance(inst: Instance, comment: str | None = None) -> str:
-    return format_parts(
-        inst.graph.n, inst.graph.edges(), inst.wgraph.weights, inst.request, comment
-    )
-
-
 def format_parts(
     n: int,
     edges: list[Edge],
@@ -203,9 +197,9 @@ def format_parts(
     """The text of an instance given by its parts: n vertices, the edges as
     ``Graph.edges()`` lists them (u < v, sorted), the weights and the
     request, after a ``# comment`` line when ``comment`` is given.
-    ``format_instance`` passes a graph's edges, ``generate`` the sorted
-    generation list, which needs no ``Graph``. The edges are written as
-    given, so the caller's order is the file's."""
+    ``generate`` passes the sorted generation list, which needs no
+    ``Graph``. The edges are written as given, so the caller's order is
+    the file's."""
     out = []
     if comment:
         out.append(f"# {comment}")

@@ -18,12 +18,17 @@ elimination positions with at most one entry per waiting vertex, popped
 when that vertex is assigned or found with no open part. A pick walks
 only the set bits of the vertex's open parts, so its cost follows the
 parts the vertex borders, not k.
+
+``solve`` is the one entry point that ``glpart partition`` and
+``oracle-compare`` call: it picks between this chordal solve and the
+chord-and-contract pipeline of ``almost_chordal`` and names the mode.
 """
 
 from __future__ import annotations
 
 from heapq import heappop, heappush
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .chordal import mcs_search
 from .connectivity import vertex_connectivity_at_least
@@ -34,6 +39,9 @@ from .errors import (
     SolverStallError,
 )
 from .graph import Graph, WeightedGraph, is_connected_set
+
+if TYPE_CHECKING:
+    from .almost_chordal import PipelineResult
 
 _STALL = (
     "no unassigned vertex neighbors an open part; "
@@ -291,3 +299,37 @@ def gl_partition_chordal_weighted(
 
     deviation = max(abs(pw - d) for pw, d in zip(part_weight, demands))
     return GLPartition(tuple(frozenset(p) for p in parts), deviation)
+
+
+def solve(
+    wg: WeightedGraph,
+    req: PartitionRequest,
+    *,
+    mode: str = "auto",
+    validate: bool = True,
+) -> tuple[GLPartition, str, PipelineResult | None]:
+    """Solve an instance as ``glpart partition`` does.
+
+    ``mode`` is "chordal", "almost-chordal" or "auto", which picks the
+    chordal solve iff the graph is chordal, by the memoised search that
+    solve then reuses. ``validate=False`` is ``--skip-checks``. Returns the
+    partition, the mode the CLI prints ("chordal-exact" under unit weights,
+    else "chordal-weighted", or "almost-chordal") and, for the
+    almost-chordal solve only, the pipeline's result with its audit trail.
+    An unknown mode raises ValueError.
+    """
+    if mode == "auto":
+        chordal = mcs_search(wg.graph).witness is None
+        mode = "chordal" if chordal else "almost-chordal"
+    if mode == "chordal":
+        part = gl_partition_chordal_weighted(wg, req, validate=validate)
+        return part, "chordal-exact" if wg.is_unit() else "chordal-weighted", None
+    if mode == "almost-chordal":
+        # imported here: almost_chordal imports this module
+        from .almost_chordal import gl_partition_almost_chordal
+
+        result = gl_partition_almost_chordal(wg, req, validate=validate)
+        return result.partition, mode, result
+    raise ValueError(
+        f"unknown mode {mode!r}: expected auto, chordal or almost-chordal"
+    )

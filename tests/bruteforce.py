@@ -4,7 +4,7 @@ Everything here works straight from definitions with no shortcuts, so the
 library can be checked against code that shares none of its logic. Most
 functions are exponential; callers keep n small. Complete graphs, cycles
 and paths are built here by name for the tests. The helpers at the end
-are small definitional checks the library itself has no use for, three
+are small definitional checks the library itself has no use for, four
 thin wrappers over library code that only the tests call, the member
 generator that certifies every step, which the library no longer needs,
 a member builder whose rings share vertices, the k-tree
@@ -39,26 +39,21 @@ from glpart import (
     Graph,
     GraphFormatError,
     Instance,
-    MergeMap,
-    Peo,
     PipelineInvariantError,
     PartitionRequest,
     PreconditionError,
     SolverStallError,
     WeightedGraph,
-    components_within,
-    enumerate_induced_c4,
-    format_instance,
     generate_almost_chordal,
-    is_connected_set,
     is_hh_i42_free,
-    mcs_order,
     mcs_search,
     vertex_connectivity_at_least,
 )
-from glpart.c4 import C4Catalog, Cycle, _canonical
-from glpart.chordal import McsSearch, _witness_at
+from glpart.c4 import C4Catalog, Cycle, _canonical, enumerate_induced_c4
+from glpart.chordal import McsSearch, Peo, _witness_at, mcs_order
 from glpart.connectivity import _elimination_fill
+from glpart.graph import MergeMap, components_within, is_connected_set
+from glpart.instances import format_parts
 from glpart.oracle import _feasible, _reachable
 from glpart.partition import _STALL, check_demands
 from glpart.recognition import _hole_at_edge, scan_catalog_violations
@@ -654,6 +649,13 @@ def quadratic_contraction_edges(g: Graph, terminals) -> tuple[tuple[int, int], .
 def identity_merge_map(n: int) -> MergeMap:
     """The merge map of a graph with nothing contracted."""
     return MergeMap(tuple(frozenset((v,)) for v in range(n)))
+
+
+def format_instance(inst: Instance, comment: str | None = None) -> str:
+    """The text of ``inst``, with its graph's edges in ``Graph.edges()`` order."""
+    return format_parts(
+        inst.graph.n, inst.graph.edges(), inst.wgraph.weights, inst.request, comment
+    )
 
 
 def save_instance(inst: Instance, path: str, comment: str | None = None) -> None:

@@ -21,18 +21,16 @@ from glpart import (
     PartitionRequest,
     WeightedGraph,
     brute_force_gl,
-    enumerate_induced_c4,
-    format_instance,
     generate_almost_chordal,
     generate_ktree,
-    gl_partition_almost_chordal,
-    gl_partition_chordal,
-    gl_partition_chordal_weighted,
     is_hh_i42_free,
     vertex_connectivity_at_least,
     verify_partition,
 )
+from glpart.almost_chordal import gl_partition_almost_chordal
+from glpart.c4 import enumerate_induced_c4
 from glpart.cli import main as cli_main
+from glpart.partition import gl_partition_chordal, gl_partition_chordal_weighted
 
 from bruteforce import (
     DOUBLE_HOUSE_EDGES,

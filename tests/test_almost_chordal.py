@@ -15,15 +15,17 @@ from glpart import (
     PipelineInvariantError,
     PreconditionError,
     WeightedGraph,
-    add_terminal_chords,
-    build_contraction_plan,
-    enumerate_induced_c4,
-    gl_partition_almost_chordal,
     generate_almost_chordal,
-    induced_subgraph,
     verify_partition,
     vertex_connectivity_at_least,
 )
+from glpart.almost_chordal import (
+    add_terminal_chords,
+    build_contraction_plan,
+    gl_partition_almost_chordal,
+)
+from glpart.c4 import enumerate_induced_c4
+from glpart.graph import induced_subgraph
 
 from bruteforce import (
     all_pairs_induced_c4,

@@ -10,11 +10,8 @@ import pytest
 
 from hypothesis import given, settings
 
-from glpart import (
-    Graph,
-    enumerate_induced_c4,
-    generate_almost_chordal,
-)
+from glpart import Graph, generate_almost_chordal
+from glpart.c4 import enumerate_induced_c4
 
 from bruteforce import (
     all_pairs_induced_c4,

@@ -34,16 +34,15 @@ from glpart import (
     c4,
     chordal,
     connectivity,
-    enumerate_induced_c4,
-    format_instance,
     generate_almost_chordal,
     generate_ktree,
-    gl_partition_almost_chordal,
     graph,
 )
+from glpart.almost_chordal import gl_partition_almost_chordal
+from glpart.c4 import enumerate_induced_c4
 from glpart.cli import main
 
-from bruteforce import all_pairs_induced_c4, planted
+from bruteforce import all_pairs_induced_c4, format_instance, planted
 
 
 @pytest.fixture

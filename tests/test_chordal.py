@@ -10,15 +10,12 @@ from hypothesis import given, settings, strategies as st
 from glpart import (
     ChordalityWitness,
     Graph,
-    Peo,
     generate_almost_chordal,
     generate_ktree,
-    mcs_order,
     mcs_search,
-    peo_violation,
 )
 
-from glpart.chordal import _build_mcs_order
+from glpart.chordal import Peo, _build_mcs_order, mcs_order, peo_violation
 
 from bruteforce import (
     bf_heap_mcs_search,

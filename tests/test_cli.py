@@ -20,10 +20,8 @@ from glpart import (
     Instance,
     PartitionRequest,
     WeightedGraph,
-    format_instance,
     generate_almost_chordal,
     generate_ktree,
-    parse_instance,
 )
 from glpart import cli
 from glpart.cli import _dumps, main
@@ -36,11 +34,13 @@ from glpart.errors import (
     PreconditionError,
     SolverStallError,
 )
+from glpart.instances import parse_instance
 
 from bruteforce import (
     bf_is_connected,
     bf_parse_instance,
     cycle_graph,
+    format_instance,
     path_graph,
     planted,
 )

@@ -16,18 +16,11 @@ from pathlib import Path
 import pytest
 
 import glpart
-from glpart import (
-    Graph,
-    Instance,
-    PartitionRequest,
-    WeightedGraph,
-    cli,
-    format_instance,
-    parse_instance,
-)
+from glpart import Graph, Instance, PartitionRequest, WeightedGraph, cli
 from glpart.cli import main
+from glpart.instances import parse_instance
 
-from bruteforce import cycle_graph, planted
+from bruteforce import cycle_graph, format_instance, planted
 
 # the defects perfbench plants next to a member's 4-cycle
 PLANTS = ("house", "c4-overlap", "hole", "separator")

@@ -11,11 +11,11 @@ from hypothesis import given, settings, strategies as st
 from glpart import (
     CapError,
     Graph,
-    enumerate_induced_c4,
-    mcs_order,
     generate_almost_chordal,
     vertex_connectivity_at_least,
 )
+from glpart.c4 import enumerate_induced_c4
+from glpart.chordal import mcs_order
 from glpart.connectivity import (
     Atom,
     _clique_atoms,

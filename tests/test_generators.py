@@ -18,13 +18,12 @@ from glpart import (
     PartitionRequest,
     WeightedGraph,
     cli,
-    enumerate_induced_c4,
-    format_instance,
     generate_almost_chordal,
     generate_ktree,
     is_hh_i42_free,
     vertex_connectivity_at_least,
 )
+from glpart.c4 import enumerate_induced_c4
 from glpart.cli import _CHUNK, _compose_demands, _draws_below
 from glpart.generators import _ktree, sorted_edges
 
@@ -33,6 +32,7 @@ from bruteforce import (
     bf_generate_almost_chordal,
     bf_ktree_edges_and_cliques,
     bf_weights,
+    format_instance,
     is_chordal,
 )
 

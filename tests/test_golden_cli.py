@@ -20,12 +20,11 @@ from glpart import (
     Instance,
     PartitionRequest,
     WeightedGraph,
-    format_instance,
     generate_almost_chordal,
 )
 from glpart.cli import _draw_request, main
 
-from bruteforce import planted
+from bruteforce import format_instance, planted
 
 GOLDEN_SHA256 = "6d0bdd779ba7888bdf5d8da857d132f8a42c2876136f69f6753bfdd119ebf7f3"
 

@@ -10,15 +10,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from glpart import (
-    ChordalityWitness,
-    Graph,
-    Peo,
-    WeightedGraph,
+from glpart import ChordalityWitness, Graph, WeightedGraph, generate_almost_chordal
+from glpart.c4 import enumerate_induced_c4
+from glpart.chordal import Peo
+from glpart.graph import (
     components_within,
     contract_matching,
-    enumerate_induced_c4,
-    generate_almost_chordal,
     induced_subgraph,
     is_connected_set,
 )

@@ -12,14 +12,13 @@ from glpart import (
     Instance,
     PartitionRequest,
     WeightedGraph,
-    format_instance,
     generate_almost_chordal,
     generate_ktree,
     load_instance,
-    parse_instance,
 )
+from glpart.instances import parse_instance
 
-from bruteforce import save_instance
+from bruteforce import format_instance, save_instance
 
 GOOD = """\
 # tiny 2-path split

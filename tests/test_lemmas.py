@@ -12,15 +12,10 @@ import random
 
 import pytest
 
-from glpart import (
-    Graph,
-    enumerate_induced_c4,
-    generate_almost_chordal,
-    induced_subgraph,
-    is_hh_i42_free,
-    mcs_search,
-)
+from glpart import Graph, generate_almost_chordal, is_hh_i42_free, mcs_search
+from glpart.c4 import enumerate_induced_c4
 from glpart.connectivity import clique_decomposition
+from glpart.graph import induced_subgraph
 
 from bruteforce import (
     DOUBLE_HOUSE_EDGES,

@@ -16,9 +16,9 @@ from glpart import (
     brute_force_gl,
     generate_almost_chordal,
     generate_ktree,
-    gl_partition_chordal,
 )
 from glpart.oracle import _connected_sets
+from glpart.partition import gl_partition_chordal
 
 from bruteforce import (
     bf_gl_partition,

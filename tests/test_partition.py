@@ -11,29 +11,36 @@ from glpart import (
     DemandError,
     DeviationRule,
     GlpartError,
+    Graph,
     Instance,
     PartitionRequest,
     PipelineInvariantError,
     PreconditionError,
     SolverStallError,
     WeightedGraph,
+    generate_almost_chordal,
     generate_ktree,
-    gl_partition_chordal,
-    gl_partition_chordal_weighted,
+    load_instance,
+    solve,
     verify_partition,
 )
 
+from glpart.almost_chordal import gl_partition_almost_chordal
 from glpart.cli import main
 from glpart.connectivity import _flow_connectivity
+from glpart.partition import gl_partition_chordal, gl_partition_chordal_weighted
 
 from bruteforce import (
     bf_grow_chordal_weighted,
     bf_is_connected,
     complete_graph,
+    planted,
     random_chordal,
     random_gnp,
     save_instance,
+    shared_vertex_member,
 )
+from test_golden_cli import CORPUS
 from test_graph import random_graph_strategy
 
 
@@ -313,10 +320,10 @@ class TestArmedInvariants:
         assert len(captured.err.splitlines()) == 1
 
 
-def outcome(solve, wg: WeightedGraph, req: PartitionRequest, **kwargs):
+def outcome(solver, wg: WeightedGraph, req: PartitionRequest, **kwargs):
     """The parts as sorted lists and the deviation, or the error's type and text."""
     try:
-        part = solve(wg, req, **kwargs)
+        part = solver(wg, req, **kwargs)
     except GlpartError as exc:
         return type(exc), str(exc)
     return [sorted(p) for p in part.parts], part.deviation
@@ -400,3 +407,76 @@ class TestMatchesReference:
             got = same_as_reference(wg, req, validate=False)
             fired += got[0] is PipelineInvariantError
         assert fired >= 25
+
+
+def solve_cases(tmp_path) -> list[tuple[str, bool, WeightedGraph, PartitionRequest]]:
+    """(name, whether the graph is chordal, weighted graph, request): the
+    golden corpus, members whose rings share vertices, and a member with
+    each planted defect."""
+    cases = []
+    for name, flags in CORPUS:
+        path = str(tmp_path / f"{name}.txt")
+        assert main(["generate", *flags, "--out", path]) == 0
+        inst = load_instance(path)
+        cases.append((name, name.startswith("ktree"), inst.wgraph, inst.request))
+    rng = random.Random(28)
+    for seed in (1, 2):
+        g = shared_vertex_member(36, 3, 3, 2, seed)
+        wg = WeightedGraph(g, some_weights(rng, g.n, seed == 2))
+        cases.append((f"shared-{seed}", False, wg, weighted_request(rng, wg, 3, True)))
+    member = generate_almost_chordal(40, 3, 4, seed=21)
+    for kind in ("hole", "house", "c4-overlap", "separator"):
+        g = planted(member, 3, kind)
+        cases.append((kind, False, WeightedGraph.unit(g), random_request(rng, g.n, 3, 2)))
+    return cases
+
+
+def fresh(wg: WeightedGraph) -> WeightedGraph:
+    """The same weighted graph with an empty certificate memo."""
+    return WeightedGraph(Graph(wg.graph.adj), wg.weights)
+
+
+def error_or(call):
+    """What ``call`` returns, or the type, text and witness of its error."""
+    try:
+        return call()
+    except GlpartError as exc:
+        return type(exc), str(exc), getattr(exc, "witness", None)
+
+
+def direct(wg: WeightedGraph, req: PartitionRequest, chordal: bool, validate: bool):
+    """What ``solve`` should return, by calling the chosen solver itself."""
+    if chordal:
+        part = gl_partition_chordal_weighted(wg, req, validate=validate)
+        unit = all(w == 1 for w in wg.weights)
+        return part, "chordal-exact" if unit else "chordal-weighted", None
+    result = gl_partition_almost_chordal(wg, req, validate=validate)
+    return result.partition, "almost-chordal", result
+
+
+class TestSolve:
+    """``solve`` returns what a direct call of the solver its mode picks
+    returns, errors and their witnesses included."""
+
+    @pytest.mark.parametrize("validate", [True, False])
+    @pytest.mark.parametrize("mode", ["auto", "chordal", "almost-chordal"])
+    def test_matches_direct_calls(self, tmp_path, mode, validate):
+        errors = 0
+        for name, chordal, wg, req in solve_cases(tmp_path):
+            use_chordal = chordal if mode == "auto" else mode == "chordal"
+            got = error_or(lambda: solve(fresh(wg), req, mode=mode, validate=validate))
+            want = error_or(lambda: direct(fresh(wg), req, use_chordal, validate))
+            assert got == want, name
+            errors += isinstance(got[0], type)
+        # validated, the pipeline rejects the four planted defects and the
+        # chordal solve every non-chordal graph; unvalidated, the pipeline
+        # still fails on the planted hole and 4-cycle overlap
+        pipeline = 4 if validate else 2
+        assert errors == {"auto": pipeline, "almost-chordal": pipeline,
+                          "chordal": 8 if validate else 0}[mode]
+
+    @pytest.mark.parametrize("mode", ["exact", "Auto", "", "almost_chordal"])
+    def test_unknown_mode(self, mode):
+        g = generate_ktree(8, 2, 0)
+        with pytest.raises(ValueError, match="unknown mode"):
+            solve(WeightedGraph.unit(g), PartitionRequest((0, 1), (4, 4)), mode=mode)

@@ -7,16 +7,11 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from glpart import (
-    Graph,
-    enumerate_induced_c4,
-    find_hole,
-    generate_almost_chordal,
-    induced_subgraph,
-    is_hh_i42_free,
-)
+from glpart import Graph, generate_almost_chordal, is_hh_i42_free
+from glpart.c4 import enumerate_induced_c4
 from glpart.connectivity import _clique_atoms, _elimination_fill, clique_decomposition
-from glpart.recognition import _hole_by_atoms, scan_catalog_violations
+from glpart.graph import induced_subgraph
+from glpart.recognition import _hole_by_atoms, find_hole, scan_catalog_violations
 
 from bruteforce import (
     bf_chordless_cycles,

@@ -20,17 +20,15 @@ from glpart import (
     ClassCheck,
     ClassViolation,
     Graph,
-    enumerate_induced_c4,
-    find_hole,
     generate_almost_chordal,
-    induced_subgraph,
     is_hh_i42_free,
     mcs_search,
     vertex_connectivity_at_least,
 )
-from glpart.c4 import _build_catalog
+from glpart.c4 import _build_catalog, enumerate_induced_c4
 from glpart.connectivity import clique_decomposition
-from glpart.recognition import scan_catalog_violations
+from glpart.graph import induced_subgraph
+from glpart.recognition import find_hole, scan_catalog_violations
 
 from bruteforce import bf_vertex_connectivity, planted, random_gnp
 
