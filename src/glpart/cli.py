@@ -77,7 +77,7 @@ from .errors import (
     PreconditionError,
     SolverStallError,
 )
-from .generators import generate_almost_chordal, generate_ktree, sorted_edges
+from .generators import generate_almost_chordal, generate_ktree, later_neighbours
 from .graph import WeightedGraph
 from .instances import format_parts, load_instance
 from .oracle import DEFAULT_ORACLE_CAP, brute_force_gl
@@ -310,7 +310,7 @@ def _draws_below(rng: random.Random, m: int, count: int):
     bits = m.bit_length()
     while count > 0:
         raw = map(rng.getrandbits, repeat(bits, min(count, _CHUNK)))
-        chunk = [r for r in raw if r < m]
+        chunk = list(filter(m.__gt__, raw))
         count -= len(chunk)
         yield chunk
 
@@ -360,14 +360,15 @@ def _require_at_least(flag: str, value: int, low: int) -> None:
 def _cmd_generate(args) -> int:
     _require_at_least("--cycles", args.cycles, 0)
     _require_at_least("--max-weight", args.max_weight, 1)
+    _require_at_least("--min-demand", args.min_demand, 1)
     # every instance needs two terminals (and a planted 4-cycle an anchor
     # clique of at least two vertices); a k-tree needs k + 1 vertices and
     # each planted cycle four more
     _require_at_least("--k", args.k, 2)
     _require_at_least("--n", args.n, args.k + 1 + 4 * args.cycles)
     rng = random.Random(args.seed)
-    # the generators' edge list, sorted as Graph.edges() would list it
-    edges = sorted_edges(args.n, args.k, args.cycles, args.seed)
+    # each vertex's larger neighbours, ascending, from the generator's draws
+    later = later_neighbours(args.n, args.k, args.cycles, args.seed)
     if args.cycles > 0:
         comment = (
             f"seed={args.seed} k={args.k} cycles={args.cycles}"
@@ -384,7 +385,7 @@ def _cmd_generate(args) -> int:
     else:
         weights = (1,) * args.n
     request = _draw_request(rng, weights, args.k, args.min_demand)
-    _write(format_parts(args.n, edges, weights, request, comment), args.out)
+    _write(format_parts(args.n, later, weights, request, comment), args.out)
     return EXIT_OK
 
 

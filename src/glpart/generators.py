@@ -30,50 +30,101 @@ generator's state afterwards are those of ``randrange``; the tests hold
 the two to equal values and ``getstate()``, and the equivalence was
 checked under CPython 3.10, 3.11, 3.12 and 3.13.
 
-Both generators build their graph with ``Graph.from_edges`` from the edge
-list in generation order, unsorted: a frozenset's iteration order depends
-on the order its elements went in, and witnesses read that order. In that
-list every pair (u, v) has u < v, and the partners v of each u come in
-ascending order (see ``sorted_edges``), so ``generate`` prints a stable
-sort of it on u and builds no ``Graph``.
+Every random choice is made once, by ``_draw``, which returns the drawn
+cliques: each k-tree vertex's base, then each gadget's anchor. The graph
+is read off them in two ways:
+
+- ``_edges`` lists the edges in generation order, and both generators
+  build their graph from that list, unsorted, with ``Graph.from_edges``: a
+  frozenset's iteration order depends on the order its elements went in,
+  and witnesses read that order;
+- ``later_neighbours`` gives each vertex u its neighbours v > u, which
+  ``generate`` writes one vertex at a time, with no ``Graph`` and no edge
+  list.
+
+Each vertex's list comes out ascending, with no sort, so its lines are the
+ones ``Graph.edges()`` gives:
+
+- the first clique's lists are written whole, u + 1 to k for vertex u;
+- a k-tree vertex v is larger than every earlier vertex, and is appended
+  to the list of each vertex of its base after every earlier partner;
+- each gadget edge ends at one of its four ring vertices, which are larger
+  than every earlier vertex, and inside one gadget p gets p + 1, then
+  p + 3; p + 1 and p + 2 get one partner each; and each anchor vertex gets
+  p, p + 1, p + 2, p + 3 in turn.
+
+No pair is drawn twice, so the lists' total length is the edge count.
 """
 
 from __future__ import annotations
 
 import random
 from itertools import combinations
-from operator import itemgetter
 
 from .graph import Edge, Graph
 
 
-def _ktree(n: int, k: int, rng: random.Random):
-    """Edge list of a random k-tree on n vertices, and ``clique(j)``, its
-    j-th k-clique in the numbering the module docstring gives."""
-    first = tuple(range(k + 1))
+def _clique(bases: list[tuple[int, ...]], k: int, j: int) -> tuple[int, ...]:
+    """Clique j of a k-tree whose vertices k + 1, k + 2, ... joined the
+    cliques ``bases``, in the numbering the module docstring gives."""
+    if j <= k:
+        return tuple(range(k - j)) + tuple(range(k - j + 1, k + 1))
+    q, r = divmod(j - k - 1, k)
+    base = bases[q]
+    i = k - 1 - r
+    return base[:i] + base[i + 1:] + (q + k + 1,)
+
+
+def _draw(n: int, k: int, cycles: int, rng: random.Random):
+    """The cliques a member's generation draws, in order: the base of each
+    k-tree vertex k + 1, ..., n - 4*cycles - 1, then the anchor of each
+    gadget. With no cycles these are the draws of a k-tree on n vertices."""
     bases: list[tuple[int, ...]] = []
-
-    def clique(j: int) -> tuple[int, ...]:
-        if j <= k:
-            return first[:k - j] + first[k - j + 1:]
-        q, r = divmod(j - k - 1, k)
-        base = bases[q]
-        i = k - 1 - r
-        return base[:i] + base[i + 1:] + (q + k + 1,)
-
-    edges = list(combinations(first, 2))
     getrandbits = rng.getrandbits
     m = k + 1  # the k-cliques so far
-    for v in range(k + 1, n):
+    for _ in range(k + 1, n - 4 * cycles):
         bits = m.bit_length()
         j = getrandbits(bits)
         while j >= m:
             j = getrandbits(bits)
-        base = clique(j)
-        bases.append(base)
-        edges.extend((u, v) for u in base)
+        bases.append(_clique(bases, k, j))
         m += k
-    return edges, clique
+    anchors = [_clique(bases, k, rng.randrange(m)) for _ in range(cycles)]
+    return bases, anchors
+
+
+def _edges(n: int, k: int, cycles: int, rng: random.Random) -> list[Edge]:
+    """Edge list of a member in generation order: the first clique's
+    pairs, each k-tree vertex's pairs with its base, then one ring and its
+    anchor's pairs per gadget. With no cycles it is a k-tree's list."""
+    bases, anchors = _draw(n, k, cycles, rng)
+    edges = list(combinations(range(k + 1), 2))
+    edges += [(u, v) for v, base in enumerate(bases, k + 1) for u in base]
+    for p, anchor in zip(range(n - 4 * cycles, n, 4), anchors):
+        edges += [(p, p + 1), (p + 1, p + 2), (p + 2, p + 3), (p, p + 3)]
+        edges += [(x, y) for x in anchor for y in range(p, p + 4)]
+    return edges
+
+
+def later_neighbours(n: int, k: int, cycles: int, seed: int) -> list[list[int]]:
+    """For each vertex u of ``generate_almost_chordal(n, k, cycles, seed)``,
+    or of ``generate_ktree(n, k, seed)`` when ``cycles`` is 0, its
+    neighbours v > u in ascending order, built with no ``Graph`` and no
+    edge list. The arguments must be ones those functions accept.
+    """
+    bases, anchors = _draw(n, k, cycles, random.Random(seed))
+    later: list[list[int]] = [list(range(u + 1, k + 1)) for u in range(k + 1)]
+    later += [[] for _ in range(k + 1, n)]
+    for v, base in enumerate(bases, k + 1):
+        for u in base:
+            later[u].append(v)
+    for p, anchor in zip(range(n - 4 * cycles, n, 4), anchors):
+        later[p] += (p + 1, p + 3)
+        later[p + 1].append(p + 2)
+        later[p + 2].append(p + 3)
+        for x in anchor:
+            later[x] += range(p, p + 4)
+    return later
 
 
 def generate_ktree(n: int, k: int, seed: int) -> Graph:
@@ -86,8 +137,7 @@ def generate_ktree(n: int, k: int, seed: int) -> Graph:
         raise ValueError("k must be positive")
     if n < k + 1:
         raise ValueError(f"a {k}-tree needs at least {k + 1} vertices")
-    edges, _ = _ktree(n, k, random.Random(seed))
-    return Graph.from_edges(n, edges)
+    return Graph.from_edges(n, _edges(n, k, 0, random.Random(seed)))
 
 
 def generate_almost_chordal(n: int, k: int, cycles: int, seed: int) -> Graph:
@@ -124,45 +174,4 @@ def generate_almost_chordal(n: int, k: int, cycles: int, seed: int) -> Graph:
             f"n={n} is too small for {cycles} planted cycles over a "
             f"{k}-tree base; need n >= {k + 1 + 4 * cycles}"
         )
-    return Graph.from_edges(n, _members(n, k, cycles, random.Random(seed)))
-
-
-def _members(n: int, k: int, cycles: int, rng: random.Random) -> list[Edge]:
-    """Edge list of a member: a k-tree on n - 4*cycles vertices, then one
-    ring and its anchor's edges per gadget, in generation order. With no
-    cycles it is the k-tree's list."""
-    base_n = n - 4 * cycles
-    edges, clique = _ktree(base_n, k, rng)
-    count = (base_n - k) * k + 1  # the k-cliques of a k-tree on base_n vertices
-    for p in range(base_n, n, 4):
-        anchor = clique(rng.randrange(count))
-        edges += [(p, p + 1), (p + 1, p + 2), (p + 2, p + 3), (p, p + 3)]
-        edges += [(x, y) for x in anchor for y in range(p, p + 4)]
-    return edges
-
-
-def sorted_edges(n: int, k: int, cycles: int, seed: int) -> list[Edge]:
-    """The edges of ``generate_almost_chordal(n, k, cycles, seed)``, or of
-    ``generate_ktree(n, k, seed)`` when ``cycles`` is 0, as
-    ``Graph.edges()`` lists them, built with no ``Graph``. The arguments
-    must be ones those functions accept.
-
-    A stable sort of the generation list on u alone gives the full sort,
-    because in that list each pair (u, v) has u < v and the partners v of
-    each u come in ascending order:
-
-    - the base clique's pairs come from ``combinations``, in order;
-    - a new k-tree vertex v is larger than every earlier endpoint, and
-      its pairs (u, v) follow all earlier ones;
-    - every edge of a gadget ends at one of its four new ring vertices,
-      which are larger than every earlier endpoint, and inside one gadget
-      each vertex's partners come in ascending order: p's are p + 1, then
-      p + 3; p + 1's and p + 2's are one each; the anchor is a sorted
-      tuple, and each anchor vertex x gets p, p + 1, p + 2, p + 3 in turn.
-
-    The generation list holds no pair twice, so nothing is left for
-    ``Graph.from_edges`` to merge.
-    """
-    edges = _members(n, k, cycles, random.Random(seed))
-    edges.sort(key=itemgetter(0))
-    return edges
+    return Graph.from_edges(n, _edges(n, k, cycles, random.Random(seed)))

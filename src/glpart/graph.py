@@ -151,19 +151,6 @@ def induced_subgraph(g: Graph, s: Iterable[int]) -> tuple[Graph, tuple[int, ...]
     return Graph(tuple(nbrs)), tuple(keep)
 
 
-def is_connected_set(g: Graph, s: Iterable[int]) -> bool:
-    """True iff ``s`` is non-empty and induces a connected subgraph."""
-    todo = set(s)
-    if not todo:
-        raise ValueError("empty vertex set")
-    reached = [todo.pop()]
-    for x in reached:
-        step = g.adj[x] & todo
-        todo -= step
-        reached.extend(step)
-    return not todo
-
-
 def components_within(g: Graph, s: Iterable[int]) -> list[frozenset[int]]:
     """Connected components of the subgraph induced by ``s``.
 

@@ -42,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import GraphFormatError
-from .graph import Edge, Graph, WeightedGraph
+from .graph import Graph, WeightedGraph
 from .partition import PartitionRequest
 
 
@@ -189,24 +189,26 @@ def load_instance(path: str) -> Instance:
 
 def format_parts(
     n: int,
-    edges: list[Edge],
+    later: list[list[int]],
     weights: tuple[int, ...],
     request: PartitionRequest,
     comment: str | None = None,
 ) -> str:
-    """The text of an instance given by its parts: n vertices, the edges as
-    ``Graph.edges()`` lists them (u < v, sorted), the weights and the
-    request, after a ``# comment`` line when ``comment`` is given.
-    ``generate`` passes the sorted generation list, which needs no
-    ``Graph``. The edges are written as given, so the caller's order is
-    the file's."""
+    """The text of an instance given by its parts: n vertices, for each
+    vertex u its neighbours v > u in ascending order, the weights and the
+    request, after a ``# comment`` line when ``comment`` is given. The
+    edge lines come out in ``Graph.edges()`` order, each vertex's from one
+    ``str.join`` over its list, and m is the lists' total length.
+    ``generate`` passes the lists its generator reads off the draws, with
+    no ``Graph``."""
     out = []
     if comment:
         out.append(f"# {comment}")
-    out.append(f"{n} {len(edges)} {request.k}")
+    out.append(f"{n} {sum(map(len, later))} {request.k}")
     out.append(" ".join(map(str, weights)))
     out.append(" ".join(map(str, request.terminals)))
     out.append(" ".join(map(str, request.demands)))
     ids = list(map(str, range(n)))
-    out.extend([ids[u] + " " + ids[v] for u, v in edges])
+    name = ids.__getitem__
+    out += [f"{u} " + f"\n{u} ".join(map(name, vs)) for u, vs in zip(ids, later) if vs]
     return "\n".join(out) + "\n"

@@ -38,7 +38,7 @@ from .errors import (
     PreconditionError,
     SolverStallError,
 )
-from .graph import Graph, WeightedGraph, is_connected_set
+from .graph import Graph, WeightedGraph
 
 if TYPE_CHECKING:
     from .almost_chordal import PipelineResult
@@ -292,9 +292,23 @@ def gl_partition_chordal_weighted(
         rest = [v for v in range(n) if mask[v] >= 0]
         parts[last].extend(rest)
         part_weight[last] += sum(weights[v] for v in rest)
-        # growing the last part on would reach exactly these vertices, or
-        # stall when some of them hang off another part only
-        if not is_connected_set(g, parts[last]):
+        # Growing the last part on would reach exactly these vertices, or
+        # stall when some of them hang off another part only. Every assigned
+        # vertex bordered its part, so the part is connected, and it stays
+        # so with the rest iff a walk over unassigned vertices from its
+        # unassigned neighbours, the rest vertices with its bit (a bit of an
+        # open part is never cleared), reaches all of them. A reached
+        # vertex is marked -1 like an assigned one.
+        bit = bits[last]
+        reached = [v for v in rest if mask[v] & bit]
+        for v in reached:
+            mask[v] = -1
+        for v in reached:
+            for u in adj[v]:
+                if mask[u] >= 0:
+                    mask[u] = -1
+                    reached.append(u)
+        if len(reached) < len(rest):
             raise SolverStallError(_STALL)
 
     deviation = max(abs(pw - d) for pw, d in zip(part_weight, demands))

@@ -3,7 +3,9 @@
 Everything here works straight from definitions with no shortcuts, so the
 library can be checked against code that shares none of its logic. Most
 functions are exponential; callers keep n small. Complete graphs, cycles
-and paths are built here by name for the tests. The helpers at the end
+and paths are built here by name for the tests. ``is_connected_set``,
+the test the reference growth loop ends on, which the library's flood
+from its masks replaced, follows ``bf_is_connected``. The helpers at the end
 are small definitional checks the library itself has no use for, four
 thin wrappers over library code that only the tests call, the member
 generator that certifies every step, which the library no longer needs,
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import heapq
 import random
+from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import combinations, permutations
 
@@ -52,7 +55,7 @@ from glpart import (
 from glpart.c4 import C4Catalog, Cycle, _canonical, enumerate_induced_c4
 from glpart.chordal import McsSearch, Peo, _witness_at, mcs_order
 from glpart.connectivity import _elimination_fill
-from glpart.graph import MergeMap, components_within, is_connected_set
+from glpart.graph import MergeMap, components_within
 from glpart.instances import format_parts
 from glpart.oracle import _feasible, _reachable
 from glpart.partition import _STALL, check_demands
@@ -73,6 +76,19 @@ def bf_is_connected(g: Graph, vertices=None) -> bool:
                 seen.add(w)
                 stack.append(w)
     return seen == verts
+
+
+def is_connected_set(g: Graph, s: Iterable[int]) -> bool:
+    """True iff ``s`` is non-empty and induces a connected subgraph."""
+    todo = set(s)
+    if not todo:
+        raise ValueError("empty vertex set")
+    reached = [todo.pop()]
+    for x in reached:
+        step = g.adj[x] & todo
+        todo -= step
+        reached.extend(step)
+    return not todo
 
 
 def _induces_cycle(g: Graph, sub: tuple[int, ...]) -> bool:
@@ -653,9 +669,9 @@ def identity_merge_map(n: int) -> MergeMap:
 
 def format_instance(inst: Instance, comment: str | None = None) -> str:
     """The text of ``inst``, with its graph's edges in ``Graph.edges()`` order."""
-    return format_parts(
-        inst.graph.n, inst.graph.edges(), inst.wgraph.weights, inst.request, comment
-    )
+    g = inst.graph
+    later = [sorted(v for v in g.adj[u] if v > u) for u in range(g.n)]
+    return format_parts(g.n, later, inst.wgraph.weights, inst.request, comment)
 
 
 def save_instance(inst: Instance, path: str, comment: str | None = None) -> None:

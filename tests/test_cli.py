@@ -377,6 +377,19 @@ class TestGenerate:
             ["generate", "--n", "8", "--k", "3", "--cycles", "2"]
         ) == 2
 
+    def test_keeps_what_the_benchmark_reads(self, capsys):
+        # the benchmark wraps these two names to time generator calls under
+        # --trace 1, and reads a member's comment fields cycles= and
+        # requested_cycles= as integers
+        assert cli.generate_ktree is generate_ktree
+        assert cli.generate_almost_chordal is generate_almost_chordal
+        assert main(["generate", "--n", "40", "--k", "3", "--cycles", "3",
+                     "--seed", "1"]) == 0
+        comment = capsys.readouterr().out.splitlines()[0]
+        assert comment.startswith("# ")
+        fields = dict(tok.partition("=")[::2] for tok in comment[2:].split())
+        assert int(fields["cycles"]) == int(fields["requested_cycles"]) == 3
+
 
 @pytest.mark.parametrize(
     "argv,flag",
@@ -399,6 +412,8 @@ class TestGenerate:
         (["oracle-compare", "--n-max", "13", "--trials", "3", "--seed", "2"], "--cap-n"),
         (["oracle-compare", "--n-max", "9", "--cap-n", "8"], "--cap-n"),
         (["oracle-compare", "--n-max", "21", "--cap-n", "21"], "--cap-n"),
+        (["generate", "--n", "10", "--k", "2", "--min-demand", "0"], "--min-demand"),
+        (["generate", "--n", "10", "--k", "2", "--min-demand", "-4"], "--min-demand"),
     ],
 )
 def test_out_of_range_flag_exits_2(argv, flag, capsys):

@@ -7,7 +7,6 @@ import hashlib
 import io
 import random
 from itertools import chain
-from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,7 +24,7 @@ from glpart import (
 )
 from glpart.c4 import enumerate_induced_c4
 from glpart.cli import _CHUNK, _compose_demands, _draws_below
-from glpart.generators import _ktree, sorted_edges
+from glpart.generators import _clique, _draw, _edges, later_neighbours
 
 from bruteforce import (
     bf_compose_demands,
@@ -149,23 +148,6 @@ class TestAlmostChordalGenerator:
             assert kappa_exactly(g, k), (n, k, cycles, seed)
 
 
-def generation_list(make, *args):
-    """``make(*args)`` and the edge list it hands ``Graph.from_edges``, in
-    generation order."""
-    seen = []
-    original = Graph.from_edges.__func__
-
-    def spy(cls, n, edges):
-        seen.append(list(edges))
-        return original(cls, n, edges)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(Graph, "from_edges", classmethod(spy))
-        g = make(*args)
-    (edges,) = seen
-    return g, edges
-
-
 # k-trees for k = 1..6 and n up to 2,000, and members for k = 2..5 whose
 # gadgets crowd the base: up to (n - k - 1) // 4 rings at n = 200 and 1,000
 KTREES = [(n, k, seed) for k in range(1, 7)
@@ -180,17 +162,15 @@ class TestEdgeOrder:
     """The order the generators list their edges in, which the graphs'
     neighbour sets and ``generate``'s edge lines both read."""
 
-    def test_key_sort_gives_graph_edges(self):
-        # a stable sort on u alone lists the edges as ``Graph.edges`` does
-        cases = [(generate_ktree, c) for c in KTREES]
-        cases += [(generate_almost_chordal, c) for c in MEMBERS]
-        for make, args in cases:
-            g, edges = generation_list(make, *args)
-            assert all(u < v for u, v in edges), args
-            by_u = sorted(edges, key=itemgetter(0))
-            assert by_u == sorted(edges) == g.edges(), args
-            n, k, *cycles, seed = args
-            assert sorted_edges(n, k, sum(cycles), seed) == by_u, args
+    def test_later_neighbours_give_graph_edges(self):
+        # each vertex's list, flattened in vertex order, is ``Graph.edges()``
+        # of the graph the same draws build
+        cases = [(later_neighbours(n, k, 0, seed), generate_ktree(n, k, seed))
+                 for n, k, seed in KTREES]
+        cases += [(later_neighbours(*c), generate_almost_chordal(*c)) for c in MEMBERS]
+        for later, g in cases:
+            assert len(later) == g.n
+            assert [(u, v) for u, vs in enumerate(later) for v in vs] == g.edges()
 
     def test_generate_builds_no_graph(self, monkeypatch):
         calls = []
@@ -232,11 +212,13 @@ class TestSameDraws:
     def test_ktree_matches_clique_list(self, k):
         for n, seed in [(k + 1, 0), (k + 2, 1), (37, 2), (400, 3), (2000, 4)]:
             rng, ref = random.Random(seed), random.Random(seed)
-            edges, clique = _ktree(n, k, rng)
+            edges = _edges(n, k, 0, rng)
             want, cliques = bf_ktree_edges_and_cliques(n, k, ref)
             assert edges == want, (n, k)
-            assert [clique(j) for j in range(len(cliques))] == cliques, (n, k)
             assert rng.getstate() == ref.getstate(), (n, k)
+            bases, anchors = _draw(n, k, 0, random.Random(seed))
+            assert anchors == []
+            assert [_clique(bases, k, j) for j in range(len(cliques))] == cliques, (n, k)
 
     def test_draws_match_randrange(self):
         for m in [*range(1, 301), 2**31, 2**31 + 1, 10**9, 2**64 - 1]:
@@ -306,6 +288,8 @@ class TestSameDraws:
         (500, 5, 0, 300, 1, 2),
         (41, 3, 6, 1, 2, 3),
         (90, 4, 4, 7, 10, 4),
+        (2000, 3, 0, 9, 1, 5),
+        (1000, 3, 60, 1, 10, 6),
     ])
     def test_generate_matches_reference(self, n, k, cycles, max_weight, floor, seed):
         if cycles:

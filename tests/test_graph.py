@@ -17,7 +17,6 @@ from glpart.graph import (
     components_within,
     contract_matching,
     induced_subgraph,
-    is_connected_set,
 )
 
 from bruteforce import (
@@ -29,6 +28,7 @@ from bruteforce import (
     contract_edge,
     cycle_graph,
     identity_merge_map,
+    is_connected_set,
     iter_nonedges,
     path_graph,
     planted,

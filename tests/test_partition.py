@@ -34,6 +34,7 @@ from bruteforce import (
     bf_grow_chordal_weighted,
     bf_is_connected,
     complete_graph,
+    path_graph,
     planted,
     random_chordal,
     random_gnp,
@@ -399,6 +400,36 @@ class TestMatchesReference:
             got = same_as_reference(wg, req, validate=False)
             stalls += got[0] is SolverStallError
         assert 0 < stalls < 40
+
+    def test_last_part_takes_the_rest(self):
+        # a demand equal to its terminal's weight closes that part before
+        # the loop runs, so the last open part takes every unassigned
+        # vertex at the end: connected along unassigned vertices, or a
+        # stall when some of them hang off a closed part only
+        path = WeightedGraph.unit(path_graph(5))
+        for terminals, stalls in [((0, 1), False), ((4, 0), False),
+                                  ((2, 4), True), ((2, 0), True)]:
+            req = PartitionRequest(terminals, (1, 4))
+            got = same_as_reference(path, req, validate=False)
+            assert (got[0] is SolverStallError) is stalls, terminals
+        # every part but one closes within a few picks, often on a vertex
+        # that cuts the rest off
+        rng = random.Random(28)
+        stalls = 0
+        for _ in range(300):
+            n = rng.randint(4, 30)
+            g = random_gnp(rng, n, rng.choice((0.1, 0.2, 0.4)))
+            wg = WeightedGraph(g, some_weights(rng, n, rng.random() < 0.5))
+            k = rng.randint(2, min(n - 1, 4))
+            terms = rng.sample(range(n), k)
+            demands = [wg.weights[t] + rng.randint(0, 2) for t in terms[1:]]
+            demands.insert(0, wg.total_weight() - sum(demands))
+            if demands[0] < wg.weights[terms[0]]:
+                continue
+            got = same_as_reference(wg, PartitionRequest(tuple(terms), tuple(demands)),
+                                    validate=False)
+            stalls += got[0] is SolverStallError
+        assert stalls >= 30
 
     def test_shrunk_window(self, monkeypatch):
         monkeypatch.setattr(WeightedGraph, "w_max", property(lambda self: 1))
