@@ -283,6 +283,33 @@ def test_generate_member_digest(capsys):
     assert digest.hexdigest() == GENERATE_MEMBER_SHA256
 
 
+# ``generate`` on both sides of 255 = 2**8 - 1, the largest range whose
+# draws fit one byte: weights up to 2, 255, 256 and 257, and demands split
+# over k = 255 and k = 256 parts, unit and weighted; the weight-255 k-tree
+# draws over 2 * 65,536 demand units, three chunks. Every byte of each
+# instance file.
+GENERATE_BOUNDARY_SHA256 = "26e877d9f1c5b173c8e4e26ca89e6b48eb8a0da1d74e124bdc882959e4a94907"
+
+GENERATE_BOUNDARY_CORPUS = [
+    ["--n", "300", "--k", "2", "--max-weight", "2", "--seed", "81"],
+    ["--n", "1100", "--k", "3", "--max-weight", "255", "--seed", "82"],
+    ["--n", "300", "--k", "4", "--max-weight", "256", "--min-demand", "10",
+     "--seed", "83"],
+    ["--n", "300", "--k", "5", "--cycles", "6", "--max-weight", "257", "--seed", "84"],
+    ["--n", "300", "--k", "255", "--seed", "85"],
+    ["--n", "300", "--k", "255", "--max-weight", "9", "--seed", "86"],
+    ["--n", "300", "--k", "256", "--seed", "87"],
+    ["--n", "300", "--k", "256", "--max-weight", "9", "--seed", "88"],
+]
+
+
+def test_generate_boundary_digest(capsys):
+    digest = hashlib.sha256()
+    codes = [_run(["generate", *flags], capsys, digest) for flags in GENERATE_BOUNDARY_CORPUS]
+    assert codes == [0] * len(GENERATE_BOUNDARY_CORPUS)
+    assert digest.hexdigest() == GENERATE_BOUNDARY_SHA256
+
+
 # ``cli._draw_request``, which ``generate`` and ``oracle-compare`` share:
 # the terminals, the demands and the next draw after them, over seeds 0-2,
 # k = 2..8, unit weights and weights up to 9 and up to 2,000 (totals above
