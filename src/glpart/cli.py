@@ -64,7 +64,8 @@ import stat
 import sys
 import time
 from collections import Counter
-from itertools import repeat
+from itertools import chain, repeat
+from operator import add
 
 from .chordal import mcs_search
 from .connectivity import vertex_connectivity_at_least
@@ -293,26 +294,53 @@ def _cmd_verify(args) -> int:
 _CHUNK = 1 << 16
 
 
-def _draws_below(rng: random.Random, m: int, count: int):
-    """Yield lists of ``count`` draws below ``m`` in all, each the value
-    ``rng.randrange(m)`` would return, with the generator left as that many
-    ``randrange`` calls leave it.
+def _draws_below(rng: random.Random, m: int, count: int, start: int = 0):
+    """Yield chunks of ``count`` values in all, each ``start`` (0 or 1)
+    plus the value ``rng.randrange(m)`` would return, with the generator
+    left as that many ``randrange`` calls leave it.
 
     CPython's ``randrange(m)`` returns the first ``getrandbits(b)`` value
     below m, with b = ``m.bit_length()`` (``_randbelow_with_getrandbits``).
-    With c values still owed, a chunk makes min(c, ``_CHUNK``) raw
-    ``getrandbits(b)`` calls in C and keeps those below m, in order. At
-    most c of them fall below m, so each raw call is one that the
-    ``randrange`` calls still owed would have made, and none comes after
-    the last accepted value: the values and the state match. A chunk holds
-    at most ``_CHUNK`` values, whatever ``count`` is.
+    With c values still owed, a chunk makes min(c, ``_CHUNK``) raw draws
+    and keeps those below m, in order. At most c of them fall below m, so
+    each raw draw is one that the ``randrange`` calls still owed would have
+    made, and none comes after the last accepted value: the values and the
+    state match. A chunk holds at most ``_CHUNK`` values, whatever
+    ``count`` is.
+
+    When b <= 8, that is m <= 255, a chunk is ``bytes`` and its raw draws
+    are one call. CPython's generator is MT19937, which yields 32-bit
+    words: ``getrandbits(b)`` with b <= 32 takes one word and returns
+    ``word >> (32 - b)``, and ``getrandbits(32 * c)`` takes c words and
+    puts word i at bits 32i..32i + 31, so in ``to_bytes(4 * c, "little")``
+    byte 4i + 3 is the top byte of word i. ``[3::4]`` keeps those c bytes,
+    in draw order, and top byte t gives the raw draw ``t >> (8 - b)``; one
+    ``bytes.translate`` maps each kept byte to its value plus ``start`` and
+    deletes the bytes ``>= m << (8 - b)``, whose draws are at least m. The
+    call takes the words that c ``getrandbits(b)`` calls take, no more, so
+    the state matches too. For m > 255 a value does not fit a byte, and a
+    chunk is a list whose raw draws are one ``getrandbits(b)`` call each,
+    made in C.
     """
     bits = m.bit_length()
+    if bits <= 8:
+        shift = 8 - bits
+        cut = m << shift
+        table = bytes([start + (t >> shift) if t < cut else 0 for t in range(256)])
+        rejected = bytes(range(cut, 256))
+        getrandbits = rng.getrandbits
+        while count > 0:
+            c = min(count, _CHUNK)
+            top = getrandbits(32 * c).to_bytes(4 * c, "little")[3::4]
+            chunk = top.translate(table, rejected)
+            count -= len(chunk)
+            yield chunk
+        return
     while count > 0:
         raw = map(rng.getrandbits, repeat(bits, min(count, _CHUNK)))
         chunk = list(filter(m.__gt__, raw))
         count -= len(chunk)
-        yield chunk
+        yield list(map(start.__add__, chunk)) if start else chunk
 
 
 def _compose_demands(
@@ -322,21 +350,27 @@ def _compose_demands(
 
     Each unit above the floors goes to part ``rng.randrange(k)``, one
     draw per unit in order. ``_draws_below`` makes those draws in chunks
-    of at most ``_CHUNK`` raw ``getrandbits`` calls, and this adds up each
-    chunk's parts before the next chunk is drawn, so memory stays
-    O(k + ``_CHUNK``) for any total. A chunk never asks for more raw calls
-    than units are still owed, so none is made after the last unit's
-    value, and the demands and the generator's state are those of one
-    ``randrange(k)`` call per unit. The time still grows with
-    ``total - sum(floors)``.
+    of at most ``_CHUNK`` raw draws, and this adds up each chunk's parts
+    before the next chunk is drawn, so memory stays O(k + ``_CHUNK``) for
+    any total. A chunk never asks for more raw draws than units are still
+    owed, so none is made after the last unit's value, and the demands and
+    the generator's state are those of one ``randrange(k)`` call per unit.
+    For k <= 255 each chunk is ``bytes`` drawn 32-bit words at a time (see
+    ``_draws_below``), and part p gets ``chunk.count(p)`` units: k passes
+    of ``bytes.count`` beat one ``Counter`` over the chunk. Larger k draws
+    once per raw value and counts with a ``Counter``. The time still grows
+    with ``total - sum(floors)``.
     """
     base = sum(floors)
     if base > total:
         raise DemandError(f"floors sum to {base}, above the total {total}")
     demands = list(floors)
     for chunk in _draws_below(rng, k, total - base):
-        for part, units in Counter(chunk).items():
-            demands[part] += units
+        if type(chunk) is bytes:
+            demands = list(map(add, demands, map(chunk.count, range(k))))
+        else:
+            for part, units in Counter(chunk).items():
+                demands[part] += units
     return demands
 
 
@@ -366,6 +400,11 @@ def _cmd_generate(args) -> int:
     # each planted cycle four more
     _require_at_least("--k", args.k, 2)
     _require_at_least("--n", args.n, args.k + 1 + 4 * args.cycles)
+    # ``later_neighbours`` seeds its own ``Random(args.seed)`` for the
+    # graph, so the graph's draws and the weight, terminal and demand draws
+    # below read the same 32-bit words: the first base index and the first
+    # weight both come from word 0 (``oracle-compare`` does the same with
+    # ``trng``). Drawing them apart would change every generated file.
     rng = random.Random(args.seed)
     # each vertex's larger neighbours, ascending, from the generator's draws
     later = later_neighbours(args.n, args.k, args.cycles, args.seed)
@@ -379,9 +418,7 @@ def _cmd_generate(args) -> int:
 
     if args.max_weight > 1:
         # rng.randint(1, w) is 1 + rng.randrange(w)
-        weights = tuple(
-            1 + w for chunk in _draws_below(rng, args.max_weight, args.n) for w in chunk
-        )
+        weights = tuple(chain.from_iterable(_draws_below(rng, args.max_weight, args.n, 1)))
     else:
         weights = (1,) * args.n
     request = _draw_request(rng, weights, args.k, args.min_demand)

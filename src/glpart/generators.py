@@ -22,6 +22,15 @@ would hold them, so clique j is read off in O(k):
 ``combinations`` of a sorted tuple drops the last element first, and v is
 larger than every vertex of its base, so each clique comes out sorted.
 
+``_draw`` builds each new base without slices: for each r it precomputes
+``drop[r]``, an ``operator.itemgetter`` over the k - 1 indices it keeps,
+and clique j is ``drop[r](base(q + k + 1)) + (q + k + 1,)``, one
+``itemgetter`` call and one concatenation in place of two slices and two
+concatenations. ``itemgetter`` of one index returns a scalar and of none
+is an error, so for k <= 2 ``drop[r]`` slices instead. ``_clique`` still
+reads the k + 1 k-cliques of the first clique, the anchors and any clique
+the tests ask for.
+
 The index of each new vertex's base is drawn inline as CPython's
 ``Random._randbelow_with_getrandbits`` draws ``randrange(m)``: the first
 ``getrandbits(m.bit_length())`` value below m. This makes the same
@@ -60,6 +69,7 @@ from __future__ import annotations
 
 import random
 from itertools import combinations
+from operator import itemgetter
 
 from .graph import Edge, Graph
 
@@ -75,11 +85,22 @@ def _clique(bases: list[tuple[int, ...]], k: int, j: int) -> tuple[int, ...]:
     return base[:i] + base[i + 1:] + (q + k + 1,)
 
 
+def _dropper(k: int, i: int):
+    """A callable that maps a k-tuple to the tuple less its element at
+    index i: one ``itemgetter`` over the k - 1 kept indices, or a slice
+    where k - 1 < 2 and ``itemgetter`` would return a scalar or fail."""
+    if k > 2:
+        return itemgetter(*range(i), *range(i + 1, k))
+    return lambda base: base[:i] + base[i + 1:]
+
+
 def _draw(n: int, k: int, cycles: int, rng: random.Random):
     """The cliques a member's generation draws, in order: the base of each
     k-tree vertex k + 1, ..., n - 4*cycles - 1, then the anchor of each
     gadget. With no cycles these are the draws of a k-tree on n vertices."""
     bases: list[tuple[int, ...]] = []
+    # drop[r] is _clique's cut of base(q + k + 1) for remainder r
+    drop = [_dropper(k, k - 1 - r) for r in range(k)]
     getrandbits = rng.getrandbits
     m = k + 1  # the k-cliques so far
     for _ in range(k + 1, n - 4 * cycles):
@@ -87,7 +108,11 @@ def _draw(n: int, k: int, cycles: int, rng: random.Random):
         j = getrandbits(bits)
         while j >= m:
             j = getrandbits(bits)
-        bases.append(_clique(bases, k, j))
+        if j > k:
+            q, r = divmod(j - k - 1, k)
+            bases.append(drop[r](bases[q]) + (q + k + 1,))
+        else:
+            bases.append(_clique(bases, k, j))
         m += k
     anchors = [_clique(bases, k, rng.randrange(m)) for _ in range(cycles)]
     return bases, anchors

@@ -221,19 +221,24 @@ class TestSameDraws:
             assert [_clique(bases, k, j) for j in range(len(cliques))] == cliques, (n, k)
 
     def test_draws_match_randrange(self):
-        for m in [*range(1, 301), 2**31, 2**31 + 1, 10**9, 2**64 - 1]:
-            for seed, count in [(0, 1), (1, 2), (2, 57)]:
-                rng, ref = random.Random(seed), random.Random(seed)
-                got = list(chain.from_iterable(_draws_below(rng, m, count)))
-                assert got == [ref.randrange(m) for _ in range(count)], (m, seed)
-                assert rng.getstate() == ref.getstate(), (m, seed)
+        cases = [(m, seed, count) for m in [*range(1, 301), 2**31, 2**31 + 1, 10**9,
+                                            2**64 - 1]
+                 for seed, count in [(0, 1), (1, 2), (2, 57)]]
+        # more than one chunk, on both sides of the one-byte limit m = 255
+        cases += [(m, 3, _CHUNK + 3) for m in (1, 2, 3, 9, 128, 255, 256, 257)]
+        for m, seed, count in cases:
+            rng, ref = random.Random(seed), random.Random(seed)
+            got = list(chain.from_iterable(_draws_below(rng, m, count)))
+            assert got == [ref.randrange(m) for _ in range(count)], (m, seed, count)
+            assert rng.getstate() == ref.getstate(), (m, seed, count)
 
     def test_weights_match_randint(self):
-        for n, top, seed in [(1, 2, 0), (100, 9, 1), (1000, 1000, 2), (300, 10**9, 3)]:
+        for n, top, seed in [(1, 2, 0), (100, 9, 1), (1000, 1000, 2), (300, 10**9, 3),
+                             (2000, 255, 4), (2000, 256, 5)]:
             rng, ref = random.Random(seed), random.Random(seed)
-            got = tuple(1 + w for chunk in _draws_below(rng, top, n) for w in chunk)
-            assert got == bf_weights(ref, n, top)
-            assert rng.getstate() == ref.getstate()
+            got = tuple(chain.from_iterable(_draws_below(rng, top, n, 1)))
+            assert got == bf_weights(ref, n, top), top
+            assert rng.getstate() == ref.getstate(), top
 
     @pytest.mark.parametrize("k", range(2, 9))
     def test_compose_matches_per_unit_loop(self, k):
@@ -250,18 +255,21 @@ class TestSameDraws:
             assert rng.getstate() == ref.getstate(), (k, extra)
 
     def test_compose_chunks_stay_under_the_cap(self, monkeypatch):
+        # k = 3 takes the byte path, one ``getrandbits(32 * c)`` call per
+        # chunk of c raw draws, so no call may ask for more than
+        # 32 * _CHUNK bits
         asked = []
 
-        def spy(value, times):
-            asked.append(times)
-            return original(value, times)
+        def spy(self, bits):
+            asked.append(bits)
+            return original(self, bits)
 
-        original = cli.repeat
-        monkeypatch.setattr(cli, "repeat", spy)
+        original = random.Random.getrandbits
+        monkeypatch.setattr(random.Random, "getrandbits", spy)
         demands = _compose_demands(random.Random(5), 3, 3 * _CHUNK + 7, [1, 1, 1])
         assert sum(demands) == 3 * _CHUNK + 7
         assert len(asked) > 3
-        assert max(asked) == _CHUNK
+        assert max(asked) == 32 * _CHUNK
 
     def test_generate_calls_no_per_unit_randrange(self, monkeypatch):
         calls = []
