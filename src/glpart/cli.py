@@ -293,6 +293,11 @@ def _cmd_verify(args) -> int:
 # the most raw draws one chunk of ``_draws_below`` asks for
 _CHUNK = 1 << 16
 
+# the most parts ``_compose_demands`` counts with one ``bytes.count`` pass
+# each; one ``Counter`` over the chunk caught up at 56 to 76 parts for
+# 2 * 10**4 to 10**6 units
+_COUNT_PASSES = 48
+
 
 def _draws_below(rng: random.Random, m: int, count: int, start: int = 0):
     """Yield chunks of ``count`` values in all, each ``start`` (0 or 1)
@@ -356,17 +361,18 @@ def _compose_demands(
     owed, so none is made after the last unit's value, and the demands and
     the generator's state are those of one ``randrange(k)`` call per unit.
     For k <= 255 each chunk is ``bytes`` drawn 32-bit words at a time (see
-    ``_draws_below``), and part p gets ``chunk.count(p)`` units: k passes
-    of ``bytes.count`` beat one ``Counter`` over the chunk. Larger k draws
-    once per raw value and counts with a ``Counter``. The time still grows
-    with ``total - sum(floors)``.
+    ``_draws_below``); larger k draws once per raw value. Counting costs
+    k passes of ``bytes.count`` against one ``Counter`` over the chunk, so
+    for k <= ``_COUNT_PASSES`` part p gets ``chunk.count(p)`` units and
+    above it a ``Counter`` adds them up. The time still grows with
+    ``total - sum(floors)``.
     """
     base = sum(floors)
     if base > total:
         raise DemandError(f"floors sum to {base}, above the total {total}")
     demands = list(floors)
     for chunk in _draws_below(rng, k, total - base):
-        if type(chunk) is bytes:
+        if k <= _COUNT_PASSES:
             demands = list(map(add, demands, map(chunk.count, range(k))))
         else:
             for part, units in Counter(chunk).items():

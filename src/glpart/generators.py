@@ -22,14 +22,14 @@ would hold them, so clique j is read off in O(k):
 ``combinations`` of a sorted tuple drops the last element first, and v is
 larger than every vertex of its base, so each clique comes out sorted.
 
-``_draw`` builds each new base without slices: for each r it precomputes
-``drop[r]``, an ``operator.itemgetter`` over the k - 1 indices it keeps,
-and clique j is ``drop[r](base(q + k + 1)) + (q + k + 1,)``, one
-``itemgetter`` call and one concatenation in place of two slices and two
-concatenations. ``itemgetter`` of one index returns a scalar and of none
-is an error, so for k <= 2 ``drop[r]`` slices instead. ``_clique`` still
-reads the k + 1 k-cliques of the first clique, the anchors and any clique
-the tests ask for.
+The cut is made without slices: ``_droppers(k)`` precomputes, for each
+r, ``drop[r]``, an ``operator.itemgetter`` over the k - 1 indices that
+clique j keeps, so clique j is ``drop[r](base(q + k + 1)) + (q + k + 1,)``,
+one ``itemgetter`` call and one concatenation in place of two slices and
+two concatenations. ``itemgetter`` of one index returns a scalar and of
+none is an error, so for k <= 2 ``drop[r]`` slices instead. ``_clique``
+reads clique j through that table; ``_draw`` inlines its j > k case for
+each new base and calls it for the first clique and the anchors.
 
 The index of each new vertex's base is drawn inline as CPython's
 ``Random._randbelow_with_getrandbits`` draws ``randrange(m)``: the first
@@ -74,24 +74,30 @@ from operator import itemgetter
 from .graph import Edge, Graph
 
 
-def _clique(bases: list[tuple[int, ...]], k: int, j: int) -> tuple[int, ...]:
+def _clique(bases: list[tuple[int, ...]], drop: list, j: int) -> tuple[int, ...]:
     """Clique j of a k-tree whose vertices k + 1, k + 2, ... joined the
-    cliques ``bases``, in the numbering the module docstring gives."""
+    cliques ``bases``, in the numbering the module docstring gives, with
+    ``drop = _droppers(k)``."""
+    k = len(drop)
     if j <= k:
         return tuple(range(k - j)) + tuple(range(k - j + 1, k + 1))
     q, r = divmod(j - k - 1, k)
-    base = bases[q]
-    i = k - 1 - r
-    return base[:i] + base[i + 1:] + (q + k + 1,)
+    return drop[r](bases[q]) + (q + k + 1,)
 
 
-def _dropper(k: int, i: int):
-    """A callable that maps a k-tuple to the tuple less its element at
-    index i: one ``itemgetter`` over the k - 1 kept indices, or a slice
-    where k - 1 < 2 and ``itemgetter`` would return a scalar or fail."""
-    if k > 2:
-        return itemgetter(*range(i), *range(i + 1, k))
-    return lambda base: base[:i] + base[i + 1:]
+def _droppers(k: int) -> list:
+    """``drop[r]`` for r < k: a callable that maps a base, a sorted
+    k-tuple, to the base less its element at index k - 1 - r. Each is one
+    ``itemgetter`` over the k - 1 kept indices, or a slice where k - 1 < 2
+    and ``itemgetter`` would return a scalar or fail."""
+    drop = []
+    for r in range(k):
+        i = k - 1 - r
+        if k > 2:
+            drop.append(itemgetter(*range(i), *range(i + 1, k)))
+        else:
+            drop.append(lambda base, i=i: base[:i] + base[i + 1:])
+    return drop
 
 
 def _draw(n: int, k: int, cycles: int, rng: random.Random):
@@ -99,8 +105,7 @@ def _draw(n: int, k: int, cycles: int, rng: random.Random):
     k-tree vertex k + 1, ..., n - 4*cycles - 1, then the anchor of each
     gadget. With no cycles these are the draws of a k-tree on n vertices."""
     bases: list[tuple[int, ...]] = []
-    # drop[r] is _clique's cut of base(q + k + 1) for remainder r
-    drop = [_dropper(k, k - 1 - r) for r in range(k)]
+    drop = _droppers(k)
     getrandbits = rng.getrandbits
     m = k + 1  # the k-cliques so far
     for _ in range(k + 1, n - 4 * cycles):
@@ -109,12 +114,13 @@ def _draw(n: int, k: int, cycles: int, rng: random.Random):
         while j >= m:
             j = getrandbits(bits)
         if j > k:
+            # _clique(bases, drop, j), inlined
             q, r = divmod(j - k - 1, k)
             bases.append(drop[r](bases[q]) + (q + k + 1,))
         else:
-            bases.append(_clique(bases, k, j))
+            bases.append(_clique(bases, drop, j))
         m += k
-    anchors = [_clique(bases, k, rng.randrange(m)) for _ in range(cycles)]
+    anchors = [_clique(bases, drop, rng.randrange(m)) for _ in range(cycles)]
     return bases, anchors
 
 

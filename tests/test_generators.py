@@ -23,8 +23,8 @@ from glpart import (
     vertex_connectivity_at_least,
 )
 from glpart.c4 import enumerate_induced_c4
-from glpart.cli import _CHUNK, _compose_demands, _draws_below
-from glpart.generators import _clique, _draw, _edges, later_neighbours
+from glpart.cli import _CHUNK, _COUNT_PASSES, _compose_demands, _draws_below
+from glpart.generators import _clique, _draw, _droppers, _edges, later_neighbours
 
 from bruteforce import (
     bf_compose_demands,
@@ -218,7 +218,9 @@ class TestSameDraws:
             assert rng.getstate() == ref.getstate(), (n, k)
             bases, anchors = _draw(n, k, 0, random.Random(seed))
             assert anchors == []
-            assert [_clique(bases, k, j) for j in range(len(cliques))] == cliques, (n, k)
+            drop = _droppers(k)
+            got = [_clique(bases, drop, j) for j in range(len(cliques))]
+            assert got == cliques, (n, k)
 
     def test_draws_match_randrange(self):
         cases = [(m, seed, count) for m in [*range(1, 301), 2**31, 2**31 + 1, 10**9,
@@ -240,7 +242,12 @@ class TestSameDraws:
             assert got == bf_weights(ref, n, top), top
             assert rng.getstate() == ref.getstate(), top
 
-    @pytest.mark.parametrize("k", range(2, 9))
+    # k = 2..8 and _COUNT_PASSES count bytes with bytes.count; the k just
+    # above it and up to 255 count bytes with a Counter; 256 and 300 count
+    # per-call draws with a Counter
+    @pytest.mark.parametrize(
+        "k", [*range(2, 9), _COUNT_PASSES, _COUNT_PASSES + 1, 128, 255, 256, 300]
+    )
     def test_compose_matches_per_unit_loop(self, k):
         # ``extra`` units above the floors: none, one, a part chunk, more
         # than one chunk, and a total of about 10**5
@@ -270,6 +277,23 @@ class TestSameDraws:
         assert sum(demands) == 3 * _CHUNK + 7
         assert len(asked) > 3
         assert max(asked) == 32 * _CHUNK
+
+    def test_compose_per_call_chunks_stay_under_the_cap(self, monkeypatch):
+        # k = 256 takes the per-call path, whose chunk of c raw draws is
+        # ``repeat(bits, c)``, so no chunk may ask for more than _CHUNK
+        asked = []
+
+        def spy(value, times):
+            asked.append(times)
+            return original(value, times)
+
+        original = cli.repeat
+        monkeypatch.setattr(cli, "repeat", spy)
+        total = 3 * _CHUNK + 7 + 256
+        demands = _compose_demands(random.Random(5), 256, total, [1] * 256)
+        assert sum(demands) == total
+        assert len(asked) > 3
+        assert max(asked) == _CHUNK
 
     def test_generate_calls_no_per_unit_randrange(self, monkeypatch):
         calls = []
