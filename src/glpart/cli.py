@@ -63,9 +63,6 @@ import random
 import stat
 import sys
 import time
-from collections import Counter
-from itertools import chain, repeat
-from operator import add
 
 from .chordal import mcs_search
 from .connectivity import vertex_connectivity_at_least
@@ -78,11 +75,16 @@ from .errors import (
     PreconditionError,
     SolverStallError,
 )
-from .generators import generate_almost_chordal, generate_ktree, later_neighbours
+from .generators import (
+    draw_request,
+    generate_almost_chordal,
+    generate_ktree,
+    instance_text,
+)
 from .graph import WeightedGraph
-from .instances import format_parts, load_instance
+from .instances import load_instance
 from .oracle import DEFAULT_ORACLE_CAP, brute_force_gl
-from .partition import GLPartition, PartitionRequest, solve
+from .partition import GLPartition, solve
 from .recognition import is_hh_i42_free
 from .verify import DeviationRule, verify_partition
 
@@ -290,108 +292,6 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if report.ok else EXIT_SOLVE
 
 
-# the most raw draws one chunk of ``_draws_below`` asks for
-_CHUNK = 1 << 16
-
-# the most parts ``_compose_demands`` counts with one ``bytes.count`` pass
-# each; one ``Counter`` over the chunk caught up at 56 to 76 parts for
-# 2 * 10**4 to 10**6 units
-_COUNT_PASSES = 48
-
-
-def _draws_below(rng: random.Random, m: int, count: int, start: int = 0):
-    """Yield chunks of ``count`` values in all, each ``start`` (0 or 1)
-    plus the value ``rng.randrange(m)`` would return, with the generator
-    left as that many ``randrange`` calls leave it.
-
-    CPython's ``randrange(m)`` returns the first ``getrandbits(b)`` value
-    below m, with b = ``m.bit_length()`` (``_randbelow_with_getrandbits``).
-    With c values still owed, a chunk makes min(c, ``_CHUNK``) raw draws
-    and keeps those below m, in order. At most c of them fall below m, so
-    each raw draw is one that the ``randrange`` calls still owed would have
-    made, and none comes after the last accepted value: the values and the
-    state match. A chunk holds at most ``_CHUNK`` values, whatever
-    ``count`` is.
-
-    When b <= 8, that is m <= 255, a chunk is ``bytes`` and its raw draws
-    are one call. CPython's generator is MT19937, which yields 32-bit
-    words: ``getrandbits(b)`` with b <= 32 takes one word and returns
-    ``word >> (32 - b)``, and ``getrandbits(32 * c)`` takes c words and
-    puts word i at bits 32i..32i + 31, so in ``to_bytes(4 * c, "little")``
-    byte 4i + 3 is the top byte of word i. ``[3::4]`` keeps those c bytes,
-    in draw order, and top byte t gives the raw draw ``t >> (8 - b)``; one
-    ``bytes.translate`` maps each kept byte to its value plus ``start`` and
-    deletes the bytes ``>= m << (8 - b)``, whose draws are at least m. The
-    call takes the words that c ``getrandbits(b)`` calls take, no more, so
-    the state matches too. For m > 255 a value does not fit a byte, and a
-    chunk is a list whose raw draws are one ``getrandbits(b)`` call each,
-    made in C.
-    """
-    bits = m.bit_length()
-    if bits <= 8:
-        shift = 8 - bits
-        cut = m << shift
-        table = bytes([start + (t >> shift) if t < cut else 0 for t in range(256)])
-        rejected = bytes(range(cut, 256))
-        getrandbits = rng.getrandbits
-        while count > 0:
-            c = min(count, _CHUNK)
-            top = getrandbits(32 * c).to_bytes(4 * c, "little")[3::4]
-            chunk = top.translate(table, rejected)
-            count -= len(chunk)
-            yield chunk
-        return
-    while count > 0:
-        raw = map(rng.getrandbits, repeat(bits, min(count, _CHUNK)))
-        chunk = list(filter(m.__gt__, raw))
-        count -= len(chunk)
-        yield list(map(start.__add__, chunk)) if start else chunk
-
-
-def _compose_demands(
-    rng: random.Random, k: int, total: int, floors: list[int]
-) -> list[int]:
-    """Random composition of ``total`` with per-part floors.
-
-    Each unit above the floors goes to part ``rng.randrange(k)``, one
-    draw per unit in order. ``_draws_below`` makes those draws in chunks
-    of at most ``_CHUNK`` raw draws, and this adds up each chunk's parts
-    before the next chunk is drawn, so memory stays O(k + ``_CHUNK``) for
-    any total. A chunk never asks for more raw draws than units are still
-    owed, so none is made after the last unit's value, and the demands and
-    the generator's state are those of one ``randrange(k)`` call per unit.
-    For k <= 255 each chunk is ``bytes`` drawn 32-bit words at a time (see
-    ``_draws_below``); larger k draws once per raw value. Counting costs
-    k passes of ``bytes.count`` against one ``Counter`` over the chunk, so
-    for k <= ``_COUNT_PASSES`` part p gets ``chunk.count(p)`` units and
-    above it a ``Counter`` adds them up. The time still grows with
-    ``total - sum(floors)``.
-    """
-    base = sum(floors)
-    if base > total:
-        raise DemandError(f"floors sum to {base}, above the total {total}")
-    demands = list(floors)
-    for chunk in _draws_below(rng, k, total - base):
-        if k <= _COUNT_PASSES:
-            demands = list(map(add, demands, map(chunk.count, range(k))))
-        else:
-            for part, units in Counter(chunk).items():
-                demands[part] += units
-    return demands
-
-
-def _draw_request(
-    rng: random.Random, weights: tuple[int, ...], k: int, floor: int
-) -> PartitionRequest:
-    """k random terminals among the vertices that ``weights`` weighs, then a
-    random composition of the total weight in which each demand is at
-    least ``floor`` and its terminal's weight."""
-    terminals = tuple(sorted(rng.sample(range(len(weights)), k)))
-    floors = [max(weights[t], floor) for t in terminals]
-    demands = _compose_demands(rng, k, sum(weights), floors)
-    return PartitionRequest(terminals, tuple(demands))
-
-
 def _require_at_least(flag: str, value: int, low: int) -> None:
     if value < low:
         raise DemandError(f"{flag} must be at least {low}, got {value}")
@@ -406,29 +306,11 @@ def _cmd_generate(args) -> int:
     # each planted cycle four more
     _require_at_least("--k", args.k, 2)
     _require_at_least("--n", args.n, args.k + 1 + 4 * args.cycles)
-    # ``later_neighbours`` seeds its own ``Random(args.seed)`` for the
-    # graph, so the graph's draws and the weight, terminal and demand draws
-    # below read the same 32-bit words: the first base index and the first
-    # weight both come from word 0 (``oracle-compare`` does the same with
-    # ``trng``). Drawing them apart would change every generated file.
-    rng = random.Random(args.seed)
-    # each vertex's larger neighbours, ascending, from the generator's draws
-    later = later_neighbours(args.n, args.k, args.cycles, args.seed)
-    if args.cycles > 0:
-        comment = (
-            f"seed={args.seed} k={args.k} cycles={args.cycles}"
-            f" requested_cycles={args.cycles}"
-        )
-    else:
-        comment = f"seed={args.seed} k={args.k} k-tree"
-
-    if args.max_weight > 1:
-        # rng.randint(1, w) is 1 + rng.randrange(w)
-        weights = tuple(chain.from_iterable(_draws_below(rng, args.max_weight, args.n, 1)))
-    else:
-        weights = (1,) * args.n
-    request = _draw_request(rng, weights, args.k, args.min_demand)
-    _write(format_parts(args.n, later, weights, request, comment), args.out)
+    _write(
+        instance_text(args.n, args.k, args.cycles, args.seed, args.max_weight,
+                      args.min_demand),
+        args.out,
+    )
     return EXIT_OK
 
 
@@ -473,7 +355,7 @@ def _cmd_oracle_compare(args) -> int:
             rule = DeviationRule.exact()
             entry["mode"] = "chordal"
         wg = WeightedGraph.unit(g)
-        req = _draw_request(trng, wg.weights, k, floor)
+        req = draw_request(trng, wg.weights, k, floor)
 
         solved = solve(wg, req, mode=entry["mode"], validate=False)[0]
         report = verify_partition(wg, req, solved, rule)

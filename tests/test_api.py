@@ -5,7 +5,8 @@ module other than ``__init__`` or in ``perfbench/``: as a bare name, an
 attribute or an imported name. A mention in a docstring or a comment does
 not count. A helper that only tests call belongs in ``tests/bruteforce.py``.
 The CLI leaves the choice of solver to ``solve``, and the README's quick
-start runs against the API as it is. No library module imports
+start runs against the API as it is. Only the generators draw, and the
+CLI formats no instance itself. No library module imports
 another's underscore names, the verifier imports nothing but types from
 the rest of the library, and the connectivity check does not read the
 4-cycle catalog.
@@ -47,6 +48,16 @@ def test_cli_leaves_the_solver_choice_to_solve():
     refs = _references(ROOT / "src" / "glpart" / "cli.py")
     assert "solve" in refs
     assert sorted(r for r in refs if r.startswith("gl_partition_")) == []
+
+
+def test_only_the_generators_draw():
+    # one module turns a seed into an instance; the CLI parses the flags,
+    # calls it and prints what it returns
+    modules = sorted((ROOT / "src" / "glpart").glob("*.py"))
+    drawing = [p.name for p in modules if "getrandbits" in _references(p)]
+    assert drawing == ["generators.py"]
+    refs = _references(ROOT / "src" / "glpart" / "cli.py")
+    assert sorted(refs & {"later_neighbours", "format_parts", "Counter"}) == []
 
 
 def test_readme_quick_start_runs(capsys):

@@ -634,7 +634,16 @@ def test_one_shot_process_matches_in_process_calls(tmp_path, capsys):
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p
     )
-    cases = [(["partition", member], 0), (["check", nonmember, "--require", "class"], 2)]
+    # ``generate`` and ``oracle-compare`` reach the draws through
+    # ``glpart.generators``, which imports ``instances`` and ``partition``;
+    # an import-order fault would show only in a fresh process
+    cases = [
+        (["partition", member], 0),
+        (["check", nonmember, "--require", "class"], 2),
+        (["generate", "--n", "60", "--k", "3", "--cycles", "2", "--max-weight", "9",
+          "--seed", "4"], 0),
+        (["oracle-compare", "--trials", "3", "--k", "2", "--n-max", "8", "--seed", "4"], 0),
+    ]
     for argv, expected in cases:
         code = main(argv)
         out = capsys.readouterr().out

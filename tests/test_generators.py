@@ -23,8 +23,18 @@ from glpart import (
     vertex_connectivity_at_least,
 )
 from glpart.c4 import enumerate_induced_c4
-from glpart.cli import _CHUNK, _COUNT_PASSES, _compose_demands, _draws_below
-from glpart.generators import _clique, _draw, _droppers, _edges, later_neighbours
+from glpart import generators
+from glpart.generators import (
+    _CHUNK,
+    _COUNT_PASSES,
+    _clique,
+    _compose_demands,
+    _draw,
+    _draws_below,
+    _droppers,
+    _edges,
+    later_neighbours,
+)
 
 from bruteforce import (
     bf_compose_demands,
@@ -287,8 +297,8 @@ class TestSameDraws:
             asked.append(times)
             return original(value, times)
 
-        original = cli.repeat
-        monkeypatch.setattr(cli, "repeat", spy)
+        original = generators.repeat
+        monkeypatch.setattr(generators, "repeat", spy)
         total = 3 * _CHUNK + 7 + 256
         demands = _compose_demands(random.Random(5), 256, total, [1] * 256)
         assert sum(demands) == total

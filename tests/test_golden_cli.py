@@ -22,7 +22,8 @@ from glpart import (
     WeightedGraph,
     generate_almost_chordal,
 )
-from glpart.cli import _draw_request, main
+from glpart.cli import main
+from glpart.generators import draw_request
 
 from bruteforce import format_instance, planted
 
@@ -310,7 +311,7 @@ def test_generate_boundary_digest(capsys):
     assert digest.hexdigest() == GENERATE_BOUNDARY_SHA256
 
 
-# ``cli._draw_request``, which ``generate`` and ``oracle-compare`` share:
+# ``generators.draw_request``, which ``generate`` and ``oracle-compare`` share:
 # the terminals, the demands and the next draw after them, over seeds 0-2,
 # k = 2..8, unit weights and weights up to 9 and up to 2,000 (totals above
 # 65,536), floors 1 and 10. ``oracle-compare`` prints neither terminals nor
@@ -329,7 +330,7 @@ def test_request_draw_digest():
             for k in range(2, 9):
                 for floor in (1, 10):
                     rng = random.Random(1000 * seed + 10 * k + floor)
-                    req = _draw_request(rng, wg.weights, k, floor)
+                    req = draw_request(rng, wg.weights, k, floor)
                     tail = rng.getrandbits(32)
                     digest.update(f"{req.terminals} {req.demands} {tail}\n".encode())
     assert digest.hexdigest() == REQUEST_SHA256
