@@ -54,17 +54,14 @@ equivalence was checked under CPython 3.10, 3.11, 3.12 and 3.13.
 ``instance_text`` draws what ``glpart generate`` writes: the graph, then
 the weights, the terminals and the demands.
 
-Every random choice is made once, by ``_draw``, which returns the drawn
-cliques: each k-tree vertex's base, then each gadget's anchor. The graph
-is read off them in two ways:
-
-- ``_edges`` lists the edges in generation order, and both generators
-  build their graph from that list, unsorted, with ``Graph.from_edges``: a
-  frozenset's iteration order depends on the order its elements went in,
-  and witnesses read that order;
-- ``later_neighbours`` gives each vertex u its neighbours v > u, which
-  ``generate`` writes one vertex at a time, with no ``Graph`` and no edge
-  list.
+Every random choice of the graph is made once, by ``_draw``, which returns
+the drawn cliques: each k-tree vertex's base, then each gadget's anchor.
+They are read one way, by ``later_neighbours``, which gives each vertex u
+its neighbours v > u: ``generate`` writes those lists, and both graph
+builders fill each neighbour set from them in the order
+``instances.parse_instance`` fills it from that file, so a library graph
+iterates exactly as its file parses (``instances`` says why that order
+matters).
 
 Each vertex's list comes out ascending, with no sort, so its lines are the
 ones ``Graph.edges()`` gives:
@@ -84,11 +81,11 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from itertools import chain, combinations, repeat
+from itertools import chain, repeat
 from operator import add, itemgetter
 
 from .errors import DemandError
-from .graph import Edge, Graph
+from .graph import Graph
 from .instances import format_parts
 from .partition import PartitionRequest
 
@@ -143,24 +140,12 @@ def _draw(n: int, k: int, cycles: int, rng: random.Random):
     return bases, anchors
 
 
-def _edges(n: int, k: int, cycles: int, rng: random.Random) -> list[Edge]:
-    """Edge list of a member in generation order: the first clique's
-    pairs, each k-tree vertex's pairs with its base, then one ring and its
-    anchor's pairs per gadget. With no cycles it is a k-tree's list."""
-    bases, anchors = _draw(n, k, cycles, rng)
-    edges = list(combinations(range(k + 1), 2))
-    edges += [(u, v) for v, base in enumerate(bases, k + 1) for u in base]
-    for p, anchor in zip(range(n - 4 * cycles, n, 4), anchors):
-        edges += [(p, p + 1), (p + 1, p + 2), (p + 2, p + 3), (p, p + 3)]
-        edges += [(x, y) for x in anchor for y in range(p, p + 4)]
-    return edges
-
-
 def later_neighbours(n: int, k: int, cycles: int, seed: int) -> list[list[int]]:
     """For each vertex u of ``generate_almost_chordal(n, k, cycles, seed)``,
     or of ``generate_ktree(n, k, seed)`` when ``cycles`` is 0, its
-    neighbours v > u in ascending order, built with no ``Graph`` and no
-    edge list. The arguments must be ones those functions accept.
+    neighbours v > u in ascending order, read off the drawn cliques with no
+    ``Graph`` and no edge list. The arguments must be ones those functions
+    accept.
     """
     bases, anchors = _draw(n, k, cycles, random.Random(seed))
     later: list[list[int]] = [list(range(u + 1, k + 1)) for u in range(k + 1)]
@@ -303,6 +288,18 @@ def instance_text(
     return format_parts(n, later, weights, request, comment)
 
 
+def _graph(later: list[list[int]]) -> Graph:
+    """The graph in which vertex u has the larger neighbours ``later[u]``,
+    each neighbour set filled in the order ``instances.parse_instance``
+    fills it from the lines ``format_parts`` writes for ``later``."""
+    nbrs: list[set[int]] = [set() for _ in later]
+    for u, vs in enumerate(later):
+        nbrs[u].update(vs)
+        for v in vs:
+            nbrs[v].add(u)
+    return Graph(tuple(map(frozenset, nbrs)))
+
+
 def generate_ktree(n: int, k: int, seed: int) -> Graph:
     """Random k-tree on n vertices: K_{k+1} plus n-k-1 attachments.
 
@@ -313,7 +310,7 @@ def generate_ktree(n: int, k: int, seed: int) -> Graph:
         raise ValueError("k must be positive")
     if n < k + 1:
         raise ValueError(f"a {k}-tree needs at least {k + 1} vertices")
-    return Graph.from_edges(n, _edges(n, k, 0, random.Random(seed)))
+    return _graph(later_neighbours(n, k, 0, seed))
 
 
 def generate_almost_chordal(n: int, k: int, cycles: int, seed: int) -> Graph:
@@ -350,4 +347,4 @@ def generate_almost_chordal(n: int, k: int, cycles: int, seed: int) -> Graph:
             f"n={n} is too small for {cycles} planted cycles over a "
             f"{k}-tree base; need n >= {k + 1 + 4 * cycles}"
         )
-    return Graph.from_edges(n, _edges(n, k, cycles, random.Random(seed)))
+    return _graph(later_neighbours(n, k, cycles, seed))

@@ -23,6 +23,7 @@ from glpart import (
     vertex_connectivity_at_least,
 )
 from glpart.c4 import enumerate_induced_c4
+from glpart.instances import parse_instance
 from glpart import generators
 from glpart.generators import (
     _CHUNK,
@@ -32,7 +33,7 @@ from glpart.generators import (
     _draw,
     _draws_below,
     _droppers,
-    _edges,
+    instance_text,
     later_neighbours,
 )
 
@@ -165,12 +166,13 @@ KTREES = [(n, k, seed) for k in range(1, 7)
 MEMBERS = [(n, k, cycles, seed) for k in range(2, 6)
            for n, seed in [(200, k), (1000, 10 + k)]
            for cycles in (1, (n - k - 1) // 8, (n - k - 1) // 4)]
-ADJ_ORDER_SHA256 = "311e2cf0cc2936ecd893cd0884ef7215e4a2e7cca9bb8adc97c4887ea558298b"
+ADJ_ORDER_SHA256 = "242f2047d5437f37a0263fe78c12262a1796bcf658f1d8262faa09329a8c6d75"
 
 
 class TestEdgeOrder:
-    """The order the generators list their edges in, which the graphs'
-    neighbour sets and ``generate``'s edge lines both read."""
+    """The order of each vertex's neighbours: ``generate``'s edge lines
+    list them as ``later_neighbours`` gives them, and the graphs' neighbour
+    sets are filled from those lists as the file's reader fills them."""
 
     def test_later_neighbours_give_graph_edges(self):
         # each vertex's list, flattened in vertex order, is ``Graph.edges()``
@@ -181,6 +183,22 @@ class TestEdgeOrder:
         for later, g in cases:
             assert len(later) == g.n
             assert [(u, v) for u, vs in enumerate(later) for v in vs] == g.edges()
+
+    def test_graph_iterates_as_its_file_parses(self):
+        # the library graph and the graph read back from ``generate``'s text
+        # for the same arguments list every neighbour set in the same order
+        cases = [(n, k, 0, seed) for n, k, seed in KTREES if k >= 2] + MEMBERS
+        differ = []
+        for n, k, cycles, seed in cases:
+            if cycles:
+                g = generate_almost_chordal(n, k, cycles, seed)
+            else:
+                g = generate_ktree(n, k, seed)
+            parsed = parse_instance(instance_text(n, k, cycles, seed, 1, 1)).graph
+            if list(map(list, g.adj)) != list(map(list, parsed.adj)):
+                differ.append((n, k, cycles, seed))
+        assert len(cases) == 49
+        assert differ == []
 
     def test_generate_builds_no_graph(self, monkeypatch):
         calls = []
@@ -222,15 +240,16 @@ class TestSameDraws:
     def test_ktree_matches_clique_list(self, k):
         for n, seed in [(k + 1, 0), (k + 2, 1), (37, 2), (400, 3), (2000, 4)]:
             rng, ref = random.Random(seed), random.Random(seed)
-            edges = _edges(n, k, 0, rng)
+            bases, anchors = _draw(n, k, 0, rng)
             want, cliques = bf_ktree_edges_and_cliques(n, k, ref)
-            assert edges == want, (n, k)
             assert rng.getstate() == ref.getstate(), (n, k)
-            bases, anchors = _draw(n, k, 0, random.Random(seed))
             assert anchors == []
             drop = _droppers(k)
             got = [_clique(bases, drop, j) for j in range(len(cliques))]
             assert got == cliques, (n, k)
+            later = later_neighbours(n, k, 0, seed)
+            edges = [(u, v) for u, vs in enumerate(later) for v in vs]
+            assert edges == sorted(want), (n, k)
 
     def test_draws_match_randrange(self):
         cases = [(m, seed, count) for m in [*range(1, 301), 2**31, 2**31 + 1, 10**9,
