@@ -75,12 +75,8 @@ from .errors import (
     PreconditionError,
     SolverStallError,
 )
-from .generators import (
-    draw_request,
-    generate_almost_chordal,
-    generate_ktree,
-    instance_text,
-)
+from .generators import (draw_request, generate_almost_chordal, generate_ktree,
+                         instance_text)
 from .graph import WeightedGraph
 from .instances import load_instance
 from .oracle import DEFAULT_ORACLE_CAP, brute_force_gl
@@ -306,11 +302,9 @@ def _cmd_generate(args) -> int:
     # each planted cycle four more
     _require_at_least("--k", args.k, 2)
     _require_at_least("--n", args.n, args.k + 1 + 4 * args.cycles)
-    _write(
-        instance_text(args.n, args.k, args.cycles, args.seed, args.max_weight,
-                      args.min_demand),
-        args.out,
-    )
+    text = instance_text(args.n, args.k, args.cycles, args.seed, args.max_weight,
+                         args.min_demand)
+    _write(text, args.out)
     return EXIT_OK
 
 

@@ -32,10 +32,9 @@ reads clique j through that table; ``_draw`` inlines its j > k case for
 each new base and calls it for the first clique and the anchors.
 
 Every draw that shapes an instance is made here: its graph, weights,
-terminals and demands. Each reads the generator as CPython's
-``random.Random`` does. Its generator is MT19937
-(Matsumoto and Nishimura, ACM TOMACS 8(1), 1998), which yields 32-bit
-words. ``getrandbits(b)`` with b <= 32 takes one word and returns
+terminals and demands. CPython's ``random.Random`` is MT19937 (Matsumoto
+and Nishimura, ACM TOMACS 8(1), 1998), which yields 32-bit words.
+``getrandbits(b)`` with b <= 32 takes one word and returns
 ``word >> (32 - b)``; ``getrandbits(32 * c)`` takes c words and puts word
 i at bits 32i..32i + 31. ``randrange(m)`` (``_randbelow_with_getrandbits``)
 returns the first ``getrandbits(b)`` value below m, with
@@ -260,14 +259,14 @@ def draw_request(
     return PartitionRequest(terminals, tuple(demands))
 
 
-def instance_text(
-    n: int, k: int, cycles: int, seed: int, max_weight: int, min_demand: int
-) -> str:
+def instance_text(n: int, k: int, cycles: int, seed: int,
+                  max_weight: int, min_demand: int) -> str:
     """The instance file ``glpart generate`` writes for these flags: a
     member with ``cycles`` planted 4-cycles, or a k-tree when it is 0, with
     weights drawn from 1..``max_weight`` and a request from ``draw_request``
-    with floor ``min_demand``, after a comment line naming the seed. The
-    arguments must be ones ``generate`` accepts."""
+    with floor ``min_demand``, after a comment line naming the seed (the
+    benchmark reads a member's ``cycles=`` and ``requested_cycles=``
+    there). The arguments must be ones ``generate`` accepts."""
     later = later_neighbours(n, k, cycles, seed)
     # ``later_neighbours`` seeds its own ``Random(seed)`` for the graph, so
     # the graph's draws and the weight, terminal and demand draws below read

@@ -10,7 +10,7 @@ are small definitional checks the library itself has no use for, four
 thin wrappers over library code that only the tests call, the member
 generator that certifies every step, which the library no longer needs,
 a member builder whose rings share vertices, the k-tree
-builder that lists every k-clique and the CLI's per-unit demand and
+builder that lists every k-clique and ``generate``'s per-unit demand and
 per-vertex weight draws, which the library's clique lookup and chunked
 draws replaced, the one-chord-per-walk
 terminal chord loop the library's rounds replaced, the clique atom cut
@@ -718,8 +718,8 @@ def bf_ktree_edges_and_cliques(n: int, k: int, rng: random.Random):
 def bf_compose_demands(
     rng: random.Random, k: int, total: int, floors: list[int]
 ) -> list[int]:
-    """The CLI's composition of ``total`` with one ``randrange(k)`` call per
-    unit above the floors, kept verbatim."""
+    """``generate``'s composition of ``total`` with one ``randrange(k)``
+    call per unit above the floors, kept verbatim."""
     base = sum(floors)
     if base > total:
         raise DemandError(f"floors sum to {base}, above the total {total}")
@@ -730,7 +730,7 @@ def bf_compose_demands(
 
 
 def bf_weights(rng: random.Random, n: int, max_weight: int) -> tuple[int, ...]:
-    """The CLI's weight draw with one ``randint`` call per vertex, kept
+    """``generate``'s weight draw with one ``randint`` call per vertex, kept
     verbatim."""
     return tuple(rng.randint(1, max_weight) for _ in range(n))
 
