@@ -19,12 +19,11 @@ from glpart import (
     cli,
     generate_almost_chordal,
     generate_ktree,
+    generators,
     is_hh_i42_free,
     vertex_connectivity_at_least,
 )
 from glpart.c4 import enumerate_induced_c4
-from glpart.instances import parse_instance
-from glpart import generators
 from glpart.generators import (
     _CHUNK,
     _COUNT_PASSES,
@@ -36,6 +35,7 @@ from glpart.generators import (
     instance_text,
     later_neighbours,
 )
+from glpart.instances import parse_instance
 
 from bruteforce import (
     bf_compose_demands,
