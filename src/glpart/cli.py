@@ -76,7 +76,7 @@ from .errors import (
     SolverStallError,
 )
 from .generators import (draw_request, generate_almost_chordal, generate_ktree,
-                         instance_text)
+                         instance_text, request_rng)
 from .graph import WeightedGraph
 from .instances import load_instance
 from .oracle import DEFAULT_ORACLE_CAP, brute_force_gl
@@ -312,7 +312,7 @@ def _cmd_oracle_compare(args) -> int:
     _require_at_least("--trials", args.trials, 0)
     _require_at_least("--cycles", args.cycles, 0)
     _require_at_least("--k", args.k, 2)
-    # every trial draws its n from [max(k + 1, 2k), --n-max]
+    # a k-tree trial draws its n from [max(k + 1, 2k), --n-max]
     _require_at_least("--n-max", args.n_max, max(args.k + 1, 2 * args.k))
     # no trial may draw an n the oracle refuses
     _require_at_least("--cap-n", args.cap_n, args.n_max)
@@ -327,18 +327,21 @@ def _cmd_oracle_compare(args) -> int:
             f"--n-max {args.n_max} cannot host a planted cycle at k={args.k}; "
             f"need --n-max >= {args.k + 5}"
         )
+    # each trial draws its n once, from [n_min, --n-max]
+    if args.cycles > 0:
+        n_min = args.k + 1 + 4 * cycles_eff
+    else:
+        n_min = max(args.k + 1, 2 * args.k)
     trials = []
     failures = 0
     for trial in range(args.trials):
         seed = rng.randrange(2**32)
-        trng = random.Random(seed)
+        trng = request_rng(seed)
         k = args.k
-        n = trng.randint(max(k + 1, 2 * k), args.n_max)
+        n = trng.randint(n_min, args.n_max)
         entry = {"trial": trial, "seed": seed, "n": n, "k": k}
         if args.cycles > 0:
-            n = trng.randint(k + 1 + 4 * cycles_eff, args.n_max)
             g = generate_almost_chordal(n, k, cycles_eff, seed)
-            entry["n"] = n
             entry["cycles"] = cycles_eff
             floor = 2
             rule = DeviationRule.slack(1)

@@ -32,26 +32,14 @@ reads clique j through that table; ``_draw`` inlines its j > k case for
 each new base and calls it for the first clique and the anchors.
 
 Every draw that shapes an instance is made here: its graph, weights,
-terminals and demands. CPython's ``random.Random`` is MT19937 (Matsumoto
-and Nishimura, ACM TOMACS 8(1), 1998), which yields 32-bit words.
-``getrandbits(b)`` with b <= 32 takes one word and returns
-``word >> (32 - b)``; ``getrandbits(32 * c)`` takes c words and puts word
-i at bits 32i..32i + 31. ``randrange(m)`` (``_randbelow_with_getrandbits``)
-returns the first ``getrandbits(b)`` value below m, with
-b = ``m.bit_length()``. Two routines make those ``getrandbits`` calls
-themselves, and leave the values and the generator's state afterwards
-those of ``randrange``:
-
-- ``_draw`` draws the index of each new vertex's base inline, one
-  ``getrandbits(b)`` call per raw draw;
-- ``_draws_below`` draws many values below one m in chunks: below 256 one
-  ``getrandbits(32 * c)`` call gives c raw draws, one per word's top
-  byte, and above it each raw draw is one ``getrandbits(b)`` call.
-
-The tests hold both to ``randrange``'s values and ``getstate()``, and the
-equivalence was checked under CPython 3.10, 3.11, 3.12 and 3.13.
-``instance_text`` draws what ``glpart generate`` writes: the graph, then
-the weights, the terminals and the demands.
+terminals and demands. The graph reads ``random.Random(seed)``; the
+weights, terminals and demands read ``request_rng(seed)``, a generator
+seeded apart from it, so no request value is a function of the graph's
+draws. ``_draw`` makes each base draw inline as CPython's ``randrange(m)``
+makes it, the first ``getrandbits(m.bit_length())`` value below m, so the
+graphs are those of one ``randrange`` call per vertex. ``instance_text``
+draws what ``glpart generate`` writes: the graph, then the weights, the
+terminals and the demands.
 
 Every random choice of the graph is made once, by ``_draw``, which returns
 the drawn cliques: each k-tree vertex's base, then each gadget's anchor.
@@ -79,9 +67,7 @@ No pair is drawn twice, so the lists' total length is the edge count.
 from __future__ import annotations
 
 import random
-from collections import Counter
-from itertools import chain, repeat
-from operator import add, itemgetter
+from operator import itemgetter
 
 from .errors import DemandError
 from .graph import Graph
@@ -161,101 +147,42 @@ def later_neighbours(n: int, k: int, cycles: int, seed: int) -> list[list[int]]:
     return later
 
 
-# the most raw draws one chunk of ``_draws_below`` asks for
-_CHUNK = 1 << 16
-
-# the most parts ``_compose_demands`` counts with one ``bytes.count`` pass
-# each; one ``Counter`` over the chunk caught up at 56 to 76 parts for
-# 2 * 10**4 to 10**6 units
-_COUNT_PASSES = 48
-
-
-def _draws_below(rng: random.Random, m: int, count: int, start: int = 0):
-    """Yield chunks of ``count`` values in all, each ``start`` (0 or 1)
-    plus the value ``rng.randrange(m)`` would return, with the generator
-    left as that many ``randrange`` calls leave it.
-
-    With c values still owed, a chunk makes min(c, ``_CHUNK``) raw draws
-    of ``getrandbits(b)``, b = ``m.bit_length()``, and keeps those below m,
-    in order, as ``randrange`` would (see the module docstring). At most c
-    of them fall below m, so each raw draw is one that the ``randrange``
-    calls still owed would have made, and none comes after the last
-    accepted value: the values and the state match. A chunk holds at most
-    ``_CHUNK`` values, whatever ``count`` is.
-
-    When b <= 8, that is m <= 255, a chunk is ``bytes`` and its raw draws
-    are one ``getrandbits(32 * c)`` call: in ``to_bytes(4 * c, "little")``
-    byte 4i + 3 is the top byte of word i, ``[3::4]`` keeps those c bytes,
-    in draw order, and top byte t gives the raw draw ``t >> (8 - b)``. One
-    ``bytes.translate`` maps each kept byte to its value plus ``start`` and
-    deletes the bytes ``>= m << (8 - b)``, whose draws are at least m. The
-    call takes the words that c ``getrandbits(b)`` calls take, no more, so
-    the state matches too. For m > 255 a value does not fit a byte, and a
-    chunk is a list whose raw draws are one ``getrandbits(b)`` call each,
-    made in C.
-    """
-    bits = m.bit_length()
-    if bits <= 8:
-        shift = 8 - bits
-        cut = m << shift
-        table = bytes([start + (t >> shift) if t < cut else 0 for t in range(256)])
-        rejected = bytes(range(cut, 256))
-        getrandbits = rng.getrandbits
-        while count > 0:
-            c = min(count, _CHUNK)
-            top = getrandbits(32 * c).to_bytes(4 * c, "little")[3::4]
-            chunk = top.translate(table, rejected)
-            count -= len(chunk)
-            yield chunk
-        return
-    while count > 0:
-        raw = map(rng.getrandbits, repeat(bits, min(count, _CHUNK)))
-        chunk = list(filter(m.__gt__, raw))
-        count -= len(chunk)
-        yield list(map(start.__add__, chunk)) if start else chunk
-
-
-def _compose_demands(
-    rng: random.Random, k: int, total: int, floors: list[int]
-) -> list[int]:
-    """Random composition of ``total`` with per-part floors.
-
-    Each unit above the floors goes to part ``rng.randrange(k)``, one
-    draw per unit in order. ``_draws_below`` makes those draws in chunks
-    of at most ``_CHUNK`` raw draws, and this adds up each chunk's parts
-    before the next chunk is drawn, so memory stays O(k + ``_CHUNK``) for
-    any total. A chunk never asks for more raw draws than units are still
-    owed, so none is made after the last unit's value, and the demands and
-    the generator's state are those of one ``randrange(k)`` call per unit.
-    For k <= 255 each chunk is ``bytes`` drawn 32-bit words at a time (see
-    ``_draws_below``); larger k draws once per raw value. Counting costs
-    k passes of ``bytes.count`` against one ``Counter`` over the chunk, so
-    for k <= ``_COUNT_PASSES`` part p gets ``chunk.count(p)`` units and
-    above it a ``Counter`` adds them up. The time still grows with
-    ``total - sum(floors)``.
-    """
-    base = sum(floors)
-    if base > total:
-        raise DemandError(f"floors sum to {base}, above the total {total}")
-    demands = list(floors)
-    for chunk in _draws_below(rng, k, total - base):
-        if k <= _COUNT_PASSES:
-            demands = list(map(add, demands, map(chunk.count, range(k))))
-        else:
-            for part, units in Counter(chunk).items():
-                demands[part] += units
-    return demands
+def request_rng(seed: int) -> random.Random:
+    """The generator that draws the weights, terminals and demands of the
+    instance with this seed: seeded apart from the graph's
+    ``random.Random(seed)``, so it reads none of the graph's words."""
+    return random.Random(f"request:{seed}")
 
 
 def draw_request(
     rng: random.Random, weights: tuple[int, ...], k: int, floor: int
 ) -> PartitionRequest:
-    """k random terminals among the vertices that ``weights`` weighs, then a
-    random composition of the total weight in which each demand is at
-    least ``floor`` and its terminal's weight."""
+    """k random terminals among the vertices that ``weights`` weighs, then
+    demands uniform over the compositions of the total weight in which each
+    demand is at least ``floor`` and its terminal's weight.
+
+    The demands are stars and bars: with the slack the total less the
+    floors, k - 1 of ``slots = slack + k - 1`` slots are bars, and each
+    part gets its floor plus the slots between its bars. The bars are a
+    uniform (k - 1)-subset drawn by Floyd's algorithm (Bentley and Floyd,
+    "A sample of brilliance", CACM 30(9), 1987): for each ``top`` from
+    ``slots - k + 2`` to ``slots``, draw ``randrange(top)`` and take it, or
+    ``top - 1`` if it is already taken. That is exactly k - 1 draws,
+    exact for any total, where ``rng.sample`` fails once the slots pass
+    ``sys.maxsize``.
+    """
     terminals = tuple(sorted(rng.sample(range(len(weights)), k)))
     floors = [max(weights[t], floor) for t in terminals]
-    demands = _compose_demands(rng, k, sum(weights), floors)
+    total, base = sum(weights), sum(floors)
+    if base > total:
+        raise DemandError(f"floors sum to {base}, above the total {total}")
+    slots = total - base + k - 1
+    bars: set[int] = set()
+    for top in range(slots - k + 2, slots + 1):
+        bar = rng.randrange(top)
+        bars.add(top - 1 if bar in bars else bar)
+    cuts = sorted(bars)
+    demands = (f + hi - lo - 1 for f, lo, hi in zip(floors, [-1, *cuts], [*cuts, slots]))
     return PartitionRequest(terminals, tuple(demands))
 
 
@@ -268,19 +195,13 @@ def instance_text(n: int, k: int, cycles: int, seed: int,
     benchmark reads a member's ``cycles=`` and ``requested_cycles=``
     there). The arguments must be ones ``generate`` accepts."""
     later = later_neighbours(n, k, cycles, seed)
-    # ``later_neighbours`` seeds its own ``Random(seed)`` for the graph, so
-    # the graph's draws and the weight, terminal and demand draws below read
-    # the same 32-bit words: the first base index and the first weight both
-    # come from word 0 (``oracle-compare`` does the same with its trial
-    # generator). Drawing them apart would change every generated file.
-    rng = random.Random(seed)
+    rng = request_rng(seed)
     if cycles > 0:
         comment = f"seed={seed} k={k} cycles={cycles} requested_cycles={cycles}"
     else:
         comment = f"seed={seed} k={k} k-tree"
     if max_weight > 1:
-        # rng.randint(1, w) is 1 + rng.randrange(w)
-        weights = tuple(chain.from_iterable(_draws_below(rng, max_weight, n, 1)))
+        weights = tuple(rng.randint(1, max_weight) for _ in range(n))
     else:
         weights = (1,) * n
     request = draw_request(rng, weights, k, min_demand)

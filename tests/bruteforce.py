@@ -10,9 +10,9 @@ are small definitional checks the library itself has no use for, four
 thin wrappers over library code that only the tests call, the member
 generator that certifies every step, which the library no longer needs,
 a member builder whose rings share vertices, the k-tree
-builder that lists every k-clique and ``generate``'s per-unit demand and
-per-vertex weight draws, which the library's clique lookup and chunked
-draws replaced, the one-chord-per-walk
+builder that lists every k-clique, which the library's clique lookup
+replaced, ``generate``'s per-vertex weight draw and its demand split
+walked slot by slot, the one-chord-per-walk
 terminal chord loop the library's rounds replaced, the clique atom cut
 that tests every later set, which the library's filled-vertex test
 replaced, the edits that plant
@@ -718,20 +718,30 @@ def bf_ktree_edges_and_cliques(n: int, k: int, rng: random.Random):
 def bf_compose_demands(
     rng: random.Random, k: int, total: int, floors: list[int]
 ) -> list[int]:
-    """``generate``'s composition of ``total`` with one ``randrange(k)``
-    call per unit above the floors, kept verbatim."""
+    """``generate``'s composition of ``total`` above ``floors``, walked
+    slot by slot: the k - 1 slots among slack + k - 1 that the same Floyd
+    draws pick are bars, every other slot is a star, and each part gets its
+    floor plus the stars between its bars."""
     base = sum(floors)
     if base > total:
         raise DemandError(f"floors sum to {base}, above the total {total}")
+    slots = total - base + k - 1
+    bars = set()
+    for top in range(slots - k + 2, slots + 1):
+        bar = rng.randrange(top)
+        bars.add(top - 1 if bar in bars else bar)
     demands = list(floors)
-    for _ in range(total - base):
-        demands[rng.randrange(k)] += 1
+    part = 0
+    for slot in range(slots):
+        if slot in bars:
+            part += 1
+        else:
+            demands[part] += 1
     return demands
 
 
 def bf_weights(rng: random.Random, n: int, max_weight: int) -> tuple[int, ...]:
-    """``generate``'s weight draw with one ``randint`` call per vertex, kept
-    verbatim."""
+    """``generate``'s weight draw: one ``randint`` call per vertex."""
     return tuple(rng.randint(1, max_weight) for _ in range(n))
 
 

@@ -6,7 +6,7 @@ import contextlib
 import hashlib
 import io
 import random
-from itertools import chain
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,19 +19,15 @@ from glpart import (
     cli,
     generate_almost_chordal,
     generate_ktree,
-    generators,
     is_hh_i42_free,
     vertex_connectivity_at_least,
 )
 from glpart.c4 import enumerate_induced_c4
 from glpart.generators import (
-    _CHUNK,
-    _COUNT_PASSES,
     _clique,
-    _compose_demands,
     _draw,
-    _draws_below,
     _droppers,
+    draw_request,
     instance_text,
     later_neighbours,
 )
@@ -231,10 +227,26 @@ class TestEdgeOrder:
         assert digest.hexdigest() == ADJ_ORDER_SHA256
 
 
+def request_stream(seed: int) -> random.Random:
+    """The generator ``generate`` draws seed's weights, terminals and
+    demands from, seeded apart from the graph's ``random.Random(seed)``."""
+    return random.Random(f"request:{seed}")
+
+
+def reference_request(rng, weights, k: int, floor: int) -> PartitionRequest:
+    """``draw_request`` by the references: the same terminal draw, then
+    ``bf_compose_demands``' slot-by-slot walk."""
+    terminals = tuple(sorted(rng.sample(range(len(weights)), k)))
+    floors = [max(weights[t], floor) for t in terminals]
+    return PartitionRequest(
+        terminals, tuple(bf_compose_demands(rng, k, sum(weights), floors)))
+
+
 class TestSameDraws:
-    """The clique lookup and the chunked draws against the per-clique list
-    and the per-unit ``randrange``/``randint`` loops they replaced: equal
-    values and equal generator state afterwards."""
+    """The clique lookup against the per-clique list it replaced, and
+    ``generate``'s request against the per-vertex ``randint`` weights and the
+    slot-by-slot composition of ``bruteforce``: equal values and equal
+    generator state afterwards."""
 
     @pytest.mark.parametrize("k", range(1, 7))
     def test_ktree_matches_clique_list(self, k):
@@ -251,97 +263,103 @@ class TestSameDraws:
             edges = [(u, v) for u, vs in enumerate(later) for v in vs]
             assert edges == sorted(want), (n, k)
 
-    def test_draws_match_randrange(self):
-        cases = [(m, seed, count) for m in [*range(1, 301), 2**31, 2**31 + 1, 10**9,
-                                            2**64 - 1]
-                 for seed, count in [(0, 1), (1, 2), (2, 57)]]
-        # more than one chunk, on both sides of the one-byte limit m = 255
-        cases += [(m, 3, _CHUNK + 3) for m in (1, 2, 3, 9, 128, 255, 256, 257)]
-        for m, seed, count in cases:
-            rng, ref = random.Random(seed), random.Random(seed)
-            got = list(chain.from_iterable(_draws_below(rng, m, count)))
-            assert got == [ref.randrange(m) for _ in range(count)], (m, seed, count)
-            assert rng.getstate() == ref.getstate(), (m, seed, count)
-
     def test_weights_match_randint(self):
-        for n, top, seed in [(1, 2, 0), (100, 9, 1), (1000, 1000, 2), (300, 10**9, 3),
-                             (2000, 255, 4), (2000, 256, 5)]:
-            rng, ref = random.Random(seed), random.Random(seed)
-            got = tuple(chain.from_iterable(_draws_below(rng, top, n, 1)))
-            assert got == bf_weights(ref, n, top), top
-            assert rng.getstate() == ref.getstate(), top
+        # exact past 2**53, where ``floor(random() * m)`` is not; at 2**64 + 1
+        # the demands' slots also pass ``sys.maxsize``
+        for n, top, seed in [(3, 2, 0), (100, 9, 1), (1000, 1000, 2), (300, 10**9, 3),
+                             (200, 2**64 + 1, 4)]:
+            got = parse_instance(instance_text(n, 2, 0, seed, top, 1)).wgraph.weights
+            assert got == bf_weights(request_stream(seed), n, top), top
 
-    # k = 2..8 and _COUNT_PASSES count bytes with bytes.count; the k just
-    # above it and up to 255 count bytes with a Counter; 256 and 300 count
-    # per-call draws with a Counter
-    @pytest.mark.parametrize(
-        "k", [*range(2, 9), _COUNT_PASSES, _COUNT_PASSES + 1, 128, 255, 256, 300]
-    )
+    # small k, and k up to 300
+    @pytest.mark.parametrize("k", [*range(2, 9), 48, 49, 128, 255, 256, 300])
     def test_compose_matches_per_unit_loop(self, k):
-        # ``extra`` units above the floors: none, one, a part chunk, more
-        # than one chunk, and a total of about 10**5
-        for extra, floor, seed in [
-            (0, 1, 0), (1, 1, 1), (500, 3, 2), (_CHUNK + 5, 1, 3), (10**5 - 20 * k, 10, 4),
-        ]:
-            floors = [floor + i for i in range(k)]
-            total = sum(floors) + extra
-            rng, ref = random.Random(seed), random.Random(seed)
-            got = _compose_demands(rng, k, total, floors)
-            assert got == bf_compose_demands(ref, k, total, floors), (k, extra)
-            assert rng.getstate() == ref.getstate(), (k, extra)
+        # every vertex weighs w and ``floor`` is 1, so each floor is w; one
+        # more vertex than terminals leaves a slack of exactly w, and k
+        # vertices a slack of 0
+        for slack, seed in [(0, 0), (1, 1), (500, 2), (10**9, 3)]:
+            weights = (max(slack, 1),) * (k + (slack > 0))
+            rng = random.Random(seed)
+            req = draw_request(rng, weights, k, 1)
+            floors = [weights[t] for t in req.terminals]
+            assert all(d >= f for d, f in zip(req.demands, floors)), (k, slack)
+            assert sum(req.demands) == sum(weights), (k, slack)
+            if slack <= 500:
+                ref = random.Random(seed)
+                assert req == reference_request(ref, weights, k, 1), (k, slack)
+                assert rng.getstate() == ref.getstate(), (k, slack)
+        # weights 1..2k and a floor of 3, so floors differ part to part
+        weights = tuple(range(1, 2 * k + 1))
+        rng, ref = random.Random(k), random.Random(k)
+        assert draw_request(rng, weights, k, 3) == reference_request(ref, weights, k, 3)
+        assert rng.getstate() == ref.getstate()
 
-    def test_compose_chunks_stay_under_the_cap(self, monkeypatch):
-        # k = 3 takes the byte path, one ``getrandbits(32 * c)`` call per
-        # chunk of c raw draws, so no call may ask for more than
-        # 32 * _CHUNK bits
-        asked = []
-
-        def spy(self, bits):
-            asked.append(bits)
-            return original(self, bits)
-
-        original = random.Random.getrandbits
-        monkeypatch.setattr(random.Random, "getrandbits", spy)
-        demands = _compose_demands(random.Random(5), 3, 3 * _CHUNK + 7, [1, 1, 1])
-        assert sum(demands) == 3 * _CHUNK + 7
-        assert len(asked) > 3
-        assert max(asked) == 32 * _CHUNK
-
-    def test_compose_per_call_chunks_stay_under_the_cap(self, monkeypatch):
-        # k = 256 takes the per-call path, whose chunk of c raw draws is
-        # ``repeat(bits, c)``, so no chunk may ask for more than _CHUNK
-        asked = []
-
-        def spy(value, times):
-            asked.append(times)
-            return original(value, times)
-
-        original = generators.repeat
-        monkeypatch.setattr(generators, "repeat", spy)
-        total = 3 * _CHUNK + 7 + 256
-        demands = _compose_demands(random.Random(5), 256, total, [1] * 256)
-        assert sum(demands) == total
-        assert len(asked) > 3
-        assert max(asked) == _CHUNK
+    def test_split_reaches_every_composition(self):
+        # 4 units above three floors of 4 split 15 ways, C(4 + 2, 2), and a
+        # uniform split draws none of them less than half as often as 1 in
+        # 15 (one unit at a time would give 4, 0, 0 about 1 time in 81)
+        seen = Counter()
+        for seed in range(1000):
+            req = draw_request(random.Random(seed), (4,) * 4, 3, 1)
+            seen[tuple(d - 4 for d in req.demands)] += 1
+        assert len(seen) == 15
+        assert all(min(c) >= 0 and sum(c) == 4 for c in seen)
+        assert min(seen.values()) > 1000 / 15 / 2
 
     def test_generate_calls_no_per_unit_randrange(self, monkeypatch):
-        calls = []
-        for name in ("randrange", "randint"):
-            original = getattr(random.Random, name)
+        # ``draw_request`` makes the same calls on its generator for a total
+        # weight of 10**3 as for 10**9, and O(k) raw draws in them
+        class Recording:
+            def __init__(self, seed):
+                self.rng, self.calls = random.Random(seed), []
 
-            def spy(self, *args, _name=name, _fn=original):
-                calls.append(_name)
-                return _fn(self, *args)
+            def __getattr__(self, name):
+                self.calls.append(name)
+                return getattr(self.rng, name)
 
-            monkeypatch.setattr(random.Random, name, spy)
-        with contextlib.redirect_stdout(io.StringIO()):
-            assert cli.main(["generate", "--n", "300", "--k", "3",
-                             "--max-weight", "50", "--seed", "3"]) == 0
-            assert calls == []
-            assert cli.main(["generate", "--n", "300", "--k", "3", "--cycles", "5",
-                             "--max-weight", "50", "--seed", "3"]) == 0
-        # one anchor draw per planted cycle
-        assert calls == ["randrange"] * 5
+        words = []
+        original = random.Random.getrandbits
+
+        def spy(self, bits):
+            words.append(bits)
+            return original(self, bits)
+
+        monkeypatch.setattr(random.Random, "getrandbits", spy)
+        for k in (3, 8):
+            calls = []
+            for w in (100, 10**8):
+                rng = Recording(k)
+                words.clear()
+                req = draw_request(rng, (w,) * 10, k, 1)
+                assert sum(req.demands) == 10 * w
+                assert len(words) <= 4 * k, (k, w)
+                calls.append(rng.calls)
+            assert calls[0] == calls[1] == ["sample"] + ["randrange"] * (k - 1), k
+        monkeypatch.undo()
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(["generate", "--n", "50", "--k", "3",
+                             "--max-weight", "1000000000", "--seed", "3"]) == 0
+        inst = parse_instance(out.getvalue())
+        assert sum(inst.request.demands) == sum(inst.wgraph.weights)
+        assert max(inst.wgraph.weights) > 2**16
+
+    def test_request_stream_is_apart_from_the_graphs(self):
+        # k = 3: the first base index j is drawn below 4, and the first
+        # weight w from 1..9. Had both come from one 32-bit word, every seed
+        # whose first base draw is accepted at once would give
+        # j == (w - 1) >> 1; drawn apart, about a quarter do.
+        seeds = same = 0
+        for seed in range(2000):
+            if random.Random(seed).getrandbits(3) >= 4:
+                continue
+            inst = parse_instance(instance_text(5, 3, 0, seed, 9, 1))
+            # vertex 4 joined clique j, which is 0..3 less 3 - j
+            j = 3 - min(set(range(4)) - inst.graph.adj[4])
+            seeds += 1
+            same += j == (inst.wgraph.weights[0] - 1) >> 1
+        assert seeds == 1040
+        assert same < seeds / 2
 
     @pytest.mark.parametrize("n, k, cycles, max_weight, floor, seed", [
         (3, 2, 0, 1, 1, 0),
@@ -357,14 +375,10 @@ class TestSameDraws:
             g = bf_generate_almost_chordal(n, k, cycles, seed)
         else:
             g = Graph.from_edges(n, bf_ktree_edges_and_cliques(n, k, random.Random(seed))[0])
-        rng = random.Random(seed)
+        rng = request_stream(seed)
         weights = bf_weights(rng, n, max_weight) if max_weight > 1 else (1,) * n
-        terminals = tuple(sorted(rng.sample(range(n), k)))
-        floors = [max(weights[t], floor) for t in terminals]
-        demands = tuple(bf_compose_demands(rng, k, sum(weights), floors))
-        want = format_instance(
-            Instance(WeightedGraph(g, weights), PartitionRequest(terminals, demands))
-        )
+        request = reference_request(rng, weights, k, floor)
+        want = format_instance(Instance(WeightedGraph(g, weights), request))
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             assert cli.main([

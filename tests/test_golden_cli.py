@@ -27,7 +27,7 @@ from glpart.generators import draw_request
 
 from bruteforce import format_instance, planted
 
-GOLDEN_SHA256 = "6d0bdd779ba7888bdf5d8da857d132f8a42c2876136f69f6753bfdd119ebf7f3"
+GOLDEN_SHA256 = "3905a7ca60caff4a2aa59c1de5ecd0c8debc8eb7f86f3fd9154914c83d9b2b45"
 
 # (name, generate flags); every instance keeps n <= 60
 CORPUS = [
@@ -74,7 +74,7 @@ def test_cli_corpus_digest(tmp_path, capsys):
 # ``--mode almost-chordal`` forced onto the corpus k-trees, unit and weighted,
 # with and without checks: the auto mode would solve these directly, so this
 # pins the pipeline's mode string, its (empty) audit and its parts on them
-FORCED_MODE_SHA256 = "e6dc7c21703ed18b943955b857eb9f908160e8f9fee27564269933bf3d479ef8"
+FORCED_MODE_SHA256 = "fc5dfdc86e2fe66450b4da19fde7d3aa13fd3eeed44eda77669e4c95c75966d1"
 
 
 def test_forced_almost_chordal_mode_digest(tmp_path, capsys):
@@ -92,7 +92,7 @@ def test_forced_almost_chordal_mode_digest(tmp_path, capsys):
 
 # verify and check payloads are assembled from the result types; these
 # inputs pin every field of them, rejections included
-VERIFY_CHECK_SHA256 = "efba67c8b2594f8b25181cf234b5c87e07d6eeb5bbd4f1a929984e7ab22a97c9"
+VERIFY_CHECK_SHA256 = "84b7963033f3a72331631795aa9ecddb197641c96ab4ac1db04bb57dd3ebbea3"
 
 RULES = ("exact", "slack:1", "window:3")
 
@@ -179,7 +179,7 @@ def test_member_check_digest(tmp_path, capsys):
 # vertices, unit and weighted, k = 2..5, and one weighted class member, each
 # with and without checks. GOLDEN_SHA256 stops at n = 60, where a growth loop
 # rarely has more than a few frontier vertices to choose from.
-LARGE_SHA256 = "108cd8bae1b6fbe3c54cf9398903877fcb135cabad31eca499e354885c50374f"
+LARGE_SHA256 = "5e27a1ea393d8faf0c208dc406437a35ffc83365a7c4a27bd4014ec8cc0e5a17"
 
 LARGE_CORPUS = [
     ["--n", "1000", "--k", "2", "--seed", "31"],
@@ -207,7 +207,7 @@ def test_large_partition_digest(tmp_path, capsys):
 
 # ``oracle-compare`` on k-trees and on class members, k = 2 and 3: each
 # trial's seed, drawn n and verdicts
-ORACLE_SHA256 = "e3d0fbc0794e900dfc19c882b3cf994ecd9adf96febc72004a155b187605912c"
+ORACLE_SHA256 = "2e4fa23069672713a8c8d05eabc69a1f9c4c31888f79b682933ede481551527a"
 
 
 def test_oracle_compare_digest(capsys):
@@ -227,7 +227,7 @@ def test_oracle_compare_digest(capsys):
 # and 4,000 vertices for k = 2..5, unit weights and ``--max-weight`` 9 and
 # 1,000, floors 1 and 10, and class members with 8 and 40 rings, unit and
 # weighted. Every byte of each instance file, the request included.
-GENERATE_SHA256 = "77f3bee40335342258f2f73467c51937ec2f969ea65b3b934a002f71546e55fc"
+GENERATE_SHA256 = "18fb12a425dc699d5ae208962bd15d0679fe410282edfc11d7d4e2d418ffe8bb"
 
 GENERATE_CORPUS = [
     ["--n", "1000", "--k", "2", "--seed", "51"],
@@ -261,7 +261,7 @@ def test_generate_digest(capsys):
 # 2..5, unit and weighted, up to (n - k - 1) // 4 rings at n = 200 and
 # 1,000, so a few anchor cliques carry many rings each. Every byte of each
 # instance file, the edge lines' order included.
-GENERATE_MEMBER_SHA256 = "ea3bc4d42b6cb883adf41e43742cefffde2a10b7d58d0302dd1097124252b3cc"
+GENERATE_MEMBER_SHA256 = "b4589f4219a10b69904c08754902abec8a41a65793302f29f257d5ababc7349d"
 
 GENERATE_MEMBER_CORPUS = [
     ["--n", "200", "--k", "2", "--cycles", "49", "--seed", "71"],
@@ -284,39 +284,12 @@ def test_generate_member_digest(capsys):
     assert digest.hexdigest() == GENERATE_MEMBER_SHA256
 
 
-# ``generate`` on both sides of 255 = 2**8 - 1, the largest range whose
-# draws fit one byte: weights up to 2, 255, 256 and 257, and demands split
-# over k = 255 and k = 256 parts, unit and weighted; the weight-255 k-tree
-# draws over 2 * 65,536 demand units, three chunks. Every byte of each
-# instance file.
-GENERATE_BOUNDARY_SHA256 = "26e877d9f1c5b173c8e4e26ca89e6b48eb8a0da1d74e124bdc882959e4a94907"
-
-GENERATE_BOUNDARY_CORPUS = [
-    ["--n", "300", "--k", "2", "--max-weight", "2", "--seed", "81"],
-    ["--n", "1100", "--k", "3", "--max-weight", "255", "--seed", "82"],
-    ["--n", "300", "--k", "4", "--max-weight", "256", "--min-demand", "10",
-     "--seed", "83"],
-    ["--n", "300", "--k", "5", "--cycles", "6", "--max-weight", "257", "--seed", "84"],
-    ["--n", "300", "--k", "255", "--seed", "85"],
-    ["--n", "300", "--k", "255", "--max-weight", "9", "--seed", "86"],
-    ["--n", "300", "--k", "256", "--seed", "87"],
-    ["--n", "300", "--k", "256", "--max-weight", "9", "--seed", "88"],
-]
-
-
-def test_generate_boundary_digest(capsys):
-    digest = hashlib.sha256()
-    codes = [_run(["generate", *flags], capsys, digest) for flags in GENERATE_BOUNDARY_CORPUS]
-    assert codes == [0] * len(GENERATE_BOUNDARY_CORPUS)
-    assert digest.hexdigest() == GENERATE_BOUNDARY_SHA256
-
-
 # ``generators.draw_request``, which ``generate`` and ``oracle-compare`` share:
 # the terminals, the demands and the next draw after them, over seeds 0-2,
-# k = 2..8, unit weights and weights up to 9 and up to 2,000 (totals above
-# 65,536), floors 1 and 10. ``oracle-compare`` prints neither terminals nor
-# demands, so ORACLE_SHA256 cannot see this draw.
-REQUEST_SHA256 = "642e54118ecc14a40b7521a61153a59c4671719c083ebec32c50279bf6c77028"
+# k = 2..8, unit weights and weights up to 9 and up to 2,000, floors 1 and
+# 10. ``oracle-compare`` prints neither terminals nor demands, so
+# ORACLE_SHA256 cannot see this draw.
+REQUEST_SHA256 = "d13f561fbfbd382c5cb4d573264575823990d60bbb2bda5e99ff9ac4a5d6d00b"
 
 
 def test_request_draw_digest():
