@@ -30,6 +30,7 @@ from glpart.generators import (
     draw_request,
     instance_text,
     later_neighbours,
+    request_rng,
 )
 from glpart.instances import parse_instance
 
@@ -227,12 +228,6 @@ class TestEdgeOrder:
         assert digest.hexdigest() == ADJ_ORDER_SHA256
 
 
-def request_stream(seed: int) -> random.Random:
-    """The generator ``generate`` draws seed's weights, terminals and
-    demands from, seeded apart from the graph's ``random.Random(seed)``."""
-    return random.Random(f"request:{seed}")
-
-
 def reference_request(rng, weights, k: int, floor: int) -> PartitionRequest:
     """``draw_request`` by the references: the same terminal draw, then
     ``bf_compose_demands``' slot-by-slot walk."""
@@ -269,7 +264,7 @@ class TestSameDraws:
         for n, top, seed in [(3, 2, 0), (100, 9, 1), (1000, 1000, 2), (300, 10**9, 3),
                              (200, 2**64 + 1, 4)]:
             got = parse_instance(instance_text(n, 2, 0, seed, top, 1)).wgraph.weights
-            assert got == bf_weights(request_stream(seed), n, top), top
+            assert got == bf_weights(request_rng(seed), n, top), top
 
     # small k, and k up to 300
     @pytest.mark.parametrize("k", [*range(2, 9), 48, 49, 128, 255, 256, 300])
@@ -307,8 +302,24 @@ class TestSameDraws:
         assert min(seen.values()) > 1000 / 15 / 2
 
     def test_generate_calls_no_per_unit_randrange(self, monkeypatch):
-        # ``draw_request`` makes the same calls on its generator for a total
-        # weight of 10**3 as for 10**9, and O(k) raw draws in them
+        # the graph: a k-tree makes no randrange or randint call, and a
+        # member one anchor draw per planted cycle
+        graph_calls = []
+        for name in ("randrange", "randint"):
+            original = getattr(random.Random, name)
+
+            def spy(self, *args, _name=name, _fn=original):
+                graph_calls.append(_name)
+                return _fn(self, *args)
+
+            monkeypatch.setattr(random.Random, name, spy)
+        later_neighbours(300, 3, 0, 3)
+        assert graph_calls == []
+        later_neighbours(300, 3, 5, 3)
+        assert graph_calls == ["randrange"] * 5
+        monkeypatch.undo()
+        # the request: ``draw_request`` makes the same calls on its generator
+        # for a total weight of 10**3 as for 10**9, and O(k) raw draws in them
         class Recording:
             def __init__(self, seed):
                 self.rng, self.calls = random.Random(seed), []
@@ -375,7 +386,7 @@ class TestSameDraws:
             g = bf_generate_almost_chordal(n, k, cycles, seed)
         else:
             g = Graph.from_edges(n, bf_ktree_edges_and_cliques(n, k, random.Random(seed))[0])
-        rng = request_stream(seed)
+        rng = request_rng(seed)
         weights = bf_weights(rng, n, max_weight) if max_weight > 1 else (1,) * n
         request = reference_request(rng, weights, k, floor)
         want = format_instance(Instance(WeightedGraph(g, weights), request))
