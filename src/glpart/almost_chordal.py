@@ -42,6 +42,8 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from itertools import compress, count
+from operator import not_
 
 from .c4 import enumerate_induced_c4
 from .chordal import mcs_search
@@ -54,6 +56,7 @@ from .graph import (
     WeightedGraph,
     contract_matching,
     induced_subgraph,
+    merged_weights,
 )
 from .partition import (
     GLPartition,
@@ -199,15 +202,17 @@ def build_contraction_plan(
         raise PipelineInvariantError(
             f"selected contraction edges are unusable: {exc}"
         ) from None
-    terminal_map = {t: x for x, grp in enumerate(merge_map.groups) for t in grp & tset}
-    sizes = tuple(len(grp) for grp in merge_map.groups)
+    groups = merge_map.groups
+    # the ids of the groups that hold a terminal
+    hit = compress(count(), map(not_, map(tset.isdisjoint, groups)))
+    terminal_map = {t: x for x in hit for t in groups[x] & tset}
     if mcs_search(current).witness is not None:
         raise PipelineInvariantError(
             "contracted graph is not chordal; input was outside the supported class"
         )
     return ContractionPlan(
         contraction_edges=tuple(chosen),
-        contracted=WeightedGraph(current, sizes),
+        contracted=WeightedGraph(current, merged_weights((1,) * g.n, chosen)),
         merge_map=merge_map,
         terminal_map=terminal_map,
         c4_count=len(catalog),
@@ -275,22 +280,25 @@ def gl_partition_almost_chordal(
     peeled = tuple((i, req.terminals[i]) for i in peel_idx)
     k_eff = len(keep_idx)
 
-    peeled_set = {t for _, t in peeled}
-    back = tuple(v for v in g.vertices() if v not in peeled_set)
-    # without peeling keep g itself, and with it the certificates it holds
-    g1 = induced_subgraph(g, back)[0] if peeled else g
-    fwd = {old: new for new, old in enumerate(back)}
-    weights1 = tuple(wg.weights[old] for old in back)
-    terminals1 = tuple(fwd[req.terminals[i]] for i in keep_idx)
+    terminals1 = tuple(req.terminals[i] for i in keep_idx)
     demands1 = tuple(req.demands[i] for i in keep_idx)
+    if peeled:
+        peeled_set = {t for _, t in peeled}
+        back = tuple(v for v in g.vertices() if v not in peeled_set)
+        g1 = induced_subgraph(g, back)[0]
+        fwd = {old: new for new, old in enumerate(back)}
+        weights1 = tuple(wg.weights[old] for old in back)
+        terminals1 = tuple(map(fwd.__getitem__, terminals1))
+    else:
+        # keep g itself, and with it the certificates it holds
+        g1, weights1 = g, wg.weights
 
-    g2, chords1 = add_terminal_chords(g1, terminals1)
+    g2, chords = add_terminal_chords(g1, terminals1)
     plan = build_contraction_plan(g2, terminals1)
 
-    w2 = tuple(
-        sum(weights1[v] for v in grp) for grp in plan.merge_map.groups
+    inner_wg = WeightedGraph(
+        plan.contracted.graph, merged_weights(weights1, plan.contraction_edges)
     )
-    inner_wg = WeightedGraph(plan.contracted.graph, w2)
     if validate:
         res = vertex_connectivity_at_least(inner_wg.graph, k_eff)
         if not res:
@@ -298,7 +306,7 @@ def gl_partition_almost_chordal(
                 f"contracted graph lost {k_eff}-connectivity: {res.reason}"
             )
     inner_req = PartitionRequest(
-        tuple(plan.terminal_map[t] for t in terminals1), demands1
+        tuple(map(plan.terminal_map.__getitem__, terminals1)), demands1
     )
     inner = gl_partition_chordal_weighted(
         inner_wg,
@@ -311,27 +319,26 @@ def gl_partition_almost_chordal(
     for i, t in peeled:
         parts[i] = frozenset((t,))
     for pos, i in enumerate(keep_idx):
-        unfolded = plan.merge_map.expand(inner.parts[pos])
-        parts[i] = frozenset(back[v] for v in unfolded)
+        parts[i] = plan.merge_map.expand(inner.parts[pos])
+    edges = plan.contraction_edges
+    if peeled:
+        # back to g's ids; ``back`` ascends, so each pair stays sorted
+        orig = back.__getitem__
+        for i in keep_idx:
+            parts[i] = frozenset(map(orig, parts[i]))
+        chords = tuple(tuple(map(orig, e)) for e in chords)
+        edges = tuple(tuple(map(orig, e)) for e in edges)
 
-    deviations = []
-    for i in range(k):
-        achieved = wg.weight_of(parts[i])
-        deviations.append(abs(achieved - req.demands[i]))
-    partition = GLPartition(tuple(parts), max(deviations))
-
-    def to_orig(e: Edge) -> Edge:
-        a, b = back[e[0]], back[e[1]]
-        return (a, b) if a < b else (b, a)
+    # each unfolded part weighs what its contracted part did, and a peeled
+    # part is its terminal, whose weight is its demand
+    partition = GLPartition(tuple(parts), inner.deviation)
 
     return PipelineResult(
         partition=partition,
-        added_chords=tuple(to_orig(e) for e in chords1),
-        contraction_edges=tuple(to_orig(e) for e in plan.contraction_edges),
-        merge_groups=tuple(
-            frozenset(back[v] for v in grp)
-            for grp in plan.merge_map.groups if len(grp) >= 2
-        ),
+        added_chords=chords,
+        contraction_edges=edges,
+        # the merged groups are the contracted pairs, by their kept ids
+        merge_groups=tuple(map(frozenset, sorted(edges))),
         peeled=peeled,
         effective_k=k_eff,
         contracted=inner_wg,

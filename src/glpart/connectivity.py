@@ -42,7 +42,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, compress
+from operator import not_
 
 from .chordal import McsSearch, mcs_order, mcs_search
 from .graph import Edge, Graph, components_within, induced_subgraph
@@ -231,18 +232,23 @@ def _elimination_fill(g: Graph) -> list[list[int]] | None:
     elimination order. None once the fill exceeds m edges, so the walk
     stays linear.
     """
+    n = g.n
     budget = g.edge_count()
     later: list[list[int]] = [[] for _ in g.vertices()]
-    follow = list(range(g.n))
-    mark = [-1] * g.n  # the last position whose walk met the vertex
+    # a vertex not yet eliminated has mark n, which stops any walk at once,
+    # and follow -1, which no vertex id equals; every walk stays on
+    # eliminated vertices, whose follow starts as themselves
+    follow = [-1] * n
+    mark = [n] * n  # the last position whose walk met the vertex
+    adj = g.adj
     for i, w in enumerate(mcs_order(g)):
         mark[w] = i
-        # every walk stays on eliminated vertices, so -1 marks a later one
-        for x in (v for v in g.adj[w] if mark[v] >= 0):
+        follow[w] = w
+        for x in adj[w]:
             while mark[x] < i:
                 mark[x] = i
                 later[x].append(w)
-                if w not in g.adj[x]:
+                if w not in adj[x]:
                     budget -= 1
                     if budget < 0:
                         return None
@@ -316,36 +322,48 @@ def _clique_atoms(g: Graph) -> tuple[list[tuple[list[int], bool]], int]:
     neighbors and been cut off before. The smallest cut is g.n when nothing
     is cut, also when the fill is declined.
 
+    Only x and earlier vertices are ever cut off, so at position i the
+    earlier vertices still alive number i - (n - left), for ``left``
+    vertices alive. While that count is 0, x's component is {x}: each
+    neighbor of x is later, and so in S, or already cut off. The cut
+    [x, *S] is then read off with no search.
+
     A vertex u is filled when some later neighbor of u in H is not its
     neighbor in g. S is tested for a clique only when one of its members is
     filled; otherwise it is one. H makes S a clique, so for u before v in
     S, v is a later neighbor of u in H; a missing edge uv of g makes u
     filled.
     """
+    n = g.n
     later = _elimination_fill(g)
-    alive = [True] * g.n
-    left = smallest = g.n
+    alive = [True] * n
+    left = smallest = n
     atoms = []
     if later is not None:
-        filled = [not nbrs.issuperset(s) for nbrs, s in zip(g.adj, later)]
-    for x in () if later is None else mcs_order(g):
+        filled = set(compress(
+            g.vertices(), map(not_, map(frozenset.issuperset, g.adj, later))
+        ))
+    for i, x in enumerate(() if later is None else mcs_order(g)):
         sep = later[x]
-        if any(filled[u] for u in sep) and not g.is_clique(sep):
+        if not filled.isdisjoint(sep) and not g.is_clique(sep):
             continue
-        seen = {x, *sep}
         comp = [x]
-        for y in comp:
-            for u in g.adj[y]:
-                if alive[u] and u not in seen:
-                    seen.add(u)
-                    comp.append(u)
-        if len(seen) < left:
+        size = len(sep) + 1
+        if i + left > n:  # an earlier vertex is alive: search x's component
+            seen = {x, *sep}
+            for y in comp:
+                for u in g.adj[y]:
+                    if alive[u] and u not in seen:
+                        seen.add(u)
+                        comp.append(u)
+            size = len(seen)
+        if size < left:
             for v in comp:
                 alive[v] = False
             left -= len(comp)
             atoms.append((comp + sep, len(comp) == 1))
             smallest = min(smallest, len(sep))
-    rest = [v for v in g.vertices() if alive[v]]
+    rest = list(compress(g.vertices(), alive))
     return [*atoms, (rest, g.is_clique(rest))], smallest
 
 

@@ -19,8 +19,9 @@ graph, so a graph and its memo form no reference cycle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
-from typing import Iterable
+from itertools import combinations, compress
+from operator import eq
+from typing import Iterable, Sequence
 
 Edge = tuple[int, int]
 
@@ -91,10 +92,7 @@ class MergeMap:
     groups: tuple[frozenset[int], ...]
 
     def expand(self, ids: Iterable[int]) -> frozenset[int]:
-        out: set[int] = set()
-        for x in ids:
-            out |= self.groups[x]
-        return frozenset(out)
+        return frozenset().union(*map(self.groups.__getitem__, ids))
 
 
 def contract_matching(g: Graph, edges: Iterable[Edge]) -> tuple[Graph, MergeMap]:
@@ -105,10 +103,19 @@ def contract_matching(g: Graph, edges: Iterable[Edge]) -> tuple[Graph, MergeMap]
     Parallel edges collapse. Returns the new graph and the id map back to
     ``g``. Raises ValueError when a pair is not an edge of ``g`` or shares
     a vertex with another pair.
+
+    Each surviving vertex's set is built once, from its own mapped
+    neighbors. Only a merged pair's set is built twice: a second pass adds
+    the larger end's neighbors and drops the pair's own new id. A set's
+    iteration order depends on the order its elements went in, and each
+    set still gets them in the order of a pass over the vertices of ``g``
+    in ascending order, the smaller end's before the larger's, so every
+    set iterates as that pass's did; later searches read that order.
     """
     n = g.n
     rep = list(range(n))  # id in g -> the id of g that keeps its slot
     used: set[int] = set()
+    pairs: list[Edge] = []  # (the id that keeps its slot, the one merged in)
     for u, v in edges:
         if v not in g.adj[u]:
             raise ValueError(f"({u}, {v}) is not an edge")
@@ -117,23 +124,36 @@ def contract_matching(g: Graph, edges: Iterable[Edge]) -> tuple[Graph, MergeMap]
                 f"contraction edges are not vertex-disjoint at ({u}, {v})"
             )
         used.update((u, v))
-        rep[max(u, v)] = min(u, v)
+        u, v = min(u, v), max(u, v)
+        rep[v] = u
+        pairs.append((u, v))
+    keep = list(compress(range(n), map(eq, rep, range(n))))
     new_id = [0] * n
-    keep = [x for x in range(n) if rep[x] == x]
     for i, x in enumerate(keep):
         new_id[x] = i
-    cur = [new_id[rep[x]] for x in range(n)]
+    cur = list(map(new_id.__getitem__, rep))
 
-    nbrs: list[set[int]] = [set() for _ in keep]
-    groups: list[list[int]] = [[] for _ in keep]
-    for x in range(n):
-        cx = cur[x]
-        groups[cx].append(x)
-        nbrs[cx].update(map(cur.__getitem__, g.adj[x]))
-    for cx, s in enumerate(nbrs):
-        s.discard(cx)
-    graph = Graph(tuple(frozenset(s) for s in nbrs))
-    return graph, MergeMap(tuple(frozenset(grp) for grp in groups))
+    mapped = cur.__getitem__
+    nbrs = [set(map(mapped, g.adj[x])) for x in keep]
+    groups = list(map(frozenset, zip(keep)))
+    for u, v in pairs:
+        cu = cur[u]
+        nbrs[cu].update(map(mapped, g.adj[v]))
+        nbrs[cu].discard(cu)
+        groups[cu] = frozenset((u, v))
+    graph = Graph(tuple(map(frozenset, nbrs)))
+    return graph, MergeMap(tuple(groups))
+
+
+def merged_weights(weights: Sequence[int], edges: Iterable[Edge]) -> tuple[int, ...]:
+    """The positive vertex ``weights`` of a graph after ``contract_matching``
+    with ``edges``: each merged vertex weighs its two ends together."""
+    out = list(weights)
+    for u, v in edges:
+        u, v = min(u, v), max(u, v)
+        out[u] += out[v]
+        out[v] = 0  # the larger end's slot goes, and only it is 0
+    return tuple(filter(None, out))
 
 
 def induced_subgraph(g: Graph, s: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:

@@ -213,6 +213,12 @@ class TestContractionPlan:
         assert kinds["picked"] >= 150
 
 
+def real_deviation(wg: WeightedGraph, req: PartitionRequest, res) -> int:
+    """The largest gap between a part's weight and its demand, recounted."""
+    parts = res.partition.parts
+    return max(abs(wg.weight_of(p) - d) for p, d in zip(parts, req.demands))
+
+
 class TestPipeline:
     def test_chordal_input_passthrough(self):
         from glpart import generate_ktree
@@ -250,6 +256,7 @@ class TestPipeline:
                 wg, req, res.partition, DeviationRule.window(2 * wg.w_max)
             )
             assert rep.ok, rep.first_violation
+            assert res.partition.deviation == real_deviation(wg, req, res)
 
     def test_unit_demand_terminals_peeled(self):
         g = member_instance(13, k=4, n=28, cycles=2)
@@ -312,7 +319,8 @@ class TestPipeline:
             demands = [2, 2] + [rng.choice((1, 2)) for _ in range(k - 2)]
             demands[-1] += g.n - sum(demands)
             req = PartitionRequest(tuple(terms), tuple(demands))
-            res = gl_partition_almost_chordal(WeightedGraph.unit(g), req)
+            wg = WeightedGraph.unit(g)
+            res = gl_partition_almost_chordal(wg, req)
 
             peeled = {t for _, t in res.peeled}
             g1, back = induced_subgraph(g, [v for v in g.vertices() if v not in peeled])
@@ -327,6 +335,17 @@ class TestPipeline:
             assert res.added_chords == orig(chords)
             assert res.contraction_edges == orig(plan.contraction_edges)
             assert res.c4_count == plan.c4_count
+            # the groups, weights and terminals read group by group
+            groups = plan.merge_map.groups
+            assert res.merge_groups == tuple(
+                frozenset(back[v] for v in grp) for grp in groups if len(grp) >= 2)
+            assert plan.contracted.weights == tuple(map(len, groups))
+            assert res.contracted.weights == tuple(
+                sum(wg.weights[back[v]] for v in grp) for grp in groups)
+            assert res.contracted_terminals == tuple(
+                next(x for x, grp in enumerate(groups) if t in grp)
+                for t in open_terms)
+            assert res.partition.deviation == real_deviation(wg, req, res)
             seen["peeled"] += bool(peeled)
             seen["chords"] += bool(chords)
         assert min(seen.values()) >= 5

@@ -9,7 +9,8 @@ start runs against the API as it is. Only the generators draw, and the
 CLI formats no instance itself. No library module imports
 another's underscore names, the verifier imports nothing but types from
 the rest of the library, and the connectivity check does not read the
-4-cycle catalog.
+4-cycle catalog. networkx is a test reference only: no library module
+imports it.
 """
 
 from __future__ import annotations
@@ -123,3 +124,20 @@ def test_connectivity_does_not_read_the_catalog():
         elif isinstance(node, ast.Import):
             names += [alias.name for alias in node.names]
     assert [name for name in names if "c4" in name.split(".")] == []
+
+
+def test_library_does_not_import_networkx():
+    # networkx checks the library's answers in the tests, so the library
+    # must reach them without it
+    importers = []
+    for path in sorted((ROOT / "src" / "glpart").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(m.split(".")[0] == "networkx" for m in modules):
+                importers.append(path.name)
+    assert importers == []

@@ -394,6 +394,45 @@ class TestFilledVertexTest:
             split += len(got[0]) > 1
         assert split >= 60
 
+    @staticmethod
+    def returns_to_zero(g: Graph, atoms) -> int:
+        """How often, along g's elimination order, the count of earlier
+        vertices still alive falls from above 0 back to 0 at a cut."""
+        later = _elimination_fill(g)
+        comp_size = {a[0]: len(a) - len(later[a[0]]) for a, _ in atoms[:-1]}
+        alive = returns = 0
+        for x in mcs_order(g):
+            if x in comp_size:
+                returns += alive > 0 and alive == comp_size[x] - 1
+                alive -= comp_size[x] - 1
+            else:
+                alive += 1
+        return returns
+
+    def test_alive_count_switches_at_size(self):
+        # the cut reads [x, *S] off with no search while no earlier vertex
+        # is alive; members, shared-vertex members and planted defects push
+        # the count up and back to 0, a cycle keeps it up to the end, and a
+        # declined fill cuts nothing
+        members = [(generate_almost_chordal(n, k, n // 25, seed=n + k), k)
+                   for n in (200, 300, 400) for k in (2, 3, 4)]
+        members += [(shared_vertex_member(n, k, n // 40, 4, n + k), k)
+                    for n, k in ((200, 2), (300, 3), (400, 4))]
+        graphs = [g for g, _ in members]
+        graphs += [planted(g, k, kind) for g, k in members
+                   for kind in ("house", "c4-overlap", "hole", "separator")]
+        graphs += [cycle_graph(n) for n in range(5, 61)]
+        declined = random_gnp(random.Random(14), 60, 0.1)
+        assert _elimination_fill(declined) is None
+        graphs.append(declined)
+        returns = []
+        for g in graphs:
+            got = _clique_atoms(g)
+            assert got == bf_clique_atoms_every_set(g)
+            returns.append(self.returns_to_zero(g, got[0]))
+        assert min(returns[:60]) >= 8
+        assert returns[60:] == [0] * 57
+
 
 class TestEliminationFill:
     """The follow-pointer walk against the elimination game played out,

@@ -17,6 +17,7 @@ from glpart.graph import (
     components_within,
     contract_matching,
     induced_subgraph,
+    merged_weights,
 )
 
 from bruteforce import (
@@ -211,6 +212,19 @@ class TestContractMatching:
                 want, want_map = bf_contract_matching(g, matching)
                 assert got_map == want_map
                 assert [list(s) for s in got.adj] == [list(s) for s in want.adj]
+
+    @given(random_graph_strategy(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_merged_weights_sum_each_group(self, g, data):
+        weights = data.draw(st.lists(st.integers(1, 9), min_size=g.n, max_size=g.n))
+        matching, used = [], set()
+        for u, v in data.draw(st.permutations(g.edges())):
+            if u not in used and v not in used and data.draw(st.booleans()):
+                matching.append((u, v) if data.draw(st.booleans()) else (v, u))
+                used.update((u, v))
+        groups = contract_matching(g, matching)[1].groups
+        assert merged_weights(weights, matching) == tuple(
+            sum(weights[v] for v in grp) for grp in groups)
 
     def test_empty_matching_is_identity(self, house):
         assert contract_matching(house, []) == (house, identity_merge_map(house.n))
