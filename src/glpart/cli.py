@@ -79,7 +79,7 @@ from .generators import (draw_request, generate_almost_chordal, generate_ktree,
                          instance_text, request_rng)
 from .graph import WeightedGraph
 from .instances import load_instance
-from .oracle import DEFAULT_ORACLE_CAP, brute_force_gl
+from .oracle import brute_force_gl
 from .partition import GLPartition, solve
 from .recognition import is_hh_i42_free
 from .verify import DeviationRule, verify_partition
@@ -99,7 +99,7 @@ _EXIT_CODES = (
 )
 
 # past n = 20 the exhaustive oracle's exponential time reaches minutes
-_CAP_N_MAX = 20
+_N_MAX = 20
 
 
 def _open_in_place(path: str, flags: int) -> int:
@@ -312,26 +312,14 @@ def _cmd_oracle_compare(args) -> int:
     _require_at_least("--trials", args.trials, 0)
     _require_at_least("--cycles", args.cycles, 0)
     _require_at_least("--k", args.k, 2)
-    # a k-tree trial draws its n from [max(k + 1, 2k), --n-max]
-    _require_at_least("--n-max", args.n_max, max(args.k + 1, 2 * args.k))
-    # no trial may draw an n the oracle refuses
-    _require_at_least("--cap-n", args.cap_n, args.n_max)
-    if args.cap_n > _CAP_N_MAX:
-        raise DemandError(f"--cap-n must be at most {_CAP_N_MAX}, got {args.cap_n}")
+    # each trial draws its n from [n_min, --n-max]: a member's k-tree needs
+    # k + 1 vertices and each planted cycle four more, and its demand
+    # floors of 2 need 2k; a k-tree trial draws from 2k too
+    n_min = max(2 * args.k, args.k + 1 + 4 * args.cycles)
+    _require_at_least("--n-max", args.n_max, n_min)
+    if args.n_max > _N_MAX:
+        raise DemandError(f"--n-max must be at most {_N_MAX}, got {args.n_max}")
     rng = random.Random(args.seed)
-    # cycles are capped so one planted gadget still fits under --n-max
-    cycles_fit = max((args.n_max - args.k - 1) // 4, 0)
-    cycles_eff = min(args.cycles, cycles_fit)
-    if args.cycles > 0 and cycles_eff == 0:
-        raise DemandError(
-            f"--n-max {args.n_max} cannot host a planted cycle at k={args.k}; "
-            f"need --n-max >= {args.k + 5}"
-        )
-    # each trial draws its n once, from [n_min, --n-max]
-    if args.cycles > 0:
-        n_min = args.k + 1 + 4 * cycles_eff
-    else:
-        n_min = max(args.k + 1, 2 * args.k)
     trials = []
     failures = 0
     for trial in range(args.trials):
@@ -341,8 +329,8 @@ def _cmd_oracle_compare(args) -> int:
         n = trng.randint(n_min, args.n_max)
         entry = {"trial": trial, "seed": seed, "n": n, "k": k}
         if args.cycles > 0:
-            g = generate_almost_chordal(n, k, cycles_eff, seed)
-            entry["cycles"] = cycles_eff
+            g = generate_almost_chordal(n, k, args.cycles, seed)
+            entry["cycles"] = args.cycles
             floor = 2
             rule = DeviationRule.slack(1)
             entry["mode"] = "almost-chordal"
@@ -356,7 +344,7 @@ def _cmd_oracle_compare(args) -> int:
 
         solved = solve(wg, req, mode=entry["mode"], validate=False)[0]
         report = verify_partition(wg, req, solved, rule)
-        oracle = brute_force_gl(g, req, cap=args.cap_n)
+        oracle = brute_force_gl(g, req, cap=args.n_max)
         oracle_ok = oracle is not None and verify_partition(
             wg, req, oracle, DeviationRule.exact()
         ).ok
@@ -444,12 +432,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n-max", type=int, default=10)
+    p.add_argument("--n-max", type=int, default=10, help=(
+        "largest n a trial draws (default 10); at least max(2k, k + 1 + 4C)"
+        f" for --k K and --cycles C, and at most {_N_MAX}"))
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--cycles", type=int, default=0)
-    p.add_argument("--cap-n", type=int, default=DEFAULT_ORACLE_CAP, help=(
-        f"largest n the exhaustive oracle accepts, at most {_CAP_N_MAX}"
-        f" (default {DEFAULT_ORACLE_CAP}); no trial draws n above --n-max"))
     p.add_argument("--out")
     p.set_defaults(func=_cmd_oracle_compare)
 

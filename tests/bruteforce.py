@@ -194,11 +194,6 @@ def bf_has_house(g: Graph) -> bool:
     return bf_contains_induced(g, Graph.from_edges(5, HOUSE_EDGES)) is not None
 
 
-def bf_has_double_house(g: Graph) -> bool:
-    pat = Graph.from_edges(7, DOUBLE_HOUSE_EDGES)
-    return bf_contains_induced(g, pat) is not None
-
-
 def bf_class_member(g: Graph) -> bool:
     """No hole, no house, no pair of induced C4 sharing >= 2 vertices."""
     return not (bf_has_hole(g) or bf_has_house(g) or bf_has_c4_overlap(g))

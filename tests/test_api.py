@@ -4,9 +4,10 @@ Every name in ``glpart.__all__`` must be referenced by code in a library
 module other than ``__init__`` or in ``perfbench/``: as a bare name, an
 attribute or an imported name. A mention in a docstring or a comment does
 not count. A helper that only tests call belongs in ``tests/bruteforce.py``.
-The CLI leaves the choice of solver to ``solve``, and the README's quick
-start runs against the API as it is. Only the generators draw, and the
-CLI formats no instance itself. No library module imports
+The CLI leaves the choice of solver to ``solve``, the README's quick
+start runs against the API as it is, and the README's CLI synopsis names
+each subcommand's flags as the parser defines them. Only the generators
+draw, and the CLI formats no instance itself. No library module imports
 another's underscore names, the verifier imports nothing but types from
 the rest of the library, and the connectivity check does not read the
 4-cycle catalog. networkx is a test reference only: no library module
@@ -15,11 +16,14 @@ imports it.
 
 from __future__ import annotations
 
+import argparse
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import glpart
+from glpart.cli import _build_parser
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -67,6 +71,39 @@ def test_readme_quick_start_runs(capsys):
     code = section.split("```python\n", 1)[1].split("```", 1)[0]
     exec(compile(code, "README.md", "exec"), {})
     assert capsys.readouterr().out
+
+
+def _synopsis_flags() -> dict[str, set[str]]:
+    """The ``--`` flags of each subcommand in the README's CLI block."""
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```\n", 2)[1]
+    flags: dict[str, set[str]] = {}
+    for line in block.splitlines():
+        if line.startswith("glpart "):
+            command = flags.setdefault(line.split()[1], set())
+        command.update(re.findall(r"--[a-z][a-z-]*", line))
+    return flags
+
+
+def _parser_flags() -> dict[str, set[str]]:
+    """The ``--`` flags ``_build_parser()`` gives each subcommand, less --help."""
+    sub = next(
+        action for action in _build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    return {
+        name: {
+            flag
+            for action in parser._actions
+            for flag in action.option_strings
+            if flag.startswith("--") and flag != "--help"
+        }
+        for name, parser in sub.choices.items()
+    }
+
+
+def test_readme_cli_synopsis_matches_the_parser():
+    assert _synopsis_flags() == _parser_flags()
 
 
 def _private_imports(path: Path) -> list[str]:

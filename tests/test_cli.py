@@ -35,6 +35,7 @@ from glpart.errors import (
     SolverStallError,
 )
 from glpart.instances import parse_instance
+from glpart.partition import GLPartition, solve
 
 from bruteforce import (
     bf_is_connected,
@@ -107,6 +108,15 @@ class TestCheck:
     def test_missing_file_exits_3(self, tmp_path, capsys):
         assert main(["check", str(tmp_path / "none.txt")]) == 3
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("header", ["3 -1 2", "3 1 0"])
+    def test_insensible_header_exits_3(self, header, tmp_path, capsys):
+        path = tmp_path / "inst.txt"
+        path.write_text(f"{header}\n1 1 1\n0 1\n2 1\n0 1\n")
+        assert main(["check", str(path)]) == 3
+        assert capsys.readouterr() == (
+            "", "error: line 1: edge and terminal counts must be sensible\n"
+        )
 
 
 class TestPartition:
@@ -377,6 +387,12 @@ class TestGenerate:
             ["generate", "--n", "8", "--k", "3", "--cycles", "2"]
         ) == 2
 
+    def test_floors_above_total_exits_2(self, capsys):
+        # k floors of --min-demand outweigh n unit vertices: the request
+        # draw refuses it
+        assert main(["generate", "--n", "10", "--k", "2", "--min-demand", "6"]) == 2
+        assert capsys.readouterr() == ("", "error: floors sum to 12, above the total 10\n")
+
     def test_keeps_what_the_benchmark_reads(self, capsys):
         # the benchmark wraps these two names to time generator calls under
         # --trace 1, and reads a member's comment fields cycles= and
@@ -409,9 +425,9 @@ class TestGenerate:
         (["verify", "inst.txt", "part.json", "--deviation", "window:0"], "--deviation"),
         (["verify", "inst.txt", "part.json", "--deviation", "slack:-1"], "--deviation"),
         (["verify", "inst.txt", "part.json", "--deviation", "bogus"], "--deviation"),
-        (["oracle-compare", "--n-max", "13", "--trials", "3", "--seed", "2"], "--cap-n"),
-        (["oracle-compare", "--n-max", "9", "--cap-n", "8"], "--cap-n"),
-        (["oracle-compare", "--n-max", "21", "--cap-n", "21"], "--cap-n"),
+        (["oracle-compare", "--n-max", "21"], "--n-max"),
+        (["oracle-compare", "--k", "6", "--cycles", "1", "--n-max", "11"], "--n-max"),
+        (["oracle-compare", "--k", "2", "--cycles", "3", "--n-max", "11"], "--n-max"),
         (["generate", "--n", "10", "--k", "2", "--min-demand", "0"], "--min-demand"),
         (["generate", "--n", "10", "--k", "2", "--min-demand", "-4"], "--min-demand"),
     ],
@@ -467,6 +483,51 @@ class TestOracleCompare:
         )
         assert code == 0
         assert doc["failures"] == 0
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_member_trials_draw_n_from_2k(self, seed, capsys):
+        # demand floors of 2 need n >= 2k = 12, above k + 1 + 4 = 11
+        code, doc = run_json(
+            [
+                "oracle-compare", "--k", "6", "--cycles", "1",
+                "--n-max", "12", "--seed", str(seed),
+            ],
+            capsys,
+        )
+        assert code == 0
+        assert doc["failures"] == 0
+        assert {entry["n"] for entry in doc["results"]} == {12}
+
+    def test_n_max_needs_no_second_flag(self, capsys):
+        # 13 is above the library oracle's default cap of 12
+        code, doc = run_json(
+            ["oracle-compare", "--n-max", "13", "--trials", "3", "--seed", "2"],
+            capsys,
+        )
+        assert code == 0
+        assert doc["failures"] == 0
+
+    @pytest.mark.parametrize("cycles", ["0", "1"])
+    def test_disagreement_is_reported(self, cycles, monkeypatch, capsys):
+        # a solver whose parts carry each other's terminals fails the verifier
+        def swapped(wg, req, **kwargs):
+            parts = list(solve(wg, req, **kwargs)[0].parts)
+            parts[0], parts[1] = parts[1], parts[0]
+            return GLPartition(tuple(parts), 0), None, None
+
+        monkeypatch.setattr(cli, "solve", swapped)
+        code, doc = run_json(
+            [
+                "oracle-compare", "--trials", "4", "--seed", "3",
+                "--cycles", cycles, "--n-max", "10",
+            ],
+            capsys,
+        )
+        assert code == 1
+        assert doc["failures"] == doc["trials"] == 4
+        for entry in doc["results"]:
+            assert entry["agree"] is False and entry["solver_ok"] is False
+            assert isinstance(entry["violation"], str) and entry["violation"]
 
 
 class TestDeterminism:

@@ -7,7 +7,9 @@ defects, random graphs with n = 20..50 and a few chordal graphs:
 - ``vertex_connectivity_at_least(g, k)`` for k = 1..5 agrees with
   ``nx.node_connectivity``, and each rejection's separator leaves its pair
   in different components of the networkx graph;
-- ``mcs_search(g).witness is None`` agrees with ``nx.is_chordal``.
+- ``mcs_search(g).witness is None`` agrees with ``nx.is_chordal``;
+- ``enumerate_induced_c4(g)``, as vertex sets, is the set of length-4
+  cycles of ``nx.chordless_cycles(h, length_bound=4)``.
 
 networkx is imported plainly: without it this module fails to collect
 rather than skipping.
@@ -26,6 +28,7 @@ from glpart import (
     generate_ktree,
     vertex_connectivity_at_least,
 )
+from glpart.c4 import enumerate_induced_c4
 from glpart.chordal import mcs_search
 
 from bruteforce import planted, random_chordal, random_gnp, shared_vertex_member
@@ -80,3 +83,16 @@ def test_agrees_with_networkx(name, g):
             rest = h.subgraph(set(h) - res.witness.separator)
             assert len(res.witness.separator) < k
             assert not nx.has_path(rest, s, t)
+
+
+@pytest.mark.parametrize("name,g", GRAPHS, ids=[name for name, _ in GRAPHS])
+def test_catalog_matches_networkx_chordless_cycles(name, g):
+    # four vertices hold at most one induced 4-cycle, so vertex sets suffice
+    ours = [frozenset(c) for c in enumerate_induced_c4(g)]
+    theirs = {
+        frozenset(c)
+        for c in nx.chordless_cycles(_nx(g), length_bound=4)
+        if len(c) == 4
+    }
+    assert len(set(ours)) == len(ours)
+    assert set(ours) == theirs
