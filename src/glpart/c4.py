@@ -14,17 +14,21 @@ is needed. The middle vertex of every two-path has degree at most the
 start's, so the walk costs O(a(G) * m) plus one adjacency test per pair
 of middles sharing a start and an end, where a(G) is the arboricity;
 a k-tree has a(G) <= k. Each graph keeps its catalog in its memo, so the
-walk runs at most once per graph, and not at all when recognition has
-already seeded the memo through ``catalog_of_rings``: every induced
-4-cycle lies in one clique separator atom, so when each non-complete atom
-is one ring joined to a clique, those rings are the whole catalog.
+walk runs at most once per graph. Recognition seeds the memo of a
+non-chordal graph through ``catalog_of_atoms``: every induced 4-cycle lies
+in one clique separator atom, so an atom that is one ring joined to a
+clique adds its ring with no walk, and only the other atoms are walked,
+each on its own vertices.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
-from .graph import Edge, Graph
+from .graph import Graph, induced_subgraph
+
+if TYPE_CHECKING:
+    from .connectivity import Atom
 
 Cycle = tuple[int, int, int, int]
 # all induced 4-cycles of one graph, canonically ordered
@@ -52,16 +56,30 @@ def enumerate_induced_c4(g: Graph) -> C4Catalog:
     return memo["c4"]
 
 
-def catalog_of_rings(g: Graph, rings: Iterable[tuple[Edge, Edge]]) -> C4Catalog:
-    """g's catalog from the diagonal pairs of all its induced 4-cycles.
+def catalog_of_atoms(g: Graph, atoms: Iterable[Atom]) -> C4Catalog:
+    """g's catalog from its non-complete clique separator ``atoms``, kept in
+    the graph's memo.
 
-    The caller vouches that ``rings`` names every induced 4-cycle of g
-    once; the sorted canonical cycles are kept in the graph's memo, where
-    ``enumerate_induced_c4`` finds them, and no walk runs.
+    Every induced 4-cycle lies in exactly one of them: two atoms share
+    only a clique, and a complete atom has none. A ring + Q atom holds just
+    its ring, and any other atom is walked on its own induced subgraph,
+    whose ids map back in ascending order, so each cycle keeps its
+    canonical form. An atom holding all of g's vertices walks g itself.
     """
     memo = g._memo
     if "c4" not in memo:
-        memo["c4"] = tuple(sorted(_canonical(a, b) for a, b in rings))
+        cycles: list[Cycle] = []
+        for atom in atoms:
+            if atom.ring:
+                cycles.append(_canonical(*atom.ring))
+            elif len(atom.ids) == g.n:
+                return enumerate_induced_c4(g)
+            else:
+                sub, ids = induced_subgraph(g, atom.ids)
+                back = ids.__getitem__
+                cycles += (tuple(map(back, c)) for c in _build_catalog(sub))
+        cycles.sort()
+        memo["c4"] = tuple(cycles)
     return memo["c4"]
 
 

@@ -21,7 +21,9 @@ vertex is unselected, as its count is then exactly ``top``. Count-0
 vertices are never pushed: a count-0 pick is the smallest unselected id, read
 off a pointer that only moves up. After the search one walk along the order
 pops each list's parent and checks the rest against the parent's neighbor
-set, stopping at the first violator. The search is O((n + m) log n); the
+set. It keeps every violator, not only the first: connectivity starts the
+elimination game's fill from them, so a non-chordal graph costs Python
+work only where it is not chordal. The search is O((n + m) log n); the
 check is O(n + m).
 
 ``mcs_search`` keeps the search in the graph's memo, so every caller that
@@ -88,12 +90,17 @@ class McsSearch:
     ``peo`` is its elimination order, perfect-elimination iff ``witness``
     is None; otherwise ``witness`` is what ``peo_violation`` reports for
     that order. ``labels[v]`` is the number of neighbors of v selected
-    before it, which are its later neighbors in ``peo``.
+    before it, which are its later neighbors in ``peo``. ``violators``
+    holds, in elimination order, every vertex whose later neighbors other
+    than the earliest do not all see that earliest one; the witness is
+    read at the first of them, and the elimination game's fill starts
+    from them.
     """
 
     peo: Peo
     labels: tuple[int, ...]
     witness: ChordalityWitness | None
+    violators: tuple[int, ...]
 
 
 def mcs_search(g: Graph) -> McsSearch:
@@ -162,16 +169,16 @@ def _build_mcs_order(g: Graph) -> McsSearch:
         top = len(madj[v]) + 1
     labels = tuple(map(len, madj))
     # madj(v) minus the parent must lie inside the parent's neighborhood;
-    # the reported violator is the first in the elimination order
-    bad = -1
+    # every violator is kept, and the first in the elimination order is
+    # the one reported
+    bad = []
     for v in order:
         later = madj[v]
         if len(later) > 1 and not adj[later.pop()].issuperset(later):
-            bad = v
-            break
+            bad.append(v)
     peo = Peo(tuple(order), tuple(sigma))
-    witness = None if bad < 0 else _witness_at(g, peo.sigma, bad)
-    return McsSearch(peo, labels, witness)
+    witness = _witness_at(g, peo.sigma, bad[0]) if bad else None
+    return McsSearch(peo, labels, witness, tuple(bad))
 
 
 def peo_violation(g: Graph, order) -> ChordalityWitness | None:

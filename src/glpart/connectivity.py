@@ -15,8 +15,11 @@ vertices it separates.
   no cut vertex, found by an iterative Hopcroft-Tarjan search in O(n + m).
 - Other graphs with k >= 3 are cut into atoms along clique separators by
   one pass over the same search's elimination order and its elimination
-  game (Tarjan, Discrete Math. 55, 1985; Tarjan & Yannakakis, SIAM J.
-  Comput. 13(3), 1984), in O(n + m + fill), declined past m fill edges.
+  game (Tarjan, Discrete Math. 55, 1985), declined past m fill edges. The
+  Python work falls only where g is not chordal: the game's fill is
+  passed on from the search's violators alone (Rose, Tarjan & Lueker,
+  SIAM J. Comput. 5(2), 1976), and the cut takes one position at a time
+  only near the fill, cutting every other run of positions in bulk.
   kappa(g) >= k when every cut has at least k vertices and every
   non-complete atom is k-connected: removing fewer than k vertices leaves
   each atom connected and each cut, a clique shared by its two sides,
@@ -25,27 +28,28 @@ vertices it separates.
   neighbors inside the atom's vertex set shows; a graph with nothing cut is
   its own only atom and gets the same test. On every class member tried so
   far each non-complete atom is ring + Q, so no flow runs at all; any other
-  atom gets the flow below on its induced subgraph, the one place an atom's
-  subgraph is built, so soundness rests on the test alone. Recognition
-  reads the same memoized atoms (``clique_decomposition``): the rings are
-  its 4-cycle catalog, and only edges inside other atoms get a hole search.
+  atom gets the flow below on its induced subgraph, so soundness rests on
+  the test alone. Recognition reads the same memoized atoms
+  (``clique_decomposition``): the rings are part of its 4-cycle catalog,
+  the other atoms are walked on their own, and only edges inside those
+  get a hole search.
 - Fallback, and every rejection of a non-chordal input: Menger-based.
-  Unit vertex capacities via the standard vertex-split flow network,
-  built once per call, max-flow per non-adjacent pair with early exit at
-  k, and the Esfahanian-Hakimi pair schedule that only needs a
-  minimum-degree vertex against its non-neighbors plus non-adjacent pairs
-  inside its neighborhood. The faster methods only ever accept, so every
-  witness and reason text on a non-chordal input is the flow method's.
+  Unit vertex capacities in the standard vertex-split flow network, whose
+  residual arcs are read off the graph's adjacency sets and the flow
+  itself, so no network is built; max-flow per non-adjacent pair with
+  early exit at k, and the Esfahanian-Hakimi pair schedule that only needs
+  a minimum-degree vertex against its non-neighbors plus non-adjacent
+  pairs inside its neighborhood. The faster methods only ever accept, so
+  every witness and reason text on a non-chordal input is the flow
+  method's.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from itertools import combinations, compress
-from operator import not_
+from itertools import combinations, filterfalse, islice
 
-from .chordal import McsSearch, mcs_order, mcs_search
+from .chordal import McsSearch, mcs_search
 from .graph import Edge, Graph, components_within, induced_subgraph
 
 
@@ -70,70 +74,63 @@ class ConnectivityResult:
         return self.connected
 
 
-def _split_network(g: Graph) -> list[dict[int, int]]:
-    """Residual capacities of the vertex-split flow network of ``g``.
-
-    Node 2x is the in-copy of x, 2x+1 the out-copy. Split arcs have unit
-    capacity; every arc's reverse is present, so augmenting never adds keys
-    and a copy of this network keeps its iteration order.
-    """
-    n = g.n
-    cap: list[dict[int, int]] = [dict() for _ in range(2 * n)]
-    for x in g.vertices():
-        cap[2 * x][2 * x + 1] = 1
-        cap[2 * x + 1][2 * x] = 0
-    # edge arcs get capacity n so any finite min cut uses split arcs only,
-    # which is what the separator extraction below reads off
-    for u, v in g.edges():
-        for a, b in ((u, v), (v, u)):
-            cap[2 * a + 1][2 * b] = n
-            cap[2 * b].setdefault(2 * a + 1, 0)
-    return cap
-
-
-def _split_flow_mincut(base: list[dict[int, int]], s: int, t: int, limit: int):
-    """Max s-t flow in a copy of the split network ``base``, stopping at ``limit``.
+def _split_flow_mincut(g: Graph, s: int, t: int, limit: int):
+    """Max s-t flow in g's vertex-split network, stopping at ``limit``.
 
     Returns None once ``limit`` vertex-disjoint paths exist, else the
-    minimum vertex cut (a set of vertices, excluding s and t).
+    minimum vertex cut (a set of vertices, excluding s and t) nearest s.
+
+    In the network each vertex x has an in-copy and an out-copy joined by
+    an arc of capacity 1, and each edge uv gives arcs out(u) -> in(v) and
+    out(v) -> in(u) of capacity n, which no flow fills; the source is
+    out(s), the sink in(t). No network is built: the residual arcs are read
+    off ``g.adj`` and ``into``, which maps each vertex other than t that
+    carries flow to the one whose edge arc brings it. Every edge arc stays
+    open, and in(v) has one residual arc out: to out(v) while v carries no
+    flow, else back to out(into[v]). So the search queues out-copies only.
+    Any maximum flow leaves the same vertices reachable from the source,
+    so the cut does not depend on which augmenting paths were taken.
     """
-    cap = [d.copy() for d in base]
-    source = 2 * s + 1
-    sink = 2 * t
-    flow = 0
-    while flow < limit:
-        parent: dict[int, int] = {source: source}
-        queue = deque([source])
-        while queue and sink not in parent:
-            x = queue.popleft()
-            for y, c in cap[x].items():
-                if c > 0 and y not in parent:
-                    parent[y] = x
+    adj = g.adj
+    into: dict[int, int] = {}
+    for _ in range(limit):
+        # in(v) reached from out(reach_in[v]), out(x) from in(reach_out[x]);
+        # reach_in[v] == v is the split arc walked backward
+        reach_in: dict[int, int] = {}
+        reach_out = {s: s}
+        queue = [s]
+        for x in queue:
+            if x in into and x not in reach_in:
+                reach_in[x] = x
+                y = into[x]
+                if y not in reach_out:
+                    reach_out[y] = x
                     queue.append(y)
-        if sink not in parent:
+            for v in adj[x]:
+                if v not in reach_in:
+                    reach_in[v] = x
+                    if v == t:
+                        break
+                    y = into.get(v, v)
+                    if y not in reach_out:
+                        reach_out[y] = v
+                        queue.append(y)
+            else:
+                continue
             break
-        y = sink
-        while y != source:
-            x = parent[y]
-            cap[x][y] -= 1
-            cap[y][x] += 1
-            y = x
-        flow += 1
-    if flow >= limit:
-        return None
-    # saturated: vertices whose in-copy is reachable but out-copy is not
-    reach = {source}
-    queue = deque([source])
-    while queue:
-        x = queue.popleft()
-        for y, c in cap[x].items():
-            if c > 0 and y not in reach:
-                reach.add(y)
-                queue.append(y)
-    return frozenset(
-        x for x in range(len(base) // 2)
-        if 2 * x in reach and 2 * x + 1 not in reach
-    )
+        else:
+            # saturated: vertices whose in-copy is reachable, out-copy not
+            return frozenset(sorted(reach_in.keys() - reach_out.keys()))
+        x = reach_in[t]
+        while x != s:
+            v = reach_out[x]
+            u = reach_in[v]
+            if u == v:  # v gives its flow back
+                del into[v]
+            else:
+                into[v] = u
+            x = u
+    return None
 
 
 def _failure(k: int, sep: frozenset[int], s: int, t: int) -> ConnectivityResult:
@@ -144,16 +141,21 @@ def _failure(k: int, sep: frozenset[int], s: int, t: int) -> ConnectivityResult:
 
 
 def _flow_connectivity(g: Graph, k: int) -> ConnectivityResult:
-    """Per-pair max-flow decision of kappa(g) >= k for a non-complete graph."""
+    """Per-pair max-flow decision of kappa(g) >= k for a non-complete graph.
+
+    Each pair's flow starts from nothing and reads its residual arcs off
+    ``g.adj``, so no network is built or copied. A pair's verdict and its
+    cut nearest s are the same for every maximum flow, so the first pair
+    that fails, and its witness, do not depend on how the flow is found.
+    """
     deg_min = min(g.degree(v) for v in g.vertices())
     v = min(x for x in g.vertices() if g.degree(x) == deg_min)
     pairs = [(v, u) for u in g.vertices() if u != v and u not in g.adj[v]]
     pairs += [
         (a, b) for a, b in combinations(sorted(g.adj[v]), 2) if b not in g.adj[a]
     ]
-    base = _split_network(g)
     for s, t in pairs:
-        cut = _split_flow_mincut(base, s, t, k)
+        cut = _split_flow_mincut(g, s, t, k)
         if cut is not None:
             return _failure(k, cut, s, t)
     return ConnectivityResult(True, k)
@@ -220,42 +222,83 @@ def _kappa_up_to_2(g: Graph) -> int:
     return 1 if cut or root_children > 1 else 2
 
 
-def _elimination_fill(g: Graph) -> list[list[int]] | None:
-    """Each vertex's later neighbors in the elimination game of g's MCS order.
+def _violator_fill(
+    g: Graph,
+) -> tuple[dict[int, set[int]], set[int], dict[int, set[int]]] | None:
+    """The elimination game of g's MCS order, played only where it adds fill.
 
     Eliminating the vertices in order and making each one's later
     neighbors a clique yields a chordal graph H with that order as a
-    perfect elimination order. Tarjan & Yannakakis compute it in
-    O(n + m + fill): the earlier neighbors of w in H are the vertices met
-    by walking ``follow`` pointers, each vertex's first later neighbor in
-    H, from each earlier neighbor of w in ``g``. Each list comes in
-    elimination order. None once the fill exceeds m edges, so the walk
-    stays linear.
+    perfect elimination order. Its later sets follow by parent passing
+    (Rose, Tarjan & Lueker, SIAM J. Comput. 5(2), 1976): each vertex v
+    passes its later set less its earliest member p to p. A vertex whose
+    later set is still g's passes nothing new unless it is one of the
+    search's violators, so only violators and the vertices that receive
+    fill are worked, in elimination order from the first violator.
+
+    Returns three things. The fill each filled vertex received: a vertex is
+    filled when its later set in H holds a vertex it misses in g, which is
+    exactly what it received. The worked vertices whose later set passed
+    fill on, so that p misses one of its members in g and it is no clique
+    of g. The later set in H of every other worked vertex. None once the
+    fill exceeds m edges, so the work stays linear.
     """
-    n = g.n
-    budget = g.edge_count()
-    later: list[list[int]] = [[] for _ in g.vertices()]
-    # a vertex not yet eliminated has mark n, which stops any walk at once,
-    # and follow -1, which no vertex id equals; every walk stays on
-    # eliminated vertices, whose follow starts as themselves
-    follow = [-1] * n
-    mark = [n] * n  # the last position whose walk met the vertex
+    search = mcs_search(g)
+    violators = search.violators
+    fill: dict[int, set[int]] = {}
+    passed: set[int] = set()
+    later: dict[int, set[int]] = {}
+    if not violators:
+        return fill, passed, later
     adj = g.adj
-    for i, w in enumerate(mcs_order(g)):
-        mark[w] = i
-        follow[w] = w
-        for x in adj[w]:
-            while mark[x] < i:
-                mark[x] = i
-                later[x].append(w)
-                if w not in adj[x]:
-                    budget -= 1
-                    if budget < 0:
-                        return None
-                x = follow[x]
-            if follow[x] == x:
-                follow[x] = w
-    return later
+    order, sigma = search.peo.order, search.peo.sigma
+    budget = g.edge_count()
+    pending = set(violators)
+    worked = 0
+    end = g.n + 1
+    # pending only gains vertices after the one worked, which the lazy
+    # filter still meets
+    for v in filter(pending.__contains__,
+                    islice(order, sigma[violators[0]] - 1, None)):
+        # v's later set: g's part and the fill it received, with the
+        # earliest position in it
+        sv = sigma[v]
+        sep = set()
+        first = end
+        for u in adj[v]:
+            su = sigma[u]
+            if su > sv:
+                sep.add(u)
+                if su < first:
+                    first = su
+        got = fill.get(v)
+        if got:
+            sep |= got
+            for u in got:
+                if sigma[u] < first:
+                    first = sigma[u]
+        p = order[first - 1]
+        # the rest of sep is later than p, so what p misses in g is fill
+        new = sep.difference(adj[p], (p,))
+        if new:
+            passed.add(v)
+            got = fill.get(p)
+            if got is None:
+                fill[p] = new
+                pending.add(p)
+                budget -= len(new)
+            else:
+                budget += len(got)
+                got |= new
+                budget -= len(got)
+            if budget < 0:
+                return None
+        else:
+            later[v] = sep
+        worked += 1
+        if worked == len(pending):
+            break
+    return fill, passed, later
 
 
 @dataclass(frozen=True)
@@ -284,7 +327,8 @@ def _ring_diagonals(g: Graph, ids: tuple[int, ...]) -> tuple[Edge, Edge] | None:
     """
     atom = frozenset(ids)
     n = len(atom)
-    ring = [v for v in ids if len(g.adj[v] & atom) < n - 1]
+    # a fifth vertex short of degree n - 1 already rules it out
+    ring = list(islice((v for v in ids if len(g.adj[v] & atom) < n - 1), 5))
     if len(ring) != 4 or any(len(g.adj[v] & atom) != n - 2 for v in ring):
         return None
     p, *rest = ring
@@ -302,14 +346,14 @@ def clique_decomposition(g: Graph) -> tuple[list[Atom], int]:
     """
     memo = g._memo
     if "atoms" not in memo:
-        atoms, smallest = _clique_atoms(g)
-        pieces = [tuple(sorted(a)) for a, clique in atoms if not clique]
+        pieces, smallest = _clique_cut(g)
         memo["atoms"] = [Atom(ids, _ring_diagonals(g, ids)) for ids in pieces], smallest
     return memo["atoms"]
 
 
-def _clique_atoms(g: Graph) -> tuple[list[tuple[list[int], bool]], int]:
-    """Tarjan's atoms of ``g`` along its elimination game, and the smallest cut.
+def _clique_cut(g: Graph) -> tuple[list[tuple[int, ...]], int]:
+    """Tarjan's non-complete atoms of ``g`` along its elimination game, each
+    as its ascending ids, and the smallest cut.
 
     In g's MCS elimination order, each x whose later neighbors S in H are a
     clique of ``g`` cuts off its component of the remaining graph minus S,
@@ -325,46 +369,99 @@ def _clique_atoms(g: Graph) -> tuple[list[tuple[list[int], bool]], int]:
     Only x and earlier vertices are ever cut off, so at position i the
     earlier vertices still alive number i - (n - left), for ``left``
     vertices alive. While that count is 0, x's component is {x}: each
-    neighbor of x is later, and so in S, or already cut off. The cut
-    [x, *S] is then read off with no search.
-
-    A vertex u is filled when some later neighbor of u in H is not its
-    neighbor in g. S is tested for a clique only when one of its members is
-    filled; otherwise it is one. H makes S a clique, so for u before v in
-    S, v is a later neighbor of u in H; a missing edge uv of g makes u
-    filled.
+    neighbor of x is later, and so in S, or already cut off. If x is not
+    filled, S is g's later set of x, ``labels[x]`` vertices. It is a clique
+    unless it holds a filled vertex: H makes S a clique, so for u before v
+    in S, v is a later neighbor of u in H, and a missing edge uv of g makes
+    u filled. And {x} and S are all that remains only on the tail, the
+    positions whose vertices see every later vertex, which hold the clique
+    the search selected first. So each position before the tail that
+    neither holds a filled vertex nor has one in its later set cuts off x
+    alone, a complete atom: a run of them is cut in bulk, with no list
+    built, and only its smallest label counts. ``_cut_at`` takes the other
+    positions one at a time, except that a vertex whose later set passed
+    fill on, and so is no clique of g, stays alive with no step. Once the
+    count is 0 on the tail, what remains is the tail's clique.
     """
     n = g.n
-    later = _elimination_fill(g)
-    alive = [True] * n
+    game = _violator_fill(g)
+    if game is None:
+        return [tuple(g.vertices())], n
+    fill, passed, later = game
+    filled = fill.keys()
+    search = mcs_search(g)
+    order, sigma, labels = search.peo.order, search.peo.sigma, search.labels
+    adj = g.adj
+    tail = n
+    while tail and labels[order[tail - 1]] == n - tail:
+        tail -= 1
+    # 1-based positions of the filled vertices and of their earlier neighbors
+    steps = {sigma[x] for u in fill for x in adj[u] if sigma[x] < sigma[u]}
+    steps.update(map(sigma.__getitem__, fill))
+    stops = iter(sorted(steps))
+    stop = -1
+    dead: set[int] = set()
     left = smallest = n
-    atoms = []
-    if later is not None:
-        filled = set(compress(
-            g.vertices(), map(not_, map(frozenset.issuperset, g.adj, later))
-        ))
-    for i, x in enumerate(() if later is None else mcs_order(g)):
-        sep = later[x]
-        if not filled.isdisjoint(sep) and not g.is_clique(sep):
+    atoms: list[tuple[int, ...]] = []
+    i = 0
+    while True:
+        # no vertex before position i is alive
+        if i >= tail:
+            return atoms, smallest  # what remains is the tail, a clique
+        while stop < i:
+            stop = next(stops, n + 1) - 1
+        j = min(stop, tail)
+        if j > i:
+            smallest = min(smallest, min(map(labels.__getitem__, order[i:j])))
+            dead.update(order[i:j])
+            left -= j - i
+            i = j
             continue
-        comp = [x]
-        size = len(sep) + 1
-        if i + left > n:  # an earlier vertex is alive: search x's component
-            seen = {x, *sep}
-            for y in comp:
-                for u in g.adj[y]:
-                    if alive[u] and u not in seen:
-                        seen.add(u)
-                        comp.append(u)
-            size = len(seen)
-        if size < left:
-            for v in comp:
-                alive[v] = False
-            left -= len(comp)
-            atoms.append((comp + sep, len(comp) == 1))
-            smallest = min(smallest, len(sep))
-    rest = list(compress(g.vertices(), alive))
-    return [*atoms, (rest, g.is_clique(rest))], smallest
+        # one position at a time until no earlier vertex is alive again; a
+        # vertex whose later set passed fill on stays alive, with no step
+        for x in filterfalse(passed.__contains__, islice(order, i, None)):
+            i = sigma[x] - 1
+            sep = later.get(x)
+            if sep is None:
+                sx = sigma[x]
+                sep = [u for u in adj[x] if sigma[u] > sx]
+            comp = _cut_at(g, x, sep, filled, dead, i + left > n)
+            i += 1
+            if comp is not None and len(comp) + len(sep) < left:
+                dead.update(comp)
+                left -= len(comp)
+                if len(comp) > 1:
+                    atoms.append(tuple(sorted((*comp, *sep))))
+                smallest = min(smallest, len(sep))
+            if i + left == n:
+                break
+        else:
+            break
+    rest = list(filterfalse(dead.__contains__, g.vertices()))
+    if not g.is_clique(rest):
+        atoms.append(tuple(rest))
+    return atoms, smallest
+
+
+def _cut_at(g: Graph, x: int, sep, filled, dead: set[int],
+            search: bool) -> list[int] | None:
+    """x's component of what is alive of g minus x's later set ``sep``, or
+    None when ``sep`` is not a clique of g.
+
+    Only a set holding a filled vertex is tested. The component is searched
+    when ``search`` says an earlier vertex is alive; otherwise it is {x}.
+    """
+    if not filled.isdisjoint(sep) and not g.is_clique(sep):
+        return None
+    comp = [x]
+    if search:
+        seen = {x, *sep}
+        for y in comp:
+            for u in g.adj[y]:
+                if u not in dead and u not in seen:
+                    seen.add(u)
+                    comp.append(u)
+    return comp
 
 
 def vertex_connectivity_at_least(g: Graph, k: int) -> ConnectivityResult:

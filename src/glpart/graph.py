@@ -5,12 +5,14 @@ re-densify ids deterministically and report the relabeling, so downstream
 output is reproducible bit for bit.
 
 A graph never changes, so each one computes its certificates at most once:
-``chordal.mcs_search`` (whose one search ``mcs_order`` reads),
-``c4.enumerate_induced_c4`` and ``connectivity.clique_decomposition``
-(the vertex sets of the non-complete clique separator atoms, each marked
-when it is ring + Q, and the smallest cut) keep their result in the graph's
-private memo; ``c4.catalog_of_rings`` fills the catalog entry from the
-atoms' rings. Every operation that builds a new graph (``with_edges``,
+``chordal.mcs_search`` (whose one search ``mcs_order`` reads, with the
+search's violators), ``c4.enumerate_induced_c4`` and
+``connectivity.clique_decomposition`` (the vertex sets of the non-complete
+clique separator atoms, each marked when it is ring + Q, and the smallest
+cut) keep their result in the graph's private memo; ``c4.catalog_of_atoms``
+fills the catalog entry from the atoms: their rings, and a walk of each
+other atom's induced subgraph, whose own memo is dropped with it. Every
+operation that builds a new graph (``with_edges``,
 ``induced_subgraph``, ``contract_matching``) starts it with an empty memo.
 The memo takes no part in equality, hashing or repr, and refers to no
 graph, so a graph and its memo form no reference cycle.

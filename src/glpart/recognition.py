@@ -21,15 +21,17 @@ O(m * (n + m)); on other graphs it is at most O(n * m^2).
 and no hole. Of the others, it reads the clique separator decomposition
 shared with the connectivity check. Every chordless cycle, a 4-cycle
 included, meets a clique in one edge at most, so it lies in one atom
-(Tarjan, Discrete Math. 55, 1985). When every non-complete atom is ring + Q
-(an induced 4-cycle joined to a clique that sees all of it), as on class
-members, the atoms' rings are the whole 4-cycle catalog and no atom has a
-hole: the catalog scans then run on those rings over the whole graph (a
-house can straddle a clique separator), and no walk and no hole search
-run. Otherwise the catalog is walked over the whole graph, and the hole
-search scans g's edges inside atoms that are not ring + Q. Cost: the
-O(n + m) decomposition plus the scans of the catalog on members; on other
-graphs, O(n + m) more per scanned edge.
+(Tarjan, Discrete Math. 55, 1985). A ring + Q atom (an induced 4-cycle
+joined to a clique that sees all of it) holds its ring as its only induced
+4-cycle and no hole. So the catalog is the rings of those atoms plus a
+walk of each other non-complete atom on its own vertices
+(``c4.catalog_of_atoms``), and the hole search scans only the edges
+inside the other atoms. The catalog scans run over the whole graph (a
+house can straddle a clique separator). On class members every
+non-complete atom is ring + Q, so no walk and no hole search run. Cost:
+the decomposition, which works only where g is not chordal, plus the
+scans of the catalog on members; on other graphs, the walks of the other
+atoms and O(n + m) more per scanned edge.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .c4 import C4Catalog, catalog_of_rings, enumerate_induced_c4
+from .c4 import C4Catalog, catalog_of_atoms
 from .chordal import mcs_search
 from .connectivity import clique_decomposition
 from .graph import Graph
@@ -128,8 +130,14 @@ def _shortest_path(
 
 
 def find_hole(g: Graph) -> tuple[int, ...] | None:
-    """Some chordless cycle of length >= 5, or None if there is none."""
-    return _first_hole(g.adj, g.edges())
+    """Some chordless cycle of length >= 5, or None if there is none.
+
+    The edges are tried in ``g.edges()`` order, each listed only once the
+    ones before it hold no hole.
+    """
+    adj = g.adj
+    return _first_hole(adj, (
+        (u, v) for u, nbrs in enumerate(adj) for v in sorted(nbrs) if u < v))
 
 
 def _first_hole(adj, edges) -> tuple[int, ...] | None:
@@ -145,16 +153,25 @@ def _hole_by_atoms(g: Graph) -> tuple[int, ...] | None:
     edge lies inside some other atom. ``_hole_at_edge`` is exact on g, so
     the first hole edge of ``g.edges()``, and its hole, are the same under
     any filter that keeps every hole edge: the non-ring atoms', the holey
-    atoms' or none. Each edge scanned costs one whole-graph component
-    search. Once the catalog scans pass, a scanned atom with no hole would
-    be a member's atom that is not ring + Q, which no member tried so far
-    has; each of its edges before the first hole edge is a search in vain.
+    atoms' or none. The edges inside those atoms are read off their own
+    vertices and sorted into ``g.edges()`` order, so no other edge of g is
+    listed; a graph that is its own only atom goes to ``find_hole``. Each
+    edge scanned costs one whole-graph component search. Once the catalog
+    scans pass, a scanned atom with no hole would be a member's atom that
+    is not ring + Q, which no member tried so far has; each of its edges
+    before the first hole edge is a search in vain.
     """
-    atoms = [set(a.ids) for a in clique_decomposition(g)[0] if not a.ring]
+    atoms = [a.ids for a in clique_decomposition(g)[0] if not a.ring]
     if not atoms:
         return None
-    inside = (e for e in g.edges() if any(e[0] in a and e[1] in a for a in atoms))
-    return _first_hole(g.adj, inside)
+    if len(atoms[0]) == g.n:  # g is its own only atom
+        return find_hole(g)
+    adj = g.adj
+    inside = set()
+    for ids in atoms:
+        members = frozenset(ids)
+        inside.update((u, v) for u in ids for v in adj[u] & members if u < v)
+    return _first_hole(adj, sorted(inside))
 
 
 def _house_roof(g: Graph, cycle) -> int | None:
@@ -219,9 +236,7 @@ def is_hh_i42_free(g: Graph) -> ClassCheck:
     """
     if not g.n or mcs_search(g).witness is None:
         return ClassCheck(True)
-    rings = [a.ring for a in clique_decomposition(g)[0]]
-    # every 4-cycle lies in one atom, so ring + Q atoms hold the whole catalog
-    catalog = catalog_of_rings(g, rings) if all(rings) else enumerate_induced_c4(g)
+    catalog = catalog_of_atoms(g, clique_decomposition(g)[0])
     violation = scan_catalog_violations(g, catalog)
     if violation is not None:
         return ClassCheck(False, violation)

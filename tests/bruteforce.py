@@ -14,8 +14,11 @@ builder that lists every k-clique, which the library's clique lookup
 replaced, ``generate``'s per-vertex weight draw and its demand split
 walked slot by slot, the one-chord-per-walk
 terminal chord loop the library's rounds replaced, the clique atom cut
-that tests every later set, which the library's filled-vertex test
-replaced, the edits that plant
+that plays the elimination game out, tests every later set and searches
+at every position, which the library's fill from the violators and bulk
+cut replaced, the max-flow on a dict network copied for every pair,
+which the library's flow on the adjacency sets replaced, the edits that
+plant
 a defect in a member or drop some of its edges, the line-by-line
 instance reader the library's one-pass reader replaced, the growth
 loop on per-vertex part sets that the library's bit masks replaced, and
@@ -29,6 +32,7 @@ from __future__ import annotations
 
 import heapq
 import random
+from collections import deque
 from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import combinations, permutations
@@ -54,7 +58,7 @@ from glpart import (
 )
 from glpart.c4 import C4Catalog, Cycle, _canonical, enumerate_induced_c4
 from glpart.chordal import McsSearch, Peo, _witness_at, mcs_order
-from glpart.connectivity import _elimination_fill
+from glpart.connectivity import ConnectivityResult, _failure
 from glpart.graph import MergeMap, components_within
 from glpart.instances import format_parts
 from glpart.oracle import _feasible, _reachable
@@ -833,15 +837,22 @@ def bf_add_terminal_chords(
 
 
 def bf_clique_atoms_every_set(g: Graph) -> tuple[list[tuple[list[int], bool]], int]:
-    """Reference ``connectivity._clique_atoms``: the same cut along g's
-    elimination game, but with an ``is_clique`` test of every later set
-    instead of only those holding a filled vertex."""
-    later = _elimination_fill(g)
+    """Reference for ``connectivity.clique_decomposition``: the same cut
+    along g's elimination game, played out by ``bf_elimination_game``, but
+    with an ``is_clique`` test of every later set and a component search
+    at every position. Returns every atom, complete ones included, each
+    marked when x was alone in its component, and the smallest cut. The
+    game is declined, and g left whole, once it adds more than m edges."""
+    order = mcs_order(g)
+    later = bf_elimination_game(g, order)
+    # each edge of H is one vertex's later neighbor: m edges of g plus fill
+    if sum(map(len, later)) > 2 * g.edge_count():
+        later = None
     alive = [True] * g.n
     left = smallest = g.n
     atoms = []
-    for x in () if later is None else mcs_order(g):
-        sep = later[x]
+    for x in () if later is None else order:
+        sep = sorted(later[x], key=order.index)
         if not g.is_clique(sep):
             continue
         seen = {x, *sep}
@@ -859,6 +870,90 @@ def bf_clique_atoms_every_set(g: Graph) -> tuple[list[tuple[list[int], bool]], i
             smallest = min(smallest, len(sep))
     rest = [v for v in g.vertices() if alive[v]]
     return [*atoms, (rest, g.is_clique(rest))], smallest
+
+
+def bf_split_network(g: Graph) -> list[dict[int, int]]:
+    """Residual capacities of the vertex-split flow network of ``g``.
+
+    Node 2x is the in-copy of x, 2x+1 the out-copy. Split arcs have unit
+    capacity; every arc's reverse is present, so augmenting never adds keys
+    and a copy of this network keeps its iteration order.
+    """
+    n = g.n
+    cap: list[dict[int, int]] = [dict() for _ in range(2 * n)]
+    for x in g.vertices():
+        cap[2 * x][2 * x + 1] = 1
+        cap[2 * x + 1][2 * x] = 0
+    # edge arcs get capacity n so any finite min cut uses split arcs only,
+    # which is what the separator extraction below reads off
+    for u, v in g.edges():
+        for a, b in ((u, v), (v, u)):
+            cap[2 * a + 1][2 * b] = n
+            cap[2 * b].setdefault(2 * a + 1, 0)
+    return cap
+
+
+def bf_split_flow_mincut(base: list[dict[int, int]], s: int, t: int, limit: int):
+    """Reference ``connectivity._split_flow_mincut``: max s-t flow in a copy
+    of the split network ``base`` built as dicts, stopping at ``limit``.
+
+    Returns None once ``limit`` vertex-disjoint paths exist, else the
+    minimum vertex cut (a set of vertices, excluding s and t).
+    """
+    cap = [d.copy() for d in base]
+    source = 2 * s + 1
+    sink = 2 * t
+    flow = 0
+    while flow < limit:
+        parent: dict[int, int] = {source: source}
+        queue = deque([source])
+        while queue and sink not in parent:
+            x = queue.popleft()
+            for y, c in cap[x].items():
+                if c > 0 and y not in parent:
+                    parent[y] = x
+                    queue.append(y)
+        if sink not in parent:
+            break
+        y = sink
+        while y != source:
+            x = parent[y]
+            cap[x][y] -= 1
+            cap[y][x] += 1
+            y = x
+        flow += 1
+    if flow >= limit:
+        return None
+    # saturated: vertices whose in-copy is reachable but out-copy is not
+    reach = {source}
+    queue = deque([source])
+    while queue:
+        x = queue.popleft()
+        for y, c in cap[x].items():
+            if c > 0 and y not in reach:
+                reach.add(y)
+                queue.append(y)
+    return frozenset(
+        x for x in range(len(base) // 2)
+        if 2 * x in reach and 2 * x + 1 not in reach
+    )
+
+
+def bf_flow_connectivity(g: Graph, k: int) -> ConnectivityResult:
+    """Reference ``connectivity._flow_connectivity``: the same pair schedule
+    over the dict network, built once and copied for every pair."""
+    deg_min = min(g.degree(v) for v in g.vertices())
+    v = min(x for x in g.vertices() if g.degree(x) == deg_min)
+    pairs = [(v, u) for u in g.vertices() if u != v and u not in g.adj[v]]
+    pairs += [
+        (a, b) for a, b in combinations(sorted(g.adj[v]), 2) if b not in g.adj[a]
+    ]
+    base = bf_split_network(g)
+    for s, t in pairs:
+        cut = bf_split_flow_mincut(base, s, t, k)
+        if cut is not None:
+            return _failure(k, cut, s, t)
+    return ConnectivityResult(True, k)
 
 
 def with_planted_cycle(g: Graph, length: int, clique: tuple[int, ...]) -> Graph:
@@ -1120,7 +1215,7 @@ def bf_heap_mcs_search(g: Graph) -> McsSearch:
     sigma = [0] * n  # 0 until selected
     order = [0] * n
     done: set[int] = set()  # selected so far, so adj[v] & done is madj(v)
-    bad = -1
+    bad: list[int] = []
     # key v - count*n orders like (-count, v); a vertex's freshest key pops
     # before its stale ones, and range(n) is already a heap
     heap = list(range(n))
@@ -1133,9 +1228,10 @@ def bf_heap_mcs_search(g: Graph) -> McsSearch:
         order[i - 1] = v
         c = count[v]
         # madj(v) minus the parent must lie inside the parent's neighborhood;
-        # the last violator found comes first in the elimination order
+        # violators are found in selection order, the elimination order's
+        # reverse
         if c > 1 and len(adj[v].intersection(done, adj[parent[v]])) != c - 1:
-            bad = v
+            bad.append(v)
         done.add(v)
         for u in adj[v]:
             if not sigma[u]:
@@ -1144,8 +1240,9 @@ def bf_heap_mcs_search(g: Graph) -> McsSearch:
                 parent[u] = v
                 push(heap, u - cu * n)
     peo = Peo(tuple(order), tuple(sigma))
-    witness = None if bad < 0 else _witness_at(g, peo.sigma, bad)
-    return McsSearch(peo, tuple(count), witness)
+    bad.reverse()
+    witness = _witness_at(g, peo.sigma, bad[0]) if bad else None
+    return McsSearch(peo, tuple(count), witness, tuple(bad))
 
 
 def bf_recursive_connected_sets(

@@ -11,9 +11,10 @@ the order-agnostic checker behind ``peo_violation``; ``peo_checks``
 counts those calls. The clique separator
 decomposition is memoized too, cut from the elimination game of the
 input's own search; the ``fills`` and ``atom_builds`` spies count its
-elimination-game fills and atom cuts, ``subgraphs`` the induced subgraphs
-built of its atoms, and ``hole_calls`` and ``flow_sizes`` (conftest) each
-per-edge hole search and each connectivity flow.
+elimination-game fills and atom cuts, ``cut_steps`` the positions the cut
+takes one at a time, ``subgraphs`` the induced subgraphs built of its
+atoms, and ``hole_calls`` and ``flow_sizes`` (conftest) each per-edge hole
+search and each connectivity flow.
 
 On a class member every non-complete atom is ring + Q, an induced 4-cycle
 joined to a clique that sees all of it, so the input's catalog is read off
@@ -37,6 +38,7 @@ from glpart import (
     generate_almost_chordal,
     generate_ktree,
     graph,
+    recognition,
 )
 from glpart.almost_chordal import gl_partition_almost_chordal
 from glpart.c4 import enumerate_induced_c4
@@ -93,12 +95,26 @@ def peo_checks(monkeypatch):
 
 @pytest.fixture
 def fills(monkeypatch):
-    return _spy(monkeypatch, connectivity, "_elimination_fill")
+    return _spy(monkeypatch, connectivity, "_violator_fill")
 
 
 @pytest.fixture
 def atom_builds(monkeypatch):
-    return _spy(monkeypatch, connectivity, "_clique_atoms")
+    return _spy(monkeypatch, connectivity, "_clique_cut")
+
+
+@pytest.fixture
+def cut_steps(monkeypatch):
+    """A list that gains the vertex of each position the cut takes alone."""
+    calls: list[int] = []
+    original = connectivity._cut_at
+
+    def spy(g, x, *args):
+        calls.append(x)
+        return original(g, x, *args)
+
+    monkeypatch.setattr(connectivity, "_cut_at", spy)
+    return calls
 
 
 @pytest.fixture
@@ -164,6 +180,20 @@ def test_all_chords_cost_one_build(builds, k, chords):
     assert builds == [g.n]
 
 
+@pytest.mark.parametrize("k", [3, 4])
+def test_hole_plant_walks_only_its_hole_atom(builds, k):
+    # the rings come with no walk; only the atom that is not ring + Q, the
+    # planted C5 with the k-clique it hangs from, is walked on its own
+    g = planted(generate_almost_chordal(60, k, 3, seed=k), k, "hole")
+    builds.clear()  # planted() reads the member's catalog
+    violation = recognition.is_hh_i42_free(g).violation
+    assert violation.kind == "hole"
+    others = [a for a in connectivity.clique_decomposition(g)[0] if not a.ring]
+    assert [len(a.ids) for a in others] == [k + 5]
+    assert builds == [k + 5]
+    assert enumerate_induced_c4(g) == all_pairs_induced_c4(g)
+
+
 @pytest.mark.parametrize("command", ["partition", "check"])
 def test_member_lists_no_edges(monkeypatch, tmp_path, capsys, command):
     # no atom needs a hole search, so no edge list of the input is built
@@ -176,15 +206,43 @@ def test_member_lists_no_edges(monkeypatch, tmp_path, capsys, command):
 
 
 def test_member_partition_tests_few_cliques(monkeypatch, tmp_path, capsys):
-    # of the later sets, only the one per ring that holds a filled vertex
-    # gets an is_clique test, and then what is left at the end
+    # no later set gets an is_clique test: the one per ring that passed
+    # fill on is known to be no clique, the filled vertex's own holds no
+    # filled vertex, and what is left at the end is the search's first
+    # clique
     g = generate_almost_chordal(200, 3, 8, seed=1)
     req = PartitionRequest((0, 1, 2), (2, 2, g.n - 4))
     path = _write(tmp_path, g, req)
     tested = _spy(monkeypatch, graph.Graph, "is_clique")
     assert main(["partition", path]) == 0
     capsys.readouterr()
-    assert tested == [g.n] * 9
+    assert tested == []
+
+
+def test_member_work_only_where_not_chordal(fills, cut_steps):
+    # one violator per ring passes fill to its parent, and only those 16
+    # vertices are worked; the cut takes only the 8 filled positions one at
+    # a time, and every other position goes in bulk
+    g = generate_almost_chordal(200, 3, 8, seed=1)
+    search = chordal.mcs_search(g)
+    fill, passed, later = connectivity._violator_fill(g)
+    assert len(search.violators) == len(fill) == 8
+    assert set(passed) | set(later) == set(search.violators) | set(fill)
+    assert len(set(passed) | set(later)) == 16
+    atoms, cut = connectivity.clique_decomposition(g)
+    assert len(atoms) == 8 and all(a.ring for a in atoms) and cut == 3
+    assert fills == [g.n, g.n]  # the call above and the decomposition's
+    assert sorted(cut_steps) == sorted(fill)
+
+
+def test_ktree_cut_does_no_work(cut_steps):
+    # no violator, so the fill works no vertex, and every position before
+    # the tail is cut in bulk
+    g = generate_ktree(200, 3, seed=1)
+    assert chordal.mcs_search(g).violators == ()
+    assert connectivity._violator_fill(g) == ({}, set(), {})
+    assert connectivity.clique_decomposition(g) == ([], 3)
+    assert cut_steps == []
 
 
 def test_check_builds_one_catalog(builds, hole_calls, flow_sizes, tmp_path,
@@ -268,8 +326,8 @@ def test_member_builds_no_subgraph(subgraphs, tmp_path, capsys, command):
     # test on the member itself, so no atom's subgraph is built
     g = generate_almost_chordal(200, 3, 8, seed=1)
     req = PartitionRequest((0, 1, 2), (2, 2, g.n - 4))
-    full, _ = connectivity._clique_atoms(g)
-    assert sum(not g.is_clique(a) for a, _ in full) == 8
+    atoms, _ = connectivity.clique_decomposition(g)
+    assert len(atoms) == 8 and all(a.ring for a in atoms)
     assert main([command, _write(tmp_path, g, req)]) == 0
     capsys.readouterr()
     assert subgraphs == []

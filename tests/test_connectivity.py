@@ -15,13 +15,13 @@ from glpart import (
     vertex_connectivity_at_least,
 )
 from glpart.c4 import enumerate_induced_c4
-from glpart.chordal import mcs_order
+from glpart.chordal import mcs_order, mcs_search
 from glpart.connectivity import (
     Atom,
-    _clique_atoms,
-    _elimination_fill,
     _flow_connectivity,
     _kappa_up_to_2,
+    _split_flow_mincut,
+    _violator_fill,
     clique_decomposition,
 )
 from glpart.graph import components_within, induced_subgraph
@@ -31,9 +31,12 @@ from bruteforce import (
     bf_clique_atoms,
     bf_clique_atoms_every_set,
     bf_elimination_game,
+    bf_flow_connectivity,
     bf_is_connected,
     bf_minimal_separators,
     bf_ring_plus_q,
+    bf_split_flow_mincut,
+    bf_split_network,
     bf_vertex_connectivity,
     cycle_graph,
     enumerate_minimal_separators,
@@ -46,6 +49,20 @@ from bruteforce import (
     without_edges,
 )
 from test_graph import random_graph_strategy
+
+
+def pieces(g: Graph) -> tuple[list[tuple[int, ...]], int]:
+    """``clique_decomposition``'s atoms as vertex ids, and its smallest cut."""
+    atoms, cut = clique_decomposition(g)
+    return [a.ids for a in atoms], cut
+
+
+def reference_pieces(g: Graph) -> tuple[list[tuple[int, ...]], int]:
+    """The non-complete atoms of the every-set reference, ascending ids in
+    cut order as ``clique_decomposition`` hands them out, and its smallest
+    cut."""
+    full, smallest = bf_clique_atoms_every_set(g)
+    return [tuple(sorted(a)) for a, clique in full if not clique], smallest
 
 
 def exact_kappa(g: Graph) -> int:
@@ -274,7 +291,7 @@ class TestCliqueSeparatorMethod:
         graphs += [random_gnp(rng, n, 6 / n) for n in (30, 60, 100, 200)]
         for g in graphs:
             assert not is_chordal(g)
-            assert _elimination_fill(g) is None
+            assert _violator_fill(g) is None
             for k in (3, 4):
                 assert vertex_connectivity_at_least(g, k) == _flow_connectivity(g, k)
 
@@ -288,7 +305,8 @@ class TestCliqueSeparatorMethod:
         graphs.append(planted(generate_almost_chordal(7, 2, 1, seed=1), 2, "house"))
         split = 0
         for g in graphs:
-            got = [frozenset(a) for a, _ in _clique_atoms(g)[0]]
+            assert pieces(g) == reference_pieces(g)
+            got = [frozenset(a) for a, _ in bf_clique_atoms_every_set(g)[0]]
             assert len(set(got)) == len(got)
             assert frozenset().union(*got) == frozenset(g.vertices())
             for ref in bf_clique_atoms(g):
@@ -309,7 +327,7 @@ class TestCliqueSeparatorMethod:
         ])
         assert vertex_connectivity_at_least(octahedron, 4)
         for g in (octahedron, c5):
-            assert _clique_atoms(g) == ([(list(g.vertices()), False)], g.n)
+            assert bf_clique_atoms_every_set(g) == ([(list(g.vertices()), False)], g.n)
             atoms, cut = clique_decomposition(g)
             assert (atoms, cut) == ([Atom(tuple(g.vertices()), None)], g.n)
 
@@ -324,8 +342,8 @@ class TestCliqueSeparatorMethod:
 
 class TestCliqueDecomposition:
     """``clique_decomposition`` hands out exactly the non-complete atoms of
-    ``_clique_atoms``, each as its ascending vertex ids, and marks exactly
-    the ring + Q ones."""
+    the every-set reference, each as its ascending vertex ids, and marks
+    exactly the ring + Q ones."""
 
     @staticmethod
     def inputs():
@@ -344,7 +362,7 @@ class TestCliqueDecomposition:
         split = rings = 0
         for g in self.inputs():
             atoms, cut = clique_decomposition(g)
-            full, smallest = _clique_atoms(g)
+            full, smallest = bf_clique_atoms_every_set(g)
             assert cut == smallest
             assert all(clique == g.is_clique(a) for a, clique in full)
             for a in atoms:
@@ -374,8 +392,10 @@ class TestCliqueDecomposition:
 
 
 class TestFilledVertexTest:
-    """``_clique_atoms`` tests a later set for a clique only when it holds
-    a filled vertex, and cuts exactly as the reference that tests them all."""
+    """``clique_decomposition`` tests a later set for a clique only when it
+    holds a filled vertex, cuts the other positions in bulk, and hands out
+    the same non-complete atoms and smallest cut as the reference that
+    tests every set and searches at every position."""
 
     def test_matches_every_set_reference(self):
         rng = random.Random(23)
@@ -389,16 +409,15 @@ class TestFilledVertexTest:
                    for p in (0.2, 0.35, 0.5, 0.65, 0.8) for _ in range(40)]
         split = 0
         for g in graphs:
-            got = _clique_atoms(g)
-            assert got == bf_clique_atoms_every_set(g)
-            split += len(got[0]) > 1
+            assert pieces(g) == reference_pieces(g)
+            split += len(bf_clique_atoms_every_set(g)[0]) > 1
         assert split >= 60
 
     @staticmethod
     def returns_to_zero(g: Graph, atoms) -> int:
         """How often, along g's elimination order, the count of earlier
         vertices still alive falls from above 0 back to 0 at a cut."""
-        later = _elimination_fill(g)
+        later = bf_elimination_game(g, mcs_order(g))
         comp_size = {a[0]: len(a) - len(later[a[0]]) for a, _ in atoms[:-1]}
         alive = returns = 0
         for x in mcs_order(g):
@@ -410,10 +429,10 @@ class TestFilledVertexTest:
         return returns
 
     def test_alive_count_switches_at_size(self):
-        # the cut reads [x, *S] off with no search while no earlier vertex
-        # is alive; members, shared-vertex members and planted defects push
-        # the count up and back to 0, a cycle keeps it up to the end, and a
-        # declined fill cuts nothing
+        # the cut goes in bulk while no earlier vertex is alive, and one
+        # position at a time while one is; members, shared-vertex members
+        # and planted defects push the count up and back to 0, a cycle
+        # keeps it up to the end, and a declined fill cuts nothing
         members = [(generate_almost_chordal(n, k, n // 25, seed=n + k), k)
                    for n in (200, 300, 400) for k in (2, 3, 4)]
         members += [(shared_vertex_member(n, k, n // 40, 4, n + k), k)
@@ -423,33 +442,40 @@ class TestFilledVertexTest:
                    for kind in ("house", "c4-overlap", "hole", "separator")]
         graphs += [cycle_graph(n) for n in range(5, 61)]
         declined = random_gnp(random.Random(14), 60, 0.1)
-        assert _elimination_fill(declined) is None
+        assert _violator_fill(declined) is None
         graphs.append(declined)
         returns = []
         for g in graphs:
-            got = _clique_atoms(g)
-            assert got == bf_clique_atoms_every_set(g)
-            returns.append(self.returns_to_zero(g, got[0]))
+            assert pieces(g) == reference_pieces(g)
+            full = bf_clique_atoms_every_set(g)[0]
+            returns.append(self.returns_to_zero(g, full))
         assert min(returns[:60]) >= 8
         assert returns[60:] == [0] * 57
 
 
 class TestEliminationFill:
-    """The follow-pointer walk against the elimination game played out,
-    declined exactly when the game adds more than m edges."""
+    """The fill worked from the violators against the elimination game
+    played out, declined exactly when the game adds more than m edges."""
 
     @staticmethod
     def fill_over_m(g: Graph) -> int:
-        order = mcs_order(g)
-        ref = bf_elimination_game(g, order)
+        search = mcs_search(g)
+        ref = bf_elimination_game(g, search.peo.order)
         excess = sum(map(len, ref)) - 2 * g.edge_count()
-        got = _elimination_fill(g)
+        got = _violator_fill(g)
         if excess > 0:
             assert got is None
-        else:
-            assert got is not None and [set(s) for s in got] == ref
-            pos = {v: i for i, v in enumerate(order)}
-            assert all(s == sorted(s, key=pos.__getitem__) for s in got)
+            return excess
+        assert got is not None
+        fill, passed, later = got
+        # each vertex's fill is what it misses in g of its later set in H
+        assert fill == {v: ref[v] - g.adj[v] for v in g.vertices()
+                        if not g.adj[v] >= ref[v]}
+        # only the violators and the filled vertices are worked
+        assert passed.isdisjoint(later)
+        assert passed | later.keys() == set(search.violators) | fill.keys()
+        assert all(later[v] == ref[v] for v in later)
+        assert all(not g.is_clique(ref[v]) for v in passed)
         return excess
 
     def test_random_gnp(self):
@@ -499,3 +525,46 @@ class TestMinimalSeparators:
     def test_matches_bruteforce(self, g):
         got = set(enumerate_minimal_separators(g))
         assert got == bf_minimal_separators(g)
+
+
+class TestSplitFlow:
+    """The max-flow read off ``g.adj`` against the dict network it replaced:
+    every pair's verdict and cut, and each whole decision, are the same."""
+
+    @staticmethod
+    def inputs() -> list[Graph]:
+        rng = random.Random(21)
+        graphs = [random_gnp(rng, rng.randint(3, 40), p)
+                  for p in (0.08, 0.1, 0.2, 0.35, 0.5, 0.7) for _ in range(12)]
+        for k in (2, 3, 4):
+            member = generate_almost_chordal(30, k, 2, seed=k)
+            graphs.append(member)
+            graphs += [planted(member, k, kind)
+                       for kind in ("house", "c4-overlap", "hole", "separator")]
+        return [g for g in graphs if not g.is_complete()]
+
+    def test_matches_dict_network_reference(self):
+        rejected = cut_pairs = 0
+        for g in self.inputs():
+            base = bf_split_network(g)
+            pairs = [(s, t) for s in range(min(2, g.n)) for t in g.vertices()
+                     if t != s and t not in g.adj[s]]
+            for k in range(1, 7):
+                res = _flow_connectivity(g, k)
+                assert res == bf_flow_connectivity(g, k), (g, k)
+                rejected += not res
+                for s, t in pairs:
+                    cut = _split_flow_mincut(g, s, t, k)
+                    assert cut == bf_split_flow_mincut(base, s, t, k), (g, s, t, k)
+                    cut_pairs += cut is not None
+        assert rejected >= 100 and cut_pairs >= 1000
+
+    def test_second_path_gives_back_two_steps(self):
+        # the shortest path 0-1-2-3-4 goes first; the second enters 3 from
+        # 7, walks 3's flow back to 2 and 2's back to 1, and leaves 1 by 8
+        g = Graph.from_edges(11, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 5), (5, 6),
+                                  (6, 7), (7, 3), (1, 8), (8, 9), (9, 10), (10, 4)])
+        assert _split_flow_mincut(g, 0, 4, 2) is None
+        cut = _split_flow_mincut(g, 0, 4, 3)
+        assert cut == bf_split_flow_mincut(bf_split_network(g), 0, 4, 3)
+        assert len(cut) == 2

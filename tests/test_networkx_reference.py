@@ -6,7 +6,8 @@ defects, random graphs with n = 20..50 and a few chordal graphs:
 
 - ``vertex_connectivity_at_least(g, k)`` for k = 1..5 agrees with
   ``nx.node_connectivity``, and each rejection's separator leaves its pair
-  in different components of the networkx graph;
+  in different components of the networkx graph and is a minimum cut
+  between them: its size is ``nx.node_connectivity(h, s, t)``;
 - ``mcs_search(g).witness is None`` agrees with ``nx.is_chordal``;
 - ``enumerate_induced_c4(g)``, as vertex sets, is the set of length-4
   cycles of ``nx.chordless_cycles(h, length_bound=4)``.
@@ -83,6 +84,7 @@ def test_agrees_with_networkx(name, g):
             rest = h.subgraph(set(h) - res.witness.separator)
             assert len(res.witness.separator) < k
             assert not nx.has_path(rest, s, t)
+            assert nx.node_connectivity(h, s, t) == len(res.witness.separator)
 
 
 @pytest.mark.parametrize("name,g", GRAPHS, ids=[name for name, _ in GRAPHS])

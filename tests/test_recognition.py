@@ -9,7 +9,7 @@ from hypothesis import given, settings
 
 from glpart import Graph, generate_almost_chordal, is_hh_i42_free
 from glpart.c4 import enumerate_induced_c4
-from glpart.connectivity import _clique_atoms, _elimination_fill, clique_decomposition
+from glpart.connectivity import _violator_fill, clique_decomposition
 from glpart.graph import induced_subgraph
 from glpart.recognition import _hole_by_atoms, find_hole, scan_catalog_violations
 
@@ -246,15 +246,15 @@ class TestAtomSearch:
         # the same witness for fewer per-edge searches than one find_hole(g)
         assert violation.kind == "hole" and violation.vertices == find_hole(g)
         assert spent < len(hole_calls)
-        holey = [set(a) for a, _ in _clique_atoms(g)[0]
-                 if find_hole(induced_subgraph(g, a)[0]) is not None]
+        holey = [set(a.ids) for a in clique_decomposition(g)[0]
+                 if find_hole(induced_subgraph(g, a.ids)[0]) is not None]
         assert scanned and all(
             any(b in a and c in a for a in holey) for b, c in scanned
         )
 
     def test_one_atom_one_search(self, hole_calls, petersen):
         declined = random_gnp(random.Random(14), 30, 0.2)
-        assert _elimination_fill(declined) is None
+        assert _violator_fill(declined) is None
         for g in (cycle_graph(12), petersen, declined):
             atoms, cut = clique_decomposition(g)
             assert cut == g.n and [a.ids for a in atoms] == [tuple(g.vertices())]
