@@ -5,30 +5,29 @@ each in a canonical form: the cycle's tuple starts at its smallest vertex
 and walks toward its smaller neighbor, so equal graphs always produce
 equal catalogs and a cycle's id is its index.
 
-``enumerate_induced_c4`` walks two-paths from each vertex in descending
-degree order, as Chiba & Nishizeki do for cycle listing ("Arboricity and
-subgraph listing algorithms", SIAM J. Comput. 14(1), 1985). A walk only
-steps onto vertices that rank after its start, so each chordless cycle
-is met exactly once, at its highest-ranked vertex, and no deduplication
-is needed. The middle vertex of every two-path has degree at most the
-start's, so the walk costs O(a(G) * m) plus one adjacency test per pair
-of middles sharing a start and an end, where a(G) is the arboricity;
-a k-tree has a(G) <= k. Each graph keeps its catalog in its memo, so the
-walk runs at most once per graph. Recognition seeds the memo of a
-non-chordal graph through ``catalog_of_atoms``: every induced 4-cycle lies
-in one clique separator atom, so an atom that is one ring joined to a
-clique adds its ring with no walk, and only the other atoms are walked,
-each on its own vertices.
+``enumerate_induced_c4`` is the one entry point; each graph keeps its
+catalog in its memo. Every induced 4-cycle lies in one clique separator
+atom (Tarjan, Discrete Math. 55, 1985), so the catalog is read off the
+decomposition that recognition and the connectivity check share: a ring
++ Q atom adds its ring with no walk, and only the other atoms are walked.
+A member's catalog costs its search and decomposition and no walk,
+whether or not its checks ran.
+
+The walk, ``_build_catalog``, follows two-paths from each vertex in
+descending degree order, as Chiba & Nishizeki do for cycle listing
+("Arboricity and subgraph listing algorithms", SIAM J. Comput. 14(1),
+1985). A walk only steps onto vertices that rank after its start, so each
+chordless cycle is met exactly once, at its highest-ranked vertex, and no
+deduplication is needed. The middle vertex of every two-path has degree
+at most the start's, so the walk costs O(a(G) * m) plus one adjacency test
+per pair of middles sharing a start and an end, where a(G) is the
+arboricity; a k-tree has a(G) <= k.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable
-
+from .connectivity import clique_decomposition
 from .graph import Graph, induced_subgraph
-
-if TYPE_CHECKING:
-    from .connectivity import Atom
 
 Cycle = tuple[int, int, int, int]
 # all induced 4-cycles of one graph, canonically ordered
@@ -49,31 +48,24 @@ def _canonical(diag_a: tuple[int, int], diag_b: tuple[int, int]) -> Cycle:
 
 
 def enumerate_induced_c4(g: Graph) -> C4Catalog:
-    """Catalog every chordless 4-cycle of ``g``, kept in the graph's memo."""
-    memo = g._memo
-    if "c4" not in memo:
-        memo["c4"] = _build_catalog(g)
-    return memo["c4"]
+    """Catalog every chordless 4-cycle of ``g``, kept in the graph's memo.
 
-
-def catalog_of_atoms(g: Graph, atoms: Iterable[Atom]) -> C4Catalog:
-    """g's catalog from its non-complete clique separator ``atoms``, kept in
-    the graph's memo.
-
-    Every induced 4-cycle lies in exactly one of them: two atoms share
-    only a clique, and a complete atom has none. A ring + Q atom holds just
-    its ring, and any other atom is walked on its own induced subgraph,
-    whose ids map back in ascending order, so each cycle keeps its
-    canonical form. An atom holding all of g's vertices walks g itself.
+    Read off g's non-complete clique separator atoms, in which every
+    induced 4-cycle lies exactly once: two atoms share only a clique, and a
+    complete atom has none. A ring + Q atom holds just its ring, and any
+    other atom is walked on its own induced subgraph, whose ids map back in
+    ascending order, so each cycle keeps its canonical form. A graph that
+    is its own only atom (nothing cut, or the fill declined) is walked
+    itself, and a chordal graph has no atom and an empty catalog.
     """
     memo = g._memo
     if "c4" not in memo:
         cycles: list[Cycle] = []
-        for atom in atoms:
+        for atom in clique_decomposition(g)[0]:
             if atom.ring:
                 cycles.append(_canonical(*atom.ring))
             elif len(atom.ids) == g.n:
-                return enumerate_induced_c4(g)
+                cycles += _build_catalog(g)
             else:
                 sub, ids = induced_subgraph(g, atom.ids)
                 back = ids.__getitem__

@@ -29,10 +29,10 @@ vertices it separates.
   its own only atom and gets the same test. On every class member tried so
   far each non-complete atom is ring + Q, so no flow runs at all; any other
   atom gets the flow below on its induced subgraph, so soundness rests on
-  the test alone. Recognition reads the same memoized atoms
-  (``clique_decomposition``): the rings are part of its 4-cycle catalog,
-  the other atoms are walked on their own, and only edges inside those
-  get a hole search.
+  the test alone. The 4-cycle catalog reads the same memoized atoms
+  (``clique_decomposition``): the rings are part of it, and the other
+  atoms are walked on their own; only edges inside those get a hole
+  search.
 - Fallback, and every rejection of a non-chordal input: Menger-based.
   Unit vertex capacities in the standard vertex-split flow network, whose
   residual arcs are read off the graph's adjacency sets and the flow

@@ -23,10 +23,10 @@ shared with the connectivity check. Every chordless cycle, a 4-cycle
 included, meets a clique in one edge at most, so it lies in one atom
 (Tarjan, Discrete Math. 55, 1985). A ring + Q atom (an induced 4-cycle
 joined to a clique that sees all of it) holds its ring as its only induced
-4-cycle and no hole. So the catalog is the rings of those atoms plus a
-walk of each other non-complete atom on its own vertices
-(``c4.catalog_of_atoms``), and the hole search scans only the edges
-inside the other atoms. The catalog scans run over the whole graph (a
+4-cycle and no hole. So the catalog (``c4.enumerate_induced_c4``, read
+off the same atoms) is the rings of those atoms plus a walk of each other
+non-complete atom on its own vertices, and the hole search scans only the
+edges inside the other atoms. The catalog scans run over the whole graph (a
 house can straddle a clique separator). On class members every
 non-complete atom is ring + Q, so no walk and no hole search run. Cost:
 the decomposition, which works only where g is not chordal, plus the
@@ -39,7 +39,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .c4 import C4Catalog, catalog_of_atoms
+from .c4 import C4Catalog, enumerate_induced_c4
 from .chordal import mcs_search
 from .connectivity import clique_decomposition
 from .graph import Graph
@@ -86,24 +86,25 @@ def _hole_at_edge(
     for d in sorted(side_d):
         seeds = adj[d] - closed - seen
         while seeds:
-            # one component of G - X, grown a level at a time
-            frontier = {min(seeds)}
-            comp = set(frontier)
-            touched: set[int] = set()
-            while frontier:
-                reach = set().union(*(adj[u] for u in frontier))
-                touched |= reach
-                frontier = reach - closed - comp
-                comp |= frontier
-            seen |= comp
-            seeds -= comp
+            # one component of G - X, grown from one queue
+            start = min(seeds)
+            comp = [start]
+            inside = {start}
+            for u in comp:
+                for w in adj[u]:
+                    if w not in inside and w not in closed:
+                        inside.add(w)
+                        comp.append(w)
+            touched = set().union(*map(adj.__getitem__, comp))
+            seen |= inside
+            seeds -= inside
             ends = touched & side_a
             if not ends:
                 continue
             for d2 in sorted(touched & side_d):
                 free = ends - adj[d2]
                 if free:
-                    return (b, c, *_shortest_path(adj, d2, min(free), comp))
+                    return (b, c, *_shortest_path(adj, d2, min(free), inside))
     return None
 
 
@@ -236,7 +237,7 @@ def is_hh_i42_free(g: Graph) -> ClassCheck:
     """
     if not g.n or mcs_search(g).witness is None:
         return ClassCheck(True)
-    catalog = catalog_of_atoms(g, clique_decomposition(g)[0])
+    catalog = enumerate_induced_c4(g)
     violation = scan_catalog_violations(g, catalog)
     if violation is not None:
         return ClassCheck(False, violation)

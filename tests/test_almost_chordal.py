@@ -16,6 +16,7 @@ from glpart import (
     PreconditionError,
     WeightedGraph,
     generate_almost_chordal,
+    solve,
     verify_partition,
     vertex_connectivity_at_least,
 )
@@ -24,7 +25,7 @@ from glpart.almost_chordal import (
     build_contraction_plan,
     gl_partition_almost_chordal,
 )
-from glpart.c4 import enumerate_induced_c4
+from glpart.c4 import _build_catalog, enumerate_induced_c4
 from glpart.graph import induced_subgraph
 
 from bruteforce import (
@@ -33,11 +34,12 @@ from bruteforce import (
     build_c4_incidence,
     is_chordal,
     iter_nonedges,
+    planted,
     quadratic_contraction_edges,
     random_gnp,
     shared_vertex_member,
 )
-from test_partition import random_request, weighted_request
+from test_partition import error_or, random_request, weighted_request
 
 
 def member_instance(seed: int, n=24, k=3, cycles=3):
@@ -349,3 +351,64 @@ class TestPipeline:
             seen["peeled"] += bool(peeled)
             seen["chords"] += bool(chords)
         assert min(seen.values()) >= 5
+
+
+class TestUncheckedNonMembers:
+    """Without checks a non-member's catalog is read off its atoms, as a
+    member's is; the whole-graph walk must end every solve the same way.
+    A planted defect leaves every 4-cycle in a ring + Q atom, so random
+    graphs bring atoms with 4-cycles that are walked."""
+
+    @staticmethod
+    def _graphs(kind, rng):
+        if kind == "gnp":
+            for _ in range(12):
+                n, p = rng.randint(8, 30), rng.choice((0.15, 0.3, 0.5))
+                yield random_gnp(rng, n, p), rng.choice((2, 3))
+            return
+        for k in (3, 4):
+            for seed in range(3):
+                yield planted(generate_almost_chordal(40, k, 4, seed=seed), k, kind), k
+
+    @pytest.mark.parametrize("kind,ends", [
+        pytest.param("hole", {"PipelineInvariantError"}, id="hole"),
+        pytest.param("house", {"SolverStallError", "solved"}, id="house"),
+        pytest.param("c4-overlap", {"PreconditionError", "SolverStallError",
+                                    "solved"}, id="c4-overlap"),
+        pytest.param("separator", {"solved"}, id="separator"),
+        pytest.param("gnp", {"PipelineInvariantError", "PreconditionError",
+                             "SolverStallError"}, id="gnp"),
+    ])
+    def test_atoms_end_as_the_walk(self, monkeypatch, kind, ends):
+        def walked(g):
+            g._memo.setdefault("c4", _build_catalog(g))
+            return enumerate_induced_c4(g)
+
+        rng = random.Random(kind)
+        outcomes = set()
+        for g, k in self._graphs(kind, rng):
+            cycles = all_pairs_induced_c4(g)
+            for trial in range(6):
+                req = random_request(rng, g.n, k, min_demand=1 + trial % 2)
+                if trial >= 3 and cycles:  # two terminals opposite on a ring
+                    ring = cycles[-1]
+                    off = [v for v in g.vertices() if v not in ring]
+                    req = PartitionRequest(
+                        (*ring[0::2], *rng.sample(off, k - 2)), req.demands)
+
+                def run(wg):
+                    return error_or(lambda: solve(
+                        wg, req, mode="almost-chordal", validate=False))
+
+                fresh = run(WeightedGraph.unit(Graph(g.adj)))
+                # the old path: the input's memo seeded by the walk, and
+                # the peeled and chorded graphs walked as well
+                old = Graph(g.adj)
+                old._memo["c4"] = _build_catalog(old)
+                with monkeypatch.context() as m:
+                    m.setattr(almost_chordal, "enumerate_induced_c4", walked)
+                    reference = run(WeightedGraph.unit(old))
+                assert fresh == reference, (kind, g.n, k, req)
+                failed = isinstance(fresh[0], type)
+                outcomes.add(fresh[0].__name__ if failed else "solved")
+        assert outcomes == ends

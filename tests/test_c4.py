@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 
 from glpart import Graph, generate_almost_chordal
-from glpart.c4 import enumerate_induced_c4
+from glpart.c4 import _build_catalog, enumerate_induced_c4
 
 from bruteforce import (
     all_pairs_induced_c4,
@@ -114,7 +114,9 @@ class TestCatalog:
         for g in graphs:
             cycles = enumerate_induced_c4(g)
             assert len(set(cycles)) == len(cycles)
-            assert enumerate_induced_c4(g) == all_pairs_induced_c4(g)
+            assert cycles == all_pairs_induced_c4(g)
+            # the walk on the whole graph, which a member's atoms never take
+            assert _build_catalog(g) == cycles
 
     def test_pinned_digest(self):
         # SHA-256 of the catalogs of a fixed corpus, as the distance-two

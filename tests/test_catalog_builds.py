@@ -1,34 +1,37 @@
 """How many certificates a solve and ``glpart check`` compute.
 
 Each graph keeps its 4-cycle catalog and its maximum cardinality search
-in its memo. The ``builds`` spy replaces ``c4._build_catalog``, the builder
-behind ``enumerate_induced_c4``'s memo, so it counts real catalog builds
-and not memo hits. The ``searches`` spy likewise replaces
-``chordal._build_mcs_order``, the builder behind the ``mcs_search`` memo
-that ``mcs_order`` reads, so every search is counted once. The search
-certifies its own order, so a solve never calls ``chordal._violation``,
-the order-agnostic checker behind ``peo_violation``; ``peo_checks``
-counts those calls. The clique separator
+in its memo. The ``builds`` spy replaces ``c4._build_catalog``, the walker
+``enumerate_induced_c4`` runs on atoms that are not ring + Q and on graphs
+that are their own only atom, so it counts real walks and not memo hits.
+The ``searches`` spy likewise replaces ``chordal._build_mcs_order``, the
+builder behind the ``mcs_search`` memo that ``mcs_order`` reads, so every
+search is counted once. The search certifies its own order, so a solve
+never calls ``chordal._violation``, the order-agnostic checker behind
+``peo_violation``; ``peo_checks`` counts those calls. The clique separator
 decomposition is memoized too, cut from the elimination game of the
-input's own search; the ``fills`` and ``atom_builds`` spies count its
+graph's own search; the ``fills`` and ``atom_builds`` spies count its
 elimination-game fills and atom cuts, ``cut_steps`` the positions the cut
 takes one at a time, ``subgraphs`` the induced subgraphs built of its
 atoms, and ``hole_calls`` and ``flow_sizes`` (conftest) each per-edge hole
 search and each connectivity flow.
 
+Every graph's catalog is read off its atoms, whether or not checks ran.
 On a class member every non-complete atom is ring + Q, an induced 4-cycle
-joined to a clique that sees all of it, so the input's catalog is read off
-the atoms' rings with no walk, no hole search runs and no flow runs. Only
-the graph with all the added chords gets a walk of its own.
+joined to a clique that sees all of it, so the catalog of the input, of
+the peeled graph and of the graph with the added chords is a list of
+rings, with no walk, no hole search and no flow.
 """
 
 from __future__ import annotations
 
 import sys
+from collections import Counter
 
 import pytest
 
 from glpart import (
+    Graph,
     Instance,
     PartitionRequest,
     WeightedGraph,
@@ -44,7 +47,12 @@ from glpart.almost_chordal import gl_partition_almost_chordal
 from glpart.c4 import enumerate_induced_c4
 from glpart.cli import main
 
-from bruteforce import all_pairs_induced_c4, format_instance, planted
+from bruteforce import (
+    all_pairs_induced_c4,
+    format_instance,
+    planted,
+    shared_vertex_member,
+)
 
 
 @pytest.fixture
@@ -171,13 +179,14 @@ def test_validated_solve_builds_one_catalog(builds, hole_calls, flow_sizes, k):
 
 
 @pytest.mark.parametrize("k,chords", [(3, 1), (4, 1), (4, 2), (6, 3)])
-def test_all_chords_cost_one_build(builds, k, chords):
+def test_all_chords_cost_no_walk(builds, k, chords):
     # one round reads the atoms' catalog and adds every chord, and the
-    # chorded graph's walk finds none left
+    # chorded graph's atoms show none left: a chorded ring and its clique
+    # are cut into complete atoms
     g, req = _member_request(k, chords, seed=k)
     res = gl_partition_almost_chordal(WeightedGraph.unit(g), req)
     assert len(res.added_chords) == chords
-    assert builds == [g.n]
+    assert builds == []
 
 
 @pytest.mark.parametrize("k", [3, 4])
@@ -192,6 +201,55 @@ def test_hole_plant_walks_only_its_hole_atom(builds, k):
     assert [len(a.ids) for a in others] == [k + 5]
     assert builds == [k + 5]
     assert enumerate_induced_c4(g) == all_pairs_induced_c4(g)
+
+
+def _member_cases():
+    """(member, request) pairs on disjoint-ring and shared-vertex members
+    with k = 3 and 4: with and without two terminals opposite on a ring,
+    which take a chord, and with and without a last terminal of demand 1,
+    which is peeled. The first terminal takes the rest of the vertices."""
+    for k in (3, 4):
+        for g in (generate_almost_chordal(40, k, 4, seed=k),
+                  shared_vertex_member(40, k, 4, 2, seed=k)):
+            ring = all_pairs_induced_c4(g)[0]
+            for chord in (False, True):
+                terminals = list(ring[0::2]) if chord else []
+                terminals += [v for v in g.vertices() if v not in ring][
+                    :k - len(terminals)]
+                for peel in (False, True):
+                    rest = [2] * (k - 2) + [1 if peel else 2]
+                    demands = (g.n - sum(rest), *rest)
+                    yield g, PartitionRequest(tuple(terminals), demands)
+
+
+@pytest.mark.parametrize("extra", [[], ["--skip-checks"]],
+                         ids=["checked", "skip-checks"])
+def test_member_partition_walks_no_catalog(builds, tmp_path, capsys, extra):
+    # the catalogs of the input, the peeled graph and the chorded graph are
+    # all read off ring + Q atoms, whether or not checks run
+    for g, req in _member_cases():
+        assert main(["partition", _write(tmp_path, g, req), *extra]) == 0
+    capsys.readouterr()
+    assert builds == []
+
+
+def test_unchecked_solve_does_no_more_work(builds, searches, atom_builds):
+    # validation only decides whether a failed check raises, so a solve
+    # without it searches, cuts and walks a subset of what a checked solve
+    # does: all of it, or less when a peel leaves the input's catalog unread
+    shapes = set()
+    for g, req in _member_cases():
+        work = []
+        for validate in (True, False):
+            for spy in (builds, searches, atom_builds):
+                spy.clear()
+            res = gl_partition_almost_chordal(
+                WeightedGraph.unit(Graph(g.adj)), req, validate=validate)
+            work.append([Counter(searches), Counter(atom_builds), Counter(builds)])
+        checked, unchecked = work
+        assert all(u <= c for u, c in zip(unchecked, checked)), (g.n, req)
+        shapes.add((bool(res.added_chords), bool(res.peeled)))
+    assert shapes == {(False, False), (False, True), (True, False), (True, True)}
 
 
 @pytest.mark.parametrize("command", ["partition", "check"])
@@ -289,6 +347,7 @@ def test_hole_plant_check_searches_once(searches, tmp_path, capsys):
     # recognition and connectivity both read the atoms of the planted graph
     member, req = _member_request(3, 0, seed=5)
     g = planted(member, 3, "hole")
+    searches.clear()  # planted() reads the member's catalog
     req = PartitionRequest(req.terminals, (*req.demands[:-1], req.demands[-1] + 5))
     assert main(["check", _write(tmp_path, g, req)]) == 0
     capsys.readouterr()
