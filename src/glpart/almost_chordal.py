@@ -33,10 +33,10 @@ induced 4-cycle joined to a clique (observed, not proven; any other atom
 takes the walk, the hole search and the flow). Then the atoms' rings are
 the catalog, which the chord step and the contraction plan reuse, and no
 catalog walk, hole search or flow runs and no atom's subgraph is built.
-The peeled graph and the graph with the added chords are new graphs,
-each read off its own search and decomposition. The contraction plan
-certifies the contracted graph's elimination order, which the inner
-connectivity check and the chordal solve reuse.
+The peeled graph's catalog is the input's less the peeled vertices; the
+chorded graph's is read off its own search and decomposition. The
+contraction plan certifies the contracted graph's elimination order,
+which the inner connectivity check and the chordal solve reuse.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from itertools import compress, count
 from operator import not_
 
-from .c4 import enumerate_induced_c4
+from .c4 import enumerate_induced_c4, induced_catalog
 from .chordal import mcs_search
 from .connectivity import vertex_connectivity_at_least
 from .errors import PipelineInvariantError, PreconditionError
@@ -146,6 +146,11 @@ def build_contraction_plan(
     three private vertices. Eligible cycles wait in a heap of ids, and a
     cycle is pushed when one of its vertices becomes private to it, so the
     greedy costs O(c log c) for c cycles instead of a rescan per pick.
+
+    The contracted graph keeps its own search: the input's order with each
+    merged group at its last member need not be it, as a vertex that sees
+    both ends of a merged pair counts them twice before the contraction
+    and once after, so a tie can break the other way (see test_lemmas).
     """
     catalog = enumerate_induced_c4(g)
     tset = set(terminals)
@@ -288,6 +293,7 @@ def gl_partition_almost_chordal(
         back = tuple(v for v in g.vertices() if v not in peeled_set)
         g1 = induced_subgraph(g, back)[0]
         fwd = {old: new for new, old in enumerate(back)}
+        induced_catalog(g, g1, fwd)
         weights1 = tuple(wg.weights[old] for old in back)
         terminals1 = tuple(map(fwd.__getitem__, terminals1))
     else:

@@ -75,6 +75,15 @@ def enumerate_induced_c4(g: Graph) -> C4Catalog:
     return memo["c4"]
 
 
+def induced_catalog(g: Graph, sub: Graph, fwd: dict[int, int]) -> None:
+    """Keep in the memo of ``sub``, which ``induced_subgraph`` built from
+    ``g`` on the ids that ``fwd`` maps to sub's, the 4-cycles of g that
+    avoid every dropped id. ``fwd`` ascends, so each cycle keeps its
+    canonical form and the catalog its order."""
+    sub._memo["c4"] = tuple(tuple(map(fwd.__getitem__, c)) for c in
+                            enumerate_induced_c4(g) if all(map(fwd.__contains__, c)))
+
+
 def _build_catalog(g: Graph) -> C4Catalog:
     """The catalog of ``g``, built from scratch.
 

@@ -7,8 +7,9 @@ later neighbors in the elimination order; the last of them to be selected,
 its parent, is the earliest. The order is perfect-elimination iff madj(v)
 minus the parent lies inside the parent's neighborhood for every v. A
 failure yields two later neighbors with no edge between them, which lie on
-a chordless cycle of length at least four. Each vertex's label, |madj(v)|,
-is what connectivity reads minimal separators off.
+a chordless cycle of length at least four; the witness takes the parent
+and the smallest-id later neighbor it misses. Each vertex's label,
+|madj(v)|, is what connectivity reads minimal separators off.
 
 The search keeps madj(u) of each unselected u as a list: selecting v
 appends v to the list of each unselected neighbor, so the list's length is
@@ -76,7 +77,8 @@ class ChordalityWitness:
 
     ``vertex`` has two later neighbors ``nonadjacent`` (relative to the
     attempted elimination order) that are not adjacent to each other; the
-    three lie on a chordless cycle of length >= 4.
+    three lie on a chordless cycle of length >= 4. The pair is the earliest
+    later neighbor and the smallest-id later neighbor that it misses.
     """
 
     vertex: int
@@ -203,13 +205,11 @@ def _violation(g: Graph, peo: Peo) -> ChordalityWitness | None:
 
 
 def _witness_at(g: Graph, sigma, v: int) -> ChordalityWitness | None:
-    """v with its earliest later neighbor and the first later neighbor, in
-    ``g.adj[v]`` order, that the earliest one misses; None if there is none."""
+    """v with its earliest later neighbor u and the smallest-id later
+    neighbor that u misses; None if u sees every other later neighbor."""
     later = [u for u in g.adj[v] if sigma[u] > sigma[v]]
     if len(later) < 2:
         return None
     u = min(later, key=sigma.__getitem__)
-    for w in later:
-        if w != u and w not in g.adj[u]:
-            return ChordalityWitness(v, (u, w))
-    return None
+    missed = [w for w in later if w != u and w not in g.adj[u]]
+    return ChordalityWitness(v, (u, min(missed))) if missed else None

@@ -45,10 +45,7 @@ Every random choice of the graph is made once, by ``_draw``, which returns
 the drawn cliques: each k-tree vertex's base, then each gadget's anchor.
 They are read one way, by ``later_neighbours``, which gives each vertex u
 its neighbours v > u: ``generate`` writes those lists, and both graph
-builders fill each neighbour set from them in the order
-``instances.parse_instance`` fills it from that file, so a library graph
-iterates exactly as its file parses (``instances`` says why that order
-matters).
+builders hand them to ``Graph.from_edges`` as the edges (u, v).
 
 Each vertex's list comes out ascending, with no sort, so its lines are the
 ones ``Graph.edges()`` gives:
@@ -208,18 +205,6 @@ def instance_text(n: int, k: int, cycles: int, seed: int,
     return format_parts(n, later, weights, request, comment)
 
 
-def _graph(later: list[list[int]]) -> Graph:
-    """The graph in which vertex u has the larger neighbours ``later[u]``,
-    each neighbour set filled in the order ``instances.parse_instance``
-    fills it from the lines ``format_parts`` writes for ``later``."""
-    nbrs: list[set[int]] = [set() for _ in later]
-    for u, vs in enumerate(later):
-        nbrs[u].update(vs)
-        for v in vs:
-            nbrs[v].add(u)
-    return Graph(tuple(map(frozenset, nbrs)))
-
-
 def generate_ktree(n: int, k: int, seed: int) -> Graph:
     """Random k-tree on n vertices: K_{k+1} plus n-k-1 attachments.
 
@@ -230,7 +215,8 @@ def generate_ktree(n: int, k: int, seed: int) -> Graph:
         raise ValueError("k must be positive")
     if n < k + 1:
         raise ValueError(f"a {k}-tree needs at least {k + 1} vertices")
-    return _graph(later_neighbours(n, k, 0, seed))
+    later = later_neighbours(n, k, 0, seed)
+    return Graph.from_edges(n, ((u, v) for u, vs in enumerate(later) for v in vs))
 
 
 def generate_almost_chordal(n: int, k: int, cycles: int, seed: int) -> Graph:
@@ -267,4 +253,5 @@ def generate_almost_chordal(n: int, k: int, cycles: int, seed: int) -> Graph:
             f"n={n} is too small for {cycles} planted cycles over a "
             f"{k}-tree base; need n >= {k + 1 + 4 * cycles}"
         )
-    return _graph(later_neighbours(n, k, cycles, seed))
+    later = later_neighbours(n, k, cycles, seed)
+    return Graph.from_edges(n, ((u, v) for u, vs in enumerate(later) for v in vs))

@@ -42,15 +42,11 @@ class Graph:
     def from_edges(cls, n: int, edges: Iterable[Edge]) -> "Graph":
         if n < 0:
             raise ValueError("vertex count must be non-negative")
-        nbrs: list[set[int]] = [set() for _ in range(n)]
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-            if u == v:
-                raise ValueError(f"self-loop at {u}")
-            nbrs[u].add(v)
-            nbrs[v].add(u)
-        return cls(tuple(frozenset(s) for s in nbrs))
+        nbrs: list[list[int]] = [[] for _ in range(n)]
+        for u, v in _checked(n, edges):
+            nbrs[u].append(v)
+            nbrs[v].append(u)
+        return cls(tuple(map(frozenset, nbrs)))
 
     @property
     def n(self) -> int:
@@ -79,8 +75,23 @@ class Graph:
         return all(v in adj[u] for u, v in combinations(vs, 2))
 
     def with_edges(self, extra: Iterable[Edge]) -> "Graph":
-        """A copy with the given edges added (ids unchanged)."""
-        return Graph.from_edges(self.n, list(self.edges()) + list(extra))
+        """A copy with the given edges added (ids unchanged); only their
+        ends get new sets."""
+        adj = list(self.adj)
+        for u, v in _checked(self.n, extra):
+            adj[u] |= {v}
+            adj[v] |= {u}
+        return Graph(tuple(adj))
+
+
+def _checked(n: int, edges: Iterable[Edge]) -> Iterable[Edge]:
+    """``edges``; ValueError at a pair out of range for n, or a self-loop."""
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
+        if u == v:
+            raise ValueError(f"self-loop at {u}")
+        yield u, v
 
 
 @dataclass(frozen=True)
@@ -105,14 +116,6 @@ def contract_matching(g: Graph, edges: Iterable[Edge]) -> tuple[Graph, MergeMap]
     Parallel edges collapse. Returns the new graph and the id map back to
     ``g``. Raises ValueError when a pair is not an edge of ``g`` or shares
     a vertex with another pair.
-
-    Each surviving vertex's set is built once, from its own mapped
-    neighbors. Only a merged pair's set is built twice: a second pass adds
-    the larger end's neighbors and drops the pair's own new id. A set's
-    iteration order depends on the order its elements went in, and each
-    set still gets them in the order of a pass over the vertices of ``g``
-    in ascending order, the smaller end's before the larger's, so every
-    set iterates as that pass's did; later searches read that order.
     """
     n = g.n
     rep = list(range(n))  # id in g -> the id of g that keeps its slot
@@ -135,15 +138,14 @@ def contract_matching(g: Graph, edges: Iterable[Edge]) -> tuple[Graph, MergeMap]
         new_id[x] = i
     cur = list(map(new_id.__getitem__, rep))
 
-    mapped = cur.__getitem__
-    nbrs = [set(map(mapped, g.adj[x])) for x in keep]
+    nbrs = list(map(g.adj.__getitem__, keep))
     groups = list(map(frozenset, zip(keep)))
     for u, v in pairs:
         cu = cur[u]
-        nbrs[cu].update(map(mapped, g.adj[v]))
-        nbrs[cu].discard(cu)
+        nbrs[cu] = (g.adj[u] | g.adj[v]) - {u, v}
         groups[cu] = frozenset((u, v))
-    graph = Graph(tuple(map(frozenset, nbrs)))
+    mapped = cur.__getitem__
+    graph = Graph(tuple(frozenset(map(mapped, s)) for s in nbrs))
     return graph, MergeMap(tuple(groups))
 
 

@@ -16,25 +16,19 @@ four content lines (header, weights, terminals, demands). It reads the
 header, then the weights line, before it sizes anything by n: n counts
 only once the weights line has shown n integers, so a header that claims
 10**12 vertices over a short weights line allocates nothing by n. One loop
-over the remaining lines then counts the content lines, fills the
-neighbour sets in file order and stops filling at the first bad edge line,
-keeping only its position. ``#`` comments are stripped from those lines
-only when some ``#`` follows the demands line; otherwise each line goes
-straight to ``str.split``. A line that holds two distinct ids spelt as
-``str`` writes them costs one split, two dict lookups, one test and two
-set insertions; another spelling (``+3``, ``007``) goes through ``int``
-and the range test. A repeated edge is kept once.
+over the remaining lines then counts the content lines, fills each vertex's
+neighbour list, frozen into a set once at the end, and stops filling at the
+first bad edge line, keeping only its position. ``#`` comments are stripped
+from those lines only when some ``#`` follows the demands line; otherwise
+each line goes straight to ``str.split``. A line that holds two distinct
+ids spelt as ``str`` writes them costs one split, two dict lookups, one
+test and two list appends; another spelling (``+3``, ``007``) goes through
+``int`` and the range test. A repeated edge is kept once.
 
 Errors found on the way are raised after the loop in the order the lines
 are checked: the content-line count, the weights line, the terminals line,
 the demands line, then the first bad edge line with the field, range and
 self-loop checks in that order. Each carries its physical line number.
-
-The sets are built by insertion in file order, exactly as
-``Graph.from_edges`` builds them, because a frozenset's iteration order
-depends on how its elements went in, and ``chordal`` picks the nonadjacent
-pair of its chordality witness in that order: built any other way, the
-same file could give a different ``check`` output.
 """
 
 from __future__ import annotations
@@ -125,7 +119,7 @@ def parse_instance(text: str) -> Instance:
     bad = False
     if weights is not None:
         # n is now bounded by the length of the weights line
-        nbrs: list[set[int]] = [set() for _ in range(n)]
+        nbrs: list[list[int]] = [[] for _ in range(n)]
         ids = {str(v): v for v in range(n)}
         for fields in rows:
             try:
@@ -148,8 +142,8 @@ def parse_instance(text: str) -> Instance:
             if u == v:
                 bad = True
                 break
-            nbrs[u].add(v)
-            nbrs[v].add(u)
+            nbrs[u].append(v)
+            nbrs[v].append(u)
     # the lines the loop did not reach: those after the first bad edge
     # line, or every line when the weights line failed
     rest = list(rows)

@@ -319,6 +319,21 @@ def bf_mcs_order(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(reversed(selection)), tuple(labels)
 
 
+def bf_witness_at(g: Graph, sigma, v: int) -> ChordalityWitness | None:
+    """The chordality witness at v under the positions ``sigma``, from its
+    definition: v's later neighbours in ascending id, the earliest of them
+    by position, and the first of the others, so the smallest id, that the
+    earliest one misses."""
+    later = [u for u in range(g.n) if u in g.adj[v] and sigma[u] > sigma[v]]
+    if not later:
+        return None
+    first = min(later, key=lambda u: sigma[u])
+    for w in later:
+        if w != first and w not in g.adj[first]:
+            return ChordalityWitness(v, (first, w))
+    return None
+
+
 def complete_graph(n: int) -> Graph:
     return Graph.from_edges(n, combinations(range(n), 2))
 
@@ -1308,37 +1323,3 @@ def bf_recursive_brute_force_gl(
     if solution is None:
         return None
     return GLPartition(tuple(frozenset(s) for s in solution), 0)
-
-
-def bf_contract_matching(g: Graph, edges) -> tuple[Graph, MergeMap]:
-    """``contract_matching`` as it fed each neighbour set through a
-    generator, kept verbatim: the library's ``map`` must feed every set the
-    same elements in the same order."""
-    n = g.n
-    rep = list(range(n))  # id in g -> the id of g that keeps its slot
-    used: set[int] = set()
-    for u, v in edges:
-        if v not in g.adj[u]:
-            raise ValueError(f"({u}, {v}) is not an edge")
-        if u in used or v in used:
-            raise ValueError(
-                f"contraction edges are not vertex-disjoint at ({u}, {v})"
-            )
-        used.update((u, v))
-        rep[max(u, v)] = min(u, v)
-    new_id = [0] * n
-    keep = [x for x in range(n) if rep[x] == x]
-    for i, x in enumerate(keep):
-        new_id[x] = i
-    cur = [new_id[rep[x]] for x in range(n)]
-
-    nbrs: list[set[int]] = [set() for _ in keep]
-    groups: list[list[int]] = [[] for _ in keep]
-    for x in range(n):
-        cx = cur[x]
-        groups[cx].append(x)
-        nbrs[cx].update(cur[y] for y in g.adj[x])
-    for cx, s in enumerate(nbrs):
-        s.discard(cx)
-    graph = Graph(tuple(frozenset(s) for s in nbrs))
-    return graph, MergeMap(tuple(frozenset(grp) for grp in groups))

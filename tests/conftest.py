@@ -1,11 +1,22 @@
-"""Shared fixtures: small named graphs used across the suite, and spies on
-the per-edge hole search and the connectivity flow."""
+"""Shared fixtures: small named graphs used across the suite, spies on
+the per-edge hole search and the connectivity flow, and a guard that
+rebuilds every neighbour set in another insertion order."""
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
-from glpart import Graph, connectivity, recognition
+from glpart import (
+    Graph,
+    Instance,
+    WeightedGraph,
+    connectivity,
+    graph,
+    instances,
+    recognition,
+)
 
 from bruteforce import complete_graph, cycle_graph, path_graph
 
@@ -36,6 +47,52 @@ def flow_sizes(monkeypatch):
 
     monkeypatch.setattr(connectivity, "_flow_connectivity", spy)
     return sizes
+
+
+@pytest.fixture
+def scrambled_sets(monkeypatch):
+    """Every graph that ``parse_instance``, ``Graph.from_edges``,
+    ``contract_matching``, ``induced_subgraph`` or ``Graph.with_edges``
+    builds comes back with each neighbour set rebuilt in descending id
+    order. A frozenset iterates in an order that depends on how its
+    elements went in, so output that reads that order changes under this
+    fixture. It fails at teardown unless some set iterated differently."""
+    differs: list[bool] = []
+
+    def scramble(g: Graph) -> Graph:
+        adj = tuple(frozenset(sorted(s, reverse=True)) for s in g.adj)
+        differs.append(any(list(a) != list(b) for a, b in zip(adj, g.adj)))
+        return Graph(adj)
+
+    def first_scrambled(fn):
+        def wrapped(*args):
+            g, other = fn(*args)
+            return scramble(g), other
+        return wrapped
+
+    def parse(text):
+        inst = parse_original(text)
+        return Instance(WeightedGraph(scramble(inst.graph), inst.wgraph.weights),
+                        inst.request)
+
+    parse_original = instances.parse_instance
+    swaps = {
+        parse_original: parse,
+        graph.contract_matching: first_scrambled(graph.contract_matching),
+        graph.induced_subgraph: first_scrambled(graph.induced_subgraph),
+    }
+    for name, module in list(sys.modules.items()):
+        if name.startswith("glpart"):
+            for attr, value in list(vars(module).items()):
+                if callable(value) and value in swaps:
+                    monkeypatch.setattr(module, attr, swaps[value])
+    from_edges, with_edges = Graph.from_edges.__func__, Graph.with_edges
+    monkeypatch.setattr(Graph, "from_edges", classmethod(
+        lambda cls, n, edges: scramble(from_edges(cls, n, edges))))
+    monkeypatch.setattr(Graph, "with_edges",
+                        lambda self, extra: scramble(with_edges(self, extra)))
+    yield
+    assert any(differs), "no neighbour set changed its iteration order"
 
 
 @pytest.fixture

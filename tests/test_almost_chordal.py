@@ -407,8 +407,72 @@ class TestUncheckedNonMembers:
                 old._memo["c4"] = _build_catalog(old)
                 with monkeypatch.context() as m:
                     m.setattr(almost_chordal, "enumerate_induced_c4", walked)
+                    m.setattr(almost_chordal, "induced_catalog",
+                              lambda g, sub, fwd: None)
                     reference = run(WeightedGraph.unit(old))
                 assert fresh == reference, (kind, g.n, k, req)
                 failed = isinstance(fresh[0], type)
                 outcomes.add(fresh[0].__name__ if failed else "solved")
         assert outcomes == ends
+
+
+class TestPeeledCatalog:
+    """The peeled graph reads its catalog off the input's: the cycles that
+    avoid the peeled terminals, relabelled. Each must equal the walk of the
+    peeled graph itself."""
+
+    @pytest.fixture
+    def peeled_catalogs(self, monkeypatch):
+        """A list that gains (vertex count, cycle count) for each peeled
+        graph, after its catalog is checked against the walk."""
+        seen = []
+        original = almost_chordal.induced_catalog
+
+        def checked(g, sub, fwd):
+            original(g, sub, fwd)
+            catalog = enumerate_induced_c4(sub)  # what the memo holds
+            assert catalog == _build_catalog(sub), (g, sorted(fwd))
+            seen.append((sub.n, len(catalog)))
+
+        monkeypatch.setattr(almost_chordal, "induced_catalog", checked)
+        return seen
+
+    def test_shared_vertex_members(self, peeled_catalogs):
+        rng = random.Random(4201)
+        for k in (3, 4):
+            for seed in range(4):
+                g = shared_vertex_member(40, k, 4, 3, seed)
+                for validate in (True, False):
+                    # one or two terminals of demand 1, the first on a ring
+                    on_ring = list(rng.choice(enumerate_induced_c4(g)))
+                    terms = rng.sample(on_ring, 2) + rng.sample(
+                        [v for v in g.vertices() if v not in on_ring], k - 2)
+                    ones = rng.randint(1, k - 2)
+                    demands = [1] * ones + [2] * (k - 1 - ones)
+                    req = PartitionRequest(tuple(terms),
+                                           (*demands, g.n - sum(demands)))
+                    res = gl_partition_almost_chordal(
+                        WeightedGraph.unit(Graph(g.adj)), req, validate=validate)
+                    assert len(res.peeled) == ones
+                    # the peeled ring vertex takes its rings with it
+                    assert 0 < peeled_catalogs[-1][1] < len(enumerate_induced_c4(g))
+        assert len(peeled_catalogs) == 16
+
+    def test_planted_without_checks(self, peeled_catalogs):
+        rng = random.Random(4202)
+        ends = set()
+        for kind in ("hole", "house", "c4-overlap", "separator"):
+            for k in (3, 4):
+                g = planted(generate_almost_chordal(40, k, 4, seed=k), k, kind)
+                for _ in range(3):
+                    req = random_request(rng, g.n, k, min_demand=2)
+                    req = PartitionRequest(
+                        req.terminals, (1, *req.demands[1:-1],
+                                        req.demands[0] + req.demands[-1] - 1))
+                    got = error_or(lambda: solve(
+                        WeightedGraph.unit(Graph(g.adj)), req,
+                        mode="almost-chordal", validate=False))
+                    ends.add(got[0].__name__ if isinstance(got[0], type) else "solved")
+        assert len(peeled_catalogs) == 24
+        assert ends == {"solved", "SolverStallError", "PipelineInvariantError",
+                        "PreconditionError"}

@@ -16,11 +16,12 @@ takes one at a time, ``subgraphs`` the induced subgraphs built of its
 atoms, and ``hole_calls`` and ``flow_sizes`` (conftest) each per-edge hole
 search and each connectivity flow.
 
-Every graph's catalog is read off its atoms, whether or not checks ran.
-On a class member every non-complete atom is ring + Q, an induced 4-cycle
-joined to a clique that sees all of it, so the catalog of the input, of
-the peeled graph and of the graph with the added chords is a list of
-rings, with no walk, no hole search and no flow.
+Every graph's catalog is read off its atoms, whether or not checks ran,
+except the peeled graph's, which is the input's less the cycles through
+a peeled terminal. On a class member every non-complete atom is ring + Q,
+an induced 4-cycle joined to a clique that sees all of it, so the catalog
+of the input and of the graph with the added chords is a list of rings,
+with no walk, no hole search and no flow.
 """
 
 from __future__ import annotations
@@ -236,7 +237,7 @@ def test_member_partition_walks_no_catalog(builds, tmp_path, capsys, extra):
 def test_unchecked_solve_does_no_more_work(builds, searches, atom_builds):
     # validation only decides whether a failed check raises, so a solve
     # without it searches, cuts and walks a subset of what a checked solve
-    # does: all of it, or less when a peel leaves the input's catalog unread
+    # does
     shapes = set()
     for g, req in _member_cases():
         work = []
@@ -250,6 +251,22 @@ def test_unchecked_solve_does_no_more_work(builds, searches, atom_builds):
         assert all(u <= c for u, c in zip(unchecked, checked)), (g.n, req)
         shapes.add((bool(res.added_chords), bool(res.peeled)))
     assert shapes == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def test_peeled_graph_is_neither_searched_nor_cut(searches, atom_builds):
+    # the peeled graph takes its catalog off the input's, so a validated,
+    # peeled, chord-free solve searches the input and the contracted graph
+    # and cuts only the input
+    solves = 0
+    for g, req in _member_cases():
+        searches.clear()
+        atom_builds.clear()
+        res = gl_partition_almost_chordal(WeightedGraph.unit(Graph(g.adj)), req)
+        if res.peeled and not res.added_chords:
+            assert searches == [g.n, res.contracted.n], (g.n, req)
+            assert atom_builds == [g.n], (g.n, req)
+            solves += 1
+    assert solves == 4
 
 
 @pytest.mark.parametrize("command", ["partition", "check"])

@@ -15,12 +15,13 @@ from glpart import (
     mcs_search,
 )
 
-from glpart.chordal import Peo, _build_mcs_order, mcs_order, peo_violation
+from glpart.chordal import Peo, _build_mcs_order, _witness_at, mcs_order, peo_violation
 
 from bruteforce import (
     bf_heap_mcs_search,
     bf_is_chordal,
     bf_mcs_order,
+    bf_witness_at,
     compute_peo,
     cycle_graph,
     is_chordal,
@@ -284,3 +285,44 @@ class TestSearchMatchesHeapSearch:
             assert search == bf_heap_mcs_search(g), g
             verdicts.add(search.witness is None)
         assert verdicts == chordal
+
+
+def _rebuilt(g):
+    """g with every neighbour set built again in descending id order."""
+    return Graph(tuple(frozenset(sorted(s, reverse=True)) for s in g.adj))
+
+
+class TestWitnessRule:
+    """The witness names the earliest later neighbour and the smallest-id
+    later neighbour that it misses, so it reads nothing off the order in
+    which a neighbour set was built."""
+
+    def test_matches_smallest_missed_later_neighbour(self):
+        rng = random.Random(3101)
+        seen = 0
+        for g in _gnp_graphs(rng):
+            sigmas = [mcs_search(g).peo.sigma]
+            for _ in range(3):
+                order = list(g.vertices())
+                rng.shuffle(order)
+                sigmas.append(Peo.from_order(order).sigma)
+            for sigma in sigmas:
+                for v in g.vertices():
+                    want = bf_witness_at(g, sigma, v)
+                    assert _witness_at(g, sigma, v) == want, (g, sigma, v)
+                    seen += want is not None
+        assert seen > 1000
+
+    @pytest.mark.parametrize("family", [_gnp_graphs, _members, _large_members],
+                             ids=["gnp", "member", "large-member"])
+    def test_search_ignores_set_order(self, family):
+        differ = 0
+        for g in family(random.Random(3102)):
+            h = _rebuilt(g)
+            differ += any(list(a) != list(b) for a, b in zip(g.adj, h.adj))
+            search = _build_mcs_order(g)
+            assert _build_mcs_order(h) == search, g
+            if search.witness is not None:
+                v = search.violators[0]
+                assert search.witness == bf_witness_at(g, search.peo.sigma, v)
+        assert differ > 0

@@ -307,3 +307,15 @@ def test_request_draw_digest():
                     tail = rng.getrandbits(32)
                     digest.update(f"{req.terminals} {req.demands} {tail}\n".encode())
     assert digest.hexdigest() == REQUEST_SHA256
+
+
+def test_digests_read_no_set_order(scrambled_sets, tmp_path, capsys):
+    # every digest above that runs a graph through the library, with each
+    # neighbour set rebuilt in another insertion order: no output may read
+    # the order in which a set was built
+    test_cli_corpus_digest(tmp_path, capsys)
+    test_forced_almost_chordal_mode_digest(tmp_path, capsys)
+    test_verify_and_check_digest(tmp_path, capsys)
+    test_member_check_digest(tmp_path, capsys)
+    test_large_partition_digest(tmp_path, capsys)
+    test_oracle_compare_digest(capsys)

@@ -101,8 +101,9 @@ class TestParse:
 
 class TestIterationOrder:
     """Each neighbour set iterates as ``Graph.from_edges`` builds it from
-    the file's edges in file order. The chordality witness's nonadjacent
-    pair is picked in that order, so ``check`` output depends on it."""
+    the file's edges in file order: both fill one list per vertex in edge
+    order and freeze it once. No output reads that order (see
+    ``test_metamorphic``), but the two builders stay one construction."""
 
     @pytest.mark.parametrize(
         "kind,n",

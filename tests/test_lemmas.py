@@ -13,6 +13,7 @@ import random
 import pytest
 
 from glpart import Graph, generate_almost_chordal, is_hh_i42_free, mcs_search
+from glpart.almost_chordal import add_terminal_chords, build_contraction_plan
 from glpart.c4 import enumerate_induced_c4
 from glpart.connectivity import clique_decomposition
 from glpart.graph import induced_subgraph
@@ -262,3 +263,33 @@ def test_decomposition_pieces_are_ring_plus_q(family, least):
                 assert bf_vertex_connectivity(sub) == q + 2, (g, sub)
             checked += 1
     assert checked >= least
+
+
+def test_projected_order_is_not_the_contracted_search():
+    """Lemma (c) is false as stated: the chorded graph's elimination order,
+    with each merged group placed at its last member, need not be the
+    contracted graph's own search order.
+
+    Here the member is a relabelled generated one and its terminals add no
+    chord. After the search of the chorded graph selects 0, 2 and 5, vertex
+    7 sees all three and vertex 6 only 2 and 5, so 7 goes first. Contracting
+    the pair (0, 2) leaves both with count 2, and the tie goes to the
+    smaller id, 6. A vertex that sees both ends of a merged pair counts
+    them twice before the contraction and once after.
+    """
+    member = generate_almost_chordal(9, 2, 1, seed=0)
+    new_id = list(range(9))
+    random.Random(0).shuffle(new_id)
+    g = Graph.from_edges(9, [(new_id[u], new_id[v]) for u, v in member.edges()])
+    terminals = (0, 1)
+    g2, chords = add_terminal_chords(g, terminals)
+    assert chords == ()
+    plan = build_contraction_plan(g2, terminals)
+    assert plan.contraction_edges == ((0, 2),)
+    group_of = {x: i for i, grp in enumerate(plan.merge_map.groups) for x in grp}
+    last = {group_of[x]: pos for pos, x in enumerate(mcs_search(g2).peo.order)}
+    projected = tuple(sorted(last, key=last.__getitem__))
+    own = mcs_search(plan.contracted.graph).peo.order
+    # contracted ids 5 and 6 are the chorded graph's 6 and 7
+    assert projected == (3, 2, 1, 7, 5, 6, 4, 0)
+    assert own == (3, 2, 1, 7, 6, 5, 4, 0)
