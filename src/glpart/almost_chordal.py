@@ -128,7 +128,6 @@ class ContractionPlan:
     contracted: WeightedGraph
     merge_map: MergeMap
     terminal_map: dict[int, int]
-    c4_count: int
 
 
 def build_contraction_plan(
@@ -221,7 +220,6 @@ def build_contraction_plan(
         contracted=WeightedGraph(current, merged_weights((1,) * g.n, chosen)),
         merge_map=merge_map,
         terminal_map=terminal_map,
-        c4_count=len(catalog),
     )
 
 
@@ -232,12 +230,9 @@ class PipelineResult:
     partition: GLPartition
     added_chords: tuple[Edge, ...]
     contraction_edges: tuple[Edge, ...]
-    merge_groups: tuple[frozenset[int], ...]
     peeled: tuple[tuple[int, int], ...]  # (part index, terminal)
-    effective_k: int
     contracted: WeightedGraph | None
     contracted_terminals: tuple[int, ...]
-    c4_count: int
 
 
 def gl_partition_almost_chordal(
@@ -344,11 +339,7 @@ def gl_partition_almost_chordal(
         partition=partition,
         added_chords=chords,
         contraction_edges=edges,
-        # the merged groups are the contracted pairs, by their kept ids
-        merge_groups=tuple(map(frozenset, sorted(edges))),
         peeled=peeled,
-        effective_k=k_eff,
         contracted=inner_wg,
         contracted_terminals=inner_req.terminals,
-        c4_count=plan.c4_count,
     )

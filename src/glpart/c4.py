@@ -9,9 +9,9 @@ equal catalogs and a cycle's id is its index.
 catalog in its memo. Every induced 4-cycle lies in one clique separator
 atom (Tarjan, Discrete Math. 55, 1985), so the catalog is read off the
 decomposition that recognition and the connectivity check share: a ring
-+ Q atom adds its ring with no walk, and only the other atoms are walked.
-A member's catalog costs its search and decomposition and no walk,
-whether or not its checks ran.
++ Q atom adds its ring with no walk, and each other atom is walked on the
+subgraph the decomposition keeps for it. A member's catalog costs its
+search and decomposition and no walk, whether or not its checks ran.
 
 The walk, ``_build_catalog``, follows two-paths from each vertex in
 descending degree order, as Chiba & Nishizeki do for cycle listing
@@ -27,7 +27,7 @@ arboricity; a k-tree has a(G) <= k.
 from __future__ import annotations
 
 from .connectivity import clique_decomposition
-from .graph import Graph, induced_subgraph
+from .graph import Graph
 
 Cycle = tuple[int, int, int, int]
 # all induced 4-cycles of one graph, canonically ordered
@@ -53,10 +53,9 @@ def enumerate_induced_c4(g: Graph) -> C4Catalog:
     Read off g's non-complete clique separator atoms, in which every
     induced 4-cycle lies exactly once: two atoms share only a clique, and a
     complete atom has none. A ring + Q atom holds just its ring, and any
-    other atom is walked on its own induced subgraph, whose ids map back in
-    ascending order, so each cycle keeps its canonical form. A graph that
-    is its own only atom (nothing cut, or the fill declined) is walked
-    itself, and a chordal graph has no atom and an empty catalog.
+    other atom is walked on its induced subgraph, whose ids map back in
+    ascending order, so each cycle keeps its canonical form. A chordal
+    graph has no atom and an empty catalog.
     """
     memo = g._memo
     if "c4" not in memo:
@@ -64,12 +63,9 @@ def enumerate_induced_c4(g: Graph) -> C4Catalog:
         for atom in clique_decomposition(g)[0]:
             if atom.ring:
                 cycles.append(_canonical(*atom.ring))
-            elif len(atom.ids) == g.n:
-                cycles += _build_catalog(g)
             else:
-                sub, ids = induced_subgraph(g, atom.ids)
-                back = ids.__getitem__
-                cycles += (tuple(map(back, c)) for c in _build_catalog(sub))
+                back = atom.ids.__getitem__
+                cycles += (tuple(map(back, c)) for c in _build_catalog(atom.sub))
         cycles.sort()
         memo["c4"] = tuple(cycles)
     return memo["c4"]

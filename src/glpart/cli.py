@@ -223,8 +223,9 @@ def _cmd_partition(args) -> int:
         audit = {
             "added_chords": [list(e) for e in result.added_chords],
             "contracted_edges": [list(e) for e in result.contraction_edges],
+            # each merged group is a contracted pair, named by its kept id
             "merge_map": {
-                str(min(grp)): sorted(grp) for grp in result.merge_groups
+                str(u): [u, v] for u, v in sorted(result.contraction_edges)
             },
         }
 

@@ -29,10 +29,11 @@ vertices it separates.
   its own only atom and gets the same test. On every class member tried so
   far each non-complete atom is ring + Q, so no flow runs at all; any other
   atom gets the flow below on its induced subgraph, so soundness rests on
-  the test alone. The 4-cycle catalog reads the same memoized atoms
-  (``clique_decomposition``): the rings are part of it, and the other
-  atoms are walked on their own; only edges inside those get a hole
-  search.
+  the test alone. The 4-cycle catalog and the hole search read the same
+  memoized atoms (``clique_decomposition``), which build each other atom's
+  subgraph once for the flow, the catalog walk and the list of edges that
+  get a hole search. A graph that is its own only atom gets a graph on its
+  own sets, and gets no flow as an atom, since the fallback runs one on g.
 - Fallback, and every rejection of a non-chordal input: Menger-based.
   Unit vertex capacities in the standard vertex-split flow network, whose
   residual arcs are read off the graph's adjacency sets and the flow
@@ -309,11 +310,14 @@ class Atom:
     diagonals of the atom's ring when the atom is ring + Q: an induced
     4-cycle joined to a clique Q whose vertices see the whole ring. Such an
     atom has no hole, the ring is its only induced 4-cycle, and its
-    connectivity is |Q| + 2, its size less two.
+    connectivity is |Q| + 2, its size less two. Any other atom carries its
+    induced subgraph ``sub``, whose vertex i is ``ids[i]``: for an atom
+    holding all of g, a graph on g's own sets.
     """
 
     ids: tuple[int, ...]
     ring: tuple[Edge, Edge] | None
+    sub: Graph | None
 
 
 def _ring_diagonals(g: Graph, ids: tuple[int, ...]) -> tuple[Edge, Edge] | None:
@@ -342,12 +346,20 @@ def clique_decomposition(g: Graph) -> tuple[list[Atom], int]:
     memoized.
 
     When nothing was cut, also when the fill is declined, g is its own only
-    atom, holding all of g's vertices, and the smallest cut is g.n.
+    atom, holding all of g's vertices, and the smallest cut is g.n. Each
+    atom that is not ring + Q gets its subgraph here, once, for the catalog
+    walk, the hole search and the flow to share.
     """
     memo = g._memo
     if "atoms" not in memo:
         pieces, smallest = _clique_cut(g)
-        memo["atoms"] = [Atom(ids, _ring_diagonals(g, ids)) for ids in pieces], smallest
+        atoms = []
+        for ids in pieces:
+            ring = _ring_diagonals(g, ids)
+            sub = (None if ring else Graph(g.adj) if len(ids) == g.n
+                   else induced_subgraph(g, ids)[0])
+            atoms.append(Atom(ids, ring, sub))
+        memo["atoms"] = atoms, smallest
     return memo["atoms"]
 
 
@@ -501,8 +513,7 @@ def vertex_connectivity_at_least(g: Graph, k: int) -> ConnectivityResult:
         atoms, cut = clique_decomposition(g)
         accepted = cut >= k and all(
             len(a.ids) - 2 >= k if a.ring
-            else len(a.ids) < g.n
-            and _flow_connectivity(induced_subgraph(g, a.ids)[0], k)
+            else len(a.ids) < g.n and _flow_connectivity(a.sub, k)
             for a in atoms
         )
     if accepted:

@@ -87,7 +87,13 @@ def _droppers(k: int) -> list:
     """``drop[r]`` for r < k: a callable that maps a base, a sorted
     k-tuple, to the base less its element at index k - 1 - r. Each is one
     ``itemgetter`` over the k - 1 kept indices, or a slice where k - 1 < 2
-    and ``itemgetter`` would return a scalar or fail."""
+    and ``itemgetter`` would return a scalar or fail.
+
+    The table stays because generation time counts: a plain list of every
+    clique, drawn with ``rng.randrange``, makes the same draws but took
+    26-65 ms against 8-18 ms for the seven k-trees of one batch of n =
+    1,000-4,000 (2-core host, Python 3.11), whose whole ``generate`` takes
+    about 30 ms."""
     drop = []
     for r in range(k):
         i = k - 1 - r

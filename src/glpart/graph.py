@@ -8,14 +8,16 @@ A graph never changes, so each one computes its certificates at most once:
 ``chordal.mcs_search`` (whose one search ``mcs_order`` reads, with the
 search's violators), ``c4.enumerate_induced_c4`` and
 ``connectivity.clique_decomposition`` (the vertex sets of the non-complete
-clique separator atoms, each marked when it is ring + Q, and the smallest
-cut) keep their result in the graph's private memo. The catalog is read
-off the atoms: their rings, and a walk of each other atom's induced
-subgraph, whose own memo is dropped with it. Every operation that builds
-a new graph (``with_edges``, ``induced_subgraph``, ``contract_matching``)
-starts it with an empty memo.
-The memo takes no part in equality, hashing or repr, and refers to no
-graph, so a graph and its memo form no reference cycle.
+clique separator atoms, each marked when it is ring + Q or else holding
+its induced subgraph, and the smallest cut) keep their result in the
+graph's private memo. The catalog walk, the hole search and the flow all
+read an atom's one subgraph. Every operation that builds a new graph
+(``with_edges``, ``induced_subgraph``, ``contract_matching``) starts it
+with an empty memo.
+The memo takes no part in equality, hashing or repr. It holds atom
+subgraphs, and none of them refers back to its graph (an atom holding all
+of g gets a graph on g's own sets), so a graph and its memo form no
+reference cycle.
 """
 
 from __future__ import annotations
@@ -34,8 +36,8 @@ class Graph:
 
     adj: tuple[frozenset[int], ...]
     # certificates of this graph: its maximum cardinality search (order,
-    # labels and chordality verdict), its 4-cycle catalog, and the vertex
-    # sets of its non-complete clique separator atoms with the smallest cut
+    # labels and chordality verdict), its 4-cycle catalog, and its
+    # non-complete clique separator atoms with the smallest cut
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod

@@ -10,39 +10,45 @@ hole, with ring neighbors a of b and d of c, a-b-c-d is an induced path and
 the hole's other vertices avoid N[b] | N[c]. So a hole passes through bc
 iff some a in N(b) - N[c] and some d in N(c) - N[b] are non-adjacent and
 both touch one component of G - (N[b] | N[c]); a shortest d-a path through
-that component closes the hole. ``find_hole`` tries the edges (b, c),
-b < c, in ascending order. One edge costs an O(n + m) component search
-plus the pair test, which stops at its first non-adjacent pair. An
+that component closes the hole. One edge costs an O(n + m) component
+search plus the pair test, which stops at its first non-adjacent pair. An
 adjacent pair a-d that shares a component closes a house, two 4-cycles
-sharing two vertices, or a hole, so on class members the search is
-O(m * (n + m)); on other graphs it is at most O(n * m^2).
+sharing two vertices, or a hole, so once the catalog scans pass, the
+search is O(m * (n + m)); on other graphs it is at most O(n * m^2).
+
+Every chordless cycle, a 4-cycle included, meets a clique in one edge at
+most, so it lies in one atom of the clique separator decomposition that
+recognition shares with the connectivity check (Tarjan, Discrete Math.
+55, 1985). A ring + Q atom (an induced 4-cycle joined to a clique that
+sees all of it) holds its ring as its only induced 4-cycle and no hole.
+So the catalog (``c4.enumerate_induced_c4``) is the rings of those atoms
+plus a walk of each other atom, and ``find_hole``, the one hole search,
+tries only the edges inside the other atoms, in ``g.edges()`` order. A
+graph that is its own only atom has all its edges tried. The per-edge
+test runs on g, so the first hole edge of ``g.edges()``, and its hole,
+are the same under any filter that keeps every hole edge.
 
 ``is_hh_i42_free`` accepts chordal graphs at once, as they have no 4-cycle
-and no hole. Of the others, it reads the clique separator decomposition
-shared with the connectivity check. Every chordless cycle, a 4-cycle
-included, meets a clique in one edge at most, so it lies in one atom
-(Tarjan, Discrete Math. 55, 1985). A ring + Q atom (an induced 4-cycle
-joined to a clique that sees all of it) holds its ring as its only induced
-4-cycle and no hole. So the catalog (``c4.enumerate_induced_c4``, read
-off the same atoms) is the rings of those atoms plus a walk of each other
-non-complete atom on its own vertices, and the hole search scans only the
-edges inside the other atoms. The catalog scans run over the whole graph (a
-house can straddle a clique separator). On class members every
-non-complete atom is ring + Q, so no walk and no hole search run. Cost:
-the decomposition, which works only where g is not chordal, plus the
-scans of the catalog on members; on other graphs, the walks of the other
-atoms and O(n + m) more per scanned edge.
+and no hole. Of the others it scans the catalog over the whole graph (a
+house can straddle a clique separator), then searches for a hole. On class
+members every non-complete atom is ring + Q, so no walk and no hole search
+run. Cost: the decomposition, which works only where g is not chordal,
+plus the scans of the catalog on members; on other graphs, the walks of
+the other atoms and O(n + m) more per scanned edge.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from heapq import merge
+from itertools import groupby
+from typing import Iterator
 
 from .c4 import C4Catalog, enumerate_induced_c4
 from .chordal import mcs_search
-from .connectivity import clique_decomposition
-from .graph import Graph
+from .connectivity import Atom, clique_decomposition
+from .graph import Edge, Graph
 
 
 @dataclass(frozen=True)
@@ -133,46 +139,30 @@ def _shortest_path(
 def find_hole(g: Graph) -> tuple[int, ...] | None:
     """Some chordless cycle of length >= 5, or None if there is none.
 
-    The edges are tried in ``g.edges()`` order, each listed only once the
-    ones before it hold no hole.
+    The edges inside atoms that are not ring + Q are tried in
+    ``g.edges()`` order, each listed only once the ones before it hold no
+    hole: each atom lists its subgraph's edges ascending in g's ids, the
+    lists are merged, and an edge that two atoms share through their
+    clique separator is dropped the second time. Once the catalog scans
+    pass, a scanned atom with no hole would be a member's atom that is not
+    ring + Q, which no member tried so far has; each of its edges before
+    the first hole edge would be a search in vain.
     """
+    if not g.n:
+        return None
+    streams = [_edges_of(a) for a in clique_decomposition(g)[0] if not a.ring]
     adj = g.adj
-    return _first_hole(adj, (
-        (u, v) for u, nbrs in enumerate(adj) for v in sorted(nbrs) if u < v))
-
-
-def _first_hole(adj, edges) -> tuple[int, ...] | None:
-    """The hole through the first of ``edges`` that lies on one, or None."""
+    edges = (e for e, _ in groupby(merge(*streams)))
     return next(filter(None, (_hole_at_edge(adj, b, c) for b, c in edges)), None)
 
 
-def _hole_by_atoms(g: Graph) -> tuple[int, ...] | None:
-    """``find_hole(g)`` on a non-chordal ``g``, scanning only the edges
-    inside atoms that are not ring + Q.
-
-    Every hole lies in one atom and a ring + Q atom has none, so every hole
-    edge lies inside some other atom. ``_hole_at_edge`` is exact on g, so
-    the first hole edge of ``g.edges()``, and its hole, are the same under
-    any filter that keeps every hole edge: the non-ring atoms', the holey
-    atoms' or none. The edges inside those atoms are read off their own
-    vertices and sorted into ``g.edges()`` order, so no other edge of g is
-    listed; a graph that is its own only atom goes to ``find_hole``. Each
-    edge scanned costs one whole-graph component search. Once the catalog
-    scans pass, a scanned atom with no hole would be a member's atom that
-    is not ring + Q, which no member tried so far has; each of its edges
-    before the first hole edge is a search in vain.
-    """
-    atoms = [a.ids for a in clique_decomposition(g)[0] if not a.ring]
-    if not atoms:
-        return None
-    if len(atoms[0]) == g.n:  # g is its own only atom
-        return find_hole(g)
-    adj = g.adj
-    inside = set()
-    for ids in atoms:
-        members = frozenset(ids)
-        inside.update((u, v) for u in ids for v in adj[u] & members if u < v)
-    return _first_hole(adj, sorted(inside))
+def _edges_of(atom: Atom) -> Iterator[Edge]:
+    """The edges of ``atom``'s subgraph in g's ids, (u, v) with u < v, sorted."""
+    ids = atom.ids
+    for u, nbrs in enumerate(atom.sub.adj):
+        for v in sorted(nbrs):
+            if u < v:
+                yield ids[u], ids[v]
 
 
 def _house_roof(g: Graph, cycle) -> int | None:
@@ -241,7 +231,7 @@ def is_hh_i42_free(g: Graph) -> ClassCheck:
     violation = scan_catalog_violations(g, catalog)
     if violation is not None:
         return ClassCheck(False, violation)
-    hole = _hole_by_atoms(g)
+    hole = find_hole(g)
     if hole is not None:
         return ClassCheck(False, ClassViolation(
             "hole", hole, f"chordless cycle of length {len(hole)}"

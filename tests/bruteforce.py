@@ -24,8 +24,11 @@ instance reader the library's one-pass reader replaced, the growth
 loop on per-vertex part sets that the library's bit masks replaced, and
 the maximum cardinality search on one lazy heap that the library's
 per-count heaps replaced, the oracle's recursive searches that its
-explicit stacks replaced, and the matching contraction that fed each
-neighbour set through a generator, which the library's ``map`` replaced.
+explicit stacks replaced, the matching contraction that fed each
+neighbour set through a generator, which the library's ``map`` replaced,
+and the hole scan over every edge of the graph that the library's scan
+of the atoms' edges replaced, with that edge list built off the atoms'
+vertex ids.
 """
 
 from __future__ import annotations
@@ -54,11 +57,12 @@ from glpart import (
     generate_almost_chordal,
     is_hh_i42_free,
     mcs_search,
+    recognition,
     vertex_connectivity_at_least,
 )
 from glpart.c4 import C4Catalog, Cycle, _canonical, enumerate_induced_c4
 from glpart.chordal import McsSearch, Peo, _witness_at, mcs_order
-from glpart.connectivity import ConnectivityResult, _failure
+from glpart.connectivity import ConnectivityResult, _failure, clique_decomposition
 from glpart.graph import MergeMap, components_within
 from glpart.instances import format_parts
 from glpart.oracle import _feasible, _reachable
@@ -704,6 +708,33 @@ def is_chordal(g: Graph) -> bool:
     if g.n == 0:
         return True
     return isinstance(compute_peo(g), Peo)
+
+
+def whole_graph_find_hole(g: Graph, edges=None) -> tuple[int, ...] | None:
+    """The hole through the first of ``edges`` that lies on one, or None.
+
+    By default ``edges`` is every edge of g in ``g.edges()`` order: the
+    scan that ``recognition.find_hole`` replaced by the edges inside atoms
+    that are not ring + Q. The per-edge test is looked up on
+    ``recognition`` at each call, so a spy on it counts this scan too.
+    """
+    if edges is None:
+        edges = ((u, v) for u, nbrs in enumerate(g.adj) for v in sorted(nbrs) if u < v)
+    return next(filter(None, (recognition._hole_at_edge(g.adj, b, c)
+                              for b, c in edges)), None)
+
+
+def bf_atom_edges(g: Graph) -> list[tuple[int, int]]:
+    """Every edge inside some atom of ``clique_decomposition(g)`` that is
+    not ring + Q, sorted: one set built off the atoms' ids and g's own
+    sets, with no subgraph."""
+    inside = set()
+    for atom in clique_decomposition(g)[0]:
+        if not atom.ring:
+            members = frozenset(atom.ids)
+            inside.update((u, v) for u in atom.ids
+                          for v in g.adj[u] & members if u < v)
+    return sorted(inside)
 
 
 def find_hole_through(g: Graph, v: int) -> tuple[int, ...] | None:

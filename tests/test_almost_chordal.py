@@ -113,15 +113,14 @@ class TestContractionPlan:
     def test_no_cycles_no_edges(self, k5):
         plan = build_contraction_plan(k5, (0, 1))
         assert plan.contraction_edges == ()
-        assert plan.c4_count == 0
+        assert enumerate_induced_c4(k5) == ()
         assert plan.contracted.graph == k5
 
     def test_one_edge_per_cycle_disjoint(self):
         for seed in range(5):
             g = member_instance(seed)
             plan = build_contraction_plan(g, (0, 1, 2))
-            assert len(plan.contraction_edges) == plan.c4_count
-            assert plan.c4_count == len(enumerate_induced_c4(g))
+            assert len(plan.contraction_edges) == len(enumerate_induced_c4(g))
             touched: set[int] = set()
             for u, v in plan.contraction_edges:
                 assert v in g.adj[u]
@@ -268,7 +267,7 @@ class TestPipeline:
         req = PartitionRequest(terms, demands)
         res = gl_partition_almost_chordal(wg, req)
         assert {t for _, t in res.peeled} == {0, 3}
-        assert res.effective_k == 2
+        assert len(res.contracted_terminals) == 2
         assert res.partition.parts[0] == frozenset({0})
         assert res.partition.parts[1] == frozenset({3})
         rep = verify_partition(wg, req, res.partition, DeviationRule.slack(1))
@@ -292,10 +291,11 @@ class TestPipeline:
         wg = WeightedGraph.unit(g)
         req = PartitionRequest((0, 8, 16), (8, 8, g.n - 16))
         res = gl_partition_almost_chordal(wg, req)
-        assert len(res.contraction_edges) == res.c4_count
+        assert len(res.contraction_edges) == len(enumerate_induced_c4(g))
         assert is_chordal(res.contracted.graph)
         assert len(res.contracted_terminals) == 3
-        assert vertex_connectivity_at_least(res.contracted.graph, res.effective_k)
+        assert vertex_connectivity_at_least(res.contracted.graph,
+                                            len(res.contracted_terminals))
 
     def test_deterministic(self):
         g = member_instance(9)
@@ -336,10 +336,11 @@ class TestPipeline:
 
             assert res.added_chords == orig(chords)
             assert res.contraction_edges == orig(plan.contraction_edges)
-            assert res.c4_count == plan.c4_count
-            # the groups, weights and terminals read group by group
+            assert len(plan.contraction_edges) == len(enumerate_induced_c4(g2))
+            # the groups, weights and terminals read group by group; the
+            # merged groups are the contracted pairs, by their kept ids
             groups = plan.merge_map.groups
-            assert res.merge_groups == tuple(
+            assert tuple(map(frozenset, sorted(res.contraction_edges))) == tuple(
                 frozenset(back[v] for v in grp) for grp in groups if len(grp) >= 2)
             assert plan.contracted.weights == tuple(map(len, groups))
             assert res.contracted.weights == tuple(

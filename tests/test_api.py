@@ -10,8 +10,9 @@ each subcommand's flags as the parser defines them. Only the generators
 draw, and the CLI formats no instance itself. No library module imports
 another's underscore names, the verifier imports nothing but types from
 the rest of the library, and the connectivity check does not read the
-4-cycle catalog. networkx is a test reference only: no library module
-imports it.
+4-cycle catalog. Induced subgraphs are built only by the clique separator
+decomposition, one per atom, and by the peel. networkx is a test
+reference only: no library module imports it.
 """
 
 from __future__ import annotations
@@ -161,6 +162,14 @@ def test_connectivity_does_not_read_the_catalog():
         elif isinstance(node, ast.Import):
             names += [alias.name for alias in node.names]
     assert [name for name in names if "c4" in name.split(".")] == []
+
+
+def test_atom_subgraphs_are_built_in_one_place():
+    # the decomposition builds each atom's subgraph once, for its catalog
+    # walk, its hole search and its flow; the peel builds the only other
+    users = [p.name for p in sorted((ROOT / "src" / "glpart").glob("*.py"))
+             if "induced_subgraph" in _references(p)]
+    assert users == ["almost_chordal.py", "connectivity.py"]
 
 
 def test_library_does_not_import_networkx():

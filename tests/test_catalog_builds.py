@@ -12,9 +12,10 @@ never calls ``chordal._violation``, the order-agnostic checker behind
 decomposition is memoized too, cut from the elimination game of the
 graph's own search; the ``fills`` and ``atom_builds`` spies count its
 elimination-game fills and atom cuts, ``cut_steps`` the positions the cut
-takes one at a time, ``subgraphs`` the induced subgraphs built of its
-atoms, and ``hole_calls`` and ``flow_sizes`` (conftest) each per-edge hole
-search and each connectivity flow.
+takes one at a time, ``subgraphs`` the induced subgraphs built, one per
+atom that is not ring + Q and one per peel, and ``hole_calls`` and
+``flow_sizes`` (conftest) each per-edge hole search and each
+connectivity flow.
 
 Every graph's catalog is read off its atoms, whether or not checks ran,
 except the peeled graph's, which is the input's less the cycles through
@@ -26,6 +27,7 @@ with no walk, no hole search and no flow.
 
 from __future__ import annotations
 
+import random
 import sys
 from collections import Counter
 
@@ -52,6 +54,7 @@ from bruteforce import (
     all_pairs_induced_c4,
     format_instance,
     planted,
+    random_gnp,
     shared_vertex_member,
 )
 
@@ -172,7 +175,7 @@ def test_validated_solve_builds_one_catalog(builds, hole_calls, flow_sizes, k):
     g, req = _member_request(k, 0, seed=k)
     res = gl_partition_almost_chordal(WeightedGraph.unit(g), req)
     assert res.added_chords == ()
-    assert res.c4_count == 2
+    assert len(res.contraction_edges) == 2
     assert enumerate_induced_c4(g) == all_pairs_induced_c4(g)
     assert builds == []
     assert hole_calls == []
@@ -407,6 +410,47 @@ def test_member_builds_no_subgraph(subgraphs, tmp_path, capsys, command):
     assert main([command, _write(tmp_path, g, req)]) == 0
     capsys.readouterr()
     assert subgraphs == []
+
+
+def _atom_cases():
+    """(graph, k): each planted kind in one member, k = 3 and 4, and a
+    ``gnp`` graph cut into three atoms that are not ring + Q."""
+    for k in (3, 4):
+        member = generate_almost_chordal(100, k, 4, seed=2)
+        for kind in ("hole", "house", "c4-overlap", "separator"):
+            yield planted(member, k, kind), k
+    yield random_gnp(random.Random(8), 30, 0.1), 3
+
+
+def test_check_builds_each_atom_once(subgraphs, tmp_path, capsys):
+    # the catalog walk, the hole search and the flow of an atom that is not
+    # ring + Q all read the one subgraph the decomposition built for it
+    built = 0
+    for g, k in _atom_cases():
+        others = [list(a.ids) for a in
+                  connectivity.clique_decomposition(Graph(g.adj))[0] if not a.ring]
+        subgraphs.clear()
+        req = PartitionRequest(tuple(range(k)), (*[1] * (k - 1), g.n - k + 1))
+        code = main(["check", _write(tmp_path, g, req), "--require", "class",
+                     "--require", "connectivity"])
+        capsys.readouterr()
+        assert code in (0, 2) and subgraphs == others, (g.n, k)
+        built += len(others)
+    assert built == 5
+
+
+def test_member_partition_builds_no_atom(subgraphs, hole_calls, tmp_path,
+                                         capsys):
+    # every atom of the input and of the chorded graph is ring + Q, so the
+    # only subgraph a validated solve builds is the peeled graph
+    for g, req in _member_cases():
+        subgraphs.clear()
+        assert main(["partition", _write(tmp_path, g, req)]) == 0
+        peeled = {t for t, d in zip(req.terminals, req.demands) if d == 1}
+        assert subgraphs == ([[v for v in g.vertices() if v not in peeled]]
+                             if peeled else [])
+    capsys.readouterr()
+    assert hole_calls == []
 
 
 def test_chordal_check_runs_no_hole_search(hole_calls, atom_builds, builds,

@@ -329,7 +329,9 @@ class TestCliqueSeparatorMethod:
         for g in (octahedron, c5):
             assert bf_clique_atoms_every_set(g) == ([(list(g.vertices()), False)], g.n)
             atoms, cut = clique_decomposition(g)
-            assert (atoms, cut) == ([Atom(tuple(g.vertices()), None)], g.n)
+            assert (atoms, cut) == ([Atom(tuple(g.vertices()), None, g)], g.n)
+            # its subgraph is a graph on g's own sets, with no memo of g's
+            assert atoms[0].sub.adj is g.adj and atoms[0].sub is not g
 
     def test_declines_on_small_separator(self, flow_sizes):
         member = generate_almost_chordal(40, 3, 2, seed=5)

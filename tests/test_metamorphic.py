@@ -7,6 +7,9 @@ file, with no reference solver, at sizes the brute force cannot reach.
 - Relabelling the vertices keeps every exit code and the chordal, class
   and connectivity verdicts of ``check``, and the partition verifies
   under the paper's rule for its mode.
+- Scaling every weight and every demand by c keeps the exit code and the
+  parts of ``partition`` and scales its deviation by exactly c; the mode
+  stays, except that a unit instance turns weighted.
 """
 
 from __future__ import annotations
@@ -175,3 +178,25 @@ def test_relabelled_vertices_keep_verdicts(tmp_path, capsys, name, n, k,
                                          "almost-chordal"}
     assert modes.pop().startswith("chordal") == (cycles == 0)
 
+
+
+@pytest.mark.parametrize("name,n,k,cycles,seed,top,floor", SCALE,
+                         ids=[c[0] for c in SCALE])
+def test_scaled_weights_scale_the_deviation(tmp_path, capsys, name, n, k,
+                                            cycles, seed, top, floor):
+    inst = parse_instance(instance_text(n, k, cycles, seed, top, floor))
+    code, out = _run(tmp_path, "as-written.txt", format_instance(inst),
+                     ["partition"], capsys)
+    assert code == 0
+    want = json.loads(out)
+    mode = "chordal-weighted" if want["mode"] == "chordal-exact" else want["mode"]
+    for c in (2, 7):
+        scaled = Instance(
+            WeightedGraph(inst.graph, tuple(c * w for w in inst.wgraph.weights)),
+            PartitionRequest(inst.request.terminals,
+                             tuple(c * d for d in inst.request.demands)))
+        code, out = _run(tmp_path, f"times-{c}.txt", format_instance(scaled),
+                         ["partition"], capsys)
+        got = json.loads(out)
+        assert (code, got["parts"], got["mode"]) == (0, want["parts"], mode), c
+        assert got["deviation"] == c * want["deviation"], c

@@ -11,9 +11,10 @@ from glpart import Graph, generate_almost_chordal, is_hh_i42_free
 from glpart.c4 import enumerate_induced_c4
 from glpart.connectivity import _violator_fill, clique_decomposition
 from glpart.graph import induced_subgraph
-from glpart.recognition import _hole_by_atoms, find_hole, scan_catalog_violations
+from glpart.recognition import find_hole, scan_catalog_violations
 
 from bruteforce import (
+    bf_atom_edges,
     bf_chordless_cycles,
     bf_class_member,
     bf_has_hole,
@@ -24,6 +25,7 @@ from bruteforce import (
     random_chordal,
     random_gnp,
     shared_vertex_member,
+    whole_graph_find_hole,
     with_planted_cycle,
     without_edges,
 )
@@ -55,6 +57,9 @@ class TestFindHole:
 
     def test_none_on_c4(self, c4):
         assert find_hole(c4) is None
+
+    def test_none_without_vertices(self):
+        assert find_hole(Graph(())) is None
 
     def test_petersen(self, petersen):
         cyc = find_hole(petersen)
@@ -176,8 +181,8 @@ class TestClassMembership:
 
 
 class TestAtomSearch:
-    """Membership searches each atom of the clique separator decomposition,
-    yet reports the very hole the whole-graph ``find_hole`` finds."""
+    """``find_hole`` searches the atoms of the clique separator
+    decomposition, yet reports the very hole a scan of every edge finds."""
 
     @staticmethod
     def inputs() -> list[Graph]:
@@ -211,10 +216,10 @@ class TestAtomSearch:
     def test_matches_whole_graph_search(self):
         split_holes = 0
         for g in self.inputs():
-            ref = find_hole(g)
+            ref = whole_graph_find_hole(g)
             if g.n <= 12:
                 assert (ref is not None) == bf_has_hole(g)
-            assert _hole_by_atoms(g) == ref
+            assert find_hole(g) == ref
             v = is_hh_i42_free(g).violation
             if v is None or v.kind == "hole":
                 assert (None if v is None else v.vertices) == ref
@@ -243,8 +248,9 @@ class TestAtomSearch:
         spent = len(hole_calls)
         scanned = [(b, c) for n, b, c in hole_calls if n == g.n]
         hole_calls.clear()
-        # the same witness for fewer per-edge searches than one find_hole(g)
-        assert violation.kind == "hole" and violation.vertices == find_hole(g)
+        # the same witness for fewer per-edge searches than a scan of g
+        assert violation.kind == "hole"
+        assert violation.vertices == whole_graph_find_hole(g)
         assert spent < len(hole_calls)
         holey = [set(a.ids) for a in clique_decomposition(g)[0]
                  if find_hole(induced_subgraph(g, a.ids)[0]) is not None]
@@ -258,9 +264,25 @@ class TestAtomSearch:
         for g in (cycle_graph(12), petersen, declined):
             atoms, cut = clique_decomposition(g)
             assert cut == g.n and [a.ids for a in atoms] == [tuple(g.vertices())]
-            _hole_by_atoms(g)
+            find_hole(g)
             spent = len(hole_calls)
             hole_calls.clear()
-            find_hole(g)
+            whole_graph_find_hole(g)
             assert spent == len(hole_calls)
+            hole_calls.clear()
+
+    def test_tries_the_edges_inside_the_other_atoms(self, hole_calls, petersen):
+        # the atoms' merged edge lists are the sorted set of edges inside
+        # them, so the search makes the very per-edge calls of a scan over
+        # that set, on every graph of the tests above
+        graphs = self.inputs()
+        graphs += [planted(generate_almost_chordal(120, k, 6, seed=k), k, "hole")
+                   for k in (3, 4)]
+        graphs += [cycle_graph(12), petersen, random_gnp(random.Random(14), 30, 0.2)]
+        for g in graphs:
+            hole = find_hole(g)
+            calls = hole_calls[:]
+            hole_calls.clear()
+            assert whole_graph_find_hole(g, bf_atom_edges(g)) == hole
+            assert hole_calls == calls, g
             hole_calls.clear()

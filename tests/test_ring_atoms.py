@@ -28,9 +28,14 @@ from glpart import (
 from glpart.c4 import _build_catalog, enumerate_induced_c4
 from glpart.connectivity import clique_decomposition
 from glpart.graph import induced_subgraph
-from glpart.recognition import find_hole, scan_catalog_violations
+from glpart.recognition import scan_catalog_violations
 
-from bruteforce import bf_vertex_connectivity, planted, random_gnp
+from bruteforce import (
+    bf_vertex_connectivity,
+    planted,
+    random_gnp,
+    whole_graph_find_hole,
+)
 
 KINDS = ("hole", "house", "c4-overlap", "separator")
 
@@ -39,7 +44,7 @@ def reference_check(g: Graph) -> ClassCheck:
     """The catalog scans on a catalog walked from scratch, then a
     whole-graph hole search."""
     violation = scan_catalog_violations(g, _build_catalog(g))
-    hole = None if violation else find_hole(g)
+    hole = None if violation else whole_graph_find_hole(g)
     if hole:
         violation = ClassViolation(
             "hole", hole, f"chordless cycle of length {len(hole)}")
