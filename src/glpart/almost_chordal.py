@@ -21,8 +21,16 @@ pairwise almost-disjoint induced 4-cycles to a weighted chordal instance:
    with connectivity preserved,
 5. solve the weighted chordal instance and unfold the merges.
 
-Unweighted demands land within one vertex of target; weighted parts stay
-strictly within twice the maximum vertex weight.
+Unweighted demands land within one vertex of target. Weighted parts stay
+strictly within max(2, k' - 1) * w_max of their demands, for the k' parts
+open after the peel, so within 2 * w_max while k' <= 3. A terminal merged
+with its partner may start over its demand, by less than the partner's
+weight; at most k' - 1 groups can, since the demands sum to the total
+weight, so the closed parts' slack starts above -(k' - 1) * w_max. Every
+later close moves that slack toward 0 by less than the contracted graph's
+largest weight, at most 2 * w_max, so it ends within max(2, k' - 1) *
+w_max of 0, and the last open part takes the rest of the slack. From
+k' = 4 on, the paper's 2 * w_max can be missed.
 
 Every stage asks ``enumerate_induced_c4`` and ``mcs_search`` for the
 certificates it needs; each graph keeps them in its memo. Each catalog is
@@ -245,8 +253,10 @@ def gl_partition_almost_chordal(
 
     Demands are weight targets summing to the total weight (vertex counts
     under unit weights) and must cover each terminal's own weight. Returned
-    part weights differ from their demands by less than twice the maximum
-    vertex weight; under unit weights sizes are within one of target.
+    part weights differ from their demands by less than max(2, k' - 1)
+    times the maximum vertex weight, k' being the parts left open after the
+    peel (see the module docstring); under unit weights sizes are within
+    one of target.
 
     Terminals whose demand equals their own weight are peeled off first;
     the rest of the instance must keep at least two open parts.

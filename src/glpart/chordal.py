@@ -1,15 +1,15 @@
 """Chordality testing and perfect elimination orderings.
 
-One maximum cardinality search orders, labels and certifies a graph in a
-single pass (Tarjan & Yannakakis, SIAM J. Comput. 13(3), 1984). When a
-vertex is selected, its neighbors selected before it, madj(v), are its
-later neighbors in the elimination order; the last of them to be selected,
-its parent, is the earliest. The order is perfect-elimination iff madj(v)
-minus the parent lies inside the parent's neighborhood for every v. A
-failure yields two later neighbors with no edge between them, which lie on
-a chordless cycle of length at least four; the witness takes the parent
-and the smallest-id later neighbor it misses. Each vertex's label,
-|madj(v)|, is what connectivity reads minimal separators off.
+One maximum cardinality search orders a graph, records each vertex's later
+neighbors and certifies the order in a single pass (Tarjan & Yannakakis,
+SIAM J. Comput. 13(3), 1984). When a vertex is selected, its neighbors
+selected before it, madj(v), are its later neighbors in the elimination
+order; the last of them to be selected, its parent, is the earliest. The
+order is perfect-elimination iff madj(v) minus the parent lies inside the
+parent's neighborhood for every v. A failure yields two later neighbors
+with no edge between them, which lie on a chordless cycle of length at
+least four; the witness takes the parent and the smallest-id later
+neighbor it misses.
 
 The search keeps madj(u) of each unselected u as a list: selecting v
 appends v to the list of each unselected neighbor, so the list's length is
@@ -21,18 +21,21 @@ levels with no live entry; an entry of level ``top`` is live when its
 vertex is unselected, as its count is then exactly ``top``. Count-0
 vertices are never pushed: a count-0 pick is the smallest unselected id, read
 off a pointer that only moves up. After the search one walk along the order
-pops each list's parent and checks the rest against the parent's neighbor
-set. It keeps every violator, not only the first: connectivity starts the
-elimination game's fill from them, so a non-chordal graph costs Python
-work only where it is not chordal. The search is O((n + m) log n); the
-check is O(n + m).
+pops each list's parent, checks the rest against the parent's neighbor set
+and appends the parent back, so the lists stay whole. It keeps every
+violator, not only the first: connectivity starts the elimination game's
+fill from them, so a non-chordal graph costs Python work only where it is
+not chordal. The search is O((n + m) log n); the check is O(n + m).
 
 ``mcs_search`` keeps the search in the graph's memo, so every caller that
 needs the order of a graph or its chordality witness (the CLI's check,
 ``solve``'s auto mode, recognition, the solver, the contraction plan, the
 connectivity check and its elimination-game fill) shares one search;
-``mcs_order`` reads the order off it. ``peo_violation`` certifies any given
-order on its own.
+``mcs_order`` reads the order off it. Its lists (``McsSearch.later``) are
+the one record of later neighbors: connectivity reads labels, minimal
+separators and the fill off them, and since the memo shares them, no
+reader may mutate them. ``peo_violation`` certifies any given order on
+its own, the one place later neighbors are read off positions.
 """
 
 from __future__ import annotations
@@ -91,16 +94,18 @@ class McsSearch:
 
     ``peo`` is its elimination order, perfect-elimination iff ``witness``
     is None; otherwise ``witness`` is what ``peo_violation`` reports for
-    that order. ``labels[v]`` is the number of neighbors of v selected
-    before it, which are its later neighbors in ``peo``. ``violators``
-    holds, in elimination order, every vertex whose later neighbors other
-    than the earliest do not all see that earliest one; the witness is
-    read at the first of them, and the elimination game's fill starts
-    from them.
+    that order. ``later[v]`` lists the neighbors of v selected before it,
+    which are its later neighbors in ``peo``, in selection order, so by
+    descending position, with v's parent, the earliest, last; its length
+    is v's label. The lists are shared through the graph's memo and must
+    not be mutated. ``violators`` holds, in elimination order, every
+    vertex whose later neighbors other than the earliest do not all see
+    that earliest one; the witness is read at the first of them, and the
+    elimination game's fill starts from them.
     """
 
     peo: Peo
-    labels: tuple[int, ...]
+    later: list[list[int]]
     witness: ChordalityWitness | None
     violators: tuple[int, ...]
 
@@ -169,18 +174,20 @@ def _build_mcs_order(g: Graph) -> McsSearch:
                 push(levels[len(later)], u)
         # every count rose by at most one, so none exceeds v's count plus one
         top = len(madj[v]) + 1
-    labels = tuple(map(len, madj))
     # madj(v) minus the parent must lie inside the parent's neighborhood;
     # every violator is kept, and the first in the elimination order is
     # the one reported
     bad = []
     for v in order:
         later = madj[v]
-        if len(later) > 1 and not adj[later.pop()].issuperset(later):
-            bad.append(v)
+        if len(later) > 1:
+            p = later.pop()
+            if not adj[p].issuperset(later):
+                bad.append(v)
+            later.append(p)
     peo = Peo(tuple(order), tuple(sigma))
     witness = _witness_at(g, peo.sigma, bad[0]) if bad else None
-    return McsSearch(peo, labels, witness, tuple(bad))
+    return McsSearch(peo, madj, witness, tuple(bad))
 
 
 def peo_violation(g: Graph, order) -> ChordalityWitness | None:

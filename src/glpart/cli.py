@@ -12,19 +12,8 @@ layout itself so that each flat list goes through the C encoder.
 Exit codes: 0 success, 1 solve or verification failure, 2 precondition or
 demand failure, 3 parse or I/O failure.
 
-``--out`` overwrites an existing file in place and truncates it to the
-new length afterwards, instead of truncating it to zero on open. On ext4,
-whose default ``auto_da_alloc`` starts writing a file's new data to disk
-at close when the file was truncated to zero, the in-place write saved
-about 0.1-0.2 ms per 3-40 KB output on a 2-core ext4 virtual machine when
-one process overwrites the same file many times; a one-shot run, or a run
-that writes a new file, gains nothing measurable. Special files such as
-``/dev/null`` are written but not truncated. Neither way is atomic, and
-the in-place write fails worse: a crash or a failed write mid-way can
-leave the new bytes followed by the old file's tail, or a page-by-page
-mix of old and new, which can read as valid JSON from two runs, where
-truncating first left a short or empty file. ``auto_da_alloc``'s guard
-against a zero-length file after a crash no longer applies either.
+``--out`` overwrites an existing file in place; ``_write`` says why and
+what that costs.
 
 The argument parser is built once per process, on the first ``main`` call,
 and reused by every later call, so a process that calls ``main`` many
@@ -178,12 +167,6 @@ def _cmd_check(args) -> int:
     chordal = witness is None
     check = is_hh_i42_free(g)
     conn = vertex_connectivity_at_least(g, k)
-    separator = None
-    if not conn and conn.witness is not None:
-        separator = {
-            "separator": sorted(conn.witness.separator),
-            "separated_pair": list(conn.witness.separated_pair),
-        }
 
     _emit(
         {
@@ -196,7 +179,7 @@ def _cmd_check(args) -> int:
             "class_violation": None if check.ok else dataclasses.asdict(check.violation),
             "connectivity_at_least_k": conn.connected,
             "connectivity_reason": conn.reason,
-            "separator": separator,
+            "separator": conn.witness and dataclasses.asdict(conn.witness),
         },
         args.out,
     )

@@ -6,9 +6,9 @@ vertices it separates.
 
 - Complete graphs have no separator at all: the verdict is k <= n - 1.
 - Chordal graphs: kappa is the size of the smallest minimal separator,
-  read off the labels of the graph's own maximum cardinality search in
-  O(n) (Blair & Peyton 1993): in selection order, a vertex whose count of
-  already-selected neighbors does not exceed its predecessor's starts a
+  read off the later lists of the graph's own maximum cardinality search
+  in O(n) (Blair & Peyton 1993): in selection order, a vertex whose count
+  of already-selected neighbors does not exceed its predecessor's starts a
   new maximal clique, and those neighbors form a minimal separator, empty
   on a disconnected graph.
 - Other graphs with k <= 2: kappa >= 2 iff the graph is connected and has
@@ -19,7 +19,8 @@ vertices it separates.
   Python work falls only where g is not chordal: the game's fill is
   passed on from the search's violators alone (Rose, Tarjan & Lueker,
   SIAM J. Comput. 5(2), 1976), and the cut takes one position at a time
-  only near the fill, cutting every other run of positions in bulk.
+  only near the fill, cutting every other run of positions in bulk. Every
+  later set is the search's own list, plus any fill the vertex received.
   kappa(g) >= k when every cut has at least k vertices and every
   non-complete atom is k-connected: removing fewer than k vertices leaves
   each atom connected and each cut, a clique shared by its two sides,
@@ -56,9 +57,10 @@ from .graph import Edge, Graph, components_within, induced_subgraph
 
 @dataclass(frozen=True)
 class SeparatorWitness:
-    """A vertex cut of size < k together with a pair it separates."""
+    """A vertex cut of size < k, ascending, together with a pair it
+    separates."""
 
-    separator: frozenset[int]
+    separator: tuple[int, ...]
     separated_pair: tuple[int, int]
 
 
@@ -67,7 +69,6 @@ class ConnectivityResult:
     """Outcome of a k-connectivity check; truthy iff the bound holds."""
 
     connected: bool
-    k: int
     witness: SeparatorWitness | None = None
     reason: str = ""
 
@@ -79,7 +80,7 @@ def _split_flow_mincut(g: Graph, s: int, t: int, limit: int):
     """Max s-t flow in g's vertex-split network, stopping at ``limit``.
 
     Returns None once ``limit`` vertex-disjoint paths exist, else the
-    minimum vertex cut (a set of vertices, excluding s and t) nearest s.
+    minimum vertex cut nearest s (ascending, excluding s and t).
 
     In the network each vertex x has an in-copy and an out-copy joined by
     an arc of capacity 1, and each edge uv gives arcs out(u) -> in(v) and
@@ -121,7 +122,7 @@ def _split_flow_mincut(g: Graph, s: int, t: int, limit: int):
             break
         else:
             # saturated: vertices whose in-copy is reachable, out-copy not
-            return frozenset(sorted(reach_in.keys() - reach_out.keys()))
+            return tuple(sorted(reach_in.keys() - reach_out.keys()))
         x = reach_in[t]
         while x != s:
             v = reach_out[x]
@@ -134,9 +135,9 @@ def _split_flow_mincut(g: Graph, s: int, t: int, limit: int):
     return None
 
 
-def _failure(k: int, sep: frozenset[int], s: int, t: int) -> ConnectivityResult:
+def _failure(sep: tuple[int, ...], s: int, t: int) -> ConnectivityResult:
     return ConnectivityResult(
-        False, k, SeparatorWitness(sep, (s, t)),
+        False, SeparatorWitness(sep, (s, t)),
         f"{len(sep)} vertices separate {s} from {t}",
     )
 
@@ -158,27 +159,27 @@ def _flow_connectivity(g: Graph, k: int) -> ConnectivityResult:
     for s, t in pairs:
         cut = _split_flow_mincut(g, s, t, k)
         if cut is not None:
-            return _failure(k, cut, s, t)
-    return ConnectivityResult(True, k)
+            return _failure(cut, s, t)
+    return ConnectivityResult(True)
 
 
-def _separator_below(g: Graph, search: McsSearch, k: int):
-    """(x, madj(x)) at the first label drop of ``search`` below k, or None.
+def _separator_below(search: McsSearch, k: int):
+    """(x, madj(x) ascending) at the first label drop of ``search`` below
+    k, or None.
 
-    ``g`` is chordal and ``search`` its maximum cardinality search;
+    ``search`` is a chordal graph's maximum cardinality search;
     ``reversed(search.peo.order)`` is the selection order, and madj(x),
-    the neighbors of x selected before it, are those with larger
-    ``sigma``. Where x's label, |madj(x)|, is no larger than its
-    predecessor's, x starts a new maximal clique and madj(x) is a minimal
-    separator; every minimal separator shows up this way. Only the
-    returned madj(x) is built.
+    the neighbors of x selected before it, is ``search.later[x]``. Where
+    x's label, |madj(x)|, is no larger than its predecessor's, x starts a
+    new maximal clique and madj(x) is a minimal separator; every minimal
+    separator shows up this way.
     """
-    labels, sigma = search.labels, search.peo.sigma
+    later = search.later
     prev = -1
     for x in reversed(search.peo.order):
-        label = labels[x]
+        label = len(later[x])
         if label <= prev and label < k:
-            return x, frozenset(u for u in g.adj[x] if sigma[u] > sigma[x])
+            return x, tuple(sorted(later[x]))
         prev = label
     return None
 
@@ -223,9 +224,7 @@ def _kappa_up_to_2(g: Graph) -> int:
     return 1 if cut or root_children > 1 else 2
 
 
-def _violator_fill(
-    g: Graph,
-) -> tuple[dict[int, set[int]], set[int], dict[int, set[int]]] | None:
+def _violator_fill(g: Graph) -> tuple[dict[int, set[int]], set[int]] | None:
     """The elimination game of g's MCS order, played only where it adds fill.
 
     Eliminating the vertices in order and making each one's later
@@ -235,49 +234,39 @@ def _violator_fill(
     passes its later set less its earliest member p to p. A vertex whose
     later set is still g's passes nothing new unless it is one of the
     search's violators, so only violators and the vertices that receive
-    fill are worked, in elimination order from the first violator.
+    fill are worked, in elimination order from the first violator. A
+    vertex's later set in H is its search list plus the fill it received.
 
-    Returns three things. The fill each filled vertex received: a vertex is
-    filled when its later set in H holds a vertex it misses in g, which is
-    exactly what it received. The worked vertices whose later set passed
-    fill on, so that p misses one of its members in g and it is no clique
-    of g. The later set in H of every other worked vertex. None once the
-    fill exceeds m edges, so the work stays linear.
+    Returns what the game adds: the fill each filled vertex received, which
+    is what it misses in g of its later set in H, and the worked vertices
+    whose later set passed fill on, so that p misses one of its members in
+    g and it is no clique of g. None once the fill exceeds m edges, so the
+    work stays linear.
     """
     search = mcs_search(g)
     violators = search.violators
     fill: dict[int, set[int]] = {}
     passed: set[int] = set()
-    later: dict[int, set[int]] = {}
     if not violators:
-        return fill, passed, later
-    adj = g.adj
+        return fill, passed
+    adj, later = g.adj, search.later
     order, sigma = search.peo.order, search.peo.sigma
     budget = g.edge_count()
     pending = set(violators)
     worked = 0
-    end = g.n + 1
     # pending only gains vertices after the one worked, which the lazy
     # filter still meets
     for v in filter(pending.__contains__,
                     islice(order, sigma[violators[0]] - 1, None)):
-        # v's later set: g's part and the fill it received, with the
-        # earliest position in it
-        sv = sigma[v]
-        sep = set()
-        first = end
-        for u in adj[v]:
-            su = sigma[u]
-            if su > sv:
-                sep.add(u)
-                if su < first:
-                    first = su
+        # v's later set in H, with the earliest position in it: a filled
+        # vertex has a parent too, since fill joins later vertices of one
+        # component
+        sep = set(later[v])
+        first = sigma[later[v][-1]]
         got = fill.get(v)
         if got:
             sep |= got
-            for u in got:
-                if sigma[u] < first:
-                    first = sigma[u]
+            first = min(first, *map(sigma.__getitem__, got))
         p = order[first - 1]
         # the rest of sep is later than p, so what p misses in g is fill
         new = sep.difference(adj[p], (p,))
@@ -294,12 +283,10 @@ def _violator_fill(
                 budget -= len(got)
             if budget < 0:
                 return None
-        else:
-            later[v] = sep
         worked += 1
         if worked == len(pending):
             break
-    return fill, passed, later
+    return fill, passed
 
 
 @dataclass(frozen=True)
@@ -382,30 +369,31 @@ def _clique_cut(g: Graph) -> tuple[list[tuple[int, ...]], int]:
     earlier vertices still alive number i - (n - left), for ``left``
     vertices alive. While that count is 0, x's component is {x}: each
     neighbor of x is later, and so in S, or already cut off. If x is not
-    filled, S is g's later set of x, ``labels[x]`` vertices. It is a clique
-    unless it holds a filled vertex: H makes S a clique, so for u before v
-    in S, v is a later neighbor of u in H, and a missing edge uv of g makes
-    u filled. And {x} and S are all that remains only on the tail, the
-    positions whose vertices see every later vertex, which hold the clique
-    the search selected first. So each position before the tail that
-    neither holds a filled vertex nor has one in its later set cuts off x
-    alone, a complete atom: a run of them is cut in bulk, with no list
-    built, and only its smallest label counts. ``_cut_at`` takes the other
-    positions one at a time, except that a vertex whose later set passed
-    fill on, and so is no clique of g, stays alive with no step. Once the
-    count is 0 on the tail, what remains is the tail's clique.
+    filled, S is x's search list ``later[x]``, else that list plus the fill
+    x received. S is a clique unless it holds a filled vertex: H makes S a
+    clique, so for u before v in S, v is a later neighbor of u in H, and a
+    missing edge uv of g makes u filled. And {x} and S are all that remains
+    only on the tail, the positions whose vertices see every later vertex,
+    which hold the clique the search selected first. So each position
+    before the tail that neither holds a filled vertex nor has one in its
+    later set cuts off x alone, a complete atom: a run of them is cut in
+    bulk, with no list built, and only its shortest list counts. ``_cut_at``
+    takes the other positions one at a time, except that a vertex whose
+    later set passed fill on, and so is no clique of g, stays alive with no
+    step. Once the count is 0 on the tail, what remains is the tail's
+    clique.
     """
     n = g.n
     game = _violator_fill(g)
     if game is None:
         return [tuple(g.vertices())], n
-    fill, passed, later = game
+    fill, passed = game
     filled = fill.keys()
     search = mcs_search(g)
-    order, sigma, labels = search.peo.order, search.peo.sigma, search.labels
+    order, sigma, later = search.peo.order, search.peo.sigma, search.later
     adj = g.adj
     tail = n
-    while tail and labels[order[tail - 1]] == n - tail:
+    while tail and len(later[order[tail - 1]]) == n - tail:
         tail -= 1
     # 1-based positions of the filled vertices and of their earlier neighbors
     steps = {sigma[x] for u in fill for x in adj[u] if sigma[x] < sigma[u]}
@@ -424,8 +412,9 @@ def _clique_cut(g: Graph) -> tuple[list[tuple[int, ...]], int]:
             stop = next(stops, n + 1) - 1
         j = min(stop, tail)
         if j > i:
-            smallest = min(smallest, min(map(labels.__getitem__, order[i:j])))
-            dead.update(order[i:j])
+            run = order[i:j]
+            smallest = min(smallest, *map(len, map(later.__getitem__, run)))
+            dead.update(run)
             left -= j - i
             i = j
             continue
@@ -433,10 +422,7 @@ def _clique_cut(g: Graph) -> tuple[list[tuple[int, ...]], int]:
         # vertex whose later set passed fill on stays alive, with no step
         for x in filterfalse(passed.__contains__, islice(order, i, None)):
             i = sigma[x] - 1
-            sep = later.get(x)
-            if sep is None:
-                sx = sigma[x]
-                sep = [u for u in adj[x] if sigma[u] > sx]
+            sep = later[x] + list(fill.get(x, ()))
             comp = _cut_at(g, x, sep, filled, dead, i + left > n)
             i += 1
             if comp is not None and len(comp) + len(sep) < left:
@@ -493,17 +479,17 @@ def vertex_connectivity_at_least(g: Graph, k: int) -> ConnectivityResult:
     if g.is_complete():
         ok = k < g.n
         return ConnectivityResult(
-            ok, k, None, "" if ok else f"complete graph on {g.n} vertices has no separator"
+            ok, None, "" if ok else f"complete graph on {g.n} vertices has no separator"
         )
     search = mcs_search(g)
     if search.witness is None:
-        found = _separator_below(g, search, k)
+        found = _separator_below(search, k)
         if found is None:
-            return ConnectivityResult(True, k)
+            return ConnectivityResult(True)
         x, sep = found
-        comps = components_within(g, (v for v in g.vertices() if v not in sep))
+        comps = components_within(g, set(g.vertices()).difference(sep))
         # components come ordered by smallest member
-        return _failure(k, sep, x, next(min(c) for c in comps if x not in c))
+        return _failure(sep, x, next(min(c) for c in comps if x not in c))
     if k <= 2:
         accepted = k <= _kappa_up_to_2(g)
     else:
@@ -517,5 +503,5 @@ def vertex_connectivity_at_least(g: Graph, k: int) -> ConnectivityResult:
             for a in atoms
         )
     if accepted:
-        return ConnectivityResult(True, k)
+        return ConnectivityResult(True)
     return _flow_connectivity(g, k)

@@ -36,7 +36,7 @@ class Graph:
 
     adj: tuple[frozenset[int], ...]
     # certificates of this graph: its maximum cardinality search (order,
-    # labels and chordality verdict), its 4-cycle catalog, and its
+    # later neighbors and chordality verdict), its 4-cycle catalog, and its
     # non-complete clique separator atoms with the smallest cut
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 

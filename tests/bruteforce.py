@@ -301,26 +301,26 @@ def bf_elimination_game(g: Graph, order) -> list[set[int]]:
     return [{u for u in nbrs[v] if pos[u] > pos[v]} for v in g.vertices()]
 
 
-def bf_mcs_order(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def bf_mcs_order(g: Graph) -> tuple[tuple[int, ...], list[list[int]]]:
     """Maximum cardinality search by rescanning every unselected vertex.
 
     Each step selects the vertex with the most selected neighbors, the
     smallest id among ties. Returns the elimination order, the reverse of
-    the selection order, and each vertex's label: its number of
-    neighbors selected before it.
+    the selection order, and each vertex's neighbors selected before it,
+    in selection order.
     """
     selected: set[int] = set()
-    labels = [0] * g.n
+    later: list[list[int]] = [[] for _ in range(g.n)]
     selection = []
     for _ in range(g.n):
         v = max(
             (v for v in g.vertices() if v not in selected),
             key=lambda v: (len(g.adj[v] & selected), -v),
         )
-        labels[v] = len(g.adj[v] & selected)
+        later[v] = [u for u in selection if u in g.adj[v]]
         selected.add(v)
         selection.append(v)
-    return tuple(reversed(selection)), tuple(labels)
+    return tuple(reversed(selection)), later
 
 
 def bf_witness_at(g: Graph, sigma, v: int) -> ChordalityWitness | None:
@@ -944,7 +944,7 @@ def bf_split_flow_mincut(base: list[dict[int, int]], s: int, t: int, limit: int)
     of the split network ``base`` built as dicts, stopping at ``limit``.
 
     Returns None once ``limit`` vertex-disjoint paths exist, else the
-    minimum vertex cut (a set of vertices, excluding s and t).
+    minimum vertex cut (ascending, excluding s and t).
     """
     cap = [d.copy() for d in base]
     source = 2 * s + 1
@@ -979,7 +979,7 @@ def bf_split_flow_mincut(base: list[dict[int, int]], s: int, t: int, limit: int)
             if c > 0 and y not in reach:
                 reach.add(y)
                 queue.append(y)
-    return frozenset(
+    return tuple(
         x for x in range(len(base) // 2)
         if 2 * x in reach and 2 * x + 1 not in reach
     )
@@ -998,8 +998,8 @@ def bf_flow_connectivity(g: Graph, k: int) -> ConnectivityResult:
     for s, t in pairs:
         cut = bf_split_flow_mincut(base, s, t, k)
         if cut is not None:
-            return _failure(k, cut, s, t)
-    return ConnectivityResult(True, k)
+            return _failure(cut, s, t)
+    return ConnectivityResult(True)
 
 
 def with_planted_cycle(g: Graph, length: int, clique: tuple[int, ...]) -> Graph:
@@ -1244,7 +1244,8 @@ def bf_grow_chordal_weighted(
 
 
 def bf_heap_mcs_search(g: Graph) -> McsSearch:
-    """The maximum cardinality search on one lazy heap, kept verbatim.
+    """The maximum cardinality search on one lazy heap, kept as it was
+    but for recording each vertex's madj list.
 
     Every count increment pushes a key ``v - count*n``, and each selection
     intersects madj(v) with the parent's neighborhood through a set of the
@@ -1257,6 +1258,7 @@ def bf_heap_mcs_search(g: Graph) -> McsSearch:
         raise ValueError("graph must be non-empty")
     adj = g.adj
     count = [0] * n  # frozen at the label once the vertex is selected
+    later: list[list[int]] = [[] for _ in range(n)]  # madj, selection order
     parent = [0] * n  # last neighbor selected before: the earliest later one
     sigma = [0] * n  # 0 until selected
     order = [0] * n
@@ -1284,11 +1286,12 @@ def bf_heap_mcs_search(g: Graph) -> McsSearch:
                 cu = count[u] + 1
                 count[u] = cu
                 parent[u] = v
+                later[u].append(v)
                 push(heap, u - cu * n)
     peo = Peo(tuple(order), tuple(sigma))
     bad.reverse()
     witness = _witness_at(g, peo.sigma, bad[0]) if bad else None
-    return McsSearch(peo, tuple(count), witness, tuple(bad))
+    return McsSearch(peo, later, witness, tuple(bad))
 
 
 def bf_recursive_connected_sets(

@@ -39,6 +39,7 @@ from bruteforce import (
     random_gnp,
     shared_vertex_member,
 )
+from test_acceptance import random_composition
 from test_partition import error_or, random_request, weighted_request
 
 
@@ -352,6 +353,88 @@ class TestPipeline:
             seen["peeled"] += bool(peeled)
             seen["chords"] += bool(chords)
         assert min(seen.values()) >= 5
+
+
+def forced_merge_instance(rng: random.Random, k: int):
+    """A weighted member whose terminals sit on the first vertex of some
+    rings, each with a heavy next vertex, the contraction's usual partner,
+    and demands that close such a group at its start, over by less than
+    the partner's weight; a few other terminals may be peeled. None when
+    no other terminal stays open or the draw leaves it no room."""
+    cycles = rng.randint(k, k + 2)
+    n = 4 * cycles + rng.randint(2 * k + 2, 30)
+    g = generate_almost_chordal(n, k, cycles, seed=rng.randrange(1 << 30))
+    base = n - 4 * cycles
+    on_rings = rng.sample(range(base, n, 4), rng.randint(1, k))
+    terminals = on_rings + rng.sample(range(base), k - len(on_rings))
+    rng.shuffle(terminals)
+    weights = [rng.randint(1, 2) for _ in range(n)]
+    heavy = rng.randint(2, 9)
+    demands = {}
+    for t in on_rings:
+        weights[t + 1] = heavy
+        demands[t] = rng.randint(weights[t] + 1, weights[t] + heavy)
+    others = [t for t in terminals if t not in demands]
+    if others and rng.random() < 0.3:
+        for t in rng.sample(others, rng.randrange(len(others))):
+            demands[t] = weights[t]
+    rest = [t for t in others if t not in demands]
+    drawn = rest and random_composition(
+        rng, sum(weights) - sum(demands.values()), len(rest),
+        [weights[t] + 1 for t in rest])
+    if not drawn:
+        return None
+    demands.update(zip(rest, drawn))
+    return (WeightedGraph(g, tuple(weights)),
+            PartitionRequest(tuple(terminals), tuple(map(demands.get, terminals))))
+
+
+class TestWeightedBound:
+    """The bound weighted member solves meet: strictly within
+    max(2, k' - 1) * w_max, for the k' parts still open after the peel,
+    so within 2 * w_max while k' <= 3."""
+
+    @staticmethod
+    def assert_within_bound(wg, req, res):
+        # max(2, k' - 1) is 2 while k' <= 3
+        k_open = len(res.contracted_terminals)
+        rule = DeviationRule.window(max(2, k_open - 1) * wg.w_max)
+        rep = verify_partition(wg, req, res.partition, rule)
+        assert rep.ok, (k_open, rep.first_violation)
+
+    def test_three_closed_groups_miss_the_double_window(self):
+        # each terminal group merges a weight-1 terminal with a weight-9
+        # partner and starts 8 over its demand of 2; the one open part
+        # takes all 24, past 2 * w_max = 18 but inside 3 * w_max
+        g = generate_almost_chordal(60, 4, 3, seed=1)
+        weights = [1] * g.n
+        for v in (49, 53, 57):
+            weights[v] = 9
+        wg = WeightedGraph(g, tuple(weights))
+        req = PartitionRequest((48, 52, 56, 0), (2, 2, 2, 78))
+        res = gl_partition_almost_chordal(wg, req)
+        assert res.contraction_edges == ((48, 49), (52, 53), (56, 57))
+        assert res.partition.deviation == 24
+        self.assert_within_bound(wg, req, res)
+
+    def test_forced_merge_sweep(self):
+        rng = random.Random(4401)
+        reached, misses = set(), 0
+        for k in range(2, 7):
+            solves = 0
+            while solves < 60:
+                inst = forced_merge_instance(rng, k)
+                if inst is None:
+                    continue
+                wg, req = inst
+                res = gl_partition_almost_chordal(wg, req)
+                self.assert_within_bound(wg, req, res)
+                reached.add(len(res.contracted_terminals))
+                misses += res.partition.deviation >= 2 * wg.w_max
+                solves += 1
+        # every k' from 2 to 6 is reached, and past 3 some solves miss the
+        # double window
+        assert reached == {2, 3, 4, 5, 6} and misses
 
 
 class TestUncheckedNonMembers:

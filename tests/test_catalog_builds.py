@@ -298,15 +298,14 @@ def test_member_partition_tests_few_cliques(monkeypatch, tmp_path, capsys):
 
 
 def test_member_work_only_where_not_chordal(fills, cut_steps):
-    # one violator per ring passes fill to its parent, and only those 16
-    # vertices are worked; the cut takes only the 8 filled positions one at
-    # a time, and every other position goes in bulk
+    # one violator per ring passes fill to its parent, so 16 vertices are
+    # worked; the cut takes only the 8 filled positions one at a time, and
+    # every other position goes in bulk
     g = generate_almost_chordal(200, 3, 8, seed=1)
     search = chordal.mcs_search(g)
-    fill, passed, later = connectivity._violator_fill(g)
-    assert len(search.violators) == len(fill) == 8
-    assert set(passed) | set(later) == set(search.violators) | set(fill)
-    assert len(set(passed) | set(later)) == 16
+    fill, passed = connectivity._violator_fill(g)
+    assert passed == set(search.violators) and len(passed) == len(fill) == 8
+    assert passed.isdisjoint(fill)
     atoms, cut = connectivity.clique_decomposition(g)
     assert len(atoms) == 8 and all(a.ring for a in atoms) and cut == 3
     assert fills == [g.n, g.n]  # the call above and the decomposition's
@@ -318,7 +317,7 @@ def test_ktree_cut_does_no_work(cut_steps):
     # the tail is cut in bulk
     g = generate_ktree(200, 3, seed=1)
     assert chordal.mcs_search(g).violators == ()
-    assert connectivity._violator_fill(g) == ({}, set(), {})
+    assert connectivity._violator_fill(g) == ({}, set())
     assert connectivity.clique_decomposition(g) == ([], 3)
     assert cut_steps == []
 

@@ -162,7 +162,8 @@ def _edge_lists(draw):
 
 class TestSearchAgainstReference:
     """The one-pass search against a rescanning search and the
-    order-agnostic checker: same order, positions, labels and witness."""
+    order-agnostic checker: same order, positions, later lists and
+    witness."""
 
     @pytest.mark.parametrize("family,chordal", [
         (_gnp_graphs, {True, False}),
@@ -173,12 +174,12 @@ class TestSearchAgainstReference:
     def test_matches_rescanning_search(self, family, chordal):
         verdicts = set()
         for g in family(random.Random(1501)):
-            order, labels = bf_mcs_order(g)
+            order, later = bf_mcs_order(g)
             ref = Peo.from_order(order)
             assert mcs_order(g) == order, g
             search = mcs_search(g)
             assert search.peo == ref, g
-            assert search.labels == labels, g
+            assert search.later == later, g
             assert compute_peo(g) == (peo_violation(g, order) or ref), g
             verdicts.add(search.witness is None)
         assert verdicts == chordal
@@ -186,10 +187,10 @@ class TestSearchAgainstReference:
     @given(_edge_lists())
     @settings(max_examples=300)
     def test_drawn_graphs_match_rescanning_search(self, g):
-        order, labels = bf_mcs_order(g)
+        order, later = bf_mcs_order(g)
         search = mcs_search(g)
         assert search.peo.order == order
-        assert search.labels == labels
+        assert search.later == later
         assert search.witness == peo_violation(g, order)
 
 
@@ -268,7 +269,8 @@ def _paths_and_cycles(rng):
 
 class TestSearchMatchesHeapSearch:
     """The per-count search against the one-heap search it replaced: the
-    same order, positions, labels and witness, on graphs up to n = 4,000."""
+    same order, positions, later lists and witness, on graphs up to
+    n = 4,000."""
 
     @pytest.mark.parametrize("family,chordal", [
         (_large_ktrees, {True}),
@@ -285,6 +287,25 @@ class TestSearchMatchesHeapSearch:
             assert search == bf_heap_mcs_search(g), g
             verdicts.add(search.witness is None)
         assert verdicts == chordal
+
+
+class TestLaterLists:
+    """Each vertex's search list is exactly its later neighbours, by
+    descending position, so its parent, the earliest, comes last."""
+
+    @pytest.mark.parametrize("family", [
+        _gnp_graphs, _chordal_graphs, _ktrees, _members, _large_ktrees,
+        _large_members, _sparse_gnp, _unions, _bipartite, _paths_and_cycles,
+    ], ids=["gnp", "chordal", "ktree", "member", "large-ktree",
+            "large-member", "sparse-gnp", "union", "bipartite", "path-cycle"])
+    def test_lists_are_later_neighbours_parent_last(self, family):
+        for g in family(random.Random(3201)):
+            search = mcs_search(g)
+            sigma = search.peo.sigma
+            for v in g.vertices():
+                later = [u for u in g.adj[v] if sigma[u] > sigma[v]]
+                later.sort(key=sigma.__getitem__, reverse=True)
+                assert search.later[v] == later, (g, v)
 
 
 def _rebuilt(g):

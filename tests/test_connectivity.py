@@ -94,7 +94,7 @@ class TestVertexConnectivity:
         res = vertex_connectivity_at_least(g, 1)
         assert not res
         assert res.witness is not None
-        assert res.witness.separator == frozenset()
+        assert res.witness.separator == ()
 
     def test_complete_has_no_witness(self, k5):
         res = vertex_connectivity_at_least(k5, 5)
@@ -161,7 +161,7 @@ class TestChordalMethod:
         )
         assert vertex_connectivity_at_least(g, 2)
         res = vertex_connectivity_at_least(g, 3)
-        assert res.witness.separator == frozenset({2, 3})
+        assert res.witness.separator == (2, 3)
         assert_genuine_failure(g, 3, res)
 
     @given(chordal_graphs(1, 9))
@@ -193,7 +193,7 @@ class TestChordalMethod:
         if not sep:
             assert not bf_is_connected(g)
             return
-        assert sep in enumerate_minimal_separators(g)
+        assert frozenset(sep) in enumerate_minimal_separators(g)
 
 
 class TestCliqueSeparatorMethod:
@@ -264,7 +264,7 @@ class TestCliqueSeparatorMethod:
             e for e in member.edges() if p not in e or set(e) & {q, s}
         ])
         res = vertex_connectivity_at_least(g, k)
-        assert not res and res.witness.separator == frozenset({q, s})
+        assert not res and res.witness.separator == tuple(sorted((q, s)))
         self.assert_matches_flow(g, k)
 
     def test_members_accepted_without_whole_graph_flow(self, flow_sizes):
@@ -469,14 +469,16 @@ class TestEliminationFill:
             assert got is None
             return excess
         assert got is not None
-        fill, passed, later = got
-        # each vertex's fill is what it misses in g of its later set in H
+        fill, passed = got
+        # each vertex's fill is what it misses in g of its later set in H,
+        # and that later set is its search list plus the fill
         assert fill == {v: ref[v] - g.adj[v] for v in g.vertices()
                         if not g.adj[v] >= ref[v]}
-        # only the violators and the filled vertices are worked
-        assert passed.isdisjoint(later)
-        assert passed | later.keys() == set(search.violators) | fill.keys()
-        assert all(later[v] == ref[v] for v in later)
+        assert all(set(search.later[v]) | fill.get(v, set()) == ref[v]
+                   for v in g.vertices())
+        # only the violators and the filled vertices are worked, and those
+        # that passed fill on have a later set that is no clique of g
+        assert passed <= set(search.violators) | fill.keys()
         assert all(not g.is_clique(ref[v]) for v in passed)
         return excess
 

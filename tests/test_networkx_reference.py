@@ -81,7 +81,7 @@ def test_agrees_with_networkx(name, g):
         assert bool(res) == (kappa >= k), k
         if res.witness is not None:
             s, t = res.witness.separated_pair
-            rest = h.subgraph(set(h) - res.witness.separator)
+            rest = h.subgraph(set(h).difference(res.witness.separator))
             assert len(res.witness.separator) < k
             assert not nx.has_path(rest, s, t)
             assert nx.node_connectivity(h, s, t) == len(res.witness.separator)
