@@ -6,7 +6,9 @@ non-chordal graph forced into chordal mode and an input on which the growth
 loop stalls. Any change to what the CLI prints or returns on these inputs
 changes the digest; an intended change must update it and say why. A
 second digest pins ``verify`` under three deviation rules, on good and on
-swapped partitions, and ``check`` on inputs it rejects.
+swapped partitions, and ``check`` on inputs it rejects. One more,
+STDERR_SHA256, hashes stderr with stdout, so the error line of a rejected
+run, such as a chordality witness, is pinned as well.
 """
 
 from __future__ import annotations
@@ -21,11 +23,18 @@ from glpart import (
     PartitionRequest,
     WeightedGraph,
     generate_almost_chordal,
+    generate_ktree,
 )
 from glpart.cli import main
 from glpart.generators import draw_request
 
-from bruteforce import format_instance, planted
+from bruteforce import (
+    cycle_graph,
+    format_instance,
+    planted,
+    random_gnp,
+    shared_vertex_member,
+)
 
 GOLDEN_SHA256 = "3905a7ca60caff4a2aa59c1de5ecd0c8debc8eb7f86f3fd9154914c83d9b2b45"
 
@@ -309,6 +318,63 @@ def test_request_draw_digest():
     assert digest.hexdigest() == REQUEST_SHA256
 
 
+# Every ``check`` and ``partition`` variant on members (k = 2..4, clean,
+# with each planted defect and with shared ring vertices), k-trees, random
+# graphs and two long holes, each with unit weights and with weights up to
+# 5. Unlike the digests above it also hashes stderr, so the witness a
+# rejected run prints is pinned too.
+STDERR_SHA256 = "acc836a842bab6d4df398e03f764a512e2e5594784e0c4c8c537b537d1952ff0"
+
+COMMANDS = (
+    ["check"],
+    ["check", "--require", "chordal", "--require", "class",
+     "--require", "connectivity"],
+    *(["partition", "--mode", mode, *extra]
+      for mode in ("auto", "chordal", "almost-chordal")
+      for extra in ([], ["--skip-checks"])),
+)
+
+
+def _stderr_corpus():
+    """(graph, k, demand floor) for each input of STDERR_SHA256."""
+    rng = random.Random(90)
+    for k in (2, 3, 4):
+        member = generate_almost_chordal(12 * k + 16, k, 3, seed=90 + k)
+        yield member, k, 2
+        for kind in PLANTS:
+            yield planted(member, k, kind), k, 2
+        yield shared_vertex_member(12 * k + 16, k, 3, 2, 93 + k), k, 2
+        yield generate_ktree(20 * k, k, 96 + k), k, 1
+    for n, p in ((20, 0.3), (40, 0.15), (60, 0.1)):
+        yield random_gnp(rng, n, p), 2, 1
+    yield cycle_graph(30), 2, 1
+    yield cycle_graph(3000), 3, 1
+
+
+def _run_with_stderr(argv, capsys, digest) -> int:
+    code = main(argv)
+    out, err = capsys.readouterr()
+    digest.update(f"{code}\n{out}\n{err}".encode())
+    return code
+
+
+def test_stderr_corpus_digest(tmp_path, capsys):
+    digest = hashlib.sha256()
+    codes = []
+    for i, (g, k, floor) in enumerate(_stderr_corpus()):
+        wrng = random.Random(i)
+        for top in (1, 5):
+            wg = WeightedGraph(g, tuple(wrng.randint(1, top) for _ in range(g.n)))
+            req = draw_request(wrng, wg.weights, k, floor)
+            path = tmp_path / f"{i}-{top}.txt"
+            path.write_text(format_instance(Instance(wg, req)))
+            for cmd in COMMANDS:
+                codes.append(_run_with_stderr([*cmd, str(path)], capsys, digest))
+    assert len(codes) == 416
+    assert [codes.count(c) for c in (0, 1, 2)] == [206, 26, 184]
+    assert digest.hexdigest() == STDERR_SHA256
+
+
 def test_digests_read_no_set_order(scrambled_sets, tmp_path, capsys):
     # every digest above that runs a graph through the library, with each
     # neighbour set rebuilt in another insertion order: no output may read
@@ -319,3 +385,4 @@ def test_digests_read_no_set_order(scrambled_sets, tmp_path, capsys):
     test_member_check_digest(tmp_path, capsys)
     test_large_partition_digest(tmp_path, capsys)
     test_oracle_compare_digest(capsys)
+    test_stderr_corpus_digest(tmp_path, capsys)
