@@ -240,7 +240,6 @@ class PipelineResult:
     contraction_edges: tuple[Edge, ...]
     peeled: tuple[tuple[int, int], ...]  # (part index, terminal)
     contracted: WeightedGraph | None
-    contracted_terminals: tuple[int, ...]
 
 
 def gl_partition_almost_chordal(
@@ -294,9 +293,8 @@ def gl_partition_almost_chordal(
     terminals1 = tuple(req.terminals[i] for i in keep_idx)
     demands1 = tuple(req.demands[i] for i in keep_idx)
     if peeled:
-        peeled_set = {t for _, t in peeled}
-        back = tuple(v for v in g.vertices() if v not in peeled_set)
-        g1 = induced_subgraph(g, back)[0]
+        kept = set(g.vertices()).difference(t for _, t in peeled)
+        g1, back = induced_subgraph(g, kept)
         fwd = {old: new for new, old in enumerate(back)}
         induced_catalog(g, g1, fwd)
         weights1 = tuple(wg.weights[old] for old in back)
@@ -351,5 +349,4 @@ def gl_partition_almost_chordal(
         contraction_edges=edges,
         peeled=peeled,
         contracted=inner_wg,
-        contracted_terminals=inner_req.terminals,
     )

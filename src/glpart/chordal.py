@@ -23,19 +23,20 @@ vertices are never pushed: a count-0 pick is the smallest unselected id, read
 off a pointer that only moves up. After the search one walk along the order
 pops each list's parent, checks the rest against the parent's neighbor set
 and appends the parent back, so the lists stay whole. It keeps every
-violator, not only the first: connectivity starts the elimination game's
-fill from them, so a non-chordal graph costs Python work only where it is
-not chordal. The search is O((n + m) log n); the check is O(n + m).
+violator: the witness is read off the first one's list, and connectivity
+starts the elimination game's fill from them all, so a non-chordal graph
+costs Python work only where it is not chordal. The search is
+O((n + m) log n); the check is O(n + m).
 
-``mcs_search`` keeps the search in the graph's memo, so every caller that
-needs the order of a graph or its chordality witness (the CLI's check,
+``mcs_search`` keeps its ``McsSearch`` in the graph's memo, so every caller
+that needs the order of a graph or its chordality witness (the CLI's check,
 ``solve``'s auto mode, recognition, the solver, the contraction plan, the
-connectivity check and its elimination-game fill) shares one search;
-``mcs_order`` reads the order off it. Its lists (``McsSearch.later``) are
-the one record of later neighbors: connectivity reads labels, minimal
-separators and the fill off them, and since the memo shares them, no
-reader may mutate them. ``peo_violation`` certifies any given order on
-its own, the one place later neighbors are read off positions.
+connectivity check and its elimination-game fill) shares one record: the
+order, its positions ``sigma``, the lists, the witness and the violators.
+Its lists (``later``) are the one record of later neighbors: connectivity
+reads labels, minimal separators and the fill off them, and since the memo
+shares them, no reader may mutate them. ``peo_violation`` certifies any
+given order on its own, the one place later neighbors are read off positions.
 """
 
 from __future__ import annotations
@@ -44,34 +45,6 @@ import heapq
 from dataclasses import dataclass
 
 from .graph import Graph
-
-
-@dataclass(frozen=True)
-class Peo:
-    """A vertex order with 1-based positions.
-
-    ``order[i]`` is the vertex at position i+1; ``sigma[v]`` is the position
-    of v. The order is perfect-elimination when every vertex forms a clique
-    with its later neighbors.
-    """
-
-    order: tuple[int, ...]
-    sigma: tuple[int, ...]
-
-    @classmethod
-    def from_order(cls, order) -> "Peo":
-        order = tuple(order)
-        n = len(order)
-        if sorted(order) != list(range(n)):
-            raise ValueError("order must be a permutation of 0..n-1")
-        sigma = [0] * n
-        for i, v in enumerate(order):
-            sigma[v] = i + 1
-        return cls(order, tuple(sigma))
-
-    @property
-    def n(self) -> int:
-        return len(self.order)
 
 
 @dataclass(frozen=True)
@@ -92,19 +65,20 @@ class ChordalityWitness:
 class McsSearch:
     """One maximum cardinality search of a graph.
 
-    ``peo`` is its elimination order, perfect-elimination iff ``witness``
-    is None; otherwise ``witness`` is what ``peo_violation`` reports for
-    that order. ``later[v]`` lists the neighbors of v selected before it,
-    which are its later neighbors in ``peo``, in selection order, so by
-    descending position, with v's parent, the earliest, last; its length
-    is v's label. The lists are shared through the graph's memo and must
-    not be mutated. ``violators`` holds, in elimination order, every
-    vertex whose later neighbors other than the earliest do not all see
-    that earliest one; the witness is read at the first of them, and the
-    elimination game's fill starts from them.
+    ``order[i]`` is the vertex at elimination position i + 1 and
+    ``sigma[v]`` the position of v. The order is perfect-elimination iff
+    ``witness`` is None; otherwise ``witness`` is what ``peo_violation``
+    reports for it. ``later[v]`` lists v's later neighbors, the neighbors
+    selected before it, in selection order, so by descending position, with
+    v's parent, the earliest, last; its length is v's label. The lists are
+    shared through the graph's memo and must not be mutated. ``violators``
+    holds, in elimination order, every vertex whose later neighbors other
+    than the earliest do not all see that earliest one. The witness is read
+    off the first one's list; the elimination game's fill starts from them all.
     """
 
-    peo: Peo
+    order: tuple[int, ...]
+    sigma: tuple[int, ...]
     later: list[list[int]]
     witness: ChordalityWitness | None
     violators: tuple[int, ...]
@@ -126,7 +100,7 @@ def mcs_order(g: Graph) -> tuple[int, ...]:
     selection order. On chordal inputs this is a perfect elimination order.
     Read from ``mcs_search``.
     """
-    return mcs_search(g).peo.order
+    return mcs_search(g).order
 
 
 def _build_mcs_order(g: Graph) -> McsSearch:
@@ -185,9 +159,11 @@ def _build_mcs_order(g: Graph) -> McsSearch:
             if not adj[p].issuperset(later):
                 bad.append(v)
             later.append(p)
-    peo = Peo(tuple(order), tuple(sigma))
-    witness = _witness_at(g, peo.sigma, bad[0]) if bad else None
-    return McsSearch(peo, madj, witness, tuple(bad))
+    witness = None
+    if bad:
+        *rest, p = madj[bad[0]]
+        witness = ChordalityWitness(bad[0], (p, min(set(rest) - adj[p])))
+    return McsSearch(tuple(order), tuple(sigma), madj, witness, tuple(bad))
 
 
 def peo_violation(g: Graph, order) -> ChordalityWitness | None:
@@ -197,15 +173,14 @@ def peo_violation(g: Graph, order) -> ChordalityWitness | None:
     earliest one are all adjacent to that earliest one. Passing for every v
     is equivalent to the order being perfect-elimination.
     """
-    peo = Peo.from_order(order)
-    if peo.n != g.n:
+    order = tuple(order)
+    if sorted(order) != list(range(g.n)):
         raise ValueError("order must be a permutation of 0..n-1")
-    return _violation(g, peo)
-
-
-def _violation(g: Graph, peo: Peo) -> ChordalityWitness | None:
-    for v in peo.order:
-        witness = _witness_at(g, peo.sigma, v)
+    sigma = [0] * g.n
+    for i, v in enumerate(order):
+        sigma[v] = i + 1
+    for v in order:
+        witness = _witness_at(g, sigma, v)
         if witness is not None:
             return witness
     return None

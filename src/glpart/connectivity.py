@@ -168,7 +168,7 @@ def _separator_below(search: McsSearch, k: int):
     k, or None.
 
     ``search`` is a chordal graph's maximum cardinality search;
-    ``reversed(search.peo.order)`` is the selection order, and madj(x),
+    ``reversed(search.order)`` is the selection order, and madj(x),
     the neighbors of x selected before it, is ``search.later[x]``. Where
     x's label, |madj(x)|, is no larger than its predecessor's, x starts a
     new maximal clique and madj(x) is a minimal separator; every minimal
@@ -176,7 +176,7 @@ def _separator_below(search: McsSearch, k: int):
     """
     later = search.later
     prev = -1
-    for x in reversed(search.peo.order):
+    for x in reversed(search.order):
         label = len(later[x])
         if label <= prev and label < k:
             return x, tuple(sorted(later[x]))
@@ -250,7 +250,7 @@ def _violator_fill(g: Graph) -> tuple[dict[int, set[int]], set[int]] | None:
     if not violators:
         return fill, passed
     adj, later = g.adj, search.later
-    order, sigma = search.peo.order, search.peo.sigma
+    order, sigma = search.order, search.sigma
     budget = g.edge_count()
     pending = set(violators)
     worked = 0
@@ -390,7 +390,7 @@ def _clique_cut(g: Graph) -> tuple[list[tuple[int, ...]], int]:
     fill, passed = game
     filled = fill.keys()
     search = mcs_search(g)
-    order, sigma, later = search.peo.order, search.peo.sigma, search.later
+    order, sigma, later = search.order, search.sigma, search.later
     adj = g.adj
     tail = n
     while tail and len(later[order[tail - 1]]) == n - tail:

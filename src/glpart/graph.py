@@ -5,8 +5,8 @@ re-densify ids deterministically and report the relabeling, so downstream
 output is reproducible bit for bit.
 
 A graph never changes, so each one computes its certificates at most once:
-``chordal.mcs_search`` (whose one search ``mcs_order`` reads, with the
-search's violators), ``c4.enumerate_induced_c4`` and
+``chordal.mcs_search`` (one record of the search's order, positions,
+later lists, witness and violators), ``c4.enumerate_induced_c4`` and
 ``connectivity.clique_decomposition`` (the vertex sets of the non-complete
 clique separator atoms, each marked when it is ring + Q or else holding
 its induced subgraph, and the smallest cut) keep their result in the

@@ -178,7 +178,7 @@ def gl_partition_chordal_weighted(
     n, k = g.n, req.k
     # unvalidated, a non-chordal graph grows along its search order anyway;
     # a bad order can only surface as a stall
-    adj, sigma, order = g.adj, search.peo.sigma, search.peo.order
+    adj, sigma, order = g.adj, search.sigma, search.order
     weights, demands = wg.weights, req.demands
     w_max = wg.w_max
     # Per part: its vertices, its weight and its largest elimination

@@ -61,7 +61,7 @@ from glpart import (
     vertex_connectivity_at_least,
 )
 from glpart.c4 import C4Catalog, Cycle, _canonical, enumerate_induced_c4
-from glpart.chordal import McsSearch, Peo, _witness_at, mcs_order
+from glpart.chordal import McsSearch, _witness_at, mcs_order
 from glpart.connectivity import ConnectivityResult, _failure, clique_decomposition
 from glpart.graph import MergeMap, components_within
 from glpart.instances import format_parts
@@ -489,11 +489,19 @@ def compose(later: MergeMap, earlier: MergeMap) -> MergeMap:
     return MergeMap(tuple(earlier.expand(g) for g in later.groups))
 
 
-def is_peo(g: Graph, peo: Peo) -> bool:
+def positions(order) -> tuple[int, ...]:
+    """sigma[v], the 1-based position of v in ``order``."""
+    sigma = [0] * len(order)
+    for i, v in enumerate(order):
+        sigma[v] = i + 1
+    return tuple(sigma)
+
+
+def is_peo(g: Graph, order) -> bool:
     """Direct definition check: every vertex plus its later neighbors is a clique."""
-    if peo.n != g.n:
+    if sorted(order) != list(g.vertices()):
         return False
-    sigma = peo.sigma
+    sigma = positions(order)
     for v in g.vertices():
         later = [u for u in g.adj[v] if sigma[u] > sigma[v]]
         for i, a in enumerate(later):
@@ -697,17 +705,17 @@ def save_instance(inst: Instance, path: str, comment: str | None = None) -> None
         fh.write(format_instance(inst, comment))
 
 
-def compute_peo(g: Graph) -> Peo | ChordalityWitness:
-    """The graph's search order when it is perfect-elimination, else the
+def compute_peo(g: Graph) -> McsSearch | ChordalityWitness:
+    """The graph's search when its order is perfect-elimination, else the
     witness against it."""
     search = mcs_search(g)
-    return search.witness or search.peo
+    return search.witness or search
 
 
 def is_chordal(g: Graph) -> bool:
     if g.n == 0:
         return True
-    return isinstance(compute_peo(g), Peo)
+    return isinstance(compute_peo(g), McsSearch)
 
 
 def whole_graph_find_hole(g: Graph, edges=None) -> tuple[int, ...] | None:
@@ -1138,7 +1146,7 @@ def bf_grow_chordal_weighted(
     n, k = g.n, req.k
     # unvalidated, a non-chordal graph grows along its search order anyway;
     # a bad order can only surface as a stall
-    adj, sigma, order = g.adj, search.peo.sigma, search.peo.order
+    adj, sigma, order = g.adj, search.sigma, search.order
     weights, demands = wg.weights, req.demands
     w_max = wg.w_max
     # Per part: its vertices, its weight and its largest elimination
@@ -1288,10 +1296,9 @@ def bf_heap_mcs_search(g: Graph) -> McsSearch:
                 parent[u] = v
                 later[u].append(v)
                 push(heap, u - cu * n)
-    peo = Peo(tuple(order), tuple(sigma))
     bad.reverse()
-    witness = _witness_at(g, peo.sigma, bad[0]) if bad else None
-    return McsSearch(peo, later, witness, tuple(bad))
+    witness = _witness_at(g, sigma, bad[0]) if bad else None
+    return McsSearch(tuple(order), tuple(sigma), later, witness, tuple(bad))
 
 
 def bf_recursive_connected_sets(

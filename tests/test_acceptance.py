@@ -200,7 +200,7 @@ def test_criterion_4_pipeline_guards(member_suite):
         for res, req in ((run.res_unw, run.req_unw), (run.res_w, run.req_w)):
             gg = res.contracted.graph
             assert is_chordal(gg)
-            k_eff = len(res.contracted_terminals)
+            k_eff = req.k - len(res.peeled)
             assert vertex_connectivity_at_least(gg, k_eff).connected
             assert k_eff == run.k
 

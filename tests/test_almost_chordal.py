@@ -268,7 +268,7 @@ class TestPipeline:
         req = PartitionRequest(terms, demands)
         res = gl_partition_almost_chordal(wg, req)
         assert {t for _, t in res.peeled} == {0, 3}
-        assert len(res.contracted_terminals) == 2
+        assert req.k - len(res.peeled) == 2
         assert res.partition.parts[0] == frozenset({0})
         assert res.partition.parts[1] == frozenset({3})
         rep = verify_partition(wg, req, res.partition, DeviationRule.slack(1))
@@ -294,9 +294,8 @@ class TestPipeline:
         res = gl_partition_almost_chordal(wg, req)
         assert len(res.contraction_edges) == len(enumerate_induced_c4(g))
         assert is_chordal(res.contracted.graph)
-        assert len(res.contracted_terminals) == 3
-        assert vertex_connectivity_at_least(res.contracted.graph,
-                                            len(res.contracted_terminals))
+        assert not res.peeled
+        assert vertex_connectivity_at_least(res.contracted.graph, req.k)
 
     def test_deterministic(self):
         g = member_instance(9)
@@ -346,7 +345,7 @@ class TestPipeline:
             assert plan.contracted.weights == tuple(map(len, groups))
             assert res.contracted.weights == tuple(
                 sum(wg.weights[back[v]] for v in grp) for grp in groups)
-            assert res.contracted_terminals == tuple(
+            assert tuple(map(plan.terminal_map.__getitem__, open_terms)) == tuple(
                 next(x for x, grp in enumerate(groups) if t in grp)
                 for t in open_terms)
             assert res.partition.deviation == real_deviation(wg, req, res)
@@ -397,7 +396,7 @@ class TestWeightedBound:
     @staticmethod
     def assert_within_bound(wg, req, res):
         # max(2, k' - 1) is 2 while k' <= 3
-        k_open = len(res.contracted_terminals)
+        k_open = req.k - len(res.peeled)
         rule = DeviationRule.window(max(2, k_open - 1) * wg.w_max)
         rep = verify_partition(wg, req, res.partition, rule)
         assert rep.ok, (k_open, rep.first_violation)
@@ -429,7 +428,7 @@ class TestWeightedBound:
                 wg, req = inst
                 res = gl_partition_almost_chordal(wg, req)
                 self.assert_within_bound(wg, req, res)
-                reached.add(len(res.contracted_terminals))
+                reached.add(req.k - len(res.peeled))
                 misses += res.partition.deviation >= 2 * wg.w_max
                 solves += 1
         # every k' from 2 to 6 is reached, and past 3 some solves miss the

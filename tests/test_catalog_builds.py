@@ -7,8 +7,8 @@ that are their own only atom, so it counts real walks and not memo hits.
 The ``searches`` spy likewise replaces ``chordal._build_mcs_order``, the
 builder behind the ``mcs_search`` memo that ``mcs_order`` reads, so every
 search is counted once. The search certifies its own order, so a solve
-never calls ``chordal._violation``, the order-agnostic checker behind
-``peo_violation``; ``peo_checks`` counts those calls. The clique separator
+never calls ``chordal.peo_violation``, the order-agnostic checker;
+``peo_checks`` counts those calls. The clique separator
 decomposition is memoized too, cut from the elimination game of the
 graph's own search; the ``fills`` and ``atom_builds`` spies count its
 elimination-game fills and atom cuts, ``cut_steps`` the positions the cut
@@ -102,7 +102,7 @@ def _spy(monkeypatch, module, name):
 
 @pytest.fixture
 def peo_checks(monkeypatch):
-    return _spy(monkeypatch, chordal, "_violation")
+    return _spy(monkeypatch, chordal, "peo_violation")
 
 
 @pytest.fixture

@@ -15,7 +15,7 @@ from glpart import (
     mcs_search,
 )
 
-from glpart.chordal import Peo, _build_mcs_order, _witness_at, mcs_order, peo_violation
+from glpart.chordal import McsSearch, _build_mcs_order, _witness_at, mcs_order, peo_violation
 
 from bruteforce import (
     bf_heap_mcs_search,
@@ -28,6 +28,7 @@ from bruteforce import (
     is_peo,
     path_graph,
     planted,
+    positions,
     random_chordal,
     random_gnp,
     shared_vertex_member,
@@ -50,16 +51,16 @@ class TestMcsOrder:
 class TestPeo:
     def test_known_chordal(self, k4, p4):
         for g in (k4, p4):
-            peo = compute_peo(g)
-            assert isinstance(peo, Peo)
-            assert is_peo(g, peo)
+            search = compute_peo(g)
+            assert isinstance(search, McsSearch)
+            assert is_peo(g, search.order)
 
     def test_sigma_is_one_based_position(self, p4):
-        peo = compute_peo(p4)
-        assert isinstance(peo, Peo)
-        assert sorted(peo.sigma) == list(range(1, p4.n + 1))
-        for pos, v in enumerate(peo.order):
-            assert peo.sigma[v] == pos + 1
+        search = compute_peo(p4)
+        assert isinstance(search, McsSearch)
+        assert sorted(search.sigma) == list(range(1, p4.n + 1))
+        for pos, v in enumerate(search.order):
+            assert search.sigma[v] == pos + 1
 
     def test_witness_on_c4(self, c4):
         wit = compute_peo(c4)
@@ -76,9 +77,21 @@ class TestPeo:
     def test_peo_violation_none_on_chordal(self, k4):
         assert peo_violation(k4, mcs_order(k4)) is None
 
+    @pytest.mark.parametrize("order", [
+        (0, 1, 1, 3), (1, 2, 3), (0, 1, 2), (0, 1, 2, 3, 4), (0, 1, 2, 4),
+        (-1, 0, 1, 2),
+    ], ids=["repeated", "missing", "short", "long", "out-of-range", "negative"])
+    def test_peo_violation_rejects_non_permutations(self, p4, order):
+        with pytest.raises(ValueError) as err:
+            peo_violation(p4, order)
+        assert str(err.value) == "order must be a permutation of 0..n-1"
+
+    def test_peo_violation_on_empty_graph(self):
+        assert peo_violation(Graph.from_edges(0, []), ()) is None
+
     def test_bad_order_on_chordal_graph_detected(self, p4):
         # eliminating a path from the middle first breaks the property
-        assert not is_peo(p4, Peo(order=(1, 0, 2, 3), sigma=(2, 1, 3, 4)))
+        assert not is_peo(p4, (1, 0, 2, 3))
 
 
 class TestIsChordal:
@@ -120,7 +133,7 @@ class TestIsChordal:
             assert v not in g.adj[u]
             assert not bf_is_chordal(g)
         else:
-            assert is_peo(g, res)
+            assert is_peo(g, res.order)
 
 
 def _gnp_graphs(rng):
@@ -175,12 +188,11 @@ class TestSearchAgainstReference:
         verdicts = set()
         for g in family(random.Random(1501)):
             order, later = bf_mcs_order(g)
-            ref = Peo.from_order(order)
             assert mcs_order(g) == order, g
             search = mcs_search(g)
-            assert search.peo == ref, g
+            assert (search.order, search.sigma) == (order, positions(order)), g
             assert search.later == later, g
-            assert compute_peo(g) == (peo_violation(g, order) or ref), g
+            assert search.witness == peo_violation(g, order), g
             verdicts.add(search.witness is None)
         assert verdicts == chordal
 
@@ -189,7 +201,7 @@ class TestSearchAgainstReference:
     def test_drawn_graphs_match_rescanning_search(self, g):
         order, later = bf_mcs_order(g)
         search = mcs_search(g)
-        assert search.peo.order == order
+        assert search.order == order
         assert search.later == later
         assert search.witness == peo_violation(g, order)
 
@@ -301,7 +313,7 @@ class TestLaterLists:
     def test_lists_are_later_neighbours_parent_last(self, family):
         for g in family(random.Random(3201)):
             search = mcs_search(g)
-            sigma = search.peo.sigma
+            sigma = search.sigma
             for v in g.vertices():
                 later = [u for u in g.adj[v] if sigma[u] > sigma[v]]
                 later.sort(key=sigma.__getitem__, reverse=True)
@@ -322,11 +334,11 @@ class TestWitnessRule:
         rng = random.Random(3101)
         seen = 0
         for g in _gnp_graphs(rng):
-            sigmas = [mcs_search(g).peo.sigma]
+            sigmas = [mcs_search(g).sigma]
             for _ in range(3):
                 order = list(g.vertices())
                 rng.shuffle(order)
-                sigmas.append(Peo.from_order(order).sigma)
+                sigmas.append(positions(order))
             for sigma in sigmas:
                 for v in g.vertices():
                     want = bf_witness_at(g, sigma, v)
@@ -345,5 +357,5 @@ class TestWitnessRule:
             assert _build_mcs_order(h) == search, g
             if search.witness is not None:
                 v = search.violators[0]
-                assert search.witness == bf_witness_at(g, search.peo.sigma, v)
+                assert search.witness == bf_witness_at(g, search.sigma, v)
         assert differ > 0

@@ -462,7 +462,7 @@ class TestEliminationFill:
     @staticmethod
     def fill_over_m(g: Graph) -> int:
         search = mcs_search(g)
-        ref = bf_elimination_game(g, search.peo.order)
+        ref = bf_elimination_game(g, search.order)
         excess = sum(map(len, ref)) - 2 * g.edge_count()
         got = _violator_fill(g)
         if excess > 0:

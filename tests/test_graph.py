@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from glpart import ChordalityWitness, Graph, WeightedGraph, generate_almost_chordal
 from glpart.c4 import enumerate_induced_c4
-from glpart.chordal import Peo
+from glpart.chordal import McsSearch
 from glpart.graph import (
     components_within,
     contract_matching,
@@ -227,7 +227,7 @@ class TestCertificateMemo:
 
     def test_derived_graphs_start_empty(self):
         g = path_graph(4)
-        assert isinstance(compute_peo(g), Peo)
+        assert isinstance(compute_peo(g), McsSearch)
         assert len(enumerate_induced_c4(g)) == 0
         closed = g.with_edges([(0, 3)])
         sub, _ = induced_subgraph(g, [0, 1, 2])

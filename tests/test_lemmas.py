@@ -287,9 +287,9 @@ def test_projected_order_is_not_the_contracted_search():
     plan = build_contraction_plan(g2, terminals)
     assert plan.contraction_edges == ((0, 2),)
     group_of = {x: i for i, grp in enumerate(plan.merge_map.groups) for x in grp}
-    last = {group_of[x]: pos for pos, x in enumerate(mcs_search(g2).peo.order)}
+    last = {group_of[x]: pos for pos, x in enumerate(mcs_search(g2).order)}
     projected = tuple(sorted(last, key=last.__getitem__))
-    own = mcs_search(plan.contracted.graph).peo.order
+    own = mcs_search(plan.contracted.graph).order
     # contracted ids 5 and 6 are the chorded graph's 6 and 7
     assert projected == (3, 2, 1, 7, 5, 6, 4, 0)
     assert own == (3, 2, 1, 7, 6, 5, 4, 0)
