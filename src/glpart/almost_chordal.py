@@ -4,7 +4,8 @@ The pipeline reduces an instance whose only non-chordality is a family of
 pairwise almost-disjoint induced 4-cycles to a weighted chordal instance:
 
 1. peel unit-demand terminals (each peel lowers the connectivity the
-   remaining instance needs by one),
+   remaining instance needs by one); with at most one part left open,
+   the growth loop runs on the input itself and that part takes the rest,
 2. add a chord between every non-adjacent terminal pair lying on a common
    induced 4-cycle, all from one reading of the catalog (on members no
    chord kills another cycle or makes a new one),
@@ -257,8 +258,8 @@ def gl_partition_almost_chordal(
     peel (see the module docstring); under unit weights sizes are within
     one of target.
 
-    Terminals whose demand equals their own weight are peeled off first;
-    the rest of the instance must keep at least two open parts.
+    Terminals whose demand equals their own weight are peeled off first.
+    When at most one part stays open, it takes every other vertex, exactly.
     """
     g = wg.graph
     k = req.k
@@ -282,13 +283,13 @@ def gl_partition_almost_chordal(
     peel_idx = [i for i in range(k) if req.demands[i] == wg.weights[req.terminals[i]]]
     peel_set = set(peel_idx)
     keep_idx = [i for i in range(k) if i not in peel_set]
-    if len(keep_idx) < 2:
-        raise PreconditionError(
-            "after peeling unit-demand terminals fewer than two parts remain open; "
-            "shrink the instance instead"
-        )
     peeled = tuple((i, req.terminals[i]) for i in peel_idx)
     k_eff = len(keep_idx)
+    if k_eff < 2:
+        # the peeled parts start closed and the open part, if any, takes
+        # the rest; the loop's absorb step checks that the rest is connected
+        part = gl_partition_chordal_weighted(wg, req, validate=False)
+        return PipelineResult(part, (), (), peeled, None)
 
     terminals1 = tuple(req.terminals[i] for i in keep_idx)
     demands1 = tuple(req.demands[i] for i in keep_idx)

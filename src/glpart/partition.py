@@ -90,13 +90,12 @@ class GLPartition:
 
 def check_demands(
     wg: WeightedGraph, req: PartitionRequest, *, allow_overweight: bool = False
-) -> bool:
+) -> None:
     """Check terminal ids, the demand sum and each terminal's own weight.
 
     Raises DemandError when a terminal is out of range, when the demands do
     not sum to the total vertex weight, or, unless ``allow_overweight`` is
-    set, when a terminal weighs more than its demand. Returns whether some
-    terminal does.
+    set, when a terminal weighs more than its demand.
     """
     for t in req.terminals:
         if not (0 <= t < wg.n):
@@ -106,15 +105,11 @@ def check_demands(
         raise DemandError(
             f"demands sum to {sum(req.demands)} but total vertex weight is {total}"
         )
-    overweight = False
     for t, d in zip(req.terminals, req.demands):
-        if wg.weights[t] > d:
-            if not allow_overweight:
-                raise DemandError(
-                    f"terminal {t} weighs {wg.weights[t]}, above its demand {d}"
-                )
-            overweight = True
-    return overweight
+        if wg.weights[t] > d and not allow_overweight:
+            raise DemandError(
+                f"terminal {t} weighs {wg.weights[t]}, above its demand {d}"
+            )
 
 
 def gl_partition_chordal(
@@ -152,13 +147,12 @@ def gl_partition_chordal_weighted(
 
     Every solve checks the loop's two invariants: it makes at most n + k
     passes, and the summed slack (demand minus weight) of the closed parts
-    stays strictly inside (-w_max, w_max) unless a terminal starts
-    overweight. A breach raises PipelineInvariantError.
+    stays strictly inside (-w_max, w_max) unless a part is seeded over its
+    demand, which the seeded weights alone decide. A breach raises
+    PipelineInvariantError.
     """
     g = wg.graph
-    overweight_seen = check_demands(
-        wg, req, allow_overweight=allow_overweight_terminals
-    )
+    check_demands(wg, req, allow_overweight=allow_overweight_terminals)
     search = mcs_search(g)
     if validate:
         wit = search.witness
@@ -232,6 +226,8 @@ def gl_partition_chordal_weighted(
     open_mask = sum(bits[i] for i in range(k) if part_weight[i] < demands[i])
     # sum of (demand - weight) over closed parts, the ones with weight >= demand
     closed_slack = sum(min(d - w, 0) for d, w in zip(demands, part_weight))
+    # a part seeded over its demand exempts the run from the slack check
+    overweight_seen = closed_slack < 0
 
     # Neither check fires on a correct run. Every pass assigns a vertex or
     # closes a part, so n + k passes suffice. A close overshoots its demand

@@ -1117,15 +1117,18 @@ def bf_grow_chordal_weighted(
     validate: bool = True,
     allow_overweight_terminals: bool = False,
 ) -> GLPartition:
-    """The growth loop as it ran on per-vertex part sets, kept verbatim.
+    """The growth loop as it ran on per-vertex part sets, kept verbatim but
+    for the overweight start, which it reads off the weights and demands
+    itself instead of taking it from ``check_demands``.
 
     The library's loop keeps the same rule, picks and checks on bit masks;
     tests require both to return the same parts and deviation, or to raise
     the same exception with the same message.
     """
     g = wg.graph
-    overweight_seen = check_demands(
-        wg, req, allow_overweight=allow_overweight_terminals
+    check_demands(wg, req, allow_overweight=allow_overweight_terminals)
+    overweight_seen = any(
+        wg.weights[t] > d for t, d in zip(req.terminals, req.demands)
     )
     search = mcs_search(g)
     if validate:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -11,6 +12,7 @@ from glpart import (
     DeviationRule,
     GlpartError,
     Graph,
+    Instance,
     PartitionRequest,
     PipelineInvariantError,
     PreconditionError,
@@ -26,6 +28,7 @@ from glpart.almost_chordal import (
     gl_partition_almost_chordal,
 )
 from glpart.c4 import _build_catalog, enumerate_induced_c4
+from glpart.cli import main
 from glpart.graph import induced_subgraph
 
 from bruteforce import (
@@ -37,6 +40,7 @@ from bruteforce import (
     planted,
     quadratic_contraction_edges,
     random_gnp,
+    save_instance,
     shared_vertex_member,
 )
 from test_acceptance import random_composition
@@ -275,10 +279,14 @@ class TestPipeline:
         assert rep.ok, rep.first_violation
 
     def test_all_unit_demands_rejected(self, k4):
-        # peeling would drive the residual below 2 terminals
+        # no graph on k vertices is k-connected, so the connectivity check
+        # refuses every request that would peel all k terminals
         wg = WeightedGraph.unit(k4)
         req = PartitionRequest((0, 1, 2, 3), (1, 1, 1, 1))
-        with pytest.raises(PreconditionError):
+        with pytest.raises(
+            PreconditionError,
+            match="complete graph on 4 vertices has no separator",
+        ):
             gl_partition_almost_chordal(wg, req)
 
     def test_rejects_nonmember(self, house):
@@ -434,6 +442,77 @@ class TestWeightedBound:
         # every k' from 2 to 6 is reached, and past 3 some solves miss the
         # double window
         assert reached == {2, 3, 4, 5, 6} and misses
+
+
+class TestOnePartOpen:
+    """With at most one part open after the peel, the growth loop runs on
+    the input itself: the peeled parts are their terminals and the open
+    part takes the rest, which on a k-connected member is connected and
+    exactly its demand."""
+
+    @staticmethod
+    def partition(tmp_path, capsys, wg, req, *flags):
+        """``glpart partition``'s exit code and document, and the path."""
+        inst, out = tmp_path / "inst.txt", tmp_path / "parts.json"
+        save_instance(Instance(wg, req), str(inst))
+        code = main(["partition", str(inst), "--out", str(out), *flags])
+        doc = json.loads(out.read_text()) if code == 0 else None
+        return code, doc, capsys.readouterr().err, inst, out
+
+    @pytest.mark.parametrize("n,k,seed,w0,terminals,demands", [
+        pytest.param(20, 2, 1, 1, (0, 5), (1, 19), id="k2-first-peeled"),
+        pytest.param(20, 2, 1, 1, (0, 5), (19, 1), id="k2-second-peeled"),
+        pytest.param(30, 3, 2, 1, (0, 5, 9), (1, 1, 28), id="k3-two-peeled"),
+        pytest.param(20, 2, 1, 3, (0, 5), (3, 19), id="k2-weighted"),
+    ])
+    def test_open_part_takes_the_rest(self, tmp_path, capsys, n, k, seed, w0,
+                                      terminals, demands):
+        g = generate_almost_chordal(n, k, k, seed=seed)  # with k rings
+        assert not is_chordal(g)
+        wg = WeightedGraph(g, (w0,) + (1,) * (n - 1))
+        req = PartitionRequest(terminals, demands)
+        part, mode, result = solve(wg, req)
+        assert (mode, part.deviation) == ("almost-chordal", 0)
+        assert (result.added_chords, result.contraction_edges) == ((), ())
+        rep = verify_partition(wg, req, part, DeviationRule.exact())
+        assert rep.ok, rep.first_violation
+
+        code, doc, _, inst, out = self.partition(tmp_path, capsys, wg, req)
+        assert code == 0
+        assert doc["parts"] == [sorted(p) for p in part.parts]
+        assert (doc["mode"], doc["deviation"]) == ("almost-chordal", 0)
+        assert doc["audit"] == {
+            "added_chords": [], "contracted_edges": [], "merge_map": {}
+        }
+        assert main(["verify", str(inst), str(out), "--deviation", "exact"]) == 0
+
+    def test_every_part_peeled(self, tmp_path, capsys, c4):
+        # no graph on k vertices is k-connected, so only unchecked
+        wg = WeightedGraph.unit(c4)
+        req = PartitionRequest((0, 1, 2, 3), (1, 1, 1, 1))
+        part, _, result = solve(wg, req, validate=False)
+        singletons = tuple(frozenset((v,)) for v in range(4))
+        assert (part.parts, part.deviation) == (singletons, 0)
+        assert result.peeled == ((0, 0), (1, 1), (2, 2), (3, 3))
+        code, doc, *_ = self.partition(tmp_path, capsys, wg, req,
+                                       "--skip-checks")
+        assert code == 0
+        assert doc["parts"] == [[0], [1], [2], [3]]
+
+    def test_disconnected_rest_stalls(self, tmp_path, capsys):
+        # two 4-cycles sharing vertex 0: without it the rest falls apart
+        bowtie = Graph.from_edges(7, [(0, 1), (1, 2), (2, 3), (0, 3),
+                                      (0, 4), (4, 5), (5, 6), (0, 6)])
+        wg = WeightedGraph.unit(bowtie)
+        req = PartitionRequest((0, 2), (1, 6))
+        code, _, err, *_ = self.partition(tmp_path, capsys, wg, req,
+                                          "--skip-checks")
+        assert code == 1
+        assert err == "error: no unassigned vertex neighbors an open part; " \
+            "the input does not satisfy the solver preconditions\n"
+        code, _, err, *_ = self.partition(tmp_path, capsys, wg, req)
+        assert code == 2
+        assert "not 2-connected" in err
 
 
 class TestUncheckedNonMembers:

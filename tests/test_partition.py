@@ -376,6 +376,14 @@ class TestMatchesReference:
             # without the relaxation both reject the same terminal
             same_as_reference(wg, req)
 
+    def test_overweight_seed_exempts_the_slack_check(self):
+        # parts 0 and 1 start 4 over, so the slack starts at -8, outside
+        # (-5, 5); only the exemption lets the solve finish
+        wg = WeightedGraph(complete_graph(10), (5, 5) + (1,) * 8)
+        req = PartitionRequest((0, 1, 2, 3), (1, 1, 12, 4))
+        got = same_as_reference(wg, req, allow_overweight_terminals=True)
+        assert got == ([[0], [1], [2, 4, 5, 6], [3, 7, 8, 9]], 8)
+
     def test_unvalidated_small_graphs_stall_alike(self):
         rng = random.Random(26)
         stalls = 0

@@ -1,0 +1,222 @@
+"""Exhaustive small-scope checks over every connected graph of the atlas.
+
+networkx ships "An Atlas of Graphs" (Read & Wilson, 1998): every graph
+with at most 7 vertices, up to isomorphism. Sampled draws can miss a rare
+shape; the small-scope hypothesis (Jackson, "Software Abstractions", 2006)
+says most defects show on some small input, so each check here runs on
+all of them. The class, chordality and connectivity of each graph come
+from brute force and networkx, not from the library.
+
+- Every unit request a chordal or member graph admits (k from 2 to its
+  connectivity, every terminal set, every demand vector) is solved with
+  checks on and verified: exact on chordal graphs, within one vertex on
+  members. Each deviation-1 answer has an exact partition the oracle
+  finds, so these cases are the yardstick for an exact member solve.
+- Requests that must be refused are refused with a witness that checks
+  against its definition.
+- The lemmas the member pipeline rests on hold on every non-chordal
+  member: (a) each non-complete atom is ring + Q, (b) the search has one
+  violator per atom, and (c') the chorded graph's order, with each
+  merged group at its last member, is a perfect elimination order of the
+  contracted graph.
+"""
+
+from __future__ import annotations
+
+from collections import Counter
+from itertools import combinations
+
+import networkx as nx
+import pytest
+
+from glpart import (
+    ClassViolation,
+    DeviationRule,
+    Graph,
+    PartitionRequest,
+    PreconditionError,
+    SeparatorWitness,
+    WeightedGraph,
+    mcs_search,
+    solve,
+    verify_partition,
+    vertex_connectivity_at_least,
+)
+from glpart.almost_chordal import add_terminal_chords, build_contraction_plan
+from glpart.chordal import peo_violation
+from glpart.connectivity import clique_decomposition
+from glpart.graph import induced_subgraph
+
+from bruteforce import (
+    HOUSE_EDGES,
+    _induces_cycle,
+    _separates,
+    bf_class_member,
+    bf_contains_induced,
+    bf_gl_partition,
+    bf_induced_c4_sets,
+    bf_is_chordal,
+    bf_ring_plus_q,
+)
+
+
+def compositions(n: int, k: int):
+    """Every k-tuple of positive integers summing to n."""
+    for cut in combinations(range(1, n), k - 1):
+        yield tuple(b - a for a, b in zip((0, *cut), (*cut, n)))
+
+
+@pytest.fixture(scope="module")
+def atlas():
+    """Each connected atlas graph with its connectivity, and whether it is
+    chordal and whether it is a class member."""
+    graphs = []
+    for a in nx.graph_atlas_g():
+        if a.number_of_nodes() and nx.is_connected(a):
+            g = Graph.from_edges(a.number_of_nodes(), a.edges())
+            kappa = nx.node_connectivity(a)
+            graphs.append((g, kappa, bf_is_chordal(g), bf_class_member(g)))
+    assert len(graphs) == 996
+    return graphs
+
+
+@pytest.fixture(scope="module")
+def sweep(atlas):
+    """Every unit request on the chordal and member graphs, solved with
+    checks on and verified; the outcome counts and the deviation-1 cases."""
+    counts: Counter = Counter()
+    inexact = []
+    for g, kappa, chordal, member in atlas:
+        if not (chordal or member):
+            continue
+        wg = WeightedGraph.unit(g)
+        kind = "chordal" if chordal else "member"
+        rule = DeviationRule.exact() if chordal else DeviationRule.slack(1)
+        for k in range(2, kappa + 1):
+            for terminals in combinations(g.vertices(), k):
+                for demands in compositions(g.n, k):
+                    req = PartitionRequest(terminals, demands)
+                    try:
+                        part, mode, _ = solve(wg, req)
+                    except PreconditionError:
+                        counts[kind, "refused"] += 1
+                        continue
+                    assert (mode == "chordal-exact") == chordal, (g.adj, req)
+                    rep = verify_partition(wg, req, part, rule)
+                    assert rep.ok, (g.adj, req, rep.first_violation)
+                    counts[kind, part.deviation] += 1
+                    if part.deviation:
+                        inexact.append((g, req))
+    return counts, inexact
+
+
+def test_no_k_connected_member_is_refused(sweep):
+    counts, _ = sweep
+    assert counts == {
+        ("chordal", 0): 26776,
+        ("member", 0): 3676,
+        ("member", 1): 267,
+    }
+
+
+def test_every_inexact_member_answer_has_an_exact_partition(sweep):
+    _, inexact = sweep
+    assert len(inexact) == 267
+    for g, req in inexact:
+        assert bf_gl_partition(g, req.terminals, req.demands), (g.adj, req)
+
+
+def check_separator(g: Graph, k: int, wit: SeparatorWitness) -> None:
+    """Fewer than k vertices whose removal puts the pair apart."""
+    cut = set(wit.separator)
+    assert len(cut) < k
+    assert _separates(g, cut, *wit.separated_pair)
+
+
+def check_violation(g: Graph, vio: ClassViolation) -> None:
+    vs = vio.vertices
+    sub = induced_subgraph(g, vs)[0]
+    if vio.kind == "hole":
+        # in cycle order, and inducing nothing but the cycle
+        assert len(set(vs)) == len(vs) >= 5
+        assert all(vs[i - 1] in g.adj[vs[i]] for i in range(len(vs)))
+        assert _induces_cycle(g, vs)
+    elif vio.kind == "house":
+        assert sub.n == 5 and sub.edge_count() == 6
+        assert bf_contains_induced(sub, Graph.from_edges(5, HOUSE_EDGES))
+    else:
+        assert vio.kind == "c4-overlap"
+        cycles = bf_induced_c4_sets(sub)
+        assert any(len(a & b) >= 2 and len(a | b) == sub.n
+                   for a, b in combinations(cycles, 2))
+
+
+def test_refusals_carry_checked_witnesses(atlas):
+    """One request at k = kappa + 1 on each chordal or member graph, and
+    one per k up to kappa + 1 on each non-member, with checks on. Besides,
+    the connectivity check itself, on every graph at kappa and kappa + 1."""
+    counts: Counter = Counter()
+    for g, kappa, chordal, member in atlas:
+        assert kappa == 0 or vertex_connectivity_at_least(g, kappa)
+        res = vertex_connectivity_at_least(g, kappa + 1)
+        assert not res
+        if res.witness is not None:
+            check_separator(g, kappa + 1, res.witness)
+            counts["connectivity separator"] += 1
+        else:
+            assert g.is_complete()
+        first = kappa + 1 if chordal or member else 2
+        for k in range(max(first, 2), min(kappa + 1, g.n) + 1):
+            demands = tuple(g.n // k + (i < g.n % k) for i in range(k))
+            req = PartitionRequest(tuple(range(k)), demands)
+            with pytest.raises(PreconditionError) as ei:
+                solve(WeightedGraph.unit(g), req)
+            wit = ei.value.witness
+            if isinstance(wit, SeparatorWitness):
+                check_separator(g, k, wit)
+                counts["separator"] += 1
+            elif isinstance(wit, ClassViolation):
+                assert not (chordal or member)
+                check_violation(g, wit)
+                counts[wit.kind] += 1
+            else:
+                assert wit is None and g.is_complete()
+                assert "has no separator" in str(ei.value)
+                counts["complete"] += 1
+    assert counts == {
+        "connectivity separator": 989,
+        "separator": 403,
+        "complete": 6,
+        "hole": 106,
+        "house": 213,
+        "c4-overlap": 833,
+    }
+
+
+def test_member_lemmas(atlas):
+    members = [(g, kappa) for g, kappa, chordal, member in atlas
+               if member and not chordal]
+    assert len(members) == 56
+    plans = k_connected = 0
+    for g, kappa in members:
+        atoms = clique_decomposition(g)[0]
+        # (a) ring + Q, by the library's mark and by brute force
+        for atom in atoms:
+            assert atom.ring is not None, g.adj
+            assert bf_ring_plus_q(induced_subgraph(g, atom.ids)[0]), g.adj
+        # (b)
+        assert len(mcs_search(g).violators) == len(atoms), g.adj
+        # (c')
+        for k in (2, 3):
+            for terminals in combinations(g.vertices(), k):
+                g2, _ = add_terminal_chords(g, terminals)
+                plan = build_contraction_plan(g2, terminals)
+                group = {x: i for i, grp in enumerate(plan.merge_map.groups)
+                         for x in grp}
+                last = {group[x]: pos
+                        for pos, x in enumerate(mcs_search(g2).order)}
+                projected = sorted(last, key=last.__getitem__)
+                assert peo_violation(plan.contracted.graph, projected) is None
+                plans += 1
+                k_connected += k <= kappa
+    assert (plans, k_connected) == (2829, 356)
