@@ -12,8 +12,10 @@ layout itself so that each flat list goes through the C encoder.
 Exit codes: 0 success, 1 solve or verification failure, 2 precondition or
 demand failure, 3 parse or I/O failure.
 
-``--out`` overwrites an existing file in place; ``_write`` says why and
-what that costs.
+``--out`` overwrites an existing file in place through raw ``os`` calls,
+so the file holds exactly the UTF-8 bytes that stdout would have shown,
+the bytes a text-mode ``open(path, "w")`` wrote on POSIX; ``_write`` says
+why it does not truncate on open and what that costs after a crash.
 
 The argument parser is built once per process, on the first ``main`` call,
 and reused by every later call, so a process that calls ``main`` many
@@ -91,32 +93,35 @@ _EXIT_CODES = (
 _N_MAX = 20
 
 
-def _open_in_place(path: str, flags: int) -> int:
-    """``open``'s own flags less ``O_TRUNC``, with ``open``'s mode."""
-    return os.open(path, flags & ~os.O_TRUNC, 0o666)
-
-
 def _write(text: str, out_path: str | None) -> None:
     """Write ``text`` to ``out_path``, or to stdout when it is None or empty.
 
-    A file is opened without ``O_TRUNC``, overwritten from offset 0 and
-    then truncated to the written length, because truncating it to zero
-    on open makes ext4 (``auto_da_alloc``) start writing the new data to
-    disk at close. Only a regular file is truncated; ``ftruncate`` fails
-    on a special file such as ``/dev/null``. There is no fsync and the
-    write is not atomic. A crash or a failed write mid-way can leave the
-    new bytes followed by the old file's tail, or a mix of old and new
-    pages, which can pass for a complete result, where truncating first
-    left a short or empty file; and ext4 no longer guards against a
-    zero-length file after a crash, since that guard hangs on the
-    truncation to zero.
+    A file gets exactly the UTF-8 bytes of ``text`` through raw ``os``
+    calls: ``os.open`` without ``O_TRUNC``, ``os.write`` from offset 0
+    until every byte is out, then ``os.ftruncate`` to the written length.
+    On POSIX these are the bytes ``open(out_path, "w", encoding="utf-8")``
+    wrote, since that does no newline translation there. The file is not
+    truncated on open because truncating it to zero makes ext4
+    (``auto_da_alloc``) start writing the new data to disk at close. Only a
+    regular file is truncated; ``ftruncate`` fails on a special file such
+    as ``/dev/null``. There is no fsync and the write is not atomic. A
+    crash or a failed write mid-way can leave the new bytes followed by the
+    old file's tail, or a mix of old and new pages, which can pass for a
+    complete result, where truncating first left a short or empty file;
+    and ext4 no longer guards against a zero-length file after a crash,
+    since that guard hangs on the truncation to zero.
     """
     if out_path:
-        with open(out_path, "w", encoding="utf-8", opener=_open_in_place) as fh:
-            regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
-            fh.write(text)
-            if regular:
-                fh.truncate()
+        data = text.encode("utf-8")
+        fd = os.open(out_path, os.O_WRONLY | os.O_CREAT, 0o666)
+        try:
+            done = os.write(fd, data)
+            while done < len(data):
+                done += os.write(fd, data[done:])
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                os.ftruncate(fd, len(data))
+        finally:
+            os.close(fd)
     else:
         sys.stdout.write(text)
 

@@ -58,7 +58,7 @@ class Instance:
 def _int_fields(raw: str, line_no: int, expect: int | None = None) -> list[int]:
     fields = raw.split()
     try:
-        values = [int(f) for f in fields]
+        values = list(map(int, fields))
     except ValueError:
         raise GraphFormatError(f"expected integers, got {raw!r}", line_no) from None
     if expect is not None and len(values) != expect:
@@ -177,8 +177,17 @@ def parse_instance(text: str) -> Instance:
 
 
 def load_instance(path: str) -> Instance:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_instance(fh.read())
+    """Parse the instance file at ``path``.
+
+    The file is read as bytes and decoded as strict UTF-8, so a bad byte
+    raises ``UnicodeDecodeError`` with the same message and position that
+    a text-mode read gave. Line ends are left to ``str.splitlines``, which
+    already ends a line at CRLF and at a lone CR as well as at LF, so a
+    CRLF or CR file parses as its LF copy does.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    return parse_instance(data.decode("utf-8"))
 
 
 def format_parts(

@@ -17,7 +17,9 @@ assigned; the open parts are one more mask. The frontier is a heap of
 elimination positions with at most one entry per waiting vertex, popped
 when that vertex is assigned or found with no open part. A pick walks
 only the set bits of the vertex's open parts, so its cost follows the
-parts the vertex borders, not k.
+parts the vertex borders, not k. The terminals are seeded through a small
+``assign`` helper; a pick assigns its vertex inline, at one site, since a
+call per vertex is a measurable share of the loop.
 
 ``solve`` is the one entry point that ``glpart partition`` and
 ``oracle-compare`` call: it picks between this chordal solve and the
@@ -262,22 +264,34 @@ def gl_partition_chordal_weighted(
             open_parts ^= bits[j]
             if priority[j] < priority[i]:
                 i = j
-        wv = weights[v]
-        if part_weight[i] + wv < demands[i]:
-            assign(v, i)
-        else:
+        w = part_weight[i] + weights[v]
+        if w >= demands[i]:
             # close part i; the dump part inherits the slack
             open_mask ^= bits[i]
-            if closed_slack >= 0 or part_weight[i] + wv == demands[i]:
-                assign(v, i)
-            else:
-                heappush(frontier, sigma[v])
-            closed_slack += demands[i] - part_weight[i]
+            short = closed_slack < 0 and w != demands[i]
+            closed_slack += demands[i] - (part_weight[i] if short else w)
             if not overweight_seen and not -w_max < closed_slack < w_max:
                 raise PipelineInvariantError(
                     f"closed-part weight slack {closed_slack} escaped "
                     f"(-{w_max}, {w_max})"
                 )
+            if short:
+                # part i stops short of its demand and v waits again
+                heappush(frontier, sigma[v])
+                continue
+        # assign v to part i: the steps of `assign`, inline on the hot path
+        mask[v] = -1
+        parts[i].append(v)
+        part_weight[i] = w
+        if sigma[v] > priority[i]:
+            priority[i] = sigma[v]
+        assigned += 1
+        bit = bits[i]
+        for u in adj[v]:
+            if (m := mask[u]) >= 0:
+                mask[u] = m | bit
+                if not m:
+                    heappush(frontier, sigma[u])
 
     if assigned < n:
         if not open_mask:

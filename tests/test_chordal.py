@@ -89,6 +89,11 @@ class TestPeo:
     def test_peo_violation_on_empty_graph(self):
         assert peo_violation(Graph.from_edges(0, []), ()) is None
 
+    def test_search_rejects_empty_graph(self):
+        with pytest.raises(ValueError) as err:
+            mcs_search(Graph.from_edges(0, []))
+        assert str(err.value) == "graph must be non-empty"
+
     def test_bad_order_on_chordal_graph_detected(self, p4):
         # eliminating a path from the middle first breaks the property
         assert not is_peo(p4, (1, 0, 2, 3))

@@ -616,6 +616,49 @@ class TestOutInPlace:
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+class TestOutRawWrite:
+    """``--out`` writes through ``os`` calls, not a file object."""
+
+    def test_never_calls_builtin_open(self, chordal_file, tmp_path, monkeypatch):
+        import builtins
+
+        out = str(tmp_path / "res.json")
+        seen = []
+        original = builtins.open
+
+        def spy(file, *args, **kwargs):
+            seen.append(file)
+            return original(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", spy)
+        assert main(["partition", chordal_file, "--out", out]) == 0
+        assert out not in seen
+        assert os.path.getsize(out) > 0
+
+    @pytest.mark.parametrize("command", ["partition", "generate"])
+    def test_short_writes_are_resumed(self, command, chordal_file, tmp_path,
+                                      monkeypatch, capsys):
+        argv = ([command, chordal_file] if command != "generate"
+                else [command, "--n", "40", "--k", "3", "--seed", "9"])
+        assert main(argv) == 0
+        want = capsys.readouterr().out.encode()
+        assert len(want) > 7
+        out = tmp_path / "out"
+        out.write_bytes(b"x" * (len(want) + 100))
+        calls = []
+        original = os.write
+
+        def write_at_most_7(fd, data):
+            calls.append(len(data))
+            return original(fd, bytes(data[:7]))
+
+        monkeypatch.setattr(os, "write", write_at_most_7)
+        assert main(argv + ["--out", str(out)]) == 0
+        monkeypatch.undo()
+        assert out.read_bytes() == want
+        assert len(calls) == -(-len(want) // 7)
+
+
 class TestOneParserPerProcess:
     """``main`` parses with one parser built on its first call; no call
     leaves anything behind that changes a later call's result."""

@@ -113,6 +113,11 @@ class TestVertexConnectivity:
         with pytest.raises(ValueError):
             vertex_connectivity_at_least(p4, 0)
 
+    def test_empty_graph_rejected(self):
+        with pytest.raises(ValueError) as err:
+            vertex_connectivity_at_least(Graph.from_edges(0, []), 1)
+        assert str(err.value) == "graph must be non-empty"
+
     @given(random_graph_strategy(max_n=8))
     @settings(max_examples=100, deadline=None)
     def test_matches_bruteforce(self, g):

@@ -134,6 +134,11 @@ class TestAlmostChordalGenerator:
         with pytest.raises(ValueError):
             generate_almost_chordal(20, 1, 1, seed=0)
 
+    def test_rejects_negative_cycles(self):
+        with pytest.raises(ValueError) as err:
+            generate_almost_chordal(20, 3, -1, seed=0)
+        assert str(err.value) == "cycles must be non-negative"
+
     def test_high_k_instances(self):
         g = generate_almost_chordal(40, 5, 4, seed=9)
         assert catalog_size(g) == 4

@@ -57,6 +57,11 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Graph.from_edges(2, [(0, 2)])
 
+    def test_rejects_negative_vertex_count(self):
+        with pytest.raises(ValueError) as err:
+            Graph.from_edges(-1, [])
+        assert str(err.value) == "vertex count must be non-negative"
+
     def test_complete(self):
         g = complete_graph(4)
         assert len(g.edges()) == 6
@@ -126,6 +131,12 @@ class TestInducedSubgraph:
     def test_preserves_nonedges(self, c4):
         sub, idmap = induced_subgraph(c4, [0, 2])
         assert sub.edges() == []
+
+    @pytest.mark.parametrize("bad", [4, -1])
+    def test_rejects_out_of_range_id(self, c4, bad):
+        with pytest.raises(ValueError) as err:
+            induced_subgraph(c4, [0, bad])
+        assert str(err.value) == f"vertex {bad} out of range"
 
 
 class TestContractEdge:

@@ -16,6 +16,7 @@ from glpart import (
     generate_ktree,
     load_instance,
 )
+from glpart.cli import main
 from glpart.instances import parse_instance
 
 from bruteforce import format_instance, save_instance
@@ -162,3 +163,39 @@ class TestRoundTrip:
     def test_load_missing_file_raises(self, tmp_path):
         with pytest.raises(OSError):
             load_instance(str(tmp_path / "nope.txt"))
+
+
+class TestLoadBytes:
+    """``load_instance`` reads bytes and decodes strict UTF-8; line ends are
+    those of ``str.splitlines``."""
+
+    @pytest.mark.parametrize("end", [b"\r\n", b"\r"])
+    def test_crlf_and_cr_copies_load_as_the_lf_file(self, end, tmp_path):
+        lf = tmp_path / "member.txt"
+        argv = ["generate", "--n", "40", "--k", "3", "--cycles", "2",
+                "--max-weight", "3", "--seed", "7", "--out", str(lf)]
+        assert main(argv) == 0
+        data = lf.read_bytes()
+        assert data.startswith(b"#") and b"\r" not in data
+        copy = tmp_path / "copy.txt"
+        copy.write_bytes(data.replace(b"\n", end))
+        assert load_instance(str(copy)) == load_instance(str(lf))
+
+    def test_bad_byte_raises_as_the_text_read_did(self, tmp_path, capsys):
+        # past the first 8 KiB, so a read in chunks would shift the position
+        data = b"# pad\n" * 2000 + GOOD.encode()
+        at = data.index(b"\n2 3\n") + 3
+        path = tmp_path / "bad.txt"
+        path.write_bytes(data[:at] + b"\xff" + data[at:])
+        with pytest.raises(UnicodeDecodeError) as caught:
+            load_instance(str(path))
+        want = f"in position {at}: invalid start byte"
+        assert str(caught.value).endswith(want)
+        with pytest.raises(UnicodeDecodeError) as text_read:
+            with open(path, encoding="utf-8") as fh:
+                fh.read()
+        assert str(caught.value) == str(text_read.value)
+        assert main(["partition", str(path)]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.rstrip().endswith(want)

@@ -28,7 +28,11 @@ from glpart import (
 from glpart.almost_chordal import gl_partition_almost_chordal
 from glpart.cli import main
 from glpart.connectivity import _flow_connectivity
-from glpart.partition import gl_partition_chordal, gl_partition_chordal_weighted
+from glpart.partition import (
+    check_demands,
+    gl_partition_chordal,
+    gl_partition_chordal_weighted,
+)
 
 from bruteforce import (
     bf_grow_chordal_weighted,
@@ -123,6 +127,12 @@ class TestChordalExact:
         g = complete_graph(4)
         with pytest.raises(DemandError):
             gl_partition_chordal(g, PartitionRequest((0, 1), (2, 3)))
+
+    def test_terminal_past_n(self):
+        wg = WeightedGraph.unit(complete_graph(4))
+        with pytest.raises(DemandError) as err:
+            check_demands(wg, PartitionRequest((0, 4), (2, 2)))
+        assert str(err.value) == "terminal 4 out of range"
 
     def test_rejects_nonchordal(self, c4):
         with pytest.raises(PreconditionError):
