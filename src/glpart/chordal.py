@@ -14,15 +14,14 @@ neighbor it misses.
 The search keeps madj(u) of each unselected u as a list: selecting v
 appends v to the list of each unselected neighbor, so the list's length is
 u's count and, once u is selected, its last element is u's parent. Each
-count c has a heap of the ids that reached it, pushed once per edge. The
-largest count rises by at most one per selection, so after selecting a
-vertex of count c the search sets ``top`` to c + 1 and walks down past
-levels with no live entry; an entry of level ``top`` is live when its
-vertex is unselected, as its count is then exactly ``top``. Count-0
-vertices are never pushed: a count-0 pick is the smallest unselected id, read
-off a pointer that only moves up. After the search one walk along the order
-pops each list's parent, checks the rest against the parent's neighbor set
-and appends the parent back, so the lists stay whole. It keeps every
+count c has a heap of the ids that reached it, pushed once per edge; level
+0 starts with every id. The largest count rises by at most one per
+selection, so after selecting a vertex of count c the search sets ``top``
+to c + 1 and walks down past levels with no live entry; an entry of level
+``top`` is live when its vertex is unselected, as its count is then
+exactly ``top``. After the search one walk along the order pops each
+list's parent, checks the rest against the parent's neighbor set and
+appends the parent back, so the lists stay whole. It keeps every
 violator: the witness is read off the first one's list, and connectivity
 starts the elimination game's fill from them all, so a non-chordal graph
 costs Python work only where it is not chordal. The search is
@@ -36,7 +35,8 @@ order, its positions ``sigma``, the lists, the witness and the violators.
 Its lists (``later``) are the one record of later neighbors: connectivity
 reads labels, minimal separators and the fill off them, and since the memo
 shares them, no reader may mutate them. ``peo_violation`` certifies any
-given order on its own, the one place later neighbors are read off positions.
+given order: it builds the order's later lists off its positions, in the
+search's shape, and runs the search's walk on them.
 """
 
 from __future__ import annotations
@@ -114,18 +114,18 @@ def _build_mcs_order(g: Graph) -> McsSearch:
     # is u's count, and its last element, once u is selected, is its parent
     madj: list[list[int]] = [[] for _ in range(n)]
     # levels[c]: a heap of the ids that reached count c, so the smallest
-    # selectable id of a level is its smallest unselected entry
+    # selectable id of a level is its smallest unselected entry; every id
+    # starts on level 0, and a sorted list is already a heap
     levels: list[list[int]] = [[] for _ in range(max(map(len, adj)) + 2)]
+    levels[0] = list(range(n))
     top = 0  # no unselected vertex has a count above top
-    low = 0  # no id below low is unselected
     pop, push = heapq.heappop, heapq.heappush
     for i in range(n, 0, -1):
         # An entry of level top whose vertex is unselected is live: counts
         # only grow, so its count is at least top, and no count exceeds top.
-        # Stale entries are dropped; an empty level lowers top. At top 0
-        # every unselected count is 0, and count-0 vertices are never
-        # pushed, so the pick is the smallest unselected id.
-        while top:
+        # Stale entries are dropped; an empty level lowers top. Level 0
+        # holds every id, so it keeps a live entry while any is unselected.
+        while True:
             heap = levels[top]
             while heap:
                 v = pop(heap)
@@ -135,10 +135,6 @@ def _build_mcs_order(g: Graph) -> McsSearch:
                 top -= 1
                 continue
             break
-        else:
-            while sigma[low]:
-                low += 1
-            v = low
         sigma[v] = i
         order[i - 1] = v
         for u in adj[v]:
@@ -148,22 +144,28 @@ def _build_mcs_order(g: Graph) -> McsSearch:
                 push(levels[len(later)], u)
         # every count rose by at most one, so none exceeds v's count plus one
         top = len(madj[v]) + 1
-    # madj(v) minus the parent must lie inside the parent's neighborhood;
-    # every violator is kept, and the first in the elimination order is
-    # the one reported
+    witness, violators = _peo_walk(adj, order, madj)
+    return McsSearch(tuple(order), tuple(sigma), madj, witness, violators)
+
+
+def _peo_walk(adj, order, later) -> tuple[ChordalityWitness | None, tuple[int, ...]]:
+    """The witness and every violator of ``order``, given each vertex's
+    later neighbors by descending position, so with its parent last. Each
+    list's parent is popped for the check and appended back, so the lists
+    are left as they were."""
     bad = []
     for v in order:
-        later = madj[v]
-        if len(later) > 1:
-            p = later.pop()
-            if not adj[p].issuperset(later):
+        lv = later[v]
+        if len(lv) > 1:
+            p = lv.pop()
+            if not adj[p].issuperset(lv):
                 bad.append(v)
-            later.append(p)
+            lv.append(p)
     witness = None
     if bad:
-        *rest, p = madj[bad[0]]
+        *rest, p = later[bad[0]]
         witness = ChordalityWitness(bad[0], (p, min(set(rest) - adj[p])))
-    return McsSearch(tuple(order), tuple(sigma), madj, witness, tuple(bad))
+    return witness, tuple(bad)
 
 
 def peo_violation(g: Graph, order) -> ChordalityWitness | None:
@@ -171,27 +173,19 @@ def peo_violation(g: Graph, order) -> ChordalityWitness | None:
 
     Checks, for each vertex v, that the later neighbors of v other than the
     earliest one are all adjacent to that earliest one. Passing for every v
-    is equivalent to the order being perfect-elimination.
+    is equivalent to the order being perfect-elimination. The later lists
+    are built in one pass from the last position down, and the search's
+    walk checks them: O(n + m).
     """
     order = tuple(order)
     if sorted(order) != list(range(g.n)):
         raise ValueError("order must be a permutation of 0..n-1")
-    sigma = [0] * g.n
-    for i, v in enumerate(order):
-        sigma[v] = i + 1
-    for v in order:
-        witness = _witness_at(g, sigma, v)
-        if witness is not None:
-            return witness
-    return None
-
-
-def _witness_at(g: Graph, sigma, v: int) -> ChordalityWitness | None:
-    """v with its earliest later neighbor u and the smallest-id later
-    neighbor that u misses; None if u sees every other later neighbor."""
-    later = [u for u in g.adj[v] if sigma[u] > sigma[v]]
-    if len(later) < 2:
-        return None
-    u = min(later, key=sigma.__getitem__)
-    missed = [w for w in later if w != u and w not in g.adj[u]]
-    return ChordalityWitness(v, (u, min(missed))) if missed else None
+    adj = g.adj
+    later: list[list[int]] = [[] for _ in range(g.n)]
+    done = [False] * g.n
+    for v in reversed(order):
+        done[v] = True
+        for u in adj[v]:
+            if not done[u]:
+                later[u].append(v)
+    return _peo_walk(adj, order, later)[0]

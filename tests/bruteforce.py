@@ -61,7 +61,7 @@ from glpart import (
     vertex_connectivity_at_least,
 )
 from glpart.c4 import C4Catalog, Cycle, _canonical, enumerate_induced_c4
-from glpart.chordal import McsSearch, _witness_at, mcs_order
+from glpart.chordal import McsSearch, mcs_order
 from glpart.connectivity import ConnectivityResult, _failure, clique_decomposition
 from glpart.graph import MergeMap, components_within
 from glpart.instances import format_parts
@@ -1300,7 +1300,7 @@ def bf_heap_mcs_search(g: Graph) -> McsSearch:
                 later[u].append(v)
                 push(heap, u - cu * n)
     bad.reverse()
-    witness = _witness_at(g, sigma, bad[0]) if bad else None
+    witness = bf_witness_at(g, sigma, bad[0]) if bad else None
     return McsSearch(tuple(order), tuple(sigma), later, witness, tuple(bad))
 
 

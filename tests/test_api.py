@@ -11,8 +11,9 @@ draw, and the CLI formats no instance itself. No library module imports
 another's underscore names, the verifier imports nothing but types from
 the rest of the library, and the connectivity check does not read the
 4-cycle catalog. Induced subgraphs are built only by the clique separator
-decomposition, one per atom, and by the peel. networkx is a test
-reference only: no library module imports it.
+decomposition, one per atom, and by the peel. A chordality witness is
+built at one site, the walk that every elimination order's check runs.
+networkx is a test reference only: no library module imports it.
 """
 
 from __future__ import annotations
@@ -170,6 +171,18 @@ def test_atom_subgraphs_are_built_in_one_place():
     users = [p.name for p in sorted((ROOT / "src" / "glpart").glob("*.py"))
              if "induced_subgraph" in _references(p)]
     assert users == ["almost_chordal.py", "connectivity.py"]
+
+
+def test_chordality_witness_is_built_in_one_place():
+    # the search and ``peo_violation`` share one walk, so one witness rule
+    sites = [
+        (path.name, node.lineno)
+        for path in sorted((ROOT / "src" / "glpart").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "ChordalityWitness"
+    ]
+    assert [name for name, _ in sites] == ["chordal.py"], sites
 
 
 def test_library_does_not_import_networkx():

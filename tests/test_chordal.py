@@ -15,7 +15,7 @@ from glpart import (
     mcs_search,
 )
 
-from glpart.chordal import McsSearch, _build_mcs_order, _witness_at, mcs_order, peo_violation
+from glpart.chordal import McsSearch, _build_mcs_order, mcs_order, peo_violation
 
 from bruteforce import (
     bf_heap_mcs_search,
@@ -336,20 +336,23 @@ class TestWitnessRule:
     which a neighbour set was built."""
 
     def test_matches_smallest_missed_later_neighbour(self):
+        """``peo_violation`` reports the first hit of the witness's
+        definition along the order, on search and on shuffled orders."""
         rng = random.Random(3101)
         seen = 0
         for g in _gnp_graphs(rng):
-            sigmas = [mcs_search(g).sigma]
+            orders = [mcs_search(g).order]
             for _ in range(3):
                 order = list(g.vertices())
                 rng.shuffle(order)
-                sigmas.append(positions(order))
-            for sigma in sigmas:
-                for v in g.vertices():
-                    want = bf_witness_at(g, sigma, v)
-                    assert _witness_at(g, sigma, v) == want, (g, sigma, v)
-                    seen += want is not None
-        assert seen > 1000
+                orders.append(tuple(order))
+            for order in orders:
+                sigma = positions(order)
+                hits = (bf_witness_at(g, sigma, v) for v in order)
+                want = next((w for w in hits if w is not None), None)
+                assert peo_violation(g, order) == want, (g, order)
+                seen += want is not None
+        assert seen > 400
 
     @pytest.mark.parametrize("family", [_gnp_graphs, _members, _large_members],
                              ids=["gnp", "member", "large-member"])

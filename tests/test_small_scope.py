@@ -12,6 +12,11 @@ from brute force and networkx, not from the library.
   checks on and verified: exact on chordal graphs, within one vertex on
   members. Each deviation-1 answer has an exact partition the oracle
   finds, so these cases are the yardstick for an exact member solve.
+- A weighted subset (weight 2 on even ids, every member and every chordal
+  graph of at most 6 vertices, every k, terminal set and demand vector
+  covering each terminal's weight) stays inside the paper's windows:
+  strictly within w_max on chordal graphs and within max(2, k' - 1) *
+  w_max on members, k' being the parts left open after the peel.
 - Requests that must be refused are refused with a witness that checks
   against its definition.
 - The lemmas the member pipeline rests on hold on every non-chordal
@@ -124,6 +129,41 @@ def test_every_inexact_member_answer_has_an_exact_partition(sweep):
     assert len(inexact) == 267
     for g, req in inexact:
         assert bf_gl_partition(g, req.terminals, req.demands), (g.adj, req)
+
+
+def weighted_demands(weights, terminals):
+    """Every demand vector summing to the total weight in which each
+    terminal's demand is at least its own weight."""
+    own = [weights[t] for t in terminals]
+    for extra in compositions(sum(weights) - sum(own) + len(own), len(own)):
+        yield tuple(w + x - 1 for w, x in zip(own, extra))
+
+
+def test_weighted_requests_stay_in_their_windows(atlas):
+    counts: Counter = Counter()
+    for g, kappa, chordal, member in atlas:
+        if not (g.n <= 6 if chordal else member):
+            continue
+        wg = WeightedGraph(g, tuple(2 - v % 2 for v in g.vertices()))
+        for k in range(2, kappa + 1):
+            for terminals in combinations(g.vertices(), k):
+                for demands in weighted_demands(wg.weights, terminals):
+                    req = PartitionRequest(terminals, demands)
+                    part, mode, _ = solve(wg, req)
+                    assert mode == ("chordal-weighted" if chordal else "almost-chordal")
+                    # w_max is 2; k' counts the terminals that are not peeled
+                    k_open = sum(d != wg.weights[t] for t, d in zip(terminals, demands))
+                    bound = 2 if chordal else 2 * max(2, k_open - 1)
+                    rep = verify_partition(wg, req, part, DeviationRule.window(bound))
+                    assert rep.ok, (g.adj, req, rep.first_violation)
+                    counts[mode, part.deviation] += 1
+    assert counts == {
+        ("chordal-weighted", 0): 3074,
+        ("chordal-weighted", 1): 1940,
+        ("almost-chordal", 0): 3676,
+        ("almost-chordal", 1): 3749,
+        ("almost-chordal", 2): 314,
+    }
 
 
 def check_separator(g: Graph, k: int, wit: SeparatorWitness) -> None:
