@@ -31,7 +31,7 @@ from .graph import Graph, WeightedGraph
 from .instances import Instance, load_instance
 from .oracle import DEFAULT_ORACLE_CAP, brute_force_gl
 from .partition import GLPartition, PartitionRequest, solve
-from .recognition import ClassCheck, ClassViolation, is_hh_i42_free
+from .recognition import ClassViolation, class_violation
 from .verify import DeviationRule, VerificationReport, verify_partition
 
 __version__ = "0.1.0"
@@ -39,7 +39,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CapError",
     "ChordalityWitness",
-    "ClassCheck",
     "ClassViolation",
     "ConnectivityResult",
     "DEFAULT_ORACLE_CAP",
@@ -59,9 +58,9 @@ __all__ = [
     "VerificationReport",
     "WeightedGraph",
     "brute_force_gl",
+    "class_violation",
     "generate_almost_chordal",
     "generate_ktree",
-    "is_hh_i42_free",
     "load_instance",
     "mcs_search",
     "solve",

@@ -74,7 +74,7 @@ from .partition import (
     check_demands,
     gl_partition_chordal_weighted,
 )
-from .recognition import is_hh_i42_free
+from .recognition import class_violation
 
 
 def add_terminal_chords(
@@ -265,9 +265,8 @@ def gl_partition_almost_chordal(
     k = req.k
     check_demands(wg, req)
     if validate:
-        check = is_hh_i42_free(g)
-        if not check:
-            vio = check.violation
+        vio = class_violation(g)
+        if vio is not None:
             raise PreconditionError(
                 f"input graph is outside the supported class: {vio.kind} on "
                 f"vertices {vio.vertices}",

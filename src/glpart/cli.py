@@ -72,7 +72,7 @@ from .graph import WeightedGraph
 from .instances import load_instance
 from .oracle import brute_force_gl
 from .partition import GLPartition, solve
-from .recognition import is_hh_i42_free
+from .recognition import class_violation
 from .verify import DeviationRule, verify_partition
 
 EXIT_OK = 0
@@ -170,7 +170,7 @@ def _cmd_check(args) -> int:
 
     witness = mcs_search(g).witness
     chordal = witness is None
-    check = is_hh_i42_free(g)
+    violation = class_violation(g)
     conn = vertex_connectivity_at_least(g, k)
 
     _emit(
@@ -180,8 +180,8 @@ def _cmd_check(args) -> int:
             "k": k,
             "chordal": chordal,
             "chordality_witness": None if chordal else dataclasses.asdict(witness),
-            "class_member": check.ok,
-            "class_violation": None if check.ok else dataclasses.asdict(check.violation),
+            "class_member": violation is None,
+            "class_violation": violation and dataclasses.asdict(violation),
             "connectivity_at_least_k": conn.connected,
             "connectivity_reason": conn.reason,
             "separator": conn.witness and dataclasses.asdict(conn.witness),
@@ -191,7 +191,7 @@ def _cmd_check(args) -> int:
     required = set(args.require or [])
     failed = (
         ("chordal" in required and not chordal)
-        or ("class" in required and not check.ok)
+        or ("class" in required and violation is not None)
         or ("connectivity" in required and not conn.connected)
     )
     return EXIT_PRECONDITION if failed else EXIT_OK

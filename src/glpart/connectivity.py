@@ -150,8 +150,8 @@ def _flow_connectivity(g: Graph, k: int) -> ConnectivityResult:
     cut nearest s are the same for every maximum flow, so the first pair
     that fails, and its witness, do not depend on how the flow is found.
     """
-    deg_min = min(g.degree(v) for v in g.vertices())
-    v = min(x for x in g.vertices() if g.degree(x) == deg_min)
+    degrees = list(map(len, g.adj))
+    v = degrees.index(min(degrees))
     pairs = [(v, u) for u in g.vertices() if u != v and u not in g.adj[v]]
     pairs += [
         (a, b) for a, b in combinations(sorted(g.adj[v]), 2) if b not in g.adj[a]

@@ -47,8 +47,8 @@ They are read one way, by ``later_neighbours``, which gives each vertex u
 its neighbours v > u: ``generate`` writes those lists, and both graph
 builders hand them to ``Graph.from_edges`` as the edges (u, v).
 
-Each vertex's list comes out ascending, with no sort, so its lines are the
-ones ``Graph.edges()`` gives:
+Each vertex's list comes out ascending, with no sort, so its lines come
+out in ascending (u, v) order:
 
 - the first clique's lists are written whole, u + 1 to k for vertex u;
 - a k-tree vertex v is larger than every earlier vertex, and is appended

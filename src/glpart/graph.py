@@ -57,13 +57,6 @@ class Graph:
     def vertices(self) -> range:
         return range(len(self.adj))
 
-    def degree(self, v: int) -> int:
-        return len(self.adj[v])
-
-    def edges(self) -> list[Edge]:
-        """All edges as (u, v) with u < v, sorted."""
-        return [(u, v) for u in self.vertices() for v in sorted(self.adj[u]) if u < v]
-
     def edge_count(self) -> int:
         return sum(map(len, self.adj)) // 2
 

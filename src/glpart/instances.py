@@ -55,13 +55,13 @@ class Instance:
         return self.wgraph.is_unit()
 
 
-def _int_fields(raw: str, line_no: int, expect: int | None = None) -> list[int]:
+def _int_fields(raw: str, line_no: int, expect: int) -> list[int]:
     fields = raw.split()
     try:
         values = list(map(int, fields))
     except ValueError:
         raise GraphFormatError(f"expected integers, got {raw!r}", line_no) from None
-    if expect is not None and len(values) != expect:
+    if len(values) != expect:
         raise GraphFormatError(
             f"expected {expect} integers, got {len(values)}", line_no
         )
@@ -200,7 +200,7 @@ def format_parts(
     """The text of an instance given by its parts: n vertices, for each
     vertex u its neighbours v > u in ascending order, the weights and the
     request, after a ``# comment`` line when ``comment`` is given. The
-    edge lines come out in ``Graph.edges()`` order, each vertex's from one
+    edge lines come out in ascending (u, v) order, each vertex's from one
     ``str.join`` over its list, and m is the lists' total length.
     ``generate`` passes the lists its generator reads off the draws, with
     no ``Graph``."""

@@ -17,9 +17,8 @@ assigned; the open parts are one more mask. The frontier is a heap of
 elimination positions with at most one entry per waiting vertex, popped
 when that vertex is assigned or found with no open part. A pick walks
 only the set bits of the vertex's open parts, so its cost follows the
-parts the vertex borders, not k. The terminals are seeded through a small
-``assign`` helper; a pick assigns its vertex inline, at one site, since a
-call per vertex is a measurable share of the loop.
+parts the vertex borders, not k. A pick assigns its vertex inline, at one
+site, since a call per vertex is a measurable share of the loop.
 
 ``solve`` is the one entry point that ``glpart partition`` and
 ``oracle-compare`` call: it picks between this chordal solve and the
@@ -177,17 +176,20 @@ def gl_partition_chordal_weighted(
     adj, sigma, order = g.adj, search.sigma, search.order
     weights, demands = wg.weights, req.demands
     w_max = wg.w_max
+    terminals = req.terminals
     # Per part: its vertices, its weight and its largest elimination
     # position. The positions are distinct across parts (parts are
     # disjoint), so the part choice is a strict minimum and the whole run
     # is deterministic.
-    parts: list[list[int]] = [[] for _ in range(k)]
-    part_weight = [0] * k
-    priority = [-1] * k
+    parts = [[t] for t in terminals]
+    part_weight = [weights[t] for t in terminals]
+    priority = [sigma[t] for t in terminals]
     # Per vertex, a bit mask of the parts it borders: bit i for part i, and
     # -1 (every bit set) once the vertex is assigned. Terminals are marked
     # before any is seeded, so none ever waits.
     mask = [0] * n
+    for t in terminals:
+        mask[t] = -1
     bits = [1 << i for i in range(k)]
     # Heap of elimination positions (vertex order[position - 1]) holding at
     # most one entry per waiting vertex, one whose mask is neither 0 nor -1.
@@ -199,31 +201,13 @@ def gl_partition_chordal_weighted(
     # assigned vertex has one. The key does not depend on the part, so one
     # entry picks the same vertex as one entry per (vertex, part) pair would.
     frontier: list[int] = []
-    assigned = 0
-
-    def assign(v: int, i: int) -> None:
-        nonlocal assigned
-        mask[v] = -1
-        parts[i].append(v)
-        part_weight[i] += weights[v]
-        if sigma[v] > priority[i]:
-            priority[i] = sigma[v]
-        assigned += 1
-        bit = bits[i]
-        for u in adj[v]:
-            # Setting a bit the vertex already has changes nothing, so there
-            # is no membership test. An assigned vertex is skipped by its
-            # sign: `-1 | bit` is -1 too, but past bit 29 it builds a new
-            # int, which many terminals would pay at every assigned vertex.
+    for t, bit in zip(terminals, bits):
+        for u in adj[t]:
             if (m := mask[u]) >= 0:
                 mask[u] = m | bit
                 if not m:
                     heappush(frontier, sigma[u])
-
-    for t in req.terminals:
-        mask[t] = -1
-    for i, t in enumerate(req.terminals):
-        assign(t, i)
+    assigned = k
     # bit i set while part i is open
     open_mask = sum(bits[i] for i in range(k) if part_weight[i] < demands[i])
     # sum of (demand - weight) over closed parts, the ones with weight >= demand
@@ -279,7 +263,7 @@ def gl_partition_chordal_weighted(
                 # part i stops short of its demand and v waits again
                 heappush(frontier, sigma[v])
                 continue
-        # assign v to part i: the steps of `assign`, inline on the hot path
+        # assign v to part i
         mask[v] = -1
         parts[i].append(v)
         part_weight[i] = w
@@ -288,6 +272,10 @@ def gl_partition_chordal_weighted(
         assigned += 1
         bit = bits[i]
         for u in adj[v]:
+            # Setting a bit the vertex already has changes nothing, so there
+            # is no membership test. An assigned vertex is skipped by its
+            # sign: `-1 | bit` is -1 too, but past bit 29 it builds a new
+            # int, which many terminals would pay at every assigned vertex.
             if (m := mask[u]) >= 0:
                 mask[u] = m | bit
                 if not m:

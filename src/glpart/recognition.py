@@ -23,18 +23,20 @@ recognition shares with the connectivity check (Tarjan, Discrete Math.
 sees all of it) holds its ring as its only induced 4-cycle and no hole.
 So the catalog (``c4.enumerate_induced_c4``) is the rings of those atoms
 plus a walk of each other atom, and ``find_hole``, the one hole search,
-tries only the edges inside the other atoms, in ``g.edges()`` order. A
+tries only the edges inside the other atoms, in ascending (u, v) order. A
 graph that is its own only atom has all its edges tried. The per-edge
-test runs on g, so the first hole edge of ``g.edges()``, and its hole,
-are the same under any filter that keeps every hole edge.
+test runs on g, so the first hole edge in that order, and its hole, are
+the same under any filter that keeps every hole edge.
 
-``is_hh_i42_free`` accepts chordal graphs at once, as they have no 4-cycle
-and no hole. Of the others it scans the catalog over the whole graph (a
-house can straddle a clique separator), then searches for a hole. On class
-members every non-complete atom is ring + Q, so no walk and no hole search
-run. Cost: the decomposition, which works only where g is not chordal,
-plus the scans of the catalog on members; on other graphs, the walks of
-the other atoms and O(n + m) more per scanned edge.
+``class_violation`` is the verdict: None for a member, else the first
+violation found, with its witness. It accepts chordal graphs at once, as
+they have no 4-cycle and no hole. Of the others it scans the catalog over
+the whole graph (a house can straddle a clique separator), then searches
+for a hole. On class members every non-complete atom is ring + Q, so no
+walk and no hole search run. Cost: the decomposition, which works only
+where g is not chordal, plus the scans of the catalog on members; on
+other graphs, the walks of the other atoms and O(n + m) more per scanned
+edge.
 """
 
 from __future__ import annotations
@@ -58,17 +60,6 @@ class ClassViolation:
     kind: str  # "hole" | "house" | "c4-overlap"
     vertices: tuple[int, ...]
     detail: str = ""
-
-
-@dataclass(frozen=True)
-class ClassCheck:
-    """Recognition verdict; truthy iff the graph is in the class."""
-
-    ok: bool
-    violation: ClassViolation | None = None
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def _hole_at_edge(
@@ -139,8 +130,8 @@ def _shortest_path(
 def find_hole(g: Graph) -> tuple[int, ...] | None:
     """Some chordless cycle of length >= 5, or None if there is none.
 
-    The edges inside atoms that are not ring + Q are tried in
-    ``g.edges()`` order, each listed only once the ones before it hold no
+    The edges inside atoms that are not ring + Q are tried in ascending
+    (u, v) order, each listed only once the ones before it hold no
     hole: each atom lists its subgraph's edges ascending in g's ids, the
     lists are merged, and an edge that two atoms share through their
     clique separator is dropped the second time. Once the catalog scans
@@ -218,22 +209,19 @@ def scan_catalog_violations(g: Graph, catalog: C4Catalog) -> ClassViolation | No
     return None
 
 
-def is_hh_i42_free(g: Graph) -> ClassCheck:
-    """Membership test for the supported class, with a witness on failure.
+def class_violation(g: Graph) -> ClassViolation | None:
+    """The first violation of the supported class, or None for a member.
 
     Checks, in order: a chordal graph is in; no two catalogued 4-cycles
     share two or more vertices, no catalogued 4-cycle has a roof vertex
     (house), no hole. Every violation reported is real; the first one wins.
     """
     if not g.n or mcs_search(g).witness is None:
-        return ClassCheck(True)
-    catalog = enumerate_induced_c4(g)
-    violation = scan_catalog_violations(g, catalog)
+        return None
+    violation = scan_catalog_violations(g, enumerate_induced_c4(g))
     if violation is not None:
-        return ClassCheck(False, violation)
+        return violation
     hole = find_hole(g)
-    if hole is not None:
-        return ClassCheck(False, ClassViolation(
-            "hole", hole, f"chordless cycle of length {len(hole)}"
-        ))
-    return ClassCheck(True)
+    if hole is None:
+        return None
+    return ClassViolation("hole", hole, f"chordless cycle of length {len(hole)}")

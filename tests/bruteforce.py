@@ -3,7 +3,8 @@
 Everything here works straight from definitions with no shortcuts, so the
 library can be checked against code that shares none of its logic. Most
 functions are exponential; callers keep n small. Complete graphs, cycles
-and paths are built here by name for the tests. ``is_connected_set``,
+and paths are built here by name for the tests, and ``edges`` lists a
+graph's edges sorted, which no library code needs. ``is_connected_set``,
 the test the reference growth loop ends on, which the library's flood
 from its masks replaced, follows ``bf_is_connected``. The helpers at the end
 are small definitional checks the library itself has no use for, four
@@ -28,7 +29,10 @@ explicit stacks replaced, the matching contraction that fed each
 neighbour set through a generator, which the library's ``map`` replaced,
 and the hole scan over every edge of the graph that the library's scan
 of the atoms' edges replaced, with that edge list built off the atoms'
-vertex ids.
+vertex ids. Last come the check of a class witness against its
+definition, the check of lemma (c') on one request, and the graphs glued
+from clique and ring + Q atoms that carry the small-scope checks past
+the atlas's 7 vertices.
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ from itertools import combinations, permutations
 from glpart import (
     CapError,
     ChordalityWitness,
+    ClassViolation,
     DEFAULT_ORACLE_CAP,
     DemandError,
     GLPartition,
@@ -54,16 +59,17 @@ from glpart import (
     PreconditionError,
     SolverStallError,
     WeightedGraph,
+    class_violation,
     generate_almost_chordal,
-    is_hh_i42_free,
     mcs_search,
     recognition,
     vertex_connectivity_at_least,
 )
+from glpart.almost_chordal import add_terminal_chords, build_contraction_plan
 from glpart.c4 import C4Catalog, Cycle, _canonical, enumerate_induced_c4
-from glpart.chordal import McsSearch, mcs_order
+from glpart.chordal import McsSearch, mcs_order, peo_violation
 from glpart.connectivity import ConnectivityResult, _failure, clique_decomposition
-from glpart.graph import MergeMap, components_within
+from glpart.graph import MergeMap, components_within, induced_subgraph
 from glpart.instances import format_parts
 from glpart.oracle import _feasible, _reachable
 from glpart.partition import _STALL, check_demands
@@ -338,6 +344,11 @@ def bf_witness_at(g: Graph, sigma, v: int) -> ChordalityWitness | None:
     return None
 
 
+def edges(g: Graph) -> list[tuple[int, int]]:
+    """All edges of g as (u, v) with u < v, sorted."""
+    return [(u, v) for u in g.vertices() for v in sorted(g.adj[u]) if u < v]
+
+
 def complete_graph(n: int) -> Graph:
     return Graph.from_edges(n, combinations(range(n), 2))
 
@@ -469,7 +480,7 @@ def contract_edge(g: Graph, u: int, v: int) -> tuple[Graph, MergeMap]:
     merged = new_id[lo]
 
     nbrs: list[set[int]] = [set() for _ in keep]
-    for a, b in g.edges():
+    for a, b in edges(g):
         a2 = merged if a in (lo, hi) else new_id[a]
         b2 = merged if b in (lo, hi) else new_id[b]
         if a2 == b2:
@@ -694,7 +705,7 @@ def identity_merge_map(n: int) -> MergeMap:
 
 
 def format_instance(inst: Instance, comment: str | None = None) -> str:
-    """The text of ``inst``, with its graph's edges in ``Graph.edges()`` order."""
+    """The text of ``inst``, with its graph's edges in ascending (u, v) order."""
     g = inst.graph
     later = [sorted(v for v in g.adj[u] if v > u) for u in range(g.n)]
     return format_parts(g.n, later, inst.wgraph.weights, inst.request, comment)
@@ -721,7 +732,7 @@ def is_chordal(g: Graph) -> bool:
 def whole_graph_find_hole(g: Graph, edges=None) -> tuple[int, ...] | None:
     """The hole through the first of ``edges`` that lies on one, or None.
 
-    By default ``edges`` is every edge of g in ``g.edges()`` order: the
+    By default ``edges`` is every edge of g in ascending (u, v) order: the
     scan that ``recognition.find_hole`` replaced by the edges inside atoms
     that are not ring + Q. The per-edge test is looked up on
     ``recognition`` at each call, so a spy on it counts this scan too.
@@ -809,8 +820,8 @@ def bf_generate_almost_chordal(n: int, k: int, cycles: int, seed: int) -> Graph:
     ``generate_almost_chordal``; a rejection leaves it short of n vertices.
     """
     rng = random.Random(seed)
-    edges, cliques = bf_ktree_edges_and_cliques(n - 4 * cycles, k, rng)
-    g = Graph.from_edges(n - 4 * cycles, edges)
+    base, cliques = bf_ktree_edges_and_cliques(n - 4 * cycles, k, rng)
+    g = Graph.from_edges(n - 4 * cycles, base)
     achieved = 0
     attempts = 20 * max(cycles, 1)
     while achieved < cycles and attempts > 0:
@@ -819,7 +830,7 @@ def bf_generate_almost_chordal(n: int, k: int, cycles: int, seed: int) -> Graph:
         fresh = p, q, r, s = tuple(range(g.n, g.n + 4))
         ring = [(p, q), (q, r), (r, s), (p, s)]
         cand = Graph.from_edges(
-            g.n + 4, g.edges() + ring + [(x, y) for x in anchor for y in fresh]
+            g.n + 4, edges(g) + ring + [(x, y) for x in anchor for y in fresh]
         )
         catalog = enumerate_induced_c4(cand)
         if len(catalog) != achieved + 1:
@@ -844,22 +855,23 @@ def shared_vertex_member(
     vertices B of the old ring's anchor. B and p form a k-clique that sees
     the whole new ring, so the result is a k-connected member in which
     each new ring shares p with an old one. The result is checked with
-    ``is_hh_i42_free`` on a copy, so its own memo stays empty, and with
+    ``class_violation`` on a copy, so its own memo stays empty, and with
     ``bf_class_member`` when it has at most 14 vertices.
     """
     rng = random.Random(seed)
     g = generate_almost_chordal(n, k, cycles, seed)
     ring_vertices = [(ring, p) for ring in all_pairs_induced_c4(g) for p in ring]
     hosts = rng.sample(ring_vertices, extra)
-    edges = g.edges()
+    pairs = edges(g)
     for i, (ring, p) in enumerate(hosts):
         q, r, s = range(g.n + 3 * i, g.n + 3 * i + 3)
         anchor = frozenset.intersection(*(g.adj[v] for v in ring))
-        edges += [(p, q), (q, r), (r, s), (p, s)]
-        edges += [(b, y) for b in rng.sample(sorted(anchor), k - 1) for y in (q, r, s)]
+        pairs += [(p, q), (q, r), (r, s), (p, s)]
+        pairs += [(b, y) for b in rng.sample(sorted(anchor), k - 1) for y in (q, r, s)]
     total = g.n + 3 * extra
-    assert is_hh_i42_free(Graph.from_edges(total, edges)), (n, k, cycles, extra, seed)
-    member = Graph.from_edges(total, edges)
+    assert class_violation(Graph.from_edges(total, pairs)) is None, (
+        n, k, cycles, extra, seed)
+    member = Graph.from_edges(total, pairs)
     assert total > 14 or bf_class_member(member), (n, k, cycles, extra, seed)
     return member
 
@@ -940,7 +952,7 @@ def bf_split_network(g: Graph) -> list[dict[int, int]]:
         cap[2 * x + 1][2 * x] = 0
     # edge arcs get capacity n so any finite min cut uses split arcs only,
     # which is what the separator extraction below reads off
-    for u, v in g.edges():
+    for u, v in edges(g):
         for a, b in ((u, v), (v, u)):
             cap[2 * a + 1][2 * b] = n
             cap[2 * b].setdefault(2 * a + 1, 0)
@@ -996,8 +1008,8 @@ def bf_split_flow_mincut(base: list[dict[int, int]], s: int, t: int, limit: int)
 def bf_flow_connectivity(g: Graph, k: int) -> ConnectivityResult:
     """Reference ``connectivity._flow_connectivity``: the same pair schedule
     over the dict network, built once and copied for every pair."""
-    deg_min = min(g.degree(v) for v in g.vertices())
-    v = min(x for x in g.vertices() if g.degree(x) == deg_min)
+    deg_min = min(len(g.adj[v]) for v in g.vertices())
+    v = min(x for x in g.vertices() if len(g.adj[x]) == deg_min)
     pairs = [(v, u) for u in g.vertices() if u != v and u not in g.adj[v]]
     pairs += [
         (a, b) for a, b in combinations(sorted(g.adj[v]), 2) if b not in g.adj[a]
@@ -1014,10 +1026,10 @@ def with_planted_cycle(g: Graph, length: int, clique: tuple[int, ...]) -> Graph:
     """Append a chordless cycle of ``length`` fresh vertices, each joined to
     every vertex of ``clique``."""
     ring = range(g.n, g.n + length)
-    edges = list(g.edges())
-    edges += [(v, g.n + (v - g.n + 1) % length) for v in ring]
-    edges += [(x, v) for x in clique for v in ring]
-    return Graph.from_edges(g.n + length, edges)
+    pairs = edges(g)
+    pairs += [(v, g.n + (v - g.n + 1) % length) for v in ring]
+    pairs += [(x, v) for x in clique for v in ring]
+    return Graph.from_edges(g.n + length, pairs)
 
 
 def planted(member: Graph, k: int, kind: str) -> Graph:
@@ -1033,14 +1045,14 @@ def planted(member: Graph, k: int, kind: str) -> Graph:
         "separator": [(x, n) for x in range(k - 1)],
     }[kind]
     return Graph.from_edges(
-        max(max(e) for e in extra) + 1, member.edges() + extra
+        max(max(e) for e in extra) + 1, edges(member) + extra
     )
 
 
 def without_edges(g: Graph, rng: random.Random, count: int) -> Graph:
-    edges = g.edges()
-    drop = set(rng.sample(range(len(edges)), count))
-    return Graph.from_edges(g.n, [e for i, e in enumerate(edges) if i not in drop])
+    old = edges(g)
+    drop = set(rng.sample(range(len(old)), count))
+    return Graph.from_edges(g.n, [e for i, e in enumerate(old) if i not in drop])
 
 
 def _int_fields(raw: str, line_no: int, expect: int | None = None) -> list[int]:
@@ -1367,3 +1379,101 @@ def bf_recursive_brute_force_gl(
     if solution is None:
         return None
     return GLPartition(tuple(frozenset(s) for s in solution), 0)
+
+
+def check_violation(g: Graph, vio: ClassViolation) -> None:
+    """Assert that ``vio`` is what its kind says, from the definition."""
+    vs = vio.vertices
+    sub = induced_subgraph(g, vs)[0]
+    if vio.kind == "hole":
+        # in cycle order, and inducing nothing but the cycle
+        assert len(set(vs)) == len(vs) >= 5
+        assert all(vs[i - 1] in g.adj[vs[i]] for i in range(len(vs)))
+        assert _induces_cycle(g, vs)
+    elif vio.kind == "house":
+        assert sub.n == 5 and sub.edge_count() == 6
+        assert bf_contains_induced(sub, Graph.from_edges(5, HOUSE_EDGES))
+    else:
+        assert vio.kind == "c4-overlap"
+        cycles = bf_induced_c4_sets(sub)
+        assert any(len(a & b) >= 2 and len(a | b) == sub.n
+                   for a, b in combinations(cycles, 2))
+
+
+def projected_order_violation(g: Graph, terminals) -> ChordalityWitness | None:
+    """Lemma (c'): None when the chorded graph's search order, with each
+    merged group at the position of its last member, is a perfect
+    elimination order of the contracted graph; else its witness."""
+    g2, _ = add_terminal_chords(g, terminals)
+    plan = build_contraction_plan(g2, terminals)
+    group = {x: i for i, grp in enumerate(plan.merge_map.groups) for x in grp}
+    last = {group[x]: pos for pos, x in enumerate(mcs_search(g2).order)}
+    return peo_violation(plan.contracted.graph, sorted(last, key=last.__getitem__))
+
+
+def _atom(kind: str, size: int):
+    """The edges, maximal cliques and ring edges of one atom on ids
+    0..size-1: a clique, or a ring + Q atom with ring 0-1-2-3 and the
+    clique Q = 4..size-1 seeing all of it."""
+    if kind == "clique":
+        return list(combinations(range(size), 2)), [tuple(range(size))], []
+    ring = [(0, 1), (1, 2), (2, 3), (0, 3)]
+    q = tuple(range(4, size))
+    edges = ring + list(combinations(q, 2)) + [(r, x) for x in q for r in range(4)]
+    return edges, [(a, b, *q) for a, b in ring], ring
+
+
+def glued_graph(rng: random.Random, k: int, n: int) -> tuple[Graph, bool]:
+    """A k-connected graph on n vertices glued from atoms along cliques of
+    at least k vertices, and whether some glue held a ring edge.
+
+    Each atom is a clique of at least k + 1 vertices or a ring + Q atom: an
+    induced 4-cycle joined to a clique Q of at least k - 2 vertices that
+    sees all of the cycle, so each is k-connected, and so is every graph
+    glued from them along cliques of k or more vertices. Each atom after
+    the first takes s >= k vertices of one maximal clique of an earlier
+    atom as s vertices of one of its own maximal cliques, and brings 1 to
+    4 new vertices. Half the glues leave out one end of each ring edge.
+
+    Every chordless cycle and every clique lies in one atom, and an atom
+    meets the earlier ones only in its glue. So while no glue holds two
+    adjacent vertices of one ring, no house and no two 4-cycles sharing
+    two vertices can form: the graph is a class member, chordal when it
+    has no ring. A ring edge in a glue gives a house or an overlap unless
+    no vertex outside the glue sees both its ends.
+    """
+    kind = rng.choice(("clique", "ring"))
+    low = k + 1 if kind == "clique" else max(k + 2, 4)
+    size = rng.randint(low, min(n, low + 3))
+    edges, cliques, ring_edges = _atom(kind, size)
+    edges, ring_edges = set(edges), set(ring_edges)
+    ring_glue = False
+    while size < n:
+        # half the glues keep one end of each ring edge, so as to hold none
+        clean = rng.random() < 0.5
+        old = rng.choice(cliques)
+        if clean:
+            old = [v for v in old if not any((u, v) in ring_edges for u in old)]
+        if len(old) < k:
+            continue
+        s = rng.randint(k, len(old))
+        fresh = rng.randint(1, min(n - size, 4))
+        # a ring + Q atom of s + fresh vertices has s - 2 + fresh in its
+        # maximal cliques, one less without the second ring vertex
+        kind = "ring" if fresh >= 2 + clean and rng.random() < 0.5 else "clique"
+        local_edges, local_cliques, local_ring = _atom(kind, s + fresh)
+        home = rng.choice(local_cliques)
+        if clean and local_ring:
+            home = home[:1] + home[2:]
+        glued = rng.sample(home, s)
+        ids = dict(zip(glued, rng.sample(old, s)))
+        for x in range(s + fresh):
+            if x not in ids:
+                ids[x] = size
+                size += 1
+        edges.update(tuple(sorted((ids[u], ids[v]))) for u, v in local_edges)
+        cliques += [tuple(ids[x] for x in c) for c in local_cliques]
+        ring_edges.update(tuple(sorted((ids[u], ids[v]))) for u, v in local_ring)
+        glue = {ids[x] for x in glued}
+        ring_glue |= any(u in glue and v in glue for u, v in ring_edges)
+    return Graph.from_edges(n, edges), ring_glue

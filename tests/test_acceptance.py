@@ -21,9 +21,9 @@ from glpart import (
     PartitionRequest,
     WeightedGraph,
     brute_force_gl,
+    class_violation,
     generate_almost_chordal,
     generate_ktree,
-    is_hh_i42_free,
     vertex_connectivity_at_least,
     verify_partition,
 )
@@ -274,7 +274,7 @@ def test_criterion_6_recognition_correctness():
     checked = 0
     for name, g in graphs:
         assert is_chordal(g) == bf_is_chordal(g), name
-        assert is_hh_i42_free(g).ok == bf_class_member(g), name
+        assert (class_violation(g) is None) == bf_class_member(g), name
         kappa = bf_vertex_connectivity(g)
         for k in range(1, g.n + 1):
             assert vertex_connectivity_at_least(g, k).connected == (kappa >= k), (
@@ -318,7 +318,7 @@ def test_criterion_7_structural_lemmas():
 
             for a, b in ((cyc[0], cyc[2]), (cyc[1], cyc[3])):
                 g2 = g.with_edges([(a, b)])
-                if not is_hh_i42_free(g2).ok:
+                if class_violation(g2) is not None:
                     violations += 1
                 if len(enumerate_induced_c4(g2)) != len(cat) - 1:
                     violations += 1

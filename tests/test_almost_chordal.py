@@ -35,6 +35,7 @@ from bruteforce import (
     all_pairs_induced_c4,
     bf_add_terminal_chords,
     build_c4_incidence,
+    edges,
     is_chordal,
     iter_nonedges,
     planted,
@@ -95,7 +96,7 @@ class TestAddTerminalChords:
                 # one diagonal, both, or none
                 terms.update(rng.choice((cyc[0::2], cyc[1::2], cyc, ())))
             terms = tuple(sorted(terms))
-            expected = bf_add_terminal_chords(Graph.from_edges(g.n, g.edges()), terms)
+            expected = bf_add_terminal_chords(Graph.from_edges(g.n, edges(g)), terms)
             assert add_terminal_chords(g, terms) == expected, (trial, terms)
             chorded += bool(expected[1])
         assert chorded >= 100

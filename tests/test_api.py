@@ -3,7 +3,9 @@
 Every name in ``glpart.__all__`` must be referenced by code in a library
 module other than ``__init__`` or in ``perfbench/``: as a bare name, an
 attribute or an imported name. A mention in a docstring or a comment does
-not count. A helper that only tests call belongs in ``tests/bruteforce.py``.
+not count. A helper that only tests call belongs in ``tests/bruteforce.py``;
+so does a public method of a graph type that no other library module
+reads.
 The CLI leaves the choice of solver to ``solve``, the README's quick
 start runs against the API as it is, and the README's CLI synopsis names
 each subcommand's flags as the parser defines them. Only the generators
@@ -13,7 +15,9 @@ the rest of the library, and the connectivity check does not read the
 4-cycle catalog. Induced subgraphs are built only by the clique separator
 decomposition, one per atom, and by the peel. A chordality witness is
 built at one site, the walk that every elimination order's check runs.
-networkx is a test reference only: no library module imports it.
+The growth loop seeds its parts and assigns its picks with no helper
+function, and appends to a part at one site. networkx is a test
+reference only: no library module imports it.
 """
 
 from __future__ import annotations
@@ -23,9 +27,11 @@ import ast
 import importlib
 import re
 from pathlib import Path
+from types import FunctionType
 
 import glpart
 from glpart.cli import _build_parser
+from glpart.graph import Graph, MergeMap, WeightedGraph
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -49,6 +55,25 @@ def test_every_public_name_has_a_user():
     files += (ROOT / "perfbench").glob("*.py")
     used = set().union(*map(_references, files))
     assert [name for name in glpart.__all__ if name not in used] == []
+
+
+def test_every_graph_method_has_a_user():
+    # read as an attribute anywhere but graph.py, where they are defined; a
+    # bare name does not count, as ``edges`` is also a local variable
+    used = {
+        node.attr
+        for path in (ROOT / "src" / "glpart").glob("*.py") if path.name != "graph.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute)
+    }
+    public = [
+        f"{cls.__name__}.{name}"
+        for cls in (Graph, WeightedGraph, MergeMap)
+        for name, value in vars(cls).items()
+        if not name.startswith("_")
+        and isinstance(value, (property, classmethod, staticmethod, FunctionType))
+    ]
+    assert [name for name in public if name.split(".")[1] not in used] == []
 
 
 def test_cli_leaves_the_solver_choice_to_solve():
@@ -183,6 +208,31 @@ def test_chordality_witness_is_built_in_one_place():
         and node.func.id == "ChordalityWitness"
     ]
     assert [name for name, _ in sites] == ["chordal.py"], sites
+
+
+def test_growth_loop_appends_to_a_part_at_one_site():
+    # the terminals are seeded by comprehension, so a pick is the only
+    # assignment, and it runs inline
+    tree = ast.parse((ROOT / "src" / "glpart" / "partition.py").read_text())
+    loop = next(
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        and node.name == "gl_partition_chordal_weighted"
+    )
+    nested = [
+        node.name for node in ast.walk(loop)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+        and node is not loop
+    ]
+    appends = [
+        node.lineno for node in ast.walk(loop)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "append"
+        and isinstance(node.func.value, ast.Subscript)
+        and isinstance(node.func.value.value, ast.Name)
+        and node.func.value.value.id == "parts"
+    ]
+    assert nested == [] and len(appends) == 1, (nested, appends)
 
 
 def test_library_does_not_import_networkx():

@@ -199,7 +199,7 @@ def test_hole_plant_walks_only_its_hole_atom(builds, k):
     # planted C5 with the k-clique it hangs from, is walked on its own
     g = planted(generate_almost_chordal(60, k, 3, seed=k), k, "hole")
     builds.clear()  # planted() reads the member's catalog
-    violation = recognition.is_hh_i42_free(g).violation
+    violation = recognition.class_violation(g)
     assert violation.kind == "hole"
     others = [a for a in connectivity.clique_decomposition(g)[0] if not a.ring]
     assert [len(a.ids) for a in others] == [k + 5]
@@ -274,10 +274,17 @@ def test_peeled_graph_is_neither_searched_nor_cut(searches, atom_builds):
 
 @pytest.mark.parametrize("command", ["partition", "check"])
 def test_member_lists_no_edges(monkeypatch, tmp_path, capsys, command):
-    # no atom needs a hole search, so no edge list of the input is built
+    # no atom needs a hole search, so no atom's edges are listed
     g, req = _member_request(3, 0, seed=5)
     path = _write(tmp_path, g, req)
-    listed = _spy(monkeypatch, graph.Graph, "edges")
+    listed = []
+    edges_of = recognition._edges_of
+
+    def spy(atom):
+        listed.append(atom.ids)
+        return edges_of(atom)
+
+    monkeypatch.setattr(recognition, "_edges_of", spy)
     assert main([command, path]) == 0
     capsys.readouterr()
     assert listed == []

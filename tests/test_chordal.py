@@ -24,6 +24,7 @@ from bruteforce import (
     bf_witness_at,
     compute_peo,
     cycle_graph,
+    edges,
     is_chordal,
     is_peo,
     path_graph,
@@ -214,15 +215,15 @@ class TestSearchAgainstReference:
 def _relabeled(g, rng):
     perm = list(g.vertices())
     rng.shuffle(perm)
-    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in edges(g)])
 
 
 def _union(*graphs):
-    edges, base = [], 0
+    pairs, base = [], 0
     for h in graphs:
-        edges += [(u + base, v + base) for u, v in h.edges()]
+        pairs += [(u + base, v + base) for u, v in edges(h)]
         base += h.n
-    return Graph.from_edges(base, edges)
+    return Graph.from_edges(base, pairs)
 
 
 def _complete_bipartite(a, b, small_first):

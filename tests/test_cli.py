@@ -41,6 +41,7 @@ from bruteforce import (
     bf_is_connected,
     bf_parse_instance,
     cycle_graph,
+    edges,
     format_instance,
     path_graph,
     planted,
@@ -848,7 +849,7 @@ def relabelled_instances(draw):
 
 def relabel(inst: Instance, perm) -> Instance:
     """``inst`` with vertex v renamed perm[v]."""
-    g = Graph.from_edges(inst.graph.n, [(perm[u], perm[v]) for u, v in inst.graph.edges()])
+    g = Graph.from_edges(inst.graph.n, [(perm[u], perm[v]) for u, v in edges(inst.graph)])
     req = PartitionRequest(tuple(perm[t] for t in inst.request.terminals),
                            inst.request.demands)
     return Instance(WeightedGraph.unit(g), req)

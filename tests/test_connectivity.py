@@ -39,6 +39,7 @@ from bruteforce import (
     bf_split_network,
     bf_vertex_connectivity,
     cycle_graph,
+    edges,
     enumerate_minimal_separators,
     is_chordal,
     path_graph,
@@ -266,7 +267,7 @@ class TestCliqueSeparatorMethod:
         member = generate_almost_chordal(30, k, 1, seed=1)
         p, q, r, s = enumerate_induced_c4(member)[0]
         g = Graph.from_edges(member.n, [
-            e for e in member.edges() if p not in e or set(e) & {q, s}
+            e for e in edges(member) if p not in e or set(e) & {q, s}
         ])
         res = vertex_connectivity_at_least(g, k)
         assert not res and res.witness.separator == tuple(sorted((q, s)))

@@ -15,10 +15,10 @@ from glpart import (
     Instance,
     PartitionRequest,
     WeightedGraph,
+    class_violation,
     cli,
     generate_almost_chordal,
     generate_ktree,
-    is_hh_i42_free,
     vertex_connectivity_at_least,
 )
 from glpart.c4 import enumerate_induced_c4
@@ -38,6 +38,7 @@ from bruteforce import (
     bf_generate_almost_chordal,
     bf_ktree_edges_and_cliques,
     bf_weights,
+    edges,
     format_instance,
     is_chordal,
 )
@@ -111,7 +112,7 @@ class TestAlmostChordalGenerator:
         for seed in range(6):
             g = generate_almost_chordal(26, 3, 2, seed=seed)
             assert g.n == 26
-            assert is_hh_i42_free(g)
+            assert class_violation(g) is None
             assert not is_chordal(g)
             assert kappa_exactly(g, 3)
 
@@ -142,7 +143,7 @@ class TestAlmostChordalGenerator:
     def test_high_k_instances(self):
         g = generate_almost_chordal(40, 5, 4, seed=9)
         assert catalog_size(g) == 4
-        assert is_hh_i42_free(g)
+        assert class_violation(g) is None
         assert kappa_exactly(g, 5)
 
     def test_matches_certifying_reference(self):
@@ -155,7 +156,7 @@ class TestAlmostChordalGenerator:
         for n, k, cycles, seed in SWEEP:
             g = generate_almost_chordal(n, k, cycles, seed)
             assert g.n == n
-            assert is_hh_i42_free(g), (n, k, cycles, seed)
+            assert class_violation(g) is None, (n, k, cycles, seed)
             assert catalog_size(g) == cycles, (n, k, cycles, seed)
             assert kappa_exactly(g, k), (n, k, cycles, seed)
 
@@ -175,14 +176,14 @@ class TestEdgeOrder:
     sets are filled from those lists as the file's reader fills them."""
 
     def test_later_neighbours_give_graph_edges(self):
-        # each vertex's list, flattened in vertex order, is ``Graph.edges()``
-        # of the graph the same draws build
+        # each vertex's list, flattened in vertex order, is ``edges(g)``
+        # of the graph g the same draws build
         cases = [(later_neighbours(n, k, 0, seed), generate_ktree(n, k, seed))
                  for n, k, seed in KTREES]
         cases += [(later_neighbours(*c), generate_almost_chordal(*c)) for c in MEMBERS]
         for later, g in cases:
             assert len(later) == g.n
-            assert [(u, v) for u, vs in enumerate(later) for v in vs] == g.edges()
+            assert [(u, v) for u, vs in enumerate(later) for v in vs] == edges(g)
 
     def test_graph_iterates_as_its_file_parses(self):
         # the library graph and the graph read back from ``generate``'s text
@@ -211,7 +212,6 @@ class TestEdgeOrder:
 
         monkeypatch.setattr(Graph, "from_edges",
                             classmethod(spy("from_edges", Graph.from_edges.__func__)))
-        monkeypatch.setattr(Graph, "edges", spy("edges", Graph.edges))
         for flags in (["--n", "300", "--k", "3", "--max-weight", "9"],
                       ["--n", "300", "--k", "4", "--cycles", "20"]):
             with contextlib.redirect_stdout(io.StringIO()):

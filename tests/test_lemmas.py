@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from glpart import Graph, generate_almost_chordal, is_hh_i42_free, mcs_search
+from glpart import Graph, class_violation, generate_almost_chordal, mcs_search
 from glpart.almost_chordal import add_terminal_chords, build_contraction_plan
 from glpart.c4 import enumerate_induced_c4
 from glpart.connectivity import clique_decomposition
@@ -24,6 +24,7 @@ from bruteforce import (
     bf_contains_induced,
     bf_vertex_connectivity,
     build_c4_incidence,
+    edges,
     enumerate_minimal_separators,
     random_gnp,
     shared_vertex_member,
@@ -78,7 +79,7 @@ GRAPHS = [g for g, _ in POOL]
 
 def _pool_id(g):
     shared = "shared-" if any(g is s for s, _ in SHARED) else ""
-    return f"{shared}n{g.n}m{len(g.edges())}"
+    return f"{shared}n{g.n}m{len(edges(g))}"
 
 
 def test_pool_covers_high_k():
@@ -123,7 +124,7 @@ class TestPerMember:
         for cyc in enumerate_induced_c4(g):
             for a, b in ((cyc[0], cyc[2]), (cyc[1], cyc[3])):
                 g2 = g.with_edges([(a, b)])
-                assert is_hh_i42_free(g2).ok, (a, b, cyc)
+                assert class_violation(g2) is None, (a, b, cyc)
                 after = len(enumerate_induced_c4(g2))
                 assert after == before - 1, (a, b, cyc)
 
@@ -162,7 +163,7 @@ def test_named_graphs_outside_pool():
         + [(5, i) for i in range(4)]
         + [(4, 5)],
     )
-    assert is_hh_i42_free(g).ok
+    assert class_violation(g) is None
     cat = enumerate_induced_c4(g)
     assert len(cat) == 1
     cyc = cat[0]
@@ -177,7 +178,7 @@ def test_two_neighbor_lemma_fails_outside_class():
 
     # house: vertex 4 sees 2 and 3 on the C4 but not 0 or 1
     house = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 0), (2, 4), (3, 4)])
-    assert not is_hh_i42_free(house).ok
+    assert class_violation(house) is not None
     cyc = enumerate_induced_c4(house)[0]
     off = next(v for v in range(5) if v not in cyc)
     hits = sum(1 for u in cyc if u in house.adj[off])
@@ -221,7 +222,7 @@ def _random_members():
     rng = random.Random(1702)
     for _ in range(6000):
         g = random_gnp(rng, rng.randint(4, 10), rng.choice((0.3, 0.5, 0.7)))
-        if is_hh_i42_free(g):
+        if class_violation(g) is None:
             yield g
 
 
@@ -280,7 +281,7 @@ def test_projected_order_is_not_the_contracted_search():
     member = generate_almost_chordal(9, 2, 1, seed=0)
     new_id = list(range(9))
     random.Random(0).shuffle(new_id)
-    g = Graph.from_edges(9, [(new_id[u], new_id[v]) for u, v in member.edges()])
+    g = Graph.from_edges(9, [(new_id[u], new_id[v]) for u, v in edges(member)])
     terminals = (0, 1)
     g2, chords = add_terminal_chords(g, terminals)
     assert chords == ()

@@ -32,7 +32,7 @@ from glpart.generators import instance_text
 from glpart.instances import parse_instance
 from glpart.verify import DeviationRule, verify_partition
 
-from bruteforce import format_instance, random_gnp
+from bruteforce import edges, format_instance, random_gnp
 
 COMMANDS = (["check"], ["partition"], ["partition", "--skip-checks"])
 
@@ -66,7 +66,7 @@ def _relabelled(inst: Instance, rng: random.Random) -> Instance:
     weights = [0] * n
     for v, w in enumerate(inst.wgraph.weights):
         weights[new_id[v]] = w
-    h = Graph.from_edges(n, [(new_id[u], new_id[v]) for u, v in g.edges()])
+    h = Graph.from_edges(n, [(new_id[u], new_id[v]) for u, v in edges(g)])
     req = PartitionRequest(tuple(map(new_id.__getitem__, inst.request.terminals)),
                            inst.request.demands)
     return Instance(WeightedGraph(h, tuple(weights)), req)

@@ -32,7 +32,7 @@ from glpart import (
 from glpart.c4 import enumerate_induced_c4
 from glpart.chordal import mcs_search
 
-from bruteforce import planted, random_chordal, random_gnp, shared_vertex_member
+from bruteforce import edges, planted, random_chordal, random_gnp, shared_vertex_member
 
 KINDS = ("house", "c4-overlap", "hole", "separator")
 
@@ -61,7 +61,7 @@ GRAPHS = _graphs()
 def _nx(g: Graph) -> nx.Graph:
     h = nx.Graph()
     h.add_nodes_from(g.vertices())
-    h.add_edges_from(g.edges())
+    h.add_edges_from(edges(g))
     return h
 
 

@@ -7,7 +7,7 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from glpart import Graph, generate_almost_chordal, is_hh_i42_free
+from glpart import Graph, class_violation, generate_almost_chordal
 from glpart.c4 import enumerate_induced_c4
 from glpart.connectivity import _violator_fill, clique_decomposition
 from glpart.graph import induced_subgraph
@@ -20,6 +20,7 @@ from bruteforce import (
     bf_has_hole,
     cycle_graph,
     dfs_find_hole,
+    edges,
     find_hole_through,
     planted,
     random_chordal,
@@ -156,27 +157,25 @@ class TestClassMembership:
             "p4": (p4, True, None),
         }
         for name, (g, member, kind) in cases.items():
-            check = is_hh_i42_free(g)
-            assert bool(check) == member, name
-            if kind is None:
-                assert check.violation is None, name
-            else:
-                assert check.violation.kind == kind, name
+            check = class_violation(g)
+            assert (check is None) == member, name
+            if kind is not None:
+                assert check.kind == kind, name
 
     def test_violation_vertices_are_real(self, house, domino):
-        v_house = is_hh_i42_free(house).violation
+        v_house = class_violation(house)
         assert set(v_house.vertices) <= set(range(house.n))
-        v_dom = is_hh_i42_free(domino).violation
+        v_dom = class_violation(domino)
         assert len(set(v_dom.vertices)) >= 6  # union of two overlapping C4
 
     @given(random_graph_strategy(max_n=9))
     @settings(max_examples=150, deadline=None)
     def test_matches_bruteforce(self, g):
-        assert bool(is_hh_i42_free(g)) == bf_class_member(g)
+        assert (class_violation(g) is None) == bf_class_member(g)
 
     def test_deterministic(self, domino):
-        a = is_hh_i42_free(domino)
-        b = is_hh_i42_free(domino)
+        a = class_violation(domino)
+        b = class_violation(domino)
         assert a == b
 
 
@@ -207,7 +206,7 @@ class TestAtomSearch:
             two = with_planted_cycle(planted(member, k, "hole"), 6, anchor)
             perm = random.Random(seed).sample(range(two.n), two.n)
             graphs += [two, Graph.from_edges(
-                two.n, [(perm[u], perm[v]) for u, v in two.edges()])]
+                two.n, [(perm[u], perm[v]) for u, v in edges(two)])]
             graphs.append(planted(planted(member, k, "hole"), k, "separator"))
             shared = shared_vertex_member(30, k, 3, 2, seed)
             graphs += [planted(shared, k, kind) for kind in PLANTS]
@@ -220,7 +219,7 @@ class TestAtomSearch:
             if g.n <= 12:
                 assert (ref is not None) == bf_has_hole(g)
             assert find_hole(g) == ref
-            v = is_hh_i42_free(g).violation
+            v = class_violation(g)
             if v is None or v.kind == "hole":
                 assert (None if v is None else v.vertices) == ref
             # the smallest cut is g.n exactly when nothing was cut
@@ -244,7 +243,7 @@ class TestAtomSearch:
     @pytest.mark.parametrize("k", [3, 4])
     def test_hole_plant_scans_only_holey_atoms(self, hole_calls, k):
         g = planted(generate_almost_chordal(120, k, 6, seed=k), k, "hole")
-        violation = is_hh_i42_free(g).violation
+        violation = class_violation(g)
         spent = len(hole_calls)
         scanned = [(b, c) for n, b, c in hole_calls if n == g.n]
         hole_calls.clear()

@@ -2,7 +2,7 @@
 
 ``clique_decomposition`` marks each non-complete atom that is one induced
 4-cycle joined to a clique Q seeing all of it. When every atom is such,
-``is_hh_i42_free`` takes the rings as the graph's 4-cycle catalog and runs
+``class_violation`` takes the rings as the graph's 4-cycle catalog and runs
 no hole search, and ``vertex_connectivity_at_least`` reads each atom's
 connectivity, |Q| + 2, without flow. Each test here compares both with a
 reference that takes no shortcut: the catalog walked from scratch, the
@@ -17,11 +17,10 @@ import random
 import pytest
 
 from glpart import (
-    ClassCheck,
     ClassViolation,
     Graph,
+    class_violation,
     generate_almost_chordal,
-    is_hh_i42_free,
     mcs_search,
     vertex_connectivity_at_least,
 )
@@ -40,7 +39,7 @@ from bruteforce import (
 KINDS = ("hole", "house", "c4-overlap", "separator")
 
 
-def reference_check(g: Graph) -> ClassCheck:
+def reference_check(g: Graph) -> ClassViolation | None:
     """The catalog scans on a catalog walked from scratch, then a
     whole-graph hole search."""
     violation = scan_catalog_violations(g, _build_catalog(g))
@@ -48,7 +47,7 @@ def reference_check(g: Graph) -> ClassCheck:
     if hole:
         violation = ClassViolation(
             "hole", hole, f"chordless cycle of length {len(hole)}")
-    return ClassCheck(violation is None, violation)
+    return violation
 
 
 def random_graphs():
@@ -90,13 +89,13 @@ class TestAgainstReference:
     def test_verdict_and_witness(self, family, least):
         taken = 0
         for g in family():
-            assert is_hh_i42_free(g) == reference_check(g), g
+            assert class_violation(g) == reference_check(g), g
             taken += ring_path(g)
         assert taken >= least
 
     def test_memoized_catalog(self, family, least):
         for g in family():
-            is_hh_i42_free(g)
+            class_violation(g)
             assert enumerate_induced_c4(g) == _build_catalog(g), g
 
     def test_connectivity(self, family, least):

@@ -24,10 +24,16 @@ from brute force and networkx, not from the library.
   violator per atom, and (c') the chorded graph's order, with each
   merged group at its last member, is a perfect elimination order of the
   contracted graph.
+
+Past the atlas, a fixed sample of ``tools/glued_sweep.py`` runs the
+member, oracle, lemma and refusal checks on graphs of 8 to 12 vertices
+glued from clique and ring + Q atoms.
 """
 
 from __future__ import annotations
 
+import os
+import sys
 from collections import Counter
 from itertools import combinations
 
@@ -47,21 +53,21 @@ from glpart import (
     verify_partition,
     vertex_connectivity_at_least,
 )
-from glpart.almost_chordal import add_terminal_chords, build_contraction_plan
-from glpart.chordal import peo_violation
 from glpart.connectivity import clique_decomposition
 from glpart.graph import induced_subgraph
 
-from bruteforce import (
-    HOUSE_EDGES,
-    _induces_cycle,
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "tools"))
+
+import glued_sweep  # noqa: E402
+from bruteforce import (  # noqa: E402
     _separates,
     bf_class_member,
-    bf_contains_induced,
     bf_gl_partition,
-    bf_induced_c4_sets,
     bf_is_chordal,
     bf_ring_plus_q,
+    check_violation,
+    projected_order_violation,
 )
 
 
@@ -173,24 +179,6 @@ def check_separator(g: Graph, k: int, wit: SeparatorWitness) -> None:
     assert _separates(g, cut, *wit.separated_pair)
 
 
-def check_violation(g: Graph, vio: ClassViolation) -> None:
-    vs = vio.vertices
-    sub = induced_subgraph(g, vs)[0]
-    if vio.kind == "hole":
-        # in cycle order, and inducing nothing but the cycle
-        assert len(set(vs)) == len(vs) >= 5
-        assert all(vs[i - 1] in g.adj[vs[i]] for i in range(len(vs)))
-        assert _induces_cycle(g, vs)
-    elif vio.kind == "house":
-        assert sub.n == 5 and sub.edge_count() == 6
-        assert bf_contains_induced(sub, Graph.from_edges(5, HOUSE_EDGES))
-    else:
-        assert vio.kind == "c4-overlap"
-        cycles = bf_induced_c4_sets(sub)
-        assert any(len(a & b) >= 2 and len(a | b) == sub.n
-                   for a, b in combinations(cycles, 2))
-
-
 def test_refusals_carry_checked_witnesses(atlas):
     """One request at k = kappa + 1 on each chordal or member graph, and
     one per k up to kappa + 1 on each non-member, with checks on. Besides,
@@ -249,14 +237,31 @@ def test_member_lemmas(atlas):
         # (c')
         for k in (2, 3):
             for terminals in combinations(g.vertices(), k):
-                g2, _ = add_terminal_chords(g, terminals)
-                plan = build_contraction_plan(g2, terminals)
-                group = {x: i for i, grp in enumerate(plan.merge_map.groups)
-                         for x in grp}
-                last = {group[x]: pos
-                        for pos, x in enumerate(mcs_search(g2).order)}
-                projected = sorted(last, key=last.__getitem__)
-                assert peo_violation(plan.contracted.graph, projected) is None
+                assert projected_order_violation(g, terminals) is None
                 plans += 1
                 k_connected += k <= kappa
     assert (plans, k_connected) == (2829, 356)
+
+
+def test_glued_graphs_past_the_atlas():
+    """A fixed sample of ``tools/glued_sweep.py``: graphs of 8 to 12
+    vertices glued from clique and ring + Q atoms along cliques of at least
+    k vertices. Members solve and verify, each deviation-1 answer has an
+    exact partition, and lemmas (a) and (c') hold; each non-member that a
+    ring edge in a glue makes is refused by ``check`` and by ``solve``
+    with a witness that checks against its definition."""
+    counts, failures = glued_sweep.sweep(seed=0, draws=150)
+    assert failures == []
+    assert counts == {
+        "chordal": 50,
+        "chordal deviation 0": 309,
+        "member": 48,
+        "member with several rings": 7,
+        "member deviation 0": 280,
+        "member deviation 1": 20,
+        "exact partition found": 20,
+        "(c') plans": 300,
+        "ring edge in a glue": 56,
+        "non-member house": 48,
+        "non-member c4-overlap": 4,
+    }
