@@ -10,7 +10,6 @@ the maximum weight) of every demand. ``solve`` picks between the two as
 ``glpart partition`` does; the stage functions stay in their modules.
 """
 
-from .almost_chordal import PipelineResult
 from .chordal import ChordalityWitness, mcs_search
 from .connectivity import (
     ConnectivityResult,
@@ -30,7 +29,7 @@ from .generators import generate_almost_chordal, generate_ktree
 from .graph import Graph, WeightedGraph
 from .instances import Instance, load_instance
 from .oracle import DEFAULT_ORACLE_CAP, brute_force_gl
-from .partition import GLPartition, PartitionRequest, solve
+from .partition import GLPartition, PartitionRequest, Solution, solve
 from .recognition import ClassViolation, class_violation
 from .verify import DeviationRule, VerificationReport, verify_partition
 
@@ -51,9 +50,9 @@ __all__ = [
     "Instance",
     "PartitionRequest",
     "PipelineInvariantError",
-    "PipelineResult",
     "PreconditionError",
     "SeparatorWitness",
+    "Solution",
     "SolverStallError",
     "VerificationReport",
     "WeightedGraph",

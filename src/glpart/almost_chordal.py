@@ -71,6 +71,7 @@ from .graph import (
 from .partition import (
     GLPartition,
     PartitionRequest,
+    Solution,
     check_demands,
     gl_partition_chordal_weighted,
 )
@@ -232,23 +233,12 @@ def build_contraction_plan(
     )
 
 
-@dataclass(frozen=True)
-class PipelineResult:
-    """Partition plus the audit trail of the reduction, in input-graph ids."""
-
-    partition: GLPartition
-    added_chords: tuple[Edge, ...]
-    contraction_edges: tuple[Edge, ...]
-    peeled: tuple[tuple[int, int], ...]  # (part index, terminal)
-    contracted: WeightedGraph | None
-
-
 def gl_partition_almost_chordal(
     wg: WeightedGraph,
     req: PartitionRequest,
     *,
     validate: bool = True,
-) -> PipelineResult:
+) -> Solution:
     """Near-exact connected partition of an almost-chordal k-connected graph.
 
     Demands are weight targets summing to the total weight (vertex counts
@@ -260,6 +250,12 @@ def gl_partition_almost_chordal(
 
     Terminals whose demand equals their own weight are peeled off first.
     When at most one part stays open, it takes every other vertex, exactly.
+
+    Returns a ``Solution`` with mode "almost-chordal" and the audit trail in
+    input-graph ids: the chords added, the edges contracted (both empty
+    when at most one part stays open) and the peeled (part index, terminal)
+    pairs. The contracted graph is not kept; ``build_contraction_plan``
+    gives it.
     """
     g = wg.graph
     k = req.k
@@ -288,7 +284,7 @@ def gl_partition_almost_chordal(
         # the peeled parts start closed and the open part, if any, takes
         # the rest; the loop's absorb step checks that the rest is connected
         part = gl_partition_chordal_weighted(wg, req, validate=False)
-        return PipelineResult(part, (), (), peeled, None)
+        return Solution(part, "almost-chordal", (), (), peeled)
 
     terminals1 = tuple(req.terminals[i] for i in keep_idx)
     demands1 = tuple(req.demands[i] for i in keep_idx)
@@ -342,11 +338,4 @@ def gl_partition_almost_chordal(
     # each unfolded part weighs what its contracted part did, and a peeled
     # part is its terminal, whose weight is its demand
     partition = GLPartition(tuple(parts), inner.deviation)
-
-    return PipelineResult(
-        partition=partition,
-        added_chords=chords,
-        contraction_edges=edges,
-        peeled=peeled,
-        contracted=inner_wg,
-    )
+    return Solution(partition, "almost-chordal", chords, edges, peeled)

@@ -91,6 +91,10 @@ _EXIT_CODES = (
 
 # past n = 20 the exhaustive oracle's exponential time reaches minutes
 _N_MAX = 20
+# a generated instance takes about 125 bytes of memory per edge: at this
+# many (n = 666,668, k = 3) generate peaked at 252 MB and took 3 s on a
+# 2-core host with Python 3.11
+_EDGES_MAX = 2_000_000
 
 
 def _write(text: str, out_path: str | None) -> None:
@@ -201,27 +205,22 @@ def _cmd_partition(args) -> int:
     t0 = time.perf_counter()
     inst = load_instance(args.file)
     t1 = time.perf_counter()
-    partition, mode, result = solve(
+    sol = solve(
         inst.wgraph, inst.request, mode=args.mode, validate=not args.skip_checks
     )
     t2 = time.perf_counter()
 
-    audit = None
-    if result is not None:
-        audit = {
-            "added_chords": [list(e) for e in result.added_chords],
-            "contracted_edges": [list(e) for e in result.contraction_edges],
-            # each merged group is a contracted pair, named by its kept id
-            "merge_map": {
-                str(u): [u, v] for u, v in sorted(result.contraction_edges)
-            },
-        }
-
+    edges = sol.contraction_edges
     payload = {
-        "parts": [sorted(p) for p in partition.parts],
-        "deviation": partition.deviation,
-        "mode": mode,
-        "audit": audit,
+        "parts": [sorted(p) for p in sol.partition.parts],
+        "deviation": sol.partition.deviation,
+        "mode": sol.mode,
+        "audit": None if sol.added_chords is None else {
+            "added_chords": [list(e) for e in sol.added_chords],
+            "contracted_edges": [list(e) for e in edges],
+            # each merged group is a contracted pair, named by its kept id
+            "merge_map": {str(u): [u, v] for u, v in sorted(edges)},
+        },
     }
     if args.timings:
         payload["timing_ms"] = {
@@ -291,6 +290,13 @@ def _cmd_generate(args) -> int:
     # each planted cycle four more
     _require_at_least("--k", args.k, 2)
     _require_at_least("--n", args.n, args.k + 1 + 4 * args.cycles)
+    # a k-tree on b vertices has k*b - k(k + 1)/2 edges, a gadget 4 + 4k
+    base = args.n - 4 * args.cycles
+    edges = args.k * base - args.k * (args.k + 1) // 2 + 4 * args.cycles * (args.k + 1)
+    if edges > _EDGES_MAX:
+        raise DemandError(
+            f"--n {args.n}, --k {args.k} and --cycles {args.cycles} give {edges} "
+            f"edges, above the {_EDGES_MAX} that generate writes")
     text = instance_text(args.n, args.k, args.cycles, args.seed, args.max_weight,
                          args.min_demand)
     _write(text, args.out)
@@ -331,7 +337,7 @@ def _cmd_oracle_compare(args) -> int:
         wg = WeightedGraph.unit(g)
         req = draw_request(trng, wg.weights, k, floor)
 
-        solved = solve(wg, req, mode=entry["mode"], validate=False)[0]
+        solved = solve(wg, req, mode=entry["mode"], validate=False).partition
         report = verify_partition(wg, req, solved, rule)
         oracle = brute_force_gl(g, req, cap=args.n_max)
         oracle_ok = oracle is not None and verify_partition(
@@ -406,7 +412,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("generate", help="write a seeded instance file")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=int, required=True, help=(
+        "vertices; with --k K and --cycles C the instance has"
+        " K(n - 4C) - K(K + 1)/2 + 4C(K + 1) edges, at most"
+        f" {_EDGES_MAX:,}"))
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cycles", type=int, default=0)

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from heapq import heappop, heappush
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from .chordal import mcs_search
 from .connectivity import vertex_connectivity_at_least
@@ -39,10 +38,7 @@ from .errors import (
     PreconditionError,
     SolverStallError,
 )
-from .graph import Graph, WeightedGraph
-
-if TYPE_CHECKING:
-    from .almost_chordal import PipelineResult
+from .graph import Edge, Graph, WeightedGraph
 
 _STALL = (
     "no unassigned vertex neighbors an open part; "
@@ -87,6 +83,20 @@ class GLPartition:
 
     parts: tuple[frozenset[int], ...]
     deviation: int
+
+
+@dataclass(frozen=True)
+class Solution:
+    """The answer of ``solve``: the partition, the mode the CLI prints, and
+    the member pipeline's audit trail in input-graph ids. The audit fields
+    are None on a chordal solve and tuples, possibly empty, on a member
+    solve; ``peeled`` holds (part index, terminal) pairs."""
+
+    partition: GLPartition
+    mode: str
+    added_chords: tuple[Edge, ...] | None = None
+    contraction_edges: tuple[Edge, ...] | None = None
+    peeled: tuple[tuple[int, int], ...] | None = None
 
 
 def check_demands(
@@ -319,29 +329,28 @@ def solve(
     *,
     mode: str = "auto",
     validate: bool = True,
-) -> tuple[GLPartition, str, PipelineResult | None]:
+) -> Solution:
     """Solve an instance as ``glpart partition`` does.
 
     ``mode`` is "chordal", "almost-chordal" or "auto", which picks the
     chordal solve iff the graph is chordal, by the memoised search that
-    solve then reuses. ``validate=False`` is ``--skip-checks``. Returns the
-    partition, the mode the CLI prints ("chordal-exact" under unit weights,
-    else "chordal-weighted", or "almost-chordal") and, for the
-    almost-chordal solve only, the pipeline's result with its audit trail.
-    An unknown mode raises ValueError.
+    solve then reuses. ``validate=False`` is ``--skip-checks``. Returns one
+    ``Solution``: the partition, the mode the CLI prints ("chordal-exact"
+    under unit weights, else "chordal-weighted", or "almost-chordal") and,
+    for the almost-chordal solve only, the pipeline's audit trail. An
+    unknown mode raises ValueError.
     """
     if mode == "auto":
         chordal = mcs_search(wg.graph).witness is None
         mode = "chordal" if chordal else "almost-chordal"
     if mode == "chordal":
         part = gl_partition_chordal_weighted(wg, req, validate=validate)
-        return part, "chordal-exact" if wg.is_unit() else "chordal-weighted", None
+        return Solution(part, "chordal-exact" if wg.is_unit() else "chordal-weighted")
     if mode == "almost-chordal":
         # imported here: almost_chordal imports this module
         from .almost_chordal import gl_partition_almost_chordal
 
-        result = gl_partition_almost_chordal(wg, req, validate=validate)
-        return result.partition, mode, result
+        return gl_partition_almost_chordal(wg, req, validate=validate)
     raise ValueError(
         f"unknown mode {mode!r}: expected auto, chordal or almost-chordal"
     )

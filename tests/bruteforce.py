@@ -30,7 +30,9 @@ neighbour set through a generator, which the library's ``map`` replaced,
 and the hole scan over every edge of the graph that the library's scan
 of the atoms' edges replaced, with that edge list built off the atoms'
 vertex ids. Last come the check of a class witness against its
-definition, the check of lemma (c') on one request, and the graphs glued
+definition, a member solve's reduction (peel, chords, contraction plan)
+re-derived stage by stage for the tests that read the contracted graph,
+the check of lemma (c') on one request, and the graphs glued
 from clique and ring + Q atoms that carry the small-scope checks past
 the atlas's 7 vertices.
 """
@@ -65,11 +67,15 @@ from glpart import (
     recognition,
     vertex_connectivity_at_least,
 )
-from glpart.almost_chordal import add_terminal_chords, build_contraction_plan
+from glpart.almost_chordal import (
+    ContractionPlan,
+    add_terminal_chords,
+    build_contraction_plan,
+)
 from glpart.c4 import C4Catalog, Cycle, _canonical, enumerate_induced_c4
 from glpart.chordal import McsSearch, mcs_order, peo_violation
 from glpart.connectivity import ConnectivityResult, _failure, clique_decomposition
-from glpart.graph import MergeMap, components_within, induced_subgraph
+from glpart.graph import MergeMap, components_within, induced_subgraph, merged_weights
 from glpart.instances import format_parts
 from glpart.oracle import _feasible, _reachable
 from glpart.partition import _STALL, check_demands
@@ -1400,15 +1406,55 @@ def check_violation(g: Graph, vio: ClassViolation) -> None:
                    for a, b in combinations(cycles, 2))
 
 
+@dataclass(frozen=True)
+class MemberPlan:
+    """A member solve's reduction, stage by stage: the peeled (part index,
+    terminal) pairs, the peeled graph's vertices by their input ids
+    (``back``), the open terminals in the peeled graph's ids, the chorded
+    graph and its chords, the contraction plan, and the weighted graph the
+    growth loop solves."""
+
+    peeled: tuple[tuple[int, int], ...]
+    back: tuple[int, ...]
+    terminals: tuple[int, ...]
+    chorded: Graph
+    chords: tuple[tuple[int, int], ...]
+    plan: ContractionPlan
+    contracted: WeightedGraph
+
+
+def member_plan(wg: WeightedGraph, req: PartitionRequest) -> MemberPlan:
+    """Re-derive what ``gl_partition_almost_chordal`` builds before its
+    growth loop: peel each terminal whose demand is its own weight, chord
+    the open terminals and plan the contraction. With nothing peeled the
+    stages run on the input graph itself, as the solve's do."""
+    g = wg.graph
+    peeled = tuple((i, t) for i, (t, d) in enumerate(zip(req.terminals, req.demands))
+                   if d == wg.weights[t])
+    gone = {t for _, t in peeled}
+    if gone:
+        g1, back = induced_subgraph(g, [v for v in g.vertices() if v not in gone])
+    else:
+        g1, back = g, tuple(g.vertices())
+    fwd = {old: new for new, old in enumerate(back)}
+    terminals = tuple(fwd[t] for t in req.terminals if t not in gone)
+    chorded, chords = add_terminal_chords(g1, terminals)
+    plan = build_contraction_plan(chorded, terminals)
+    weights = merged_weights([wg.weights[v] for v in back], plan.contraction_edges)
+    return MemberPlan(peeled, back, terminals, chorded, chords, plan,
+                      WeightedGraph(plan.contracted.graph, weights))
+
+
 def projected_order_violation(g: Graph, terminals) -> ChordalityWitness | None:
     """Lemma (c'): None when the chorded graph's search order, with each
     merged group at the position of its last member, is a perfect
     elimination order of the contracted graph; else its witness."""
-    g2, _ = add_terminal_chords(g, terminals)
-    plan = build_contraction_plan(g2, terminals)
-    group = {x: i for i, grp in enumerate(plan.merge_map.groups) for x in grp}
-    last = {group[x]: pos for pos, x in enumerate(mcs_search(g2).order)}
-    return peo_violation(plan.contracted.graph, sorted(last, key=last.__getitem__))
+    # demands of 2 peel no terminal of unit weight
+    mp = member_plan(WeightedGraph.unit(g),
+                     PartitionRequest(tuple(terminals), (2,) * len(terminals)))
+    group = {x: i for i, grp in enumerate(mp.plan.merge_map.groups) for x in grp}
+    last = {group[x]: pos for pos, x in enumerate(mcs_search(mp.chorded).order)}
+    return peo_violation(mp.contracted.graph, sorted(last, key=last.__getitem__))
 
 
 def _atom(kind: str, size: int):

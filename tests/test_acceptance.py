@@ -42,6 +42,7 @@ from bruteforce import (
     cycle_graph,
     enumerate_minimal_separators,
     is_chordal,
+    member_plan,
     universal_to,
 )
 
@@ -197,8 +198,10 @@ def test_criterion_4_pipeline_guards(member_suite):
         g = run.g
         n = g.n
         assert len(enumerate_induced_c4(g)) <= (n - 4) / 3 + 1
-        for res, req in ((run.res_unw, run.req_unw), (run.res_w, run.req_w)):
-            gg = res.contracted.graph
+        legs = ((run.res_unw, WeightedGraph.unit(g), run.req_unw),
+                (run.res_w, run.wg, run.req_w))
+        for res, wg, req in legs:
+            gg = member_plan(wg, req).contracted.graph
             assert is_chordal(gg)
             k_eff = req.k - len(res.peeled)
             assert vertex_connectivity_at_least(gg, k_eff).connected

@@ -6,8 +6,10 @@ attribute or an imported name. A mention in a docstring or a comment does
 not count. A helper that only tests call belongs in ``tests/bruteforce.py``;
 so does a public method of a graph type that no other library module
 reads.
-The CLI leaves the choice of solver to ``solve``, the README's quick
-start runs against the API as it is, and the README's CLI synopsis names
+The CLI leaves the choice of solver to ``solve``, and no module, tool or
+README example reads ``solve``'s one frozen answer record by position.
+The README's quick start runs against the API as it is, and its CLI
+synopsis names
 each subcommand's flags as the parser defines them. Only the generators
 draw, and the CLI formats no instance itself. No library module imports
 another's underscore names, the verifier imports nothing but types from
@@ -24,10 +26,14 @@ from __future__ import annotations
 
 import argparse
 import ast
+import dataclasses
 import importlib
+import pkgutil
 import re
 from pathlib import Path
 from types import FunctionType
+
+import pytest
 
 import glpart
 from glpart.cli import _build_parser
@@ -92,12 +98,80 @@ def test_only_the_generators_draw():
     assert sorted(refs & {"later_neighbours", "format_parts", "Counter"}) == []
 
 
-def test_readme_quick_start_runs(capsys):
+def _quick_start() -> str:
+    """The code of the README's library quick start."""
     readme = (ROOT / "README.md").read_text()
     section = readme.split("## Library quick start", 1)[1]
-    code = section.split("```python\n", 1)[1].split("```", 1)[0]
-    exec(compile(code, "README.md", "exec"), {})
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_quick_start_runs(capsys):
+    exec(compile(_quick_start(), "README.md", "exec"), {})
     assert capsys.readouterr().out
+
+
+def _is_solve(node) -> bool:
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    return (func.id if isinstance(func, ast.Name)
+            else getattr(func, "attr", None)) == "solve"
+
+
+def _positional_uses(tree: ast.AST) -> list[int]:
+    """Lines that index or unpack a ``solve(...)`` result, read straight
+    off the call or off a name the call was assigned to."""
+    names = {
+        target.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign) and _is_solve(node.value)
+        for target in node.targets if isinstance(target, ast.Name)
+    }
+
+    def result(node) -> bool:
+        return _is_solve(node) or isinstance(node, ast.Name) and node.id in names
+
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Subscript) and result(node.value):
+            lines.append(node.lineno)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)) and result(node.value):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            if any(isinstance(t, (ast.Tuple, ast.List, ast.Starred)) for t in targets):
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_solve_result_is_read_by_field():
+    # ``solve`` returns one record; a read by position would break when a
+    # field is added, so every caller names the field it reads
+    sources = {
+        path.relative_to(ROOT).as_posix(): path.read_text()
+        for path in sorted((ROOT / "src" / "glpart").glob("*.py"))
+        + sorted((ROOT / "tools").glob("*.py"))
+    }
+    sources["README.md quick start"] = _quick_start()
+    found = {name: _positional_uses(ast.parse(text)) for name, text in sources.items()}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+    # the guard sees both forms
+    assert _positional_uses(ast.parse(
+        "a, b, c = solve(w, r)\nx = glpart.solve(w, r)[0]\ny = solve(w, r)\ny[1]"
+    )) == [1, 2, 4]
+
+
+def test_solve_returns_one_frozen_record():
+    sol = glpart.solve(
+        glpart.WeightedGraph.unit(glpart.generate_ktree(6, 2, seed=0)),
+        glpart.PartitionRequest((0, 1), (3, 3)),
+    )
+    assert type(sol) is glpart.Solution
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sol.mode = "chordal-weighted"
+    modules = [glpart] + [
+        importlib.import_module(f"glpart.{info.name}")
+        for info in pkgutil.iter_modules(glpart.__path__)
+    ]
+    assert [m.__name__ for m in modules if hasattr(m, "PipelineResult")] == []
 
 
 def _synopsis_flags() -> dict[str, set[str]]:

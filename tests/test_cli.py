@@ -5,11 +5,13 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import resource
 import stat
 import subprocess
 import sys
 import tempfile
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -394,6 +396,47 @@ class TestGenerate:
         assert main(["generate", "--n", "10", "--k", "2", "--min-demand", "6"]) == 2
         assert capsys.readouterr() == ("", "error: floors sum to 12, above the total 10\n")
 
+    @pytest.mark.parametrize("n,k,cycles", [(12, 3, 0), (30, 3, 1), (41, 4, 3),
+                                            (7, 6, 0)])
+    def test_edge_bound_is_read_off_the_flags(self, tmp_path, monkeypatch, capsys,
+                                              n, k, cycles):
+        # at the bound the file is written with that many edges; one edge
+        # above it nothing is drawn or written
+        out = tmp_path / "gen.txt"
+        argv = ["generate", "--n", str(n), "--k", str(k), "--cycles", str(cycles),
+                "--out", str(out)]
+        assert main(argv) == 0
+        m = int(out.read_text().splitlines()[1].split()[1])
+        out.unlink()
+        monkeypatch.setattr(cli, "_EDGES_MAX", m)
+        assert main(argv) == 0 and out.exists()
+        out.unlink()
+        monkeypatch.setattr(cli, "_EDGES_MAX", m - 1)
+        assert main(argv) == 2 and not out.exists()
+        assert capsys.readouterr() == ("", (
+            f"error: --n {n}, --k {k} and --cycles {cycles} give {m} edges, "
+            f"above the {m - 1} that generate writes\n"))
+
+    @pytest.mark.parametrize("flags", [
+        ["--n", "100000000000", "--k", "3"],
+        ["--n", "2000001", "--k", "2000000"],
+        ["--n", "4000000003", "--k", "2", "--cycles", "1000000000"],
+    ])
+    def test_oversized_instance_exits_2_at_once(self, tmp_path, flags):
+        # in a child capped at 1 GiB of address space: a generate that began
+        # drawing would run out of memory or time there, not in the tests
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        out = tmp_path / "gen.txt"
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(glpart.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "glpart.cli", "generate", *flags, "--out", str(out)],
+            capture_output=True, text=True, env=env, timeout=60, preexec_fn=cap)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith("error: --n ") and proc.stderr.count("\n") == 1
+        assert not out.exists()
+
     def test_keeps_what_the_benchmark_reads(self, capsys):
         # the benchmark wraps these two names to time generator calls under
         # --trace 1, and reads a member's comment fields cycles= and
@@ -512,9 +555,10 @@ class TestOracleCompare:
     def test_disagreement_is_reported(self, cycles, monkeypatch, capsys):
         # a solver whose parts carry each other's terminals fails the verifier
         def swapped(wg, req, **kwargs):
-            parts = list(solve(wg, req, **kwargs)[0].parts)
+            sol = solve(wg, req, **kwargs)
+            parts = list(sol.partition.parts)
             parts[0], parts[1] = parts[1], parts[0]
-            return GLPartition(tuple(parts), 0), None, None
+            return replace(sol, partition=GLPartition(tuple(parts), 0))
 
         monkeypatch.setattr(cli, "solve", swapped)
         code, doc = run_json(

@@ -16,6 +16,7 @@ from glpart import (
     PartitionRequest,
     PipelineInvariantError,
     PreconditionError,
+    Solution,
     SolverStallError,
     WeightedGraph,
     generate_almost_chordal,
@@ -498,9 +499,8 @@ def direct(wg: WeightedGraph, req: PartitionRequest, chordal: bool, validate: bo
     if chordal:
         part = gl_partition_chordal_weighted(wg, req, validate=validate)
         unit = all(w == 1 for w in wg.weights)
-        return part, "chordal-exact" if unit else "chordal-weighted", None
-    result = gl_partition_almost_chordal(wg, req, validate=validate)
-    return result.partition, "almost-chordal", result
+        return Solution(part, "chordal-exact" if unit else "chordal-weighted")
+    return gl_partition_almost_chordal(wg, req, validate=validate)
 
 
 class TestSolve:
@@ -516,7 +516,7 @@ class TestSolve:
             got = error_or(lambda: solve(fresh(wg), req, mode=mode, validate=validate))
             want = error_or(lambda: direct(fresh(wg), req, use_chordal, validate))
             assert got == want, name
-            errors += isinstance(got[0], type)
+            errors += isinstance(got, tuple)
         # validated, the pipeline rejects the four planted defects and the
         # chordal solve every non-chordal graph; unvalidated, the pipeline
         # still fails on the planted hole and 4-cycle overlap

@@ -108,11 +108,12 @@ def sweep(atlas):
                 for demands in compositions(g.n, k):
                     req = PartitionRequest(terminals, demands)
                     try:
-                        part, mode, _ = solve(wg, req)
+                        sol = solve(wg, req)
                     except PreconditionError:
                         counts[kind, "refused"] += 1
                         continue
-                    assert (mode == "chordal-exact") == chordal, (g.adj, req)
+                    part = sol.partition
+                    assert (sol.mode == "chordal-exact") == chordal, (g.adj, req)
                     rep = verify_partition(wg, req, part, rule)
                     assert rep.ok, (g.adj, req, rep.first_violation)
                     counts[kind, part.deviation] += 1
@@ -155,7 +156,8 @@ def test_weighted_requests_stay_in_their_windows(atlas):
             for terminals in combinations(g.vertices(), k):
                 for demands in weighted_demands(wg.weights, terminals):
                     req = PartitionRequest(terminals, demands)
-                    part, mode, _ = solve(wg, req)
+                    sol = solve(wg, req)
+                    part, mode = sol.partition, sol.mode
                     assert mode == ("chordal-weighted" if chordal else "almost-chordal")
                     # w_max is 2; k' counts the terminals that are not peeled
                     k_open = sum(d != wg.weights[t] for t, d in zip(terminals, demands))

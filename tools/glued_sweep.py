@@ -90,7 +90,7 @@ def _member(g, k, rng, requests, counts, fail) -> None:
         for _ in range(requests):
             req = _request(rng, g.n, kk)
             try:
-                part, _, _ = solve(wg, req)
+                part = solve(wg, req).partition
             except PreconditionError as exc:
                 fail(f"refused {req}: {exc}")
                 continue
