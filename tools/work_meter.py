@@ -257,7 +257,7 @@ def format_report(trees: list[dict]) -> str:
                    f"({_rel(a['opcodes'][TOTAL], b['opcodes'][TOTAL])}), C calls "
                    f"{a['c_calls'][TOTAL]:,} -> {b['c_calls'][TOTAL]:,} "
                    f"({_rel(a['c_calls'][TOTAL], b['c_calls'][TOTAL])})")
-        for module in sorted(set(a["opcodes"]) | set(b["opcodes"]) - {TOTAL}):
+        for module in sorted((set(a["opcodes"]) | set(b["opcodes"])) - {TOTAL}):
             pairs = [(a[kind].get(module, 0), b[kind].get(module, 0))
                      for kind in ("opcodes", "c_calls")]
             if any(x != y for x, y in pairs):
