@@ -38,8 +38,10 @@ seeded apart from it, so no request value is a function of the graph's
 draws. ``_draw`` makes each base draw inline as CPython's ``randrange(m)``
 makes it, the first ``getrandbits(m.bit_length())`` value below m, so the
 graphs are those of one ``randrange`` call per vertex. ``instance_text``
-draws what ``glpart generate`` writes: the graph, then the weights, the
-terminals and the demands.
+draws what ``glpart generate`` writes: the weights, the terminals and the
+demands, then the graph, so a request that ``draw_request`` refuses costs
+no graph draw. The two streams share no word, so the order changes no
+byte.
 
 Every random choice of the graph is made once, by ``_draw``, which returns
 the drawn cliques: each k-tree vertex's base, then each gadget's anchor.
@@ -197,7 +199,6 @@ def instance_text(n: int, k: int, cycles: int, seed: int,
     with floor ``min_demand``, after a comment line naming the seed (the
     benchmark reads a member's ``cycles=`` and ``requested_cycles=``
     there). The arguments must be ones ``generate`` accepts."""
-    later = later_neighbours(n, k, cycles, seed)
     rng = request_rng(seed)
     if cycles > 0:
         comment = f"seed={seed} k={k} cycles={cycles} requested_cycles={cycles}"
@@ -208,6 +209,8 @@ def instance_text(n: int, k: int, cycles: int, seed: int,
     else:
         weights = (1,) * n
     request = draw_request(rng, weights, k, min_demand)
+    # drawn last, so a refused request costs no graph
+    later = later_neighbours(n, k, cycles, seed)
     return format_parts(n, later, weights, request, comment)
 
 
