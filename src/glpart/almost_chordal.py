@@ -1,7 +1,9 @@
-"""Connected partitions on almost-chordal graphs via chord-and-contract.
+"""The stages of chord-and-contract, for almost-chordal graphs.
 
-The pipeline reduces an instance whose only non-chordality is a family of
-pairwise almost-disjoint induced 4-cycles to a weighted chordal instance:
+``partition.solve`` runs the pipeline; this module holds steps 2 to 4,
+the terminal chords and the contraction plan. The pipeline reduces an
+instance whose only non-chordality is a family of pairwise
+almost-disjoint induced 4-cycles to a weighted chordal instance:
 
 1. peel unit-demand terminals (each peel lowers the connectivity the
    remaining instance needs by one); with at most one part left open,
@@ -36,12 +38,13 @@ k' = 4 on, the paper's 2 * w_max can be missed.
 Every stage asks ``enumerate_induced_c4`` and ``mcs_search`` for the
 certificates it needs; each graph keeps them in its memo. Each catalog is
 read off its graph's clique separator decomposition, which recognition
-and the connectivity check share, so ``validate`` only decides whether a
-failed check raises. On members each non-complete atom is ring + Q, one
-induced 4-cycle joined to a clique (observed, not proven; any other atom
-takes the walk, the hole search and the flow). Then the atoms' rings are
-the catalog, which the chord step and the contraction plan reuse, and no
-catalog walk, hole search or flow runs and no atom's subgraph is built.
+and the connectivity check share, so ``solve``'s ``validate`` only
+decides whether a failed check raises. On members each non-complete atom
+is ring + Q, one induced 4-cycle joined to a clique (observed, not
+proven; any other atom takes the walk, the hole search and the flow).
+Then the atoms' rings are the catalog, which the chord step and the
+contraction plan reuse, and no catalog walk, hole search or flow runs
+and no atom's subgraph is built.
 The peeled graph's catalog is the input's less the peeled vertices; the
 chorded graph's is read off its own search and decomposition. The
 contraction plan certifies the contracted graph's elimination order,
@@ -55,9 +58,8 @@ from dataclasses import dataclass
 from itertools import compress, count
 from operator import not_
 
-from .c4 import enumerate_induced_c4, induced_catalog
+from .c4 import enumerate_induced_c4
 from .chordal import mcs_search
-from .connectivity import vertex_connectivity_at_least
 from .errors import PipelineInvariantError, PreconditionError
 from .graph import (
     Edge,
@@ -65,17 +67,8 @@ from .graph import (
     MergeMap,
     WeightedGraph,
     contract_matching,
-    induced_subgraph,
     merged_weights,
 )
-from .partition import (
-    GLPartition,
-    PartitionRequest,
-    Solution,
-    check_demands,
-    gl_partition_chordal_weighted,
-)
-from .recognition import class_violation
 
 
 def add_terminal_chords(
@@ -231,111 +224,3 @@ def build_contraction_plan(
         merge_map=merge_map,
         terminal_map=terminal_map,
     )
-
-
-def gl_partition_almost_chordal(
-    wg: WeightedGraph,
-    req: PartitionRequest,
-    *,
-    validate: bool = True,
-) -> Solution:
-    """Near-exact connected partition of an almost-chordal k-connected graph.
-
-    Demands are weight targets summing to the total weight (vertex counts
-    under unit weights) and must cover each terminal's own weight. Returned
-    part weights differ from their demands by less than max(2, k' - 1)
-    times the maximum vertex weight, k' being the parts left open after the
-    peel (see the module docstring); under unit weights sizes are within
-    one of target.
-
-    Terminals whose demand equals their own weight are peeled off first.
-    When at most one part stays open, it takes every other vertex, exactly.
-
-    Returns a ``Solution`` with mode "almost-chordal" and the audit trail in
-    input-graph ids: the chords added, the edges contracted (both empty
-    when at most one part stays open) and the peeled (part index, terminal)
-    pairs. The contracted graph is not kept; ``build_contraction_plan``
-    gives it.
-    """
-    g = wg.graph
-    k = req.k
-    check_demands(wg, req)
-    if validate:
-        vio = class_violation(g)
-        if vio is not None:
-            raise PreconditionError(
-                f"input graph is outside the supported class: {vio.kind} on "
-                f"vertices {vio.vertices}",
-                witness=vio,
-            )
-        res = vertex_connectivity_at_least(g, k)
-        if not res:
-            raise PreconditionError(
-                f"input graph is not {k}-connected: {res.reason}",
-                witness=res.witness,
-            )
-
-    peel_idx = [i for i in range(k) if req.demands[i] == wg.weights[req.terminals[i]]]
-    peel_set = set(peel_idx)
-    keep_idx = [i for i in range(k) if i not in peel_set]
-    peeled = tuple((i, req.terminals[i]) for i in peel_idx)
-    k_eff = len(keep_idx)
-    if k_eff < 2:
-        # the peeled parts start closed and the open part, if any, takes
-        # the rest; the loop's absorb step checks that the rest is connected
-        part = gl_partition_chordal_weighted(wg, req, validate=False)
-        return Solution(part, "almost-chordal", (), (), peeled)
-
-    terminals1 = tuple(req.terminals[i] for i in keep_idx)
-    demands1 = tuple(req.demands[i] for i in keep_idx)
-    if peeled:
-        kept = set(g.vertices()).difference(t for _, t in peeled)
-        g1, back = induced_subgraph(g, kept)
-        fwd = {old: new for new, old in enumerate(back)}
-        induced_catalog(g, g1, fwd)
-        weights1 = tuple(wg.weights[old] for old in back)
-        terminals1 = tuple(map(fwd.__getitem__, terminals1))
-    else:
-        # keep g itself, and with it the certificates it holds
-        g1, weights1 = g, wg.weights
-
-    g2, chords = add_terminal_chords(g1, terminals1)
-    plan = build_contraction_plan(g2, terminals1)
-
-    inner_wg = WeightedGraph(
-        plan.contracted.graph, merged_weights(weights1, plan.contraction_edges)
-    )
-    if validate:
-        res = vertex_connectivity_at_least(inner_wg.graph, k_eff)
-        if not res:
-            raise PipelineInvariantError(
-                f"contracted graph lost {k_eff}-connectivity: {res.reason}"
-            )
-    inner_req = PartitionRequest(
-        tuple(map(plan.terminal_map.__getitem__, terminals1)), demands1
-    )
-    inner = gl_partition_chordal_weighted(
-        inner_wg,
-        inner_req,
-        validate=False,
-        allow_overweight_terminals=True,
-    )
-
-    parts: list[frozenset[int]] = [frozenset()] * k
-    for i, t in peeled:
-        parts[i] = frozenset((t,))
-    for pos, i in enumerate(keep_idx):
-        parts[i] = plan.merge_map.expand(inner.parts[pos])
-    edges = plan.contraction_edges
-    if peeled:
-        # back to g's ids; ``back`` ascends, so each pair stays sorted
-        orig = back.__getitem__
-        for i in keep_idx:
-            parts[i] = frozenset(map(orig, parts[i]))
-        chords = tuple(tuple(map(orig, e)) for e in chords)
-        edges = tuple(tuple(map(orig, e)) for e in edges)
-
-    # each unfolded part weighs what its contracted part did, and a peeled
-    # part is its terminal, whose weight is its demand
-    partition = GLPartition(tuple(parts), inner.deviation)
-    return Solution(partition, "almost-chordal", chords, edges, peeled)

@@ -22,7 +22,10 @@ site, since a call per vertex is a measurable share of the loop.
 
 ``solve`` is the one entry point that ``glpart partition`` and
 ``oracle-compare`` call: it picks between this chordal solve and the
-chord-and-contract pipeline of ``almost_chordal`` and names the mode.
+chord-and-contract pipeline and names the mode. It runs every stage of
+that pipeline itself, calling the chord and contraction stages of
+``almost_chordal`` and this module's growth loop, and it builds every
+``Solution``.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from __future__ import annotations
 from heapq import heappop, heappush
 from dataclasses import dataclass
 
+from .c4 import induced_catalog
 from .chordal import mcs_search
 from .connectivity import vertex_connectivity_at_least
 from .errors import (
@@ -38,7 +42,8 @@ from .errors import (
     PreconditionError,
     SolverStallError,
 )
-from .graph import Edge, Graph, WeightedGraph
+from .graph import Edge, Graph, WeightedGraph, induced_subgraph, merged_weights
+from .recognition import class_violation
 
 _STALL = (
     "no unassigned vertex neighbors an open part; "
@@ -123,6 +128,17 @@ def check_demands(
             )
 
 
+def _require_connectivity(g: Graph, k: int) -> None:
+    """Raise PreconditionError, with the separator as witness, unless g is
+    k-connected."""
+    res = vertex_connectivity_at_least(g, k)
+    if not res:
+        raise PreconditionError(
+            f"input graph is not {k}-connected: {res.reason}",
+            witness=res.witness,
+        )
+
+
 def gl_partition_chordal(
     g: Graph, req: PartitionRequest, *, validate: bool = True
 ) -> GLPartition:
@@ -173,12 +189,7 @@ def gl_partition_chordal_weighted(
                 f"{wit.vertex} has non-adjacent later neighbors {wit.nonadjacent}",
                 witness=wit,
             )
-        res = vertex_connectivity_at_least(g, req.k)
-        if not res:
-            raise PreconditionError(
-                f"input graph is not {req.k}-connected: {res.reason}",
-                witness=res.witness,
-            )
+        _require_connectivity(g, req.k)
 
     n, k = g.n, req.k
     # unvalidated, a non-chordal graph grows along its search order anyway;
@@ -339,18 +350,108 @@ def solve(
     under unit weights, else "chordal-weighted", or "almost-chordal") and,
     for the almost-chordal solve only, the pipeline's audit trail. An
     unknown mode raises ValueError.
+
+    The almost-chordal solve runs every stage of the chord-and-contract
+    pipeline of ``almost_chordal`` here, in order: the checks, the peel,
+    the chords, the contraction plan, the inner connectivity check, the
+    growth loop and the unfold. Its demands are weight targets that must
+    cover each terminal's own weight. Returned part weights differ from
+    their demands by less than max(2, k' - 1) times the maximum vertex
+    weight, k' being the parts left open after the peel (the argument is
+    in that module's docstring); under unit weights sizes are within one
+    of target. Terminals whose demand equals their own weight are peeled
+    off first. When at most one part stays open, it takes every other
+    vertex, exactly. The audit trail is in input-graph ids: the chords
+    added, the edges contracted (both empty when at most one part stays
+    open) and the peeled (part index, terminal) pairs. The contracted
+    graph is not kept; ``build_contraction_plan`` gives it.
     """
+    g = wg.graph
     if mode == "auto":
-        chordal = mcs_search(wg.graph).witness is None
-        mode = "chordal" if chordal else "almost-chordal"
+        mode = "chordal" if mcs_search(g).witness is None else "almost-chordal"
     if mode == "chordal":
         part = gl_partition_chordal_weighted(wg, req, validate=validate)
         return Solution(part, "chordal-exact" if wg.is_unit() else "chordal-weighted")
-    if mode == "almost-chordal":
-        # imported here: almost_chordal imports this module
-        from .almost_chordal import gl_partition_almost_chordal
+    if mode != "almost-chordal":
+        raise ValueError(
+            f"unknown mode {mode!r}: expected auto, chordal or almost-chordal"
+        )
+    # imported here, so that importing the CLI loads no member stage
+    from .almost_chordal import add_terminal_chords, build_contraction_plan
 
-        return gl_partition_almost_chordal(wg, req, validate=validate)
-    raise ValueError(
-        f"unknown mode {mode!r}: expected auto, chordal or almost-chordal"
+    k = req.k
+    check_demands(wg, req)
+    if validate:
+        vio = class_violation(g)
+        if vio is not None:
+            raise PreconditionError(
+                f"input graph is outside the supported class: {vio.kind} on "
+                f"vertices {vio.vertices}",
+                witness=vio,
+            )
+        _require_connectivity(g, k)
+
+    peel_idx = [i for i in range(k) if req.demands[i] == wg.weights[req.terminals[i]]]
+    peel_set = set(peel_idx)
+    keep_idx = [i for i in range(k) if i not in peel_set]
+    peeled = tuple((i, req.terminals[i]) for i in peel_idx)
+    k_eff = len(keep_idx)
+    if k_eff < 2:
+        # the peeled parts start closed and the open part, if any, takes
+        # the rest; the loop's absorb step checks that the rest is connected
+        part = gl_partition_chordal_weighted(wg, req, validate=False)
+        return Solution(part, "almost-chordal", (), (), peeled)
+
+    terminals1 = tuple(req.terminals[i] for i in keep_idx)
+    demands1 = tuple(req.demands[i] for i in keep_idx)
+    if peeled:
+        kept = set(g.vertices()).difference(t for _, t in peeled)
+        g1, back = induced_subgraph(g, kept)
+        fwd = {old: new for new, old in enumerate(back)}
+        induced_catalog(g, g1, fwd)
+        weights1 = tuple(wg.weights[old] for old in back)
+        terminals1 = tuple(map(fwd.__getitem__, terminals1))
+    else:
+        # keep g itself, and with it the certificates it holds
+        g1, weights1 = g, wg.weights
+
+    g2, chords = add_terminal_chords(g1, terminals1)
+    plan = build_contraction_plan(g2, terminals1)
+
+    inner_wg = WeightedGraph(
+        plan.contracted.graph, merged_weights(weights1, plan.contraction_edges)
     )
+    if validate:
+        res = vertex_connectivity_at_least(inner_wg.graph, k_eff)
+        if not res:
+            raise PipelineInvariantError(
+                f"contracted graph lost {k_eff}-connectivity: {res.reason}"
+            )
+    inner_req = PartitionRequest(
+        tuple(map(plan.terminal_map.__getitem__, terminals1)), demands1
+    )
+    inner = gl_partition_chordal_weighted(
+        inner_wg,
+        inner_req,
+        validate=False,
+        allow_overweight_terminals=True,
+    )
+
+    parts: list[frozenset[int]] = [frozenset()] * k
+    for i, t in peeled:
+        parts[i] = frozenset((t,))
+    for pos, i in enumerate(keep_idx):
+        parts[i] = plan.merge_map.expand(inner.parts[pos])
+    edges = plan.contraction_edges
+    if peeled:
+        # back to g's ids; ``back`` ascends, so each pair stays sorted
+        orig = back.__getitem__
+        for i in keep_idx:
+            parts[i] = frozenset(map(orig, parts[i]))
+        chords = tuple(tuple(map(orig, e)) for e in chords)
+        edges = tuple(tuple(map(orig, e)) for e in edges)
+
+    # each unfolded part weighs what its contracted part did, and a peeled
+    # part is its terminal, whose weight is its demand
+    partition = GLPartition(tuple(parts), inner.deviation)
+    return Solution(partition, "almost-chordal", chords, edges, peeled)

@@ -1424,7 +1424,7 @@ class MemberPlan:
 
 
 def member_plan(wg: WeightedGraph, req: PartitionRequest) -> MemberPlan:
-    """Re-derive what ``gl_partition_almost_chordal`` builds before its
+    """Re-derive what ``solve``'s almost-chordal branch builds before its
     growth loop: peel each terminal whose demand is its own weight, chord
     the open terminals and plan the contraction. With nothing peeled the
     stages run on the input graph itself, as the solve's do."""

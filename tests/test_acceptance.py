@@ -24,10 +24,10 @@ from glpart import (
     class_violation,
     generate_almost_chordal,
     generate_ktree,
+    solve,
     vertex_connectivity_at_least,
     verify_partition,
 )
-from glpart.almost_chordal import gl_partition_almost_chordal
 from glpart.c4 import enumerate_induced_c4
 from glpart.cli import main as cli_main
 from glpart.partition import gl_partition_chordal, gl_partition_chordal_weighted
@@ -156,13 +156,13 @@ def member_suite():
         req_unw = PartitionRequest(
             terms, random_composition(rng, n, k, [2] * k)
         )
-        res_unw = gl_partition_almost_chordal(WeightedGraph.unit(g), req_unw)
+        res_unw = solve(WeightedGraph.unit(g), req_unw, mode="almost-chordal")
 
         wg = WeightedGraph(g, tuple(rng.randint(1, 7) for _ in range(n)))
         req_w = weighted_request(rng, wg, k, extra=1)
         if req_w is None:
             continue
-        res_w = gl_partition_almost_chordal(wg, req_w)
+        res_w = solve(wg, req_w, mode="almost-chordal")
         out.append(MemberRun(g, k, req_unw, res_unw, wg, req_w, res_w))
     return out
 
@@ -367,7 +367,7 @@ def test_criterion_8_runtime_scaling():
     terms = tuple(rng.sample(range(200), 3))
     req = PartitionRequest(terms, random_composition(rng, 200, 3, [2] * 3))
     t0 = time.perf_counter()
-    res = gl_partition_almost_chordal(WeightedGraph.unit(g), req)
+    res = solve(WeightedGraph.unit(g), req, mode="almost-chordal")
     prep = time.perf_counter() - t0
     assert prep < 30.0, f"n=200 pipeline took {prep:.1f}s"
     assert res.partition.deviation <= 1

@@ -8,7 +8,9 @@ import random
 import pytest
 
 import glpart.almost_chordal as almost_chordal
+import glpart.partition as partition_module
 from glpart import (
+    ConnectivityResult,
     DeviationRule,
     GlpartError,
     Graph,
@@ -25,7 +27,6 @@ from glpart import (
 from glpart.almost_chordal import (
     add_terminal_chords,
     build_contraction_plan,
-    gl_partition_almost_chordal,
 )
 from glpart.c4 import _build_catalog, enumerate_induced_c4
 from glpart.cli import main
@@ -234,7 +235,7 @@ class TestPipeline:
         g = generate_ktree(15, 3, 4)
         wg = WeightedGraph.unit(g)
         req = PartitionRequest((0, 5, 10), (5, 5, 5))
-        res = gl_partition_almost_chordal(wg, req)
+        res = solve(wg, req, mode="almost-chordal")
         assert res.added_chords == ()
         assert res.contraction_edges == ()
         assert res.partition.deviation == 0
@@ -248,7 +249,7 @@ class TestPipeline:
             )
             wg = WeightedGraph.unit(g)
             req = random_request(rng, g.n, k, min_demand=2)
-            res = gl_partition_almost_chordal(wg, req)
+            res = solve(wg, req, mode="almost-chordal")
             assert res.partition.deviation <= 1
             rep = verify_partition(wg, req, res.partition, DeviationRule.slack(1))
             assert rep.ok, rep.first_violation
@@ -259,7 +260,7 @@ class TestPipeline:
             g = generate_almost_chordal(24, 3, 2, seed=40 + trial)
             wg = WeightedGraph(g, tuple(rng.randint(1, 7) for _ in range(g.n)))
             req = weighted_request(rng, wg, 3, floor_above_terminal=True)
-            res = gl_partition_almost_chordal(wg, req)
+            res = solve(wg, req, mode="almost-chordal")
             rep = verify_partition(
                 wg, req, res.partition, DeviationRule.window(2 * wg.w_max)
             )
@@ -272,7 +273,7 @@ class TestPipeline:
         terms = (0, 3, 7, 11)
         demands = (1, 1, g.n - 12, 10)
         req = PartitionRequest(terms, demands)
-        res = gl_partition_almost_chordal(wg, req)
+        res = solve(wg, req, mode="almost-chordal")
         assert {t for _, t in res.peeled} == {0, 3}
         assert req.k - len(res.peeled) == 2
         assert res.partition.parts[0] == frozenset({0})
@@ -289,19 +290,19 @@ class TestPipeline:
             PreconditionError,
             match="complete graph on 4 vertices has no separator",
         ):
-            gl_partition_almost_chordal(wg, req)
+            solve(wg, req, mode="almost-chordal")
 
     def test_rejects_nonmember(self, house):
         wg = WeightedGraph.unit(house)
         with pytest.raises(PreconditionError) as ei:
-            gl_partition_almost_chordal(wg, PartitionRequest((0, 1), (2, 3)))
+            solve(wg, PartitionRequest((0, 1), (2, 3)), mode="almost-chordal")
         assert ei.value.witness is not None
 
     def test_audit_fields_consistent(self):
         g = member_instance(21)
         wg = WeightedGraph.unit(g)
         req = PartitionRequest((0, 8, 16), (8, 8, g.n - 16))
-        res = gl_partition_almost_chordal(wg, req)
+        res = solve(wg, req, mode="almost-chordal")
         assert len(res.contraction_edges) == len(enumerate_induced_c4(g))
         assert not res.peeled
         contracted = member_plan(wg, req).contracted.graph
@@ -312,8 +313,8 @@ class TestPipeline:
         g = member_instance(9)
         wg = WeightedGraph.unit(g)
         req = PartitionRequest((1, 6, 12), (8, 8, g.n - 16))
-        a = gl_partition_almost_chordal(wg, req)
-        b = gl_partition_almost_chordal(wg, req)
+        a = solve(wg, req, mode="almost-chordal")
+        b = solve(wg, req, mode="almost-chordal")
         assert a == b
 
     def test_shared_catalog_matches_public_stages(self):
@@ -333,7 +334,7 @@ class TestPipeline:
             demands[-1] += g.n - sum(demands)
             req = PartitionRequest(tuple(terms), tuple(demands))
             wg = WeightedGraph.unit(g)
-            res = gl_partition_almost_chordal(wg, req)
+            res = solve(wg, req, mode="almost-chordal")
 
             mp = member_plan(WeightedGraph.unit(Graph(g.adj)), req)
             assert mp.peeled == res.peeled
@@ -420,7 +421,7 @@ class TestWeightedBound:
             weights[v] = 9
         wg = WeightedGraph(g, tuple(weights))
         req = PartitionRequest((48, 52, 56, 0), (2, 2, 2, 78))
-        res = gl_partition_almost_chordal(wg, req)
+        res = solve(wg, req, mode="almost-chordal")
         assert res.contraction_edges == ((48, 49), (52, 53), (56, 57))
         assert res.partition.deviation == 24
         self.assert_within_bound(wg, req, res)
@@ -435,7 +436,7 @@ class TestWeightedBound:
                 if inst is None:
                     continue
                 wg, req = inst
-                res = gl_partition_almost_chordal(wg, req)
+                res = solve(wg, req, mode="almost-chordal")
                 self.assert_within_bound(wg, req, res)
                 reached.add(req.k - len(res.peeled))
                 misses += res.partition.deviation >= 2 * wg.w_max
@@ -571,13 +572,50 @@ class TestUncheckedNonMembers:
                 old._memo["c4"] = _build_catalog(old)
                 with monkeypatch.context() as m:
                     m.setattr(almost_chordal, "enumerate_induced_c4", walked)
-                    m.setattr(almost_chordal, "induced_catalog",
+                    m.setattr(partition_module, "induced_catalog",
                               lambda g, sub, fwd: None)
                     reference = run(WeightedGraph.unit(old))
                 assert fresh == reference, (kind, g.n, k, req)
                 failed = isinstance(fresh, tuple)
                 outcomes.add(fresh[0].__name__ if failed else "solved")
         assert outcomes == ends
+
+
+class TestUnreachedGuards:
+    """Guards no correct run reaches, each forced by a stand-in stage."""
+
+    def test_unusable_contraction_edges(self, monkeypatch):
+        # the greedy picks disjoint ring edges, so only a contraction handed
+        # a pair twice refuses them
+        g = member_instance(21)
+        g2, _ = add_terminal_chords(g, (0, 8, 16))
+        first = build_contraction_plan(g2, (0, 8, 16)).contraction_edges[0]
+        real = almost_chordal.contract_matching
+        monkeypatch.setattr(almost_chordal, "contract_matching",
+                            lambda h, edges: real(h, [*edges, edges[0]]))
+        with pytest.raises(PipelineInvariantError) as ei:
+            build_contraction_plan(Graph(g2.adj), (0, 8, 16))
+        assert str(ei.value) == (
+            "selected contraction edges are unusable: contraction edges are "
+            f"not vertex-disjoint at {first}")
+
+    def test_contracted_graph_lost_connectivity(self, monkeypatch):
+        # contraction keeps a member's connectivity, so only a check that
+        # refuses the contracted graph fires the inner check
+        g = member_instance(21)
+        real = partition_module.vertex_connectivity_at_least
+
+        def refuse_contracted(h, k):
+            if h is g:
+                return real(h, k)
+            return ConnectivityResult(False, reason="stand-in")
+
+        monkeypatch.setattr(partition_module, "vertex_connectivity_at_least",
+                            refuse_contracted)
+        req = PartitionRequest((0, 8, 16), (8, 8, g.n - 16))
+        with pytest.raises(PipelineInvariantError) as ei:
+            solve(WeightedGraph.unit(g), req, mode="almost-chordal")
+        assert str(ei.value) == "contracted graph lost 3-connectivity: stand-in"
 
 
 class TestPeeledCatalog:
@@ -590,7 +628,7 @@ class TestPeeledCatalog:
         """A list that gains (vertex count, cycle count) for each peeled
         graph, after its catalog is checked against the walk."""
         seen = []
-        original = almost_chordal.induced_catalog
+        original = partition_module.induced_catalog
 
         def checked(g, sub, fwd):
             original(g, sub, fwd)
@@ -598,7 +636,7 @@ class TestPeeledCatalog:
             assert catalog == _build_catalog(sub), (g, sorted(fwd))
             seen.append((sub.n, len(catalog)))
 
-        monkeypatch.setattr(almost_chordal, "induced_catalog", checked)
+        monkeypatch.setattr(partition_module, "induced_catalog", checked)
         return seen
 
     def test_shared_vertex_members(self, peeled_catalogs):
@@ -615,8 +653,9 @@ class TestPeeledCatalog:
                     demands = [1] * ones + [2] * (k - 1 - ones)
                     req = PartitionRequest(tuple(terms),
                                            (*demands, g.n - sum(demands)))
-                    res = gl_partition_almost_chordal(
-                        WeightedGraph.unit(Graph(g.adj)), req, validate=validate)
+                    res = solve(
+                        WeightedGraph.unit(Graph(g.adj)), req, mode="almost-chordal",
+                        validate=validate)
                     assert len(res.peeled) == ones
                     # the peeled ring vertex takes its rings with it
                     assert 0 < peeled_catalogs[-1][1] < len(enumerate_induced_c4(g))

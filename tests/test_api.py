@@ -15,7 +15,9 @@ draw, and the CLI formats no instance itself. No library module imports
 another's underscore names, the verifier imports nothing but types from
 the rest of the library, and the connectivity check does not read the
 4-cycle catalog. Induced subgraphs are built only by the clique separator
-decomposition, one per atom, and by the peel. A chordality witness is
+decomposition, one per atom, and by the peel. ``solve`` runs every stage
+of a member solve: the stage module imports nothing from ``partition``,
+and importing the CLI does not load it. A chordality witness is
 built at one site, the walk that every elimination order's check runs.
 The growth loop seeds its parts and assigns its picks with no helper
 function, and appends to a part at one site. networkx is a test
@@ -28,8 +30,11 @@ import argparse
 import ast
 import dataclasses
 import importlib
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 from types import FunctionType
 
@@ -222,6 +227,30 @@ def _private_imports(path: Path) -> list[str]:
     return found
 
 
+def test_solve_runs_every_member_stage():
+    # the stage module holds the chords and the contraction plan; solve
+    # runs them, the checks and the growth loop, and builds the answer
+    path = ROOT / "src" / "glpart" / "almost_chordal.py"
+    refs = _references(path)
+    assert sorted(refs & {"gl_partition_chordal_weighted", "check_demands",
+                          "Solution", "solve"}) == []
+    modules = [node.module for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.ImportFrom)]
+    assert "partition" not in modules
+    stages = importlib.import_module("glpart.almost_chordal")
+    assert not hasattr(stages, "gl_partition_almost_chordal")
+
+
+def test_importing_the_cli_loads_no_member_stage():
+    # solve imports the member stages only when a member solve runs, so a
+    # command that solves no member never loads them
+    code = "import sys, glpart.cli; print('glpart.almost_chordal' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout == "False\n"
+
+
 def test_no_private_imports_across_modules():
     # each stage has one public entry point; a private twin that another
     # module calls would be a second code path beside it
@@ -269,7 +298,7 @@ def test_atom_subgraphs_are_built_in_one_place():
     # walk, its hole search and its flow; the peel builds the only other
     users = [p.name for p in sorted((ROOT / "src" / "glpart").glob("*.py"))
              if "induced_subgraph" in _references(p)]
-    assert users == ["almost_chordal.py", "connectivity.py"]
+    assert users == ["connectivity.py", "partition.py"]
 
 
 def test_chordality_witness_is_built_in_one_place():

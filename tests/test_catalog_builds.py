@@ -45,8 +45,8 @@ from glpart import (
     generate_ktree,
     graph,
     recognition,
+    solve,
 )
-from glpart.almost_chordal import gl_partition_almost_chordal
 from glpart.c4 import enumerate_induced_c4
 from glpart.cli import main
 
@@ -174,7 +174,7 @@ def _write(tmp_path, g, req) -> str:
 def test_validated_solve_builds_one_catalog(builds, hole_calls, flow_sizes, k):
     # the one catalog comes from the atoms' rings, not from a walk
     g, req = _member_request(k, 0, seed=k)
-    res = gl_partition_almost_chordal(WeightedGraph.unit(g), req)
+    res = solve(WeightedGraph.unit(g), req, mode="almost-chordal")
     assert res.added_chords == ()
     assert len(res.contraction_edges) == 2
     assert enumerate_induced_c4(g) == all_pairs_induced_c4(g)
@@ -189,7 +189,7 @@ def test_all_chords_cost_no_walk(builds, k, chords):
     # chorded graph's atoms show none left: a chorded ring and its clique
     # are cut into complete atoms
     g, req = _member_request(k, chords, seed=k)
-    res = gl_partition_almost_chordal(WeightedGraph.unit(g), req)
+    res = solve(WeightedGraph.unit(g), req, mode="almost-chordal")
     assert len(res.added_chords) == chords
     assert builds == []
 
@@ -248,8 +248,9 @@ def test_unchecked_solve_does_no_more_work(builds, searches, atom_builds):
         for validate in (True, False):
             for spy in (builds, searches, atom_builds):
                 spy.clear()
-            res = gl_partition_almost_chordal(
-                WeightedGraph.unit(Graph(g.adj)), req, validate=validate)
+            res = solve(
+                WeightedGraph.unit(Graph(g.adj)), req, mode="almost-chordal",
+                validate=validate)
             work.append([Counter(searches), Counter(atom_builds), Counter(builds)])
         checked, unchecked = work
         assert all(u <= c for u, c in zip(unchecked, checked)), (g.n, req)
@@ -265,7 +266,7 @@ def test_peeled_graph_is_neither_searched_nor_cut(searches, atom_builds):
     for g, req in _member_cases():
         searches.clear()
         atom_builds.clear()
-        res = gl_partition_almost_chordal(WeightedGraph.unit(Graph(g.adj)), req)
+        res = solve(WeightedGraph.unit(Graph(g.adj)), req, mode="almost-chordal")
         if res.peeled and not res.added_chords:
             seen, cut = list(searches), list(atom_builds)
             contracted = member_plan(WeightedGraph.unit(g), req).contracted

@@ -25,7 +25,7 @@ from glpart import (
     generate_almost_chordal,
     generate_ktree,
 )
-from glpart import cli
+from glpart import cli, generators
 from glpart.cli import _dumps, main
 from glpart.errors import (
     CapError,
@@ -342,6 +342,14 @@ class TestVerify:
         assert main(["verify", chordal_file, str(out)]) == 3
         assert "lists a vertex twice" in capsys.readouterr().err
 
+    def test_empty_part_exits_3(self, chordal_file, tmp_path, capsys):
+        out, doc = self._solved(chordal_file, tmp_path)
+        doc["parts"][1] = []
+        out.write_text(json.dumps(doc))
+        assert main(["verify", chordal_file, str(out)]) == 3
+        assert capsys.readouterr() == (
+            "", "error: part 1 must be a non-empty list\n")
+
     def test_bad_rule_exits_2(self, chordal_file, tmp_path, capsys):
         # a bad flag value is a usage error, like every other flag's
         out = tmp_path / "part.json"
@@ -395,6 +403,18 @@ class TestGenerate:
         # draw refuses it
         assert main(["generate", "--n", "10", "--k", "2", "--min-demand", "6"]) == 2
         assert capsys.readouterr() == ("", "error: floors sum to 12, above the total 10\n")
+
+    def test_floors_above_total_draw_no_graph(self, monkeypatch, capsys):
+        # the request is drawn before the graph, so a refused one costs no
+        # graph draw
+        def drawn(*args):
+            raise AssertionError("the graph was drawn")
+
+        monkeypatch.setattr(generators, "later_neighbours", drawn)
+        argv = ["generate", "--n", "600000", "--k", "3", "--min-demand", "1000000"]
+        assert main(argv) == 2
+        assert capsys.readouterr() == (
+            "", "error: floors sum to 3000000, above the total 600000\n")
 
     @pytest.mark.parametrize("n,k,cycles", [(12, 3, 0), (30, 3, 1), (41, 4, 3),
                                             (7, 6, 0)])

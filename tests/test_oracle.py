@@ -17,7 +17,7 @@ from glpart import (
     generate_almost_chordal,
     generate_ktree,
 )
-from glpart.oracle import _connected_sets
+from glpart.oracle import _connected_sets, _feasible
 from glpart.partition import gl_partition_chordal
 
 from bruteforce import (
@@ -33,6 +33,12 @@ from test_partition import random_request
 
 
 class TestBruteForce:
+    def test_feasible_refuses_a_terminal_left_out(self):
+        # the search keeps every later terminal available, so only a direct
+        # call leaves one out; without the refusal the tally of its
+        # demand would raise KeyError
+        assert _feasible(path_graph(4), frozenset({0, 1}), (3,), (2,)) is False
+
     def test_path_split(self):
         g = path_graph(5)
         req = PartitionRequest((0, 4), (2, 3))

@@ -26,7 +26,7 @@ from glpart import (
     verify_partition,
 )
 
-from glpart.almost_chordal import gl_partition_almost_chordal
+import glpart.partition as partition_module
 from glpart.cli import main
 from glpart.connectivity import _flow_connectivity
 from glpart.partition import (
@@ -331,6 +331,17 @@ class TestArmedInvariants:
         assert captured.err.startswith("error: closed-part weight slack")
         assert len(captured.err.splitlines()) == 1
 
+    def test_no_open_part_with_vertices_left(self, monkeypatch):
+        # demands summing to the total close the last part on the last
+        # vertex, so only a short sum that passes a disabled demand check
+        # leaves vertices with every part closed
+        monkeypatch.setattr(partition_module, "check_demands", lambda *a, **kw: None)
+        wg = WeightedGraph.unit(path_graph(4))
+        req = PartitionRequest((0, 3), (1, 1))
+        with pytest.raises(SolverStallError) as ei:
+            gl_partition_chordal_weighted(wg, req, validate=False)
+        assert str(ei.value) == "unassigned vertices remain but no part is open"
+
 
 def outcome(solver, wg: WeightedGraph, req: PartitionRequest, **kwargs):
     """The parts as sorted lists and the deviation, or the error's type and text."""
@@ -495,12 +506,13 @@ def error_or(call):
 
 
 def direct(wg: WeightedGraph, req: PartitionRequest, chordal: bool, validate: bool):
-    """What ``solve`` should return, by calling the chosen solver itself."""
+    """What ``solve`` should return: the chordal solver called directly,
+    or ``solve`` with the member mode forced."""
     if chordal:
         part = gl_partition_chordal_weighted(wg, req, validate=validate)
         unit = all(w == 1 for w in wg.weights)
         return Solution(part, "chordal-exact" if unit else "chordal-weighted")
-    return gl_partition_almost_chordal(wg, req, validate=validate)
+    return solve(wg, req, mode="almost-chordal", validate=validate)
 
 
 class TestSolve:
